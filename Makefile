@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench figures artifacts examples fuzz clean
+.PHONY: all build vet test race bench benchmark allocgate figures artifacts examples fuzz clean
 
 all: build vet test
 
@@ -21,6 +21,17 @@ race:
 # One testing.B benchmark per paper table/figure, plus ablations.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The closed-loop benchmark of the real op path (BENCHMARK.json): the four
+# workloads in turn, end-to-end metrics.
+benchmark:
+	bash benchmark/run.sh -all
+
+# Allocation gates (run without -race): zero-alloc codecs and sketches,
+# the payload-cipher budget, and the whole-process single-op budget.
+allocgate:
+	PRECURSOR_ALLOC_GATE=1 $(GO) test ./internal/wire/ ./internal/cryptox/ ./internal/heat/ ./internal/core/ \
+		-run 'ZeroAlloc|AllocBudget' -count=1 -v
 
 # Text tables for every figure and table of the evaluation.
 figures:

@@ -110,6 +110,9 @@ func TestQuorumWritePropagatesOneRef(t *testing.T) {
 			t.Fatalf("replica %d ref %+v != replica 0 ref %+v", i, refs[0], want)
 		}
 	}
+	// The cluster op's trace is finished by whichever goroutine collects
+	// the last replica's ack, possibly after the replicas saw the write.
+	waitFor(t, "the cluster op's trace to finish", func() bool { return len(tr.Recent()) > 0 })
 	recent := tr.Recent()
 	if len(recent) != 1 || recent[0].Kind != "put" {
 		t.Fatalf("cluster tracer recent = %+v, want one put", recent)

@@ -1,0 +1,121 @@
+package core
+
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// TestOpPathAllocBudget is the allocation regression gate on the
+// single-op path (PRECURSOR_ALLOC_GATE pattern): a real in-process
+// client against a Workers: 1 server, steady state after warm-up, and
+// the whole process's malloc count per operation — so the trusted
+// poller, the sender and the fabric's amortised completion-queue drain
+// are all inside the figure.
+//
+// What is left per op once the path is warm:
+//
+//	get     the value handed to the caller + the AES key schedule of
+//	        the one-time payload MAC key (inline: the value only)
+//	put     that key schedule + the server's stored entry + the key
+//	        string the table and the delta set share (inline: + the
+//	        enclave region; vlog: + the record's metadata, AD, seal,
+//	        encoded record and group-commit hand-off)
+//	delete  the key string, the delta set's growth, and the missing
+//	        key's re-put that precedes every delete here
+//
+// plus ≈0.15 amortised (send completions every 16th write). Budgets
+// are the measured figures (beside each row) plus 0.4–1.8 of headroom;
+// the base-mode get and put budgets are the issue's.
+func TestOpPathAllocBudget(t *testing.T) {
+	if os.Getenv("PRECURSOR_ALLOC_GATE") == "" {
+		t.Skip("set PRECURSOR_ALLOC_GATE=1 to enforce the op-path allocation budget")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	inline := func(cfg *ClientConfig) { cfg.InlineSmallValues = true }
+	modes := []struct {
+		name             string
+		srv              ServerConfig
+		cli              func(*ClientConfig)
+		vlog             bool
+		get, put, putDel float64 // budgets: allocs per get, per overwrite-put, per put+delete pair
+	}{
+		{name: "base", get: 2.5, put: 4.5, putDel: 5},                                                          // 2.13, 3.13, 4.25
+		{name: "hardened", srv: ServerConfig{HardenedMACs: true}, get: 2.5, put: 4.5, putDel: 5},               // 2.13, 3.13, 4.25
+		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, cli: inline, get: 1.5, put: 5, putDel: 6}, // 1.13, 4.13, 5.25
+		{name: "vlog", vlog: true, get: 2.5, put: 19, putDel: 34},                                              // 2.13, 18.13, 32.25
+	}
+	const (
+		keys   = 64
+		warm   = 2000
+		rounds = 20000
+	)
+	value := make([]byte, 32)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := m.srv
+			cfg.Workers = 1
+			cfg.PollInterval = 50 * time.Microsecond
+			if m.vlog {
+				cfg.DataDir = t.TempDir()
+			}
+			tc := newCluster(t, cfg)
+			var opts []func(*ClientConfig)
+			if m.cli != nil {
+				opts = append(opts, m.cli)
+			}
+			c := tc.connect(opts...)
+			names := make([]string, keys)
+			for i := range names {
+				names[i] = fmt.Sprintf("user%012d", i)
+			}
+			get := func(i int) {
+				if _, err := c.Get(names[i%keys]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put := func(i int) {
+				if err := c.Put(names[i%keys], value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			putDel := func(i int) {
+				put(i)
+				if err := c.Delete(names[i%keys]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			measure := func(what string, budget float64, n int, op func(int)) {
+				for i := 0; i < warm; i++ {
+					op(i)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < n; i++ {
+					op(i)
+				}
+				runtime.ReadMemStats(&after)
+				got := float64(after.Mallocs-before.Mallocs) / float64(n)
+				t.Logf("%-8s %-10s %.2f allocs/op, %.0f B/op (budget %.1f)", m.name, what, got,
+					float64(after.TotalAlloc-before.TotalAlloc)/float64(n), budget)
+				if got > budget {
+					t.Errorf("%s %s: %.2f allocs/op exceeds the budget of %.1f", m.name, what, got, budget)
+				}
+			}
+			n := rounds
+			if m.vlog {
+				n = rounds / 10 // every put waits for a group commit
+			}
+			for i := 0; i < keys; i++ {
+				put(i)
+			}
+			measure("get", m.get, n, get)
+			measure("put", m.put, n, put)
+			measure("put+delete", m.putDel, n, putDel)
+		})
+	}
+}

@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"precursor/internal/cryptox"
@@ -229,9 +230,9 @@ func (c *Client) batchAsync(ops []BatchOp, parent time.Time, ref obs.SpanRef) (*
 
 // startBatchLocked assembles, seals and sends one batch frame. Called
 // with mu held. Scratch buffers on the client are reused across
-// batches, so steady-state assembly of inline-value batches costs no
-// codec allocations (the AEAD nonce/seal and per-put payload
-// encryption are the remaining cryptographic costs).
+// batches, so steady-state assembly costs no allocations beyond the
+// future itself and one AES key schedule per encrypted put (the MAC
+// under its one-time key).
 func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.SpanRef) (*BatchFuture, error) {
 	var op *obs.Op
 	if tr := c.cfg.Tracer; tr != nil {
@@ -254,10 +255,19 @@ func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.Spa
 		c.opKeys = make([]cryptox.OperationKey, len(ops))
 	}
 	c.opKeys = c.opKeys[:len(ops)]
+	// Keys are staged back to back in scratch; sized up front so the
+	// per-op slices below never move.
+	keyBytes := 0
+	for i := range ops {
+		keyBytes += len(ops[i].Key)
+	}
+	c.keyBuf = slices.Grow(c.keyBuf[:0], keyBytes)
 
 	kinds := make([]BatchOpKind, len(ops))
 	for i := range ops {
-		bop := wire.BatchOp{Key: []byte(ops[i].Key)}
+		keyAt := len(c.keyBuf)
+		c.keyBuf = append(c.keyBuf, ops[i].Key...)
+		bop := wire.BatchOp{Key: c.keyBuf[keyAt:]}
 		kinds[i] = ops[i].Kind
 		switch ops[i].Kind {
 		case BatchPut:
@@ -266,23 +276,20 @@ func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.Spa
 				bop.Flags = wire.FlagInlineValue
 				bop.InlineValue = ops[i].Value
 			} else {
-				opKey, err := cryptox.NewOperationKey()
+				// nonce‖ciphertext‖MAC lands directly in the frame's
+				// payload region; the op's extent is what was appended.
+				payloadAt := len(c.payloadBuf)
+				var err error
+				if c.opKeys[i], err = cryptox.NewOperationKey(); err == nil {
+					c.payloadBuf, err = c.payload.SealAppend(c.payloadBuf, &c.opKeys[i], ops[i].Value)
+				}
 				if err != nil {
 					op.SetError(err)
 					op.Finish()
 					return nil, err
 				}
-				payload, mac, err := cryptox.EncryptPayload(opKey, ops[i].Value)
-				if err != nil {
-					op.SetError(err)
-					op.Finish()
-					return nil, err
-				}
-				c.opKeys[i] = opKey
 				bop.OpKey = c.opKeys[i][:]
-				bop.PayloadLen = uint32(len(payload) + len(mac))
-				c.payloadBuf = append(c.payloadBuf, payload...)
-				c.payloadBuf = append(c.payloadBuf, mac...)
+				bop.PayloadLen = uint32(len(c.payloadBuf) - payloadAt)
 			}
 		case BatchGet:
 			bop.Op = wire.OpGet
@@ -451,8 +458,8 @@ func (c *Client) pollOnceLocked() error {
 		time.Sleep(2 * time.Microsecond)
 		return nil
 	}
-	resp, err := wire.DecodeResponse(msg)
-	if err != nil {
+	resp := &c.resp
+	if err := resp.Decode(msg); err != nil {
 		c.badFrames++
 		return nil
 	}
@@ -460,11 +467,12 @@ func (c *Client) pollOnceLocked() error {
 		c.unauthStatuses++
 		return nil
 	}
-	rcPt, err := c.aead.Open(resp.SealedControl, c.ad[:])
+	rcPt, err := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, c.ad[:])
 	if err != nil {
 		c.badFrames++
 		return nil
 	}
+	c.ctlBuf = rcPt
 	if wire.IsBatchReply(rcPt) {
 		c.resolveBatchReplyLocked(rcPt, resp.Payload)
 		return nil
@@ -532,8 +540,9 @@ func (c *Client) resolveBatchReplyLocked(pt, payload []byte) {
 }
 
 // batchOpResult converts one sealed per-op result into the client-side
-// outcome, decrypting get payloads. seg aliases the poll buffer, so
-// values are copied or decrypted before returning.
+// outcome, decrypting get payloads. res and seg alias the client's
+// scratch (opened control and poll buffer), so values are copied or
+// decrypted into fresh memory before returning.
 func (c *Client) batchOpResult(kind BatchOpKind, res *wire.BatchOpResult, seg []byte) BatchResult {
 	switch res.Status {
 	case wire.StatusOK:
@@ -561,8 +570,6 @@ func (c *Client) batchOpResult(kind BatchOpKind, res *wire.BatchOpResult, seg []
 	if len(res.OpKey) != wire.OpKeySize {
 		return BatchResult{Err: ErrBadResponse}
 	}
-	var opKey cryptox.OperationKey
-	copy(opKey[:], res.OpKey)
 	ciphertext := seg
 	mac := res.PayloadMAC
 	if mac == nil {
@@ -572,7 +579,7 @@ func (c *Client) batchOpResult(kind BatchOpKind, res *wire.BatchOpResult, seg []
 		ciphertext = seg[:len(seg)-wire.MACSize]
 		mac = seg[len(seg)-wire.MACSize:]
 	}
-	value, err := cryptox.DecryptPayload(opKey, ciphertext, mac)
+	value, err := c.payload.OpenAppend(nil, (*cryptox.OperationKey)(res.OpKey), ciphertext, mac)
 	if err != nil {
 		c.integrityFailures++
 		return BatchResult{Err: fmt.Errorf("%w: %v", ErrIntegrity, err)}

@@ -118,18 +118,26 @@ type Client struct {
 	// expected when the request carried a trace context. Guarded by mu.
 	adx [12]byte
 
-	// Batch state (all guarded by mu). inflight maps oid to the pending
-	// pipelined batch; the rest are scratch buffers reused across
-	// batches so the steady-state encode/decode path allocates nothing.
-	inflight   map[uint64]*BatchFuture
+	// inflight maps oid to the pending pipelined batch. Guarded by mu.
+	inflight map[uint64]*BatchFuture
+
+	// Per-connection scratch (all guarded by mu), shared by single ops
+	// and batches so the steady-state op path allocates nothing but the
+	// value a read hands back. Each buffer is valid only until the next
+	// use named here; nothing returned to the user aliases any of them.
 	bctl       wire.BatchControl
 	brep       wire.BatchReply
-	ctlBuf     []byte
-	sealedBuf  []byte
-	frameBuf   []byte
-	payloadBuf []byte
+	resp       wire.Response        // decoded reply frame; aliases pollBuf
+	rctl       wire.ResponseControl // decoded reply control; aliases ctlBuf
+	keyBuf     []byte               // request key bytes, until the control is encoded
+	ctlBuf     []byte               // request control plaintext until sealed, then the opened reply control
+	sealedBuf  []byte               // sealed batch control, until the frame is built
+	frameBuf   []byte               // request frame, until the ring write returns
+	payloadBuf []byte               // batch payload region, until the frame is built
+	pollBuf    []byte               // reply frame, until the next PollInto
+	opKey      cryptox.OperationKey // the in-flight put's K_operation
 	opKeys     []cryptox.OperationKey
-	pollBuf    []byte
+	payload    cryptox.PayloadCipher
 
 	// window is the connection's AIMD pipelining limit: how many batch
 	// frames may be in flight at once. RETRY_LATER and timeouts shrink
@@ -303,31 +311,22 @@ func (c *Client) endOp(err error) {
 	op.Finish()
 }
 
-func (c *Client) putOnce(key string, value []byte, deadline time.Time) error {
+// newControl starts the next operation's control data: a fresh oid, the
+// key staged in scratch, the in-flight trace context.
+func (c *Client) newControl(op wire.Opcode, key string) wire.RequestControl {
 	c.oid++
-	ctl := wire.RequestControl{Op: wire.OpPut, Oid: c.oid, Key: []byte(key), Trace: traceCtx(c.curRef)}
-	req := wire.Request{Op: wire.OpPut, ClientID: c.id}
+	c.keyBuf = append(c.keyBuf[:0], key...)
+	return wire.RequestControl{Op: op, Oid: c.oid, Key: c.keyBuf, Trace: traceCtx(c.curRef)}
+}
 
-	if c.cfg.InlineSmallValues && len(value) < c.cfg.InlineMax {
+func (c *Client) putOnce(key string, value []byte, deadline time.Time) error {
+	ctl := c.newControl(wire.OpPut, key)
+	inline := c.cfg.InlineSmallValues && len(value) < c.cfg.InlineMax
+	if inline {
 		ctl.Flags = wire.FlagInlineValue
 		ctl.InlineValue = value
-	} else {
-		t0 := c.curOp.Now()
-		opKey, err := cryptox.NewOperationKey()
-		if err != nil {
-			return err
-		}
-		payload, mac, err := cryptox.EncryptPayload(opKey, value)
-		if err != nil {
-			return err
-		}
-		ctl.OpKey = opKey[:]
-		req.Payload = payload
-		req.PayloadMAC = mac
-		c.curOp.Span(obs.CliEncrypt, t0)
 	}
-
-	rc, _, err := c.roundTrip(&req, &ctl, deadline)
+	rc, _, err := c.roundTrip(&ctl, value, !inline, deadline)
 	if err != nil {
 		return err
 	}
@@ -441,11 +440,8 @@ func retryableRead(err error) bool {
 }
 
 func (c *Client) getOnce(key string, deadline time.Time) ([]byte, error) {
-	c.oid++
-	ctl := wire.RequestControl{Op: wire.OpGet, Oid: c.oid, Key: []byte(key), Trace: traceCtx(c.curRef)}
-	req := wire.Request{Op: wire.OpGet, ClientID: c.id}
-
-	rc, payload, err := c.roundTrip(&req, &ctl, deadline)
+	ctl := c.newControl(wire.OpGet, key)
+	rc, payload, err := c.roundTrip(&ctl, nil, false, deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -458,9 +454,6 @@ func (c *Client) getOnce(key string, deadline time.Time) ([]byte, error) {
 	if len(rc.OpKey) != wire.OpKeySize {
 		return nil, ErrBadResponse
 	}
-	var opKey cryptox.OperationKey
-	copy(opKey[:], rc.OpKey)
-
 	ciphertext := payload
 	mac := rc.PayloadMAC
 	if mac == nil {
@@ -472,7 +465,9 @@ func (c *Client) getOnce(key string, deadline time.Time) ([]byte, error) {
 		mac = payload[len(payload)-wire.MACSize:]
 	}
 	t0 := c.curOp.Now()
-	value, err := cryptox.DecryptPayload(opKey, ciphertext, mac)
+	// Appending to nil makes the plaintext the one allocation of a get:
+	// the caller keeps it, so it must not live in scratch.
+	value, err := c.payload.OpenAppend(nil, (*cryptox.OperationKey)(rc.OpKey), ciphertext, mac)
 	if err != nil {
 		c.integrityFailures++
 		return nil, fmt.Errorf("%w: %v", ErrIntegrity, err)
@@ -506,11 +501,8 @@ func (c *Client) DeleteTraced(ref obs.SpanRef, key string) error {
 }
 
 func (c *Client) deleteOnce(key string, deadline time.Time) error {
-	c.oid++
-	ctl := wire.RequestControl{Op: wire.OpDelete, Oid: c.oid, Key: []byte(key), Trace: traceCtx(c.curRef)}
-	req := wire.Request{Op: wire.OpDelete, ClientID: c.id}
-
-	rc, _, err := c.roundTrip(&req, &ctl, deadline)
+	ctl := c.newControl(wire.OpDelete, key)
+	rc, _, err := c.roundTrip(&ctl, nil, false, deadline)
 	if err != nil {
 		return err
 	}
@@ -521,8 +513,57 @@ func (c *Client) deleteOnce(key string, deadline time.Time) error {
 	return nil
 }
 
+// buildRequest assembles ctl's request frame in c.frameBuf — header ‖
+// sealed control ‖ [nonce‖ciphertext ‖ MAC] — every part appended in
+// place: the header reserves the whole frame, the control is sealed
+// straight behind it, and an external value is encrypted under a fresh
+// K_operation straight behind that. It returns the end of the last span
+// it recorded, for the caller's chained clock reads.
+func (c *Client) buildRequest(ctl *wire.RequestControl, value []byte, external bool) (int64, error) {
+	op := c.curOp
+	t := op.Now()
+	var err error
+	payloadLen := 0
+	if external {
+		if c.opKey, err = cryptox.NewOperationKey(); err != nil {
+			return t, err
+		}
+		ctl.OpKey = c.opKey[:]
+		payloadLen = cryptox.Salsa20NonceSize + len(value)
+	}
+	sealedLen := ctl.EncodedLen() + cryptox.SealOverhead
+	// Refused before any work: an oversized value must not leave an
+	// oversized scratch frame behind.
+	if wire.RequestFrameLen(ctl.Op, sealedLen, payloadLen) > c.reqWriter.MaxMessage() {
+		return t, ErrTooLarge
+	}
+	if c.ctlBuf, err = ctl.AppendTo(c.ctlBuf[:0]); err != nil {
+		return t, err
+	}
+	frame, err := wire.AppendRequestHeader(c.frameBuf[:0], ctl.Op, c.id, sealedLen, payloadLen)
+	if err != nil {
+		return t, err
+	}
+	if frame, err = c.aead.SealAppend(frame, c.ctlBuf, c.ad[:]); err != nil {
+		return t, err
+	}
+	t = op.SpanEnd(obs.CliSeal, t)
+	if external {
+		if frame, err = c.payload.SealAppend(frame, &c.opKey, value); err != nil {
+			return t, err
+		}
+		t = op.SpanEnd(obs.CliEncrypt, t)
+	}
+	c.frameBuf = frame
+	return t, nil
+}
+
 // roundTrip seals the control data, sends the request, and awaits the
 // authenticated response for the current oid, all under one deadline.
+// When external is set (a put whose value does not ride inline in the
+// control data) value is encrypted under a fresh K_operation straight
+// into the frame. The returned control and payload alias the client's
+// scratch and are valid until the next operation on this connection.
 //
 // Over an untrusted network, frames that fail authentication — a
 // corrupt ring slot, a response whose AEAD open fails, an
@@ -531,17 +572,13 @@ func (c *Client) deleteOnce(key string, deadline time.Time) error {
 // operation on such a frame would let an attacker cancel requests with
 // garbage, so they are counted and skipped; the operation's fate is
 // decided only by an authenticated response or the deadline.
-func (c *Client) roundTrip(req *wire.Request, ctl *wire.RequestControl, deadline time.Time) (*wire.ResponseControl, []byte, error) {
+func (c *Client) roundTrip(ctl *wire.RequestControl, value []byte, external bool, deadline time.Time) (*wire.ResponseControl, []byte, error) {
 	op := c.curOp
-	t := op.Now()
-	pt, err := ctl.Encode()
+	t, err := c.buildRequest(ctl, value, external)
 	if err != nil {
 		return nil, nil, err
 	}
-	req.SealedControl, err = c.aead.Seal(pt, c.ad[:])
-	if err != nil {
-		return nil, nil, err
-	}
+	frame := c.frameBuf
 	// A request that carries a trace context expects its reply sealed
 	// under the extended AD (client id ‖ trace id): the server echoes
 	// the trace binding, so a reply cannot be attributed to the wrong
@@ -554,14 +591,6 @@ func (c *Client) roundTrip(req *wire.Request, ctl *wire.RequestControl, deadline
 		binary.LittleEndian.PutUint64(c.adx[4:], ctl.Trace.TraceID)
 		respAD = c.adx[:]
 	}
-	frame, err := req.Encode(nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(frame) > c.reqWriter.MaxMessage() {
-		return nil, nil, ErrTooLarge
-	}
-	t = op.SpanEnd(obs.CliSeal, t)
 	// Credit-bounded send: a stalled ring (credits lost or delayed in
 	// flight) must surface as this operation's timeout, not a hang.
 	// For tracing, the loop splits into credit wait (all the failed
@@ -611,8 +640,8 @@ func (c *Client) roundTrip(req *wire.Request, ctl *wire.RequestControl, deadline
 			time.Sleep(2 * time.Microsecond)
 			continue
 		}
-		resp, err := wire.DecodeResponse(msg)
-		if err != nil {
+		resp, rc := &c.resp, &c.rctl
+		if err := resp.Decode(msg); err != nil {
 			c.badFrames++
 			continue
 		}
@@ -622,7 +651,9 @@ func (c *Client) roundTrip(req *wire.Request, ctl *wire.RequestControl, deadline
 			c.unauthStatuses++
 			continue
 		}
-		rcPt, err := c.aead.Open(resp.SealedControl, respAD)
+		// The request is in the ring, so its control scratch is free to
+		// take the reply's opened control.
+		rcPt, err := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, respAD)
 		if err != nil && traced {
 			// Base-AD fallback: the only legitimate base-AD frames while a
 			// traced op is in flight are replies the server sealed before it
@@ -630,13 +661,14 @@ func (c *Client) roundTrip(req *wire.Request, ctl *wire.RequestControl, deadline
 			// and pipelined batch replies (always base-AD; their sealed oid
 			// echo binds them). Anything else under the "wrong" AD is
 			// unattributable and must not decide this operation.
-			if basePt, berr := c.aead.Open(resp.SealedControl, c.ad[:]); berr == nil {
+			if basePt, berr := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, c.ad[:]); berr == nil {
+				c.ctlBuf = basePt
 				if wire.IsBatchReply(basePt) {
 					c.resolveBatchReplyLocked(basePt, resp.Payload)
 					continue
 				}
-				if rc, derr := wire.DecodeResponseControl(basePt); derr == nil &&
-					rc.Flags&wire.FlagRetryLater != 0 && rc.Oid == 0 && req.Op == wire.OpGet {
+				if derr := rc.Decode(basePt); derr == nil &&
+					rc.Flags&wire.FlagRetryLater != 0 && rc.Oid == 0 && ctl.Op == wire.OpGet {
 					op.Span(obs.CliRespWait, pollStart)
 					c.retryLaters++
 					c.window.OnCongestion()
@@ -652,14 +684,14 @@ func (c *Client) roundTrip(req *wire.Request, ctl *wire.RequestControl, deadline
 			c.badFrames++
 			continue
 		}
+		c.ctlBuf = rcPt
 		if wire.IsBatchReply(rcPt) {
 			// A pipelined batch's reply arriving while a single op polls:
 			// resolve its future and keep waiting for this op's response.
 			c.resolveBatchReplyLocked(rcPt, resp.Payload)
 			continue
 		}
-		rc, err := wire.DecodeResponseControl(rcPt)
-		if err != nil {
+		if err := rc.Decode(rcPt); err != nil {
 			c.badFrames++
 			continue
 		}
@@ -671,7 +703,7 @@ func (c *Client) roundTrip(req *wire.Request, ctl *wire.RequestControl, deadline
 			// it (a late sentinel from an earlier shed get is harmless:
 			// reads retry with fresh oids and the superseded reply goes
 			// stale). A write never accepts an oid-less shed.
-			if rc.Oid == c.oid || (rc.Oid == 0 && req.Op == wire.OpGet) {
+			if rc.Oid == c.oid || (rc.Oid == 0 && ctl.Op == wire.OpGet) {
 				op.Span(obs.CliRespWait, pollStart)
 				c.retryLaters++
 				c.window.OnCongestion()

@@ -27,6 +27,14 @@ import (
 // client's response-ring credit before dropping the reply.
 const replyCreditWait = 20 * time.Millisecond
 
+// replyFrameFree bounds the free list of reply frame buffers. A session
+// has one reply in flight (a pipelining one at most maxPipelined), so
+// this covers dozens of busy sessions; past it a reply allocates its
+// frame and the surplus is left to the GC, as every reply was before the
+// list existed. Buffers are at most a ring slot, so the list is bounded
+// memory independent of the number of keys.
+const replyFrameFree = 64
+
 // entry is the per-key security metadata the enclave's hash table stores:
 // K_operation, the pointer into the untrusted payload pool, and the owner
 // (Fig. 3). In hardened mode the payload MAC is kept here too; in inline
@@ -67,23 +75,26 @@ type session struct {
 	lastOid    uint64 // accessed only by the owning trusted thread
 	revoked    atomic.Bool
 
-	// Batch scratch, reused across batch frames so the server's
-	// steady-state batch path allocates nothing in the codec. Accessed
-	// only by the owning trusted thread — the same single-poller
-	// invariant that protects lastOid.
+	// Scratch reused across frames so the server's steady-state op path
+	// allocates nothing in the codecs or the control seals. Accessed only
+	// by the owning trusted thread — the same single-poller invariant
+	// that protects lastOid. ctlPt and repPt hold control plaintext: the
+	// bytes that conceptually sit on the trusted thread's staging page
+	// (charged once per poller in trustedLoop), so they add no EPC.
+	ctlPt    []byte // opened request control (single-op or batch), until the reply is sealed
+	repPt    []byte // reply control plaintext, until sealed
 	breq     wire.BatchRequest
 	bctl     wire.BatchControl
 	brep     wire.BatchReply
-	bCtlPt   []byte // opened batch-control plaintext
-	bRepPt   []byte // batch-reply plaintext before sealing
-	bPayload []byte // reply payload region (get segments, op order)
+	bPayload []byte // batch reply payload region (get segments, op order)
 }
 
 // outFrame is a reply handed from a trusted thread to the untrusted
 // sender pool (§3.8: "trusted threads write request replies into an
 // untrusted queue; the worker threads send these messages using RDMA").
-// The tracing op rides along (nil when tracing is off): the sender loop
-// owns the final srv_send span and finishes the trace.
+// frame comes from Server.frames and goes back once the ring write has
+// returned. The tracing op rides along (nil when tracing is off): the
+// sender loop owns the final srv_send span and finishes the trace.
 type outFrame struct {
 	sess  *session
 	frame []byte
@@ -105,9 +116,12 @@ type Server struct {
 	sessions  map[uint32]*session
 	byWorker  atomic.Value // [][]*session, rebuilt on membership change
 	nextID    uint32
-	ownerOnly bool
+	ownerOnly atomic.Bool
 
-	out    chan outFrame
+	out chan outFrame
+	// frames recycles reply frame buffers between trusted threads (take)
+	// and senders (give back after the ring write copied the frame).
+	frames chan []byte
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 	ready  atomic.Bool
@@ -179,6 +193,7 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 		sessions: make(map[uint32]*session),
 		delta:    make(map[string]struct{}),
 		out:      make(chan outFrame, 1024),
+		frames:   make(chan []byte, replyFrameFree),
 		stopCh:   make(chan struct{}),
 	}
 	if s.rollback == nil {
@@ -286,11 +301,7 @@ func (s *Server) Heat() *heat.Collector { return s.cfg.Heat }
 // SetOwnerOnly enables the simple access-control policy where only the
 // client that wrote a key may read or delete it ("traditional access
 // control schemes inside the server-side TEE", §3.3).
-func (s *Server) SetOwnerOnly(on bool) {
-	s.mu.Lock()
-	s.ownerOnly = on
-	s.mu.Unlock()
-}
+func (s *Server) SetOwnerOnly(on bool) { s.ownerOnly.Store(on) }
 
 // HandleConnection runs the per-client bootstrap on a freshly connected
 // queue pair: remote attestation with session-key establishment (ecall
@@ -541,6 +552,7 @@ func (s *Server) senderLoop() {
 			return
 		case of := <-s.out:
 			if of.sess.revoked.Load() {
+				s.recycleFrame(of.frame)
 				of.op.SetError(ErrRevoked)
 				of.op.Finish()
 				continue
@@ -554,7 +566,31 @@ func (s *Server) senderLoop() {
 			of.op.Span(obs.SrvSend, of.enq)
 			of.op.SetError(err)
 			of.op.Finish()
+			// Sent or given up on: either way the ring writer has returned
+			// and holds no reference to the frame any more.
+			s.recycleFrame(of.frame)
 		}
+	}
+}
+
+// takeFrame returns an empty reply frame buffer from the free list, or
+// nil (the encoder then allocates one of the right size) when the list
+// is empty.
+func (s *Server) takeFrame() []byte {
+	select {
+	case b := <-s.frames:
+		return b
+	default:
+		return nil
+	}
+}
+
+// recycleFrame gives a reply frame buffer back once nothing references
+// its bytes; a full list drops it.
+func (s *Server) recycleFrame(b []byte) {
+	select {
+	case s.frames <- b[:0]:
+	default:
 	}
 }
 
@@ -571,37 +607,53 @@ func (s *Server) reply(sess *session, status wire.Status, control *wire.Response
 		}
 		s.cfg.Heat.AddBytesOut(n)
 	}
-	var sealed []byte
-	if control != nil {
-		pt, err := control.Encode()
-		if err != nil {
-			op.SetError(err)
-			op.Finish()
-			return
-		}
-		ad := sess.replyAD
-		if ad == nil {
-			ad = sess.ad[:]
-		}
-		sealed, err = sess.aead.Seal(pt, ad)
-		if err != nil {
-			op.SetError(err)
-			op.Finish()
-			return
-		}
-		s.cryptoBytes.Add(uint64(len(sealed)))
-		now = op.SpanEnd(obs.SrvReplySeal, now)
+	if control == nil {
+		// Unauthenticated status frame: no sealed segment at all.
+		s.sendReply(sess, status, nil, nil, payload, op, now)
+		return
 	}
-	resp := wire.Response{Status: status, SealedControl: sealed, Payload: payload}
-	frame, err := resp.Encode(nil)
-	if err != nil {
+	var err error
+	if sess.repPt, err = control.AppendTo(sess.repPt[:0]); err != nil {
 		op.SetError(err)
 		op.Finish()
 		return
 	}
+	ad := sess.replyAD
+	if ad == nil {
+		ad = sess.ad[:]
+	}
+	s.sendReply(sess, status, sess.repPt, ad, payload, op, now)
+}
+
+// sendReply builds the response frame — header ‖ control plaintext pt
+// sealed under ad (nothing when pt is nil) ‖ payload — in a recycled
+// buffer and hands it to the sender pool. Only the seal happens in the
+// enclave; the frame itself is untrusted memory. Ownership of op is as
+// in reply.
+func (s *Server) sendReply(sess *session, status wire.Status, pt, ad, payload []byte, op *obs.Op, now int64) {
+	sealedLen := 0
+	if pt != nil {
+		sealedLen = len(pt) + cryptox.SealOverhead
+	}
+	frame, err := wire.AppendResponseHeader(s.takeFrame(), status, sealedLen, len(payload))
+	if err == nil && pt != nil {
+		frame, err = sess.aead.SealAppend(frame, pt, ad)
+	}
+	if err != nil {
+		// Only an oversized reply gets here; its buffer is left to the GC.
+		op.SetError(err)
+		op.Finish()
+		return
+	}
+	if pt != nil {
+		s.cryptoBytes.Add(uint64(sealedLen))
+		now = op.SpanEnd(obs.SrvReplySeal, now)
+	}
+	frame = append(frame, payload...)
 	select {
 	case s.out <- outFrame{sess: sess, frame: frame, op: op, enq: now}:
 	case <-s.stopCh:
+		s.recycleFrame(frame)
 		op.Finish()
 	}
 }
@@ -626,8 +678,8 @@ func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64)
 		s.handleBatch(sess, msg, op, now)
 		return
 	}
-	req, err := wire.DecodeRequest(msg)
-	if err != nil {
+	var req wire.Request
+	if err := req.Decode(msg); err != nil {
 		s.badRequests.Add(1)
 		op.SetError(err)
 		s.reply(sess, wire.StatusBadRequest, nil, nil, op, now)
@@ -664,7 +716,7 @@ func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64)
 	// Only the sealed control segment crosses into the enclave; req.Payload
 	// stays in untrusted memory (Fig. 3, steps 3–4).
 	s.cryptoBytes.Add(uint64(len(req.SealedControl)))
-	pt, err := sess.aead.Open(req.SealedControl, sess.ad[:])
+	pt, err := sess.aead.OpenAppend(sess.ctlPt[:0], req.SealedControl, sess.ad[:])
 	if err != nil {
 		s.authFailures.Add(1)
 		s.logEvent("control data failed authentication", slog.Int("client", int(sess.id)))
@@ -674,8 +726,9 @@ func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64)
 		s.reply(sess, wire.StatusAuthFailed, nil, nil, op, now)
 		return
 	}
-	ctl, err := wire.DecodeRequestControl(pt)
-	if err != nil || ctl.Op != req.Op {
+	sess.ctlPt = pt
+	var ctl wire.RequestControl
+	if err := ctl.Decode(pt); err != nil || ctl.Op != req.Op {
 		s.badRequests.Add(1)
 		op.SetError(ErrBadResponse)
 		s.reply(sess, wire.StatusBadRequest, nil, nil, op, now)
@@ -728,11 +781,11 @@ func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64)
 
 	switch ctl.Op {
 	case wire.OpPut:
-		s.handlePut(sess, req, ctl, op, now)
+		s.handlePut(sess, &req, &ctl, op, now)
 	case wire.OpGet:
-		s.handleGet(sess, ctl, op, now)
+		s.handleGet(sess, &ctl, op, now)
 	case wire.OpDelete:
-		s.handleDelete(sess, ctl, op, now)
+		s.handleDelete(sess, &ctl, op, now)
 	}
 }
 
@@ -851,18 +904,21 @@ func (s *Server) handlePut(sess *session, req *wire.Request, ctl *wire.RequestCo
 		e.ref = ref
 	}
 
-	old, existed := s.table.Swap(string(ctl.Key), e)
+	// One string for the table and the delta set: the table keeps it when
+	// the key is new.
+	key := string(ctl.Key)
+	old, existed := s.table.Swap(key, e)
 	if existed {
 		s.releaseEntry(old)
 	}
-	s.recordDelta(string(ctl.Key))
+	s.recordDelta(key)
 	now = op.SpanEnd(obs.SrvApply, now)
 	s.reply(sess, wire.StatusOK, &wire.ResponseControl{Oid: ctl.Oid}, nil, op, now)
 }
 
 func (s *Server) handleGet(sess *session, ctl *wire.RequestControl, op *obs.Op, now int64) {
 	s.gets.Add(1)
-	e, ok := s.table.Get(string(ctl.Key))
+	e, ok := s.table.GetBytes(ctl.Key)
 	if ok && s.isDenied(sess, e) {
 		// Access control: pretend absence rather than leak existence.
 		ok = false
@@ -925,8 +981,7 @@ func (s *Server) handleGet(sess *session, ctl *wire.RequestControl, op *obs.Op, 
 
 func (s *Server) handleDelete(sess *session, ctl *wire.RequestControl, op *obs.Op, now int64) {
 	s.deletes.Add(1)
-	key := string(ctl.Key)
-	e, ok := s.table.Get(key)
+	e, ok := s.table.GetBytes(ctl.Key)
 	if ok && s.isDenied(sess, e) {
 		ok = false
 	}
@@ -936,6 +991,7 @@ func (s *Server) handleDelete(sess *session, ctl *wire.RequestControl, op *obs.O
 			&wire.ResponseControl{Oid: ctl.Oid, Flags: wire.FlagNotFound}, nil, op, now)
 		return
 	}
+	key := string(ctl.Key)
 	if s.vlog != nil {
 		// Deletes must be durable before they are acked: append a
 		// tombstone, then remove the entry only if no newer version
@@ -970,10 +1026,7 @@ func (s *Server) handleDelete(sess *session, ctl *wire.RequestControl, op *obs.O
 }
 
 func (s *Server) isDenied(sess *session, e *entry) bool {
-	s.mu.Lock()
-	ownerOnly := s.ownerOnly
-	s.mu.Unlock()
-	return ownerOnly && e.owner != sess.id
+	return s.ownerOnly.Load() && e.owner != sess.id
 }
 
 func (s *Server) releaseEntry(e *entry) {

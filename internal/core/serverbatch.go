@@ -46,7 +46,7 @@ func (s *Server) handleBatch(sess *session, msg []byte, op *obs.Op, now int64) {
 	// As in the single-op path, only the sealed control segment crosses
 	// into the enclave; the payload region stays in untrusted memory.
 	s.cryptoBytes.Add(uint64(len(sess.breq.SealedControl)))
-	pt, err := sess.aead.OpenAppend(sess.bCtlPt[:0], sess.breq.SealedControl, sess.ad[:])
+	pt, err := sess.aead.OpenAppend(sess.ctlPt[:0], sess.breq.SealedControl, sess.ad[:])
 	if err != nil {
 		s.authFailures.Add(1)
 		s.logEvent("batch control failed authentication", slog.Int("client", int(sess.id)))
@@ -56,7 +56,7 @@ func (s *Server) handleBatch(sess *session, msg []byte, op *obs.Op, now int64) {
 		s.reply(sess, wire.StatusAuthFailed, nil, nil, op, now)
 		return
 	}
-	sess.bCtlPt = pt
+	sess.ctlPt = pt
 	if err := wire.DecodeBatchControl(pt, &sess.bctl); err != nil {
 		s.badRequests.Add(1)
 		op.SetError(err)
@@ -205,11 +205,12 @@ func (s *Server) applyBatchPut(sess *session, bop *wire.BatchOp, seg []byte) wir
 		e.ref = ref
 	}
 
-	old, existed := s.table.Swap(string(bop.Key), e)
+	key := string(bop.Key)
+	old, existed := s.table.Swap(key, e)
 	if existed {
 		s.releaseEntry(old)
 	}
-	s.recordDelta(string(bop.Key))
+	s.recordDelta(key)
 	return wire.BatchOpResult{Status: wire.StatusOK}
 }
 
@@ -290,7 +291,7 @@ func (s *Server) applyBatchPutVlog(sess *session, bop *wire.BatchOp, seg []byte)
 // (or carried inline in the sealed reply for enclave-resident values).
 func (s *Server) applyBatchGet(sess *session, bop *wire.BatchOp) wire.BatchOpResult {
 	s.gets.Add(1)
-	e, ok := s.table.Get(string(bop.Key))
+	e, ok := s.table.GetBytes(bop.Key)
 	if ok && s.isDenied(sess, e) {
 		ok = false
 	}
@@ -339,14 +340,14 @@ func (s *Server) applyBatchGet(sess *session, bop *wire.BatchOp) wire.BatchOpRes
 // handleDelete (including the durable-tombstone path).
 func (s *Server) applyBatchDelete(sess *session, bop *wire.BatchOp) wire.BatchOpResult {
 	s.deletes.Add(1)
-	key := string(bop.Key)
-	e, ok := s.table.Get(key)
+	e, ok := s.table.GetBytes(bop.Key)
 	if ok && s.isDenied(sess, e) {
 		ok = false
 	}
 	if !ok {
 		return wire.BatchOpResult{Status: wire.StatusNotFound, Flags: wire.FlagNotFound}
 	}
+	key := string(bop.Key)
 	if s.vlog != nil {
 		d, err := s.vlogDelete(key, sess.id)
 		if err != nil {
@@ -380,14 +381,14 @@ func (s *Server) applyBatchDelete(sess *session, bop *wire.BatchOp) wire.BatchOp
 func (s *Server) replyBatch(sess *session, status wire.Status, payload []byte, op *obs.Op, now int64) {
 	s.cfg.Heat.AddBytesOut(len(payload))
 	var err error
-	sess.bRepPt, err = wire.AppendBatchReply(sess.bRepPt[:0], &sess.brep)
+	sess.repPt, err = wire.AppendBatchReply(sess.repPt[:0], &sess.brep)
 	if err != nil {
 		op.SetError(err)
 		op.Finish()
 		return
 	}
 	// (&wire.Response{}).EncodedLen() is the outer header's size.
-	if (&wire.Response{}).EncodedLen()+cryptox.SealOverhead+len(sess.bRepPt)+len(payload) >
+	if (&wire.Response{}).EncodedLen()+cryptox.SealOverhead+len(sess.repPt)+len(payload) >
 		sess.respWriter.MaxMessage() {
 		for i := range sess.brep.Results {
 			res := &sess.brep.Results[i]
@@ -397,31 +398,13 @@ func (s *Server) replyBatch(sess *session, status wire.Status, payload []byte, o
 			}
 		}
 		payload = nil
-		sess.bRepPt, err = wire.AppendBatchReply(sess.bRepPt[:0], &sess.brep)
+		sess.repPt, err = wire.AppendBatchReply(sess.repPt[:0], &sess.brep)
 		if err != nil {
 			op.SetError(err)
 			op.Finish()
 			return
 		}
 	}
-	sealed, err := sess.aead.Seal(sess.bRepPt, sess.ad[:])
-	if err != nil {
-		op.SetError(err)
-		op.Finish()
-		return
-	}
-	s.cryptoBytes.Add(uint64(len(sealed)))
-	now = op.SpanEnd(obs.SrvReplySeal, now)
-	resp := wire.Response{Status: status, SealedControl: sealed, Payload: payload}
-	frame, err := resp.Encode(nil)
-	if err != nil {
-		op.SetError(err)
-		op.Finish()
-		return
-	}
-	select {
-	case s.out <- outFrame{sess: sess, frame: frame, op: op, enq: now}:
-	case <-s.stopCh:
-		op.Finish()
-	}
+	// Batch replies always seal under the base AD (see adoptTraceOnly).
+	s.sendReply(sess, status, sess.repPt, sess.ad[:], payload, op, now)
 }

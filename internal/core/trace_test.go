@@ -23,6 +23,22 @@ func tracedPair(t *testing.T, srvCfg ServerConfig) (*testCluster, *Client, *obs.
 	return tc, c, srvTr, cliTr
 }
 
+// serverTraces returns the server tracer's retained traces once there
+// are n of them. The server finishes an op's trace on its sender thread
+// after the reply's ring write — possibly after the client call that the
+// reply completes has already returned.
+func serverTraces(t *testing.T, tr *obs.Tracer, n int) []obs.Trace {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := tr.Recent()
+		if len(got) >= n || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestTracePropagationSingleOp checks a traced put/get carries the
 // client's trace context through the sealed control segment: the server
 // records its work under the client's trace id, as a child of the
@@ -39,7 +55,7 @@ func TestTracePropagationSingleOp(t *testing.T) {
 	}
 
 	cli := cliTr.Recent()
-	srv := srvTr.Recent()
+	srv := serverTraces(t, srvTr, 2)
 	if len(cli) != 2 || len(srv) != 2 {
 		t.Fatalf("recent: client %d server %d traces, want 2/2", len(cli), len(srv))
 	}
@@ -82,7 +98,7 @@ func TestTracePropagationExplicitRef(t *testing.T) {
 	}
 	op.Finish()
 
-	for _, tr := range srvTr.Recent() {
+	for _, tr := range serverTraces(t, srvTr, 3) {
 		if tr.ID != ref.TraceID {
 			t.Fatalf("server trace id %x, want adopted root %x", tr.ID, ref.TraceID)
 		}
@@ -113,7 +129,7 @@ func TestTracePropagationBatch(t *testing.T) {
 	}
 
 	cli := cliTr.Recent()
-	srv := srvTr.Recent()
+	srv := serverTraces(t, srvTr, 1)
 	if len(cli) != 1 || len(srv) != 1 {
 		t.Fatalf("recent: client %d server %d traces, want 1/1", len(cli), len(srv))
 	}
@@ -271,7 +287,7 @@ func TestTracedOpsSurviveSlowServer(t *testing.T) {
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if len(srvTr.Recent()) == 0 {
+	if len(serverTraces(t, srvTr, 1)) == 0 {
 		t.Fatal("slow op not retained under tail sampling")
 	}
 }

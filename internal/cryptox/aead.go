@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Transport-encryption parameters. The paper protects control data with
@@ -53,37 +54,29 @@ func NewAEAD(key []byte) (*AEAD, error) {
 // and returns nonce‖ciphertext‖tag. A fresh random nonce is drawn per call,
 // matching the paper's fresh-IV-per-request requirement.
 func (a *AEAD) Seal(plaintext, ad []byte) ([]byte, error) {
-	out := make([]byte, GCMNonceSize, GCMNonceSize+len(plaintext)+GCMTagSize)
-	if _, err := rand.Read(out[:GCMNonceSize]); err != nil {
-		return nil, fmt.Errorf("nonce: %w", err)
-	}
-	return a.aead.Seal(out, out[:GCMNonceSize], plaintext, ad), nil
+	return a.SealAppend(nil, plaintext, ad)
 }
 
 // Open verifies and decrypts a message produced by Seal with the same
 // additional data, returning the plaintext.
 func (a *AEAD) Open(sealed, ad []byte) ([]byte, error) {
-	if len(sealed) < GCMNonceSize+GCMTagSize {
-		return nil, ErrCiphertext
-	}
-	pt, err := a.aead.Open(nil, sealed[:GCMNonceSize], sealed[GCMNonceSize:], ad)
-	if err != nil {
-		return nil, ErrAuthFailed
-	}
-	return pt, nil
+	return a.OpenAppend(nil, sealed, ad)
 }
 
 // SealAppend is Seal into a caller-provided buffer: it appends
-// nonce‖ciphertext‖tag to dst and returns the extended slice,
-// allocating only if dst lacks capacity — the batch hot path's
-// allocation-free variant. dst must not alias plaintext.
+// nonce‖ciphertext‖tag — exactly len(plaintext)+SealOverhead bytes — to
+// dst and returns the extended slice, allocating only if dst lacks
+// capacity. dst must not alias plaintext.
 func (a *AEAD) SealAppend(dst, plaintext, ad []byte) ([]byte, error) {
-	var nonce [GCMNonceSize]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
+	// The nonce is drawn in place: a stack array would escape through the
+	// cipher.AEAD interface and cost an allocation per seal.
+	start := len(dst)
+	dst = slices.Grow(dst, len(plaintext)+SealOverhead)[:start+GCMNonceSize]
+	nonce := dst[start:]
+	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("nonce: %w", err)
 	}
-	dst = append(dst, nonce[:]...)
-	return a.aead.Seal(dst, nonce[:], plaintext, ad), nil
+	return a.aead.Seal(dst, nonce, plaintext, ad), nil
 }
 
 // OpenAppend is Open into a caller-provided buffer: it appends the

@@ -19,6 +19,11 @@ const cmacRb = 0x87
 // CMAC implements AES-CMAC per RFC 4493. It is a hash.Hash-like incremental
 // MAC; construct instances with NewCMAC. A CMAC value must not be used
 // concurrently from multiple goroutines.
+//
+// Every block the AES interface touches — subkeys, running state, the
+// last-block and tag temporaries — is a field, so a CMAC that already lives
+// on the heap (inside a PayloadCipher, say) can be re-keyed and summed
+// without anything escaping through cipher.Block.
 type CMAC struct {
 	block cipher.Block
 	k1    [CMACSize]byte
@@ -26,34 +31,48 @@ type CMAC struct {
 	x     [CMACSize]byte // running CBC state
 	buf   [CMACSize]byte // pending partial block
 	n     int            // bytes pending in buf
+	last  [CMACSize]byte // final-block temporary of sum; also L during init
+	tag   [CMACSize]byte // sum's result
 }
 
 // NewCMAC returns an AES-CMAC instance keyed with key (16, 24 or 32 bytes).
 // The paper's server uses sgx_rijndael128_cmac_msg, i.e. AES-128-CMAC; pass
 // a 16-byte key for that configuration.
 func NewCMAC(key []byte) (*CMAC, error) {
+	c := new(CMAC)
+	if err := c.init(key); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// init keys c in place, discarding any absorbed input. The AES key
+// schedule is the one allocation: the standard library cannot re-key a
+// cipher.Block.
+func (c *CMAC) init(key []byte) error {
 	switch len(key) {
 	case 16, 24, 32:
 	default:
-		return nil, ErrCMACKeySize
+		return ErrCMACKeySize
 	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c := &CMAC{block: block}
+	c.block = block
+	c.Reset()
 	// Subkey generation (RFC 4493 §2.3).
-	var l [CMACSize]byte
-	block.Encrypt(l[:], l[:])
-	shiftLeftOne(c.k1[:], l[:])
-	if l[0]&0x80 != 0 {
+	c.last = [CMACSize]byte{}
+	block.Encrypt(c.last[:], c.last[:])
+	shiftLeftOne(c.k1[:], c.last[:])
+	if c.last[0]&0x80 != 0 {
 		c.k1[CMACSize-1] ^= cmacRb
 	}
 	shiftLeftOne(c.k2[:], c.k1[:])
 	if c.k1[0]&0x80 != 0 {
 		c.k2[CMACSize-1] ^= cmacRb
 	}
-	return c, nil
+	return nil
 }
 
 // Write absorbs p into the MAC state. It never returns an error.
@@ -95,20 +114,31 @@ func (c *CMAC) flushBuf() {
 // returns the result. Sum does not modify the running state, so a CMAC can
 // continue to absorb data afterwards.
 func (c *CMAC) Sum(b []byte) []byte {
-	var last [CMACSize]byte
+	return append(b, c.sum()[:]...)
+}
+
+// sum computes the tag over everything written so far into c.tag, leaving
+// the running state alone.
+func (c *CMAC) sum() *[CMACSize]byte {
+	c.last = [CMACSize]byte{}
 	if c.n == CMACSize {
-		copy(last[:], c.buf[:])
-		xorBlock(last[:], c.k1[:])
+		copy(c.last[:], c.buf[:])
+		xorBlock(c.last[:], c.k1[:])
 	} else {
-		copy(last[:], c.buf[:c.n])
-		last[c.n] = 0x80
-		xorBlock(last[:], c.k2[:])
+		copy(c.last[:], c.buf[:c.n])
+		c.last[c.n] = 0x80
+		xorBlock(c.last[:], c.k2[:])
 	}
-	var tag [CMACSize]byte
-	copy(tag[:], c.x[:])
-	xorBlock(tag[:], last[:])
-	c.block.Encrypt(tag[:], tag[:])
-	return append(b, tag[:]...)
+	c.tag = c.x
+	xorBlock(c.tag[:], c.last[:])
+	c.block.Encrypt(c.tag[:], c.tag[:])
+	return &c.tag
+}
+
+// verify reports, in constant time, whether tag is the MAC of everything
+// written so far.
+func (c *CMAC) verify(tag []byte) bool {
+	return subtle.ConstantTimeCompare(c.sum()[:], tag) == 1
 }
 
 // Reset restores the CMAC to its freshly keyed state.
@@ -126,8 +156,8 @@ func (c *CMAC) BlockSize() int { return CMACSize }
 
 // ComputeCMAC returns the AES-CMAC tag of msg under key.
 func ComputeCMAC(key, msg []byte) ([]byte, error) {
-	c, err := NewCMAC(key)
-	if err != nil {
+	var c CMAC
+	if err := c.init(key); err != nil {
 		return nil, err
 	}
 	_, _ = c.Write(msg)
@@ -137,14 +167,12 @@ func ComputeCMAC(key, msg []byte) ([]byte, error) {
 // VerifyCMAC reports whether tag is the AES-CMAC of msg under key, using a
 // constant-time comparison.
 func VerifyCMAC(key, msg, tag []byte) (bool, error) {
-	want, err := ComputeCMAC(key, msg)
-	if err != nil {
+	var c CMAC
+	if err := c.init(key); err != nil {
 		return false, err
 	}
-	if len(tag) != CMACSize {
-		return false, nil
-	}
-	return subtle.ConstantTimeCompare(want, tag) == 1, nil
+	_, _ = c.Write(msg)
+	return c.verify(tag), nil
 }
 
 // shiftLeftOne sets dst to src shifted left by one bit. dst and src must be

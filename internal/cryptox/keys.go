@@ -23,16 +23,6 @@ func NewOperationKey() (OperationKey, error) {
 	return k, nil
 }
 
-// NewNonce draws a fresh Salsa20 nonce. A fresh nonce per encryption
-// prevents the block-replay attack the paper notes (§3.7).
-func NewNonce() ([Salsa20NonceSize]byte, error) {
-	var n [Salsa20NonceSize]byte
-	if _, err := rand.Read(n[:]); err != nil {
-		return n, fmt.Errorf("nonce: %w", err)
-	}
-	return n, nil
-}
-
 // RandomBytes returns n cryptographically random bytes.
 func RandomBytes(n int) ([]byte, error) {
 	b := make([]byte, n)
@@ -40,58 +30,4 @@ func RandomBytes(n int) ([]byte, error) {
 		return nil, fmt.Errorf("random bytes: %w", err)
 	}
 	return b, nil
-}
-
-// MACKey derives the AES-128-CMAC key for a payload from the operation key.
-// The paper MACs the ciphertext under (a key derived from) K_operation so
-// that any holder of the control data can verify payload integrity.
-func MACKey(op OperationKey) []byte {
-	// The first 16 bytes of the 256-bit one-time key serve as the AES-128
-	// CMAC key; the key is single-use, so domain separation between the
-	// stream-cipher key and the MAC key is provided by the differing
-	// algorithms and the key's freshness.
-	k := make([]byte, 16)
-	copy(k, op[:16])
-	return k
-}
-
-// EncryptPayload encrypts value under the operation key with a fresh nonce
-// and MACs the ciphertext, returning nonce‖ciphertext and the 16-byte tag.
-// This is the client-side "precursor" work of Algorithm 1, lines 2–4.
-func EncryptPayload(op OperationKey, value []byte) (payload, mac []byte, err error) {
-	nonce, err := NewNonce()
-	if err != nil {
-		return nil, nil, err
-	}
-	payload = make([]byte, Salsa20NonceSize+len(value))
-	copy(payload, nonce[:])
-	s, err := NewSalsa20(op[:], nonce[:])
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := s.XORKeyStream(payload[Salsa20NonceSize:], value); err != nil {
-		return nil, nil, err
-	}
-	mac, err = ComputeCMAC(MACKey(op), payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	return payload, mac, nil
-}
-
-// DecryptPayload verifies the MAC over payload (nonce‖ciphertext) and
-// returns the decrypted value. It is the client-side verification step of a
-// get() reply: recompute the MAC under K_operation and compare (§3.7).
-func DecryptPayload(op OperationKey, payload, mac []byte) ([]byte, error) {
-	ok, err := VerifyCMAC(MACKey(op), payload, mac)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, ErrAuthFailed
-	}
-	if len(payload) < Salsa20NonceSize {
-		return nil, ErrCiphertext
-	}
-	return Salsa20XOR(op[:], payload[:Salsa20NonceSize], payload[Salsa20NonceSize:])
 }

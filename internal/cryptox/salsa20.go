@@ -49,13 +49,22 @@ type Salsa20 struct {
 // NewSalsa20 returns a Salsa20/20 cipher keyed with the 32-byte key and the
 // 8-byte nonce, positioned at the start of the keystream.
 func NewSalsa20(key, nonce []byte) (*Salsa20, error) {
+	s := new(Salsa20)
+	if err := s.init(key, nonce); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// init keys s in place, positioned at the start of the keystream.
+func (s *Salsa20) init(key, nonce []byte) error {
 	if len(key) != Salsa20KeySize {
-		return nil, ErrSalsa20KeySize
+		return ErrSalsa20KeySize
 	}
 	if len(nonce) != Salsa20NonceSize {
-		return nil, ErrSalsa20NonceSize
+		return ErrSalsa20NonceSize
 	}
-	s := &Salsa20{}
+	*s = Salsa20{}
 	s.state[0] = sigma[0]
 	s.state[1] = binary.LittleEndian.Uint32(key[0:4])
 	s.state[2] = binary.LittleEndian.Uint32(key[4:8])
@@ -72,7 +81,7 @@ func NewSalsa20(key, nonce []byte) (*Salsa20, error) {
 	s.state[13] = binary.LittleEndian.Uint32(key[24:28])
 	s.state[14] = binary.LittleEndian.Uint32(key[28:32])
 	s.state[15] = sigma[3]
-	return s, nil
+	return nil
 }
 
 // Seek positions the keystream at the given absolute byte offset.
@@ -181,15 +190,12 @@ func (s *Salsa20) generateBlock(counter uint64) {
 // for (key, nonce) starting at offset zero and returns the result as a new
 // slice. Encryption and decryption are the same operation.
 func Salsa20XOR(key, nonce, src []byte) ([]byte, error) {
-	s, err := NewSalsa20(key, nonce)
-	if err != nil {
+	var s Salsa20
+	if err := s.init(key, nonce); err != nil {
 		return nil, err
 	}
 	dst := make([]byte, len(src))
-	if err := s.XORKeyStream(dst, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return dst, s.XORKeyStream(dst, src)
 }
 
 func rotl32(v uint32, n uint) uint32 {

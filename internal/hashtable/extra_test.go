@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"bytes"
 	"strconv"
 	"testing"
 )
@@ -153,5 +154,35 @@ func TestDeleteIf(t *testing.T) {
 		if v, ok := tbl.Get("p-" + strconv.Itoa(i)); !ok || v != i {
 			t.Fatalf("probe chain broken at %d", i)
 		}
+	}
+}
+
+// TestGetBytesMatchesGet checks the byte-keyed lookup against the string
+// one for present and absent keys of every length class, and that it
+// never allocates — not even past the 32 bytes a string conversion could
+// keep on the stack.
+func TestGetBytesMatchesGet(t *testing.T) {
+	tbl := New[int](nil, 0)
+	var keys [][]byte
+	for i, n := range []int{1, 8, 31, 32, 33, 64, 500, 4096} {
+		k := bytes.Repeat([]byte{byte('a' + i)}, n)
+		keys = append(keys, k)
+		tbl.Put(string(k), i)
+	}
+	for i, k := range keys {
+		if v, ok := tbl.GetBytes(k); !ok || v != i {
+			t.Errorf("GetBytes(len %d) = %d, %v; want %d", len(k), v, ok, i)
+		}
+		missing := append(append([]byte(nil), k...), 'x')
+		if _, ok := tbl.GetBytes(missing); ok {
+			t.Errorf("GetBytes found an absent key of len %d", len(missing))
+		}
+	}
+	if _, ok := tbl.GetBytes(nil); ok {
+		t.Error("GetBytes(nil) found an entry")
+	}
+	long := keys[len(keys)-1]
+	if a := testing.AllocsPerRun(100, func() { tbl.GetBytes(long) }); a != 0 {
+		t.Errorf("GetBytes of a %d-byte key allocates %.1f times, want 0", len(long), a)
 	}
 }

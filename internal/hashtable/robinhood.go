@@ -16,6 +16,7 @@ package hashtable
 
 import (
 	"sync"
+	"unsafe"
 )
 
 const (
@@ -113,6 +114,14 @@ func (t *Table[V]) Get(key string) (V, bool) {
 		idx = (idx + 1) & t.mask
 		dist++
 	}
+}
+
+// GetBytes is Get for a key held as bytes — the enclave looks up the key
+// slice of the opened control plaintext without materialising a string of
+// it. The string view is sound because Get only hashes and compares the
+// key and never retains it.
+func (t *Table[V]) GetBytes(key []byte) (V, bool) {
+	return t.Get(unsafe.String(unsafe.SliceData(key), len(key)))
 }
 
 // Put inserts or replaces the value for key, returning true if the key

@@ -229,6 +229,9 @@ type Reader struct {
 	lastFlushed uint64
 	wrID        uint64
 	hdr         []byte
+	// credit stages the consumed count for the credit write: a stack
+	// array would escape through the rdma.Conn interface on every flush.
+	credit [CreditBytes]byte
 }
 
 // ReaderConfig configures a Reader.
@@ -367,10 +370,9 @@ func (r *Reader) flushCreditsLocked() error {
 	if r.conn == nil {
 		return nil
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], r.consumed)
+	binary.LittleEndian.PutUint64(r.credit[:], r.consumed)
 	r.wrID++
-	if err := r.conn.PostWrite(r.wrID, r.creditRKey, r.creditOff, buf[:], false); err != nil {
+	if err := r.conn.PostWrite(r.wrID, r.creditRKey, r.creditOff, r.credit[:], false); err != nil {
 		return fmt.Errorf("credit write: %w", err)
 	}
 	r.lastFlushed = r.consumed

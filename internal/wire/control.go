@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // ErrControl is returned when decrypted control data is malformed.
@@ -61,61 +62,71 @@ type RequestControl struct {
 	TraceBad bool
 }
 
-// Encode serializes the control plaintext.
-func (c *RequestControl) Encode() ([]byte, error) {
+// EncodedLen returns the encoded size of the control plaintext.
+func (c *RequestControl) EncodedLen() int {
+	n := 1 + 1 + 8 + 2 + len(c.Key) + 1 + len(c.OpKey) + 2 + len(c.InlineValue)
+	if c.Trace.Valid() {
+		n += TraceContextSize
+	}
+	return n
+}
+
+// AppendTo appends the serialized control plaintext to dst and returns
+// the result, growing dst at most once.
+func (c *RequestControl) AppendTo(dst []byte) ([]byte, error) {
 	if len(c.Key) == 0 || len(c.Key) > MaxKeyLen {
 		return nil, ErrOversized
 	}
 	if len(c.OpKey) != 0 && len(c.OpKey) != OpKeySize {
 		return nil, ErrControl
 	}
-	n := 1 + 1 + 8 + 2 + len(c.Key) + 1 + len(c.OpKey) + 2 + len(c.InlineValue)
+	dst = slices.Grow(dst, c.EncodedLen())
+	dst = append(dst, byte(c.Op), c.Flags)
+	dst = binary.LittleEndian.AppendUint64(dst, c.Oid)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(c.Key)))
+	dst = append(dst, c.Key...)
+	dst = append(dst, byte(len(c.OpKey)))
+	dst = append(dst, c.OpKey...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(c.InlineValue)))
+	dst = append(dst, c.InlineValue...)
 	if c.Trace.Valid() {
-		n += TraceContextSize
+		dst = AppendTraceContext(dst, c.Trace)
 	}
-	out := make([]byte, 0, n)
-	out = append(out, byte(c.Op), c.Flags)
-	out = binary.LittleEndian.AppendUint64(out, c.Oid)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(c.Key)))
-	out = append(out, c.Key...)
-	out = append(out, byte(len(c.OpKey)))
-	out = append(out, c.OpKey...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(c.InlineValue)))
-	out = append(out, c.InlineValue...)
-	if c.Trace.Valid() {
-		out = AppendTraceContext(out, c.Trace)
-	}
-	return out, nil
+	return dst, nil
 }
 
-// DecodeRequestControl parses control plaintext. Returned slices alias buf.
-func DecodeRequestControl(buf []byte) (*RequestControl, error) {
+// Encode serializes the control plaintext into a fresh slice.
+func (c *RequestControl) Encode() ([]byte, error) { return c.AppendTo(nil) }
+
+// Decode parses control plaintext into c, overwriting every field. The
+// slices alias buf.
+func (c *RequestControl) Decode(buf []byte) error {
 	if len(buf) < 12 {
-		return nil, ErrControl
+		return ErrControl
 	}
-	c := &RequestControl{Op: Opcode(buf[0]), Flags: buf[1]}
+	*c = RequestControl{Op: Opcode(buf[0]), Flags: buf[1]}
 	c.Oid = binary.LittleEndian.Uint64(buf[2:10])
 	keyLen := int(binary.LittleEndian.Uint16(buf[10:12]))
 	rest := buf[12:]
 	if keyLen == 0 || keyLen > MaxKeyLen || len(rest) < keyLen+1 {
-		return nil, ErrControl
+		return ErrControl
 	}
 	c.Key = rest[:keyLen]
 	rest = rest[keyLen:]
 	opKeyLen := int(rest[0])
 	rest = rest[1:]
 	if opKeyLen != 0 && opKeyLen != OpKeySize {
-		return nil, ErrControl
+		return ErrControl
 	}
 	if len(rest) < opKeyLen+2 {
-		return nil, ErrControl
+		return ErrControl
 	}
 	c.OpKey = rest[:opKeyLen]
 	rest = rest[opKeyLen:]
 	inlineLen := int(binary.LittleEndian.Uint16(rest[:2]))
 	rest = rest[2:]
 	if len(rest) < inlineLen {
-		return nil, ErrControl
+		return ErrControl
 	}
 	if inlineLen > 0 {
 		c.InlineValue = rest[:inlineLen]
@@ -130,6 +141,15 @@ func DecodeRequestControl(buf []byte) (*RequestControl, error) {
 		} else {
 			c.TraceBad = true
 		}
+	}
+	return nil
+}
+
+// DecodeRequestControl parses control plaintext. Returned slices alias buf.
+func DecodeRequestControl(buf []byte) (*RequestControl, error) {
+	c := new(RequestControl)
+	if err := c.Decode(buf); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -150,68 +170,81 @@ type ResponseControl struct {
 	InlineValue []byte
 }
 
-// Encode serializes the response control plaintext.
-func (c *ResponseControl) Encode() ([]byte, error) {
+// AppendTo appends the serialized response control plaintext to dst and
+// returns the result, growing dst at most once.
+func (c *ResponseControl) AppendTo(dst []byte) ([]byte, error) {
 	if len(c.OpKey) != 0 && len(c.OpKey) != OpKeySize {
 		return nil, ErrControl
 	}
 	if len(c.PayloadMAC) != 0 && len(c.PayloadMAC) != MACSize {
 		return nil, ErrControl
 	}
-	out := make([]byte, 0, 9+1+len(c.OpKey)+1+len(c.PayloadMAC)+2+len(c.InlineValue))
-	out = binary.LittleEndian.AppendUint64(out, c.Oid)
-	out = append(out, c.Flags)
-	out = append(out, byte(len(c.OpKey)))
-	out = append(out, c.OpKey...)
-	out = append(out, byte(len(c.PayloadMAC)))
-	out = append(out, c.PayloadMAC...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(c.InlineValue)))
-	out = append(out, c.InlineValue...)
-	return out, nil
+	dst = slices.Grow(dst, 9+1+len(c.OpKey)+1+len(c.PayloadMAC)+2+len(c.InlineValue))
+	dst = binary.LittleEndian.AppendUint64(dst, c.Oid)
+	dst = append(dst, c.Flags)
+	dst = append(dst, byte(len(c.OpKey)))
+	dst = append(dst, c.OpKey...)
+	dst = append(dst, byte(len(c.PayloadMAC)))
+	dst = append(dst, c.PayloadMAC...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(c.InlineValue)))
+	dst = append(dst, c.InlineValue...)
+	return dst, nil
 }
 
-// DecodeResponseControl parses response control plaintext.
-func DecodeResponseControl(buf []byte) (*ResponseControl, error) {
+// Encode serializes the response control plaintext into a fresh slice.
+func (c *ResponseControl) Encode() ([]byte, error) { return c.AppendTo(nil) }
+
+// Decode parses response control plaintext into c, overwriting every
+// field. The slices alias buf.
+func (c *ResponseControl) Decode(buf []byte) error {
 	if len(buf) < 11 {
-		return nil, ErrControl
+		return ErrControl
 	}
-	c := &ResponseControl{
+	*c = ResponseControl{
 		Oid:   binary.LittleEndian.Uint64(buf[:8]),
 		Flags: buf[8],
 	}
 	opKeyLen := int(buf[9])
 	rest := buf[10:]
 	if opKeyLen != 0 && opKeyLen != OpKeySize {
-		return nil, ErrControl
+		return ErrControl
 	}
 	if len(rest) < opKeyLen+1 {
-		return nil, ErrControl
+		return ErrControl
 	}
-	c.OpKey = rest[:opKeyLen]
+	if opKeyLen > 0 {
+		c.OpKey = rest[:opKeyLen]
+	}
 	rest = rest[opKeyLen:]
 	macLen := int(rest[0])
 	rest = rest[1:]
 	if macLen != 0 && macLen != MACSize {
-		return nil, ErrControl
+		return ErrControl
 	}
 	if len(rest) < macLen+2 {
-		return nil, ErrControl
+		return ErrControl
 	}
-	c.PayloadMAC = rest[:macLen]
+	if macLen > 0 {
+		c.PayloadMAC = rest[:macLen]
+	}
 	rest = rest[macLen:]
 	inlineLen := int(binary.LittleEndian.Uint16(rest[:2]))
 	rest = rest[2:]
 	if len(rest) < inlineLen {
-		return nil, ErrControl
+		return ErrControl
 	}
 	if inlineLen > 0 {
 		c.InlineValue = rest[:inlineLen]
 	}
-	if macLen == 0 {
-		c.PayloadMAC = nil
-	}
-	if opKeyLen == 0 {
-		c.OpKey = nil
+	return nil
+}
+
+// DecodeResponseControl parses response control plaintext. Returned
+// slices alias buf.
+func DecodeResponseControl(buf []byte) (*ResponseControl, error) {
+	c := new(ResponseControl)
+	if err := c.Decode(buf); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

@@ -15,6 +15,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // Opcode identifies a key-value operation.
@@ -115,32 +116,53 @@ const requestHeaderLen = 1 + 4 + 2 + 4
 
 // EncodedLen returns the encoded size of the request.
 func (r *Request) EncodedLen() int {
-	n := requestHeaderLen + len(r.SealedControl)
-	if r.Op == OpPut && len(r.Payload) > 0 {
-		n += len(r.Payload) + MACSize
+	return RequestFrameLen(r.Op, len(r.SealedControl), len(r.Payload))
+}
+
+// RequestFrameLen returns the encoded size of a request frame carrying a
+// sealed control segment of controlLen bytes and a payload segment of
+// payloadLen bytes (nonce‖ciphertext; its MAC is added here). Only a put
+// with a non-empty payload carries one.
+func RequestFrameLen(op Opcode, controlLen, payloadLen int) int {
+	n := requestHeaderLen + controlLen
+	if op == OpPut && payloadLen > 0 {
+		n += payloadLen + MACSize
 	}
 	return n
 }
 
-// Encode appends the encoded request to dst and returns the result.
-func (r *Request) Encode(dst []byte) ([]byte, error) {
-	if len(r.SealedControl) > MaxControlLen {
+// AppendRequestHeader appends the untrusted request header announcing a
+// sealed control segment of controlLen bytes and a payload segment of
+// payloadLen bytes (nonce‖ciphertext, without its MAC; 0 when the frame
+// carries none), reserving capacity for the whole frame so the caller's
+// following appends — sealed control, then payload‖MAC — never regrow it.
+func AppendRequestHeader(dst []byte, op Opcode, clientID uint32, controlLen, payloadLen int) ([]byte, error) {
+	if controlLen > MaxControlLen {
 		return nil, ErrOversized
 	}
-	if len(r.Payload) > MaxValueLen+64 {
+	if payloadLen > MaxValueLen+64 {
 		return nil, ErrOversized
 	}
-	if r.Op != OpPut && r.Op != OpGet && r.Op != OpDelete {
+	if op != OpPut && op != OpGet && op != OpDelete {
 		return nil, ErrBadOpcode
 	}
-	dst = append(dst, byte(r.Op))
-	dst = binary.LittleEndian.AppendUint32(dst, r.ClientID)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.SealedControl)))
-	payloadLen := 0
-	if r.Op == OpPut {
-		payloadLen = len(r.Payload)
+	if op != OpPut {
+		payloadLen = 0
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(payloadLen))
+	dst = slices.Grow(dst, RequestFrameLen(op, controlLen, payloadLen))
+	dst = append(dst, byte(op))
+	dst = binary.LittleEndian.AppendUint32(dst, clientID)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(controlLen))
+	return binary.LittleEndian.AppendUint32(dst, uint32(payloadLen)), nil
+}
+
+// AppendTo appends the encoded request to dst and returns the result,
+// growing dst at most once.
+func (r *Request) AppendTo(dst []byte) ([]byte, error) {
+	dst, err := AppendRequestHeader(dst, r.Op, r.ClientID, len(r.SealedControl), len(r.Payload))
+	if err != nil {
+		return nil, err
+	}
 	dst = append(dst, r.SealedControl...)
 	if r.Op == OpPut && len(r.Payload) > 0 {
 		// Inline-value puts (§5.2) carry no untrusted payload segment;
@@ -154,33 +176,46 @@ func (r *Request) Encode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRequest parses an encoded request. The returned slices alias buf.
-func DecodeRequest(buf []byte) (*Request, error) {
+// Encode is AppendTo under its original name.
+func (r *Request) Encode(dst []byte) ([]byte, error) { return r.AppendTo(dst) }
+
+// Decode parses an encoded request into r, overwriting every field. The
+// slices alias buf.
+func (r *Request) Decode(buf []byte) error {
 	if len(buf) < requestHeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	r := &Request{Op: Opcode(buf[0])}
+	*r = Request{Op: Opcode(buf[0])}
 	if r.Op != OpPut && r.Op != OpGet && r.Op != OpDelete {
-		return nil, ErrBadOpcode
+		return ErrBadOpcode
 	}
 	r.ClientID = binary.LittleEndian.Uint32(buf[1:5])
 	controlLen := int(binary.LittleEndian.Uint16(buf[5:7]))
 	payloadLen := int(binary.LittleEndian.Uint32(buf[7:11]))
 	if controlLen > MaxControlLen || payloadLen > MaxValueLen+64 {
-		return nil, ErrOversized
+		return ErrOversized
 	}
 	rest := buf[requestHeaderLen:]
 	if len(rest) < controlLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	r.SealedControl = rest[:controlLen]
 	rest = rest[controlLen:]
 	if r.Op == OpPut && payloadLen > 0 {
 		if len(rest) < payloadLen+MACSize {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		r.Payload = rest[:payloadLen]
 		r.PayloadMAC = rest[payloadLen : payloadLen+MACSize]
+	}
+	return nil
+}
+
+// DecodeRequest parses an encoded request. The returned slices alias buf.
+func DecodeRequest(buf []byte) (*Request, error) {
+	r := new(Request)
+	if err := r.Decode(buf); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -201,38 +236,63 @@ func (r *Response) EncodedLen() int {
 	return responseHeaderLen + len(r.SealedControl) + len(r.Payload)
 }
 
-// Encode appends the encoded response to dst.
-func (r *Response) Encode(dst []byte) ([]byte, error) {
-	if len(r.SealedControl) > MaxControlLen {
+// AppendResponseHeader appends the untrusted response header announcing a
+// sealed control segment of controlLen bytes (0 for an unauthenticated
+// status frame) and payloadLen payload bytes, reserving capacity for the
+// whole frame so the caller's following appends never regrow it.
+func AppendResponseHeader(dst []byte, status Status, controlLen, payloadLen int) ([]byte, error) {
+	if controlLen > MaxControlLen {
 		return nil, ErrOversized
 	}
-	if len(r.Payload) > MaxValueLen+64+MACSize {
+	if payloadLen > MaxValueLen+64+MACSize {
 		return nil, ErrOversized
 	}
-	dst = append(dst, byte(r.Status))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.SealedControl)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Payload)))
+	dst = slices.Grow(dst, responseHeaderLen+controlLen+payloadLen)
+	dst = append(dst, byte(status))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(controlLen))
+	return binary.LittleEndian.AppendUint32(dst, uint32(payloadLen)), nil
+}
+
+// AppendTo appends the encoded response to dst and returns the result,
+// growing dst at most once.
+func (r *Response) AppendTo(dst []byte) ([]byte, error) {
+	dst, err := AppendResponseHeader(dst, r.Status, len(r.SealedControl), len(r.Payload))
+	if err != nil {
+		return nil, err
+	}
 	dst = append(dst, r.SealedControl...)
-	dst = append(dst, r.Payload...)
-	return dst, nil
+	return append(dst, r.Payload...), nil
+}
+
+// Encode is AppendTo under its original name.
+func (r *Response) Encode(dst []byte) ([]byte, error) { return r.AppendTo(dst) }
+
+// Decode parses an encoded response into r, overwriting every field. The
+// slices alias buf.
+func (r *Response) Decode(buf []byte) error {
+	if len(buf) < responseHeaderLen {
+		return ErrTruncated
+	}
+	*r = Response{Status: Status(buf[0])}
+	controlLen := int(binary.LittleEndian.Uint16(buf[1:3]))
+	payloadLen := int(binary.LittleEndian.Uint32(buf[3:7]))
+	if controlLen > MaxControlLen || payloadLen > MaxValueLen+64+MACSize {
+		return ErrOversized
+	}
+	rest := buf[responseHeaderLen:]
+	if len(rest) < controlLen+payloadLen {
+		return ErrTruncated
+	}
+	r.SealedControl = rest[:controlLen]
+	r.Payload = rest[controlLen : controlLen+payloadLen]
+	return nil
 }
 
 // DecodeResponse parses an encoded response. The returned slices alias buf.
 func DecodeResponse(buf []byte) (*Response, error) {
-	if len(buf) < responseHeaderLen {
-		return nil, ErrTruncated
+	r := new(Response)
+	if err := r.Decode(buf); err != nil {
+		return nil, err
 	}
-	r := &Response{Status: Status(buf[0])}
-	controlLen := int(binary.LittleEndian.Uint16(buf[1:3]))
-	payloadLen := int(binary.LittleEndian.Uint32(buf[3:7]))
-	if controlLen > MaxControlLen || payloadLen > MaxValueLen+64+MACSize {
-		return nil, ErrOversized
-	}
-	rest := buf[responseHeaderLen:]
-	if len(rest) < controlLen+payloadLen {
-		return nil, ErrTruncated
-	}
-	r.SealedControl = rest[:controlLen]
-	r.Payload = rest[controlLen : controlLen+payloadLen]
 	return r, nil
 }

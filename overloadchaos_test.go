@@ -125,12 +125,10 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 	go func() {
 		defer togglerDone.Done()
 		rng := rand.New(rand.NewPCG(overloadChaosSeed, 0x70661E))
+		// Each cycle opens with its drained span: a run that finishes
+		// inside the first cycle (the op path got faster than the 180 ms
+		// the recovered span used to grant it) still meets one.
 		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(cycle - span):
-			}
 			svc := d.svcs[rng.IntN(len(d.svcs))]
 			svc.Server.SetDraining(true)
 			select {
@@ -138,6 +136,11 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 			case <-time.After(span):
 			}
 			svc.Server.SetDraining(false)
+			select {
+			case <-stop:
+				return
+			case <-time.After(cycle - span):
+			}
 		}
 	}()
 
