@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchmark allocgate figures artifacts examples fuzz clean
+.PHONY: all build vet test race bench benchmark allocgate loc figures artifacts examples fuzz clean
 
 all: build vet test
 
@@ -32,6 +32,15 @@ benchmark:
 allocgate:
 	PRECURSOR_ALLOC_GATE=1 $(GO) test ./internal/wire/ ./internal/cryptox/ ./internal/heat/ ./internal/core/ \
 		-run 'ZeroAlloc|AllocBudget' -count=1 -v
+
+# Non-test Go lines of the op-path packages, and their sum: the number
+# ROADMAP aim 2 tracks. One fixed command, so every PR quotes the same count.
+loc:
+	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \
+	cluster=$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | wc -l); \
+	pool=$$(cat pool.go | wc -l); \
+	printf 'internal/core    %5d\ninternal/cluster %5d\npool.go          %5d\nsum              %5d\n' \
+		$$core $$cluster $$pool $$((core + cluster + pool))
 
 # Text tables for every figure and table of the evaluation.
 figures:

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"precursor"
+	"precursor/internal/core"
 	"precursor/internal/fleet"
+	"precursor/internal/rdma"
 	"precursor/internal/ycsb"
 )
 
@@ -127,6 +129,46 @@ func TestHeatMetricsEndpoint(t *testing.T) {
 	}
 	if snap.Top[0].Count < 10 {
 		t.Errorf("top-1 count = %d, want >= 10 (8 puts + get + batched get)", snap.Top[0].Count)
+	}
+
+	// Bytes out are accounted where a get's result is produced, so they
+	// cannot depend on the framing: a batched get counts exactly what the
+	// same single get does — for a value stored in the untrusted pool and
+	// for one the enclave holds inline, which only a connection in
+	// inline-small-values mode (not offered by Dial) can store.
+	device := rdma.NewDevice("heat-inline-client")
+	conn, err := rdma.DialTCP(device, svc.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, err := core.Connect(core.ClientConfig{
+		Conn: conn, Device: device,
+		PlatformKey: platform.AttestationPublicKey(), Measurement: svc.Server.Measurement(),
+		InlineSmallValues: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inline.Close()
+	for key, value := range map[string][]byte{
+		"enclave-inline": []byte("tiny"),
+		"pool-resident":  bytes.Repeat([]byte("v"), 4*core.DefaultInlineMax),
+	} {
+		if err := inline.Put(key, value); err != nil {
+			t.Fatal(err)
+		}
+		before := heatColl.Snapshot().BytesOut
+		if _, err := inline.Get(key); err != nil {
+			t.Fatal(err)
+		}
+		single := heatColl.Snapshot().BytesOut - before
+		if res, err := inline.Batch([]core.BatchOp{{Kind: core.BatchGet, Key: key}}); err != nil || res[0].Err != nil {
+			t.Fatalf("batched get of %s: %v %+v", key, err, res)
+		}
+		batched := heatColl.Snapshot().BytesOut - before - single
+		if single < uint64(len(value)) || batched != single {
+			t.Errorf("%s (%d B): bytes out = %d for a single get, %d for the same get batched", key, len(value), single, batched)
+		}
 	}
 
 	// An endpoint with no collector attached 404s the debug route.

@@ -231,6 +231,8 @@ type groupState struct {
 	name     string
 	replicas []*replicaState
 	quorum   int // write quorum (1 for single-replica groups)
+	// repairMu admits one repair run per group at a time (see runRepair).
+	repairMu sync.Mutex
 }
 
 func (g *groupState) single() bool { return len(g.replicas) == 1 }

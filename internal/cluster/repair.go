@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"precursor/internal/audit"
@@ -153,24 +154,37 @@ func (c *Client) repairReplica(g *groupState, rep *replicaState) {
 // final empty-journal check and the up transition happen under the
 // replica lock, the same lock admitWrite journals under — so no write
 // can slip between "journal is empty" and "serving again".
+//
+// One replica of a group repairs at a time: a repairing peer may donate
+// (see pickDonors), which is sound only while that peer's journal is not
+// being drained under the reader.
 func (c *Client) runRepair(g *groupState, rep *replicaState) error {
+	g.repairMu.Lock()
+	defer g.repairMu.Unlock()
 	rep.mu.Lock()
 	needFull := rep.needsFullSync || rep.journalDrop
 	rep.mu.Unlock()
-	donor := c.pickDonor(g, rep)
-	if donor == nil {
+	donors := c.pickDonors(g, rep)
+	if len(donors) == 0 {
 		return fmt.Errorf("precursor/cluster: no healthy donor in group %q for %q", g.name, rep.name)
 	}
 	if needFull {
 		if c.opts.OpenRepair == nil {
 			return fmt.Errorf("precursor/cluster: replica %q needs a full sync but no repair transport is configured", rep.name)
 		}
+		donor := donors[0]
 		if err := c.fullSync(donor, rep); err != nil {
 			return fmt.Errorf("full sync %q from %q: %w", rep.name, donor.name, err)
 		}
+		// rep now holds the donor's state, so it is stale wherever the
+		// donor is: it inherits the donor's journal (empty for an up donor).
+		donor.mu.Lock()
+		inherited := append([]string(nil), donor.journal...)
+		donor.mu.Unlock()
 		rep.mu.Lock()
 		rep.needsFullSync = false
 		rep.journalDrop = false
+		rep.journal = append(rep.journal, inherited...)
 		rep.mu.Unlock()
 	}
 	for {
@@ -193,7 +207,11 @@ func (c *Client) runRepair(g *groupState, rep *replicaState) error {
 				continue
 			}
 			seen[key] = struct{}{}
-			if err := c.replayKey(donor, rep, key); err != nil {
+			donor, err := donorFor(g, rep, donors, key)
+			if err == nil && donor != rep {
+				err = c.replayKey(donor, rep, key)
+			}
+			if err != nil {
 				// Put the unreplayed tail back so the next attempt
 				// finishes the job (order is irrelevant: replay copies
 				// the donor's *current* value).
@@ -206,20 +224,59 @@ func (c *Client) runRepair(g *groupState, rep *replicaState) error {
 	}
 }
 
-// pickDonor returns an up replica of g other than rep (nil if none).
-func (c *Client) pickDonor(g *groupState, rep *replicaState) *replicaState {
+// pickDonors returns the peers rep can repair from. An up replica's state
+// is complete, so one is enough. With none up, every live peer that is
+// itself repairing with only a journal outstanding (no full sync, no
+// journal overflow) qualifies: its state is complete except for the keys
+// in that journal. Without those, two replicas that each missed a write
+// would wait for each other forever.
+func (c *Client) pickDonors(g *groupState, rep *replicaState) []*replicaState {
+	var partial []*replicaState
 	for _, peer := range g.replicas {
 		if peer == rep {
 			continue
 		}
 		peer.mu.Lock()
-		up := !peer.down && !peer.repairing
+		live := !peer.down
+		whole := live && !peer.repairing
+		journalOnly := live && !peer.needsFullSync && !peer.journalDrop
 		peer.mu.Unlock()
-		if up {
-			return peer
+		if whole {
+			return []*replicaState{peer}
+		}
+		if journalOnly {
+			partial = append(partial, peer)
 		}
 	}
-	return nil
+	return partial
+}
+
+// donorFor picks the replica whose version of key rep should end up
+// with: a donor that did not miss the key, if there is one. When every
+// donor journaled it too, nobody provably holds its latest write. In a
+// group whose write quorum is every replica, a write any replica missed
+// was never acked, so each surviving version is admissible and the
+// replica whose name sorts first keeps its own — rep itself is returned
+// when that is rep — which makes all of them converge. With a smaller
+// quorum the missed write may have been acked, so the key waits for a
+// better donor.
+func donorFor(g *groupState, rep *replicaState, donors []*replicaState, key string) (*replicaState, error) {
+	first := rep
+	for _, d := range donors {
+		d.mu.Lock()
+		missed := slices.Contains(d.journal, key)
+		d.mu.Unlock()
+		if !missed {
+			return d, nil
+		}
+		if d.name < first.name {
+			first = d
+		}
+	}
+	if g.quorum < len(g.replicas) {
+		return nil, fmt.Errorf("precursor/cluster: every live replica of group %q missed a write to it", g.name)
+	}
+	return first, nil
 }
 
 // fullSync adopts the donor's sealed snapshot on the target, then

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -320,6 +321,96 @@ func TestReplicatedJournalRepair(t *testing.T) {
 	})
 	if got := c.Stats().Repairs; got < 1 {
 		t.Errorf("Repairs = %d, want >= 1", got)
+	}
+}
+
+// TestMutualRepairConverges: with W = N = 2, one distinct failed write
+// per replica leaves both replicas repairing, each the other's only
+// donor. Repair must not wait for a healthy donor that cannot exist:
+// whichever replica repairs first, both return to up with equal
+// contents. Keys only one replica missed are copied from the other; a
+// key both missed (never acked) settles on the first-named replica's
+// version.
+func TestMutualRepairConverges(t *testing.T) {
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		t.Run(fmt.Sprintf("repair-order-%v", order), func(t *testing.T) {
+			c, fakes, _ := newReplicatedFakes(t, 2, false, Options{WriteQuorum: 2, DisableAutoRepair: true})
+			if err := c.Put("base", []byte("v0")); err != nil {
+				t.Fatal(err)
+			}
+			// An unconfirmed write journals its key without tripping the
+			// breaker: the replica stays live, but repairing.
+			missed := fmt.Errorf("%w; %w", core.ErrReplay, core.ErrUnconfirmed)
+			failOn := func(r int, key, value string) {
+				t.Helper()
+				fakes[r].setFail(missed)
+				if err := c.Put(key, []byte(value)); err == nil {
+					t.Fatalf("put %q acked although replica %d failed it", key, r)
+				}
+				fakes[r].setFail(nil)
+			}
+			failOn(0, "only-r0-missed", "a") // r1 applied it
+			failOn(0, "both-missed", "b1")   // r1 applied b1 ...
+			failOn(1, "both-missed", "b2")   // ... and missed b2, which r0 (repairing) skipped
+			failOn(1, "neither-has", "c")
+			if got := c.Degraded(); len(got) != 2 {
+				t.Fatalf("Degraded = %v, want both replicas repairing", got)
+			}
+
+			g := c.groups["group-0"]
+			for _, r := range order {
+				if err := c.runRepair(g, g.replicas[r]); err != nil {
+					t.Fatalf("repair of r%d: %v", r, err)
+				}
+			}
+			if !c.Healthy() {
+				t.Fatalf("still degraded after repair: %v", c.Degraded())
+			}
+			fakes[0].mu.Lock()
+			fakes[1].mu.Lock()
+			defer fakes[0].mu.Unlock()
+			defer fakes[1].mu.Unlock()
+			if !reflect.DeepEqual(fakes[0].m, fakes[1].m) {
+				t.Fatalf("replicas diverge after repair:\nr0 = %q\nr1 = %q", fakes[0].m, fakes[1].m)
+			}
+			if v := fakes[0].m["only-r0-missed"]; string(v) != "a" {
+				t.Errorf("only-r0-missed = %q, want the value r1 held", v)
+			}
+			if v, ok := fakes[0].m["both-missed"]; ok {
+				t.Errorf("both-missed = %q, want r0's version (absent) to win the tie", v)
+			}
+		})
+	}
+}
+
+// TestMutualRepairKeepsAckedWrite: below W = N the tie-break of
+// TestMutualRepairConverges would be unsafe — a write one replica missed
+// may have been acked by the other — so a key both replicas journaled
+// waits for a better donor instead of settling on either version.
+func TestMutualRepairKeepsAckedWrite(t *testing.T) {
+	c, fakes, _ := newReplicatedFakes(t, 2, false, Options{WriteQuorum: 1, DisableAutoRepair: true})
+	missed := fmt.Errorf("%w; %w", core.ErrReplay, core.ErrUnconfirmed)
+	fakes[0].setFail(missed)
+	if err := c.Put("k", []byte("acked")); err != nil {
+		t.Fatalf("W=1 put with one replica failing: %v", err)
+	}
+	// The put resolved on r1's ack alone; r0's failure lands behind it.
+	waitFor(t, "r0 to journal the write it missed", func() bool { return len(c.Degraded()) == 1 })
+	fakes[0].setFail(nil)
+	fakes[1].setFail(missed)
+	if err := c.Put("k", []byte("lost")); err == nil {
+		t.Fatal("put acked with no replica applying it")
+	}
+	fakes[1].setFail(nil)
+
+	g := c.groups["group-0"]
+	for _, rep := range g.replicas {
+		if err := c.runRepair(g, rep); err == nil {
+			t.Errorf("repair of %s settled a key whose acked version it cannot identify", rep.name)
+		}
+	}
+	if v, _ := fakes[1].get("k"); string(v) != "acked" {
+		t.Errorf("r1 holds %q, want the acked write preserved", v)
 	}
 }
 

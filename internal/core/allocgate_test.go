@@ -47,7 +47,7 @@ func TestOpPathAllocBudget(t *testing.T) {
 		{name: "base", get: 2.5, put: 4.5, putDel: 5},                                                          // 2.13, 3.13, 4.25
 		{name: "hardened", srv: ServerConfig{HardenedMACs: true}, get: 2.5, put: 4.5, putDel: 5},               // 2.13, 3.13, 4.25
 		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, cli: inline, get: 1.5, put: 5, putDel: 6}, // 1.13, 4.13, 5.25
-		{name: "vlog", vlog: true, get: 2.5, put: 19, putDel: 34},                                              // 2.13, 18.13, 32.25
+		{name: "vlog", vlog: true, get: 2.5, put: 18, putDel: 34},                                              // 2.13, 17.13, 31.25
 	}
 	const (
 		keys   = 64

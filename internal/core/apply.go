@@ -1,0 +1,285 @@
+package core
+
+// The apply path: the one place an authenticated operation touches the
+// store. handleRequest (single-op frames) and handleBatch (OpBatch
+// frames) each decode and verify their own frame, then hand every
+// operation here in the same shape and get the same by-value result
+// back. Base and value-log placement differ at exactly three points —
+// the durable append, the conditional Upsert versus the plain Swap, and
+// the pool copy being a cache rather than the store — each a branch on
+// s.vlog below.
+
+import (
+	"precursor/internal/heat"
+	"precursor/internal/obs"
+	"precursor/internal/wire"
+)
+
+// apply runs one authenticated operation (Algorithm 2, line 7, and the
+// get/delete analogues).
+//
+// o is the op view: opcode, flags, key, K_operation and inline value,
+// all from inside the opened control seal. seg is the op's extent of
+// untrusted memory — nonce‖ciphertext‖MAC for an external put, empty
+// otherwise — borrowed from the poll buffer for the duration of the call.
+//
+// The result travels by value. For a found get it carries the key
+// material (aliasing the entry) and payload aliases the stored bytes in
+// pool or log memory; the caller copies both into its reply before it
+// handles the next operation.
+//
+// op is the single-op trace, nil for batched ops (their frame records
+// one srv_batch span instead): a failure's cause annotates it, and end
+// is where its srv_apply span — srv_vlog_read after a read-through —
+// stopped.
+func (s *Server) apply(sess *session, o *wire.BatchOp, seg []byte, op *obs.Op, now int64) (res wire.BatchOpResult, payload []byte, end int64) {
+	switch o.Op {
+	case wire.OpPut:
+		res = s.applyPut(sess, o, seg, op)
+		end = op.SpanEnd(obs.SrvApply, now)
+	case wire.OpGet:
+		res, payload, end = s.applyGet(sess, o, op, now)
+	case wire.OpDelete:
+		res = s.applyDelete(sess, o, op)
+		end = op.SpanEnd(obs.SrvApply, now)
+	}
+	if s.cfg.Heat != nil {
+		// Accounted here — the control seal opened, so the key is
+		// authentic — for every op kind and both framings at once. Only the
+		// key's hash enters the sketch.
+		s.cfg.Heat.Record(heatKind(o.Op), heat.HashKeyBytes(o.Key),
+			len(seg)+len(o.InlineValue), len(payload)+len(res.InlineValue))
+	}
+	return res, payload, end
+}
+
+// failed is the result of an operation that did not complete: only the
+// status crosses back to the client, the cause stays in the trace.
+func failed(op *obs.Op, status wire.Status, cause error) wire.BatchOpResult {
+	op.SetError(cause)
+	return wire.BatchOpResult{Status: status}
+}
+
+func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, op *obs.Op) wire.BatchOpResult {
+	s.puts.Add(1)
+	e := &entry{owner: sess.id}
+	var stored []byte
+	if o.Flags&wire.FlagInlineValue != 0 {
+		// §5.2 optimization: the small value lives inside the enclave; a
+		// log record carries it in the sealed metadata, payload empty.
+		if err := s.placeInline(e, o.InlineValue); err != nil {
+			return failed(op, wire.StatusServerError, err)
+		}
+	} else {
+		if len(o.OpKey) != wire.OpKeySize || len(seg) <= wire.MACSize {
+			s.badRequests.Add(1)
+			return failed(op, wire.StatusBadRequest, ErrBadResponse)
+		}
+		copy(e.opKey[:], o.OpKey)
+		// seg is already ciphertext‖MAC, the base-mode stored form: it goes
+		// to the pool and to the log verbatim, never through a staging copy.
+		stored = seg
+		if s.cfg.HardenedMACs {
+			// §3.9 hardening: the MAC is enclave state — in the entry and
+			// the log's sealed metadata, never in untrusted memory or the
+			// record body.
+			stored = seg[:len(seg)-wire.MACSize]
+			copy(e.mac[:], seg[len(stored):])
+			e.hasMAC = true
+		}
+		// store_to_untrusted (Algorithm 2, line 7): the ciphertext goes to
+		// the pre-allocated pool in untrusted memory.
+		if err := s.placeStored(e, stored); err != nil {
+			return failed(op, wire.StatusServerError, err)
+		}
+	}
+
+	// One string for the table, the log and the delta set: the table keeps
+	// it when the key is new.
+	key := string(o.Key)
+	if s.vlog == nil {
+		if old, existed := s.table.Swap(key, e); existed {
+			s.releaseEntry(old)
+		}
+	} else {
+		// store_to_untrusted, durable edition: the append blocks until the
+		// group commit has fsynced, so the ack implies the value survives
+		// kill -9.
+		if err := s.vlogPut(key, e, stored); err != nil {
+			s.freeEntryResources(e)
+			return failed(op, wire.StatusServerError, err)
+		}
+		// The index swap is conditional on sequence order, so a relocation
+		// or a concurrent put can never roll a key backwards.
+		var old *entry
+		if s.table.Upsert(key, func(cur *entry, exists bool) (*entry, bool) {
+			if exists {
+				if cur.seq >= e.seq {
+					return cur, false
+				}
+				old = cur
+			}
+			return e, true
+		}) {
+			s.releaseEntry(old)
+		} else {
+			// A concurrent newer put landed between our append and the swap:
+			// this record is dead on arrival.
+			s.freeEntryResources(e)
+			s.vlog.MarkDead(e.vptr)
+		}
+		s.vlogTrack.applied(e.seq)
+	}
+	s.recordDelta(key)
+	return wire.BatchOpResult{Status: wire.StatusOK}
+}
+
+func (s *Server) applyGet(sess *session, o *wire.BatchOp, op *obs.Op, now int64) (wire.BatchOpResult, []byte, int64) {
+	s.gets.Add(1)
+	e, ok := s.table.GetBytes(o.Key)
+	if !ok || s.isDenied(sess, e) {
+		// Access control: pretend absence rather than leak existence.
+		return wire.BatchOpResult{Status: wire.StatusNotFound, Flags: wire.FlagNotFound},
+			nil, op.SpanEnd(obs.SrvApply, now)
+	}
+	res := wire.BatchOpResult{Status: wire.StatusOK}
+	var payload []byte
+	stage := obs.SrvApply
+	switch {
+	case e.inline != nil:
+		res.Flags = wire.FlagInlineValue
+		res.InlineValue = e.inline.Data
+		e.inline.Touch(0, len(e.inline.Data))
+	case s.vlog != nil && !e.ref.Valid() && e.vptr.Valid():
+		// The value has no memory-resident copy: read it back from the
+		// value log and re-authenticate its sealed metadata.
+		now, stage = op.SpanEnd(obs.SrvApply, now), obs.SrvVlogRead
+		val, inline, cur, err := s.vlogReadThrough(string(o.Key), e)
+		if err != nil {
+			return failed(op, wire.StatusServerError, err), nil, now
+		}
+		if inline {
+			res.Flags = wire.FlagInlineValue
+			res.InlineValue = val
+		} else {
+			e, payload = cur, val
+		}
+	default:
+		// The encrypted payload is transferred as-is — the server performs
+		// no payload cryptography (§3.2).
+		var err error
+		if payload, err = s.pool.Read(e.ref); err != nil {
+			return failed(op, wire.StatusServerError, err), nil, now
+		}
+	}
+	if res.Flags&wire.FlagInlineValue == 0 {
+		res.OpKey = e.opKey[:]
+		if e.hasMAC {
+			res.PayloadMAC = e.mac[:]
+		}
+	}
+	return res, payload, op.SpanEnd(stage, now)
+}
+
+func (s *Server) applyDelete(sess *session, o *wire.BatchOp, op *obs.Op) wire.BatchOpResult {
+	s.deletes.Add(1)
+	e, ok := s.table.GetBytes(o.Key)
+	if !ok || s.isDenied(sess, e) {
+		return wire.BatchOpResult{Status: wire.StatusNotFound, Flags: wire.FlagNotFound}
+	}
+	key := string(o.Key)
+	if s.vlog == nil {
+		s.table.Delete(key)
+		s.releaseEntry(e)
+	} else {
+		// Deletes must be durable before they are acked: append a
+		// tombstone, then remove the entry only if no newer version raced
+		// in.
+		d, err := s.vlogDelete(key, sess.id)
+		if err != nil {
+			return failed(op, wire.StatusServerError, err)
+		}
+		s.deleteOlder(key, d)
+		s.vlogTrack.applied(d)
+	}
+	s.recordDelta(key)
+	return wire.BatchOpResult{Status: wire.StatusOK}
+}
+
+func (s *Server) isDenied(sess *session, e *entry) bool {
+	return s.ownerOnly.Load() && e.owner != sess.id
+}
+
+// placeInline gives e an enclave-resident copy of a small value.
+func (s *Server) placeInline(e *entry, value []byte) error {
+	region, err := s.enclave.Alloc(len(value))
+	if err != nil {
+		return err
+	}
+	copy(region.Data, value)
+	e.inline = region
+	return nil
+}
+
+// placeStored copies stored — a value's ciphertext, followed by its MAC
+// unless the MAC is enclave state — into a fresh untrusted pool slot for
+// e (none for the empty payload of an index-only snapshot entry or an
+// inline record). Without the value log the slot is the store. With it
+// the slot is only a cache of the durable record: policy may skip it, and
+// failing to build it is not an error.
+func (s *Server) placeStored(e *entry, stored []byte) error {
+	if len(stored) == 0 || s.vlog != nil && !s.vlogMayCache(len(stored)) {
+		return nil
+	}
+	ref, err := s.pool.Alloc(len(stored))
+	if err == nil {
+		if err = s.pool.Write(ref, stored); err == nil {
+			e.ref = ref
+			return nil
+		}
+		s.pool.Free(ref)
+	}
+	if s.vlog != nil {
+		return nil
+	}
+	return err
+}
+
+// deleteOlder removes key's entry and releases it if the entry is older
+// than sequence seq, a tombstone's; a newer version that raced in stays.
+func (s *Server) deleteOlder(key string, seq uint64) bool {
+	var old *entry
+	if !s.table.DeleteIf(key, func(cur *entry) bool {
+		old = cur
+		return cur.seq < seq
+	}) {
+		return false
+	}
+	s.releaseEntry(old)
+	return true
+}
+
+// releaseEntry frees an entry the index no longer points at, and marks
+// its log record reclaimable.
+func (s *Server) releaseEntry(e *entry) {
+	if e == nil {
+		return
+	}
+	s.freeEntryResources(e)
+	if s.vlog != nil && e.vptr.Valid() {
+		s.vlog.MarkDead(e.vptr)
+	}
+}
+
+// freeEntryResources returns an entry's memory-resident copy, leaving
+// value-log accounting alone: enough for an entry that never made it
+// into the index. The entry is not modified — a released one may still
+// be read by a get that looked it up a moment ago.
+func (s *Server) freeEntryResources(e *entry) {
+	if e.inline != nil {
+		s.enclave.Free(e.inline)
+	}
+	if e.ref.Valid() {
+		s.pool.Free(e.ref)
+	}
+}

@@ -18,7 +18,6 @@ import (
 
 	"precursor/internal/cryptox"
 	"precursor/internal/obs"
-	"precursor/internal/ringbuf"
 	"precursor/internal/wire"
 )
 
@@ -228,11 +227,9 @@ func (c *Client) batchAsync(ops []BatchOp, parent time.Time, ref obs.SpanRef) (*
 	return c.startBatchLocked(ops, deadline, ref)
 }
 
-// startBatchLocked assembles, seals and sends one batch frame. Called
-// with mu held. Scratch buffers on the client are reused across
-// batches, so steady-state assembly costs no allocations beyond the
-// future itself and one AES key schedule per encrypted put (the MAC
-// under its one-time key).
+// startBatchLocked assembles, seals and sends one batch frame under its
+// own trace, which a failure before the frame is in the ring finishes
+// here. Called with mu held.
 func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.SpanRef) (*BatchFuture, error) {
 	var op *obs.Op
 	if tr := c.cfg.Tracer; tr != nil {
@@ -243,6 +240,19 @@ func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.Spa
 		op.AdoptRef(ref)
 		ref = op.Ref()
 	}
+	f, err := c.sendBatchLocked(ops, deadline, ref, op)
+	if err != nil {
+		op.SetError(err)
+		op.Finish()
+	}
+	return f, err
+}
+
+// sendBatchLocked is startBatchLocked's assembly and send. Scratch
+// buffers on the client are reused across batches, so steady-state
+// assembly costs no allocations beyond the future itself and one AES key
+// schedule per encrypted put (the MAC under its one-time key).
+func (c *Client) sendBatchLocked(ops []BatchOp, deadline time.Time, ref obs.SpanRef, op *obs.Op) (*BatchFuture, error) {
 	t0 := op.Now()
 	c.oid++
 	c.bctl.Oid = c.oid
@@ -284,8 +294,6 @@ func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.Spa
 					c.payloadBuf, err = c.payload.SealAppend(c.payloadBuf, &c.opKeys[i], ops[i].Value)
 				}
 				if err != nil {
-					op.SetError(err)
-					op.Finish()
 					return nil, err
 				}
 				bop.OpKey = c.opKeys[i][:]
@@ -300,16 +308,10 @@ func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.Spa
 	}
 
 	var err error
-	c.ctlBuf, err = wire.AppendBatchControl(c.ctlBuf[:0], &c.bctl)
-	if err != nil {
-		op.SetError(err)
-		op.Finish()
+	if c.ctlBuf, err = wire.AppendBatchControl(c.ctlBuf[:0], &c.bctl); err != nil {
 		return nil, err
 	}
-	c.sealedBuf, err = c.aead.SealAppend(c.sealedBuf[:0], c.ctlBuf, c.ad[:])
-	if err != nil {
-		op.SetError(err)
-		op.Finish()
+	if c.sealedBuf, err = c.aead.SealAppend(c.sealedBuf[:0], c.ctlBuf, c.ad[:]); err != nil {
 		return nil, err
 	}
 	breq := wire.BatchRequest{
@@ -318,45 +320,16 @@ func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.Spa
 		SealedControl: c.sealedBuf,
 		Payload:       c.payloadBuf,
 	}
-	c.frameBuf, err = breq.AppendTo(c.frameBuf[:0])
-	if err != nil {
-		op.SetError(err)
-		op.Finish()
+	if c.frameBuf, err = breq.AppendTo(c.frameBuf[:0]); err != nil {
 		return nil, err
 	}
 	if len(c.frameBuf) > c.reqWriter.MaxMessage() {
-		op.SetError(ErrTooLarge)
-		op.Finish()
 		return nil, fmt.Errorf("%w: batch frame of %d bytes exceeds ring slot (%d)",
 			ErrTooLarge, len(c.frameBuf), c.reqWriter.MaxMessage())
 	}
 	t0 = op.SpanEnd(obs.CliBatch, t0)
-
-	waitStart, writeStart := t0, t0
-	for {
-		// The ring writer copies the frame before returning, so the
-		// client's scratch buffers are free for the next batch.
-		ok, werr := c.reqWriter.TryWrite(c.frameBuf)
-		if werr != nil {
-			err := fmt.Errorf("%w: %v", ErrClosed, werr)
-			op.SetError(err)
-			op.Finish()
-			return nil, err
-		}
-		if ok {
-			op.SpanAt(obs.CliCreditWait, waitStart, writeStart)
-			t0 = op.SpanEnd(obs.CliRingWrite, writeStart)
-			break
-		}
-		if time.Now().After(deadline) {
-			// Never entered the ring: nothing was sent, nothing is
-			// unconfirmed.
-			op.SetError(ErrTimeout)
-			op.Finish()
-			return nil, ErrTimeout
-		}
-		time.Sleep(2 * time.Microsecond)
-		writeStart = op.Now()
+	if t0, err = c.sendFrameLocked(op, t0, deadline); err != nil {
+		return nil, err
 	}
 
 	f := &BatchFuture{
@@ -396,7 +369,9 @@ func (f *BatchFuture) Wait() ([]BatchResult, error) {
 			f.resolveFailureLocked(ErrTimeout)
 			break
 		}
-		if err := c.pollOnceLocked(); err != nil {
+		// No single op is waiting: whatever authenticated frame arrives
+		// is a batch reply (resolving its future) or stale.
+		if _, _, err := c.recvLocked(nil); err != nil {
 			f.resolveFailureLocked(err)
 			break
 		}
@@ -431,55 +406,11 @@ func (c *Client) waitAnyLocked() error {
 			oldest.resolveFailureLocked(ErrTimeout)
 			return nil
 		}
-		if err := c.pollOnceLocked(); err != nil {
+		if _, _, err := c.recvLocked(nil); err != nil {
 			oldest.resolveFailureLocked(err)
 			return nil
 		}
 	}
-	return nil
-}
-
-// pollOnceLocked polls the response ring once, dispatching whatever
-// authenticated frame arrives (batch replies resolve their futures;
-// single-op frames with no waiter are counted stale). It sleeps
-// briefly when the ring is empty. Only transport-fatal errors are
-// returned. Called with mu held.
-func (c *Client) pollOnceLocked() error {
-	msg, ready, err := c.respReader.PollInto(c.pollBuf)
-	c.pollBuf = msg[:cap(msg)]
-	if err != nil {
-		if errors.Is(err, ringbuf.ErrCorrupt) {
-			c.badFrames++
-			return nil
-		}
-		return fmt.Errorf("%w: %v", ErrClosed, err)
-	}
-	if !ready {
-		time.Sleep(2 * time.Microsecond)
-		return nil
-	}
-	resp := &c.resp
-	if err := resp.Decode(msg); err != nil {
-		c.badFrames++
-		return nil
-	}
-	if len(resp.SealedControl) == 0 {
-		c.unauthStatuses++
-		return nil
-	}
-	rcPt, err := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, c.ad[:])
-	if err != nil {
-		c.badFrames++
-		return nil
-	}
-	c.ctlBuf = rcPt
-	if wire.IsBatchReply(rcPt) {
-		c.resolveBatchReplyLocked(rcPt, resp.Payload)
-		return nil
-	}
-	// An authenticated single-op frame with no single op in flight: a
-	// duplicated or very late delivery.
-	c.staleFrames++
 	return nil
 }
 
@@ -567,24 +498,8 @@ func (c *Client) batchOpResult(kind BatchOpKind, res *wire.BatchOpResult, seg []
 	if res.Flags&wire.FlagInlineValue != 0 {
 		return BatchResult{Value: append([]byte(nil), res.InlineValue...)}
 	}
-	if len(res.OpKey) != wire.OpKeySize {
-		return BatchResult{Err: ErrBadResponse}
-	}
-	ciphertext := seg
-	mac := res.PayloadMAC
-	if mac == nil {
-		if len(seg) < wire.MACSize {
-			return BatchResult{Err: ErrBadResponse}
-		}
-		ciphertext = seg[:len(seg)-wire.MACSize]
-		mac = seg[len(seg)-wire.MACSize:]
-	}
-	value, err := c.payload.OpenAppend(nil, (*cryptox.OperationKey)(res.OpKey), ciphertext, mac)
-	if err != nil {
-		c.integrityFailures++
-		return BatchResult{Err: fmt.Errorf("%w: %v", ErrIntegrity, err)}
-	}
-	return BatchResult{Value: value}
+	value, err := c.openValue(res.OpKey, res.PayloadMAC, seg)
+	return BatchResult{Value: value, Err: err}
 }
 
 // resolveFailureLocked resolves every op of a failed batch with

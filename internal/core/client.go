@@ -271,16 +271,12 @@ func traceCtx(r obs.SpanRef) wire.TraceContext {
 	return wire.TraceContext{TraceID: r.TraceID, ParentSpan: r.SpanID, Sampled: r.Sampled}
 }
 
-// beginOp starts the in-flight operation's trace (no-op when the tracer
-// is disabled). Called with mu held.
-func (c *Client) beginOp(kind string) { c.beginOpRef(kind, obs.SpanRef{}) }
-
-// beginOpRef is beginOp for operations arriving with an upstream trace
-// ref (the cluster layer's quorum/hedge/batch parents): the local op
-// adopts the ref's trace, and the context propagated on the wire is the
-// local op's span — or, when this connection has no tracer of its own,
-// the caller's ref forwarded verbatim so correlation survives
-// tracer-less hops. Called with mu held.
+// beginOpRef starts the in-flight operation's trace (no-op when the
+// tracer is disabled). ref is the upstream trace ref, if any (the cluster
+// layer's quorum/hedge/batch parents): the local op adopts its trace, and
+// the context propagated on the wire is the local op's span — or, when
+// this connection has no tracer of its own, the caller's ref forwarded
+// verbatim so correlation survives tracer-less hops. Called with mu held.
 func (c *Client) beginOpRef(kind string, ref obs.SpanRef) {
 	if tr := c.cfg.Tracer; tr != nil {
 		c.curOp = tr.Start(int(c.id), kind)
@@ -451,29 +447,36 @@ func (c *Client) getOnce(key string, deadline time.Time) ([]byte, error) {
 	if rc.Flags&wire.FlagInlineValue != 0 {
 		return append([]byte(nil), rc.InlineValue...), nil
 	}
-	if len(rc.OpKey) != wire.OpKeySize {
+	t0 := c.curOp.Now()
+	value, err := c.openValue(rc.OpKey, rc.PayloadMAC, payload)
+	if err != nil {
+		return nil, err
+	}
+	c.curOp.Span(obs.CliVerify, t0)
+	c.gets++
+	return value, nil
+}
+
+// openValue verifies and decrypts a fetched value under its one-time key
+// (the client-side integrity check of Algorithm 1). A nil mac is the base
+// mode: the MAC travels behind the ciphertext in the untrusted payload.
+// The plaintext is the one allocation of a get: the caller keeps it, so
+// it must not live in scratch.
+func (c *Client) openValue(opKey, mac, payload []byte) ([]byte, error) {
+	if len(opKey) != wire.OpKeySize {
 		return nil, ErrBadResponse
 	}
-	ciphertext := payload
-	mac := rc.PayloadMAC
 	if mac == nil {
-		// Base mode: the MAC travels with the untrusted payload.
 		if len(payload) < wire.MACSize {
 			return nil, ErrBadResponse
 		}
-		ciphertext = payload[:len(payload)-wire.MACSize]
-		mac = payload[len(payload)-wire.MACSize:]
+		payload, mac = payload[:len(payload)-wire.MACSize], payload[len(payload)-wire.MACSize:]
 	}
-	t0 := c.curOp.Now()
-	// Appending to nil makes the plaintext the one allocation of a get:
-	// the caller keeps it, so it must not live in scratch.
-	value, err := c.payload.OpenAppend(nil, (*cryptox.OperationKey)(rc.OpKey), ciphertext, mac)
+	value, err := c.payload.OpenAppend(nil, (*cryptox.OperationKey)(opKey), payload, mac)
 	if err != nil {
 		c.integrityFailures++
 		return nil, fmt.Errorf("%w: %v", ErrIntegrity, err)
 	}
-	c.curOp.Span(obs.CliVerify, t0)
-	c.gets++
 	return value, nil
 }
 
@@ -564,166 +567,175 @@ func (c *Client) buildRequest(ctl *wire.RequestControl, value []byte, external b
 // control data) value is encrypted under a fresh K_operation straight
 // into the frame. The returned control and payload alias the client's
 // scratch and are valid until the next operation on this connection.
-//
-// Over an untrusted network, frames that fail authentication — a
-// corrupt ring slot, a response whose AEAD open fails, an
-// unauthenticated status frame — cannot be attributed to this (or any)
-// operation: anyone on the path could have forged them. Failing the
-// operation on such a frame would let an attacker cancel requests with
-// garbage, so they are counted and skipped; the operation's fate is
-// decided only by an authenticated response or the deadline.
 func (c *Client) roundTrip(ctl *wire.RequestControl, value []byte, external bool, deadline time.Time) (*wire.ResponseControl, []byte, error) {
 	op := c.curOp
 	t, err := c.buildRequest(ctl, value, external)
 	if err != nil {
 		return nil, nil, err
 	}
-	frame := c.frameBuf
-	// A request that carries a trace context expects its reply sealed
-	// under the extended AD (client id ‖ trace id): the server echoes
-	// the trace binding, so a reply cannot be attributed to the wrong
-	// trace. Pre-verification replies (oid-less read sheds) and
-	// pipelined batch replies stay on the base AD — handled below.
-	respAD := c.ad[:]
-	traced := ctl.Trace.Valid()
-	if traced {
+	if ctl.Trace.Valid() {
+		// A request that carries a trace context expects its reply sealed
+		// under the extended AD (client id ‖ trace id): the server echoes
+		// the trace binding, so a reply cannot be attributed to the wrong
+		// trace.
 		copy(c.adx[:4], c.ad[:])
 		binary.LittleEndian.PutUint64(c.adx[4:], ctl.Trace.TraceID)
-		respAD = c.adx[:]
 	}
-	// Credit-bounded send: a stalled ring (credits lost or delayed in
-	// flight) must surface as this operation's timeout, not a hang.
-	// For tracing, the loop splits into credit wait (all the failed
-	// TryWrite spins) and the one successful ring write. The fast path —
-	// first TryWrite succeeds — reuses the seal span's end as both the
-	// (zero-length) credit wait and the write start, so it costs one
-	// clock read; the clock is re-read only on actual credit stalls.
+	if t, err = c.sendFrameLocked(op, t, deadline); err != nil {
+		return nil, nil, err
+	}
+	for {
+		if time.Now().After(deadline) {
+			return nil, nil, ErrTimeout
+		}
+		rc, payload, err := c.recvLocked(ctl)
+		if rc != nil || err != nil {
+			op.Span(obs.CliRespWait, t)
+			return rc, payload, err
+		}
+	}
+}
+
+// sendFrameLocked writes c.frameBuf into the request ring, waiting for
+// credit until deadline: a stalled ring (credits lost or delayed in
+// flight) must surface as the operation's timeout, not a hang — and a
+// frame that timed out here never entered the ring, so nothing is
+// unconfirmed. The ring writer copies the frame before returning, so the
+// scratch buffers are free for the next frame. For tracing, the loop
+// splits into credit wait (all the failed TryWrite spins) and the one
+// successful ring write. The fast path — first TryWrite succeeds —
+// reuses t, the previous span's end, as both the (zero-length) credit
+// wait and the write start, so it costs one clock read; the clock is
+// re-read only on actual credit stalls. It returns the ring-write span's
+// end. Called with mu held.
+func (c *Client) sendFrameLocked(op *obs.Op, t int64, deadline time.Time) (int64, error) {
 	waitStart, writeStart := t, t
 	for {
-		ok, err := c.reqWriter.TryWrite(frame)
+		ok, err := c.reqWriter.TryWrite(c.frameBuf)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrClosed, err)
+			return t, fmt.Errorf("%w: %v", ErrClosed, err)
 		}
 		if ok {
 			op.SpanAt(obs.CliCreditWait, waitStart, writeStart)
-			t = op.SpanEnd(obs.CliRingWrite, writeStart)
-			break
+			return op.SpanEnd(obs.CliRingWrite, writeStart), nil
 		}
 		if time.Now().After(deadline) {
-			return nil, nil, ErrTimeout
+			return t, ErrTimeout
 		}
 		time.Sleep(2 * time.Microsecond)
 		writeStart = op.Now()
 	}
-	pollStart := t
-	for {
-		if time.Now().After(deadline) {
-			return nil, nil, ErrTimeout
-		}
-		msg, ready, err := c.respReader.PollInto(c.pollBuf)
-		c.pollBuf = msg[:cap(msg)]
-		if err != nil {
-			if errors.Is(err, ringbuf.ErrCorrupt) {
-				// The reader consumed the mangled slot; the bytes are
-				// unattributable noise.
-				c.badFrames++
-				continue
-			}
-			// Anything else is a failed credit write — the connection is
-			// dead or dying.
-			return nil, nil, fmt.Errorf("%w: %v", ErrClosed, err)
-		}
-		if !ready {
-			// Sleeping (rather than spinning) lets the runtime park in the
-			// netpoller, which matters on low-core hosts where a busy spin
-			// would starve the TCP fabric's agent goroutines.
-			time.Sleep(2 * time.Microsecond)
-			continue
-		}
-		resp, rc := &c.resp, &c.rctl
-		if err := resp.Decode(msg); err != nil {
+}
+
+// recvLocked polls the response ring once and dispatches whatever frame
+// arrived. want is the single op awaiting its reply, nil when only
+// pipelined batches are in flight. A batch reply resolves its future; the
+// reply to want is returned (or its typed error: ErrReplay, a
+// RetryLaterError); anything else is counted and skipped, and the step
+// reports nothing. It sleeps briefly on an empty ring — sleeping rather
+// than spinning lets the runtime park in the netpoller, which matters on
+// low-core hosts where a busy spin would starve the TCP fabric's agent
+// goroutines. Of transport errors only fatal ones are returned.
+//
+// Over an untrusted network, frames that fail authentication — a
+// corrupt ring slot, a response whose AEAD open fails, an
+// unauthenticated status frame — cannot be attributed to any operation:
+// anyone on the path could have forged them. Failing an operation on
+// such a frame would let an attacker cancel requests with garbage, so an
+// operation's fate is decided only by an authenticated response or its
+// deadline. Called with mu held.
+func (c *Client) recvLocked(want *wire.RequestControl) (*wire.ResponseControl, []byte, error) {
+	msg, ready, err := c.respReader.PollInto(c.pollBuf)
+	c.pollBuf = msg[:cap(msg)]
+	if err != nil {
+		if errors.Is(err, ringbuf.ErrCorrupt) {
+			// The reader consumed the mangled slot; the bytes are
+			// unattributable noise.
 			c.badFrames++
-			continue
+			return nil, nil, nil
 		}
-		if len(resp.SealedControl) == 0 {
-			// Unauthenticated status frame (auth failure / bad-request
-			// notice). Advisory at best, forged at worst.
-			c.unauthStatuses++
-			continue
+		// Anything else is a failed credit write — the connection is dead
+		// or dying.
+		return nil, nil, fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	if !ready {
+		time.Sleep(2 * time.Microsecond)
+		return nil, nil, nil
+	}
+	resp, rc := &c.resp, &c.rctl
+	if err := resp.Decode(msg); err != nil {
+		c.badFrames++
+		return nil, nil, nil
+	}
+	if len(resp.SealedControl) == 0 {
+		// Unauthenticated status frame (auth failure / bad-request
+		// notice). Advisory at best, forged at worst.
+		c.unauthStatuses++
+		return nil, nil, nil
+	}
+	// Whatever is in flight is already in the ring, so the control scratch
+	// is free to take the reply's opened control. A traced single op
+	// expects the extended AD roundTrip staged in c.adx.
+	traced := want != nil && want.Trace.Valid()
+	ad := c.ad[:]
+	if traced {
+		ad = c.adx[:]
+	}
+	pt, err := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, ad)
+	// base marks a frame that opened under the base AD although a traced
+	// op is in flight. Legitimately that is only a reply the server
+	// sealed before it could know the trace id — an oid-less RETRY_LATER
+	// read shed — or a pipelined batch reply (always base-AD; its sealed
+	// oid echo binds it). Anything else under the "wrong" AD must not
+	// decide the traced operation.
+	base := false
+	if err != nil && traced {
+		pt, err = c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, c.ad[:])
+		base = true
+	}
+	if err != nil {
+		c.badFrames++
+		return nil, nil, nil
+	}
+	c.ctlBuf = pt
+	if wire.IsBatchReply(pt) {
+		c.resolveBatchReplyLocked(pt, resp.Payload)
+		return nil, nil, nil
+	}
+	if want == nil {
+		// An authenticated single-op frame with no single op in flight: a
+		// duplicated or very late delivery.
+		c.staleFrames++
+		return nil, nil, nil
+	}
+	if err := rc.Decode(pt); err != nil {
+		c.badFrames++
+		return nil, nil, nil
+	}
+	switch {
+	case rc.Flags&wire.FlagRetryLater != 0:
+		// Sealed admission-control shed. A matching oid attributes it to
+		// this op directly. Oid 0 is the read-shed sentinel — the server
+		// refused the frame before opening the control seal, so it could
+		// not echo the oid; only an idempotent read may accept it (a late
+		// sentinel from an earlier shed get is harmless: reads retry with
+		// fresh oids and the superseded reply goes stale). A write never
+		// accepts an oid-less shed.
+		if (rc.Oid == c.oid && !base) || (rc.Oid == 0 && want.Op == wire.OpGet) {
+			c.retryLaters++
+			c.window.OnCongestion()
+			return nil, nil, &RetryLaterError{Hint: RetryHint(rc.InlineValue)}
 		}
-		// The request is in the ring, so its control scratch is free to
-		// take the reply's opened control.
-		rcPt, err := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, respAD)
-		if err != nil && traced {
-			// Base-AD fallback: the only legitimate base-AD frames while a
-			// traced op is in flight are replies the server sealed before it
-			// could know the trace id — an oid-less RETRY_LATER read shed —
-			// and pipelined batch replies (always base-AD; their sealed oid
-			// echo binds them). Anything else under the "wrong" AD is
-			// unattributable and must not decide this operation.
-			if basePt, berr := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, c.ad[:]); berr == nil {
-				c.ctlBuf = basePt
-				if wire.IsBatchReply(basePt) {
-					c.resolveBatchReplyLocked(basePt, resp.Payload)
-					continue
-				}
-				if derr := rc.Decode(basePt); derr == nil &&
-					rc.Flags&wire.FlagRetryLater != 0 && rc.Oid == 0 && ctl.Op == wire.OpGet {
-					op.Span(obs.CliRespWait, pollStart)
-					c.retryLaters++
-					c.window.OnCongestion()
-					return nil, nil, &RetryLaterError{Hint: RetryHint(rc.InlineValue)}
-				}
-				c.staleFrames++
-				continue
-			}
-			c.badFrames++
-			continue
-		}
-		if err != nil {
-			c.badFrames++
-			continue
-		}
-		c.ctlBuf = rcPt
-		if wire.IsBatchReply(rcPt) {
-			// A pipelined batch's reply arriving while a single op polls:
-			// resolve its future and keep waiting for this op's response.
-			c.resolveBatchReplyLocked(rcPt, resp.Payload)
-			continue
-		}
-		if err := rc.Decode(rcPt); err != nil {
-			c.badFrames++
-			continue
-		}
-		if rc.Flags&wire.FlagRetryLater != 0 {
-			// Sealed admission-control shed. A matching oid attributes it
-			// to this op directly. Oid 0 is the read-shed sentinel — the
-			// server refused the frame before opening the control seal, so
-			// it could not echo the oid; only an idempotent read may accept
-			// it (a late sentinel from an earlier shed get is harmless:
-			// reads retry with fresh oids and the superseded reply goes
-			// stale). A write never accepts an oid-less shed.
-			if rc.Oid == c.oid || (rc.Oid == 0 && ctl.Op == wire.OpGet) {
-				op.Span(obs.CliRespWait, pollStart)
-				c.retryLaters++
-				c.window.OnCongestion()
-				return nil, nil, &RetryLaterError{Hint: RetryHint(rc.InlineValue)}
-			}
-			c.staleFrames++
-			continue
-		}
-		if rc.Oid != c.oid {
-			// Authenticated but stale (a duplicated in-flight response from
-			// an earlier oid); keep waiting for the fresh one.
-			c.staleFrames++
-			continue
-		}
-		op.Span(obs.CliRespWait, pollStart)
+	case rc.Oid == c.oid && !base:
 		if rc.Flags&wire.FlagReplay != 0 {
 			return nil, nil, ErrReplay
 		}
 		return rc, resp.Payload, nil
 	}
+	// Authenticated but stale (a duplicated in-flight response from an
+	// earlier oid); keep waiting for the fresh one.
+	c.staleFrames++
+	return nil, nil, nil
 }
 
 // ClientStats is a snapshot of a client's operation counters, in struct
@@ -817,15 +829,6 @@ func (c *Client) LastOid() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.oid
-}
-
-// Stats returns client-side operation counters as positional values.
-//
-// Deprecated: use StatsStruct; this wrapper remains for source
-// compatibility.
-func (c *Client) Stats() (puts, gets, deletes, integrityFailures uint64) {
-	st := c.StatsStruct()
-	return st.Puts, st.Gets, st.Deletes, st.IntegrityFailures
 }
 
 // Close releases the connection and local memory registrations.

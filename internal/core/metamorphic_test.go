@@ -5,78 +5,213 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
-	"testing/quick"
 )
 
-// TestMetamorphicAgainstModel drives a random operation stream through
-// the complete protocol stack (client crypto, rings, enclave, pool) and a
-// plain map side by side; every observable result must match. This is the
-// whole-system analogue of the hash table's model check.
-func TestMetamorphicAgainstModel(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
+// metaOp is one operation of the metamorphic stream, with the outcome
+// the model predicts for it.
+type metaOp struct {
+	client int // 0: the main client, 1: a second client, for access control
+	kind   BatchOpKind
+	key    string
+	value  []byte
+	want   metaResult
+}
 
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		model := make(map[string][]byte)
-		// Namespace keys per iteration: the store persists across
-		// quick.Check runs, the model map does not.
-		ns := fmt.Sprintf("m%x-", uint64(seed))
-		for op := 0; op < 150; op++ {
-			key := ns + fmt.Sprintf("%d", rng.Intn(40))
-			switch rng.Intn(5) {
-			case 0, 1: // put
-				value := make([]byte, rng.Intn(600))
-				rng.Read(value)
-				if err := c.Put(key, value); err != nil {
-					t.Logf("put: %v", err)
-					return false
-				}
-				model[key] = append([]byte(nil), value...)
-			case 2, 3: // get
-				got, err := c.Get(key)
-				want, exists := model[key]
-				switch {
-				case errors.Is(err, ErrNotFound):
-					if exists {
-						t.Logf("get %s: store says missing, model has %d bytes", key, len(want))
-						return false
-					}
-				case err != nil:
-					t.Logf("get: %v", err)
-					return false
-				default:
-					if !exists || !bytes.Equal(got, want) {
-						t.Logf("get %s mismatch", key)
-						return false
-					}
-				}
-			case 4: // delete
-				err := c.Delete(key)
-				_, exists := model[key]
-				if exists != (err == nil) {
-					t.Logf("delete %s: err=%v model-exists=%v", key, err, exists)
-					return false
-				}
-				if err != nil && !errors.Is(err, ErrNotFound) {
-					return false
-				}
-				delete(model, key)
-			}
-		}
-		// Final sweep: every model key must be readable with exact bytes.
-		for key, want := range model {
-			got, err := c.Get(key)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Logf("final sweep %s: %v", key, err)
-				return false
-			}
-		}
-		return true
+// metaResult is what a client saw: the value of a get, and the error
+// reduced to what callers select on.
+type metaResult struct {
+	value []byte
+	err   string // "" | "not found" | anything else verbatim
+}
+
+func metaOutcome(value []byte, err error) metaResult {
+	switch {
+	case err == nil:
+		return metaResult{value: value}
+	case errors.Is(err, ErrNotFound):
+		return metaResult{err: "not found"}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-		t.Error(err)
+	return metaResult{err: err.Error()}
+}
+
+// metaStream generates a seeded operation stream and runs a plain map
+// beside it as the model. The server runs owner-only: a put by anyone
+// takes the key over, gets and deletes see only the caller's own keys.
+// A final sweep reads every surviving key back through its owner.
+func metaStream(seed int64, n int) ([]metaOp, int) {
+	type owned struct {
+		value []byte
+		owner int
+	}
+	rng := rand.New(rand.NewSource(seed))
+	model := make(map[string]owned)
+	ops := make([]metaOp, 0, n+40)
+	for i := 0; i < n; i++ {
+		op := metaOp{key: fmt.Sprintf("m%d", rng.Intn(40))}
+		if rng.Intn(4) == 0 {
+			op.client = 1
+		}
+		cur, exists := model[op.key]
+		mine := exists && cur.owner == op.client
+		switch rng.Intn(5) {
+		case 0, 1:
+			op.kind = BatchPut
+			op.value = make([]byte, rng.Intn(600))
+			rng.Read(op.value)
+			model[op.key] = owned{value: op.value, owner: op.client}
+		case 2, 3:
+			op.kind = BatchGet
+			op.want = metaResult{err: "not found"}
+			if mine {
+				op.want = metaResult{value: cur.value}
+			}
+		case 4:
+			op.kind = BatchDelete
+			if mine {
+				delete(model, op.key)
+			} else {
+				op.want = metaResult{err: "not found"}
+			}
+		}
+		ops = append(ops, op)
+	}
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprintf("m%d", i)
+		if cur, ok := model[key]; ok {
+			ops = append(ops, metaOp{client: cur.owner, kind: BatchGet, key: key, want: metaResult{value: cur.value}})
+		}
+	}
+	return ops, len(model)
+}
+
+// metaRun is what one run of the stream left behind: every
+// client-visible result and the server counters that must not depend on
+// the framing, plus two that show which paths the run took.
+type metaRun struct {
+	results  []metaResult
+	counters struct {
+		puts, gets, deletes uint64
+		entries             int
+		poolBytesInUse      int64
+	}
+	batches, readThroughs uint64
+}
+
+// runMetaStream executes ops against a fresh server: as single
+// operations (batch 0) or as batch frames of up to batch consecutive ops
+// of one client.
+func runMetaStream(t *testing.T, cfg ServerConfig, cli []func(*ClientConfig), ops []metaOp, batch int) *metaRun {
+	tc := newCluster(t, cfg)
+	tc.server.SetOwnerOnly(true)
+	clients := []*Client{tc.connect(cli...), tc.connect(cli...)}
+	run := &metaRun{}
+	for i := 0; i < len(ops); {
+		c := clients[ops[i].client]
+		if batch == 0 {
+			var value []byte
+			var err error
+			switch op := &ops[i]; op.kind {
+			case BatchPut:
+				err = c.Put(op.key, op.value)
+			case BatchGet:
+				value, err = c.Get(op.key)
+			case BatchDelete:
+				err = c.Delete(op.key)
+			}
+			run.results = append(run.results, metaOutcome(value, err))
+			i++
+			continue
+		}
+		var frame []BatchOp
+		for ; i < len(ops) && len(frame) < batch && clients[ops[i].client] == c; i++ {
+			frame = append(frame, BatchOp{Kind: ops[i].kind, Key: ops[i].key, Value: ops[i].value})
+		}
+		results, err := c.Batch(frame)
+		if err != nil {
+			t.Fatalf("batch ending at op %d: %v", i, err)
+		}
+		for _, r := range results {
+			run.results = append(run.results, metaOutcome(r.Value, r.Err))
+		}
+	}
+	st := tc.server.Stats()
+	run.counters.puts, run.counters.gets, run.counters.deletes = st.Puts, st.Gets, st.Deletes
+	run.counters.entries, run.counters.poolBytesInUse = st.Entries, st.PoolBytesInUse
+	run.batches = st.Batches
+	if st.Vlog != nil {
+		run.readThroughs = st.Vlog.ReadThroughs
+	}
+	return run
+}
+
+// TestMetamorphicAgainstModel drives a seeded operation stream through
+// the complete protocol stack (client crypto, rings, enclave, pool, value
+// log) and a plain map side by side; every observable result must match.
+// This is the whole-system analogue of the hash table's model check.
+//
+// The same stream runs in every storage mode and under every framing.
+// Both framings share one apply path, so on top of matching the model the
+// single-op run and the batch-of-one run must agree result for result
+// and on the server's op, entry and pool counters.
+func TestMetamorphicAgainstModel(t *testing.T) {
+	inline := func(c *ClientConfig) { c.InlineSmallValues = true }
+	modes := []struct {
+		name string
+		srv  ServerConfig
+		cli  []func(*ClientConfig)
+		vlog bool
+	}{
+		{name: "base"},
+		{name: "hardened", srv: ServerConfig{HardenedMACs: true}},
+		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, cli: []func(*ClientConfig){inline}},
+		// A cache threshold inside the value-size range: larger values are
+		// disk-only and read through.
+		{name: "vlog", vlog: true, srv: ServerConfig{Vlog: VlogConfig{InlineMax: 256, GCInterval: -1}}},
+	}
+	framings := []struct {
+		name  string
+		batch int
+	}{{"single", 0}, {"batch-of-1", 1}, {"batch-of-8", 8}}
+	ops, survivors := metaStream(20260928, 600)
+	for _, m := range modes {
+		var single *metaRun
+		for _, f := range framings {
+			t.Run(m.name+"/"+f.name, func(t *testing.T) {
+				cfg := m.srv
+				if m.vlog {
+					cfg.DataDir = t.TempDir()
+				}
+				run := runMetaStream(t, cfg, m.cli, ops, f.batch)
+				for i, got := range run.results {
+					if want := ops[i].want; got.err != want.err || !bytes.Equal(got.value, want.value) {
+						t.Fatalf("op %d (client %d kind %d key %s): got err %q / %d bytes, model says err %q / %d bytes",
+							i, ops[i].client, ops[i].kind, ops[i].key, got.err, len(got.value), want.err, len(want.value))
+					}
+				}
+				if run.counters.entries != survivors {
+					t.Errorf("entries = %d, model holds %d keys", run.counters.entries, survivors)
+				}
+				if m.vlog && run.readThroughs == 0 {
+					t.Error("no get read through to the value log: the disk-only path went untested")
+				}
+				if (run.batches != 0) != (f.batch != 0) {
+					t.Errorf("server applied %d batch frames under %s framing", run.batches, f.name)
+				}
+				switch {
+				case f.batch == 0:
+					single = run
+				case f.batch == 1 && single != nil:
+					if !reflect.DeepEqual(single.results, run.results) {
+						t.Error("batch-of-one results diverge from the single-op run's")
+					}
+					if single.counters != run.counters {
+						t.Errorf("server counters depend on the framing:\nsingle     %+v\nbatch-of-1 %+v", single.counters, run.counters)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -437,30 +437,19 @@ func (s *Server) deserializeState(buf []byte) error {
 		data := buf[:dataLen]
 		buf = buf[dataLen:]
 
-		switch {
-		case inline:
-			region, err := s.enclave.Alloc(dataLen)
-			if err != nil {
-				return err
-			}
-			copy(region.Data, data)
-			e.inline = region
-		case dataLen > 0:
-			ref, err := s.pool.Alloc(dataLen)
-			if err != nil {
-				return err
-			}
-			if err := s.pool.Write(ref, data); err != nil {
-				return err
-			}
-			e.ref = ref
+		place := s.placeStored
+		if inline {
+			place = s.placeInline
+		}
+		if err := place(e, data); err != nil {
+			return err
 		}
 		if s.vlog != nil {
 			// Migrating a legacy full snapshot into a value-log server:
 			// every value is re-appended so the log, not the snapshot,
 			// becomes its durable home. Requires a fresh log — appending
 			// into one with unreplayed segments fails.
-			if err := s.migrateEntryToVlog(key, e, data, inline); err != nil {
+			if err := s.migrateEntryToVlog(key, e, data); err != nil {
 				return err
 			}
 		}
@@ -553,37 +542,17 @@ func (s *Server) deserializeStateV2(buf []byte) error {
 		data := buf[:dataLen]
 		buf = buf[dataLen:]
 
-		switch {
-		case inline:
-			region, err := s.enclave.Alloc(dataLen)
-			if err != nil {
-				return err
-			}
-			copy(region.Data, data)
-			e.inline = region
-		case migrate && dataLen > 0 && s.vlogMayCache(dataLen):
-			ref, err := s.pool.Alloc(dataLen)
-			if err == nil {
-				if werr := s.pool.Write(ref, data); werr == nil {
-					e.ref = ref
-				} else {
-					s.pool.Free(ref)
-				}
-			}
-		case !migrate && dataLen > 0:
-			ref, err := s.pool.Alloc(dataLen)
-			if err != nil {
-				return err
-			}
-			if err := s.pool.Write(ref, data); err != nil {
-				return err
-			}
-			e.ref = ref
+		place := s.placeStored
+		if inline {
+			place = s.placeInline
+		}
+		if err := place(e, data); err != nil {
+			return err
 		}
 		if migrate {
 			// Donor pointers mean nothing here: re-home the value.
 			e.vptr, e.seq = vlog.Ptr{}, 0
-			if err := s.migrateEntryToVlog(key, e, data, inline); err != nil {
+			if err := s.migrateEntryToVlog(key, e, data); err != nil {
 				return err
 			}
 		}

@@ -594,21 +594,15 @@ func (s *Server) recycleFrame(b []byte) {
 	}
 }
 
-// reply encodes and enqueues a response for the untrusted sender pool.
-// It takes ownership of op: on the happy path the sender loop finishes
-// the trace after the ring write; on encode/seal failures and shutdown
-// the trace is finished here. now is the caller's last stage-boundary
-// timestamp (0 when op is nil), continuing the chained clock reads.
+// reply encodes and enqueues a single-op response for the untrusted
+// sender pool: control sealed under the op's reply AD, or — control nil —
+// an unauthenticated status frame with no sealed segment at all. It takes
+// ownership of op: on the happy path the sender loop finishes the trace
+// after the ring write; on encode/seal failures and shutdown the trace is
+// finished here. now is the caller's last stage-boundary timestamp (0
+// when op is nil), continuing the chained clock reads.
 func (s *Server) reply(sess *session, status wire.Status, control *wire.ResponseControl, payload []byte, op *obs.Op, now int64) {
-	if s.cfg.Heat != nil {
-		n := len(payload)
-		if control != nil {
-			n += len(control.InlineValue)
-		}
-		s.cfg.Heat.AddBytesOut(n)
-	}
 	if control == nil {
-		// Unauthenticated status frame: no sealed segment at all.
 		s.sendReply(sess, status, nil, nil, payload, op, now)
 		return
 	}
@@ -618,11 +612,7 @@ func (s *Server) reply(sess *session, status wire.Status, control *wire.Response
 		op.Finish()
 		return
 	}
-	ad := sess.replyAD
-	if ad == nil {
-		ad = sess.ad[:]
-	}
-	s.sendReply(sess, status, sess.repPt, ad, payload, op, now)
+	s.sendReply(sess, status, sess.repPt, sess.replyAD, payload, op, now)
 }
 
 // sendReply builds the response frame — header ‖ control plaintext pt
@@ -658,17 +648,66 @@ func (s *Server) sendReply(sess *session, status wire.Status, pt, ad, payload []
 	}
 }
 
-// handleRequest implements Algorithm 2 and the get/delete analogues.
-// op (nil when tracing is off) passes to reply, which owns its finish.
-// now is the srv_pickup span's end (0 when op is nil); each stage's end
-// becomes the next stage's start so the chain costs one clock read per
-// boundary.
+// openControl opens a frame's sealed control segment into sess.ctlPt.
+// Only that segment crosses into the enclave; the frame's payload stays
+// in untrusted memory (Fig. 3, steps 3–4). A segment that fails
+// authentication is counted, logged, audited and answered with an
+// unauthenticated status frame.
+func (s *Server) openControl(sess *session, sealed []byte, op *obs.Op, now int64) bool {
+	s.cryptoBytes.Add(uint64(len(sealed)))
+	pt, err := sess.aead.OpenAppend(sess.ctlPt[:0], sealed, sess.ad[:])
+	if err != nil {
+		s.authFailures.Add(1)
+		s.logEvent("control data failed authentication", slog.Int("client", int(sess.id)))
+		s.cfg.Audit.Add(audit.Record{Kind: audit.KindAuthFail, Client: sess.id,
+			Detail: "control data failed authentication"})
+		op.SetError(ErrAuth)
+		s.reply(sess, wire.StatusAuthFailed, nil, nil, op, now)
+		return false
+	}
+	sess.ctlPt = pt
+	return true
+}
+
+// replayed is the replay check (Algorithm 2, lines 4–6): a session's oids
+// must strictly increase. A frame carries one oid, so a batch is replay-
+// checked as a unit. A stale oid is counted, logged and audited; the
+// caller answers it with its framing's sealed FlagReplay reply.
+func (s *Server) replayed(sess *session, oid uint64, op *obs.Op) bool {
+	if oid > sess.lastOid {
+		return false
+	}
+	s.replays.Add(1)
+	s.logEvent("replay detected", slog.Int("client", int(sess.id)),
+		slog.Uint64("oid", oid), slog.Uint64("lastOid", sess.lastOid))
+	s.cfg.Audit.Add(audit.Record{Kind: audit.KindReplay, Client: sess.id, Oid: oid,
+		Detail: fmt.Sprintf("oid %d not above last %d", oid, sess.lastOid)})
+	op.SetError(ErrReplay)
+	return true
+}
+
+// shed notes an admission-control refusal of what (a read, write or
+// batch) on the tracer and the op; the caller sends the sealed
+// RETRY_LATER.
+func (s *Server) shed(what string, op *obs.Op) {
+	if tr := s.cfg.Tracer; tr != nil {
+		tr.NoteFault("shed " + what + " (overload)")
+	}
+	op.SetError(ErrRetryLater)
+}
+
+// handleRequest implements Algorithm 2 and the get/delete analogues for
+// a single-op frame: decode, admit, open the control seal, replay-check,
+// apply, reply. op (nil when tracing is off) passes to reply, which owns
+// its finish. now is the srv_pickup span's end (0 when op is nil); each
+// stage's end becomes the next stage's start so the chain costs one
+// clock read per boundary.
 func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64) {
 	// Replies default to the base AD; only a successfully decoded trace
 	// context upgrades to the extended (trace-bound) AD below. The reset
 	// keeps pre-verification replies — sheds, decode failures — sealed
 	// under the AD the client can always open.
-	sess.replyAD = nil
+	sess.replyAD = sess.ad[:]
 	// Batch frames demux on the untrusted opcode byte before the
 	// single-op decoder (which rejects OpBatch). A flipped opcode merely
 	// shifts the sealed-control offset, so the AEAD open fails and the
@@ -699,11 +738,8 @@ func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64)
 	}
 	admitted, hint := s.gate.Admit(kind, len(s.out))
 	if !admitted && kind == overload.KindRead {
-		if tr := s.cfg.Tracer; tr != nil {
-			tr.NoteFault("shed read (overload)")
-		}
 		op.SetKind("get")
-		op.SetError(ErrRetryLater)
+		s.shed("read", op)
 		s.reply(sess, wire.StatusRetryLater,
 			&wire.ResponseControl{Flags: wire.FlagRetryLater, InlineValue: hintBytes(hint)},
 			nil, op, now)
@@ -713,22 +749,11 @@ func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64)
 		start := time.Now()
 		defer func() { s.gate.Done(time.Since(start)) }()
 	}
-	// Only the sealed control segment crosses into the enclave; req.Payload
-	// stays in untrusted memory (Fig. 3, steps 3–4).
-	s.cryptoBytes.Add(uint64(len(req.SealedControl)))
-	pt, err := sess.aead.OpenAppend(sess.ctlPt[:0], req.SealedControl, sess.ad[:])
-	if err != nil {
-		s.authFailures.Add(1)
-		s.logEvent("control data failed authentication", slog.Int("client", int(sess.id)))
-		s.cfg.Audit.Add(audit.Record{Kind: audit.KindAuthFail, Client: sess.id,
-			Detail: "control data failed authentication"})
-		op.SetError(ErrAuth)
-		s.reply(sess, wire.StatusAuthFailed, nil, nil, op, now)
+	if !s.openControl(sess, req.SealedControl, op, now) {
 		return
 	}
-	sess.ctlPt = pt
 	var ctl wire.RequestControl
-	if err := ctl.Decode(pt); err != nil || ctl.Op != req.Op {
+	if err := ctl.Decode(sess.ctlPt); err != nil || ctl.Op != req.Op {
 		s.badRequests.Add(1)
 		op.SetError(ErrBadResponse)
 		s.reply(sess, wire.StatusBadRequest, nil, nil, op, now)
@@ -737,15 +762,8 @@ func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64)
 	op.SetKind(opKind(ctl.Op))
 	op.SetOid(ctl.Oid)
 	s.adoptTrace(sess, ctl.Trace, ctl.TraceBad, op)
-	// Replay check (Algorithm 2, lines 4–6): oids must strictly increase.
-	if ctl.Oid <= sess.lastOid {
-		s.replays.Add(1)
-		s.logEvent("replay detected", slog.Int("client", int(sess.id)),
-			slog.Uint64("oid", ctl.Oid), slog.Uint64("lastOid", sess.lastOid))
-		s.cfg.Audit.Add(audit.Record{Kind: audit.KindReplay, Client: sess.id, Oid: ctl.Oid,
-			Detail: fmt.Sprintf("oid %d not above last %d", ctl.Oid, sess.lastOid)})
+	if s.replayed(sess, ctl.Oid, op) {
 		now = op.SpanEnd(obs.SrvVerify, now)
-		op.SetError(ErrReplay)
 		s.reply(sess, wire.StatusReplay,
 			&wire.ResponseControl{Oid: ctl.Oid, Flags: wire.FlagReplay}, nil, op, now)
 		return
@@ -760,33 +778,32 @@ func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64)
 	// ErrUnconfirmed. The echoed oid inside the seal attributes the
 	// reply to this operation.
 	if !admitted {
-		if tr := s.cfg.Tracer; tr != nil {
-			tr.NoteFault("shed write (overload)")
-		}
-		op.SetError(ErrRetryLater)
+		s.shed("write", op)
 		s.reply(sess, wire.StatusRetryLater,
 			&wire.ResponseControl{Oid: ctl.Oid, Flags: wire.FlagRetryLater, InlineValue: hintBytes(hint)},
 			nil, op, now)
 		return
 	}
 
-	// Heat accounting happens here — after the control seal opened, so
-	// the key is authentic, and before dispatch, so every op kind is
-	// covered by one hook. Only the key's hash enters the sketch; the
-	// response payload size is added by reply.
-	if s.cfg.Heat != nil {
-		s.cfg.Heat.Record(heatKind(ctl.Op), heat.HashKeyBytes(ctl.Key),
-			len(req.Payload)+len(ctl.InlineValue), 0)
+	// The single-op frame as an op view: Decode sliced Payload and
+	// PayloadMAC out of msg back to back, so together they are the put's
+	// nonce‖ciphertext‖MAC extent — the shape a batch's payload region has.
+	o := wire.BatchOp{Op: ctl.Op, Flags: ctl.Flags, Key: ctl.Key, OpKey: ctl.OpKey, InlineValue: ctl.InlineValue}
+	var seg []byte
+	if len(req.PayloadMAC) == wire.MACSize {
+		seg = req.Payload[:len(req.Payload)+wire.MACSize]
 	}
-
-	switch ctl.Op {
-	case wire.OpPut:
-		s.handlePut(sess, &req, &ctl, op, now)
-	case wire.OpGet:
-		s.handleGet(sess, &ctl, op, now)
-	case wire.OpDelete:
-		s.handleDelete(sess, &ctl, op, now)
+	res, payload, now := s.apply(sess, &o, seg, op, now)
+	if res.Status != wire.StatusOK && res.Status != wire.StatusNotFound {
+		// Not served: an unauthenticated status frame, which the client
+		// treats as advisory.
+		s.reply(sess, res.Status, nil, nil, op, now)
+		return
 	}
+	// The payload is appended to the reply frame straight from pool or log
+	// memory.
+	s.reply(sess, res.Status, &wire.ResponseControl{Oid: ctl.Oid, Flags: res.Flags, OpKey: res.OpKey,
+		PayloadMAC: res.PayloadMAC, InlineValue: res.InlineValue}, payload, op, now)
 }
 
 // adoptTrace stitches the server-side op into the request's propagated
@@ -847,202 +864,6 @@ func opKind(o wire.Opcode) string {
 		return "delete"
 	}
 	return "op"
-}
-
-func (s *Server) handlePut(sess *session, req *wire.Request, ctl *wire.RequestControl, op *obs.Op, now int64) {
-	if s.vlog != nil {
-		s.handlePutVlog(sess, req, ctl, op, now)
-		return
-	}
-	s.puts.Add(1)
-	e := &entry{owner: sess.id}
-
-	if ctl.Flags&wire.FlagInlineValue != 0 {
-		// §5.2 optimization: the small value lives inside the enclave.
-		region, err := s.enclave.Alloc(len(ctl.InlineValue))
-		if err != nil {
-			op.SetError(err)
-			s.reply(sess, wire.StatusServerError, nil, nil, op, now)
-			return
-		}
-		copy(region.Data, ctl.InlineValue)
-		e.inline = region
-	} else {
-		if len(ctl.OpKey) != wire.OpKeySize || req.Payload == nil {
-			s.badRequests.Add(1)
-			op.SetError(ErrBadResponse)
-			s.reply(sess, wire.StatusBadRequest, nil, nil, op, now)
-			return
-		}
-		copy(e.opKey[:], ctl.OpKey)
-		// store_to_untrusted (Algorithm 2, line 7): ciphertext and MAC go
-		// to the pre-allocated pool in untrusted memory.
-		stored := len(req.Payload)
-		if !s.cfg.HardenedMACs {
-			stored += wire.MACSize
-		}
-		ref, err := s.pool.Alloc(stored)
-		if err != nil {
-			op.SetError(err)
-			s.reply(sess, wire.StatusServerError, nil, nil, op, now)
-			return
-		}
-		slot, err := s.pool.Read(ref)
-		if err != nil {
-			op.SetError(err)
-			s.reply(sess, wire.StatusServerError, nil, nil, op, now)
-			return
-		}
-		copy(slot, req.Payload)
-		if s.cfg.HardenedMACs {
-			// §3.9 hardening: the MAC is enclave state, not pool state.
-			copy(e.mac[:], req.PayloadMAC)
-			e.hasMAC = true
-		} else {
-			copy(slot[len(req.Payload):], req.PayloadMAC)
-		}
-		e.ref = ref
-	}
-
-	// One string for the table and the delta set: the table keeps it when
-	// the key is new.
-	key := string(ctl.Key)
-	old, existed := s.table.Swap(key, e)
-	if existed {
-		s.releaseEntry(old)
-	}
-	s.recordDelta(key)
-	now = op.SpanEnd(obs.SrvApply, now)
-	s.reply(sess, wire.StatusOK, &wire.ResponseControl{Oid: ctl.Oid}, nil, op, now)
-}
-
-func (s *Server) handleGet(sess *session, ctl *wire.RequestControl, op *obs.Op, now int64) {
-	s.gets.Add(1)
-	e, ok := s.table.GetBytes(ctl.Key)
-	if ok && s.isDenied(sess, e) {
-		// Access control: pretend absence rather than leak existence.
-		ok = false
-	}
-	if !ok {
-		now = op.SpanEnd(obs.SrvApply, now)
-		s.reply(sess, wire.StatusNotFound,
-			&wire.ResponseControl{Oid: ctl.Oid, Flags: wire.FlagNotFound}, nil, op, now)
-		return
-	}
-	rc := &wire.ResponseControl{Oid: ctl.Oid}
-	var payload []byte
-	switch {
-	case e.inline != nil:
-		rc.Flags = wire.FlagInlineValue
-		rc.InlineValue = e.inline.Data
-		e.inline.Touch(0, len(e.inline.Data))
-	case s.vlog != nil && !e.ref.Valid() && e.vptr.Valid():
-		// The value has no memory-resident copy: read it back from the
-		// value log and re-authenticate its sealed metadata.
-		now = op.SpanEnd(obs.SrvApply, now)
-		val, inline, cur, err := s.vlogReadThrough(string(ctl.Key), e)
-		if err != nil {
-			op.SetError(err)
-			s.reply(sess, wire.StatusServerError, nil, nil, op, now)
-			return
-		}
-		e = cur
-		if inline {
-			rc.Flags = wire.FlagInlineValue
-			rc.InlineValue = val
-		} else {
-			rc.OpKey = e.opKey[:]
-			payload = val
-			if e.hasMAC {
-				rc.PayloadMAC = e.mac[:]
-			}
-		}
-		now = op.SpanEnd(obs.SrvVlogRead, now)
-		s.reply(sess, wire.StatusOK, rc, payload, op, now)
-		return
-	default:
-		rc.OpKey = e.opKey[:]
-		stored, err := s.pool.Read(e.ref)
-		if err != nil {
-			op.SetError(err)
-			s.reply(sess, wire.StatusServerError, nil, nil, op, now)
-			return
-		}
-		// The encrypted payload is transferred as-is — the server performs
-		// no payload cryptography (§3.2).
-		payload = stored
-		if e.hasMAC {
-			rc.PayloadMAC = e.mac[:]
-		}
-	}
-	now = op.SpanEnd(obs.SrvApply, now)
-	s.reply(sess, wire.StatusOK, rc, payload, op, now)
-}
-
-func (s *Server) handleDelete(sess *session, ctl *wire.RequestControl, op *obs.Op, now int64) {
-	s.deletes.Add(1)
-	e, ok := s.table.GetBytes(ctl.Key)
-	if ok && s.isDenied(sess, e) {
-		ok = false
-	}
-	if !ok {
-		now = op.SpanEnd(obs.SrvApply, now)
-		s.reply(sess, wire.StatusNotFound,
-			&wire.ResponseControl{Oid: ctl.Oid, Flags: wire.FlagNotFound}, nil, op, now)
-		return
-	}
-	key := string(ctl.Key)
-	if s.vlog != nil {
-		// Deletes must be durable before they are acked: append a
-		// tombstone, then remove the entry only if no newer version
-		// raced in.
-		d, err := s.vlogDelete(key, sess.id)
-		if err != nil {
-			op.SetError(err)
-			s.reply(sess, wire.StatusServerError, nil, nil, op, now)
-			return
-		}
-		var old *entry
-		if s.table.DeleteIf(key, func(cur *entry) bool {
-			if cur.seq >= d {
-				return false
-			}
-			old = cur
-			return true
-		}) {
-			s.releaseEntry(old)
-		}
-		s.vlogTrack.applied(d)
-		s.recordDelta(key)
-		now = op.SpanEnd(obs.SrvApply, now)
-		s.reply(sess, wire.StatusOK, &wire.ResponseControl{Oid: ctl.Oid}, nil, op, now)
-		return
-	}
-	s.table.Delete(key)
-	s.releaseEntry(e)
-	s.recordDelta(key)
-	now = op.SpanEnd(obs.SrvApply, now)
-	s.reply(sess, wire.StatusOK, &wire.ResponseControl{Oid: ctl.Oid}, nil, op, now)
-}
-
-func (s *Server) isDenied(sess *session, e *entry) bool {
-	return s.ownerOnly.Load() && e.owner != sess.id
-}
-
-func (s *Server) releaseEntry(e *entry) {
-	if e == nil {
-		return
-	}
-	if e.inline != nil {
-		s.enclave.Free(e.inline)
-	}
-	if e.ref.Valid() {
-		s.pool.Free(e.ref)
-	}
-	if s.vlog != nil && e.vptr.Valid() {
-		// The superseded version's log record is reclaimable.
-		s.vlog.MarkDead(e.vptr)
-	}
 }
 
 // Stats returns a snapshot of server activity.

@@ -11,8 +11,6 @@ import (
 
 	"precursor/internal/audit"
 	"precursor/internal/cryptox"
-	"precursor/internal/obs"
-	"precursor/internal/slab"
 	"precursor/internal/vlog"
 	"precursor/internal/wire"
 )
@@ -329,129 +327,37 @@ func (s *Server) vlogMayCache(n int) bool {
 	return true
 }
 
-// vlogPut appends e's record (payload = the stored ciphertext bytes;
-// inlineVal = the enclave-inline value, nil otherwise) and blocks until
-// it is durable. On success e.vptr and e.seq are set.
-func (s *Server) vlogPut(key string, e *entry, payload, inlineVal []byte) error {
+// vlogAppend appends one record for key — payload beside the sealed
+// metadata m — and blocks until it is durable.
+func (s *Server) vlogAppend(key string, m *vlogMeta, payload []byte) (vlog.Ptr, uint64, error) {
+	plain := encodeVlogMeta(m)
+	return s.vlog.Append([]byte(key), payload, m.flags&vlogMetaTombstone != 0, len(plain)+cryptox.SealOverhead,
+		func(ptr vlog.Ptr, seq uint64) ([]byte, error) {
+			return s.sealVlogMeta(plain, ptr, seq, key)
+		})
+}
+
+// vlogPut appends e's record and blocks until it is durable: payload is
+// the stored ciphertext bytes, none for an enclave-inline value, which
+// rides in the sealed metadata. On success e.vptr and e.seq are set.
+func (s *Server) vlogPut(key string, e *entry, payload []byte) (err error) {
 	m := &vlogMeta{owner: e.owner, opKey: e.opKey, mac: e.mac}
-	if inlineVal != nil {
+	if e.inline != nil {
 		m.flags |= vlogMetaInline
-		m.value = inlineVal
+		m.value = e.inline.Data
 	}
 	if e.hasMAC {
 		m.flags |= vlogMetaHasMAC
 	}
-	plain := encodeVlogMeta(m)
-	ptr, seq, err := s.vlog.Append([]byte(key), payload, false, len(plain)+cryptox.SealOverhead,
-		func(ptr vlog.Ptr, seq uint64) ([]byte, error) {
-			return s.sealVlogMeta(plain, ptr, seq, key)
-		})
-	if err != nil {
-		return err
-	}
-	e.vptr = ptr
-	e.seq = seq
-	return nil
+	e.vptr, e.seq, err = s.vlogAppend(key, m, payload)
+	return err
 }
 
 // vlogDelete appends a durable tombstone for key and returns its
 // sequence number.
 func (s *Server) vlogDelete(key string, owner uint32) (uint64, error) {
-	m := &vlogMeta{flags: vlogMetaTombstone, owner: owner}
-	plain := encodeVlogMeta(m)
-	_, seq, err := s.vlog.Append([]byte(key), nil, true, len(plain)+cryptox.SealOverhead,
-		func(ptr vlog.Ptr, seq uint64) ([]byte, error) {
-			return s.sealVlogMeta(plain, ptr, seq, key)
-		})
+	_, seq, err := s.vlogAppend(key, &vlogMeta{flags: vlogMetaTombstone, owner: owner}, nil)
 	return seq, err
-}
-
-// handlePutVlog is the put path when the value log is enabled: the
-// record append is the durable store, the pool copy a cache, and the
-// index swap conditional on sequence order so a relocation or a
-// concurrent put can never roll a key backwards.
-func (s *Server) handlePutVlog(sess *session, req *wire.Request, ctl *wire.RequestControl, op *obs.Op, now int64) {
-	s.puts.Add(1)
-	e := &entry{owner: sess.id}
-	var logPayload, inlineVal []byte
-
-	if ctl.Flags&wire.FlagInlineValue != 0 {
-		// §5.2 optimization: the small value lives inside the enclave; the
-		// log record carries it in the sealed metadata, payload empty.
-		region, err := s.enclave.Alloc(len(ctl.InlineValue))
-		if err != nil {
-			op.SetError(err)
-			s.reply(sess, wire.StatusServerError, nil, nil, op, now)
-			return
-		}
-		copy(region.Data, ctl.InlineValue)
-		e.inline = region
-		inlineVal = ctl.InlineValue
-	} else {
-		if len(ctl.OpKey) != wire.OpKeySize || req.Payload == nil {
-			s.badRequests.Add(1)
-			op.SetError(ErrBadResponse)
-			s.reply(sess, wire.StatusBadRequest, nil, nil, op, now)
-			return
-		}
-		copy(e.opKey[:], ctl.OpKey)
-		if s.cfg.HardenedMACs {
-			// §3.9 hardening: the MAC is enclave state — it rides in the
-			// sealed metadata, never in the untrusted record body.
-			copy(e.mac[:], req.PayloadMAC)
-			e.hasMAC = true
-			logPayload = req.Payload
-		} else {
-			logPayload = make([]byte, 0, len(req.Payload)+wire.MACSize)
-			logPayload = append(logPayload, req.Payload...)
-			logPayload = append(logPayload, req.PayloadMAC...)
-		}
-		// The pool copy is only a cache now; failures to build it are not
-		// put failures, and policy may skip it entirely.
-		if s.vlogMayCache(len(logPayload)) {
-			if ref, err := s.pool.Alloc(len(logPayload)); err == nil {
-				if slot, rerr := s.pool.Read(ref); rerr == nil {
-					copy(slot, logPayload)
-					e.ref = ref
-				} else {
-					s.pool.Free(ref)
-				}
-			}
-		}
-	}
-
-	key := string(ctl.Key)
-	// store_to_untrusted (Algorithm 2, line 7), durable edition: the
-	// append blocks until the group commit has fsynced, so the ack
-	// implies the value survives kill -9.
-	if err := s.vlogPut(key, e, logPayload, inlineVal); err != nil {
-		s.freeEntryResources(e)
-		op.SetError(err)
-		s.reply(sess, wire.StatusServerError, nil, nil, op, now)
-		return
-	}
-	var old *entry
-	applied := s.table.Upsert(key, func(cur *entry, exists bool) (*entry, bool) {
-		if exists {
-			if cur.seq >= e.seq {
-				return cur, false
-			}
-			old = cur
-		}
-		return e, true
-	})
-	if applied {
-		s.releaseEntry(old)
-	} else {
-		// A concurrent newer put landed between our append and the swap:
-		// this record is dead on arrival.
-		s.freeEntryResources(e)
-		s.vlog.MarkDead(e.vptr)
-	}
-	s.vlogTrack.applied(e.seq)
-	s.recordDelta(key)
-	now = op.SpanEnd(obs.SrvApply, now)
-	s.reply(sess, wire.StatusOK, &wire.ResponseControl{Oid: ctl.Oid}, nil, op, now)
 }
 
 // vlogReadThrough serves a get whose value is not memory-resident: read
@@ -576,15 +482,7 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 		if d, ok := tombs[key]; !ok || r.Seq > d {
 			tombs[key] = r.Seq
 		}
-		var old *entry
-		if s.table.DeleteIf(key, func(cur *entry) bool {
-			if cur.seq >= r.Seq {
-				return false
-			}
-			old = cur
-			return true
-		}) {
-			s.releaseEntry(old)
+		if s.deleteOlder(key, r.Seq) {
 			rec.Applied++
 		} else {
 			rec.Skipped++
@@ -601,13 +499,7 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 		rec.Skipped++
 		return
 	}
-	e, err := s.entryFromRecord(ptr, r, m)
-	if err != nil {
-		// Resource exhaustion rebuilding the memory copy: keep the entry
-		// disk-only rather than failing recovery.
-		e = &entry{owner: m.owner, opKey: m.opKey, mac: m.mac,
-			hasMAC: m.flags&vlogMetaHasMAC != 0, vptr: ptr, seq: r.Seq}
-	}
+	e := s.entryFromRecord(ptr, r, m)
 	var prev *entry
 	prevSet := false
 	applied := s.table.Upsert(key, func(cur *entry, exists bool) (*entry, bool) {
@@ -652,9 +544,10 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 }
 
 // entryFromRecord builds the index entry for an authenticated record,
-// rebuilding the enclave-inline region or the untrusted memory copy
-// when policy allows.
-func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) (*entry, error) {
+// rebuilding the enclave-inline region or the untrusted memory copy when
+// policy and resources allow; otherwise the entry stays disk-only, served
+// by read-through, rather than failing recovery.
+func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) *entry {
 	e := &entry{
 		owner:  m.owner,
 		opKey:  m.opKey,
@@ -664,25 +557,11 @@ func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) (*ent
 		seq:    r.Seq,
 	}
 	if m.flags&vlogMetaInline != 0 {
-		region, err := s.enclave.Alloc(len(m.value))
-		if err != nil {
-			return nil, err
-		}
-		copy(region.Data, m.value)
-		e.inline = region
-		return e, nil
+		_ = s.placeInline(e, m.value)
+	} else {
+		_ = s.placeStored(e, r.Payload)
 	}
-	if len(r.Payload) > 0 && s.vlogMayCache(len(r.Payload)) {
-		ref, err := s.pool.Alloc(len(r.Payload))
-		if err == nil {
-			if werr := s.pool.Write(ref, r.Payload); werr == nil {
-				e.ref = ref
-			} else {
-				s.pool.Free(ref)
-			}
-		}
-	}
-	return e, nil
+	return e
 }
 
 // rehydrateEntry rebuilds the memory-resident copy of a snapshot entry
@@ -692,11 +571,8 @@ func (s *Server) rehydrateEntry(key string, cur *entry, ptr vlog.Ptr, r vlog.Rec
 	if cur.inline != nil || cur.ref.Valid() {
 		return false // already resident
 	}
-	fresh, err := s.entryFromRecord(ptr, r, m)
-	if err != nil || (fresh.inline == nil && !fresh.ref.Valid()) {
-		if err == nil {
-			s.freeEntryResources(fresh)
-		}
+	fresh := s.entryFromRecord(ptr, r, m)
+	if fresh.inline == nil && !fresh.ref.Valid() {
 		return false
 	}
 	if !s.table.Upsert(key, func(e *entry, exists bool) (*entry, bool) {
@@ -706,23 +582,6 @@ func (s *Server) rehydrateEntry(key string, cur *entry, ptr vlog.Ptr, r vlog.Rec
 		return false
 	}
 	return true
-}
-
-// freeEntryResources returns an entry's memory resources without
-// touching value-log accounting (unlike releaseEntry, which also marks
-// the entry's record dead).
-func (s *Server) freeEntryResources(e *entry) {
-	if e == nil {
-		return
-	}
-	if e.inline != nil {
-		s.enclave.Free(e.inline)
-		e.inline = nil
-	}
-	if e.ref.Valid() {
-		s.pool.Free(e.ref)
-		e.ref = slab.Ref{}
-	}
 }
 
 // vlogGCLoop periodically compacts segments whose dead-byte ratio
@@ -852,16 +711,13 @@ func (s *Server) relocateRecord(key string, payload []byte, tombstone bool, seq 
 // migrateEntryToVlog re-homes one restored entry into the local value
 // log under a fresh sequence number: used when a payload-carrying
 // snapshot (legacy v1, or a peer's full v2) lands on a value-log
-// server. data is the entry's stored bytes; inline marks enclave-inline
-// values.
-func (s *Server) migrateEntryToVlog(key string, e *entry, data []byte, inline bool) error {
-	var payload, inlineVal []byte
-	if inline {
-		inlineVal = data
-	} else if len(data) > 0 {
-		payload = data
+// server. data is the entry's snapshot bytes: its stored payload, or the
+// inline value, which e already holds and the record's metadata carries.
+func (s *Server) migrateEntryToVlog(key string, e *entry, data []byte) error {
+	if e.inline != nil {
+		data = nil
 	}
-	if err := s.vlogPut(key, e, payload, inlineVal); err != nil {
+	if err := s.vlogPut(key, e, data); err != nil {
 		return fmt.Errorf("migrate %q into value log: %w", key, err)
 	}
 	s.vlogTrack.applied(e.seq)

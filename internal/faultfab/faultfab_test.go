@@ -3,6 +3,7 @@ package faultfab
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,18 +11,39 @@ import (
 )
 
 // sinkConn records delivered frames in order; it implements just enough
-// of rdma.Conn for the fabric to wrap.
+// of rdma.Conn for the fabric to wrap. The fabric delivers late frames
+// from timer goroutines, several at once, so the record is locked; tests
+// read it through gotWrites, gotSends, wasErrored and wasClosed.
 type sinkConn struct {
+	mu      sync.Mutex
 	writes  [][]byte
 	sends   [][]byte
 	errored bool
 	closed  bool
 }
 
+// gotWrites and gotSends return snapshots of the frames recorded so far.
+func (s *sinkConn) gotWrites() [][]byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([][]byte(nil), s.writes...)
+}
+
+func (s *sinkConn) gotSends() [][]byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([][]byte(nil), s.sends...)
+}
+
+func (s *sinkConn) wasErrored() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.errored }
+func (s *sinkConn) wasClosed() bool  { s.mu.Lock(); defer s.mu.Unlock(); return s.closed }
+
 var _ rdma.Conn = (*sinkConn)(nil)
 
 func (s *sinkConn) PostWrite(wrID uint64, rkey uint32, off uint64, data []byte, signaled bool) error {
+	s.mu.Lock()
 	s.writes = append(s.writes, append([]byte(nil), data...))
+	s.mu.Unlock()
 	return nil
 }
 func (s *sinkConn) PostWriteImm(wrID uint64, rkey uint32, off uint64, data []byte, imm uint32, signaled bool) error {
@@ -33,14 +55,16 @@ func (s *sinkConn) PostAtomicCAS(wrID uint64, rkey uint32, off uint64, compare, 
 }
 func (s *sinkConn) PostAtomicFAA(wrID uint64, rkey uint32, off uint64, add uint64) error { return nil }
 func (s *sinkConn) PostSend(wrID uint64, data []byte, signaled, inline bool) error {
+	s.mu.Lock()
 	s.sends = append(s.sends, append([]byte(nil), data...))
+	s.mu.Unlock()
 	return nil
 }
 func (s *sinkConn) PostRecv(wrID uint64, buf []byte) error { return nil }
 func (s *sinkConn) PollSend(max int) []rdma.Completion     { return nil }
 func (s *sinkConn) PollRecv(max int) []rdma.Completion     { return nil }
-func (s *sinkConn) SetError()                              { s.errored = true }
-func (s *sinkConn) Close() error                           { s.closed = true; return nil }
+func (s *sinkConn) SetError()                              { s.mu.Lock(); s.errored = true; s.mu.Unlock() }
+func (s *sinkConn) Close() error                           { s.mu.Lock(); s.closed = true; s.mu.Unlock(); return nil }
 
 func noisyConfig(seed uint64) Config {
 	probs := ClassProbs{Drop: 0.15, Dup: 0.1, Corrupt: 0.1, Delay: 0.15, MaxDelay: time.Millisecond}
@@ -142,8 +166,8 @@ func TestDropRedeliversUnlessHardLoss(t *testing.T) {
 		if hard {
 			want = 0
 		}
-		if len(sink.writes) != want {
-			t.Errorf("hardLoss=%v: %d frames delivered, want %d", hard, len(sink.writes), want)
+		if len(sink.gotWrites()) != want {
+			t.Errorf("hardLoss=%v: %d frames delivered, want %d", hard, len(sink.gotWrites()), want)
 		}
 	}
 }
@@ -160,8 +184,8 @@ func TestDupDeliversTwice(t *testing.T) {
 	if !fab.Quiesce(2 * time.Second) {
 		t.Fatalf("fabric did not quiesce")
 	}
-	if len(sink.writes) != 20 {
-		t.Fatalf("%d frames delivered, want 20 (each duplicated)", len(sink.writes))
+	if len(sink.gotWrites()) != 20 {
+		t.Fatalf("%d frames delivered, want 20 (each duplicated)", len(sink.gotWrites()))
 	}
 }
 
@@ -173,10 +197,10 @@ func TestCorruptFlipsBits(t *testing.T) {
 	if err := conn.PostWrite(1, 1, 0, orig, false); err != nil {
 		t.Fatalf("PostWrite: %v", err)
 	}
-	if len(sink.writes) != 1 {
-		t.Fatalf("%d frames delivered, want 1", len(sink.writes))
+	if len(sink.gotWrites()) != 1 {
+		t.Fatalf("%d frames delivered, want 1", len(sink.gotWrites()))
 	}
-	if bytes.Equal(sink.writes[0], orig) {
+	if bytes.Equal(sink.gotWrites()[0], orig) {
 		t.Fatalf("corrupted frame identical to original")
 	}
 	if !bytes.Equal(orig, bytes.Repeat([]byte{0x55}, 48)) {
@@ -191,7 +215,7 @@ func TestResetErrorsConn(t *testing.T) {
 	if err := conn.PostWrite(1, 1, 0, []byte{1}, false); err != nil {
 		t.Fatalf("PostWrite: %v", err)
 	}
-	if !sink.errored {
+	if !sink.wasErrored() {
 		t.Fatalf("reset fault did not error the wrapped conn")
 	}
 }
@@ -207,8 +231,8 @@ func TestPartitionHoldsThenHealsInOrder(t *testing.T) {
 			t.Fatalf("PostWrite: %v", err)
 		}
 	}
-	if len(sink.writes) != 0 {
-		t.Fatalf("partitioned direction delivered %d frames", len(sink.writes))
+	if len(sink.gotWrites()) != 0 {
+		t.Fatalf("partitioned direction delivered %d frames", len(sink.gotWrites()))
 	}
 	if !fab.Partitioned(C2S) || fab.Partitioned(S2C) {
 		t.Fatalf("partition state wrong: c2s=%v s2c=%v", fab.Partitioned(C2S), fab.Partitioned(S2C))
@@ -220,15 +244,15 @@ func TestPartitionHoldsThenHealsInOrder(t *testing.T) {
 	if err := conn2.PostWrite(1, 1, 0, []byte{0xFF}, false); err != nil {
 		t.Fatalf("PostWrite s2c: %v", err)
 	}
-	if len(sink2.writes) != 1 {
+	if len(sink2.gotWrites()) != 1 {
 		t.Fatalf("unpartitioned direction blocked")
 	}
 
 	fab.Heal(C2S)
-	if len(sink.writes) != 8 {
-		t.Fatalf("heal delivered %d frames, want 8", len(sink.writes))
+	if len(sink.gotWrites()) != 8 {
+		t.Fatalf("heal delivered %d frames, want 8", len(sink.gotWrites()))
 	}
-	for i, w := range sink.writes {
+	for i, w := range sink.gotWrites() {
 		if w[0] != byte(i) {
 			t.Fatalf("held frames delivered out of order: frame %d carries %d", i, w[0])
 		}
@@ -254,14 +278,14 @@ func TestPerClassAndDirectionConfig(t *testing.T) {
 		}
 	}
 	fab.Quiesce(2 * time.Second)
-	if len(sinkA.writes) != 50 {
-		t.Errorf("unconfigured class perturbed: %d writes delivered, want 50", len(sinkA.writes))
+	if len(sinkA.gotWrites()) != 50 {
+		t.Errorf("unconfigured class perturbed: %d writes delivered, want 50", len(sinkA.gotWrites()))
 	}
-	if len(sinkA.sends) != 50 { // soft drop: late, but all redelivered
-		t.Errorf("dropped sends not redelivered: %d, want 50", len(sinkA.sends))
+	if len(sinkA.gotSends()) != 50 { // soft drop: late, but all redelivered
+		t.Errorf("dropped sends not redelivered: %d, want 50", len(sinkA.gotSends()))
 	}
-	if len(sinkB.sends) != 50 {
-		t.Errorf("unconfigured direction perturbed: %d sends delivered, want 50", len(sinkB.sends))
+	if len(sinkB.gotSends()) != 50 {
+		t.Errorf("unconfigured direction perturbed: %d sends delivered, want 50", len(sinkB.gotSends()))
 	}
 }
 
@@ -276,14 +300,14 @@ func TestClosedConnRejectsAndDropsHeld(t *testing.T) {
 	if err := conn.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if !sink.closed {
+	if !sink.wasClosed() {
 		t.Fatalf("Close did not propagate")
 	}
 	if err := conn.PostWrite(2, 1, 0, []byte{2}, false); err != rdma.ErrQPClosed {
 		t.Fatalf("post after close: %v, want ErrQPClosed", err)
 	}
 	fab.Heal(C2S)
-	if len(sink.writes) != 0 {
+	if len(sink.gotWrites()) != 0 {
 		t.Fatalf("held frames of a closed conn were delivered")
 	}
 }

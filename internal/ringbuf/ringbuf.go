@@ -282,7 +282,8 @@ func NewReader(cfg ReaderConfig) (*Reader, error) {
 // Poll checks the next slot for a complete frame. It returns (msg, true)
 // with a copy of the message when one is ready, consuming the slot.
 //
-// A slot whose framing is provably mangled (impossible length) is also
+// A slot whose framing is provably mangled (an impossible length or
+// start sign, or no end sign although the next slot is in use) is also
 // consumed — skipped, its credit returned — and reported as ErrCorrupt:
 // the ring must stay in sync past garbage, or one flipped bit would
 // wedge the session forever. The caller decides what corruption means;
@@ -306,7 +307,15 @@ func (r *Reader) PollInto(buf []byte) ([]byte, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	slotOff := r.base + int(r.readIdx%r.slots)*r.slotSize
-	if r.ring.ByteAt(slotOff) != StartSign {
+	if sign := r.ring.ByteAt(slotOff); sign != StartSign {
+		if sign != 0 {
+			// The reader zeroes every slot it leaves and a writer starts one
+			// only with StartSign, so anything else is a frame whose start
+			// sign was mangled in flight. Later frames land in later slots:
+			// waiting here would never end.
+			err := fmt.Errorf("%w: start sign %#x", ErrCorrupt, sign)
+			return buf, false, r.consumeCorruptLocked(slotOff, err)
+		}
 		return buf, false, nil
 	}
 	if n := r.ring.ReadAt(slotOff, r.hdr); n != headerLen {
@@ -318,7 +327,14 @@ func (r *Reader) PollInto(buf []byte) ([]byte, bool, error) {
 		return buf, false, r.consumeCorruptLocked(slotOff, err)
 	}
 	if r.ring.ByteAt(slotOff+headerLen+msgLen) != EndSign {
-		// Write still in flight.
+		// Write still in flight — unless the writer has already started the
+		// next slot. Writes land in order, so then this frame is all here
+		// and its length or end sign was mangled.
+		next := r.base + int((r.readIdx+1)%r.slots)*r.slotSize
+		if r.slots > 1 && r.ring.ByteAt(next) == StartSign {
+			err := fmt.Errorf("%w: no end sign at length %d", ErrCorrupt, msgLen)
+			return buf, false, r.consumeCorruptLocked(slotOff, err)
+		}
 		return buf, false, nil
 	}
 	var msg []byte

@@ -156,13 +156,33 @@ func TestEmptyMessage(t *testing.T) {
 	}
 }
 
-func TestCorruptLengthDetected(t *testing.T) {
-	tr := newTestRing(t, 4, 64, 1)
-	// An adversary (or rogue client, §3.9) writes garbage directly.
-	tr.ringMR.SetByte(0, StartSign)
-	tr.ringMR.WriteAt(1, []byte{0xff, 0xff, 0xff, 0x7f})
-	if _, _, err := tr.reader.Poll(); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("got %v", err)
+// TestCorruptFramingSkipped: a frame whose framing bytes were mangled in
+// flight — by an adversary, a rogue client (§3.9) or a flipped bit — is
+// reported as ErrCorrupt and skipped, and the frame behind it is still
+// delivered: one bad slot must not wedge the ring.
+func TestCorruptFramingSkipped(t *testing.T) {
+	for name, mangle := range map[string]func(mr *rdma.MemoryRegion){
+		"impossible length":  func(mr *rdma.MemoryRegion) { mr.WriteAt(1, []byte{0xff, 0xff, 0xff, 0x7f}) },
+		"flipped start sign": func(mr *rdma.MemoryRegion) { mr.SetByte(0, StartSign^0x40) },
+		"shortened length":   func(mr *rdma.MemoryRegion) { mr.WriteAt(1, []byte{2, 0, 0, 0}) },
+		"flipped end sign":   func(mr *rdma.MemoryRegion) { mr.SetByte(headerLen+len("first"), EndSign^0x01) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr := newTestRing(t, 4, 64, 1)
+			if err := tr.writer.Write([]byte("first")); err != nil {
+				t.Fatal(err)
+			}
+			mangle(tr.ringMR)
+			if err := tr.writer.Write([]byte("second")); err != nil {
+				t.Fatal(err)
+			}
+			if _, ready, err := tr.reader.Poll(); ready || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("mangled slot: ready=%v err=%v, want ErrCorrupt", ready, err)
+			}
+			if msg, ready, err := tr.reader.Poll(); !ready || err != nil || string(msg) != "second" {
+				t.Fatalf("frame behind the mangled slot: %q ready=%v err=%v", msg, ready, err)
+			}
+		})
 	}
 }
 
