@@ -28,19 +28,25 @@ benchmark:
 	bash benchmark/run.sh -all
 
 # Allocation gates (run without -race): zero-alloc codecs and sketches,
-# the payload-cipher budget, and the whole-process single-op budget.
+# the payload-cipher budget, and the whole-process single-op budget on a
+# bare connection and through a Pool.
 allocgate:
-	PRECURSOR_ALLOC_GATE=1 $(GO) test ./internal/wire/ ./internal/cryptox/ ./internal/heat/ ./internal/core/ \
+	PRECURSOR_ALLOC_GATE=1 $(GO) test ./internal/wire/ ./internal/cryptox/ ./internal/heat/ ./internal/core/ . \
 		-run 'ZeroAlloc|AllocBudget' -count=1 -v
 
 # Non-test Go lines of the op-path packages, and their sum: the number
-# ROADMAP aim 2 tracks. One fixed command, so every PR quotes the same count.
+# ROADMAP aim 2 tracks — and the exported-method count of the three
+# client-stack types, the API surface the same aim tracks. One fixed
+# command, so every PR quotes the same counts.
 loc:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \
 	cluster=$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | wc -l); \
 	pool=$$(cat pool.go | wc -l); \
 	printf 'internal/core    %5d\ninternal/cluster %5d\npool.go          %5d\nsum              %5d\n' \
-		$$core $$cluster $$pool $$((core + cluster + pool))
+		$$core $$cluster $$pool $$((core + cluster + pool)); \
+	methods() { cat $$(ls $$1 | grep -v _test.go) | grep -cE "^func \([a-z]+ \*$$2\) [A-Z]"; }; \
+	printf 'exported methods: core.Client %d, Pool %d, cluster.Client %d\n' \
+		$$(methods 'internal/core/*.go' Client) $$(methods pool.go Pool) $$(methods 'internal/cluster/*.go' Client)
 
 # Text tables for every figure and table of the evaluation.
 figures:

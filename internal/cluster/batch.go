@@ -8,6 +8,7 @@ package cluster
 // unit once it reaches the routing layer.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,81 +17,7 @@ import (
 	"precursor/internal/audit"
 	"precursor/internal/core"
 	"precursor/internal/heat"
-	"precursor/internal/obs"
 )
-
-// BatchBackend is the optional batching capability of a Backend:
-// backends that can ship several operations in one frame (core.Client,
-// the root package's Pool) implement it, and the cluster client uses
-// it to preserve batching end-to-end. Backends without it are driven
-// op by op.
-type BatchBackend interface {
-	// Batch executes ops in order and returns per-op results; the error
-	// is batch-level (transport, timeout). See core.Client.Batch.
-	Batch(ops []core.BatchOp) ([]core.BatchResult, error)
-}
-
-// DeadlineBatchBackend is the optional deadline-propagating batching
-// capability: backends that can bound a batch frame by a caller
-// deadline (core.Client, the root package's Pool) implement it, so a
-// parent batch's remaining budget follows its sub-ops down to the
-// wire instead of each hop re-starting a full Timeout.
-type DeadlineBatchBackend interface {
-	// BatchDeadline is Batch bounded by an absolute deadline (zero =
-	// none). See core.Client.BatchDeadline.
-	BatchDeadline(ops []core.BatchOp, deadline time.Time) ([]core.BatchResult, error)
-}
-
-// TracedBatchBackend is the optional trace-propagating batching
-// capability (the batch analogue of TracedBackend): the cluster-level
-// batch span's ref rides down so each per-group sub-batch frame — and
-// the server span applying it — stitches under one end-to-end trace.
-type TracedBatchBackend interface {
-	// BatchDeadlineTraced is BatchDeadline continuing the given trace
-	// (zero deadline = none). See core.Client.BatchDeadlineTraced.
-	BatchDeadlineTraced(ref obs.SpanRef, ops []core.BatchOp, deadline time.Time) ([]core.BatchResult, error)
-}
-
-// minBatchSlice is the minimum remaining parent budget worth fanning a
-// sub-batch out for: below this, every op is resolved ErrTimeout
-// locally — doomed work never reaches a replica.
-const minBatchSlice = time.Millisecond
-
-// backendBatch runs ops against one backend, using its native batch
-// support when available and falling back to per-op calls otherwise.
-// A non-zero deadline is propagated when the backend supports it, and a
-// valid ref when the backend can carry trace context (correlation is
-// never a reason to fail: backends without the capability just run the
-// plain path).
-func backendBatch(b Backend, ref obs.SpanRef, ops []core.BatchOp, deadline time.Time) ([]core.BatchResult, error) {
-	if ref.Valid() {
-		if tb, ok := b.(TracedBatchBackend); ok {
-			return tb.BatchDeadlineTraced(ref, ops, deadline)
-		}
-	}
-	if !deadline.IsZero() {
-		if db, ok := b.(DeadlineBatchBackend); ok {
-			return db.BatchDeadline(ops, deadline)
-		}
-	}
-	if bb, ok := b.(BatchBackend); ok {
-		return bb.Batch(ops)
-	}
-	results := make([]core.BatchResult, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case core.BatchPut:
-			results[i].Err = backendPut(b, ref, op.Key, op.Value)
-		case core.BatchGet:
-			results[i].Value, results[i].Err = backendGet(b, ref, op.Key)
-		case core.BatchDelete:
-			results[i].Err = backendDelete(b, ref, op.Key)
-		default:
-			results[i].Err = fmt.Errorf("precursor/cluster: invalid batch op kind %d", op.Kind)
-		}
-	}
-	return results, nil
-}
 
 // Batch routes ops to their owning replica groups and executes each
 // group's sub-batch concurrently, returning per-op results in the
@@ -99,18 +26,16 @@ func backendBatch(b Backend, ref obs.SpanRef, ops []core.BatchOp, deadline time.
 // in its op's BatchResult (with core.ErrUnconfirmed joined for writes
 // whose fate is unknown, exactly like the single-op path).
 func (c *Client) Batch(ops []core.BatchOp) ([]core.BatchResult, error) {
-	return c.BatchDeadline(ops, time.Time{})
+	return c.BatchContext(context.Background(), ops)
 }
 
-// BatchDeadline is Batch under a caller-supplied absolute deadline
-// (zero = none). The deadline propagates through every sub-batch: a
-// parent with less than minBatchSlice of budget left does not fan out
-// at all — every routable op resolves to core.ErrTimeout locally, and
-// since nothing was sent, ErrUnconfirmed never joins. Mid-batch, a
-// spent deadline stops read failover to further replicas, and
-// deadline-capable backends bound their frames by the remaining
-// budget.
-func (c *Client) BatchDeadline(ops []core.BatchOp, deadline time.Time) ([]core.BatchResult, error) {
+// BatchContext is Batch under ctx (see PutContext). The deadline
+// propagates through every sub-batch: a ctx with less than minBudget
+// of budget left does not fan out at all — every routable op resolves to
+// core.ErrTimeout locally, and since nothing was sent, ErrUnconfirmed
+// never joins. Mid-batch, a spent ctx stops read failover to further
+// replicas, and every backend bounds its frame by the remaining budget.
+func (c *Client) BatchContext(ctx context.Context, ops []core.BatchOp) ([]core.BatchResult, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
@@ -150,22 +75,22 @@ func (c *Client) BatchDeadline(ops []core.BatchOp, deadline time.Time) ([]core.B
 		sb.ops = append(sb.ops, op)
 		sb.idx = append(sb.idx, i)
 	}
-	if !deadline.IsZero() && time.Until(deadline) < minBatchSlice {
-		// The parent deadline is (nearly) spent: resolve every routable
+	if err := spent(ctx); err != nil {
+		// The parent's budget is (nearly) spent: resolve every routable
 		// op with a clean timeout instead of fanning doomed work out to
 		// the replicas. Nothing was sent, so ErrUnconfirmed never joins.
 		for _, name := range order {
 			for _, pi := range subs[name].idx {
-				results[pi].Err = core.ErrTimeout
+				results[pi].Err = err
 			}
 		}
 		return results, nil
 	}
 	// One umbrella op covers the whole client batch, so a frame that
 	// fans out to several groups still stitches into a single trace:
-	// each group's sub-batch op adopts this ref as its parent.
+	// each group's sub-batch op adopts this op's ref as its parent.
 	op := c.opts.Tracer.Start(int(c.traceSlot.Add(1)), "batch")
-	pref := op.Ref()
+	opCtx := op.Continue(ctx) // its own variable: see quorumWrite
 	var wg sync.WaitGroup
 	for _, name := range order {
 		sb := subs[name]
@@ -174,9 +99,9 @@ func (c *Client) BatchDeadline(ops []core.BatchOp, deadline time.Time) ([]core.B
 			defer wg.Done()
 			var rs []core.BatchResult
 			if sb.g.single() {
-				rs = c.singleBatch(sb.g.replicas[0], sb.ops, deadline, pref)
+				rs = c.singleBatch(opCtx, sb.g.replicas[0], sb.ops)
 			} else {
-				rs = c.replicatedBatch(sb.g, sb.ops, deadline, pref)
+				rs = c.replicatedBatch(opCtx, sb.g, sb.ops)
 			}
 			// Indices are disjoint across sub-batches, so concurrent
 			// writes into results never collide.
@@ -215,62 +140,18 @@ func batchHeatKind(k core.BatchOpKind) heat.Kind {
 	}
 }
 
-// PutBatch stores values[i] under keys[i], routed and batched per
-// owning group.
-func (c *Client) PutBatch(keys []string, values [][]byte) ([]core.BatchResult, error) {
-	if len(keys) != len(values) {
-		return nil, fmt.Errorf("precursor/cluster: %d keys, %d values", len(keys), len(values))
-	}
-	ops := make([]core.BatchOp, len(keys))
-	for i := range keys {
-		ops[i] = core.BatchOp{Kind: core.BatchPut, Key: keys[i], Value: values[i]}
-	}
-	return c.Batch(ops)
-}
-
-// GetBatch fetches keys, routed and batched per owning group.
-func (c *Client) GetBatch(keys []string) ([]core.BatchResult, error) {
-	ops := make([]core.BatchOp, len(keys))
-	for i := range keys {
-		ops[i] = core.BatchOp{Kind: core.BatchGet, Key: keys[i]}
-	}
-	return c.Batch(ops)
-}
-
-// DeleteBatch removes keys, routed and batched per owning group.
-func (c *Client) DeleteBatch(keys []string) ([]core.BatchResult, error) {
-	ops := make([]core.BatchOp, len(keys))
-	for i := range keys {
-		ops[i] = core.BatchOp{Kind: core.BatchDelete, Key: keys[i]}
-	}
-	return c.Batch(ops)
-}
-
 // singleBatch runs a sub-batch against a single-replica group with the
 // original breaker semantics: admitted as one operation, the breaker
 // fed the worst shard-level outcome.
-func (c *Client) singleBatch(rep *replicaState, ops []core.BatchOp, deadline time.Time, pref obs.SpanRef) []core.BatchResult {
+func (c *Client) singleBatch(ctx context.Context, rep *replicaState, ops []core.BatchOp) []core.BatchResult {
 	tok, err := c.admitLegacy(rep)
 	if err != nil {
-		out := make([]core.BatchResult, len(ops))
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
+		return failAll(len(ops), err)
 	}
 	t0 := time.Now()
-	results, berr := backendBatch(rep.backend, pref, ops, deadline)
+	results, berr := rep.backend.BatchContext(ctx, ops)
 	rep.recordLatency(t0)
-	obsErr := berr
-	if obsErr == nil {
-		for i := range results {
-			if results[i].Err != nil && c.opts.IsShardFailure(results[i].Err) {
-				obsErr = results[i].Err
-				break
-			}
-		}
-	}
-	ferr := c.observe(rep, tok, obsErr, false, "")
+	ferr := c.observe(rep, tok, c.breakerErr(berr, results, false), false, "")
 	if len(results) != len(ops) {
 		// Batch-level failure before anything was sent (or a broken
 		// backend): every op shares the typed outcome.
@@ -280,14 +161,32 @@ func (c *Client) singleBatch(rep *replicaState, ops []core.BatchOp, deadline tim
 		if ferr == nil {
 			ferr = &ShardError{Shard: rep.name, Err: ErrShardDown}
 		}
-		out := make([]core.BatchResult, len(ops))
-		for i := range out {
-			out[i].Err = ferr
-		}
-		return out
+		return failAll(len(ops), ferr)
 	}
 	c.tallyBatch(rep, ops, results)
 	return results
+}
+
+// failAll resolves n ops with the one outcome they share.
+func failAll(n int, err error) []core.BatchResult {
+	out := make([]core.BatchResult, n)
+	for i := range out {
+		out[i].Err = err
+	}
+	return out
+}
+
+// breakerErr picks what a replica's breaker should see of one batch
+// frame: the batch-level error, else the first per-op shard failure —
+// or, for a frame of writes, the first ambiguous outcome.
+func (c *Client) breakerErr(berr error, results []core.BatchResult, writes bool) error {
+	for i := 0; berr == nil && i < len(results); i++ {
+		if err := results[i].Err; err != nil &&
+			(c.opts.IsShardFailure(err) || writes && errors.Is(err, core.ErrUnconfirmed)) {
+			berr = err
+		}
+	}
+	return berr
 }
 
 // tallyBatch bumps per-replica op counters for the sub-batch's
@@ -314,7 +213,7 @@ func (c *Client) tallyBatch(rep *replicaState, ops []core.BatchOp, results []cor
 // op order; ordering between a batch's writes and reads of the same
 // key is not defined in a replicated group (they race like two
 // independent clients would).
-func (c *Client) replicatedBatch(g *groupState, ops []core.BatchOp, deadline time.Time, pref obs.SpanRef) []core.BatchResult {
+func (c *Client) replicatedBatch(ctx context.Context, g *groupState, ops []core.BatchOp) []core.BatchResult {
 	out := make([]core.BatchResult, len(ops))
 	var wOps, rOps []core.BatchOp
 	var wIdx, rIdx []int
@@ -332,7 +231,7 @@ func (c *Client) replicatedBatch(g *groupState, ops []core.BatchOp, deadline tim
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rs := c.quorumWriteBatch(g, wOps, deadline, pref)
+			rs := c.quorumWriteBatch(ctx, g, wOps)
 			for j := range rs {
 				out[wIdx[j]] = rs[j]
 			}
@@ -342,7 +241,7 @@ func (c *Client) replicatedBatch(g *groupState, ops []core.BatchOp, deadline tim
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rs := c.replicatedGetBatch(g, rOps, deadline, pref)
+			rs := c.replicatedGetBatch(ctx, g, rOps)
 			for j := range rs {
 				out[rIdx[j]] = rs[j]
 			}
@@ -386,8 +285,7 @@ func (s *replicaState) admitWriteBatch(journalCap int, ops []core.BatchOp) (admi
 // quorumWrite it waits for every replica (per-op accounting needs the
 // full tally); the batch already amortizes the latency. Failed or
 // ambiguous ops journal their keys on the replicas that missed them.
-func (c *Client) quorumWriteBatch(g *groupState, ops []core.BatchOp, deadline time.Time, pref obs.SpanRef) []core.BatchResult {
-	out := make([]core.BatchResult, len(ops))
+func (c *Client) quorumWriteBatch(ctx context.Context, g *groupState, ops []core.BatchOp) []core.BatchResult {
 	live := make([]*replicaState, 0, len(g.replicas))
 	toks := make([]admitToken, 0, len(g.replicas))
 	for _, rep := range g.replicas {
@@ -398,16 +296,11 @@ func (c *Client) quorumWriteBatch(g *groupState, ops []core.BatchOp, deadline ti
 	}
 	if len(live) == 0 {
 		c.noteQuorumShortfall(g, 0, "no live replicas (batch)")
-		err := &ShardError{Shard: g.name, Err: ErrShardDown}
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
+		return failAll(len(ops), &ShardError{Shard: g.name, Err: ErrShardDown})
 	}
 	op := c.opts.Tracer.Start(int(c.traceSlot.Add(1)), "batch")
 	op.SetGroup(g.name)
-	op.AdoptRef(pref)
-	ref := op.Ref() // every replica's sub-batch stitches under this op
+	opCtx := op.Continue(ctx) // every replica's sub-batch stitches under this op
 	defer op.Finish()
 
 	type repRes struct {
@@ -421,21 +314,11 @@ func (c *Client) quorumWriteBatch(g *groupState, ops []core.BatchOp, deadline ti
 		go func(rep *replicaState, tok admitToken) {
 			s0 := op.Now()
 			t0 := time.Now()
-			results, berr := backendBatch(rep.backend, ref, ops, deadline)
+			results, berr := rep.backend.BatchContext(opCtx, ops)
 			d := time.Since(t0)
 			rep.recordLatency(t0)
 			rep.noteLatency(d)
-			obsErr := berr
-			if obsErr == nil {
-				for j := range results {
-					rerr := results[j].Err
-					if rerr != nil && (c.opts.IsShardFailure(rerr) || errors.Is(rerr, core.ErrUnconfirmed)) {
-						obsErr = rerr
-						break
-					}
-				}
-			}
-			_ = c.observe(rep, tok, obsErr, true, "")
+			_ = c.observe(rep, tok, c.breakerErr(berr, results, true), true, "")
 			ch <- repRes{rep: rep, results: results, err: berr, start: s0, end: op.Now()}
 		}(rep, toks[i])
 	}
@@ -485,6 +368,7 @@ func (c *Client) quorumWriteBatch(g *groupState, ops []core.BatchOp, deadline ti
 		}
 	}
 
+	out := make([]core.BatchResult, len(ops))
 	shortfall := false
 	minAcks := -1
 	for j := range ops {
@@ -521,11 +405,10 @@ func (c *Client) quorumWriteBatch(g *groupState, ops []core.BatchOp, deadline ti
 // on shard-level errors and on payload-MAC failures (the Byzantine
 // backstop). Data-level outcomes from a healthy replica — the value or
 // an authoritative not-found — resolve an op immediately.
-func (c *Client) replicatedGetBatch(g *groupState, ops []core.BatchOp, deadline time.Time, pref obs.SpanRef) []core.BatchResult {
+func (c *Client) replicatedGetBatch(ctx context.Context, g *groupState, ops []core.BatchOp) []core.BatchResult {
 	op := c.opts.Tracer.Start(int(c.traceSlot.Add(1)), "batch")
 	op.SetGroup(g.name)
-	op.AdoptRef(pref)
-	ref := op.Ref()
+	ctx = op.Continue(ctx)
 	defer op.Finish()
 	out := make([]core.BatchResult, len(ops))
 	order := g.readOrder()
@@ -543,10 +426,10 @@ func (c *Client) replicatedGetBatch(g *groupState, ops []core.BatchOp, deadline 
 		if len(pending) == 0 {
 			break
 		}
-		if !deadline.IsZero() && time.Until(deadline) < minBatchSlice && attempted > 0 {
+		if err := spent(ctx); err != nil && attempted > 0 {
 			// The parent budget is spent: stop failing over. The pending
 			// ops resolve ErrTimeout below (reads — never unconfirmed).
-			lastErr = core.ErrTimeout
+			lastErr = err
 			break
 		}
 		var tok admitToken
@@ -566,19 +449,10 @@ func (c *Client) replicatedGetBatch(g *groupState, ops []core.BatchOp, deadline 
 		}
 		s0 := op.Now()
 		t0 := time.Now()
-		results, berr := backendBatch(rep.backend, ref, sub, deadline)
+		results, berr := rep.backend.BatchContext(ctx, sub)
 		d := time.Since(t0)
 		rep.recordLatency(t0)
-		obsErr := berr
-		if obsErr == nil {
-			for j := range results {
-				if results[j].Err != nil && c.opts.IsShardFailure(results[j].Err) {
-					obsErr = results[j].Err
-					break
-				}
-			}
-		}
-		ferr := c.observe(rep, tok, obsErr, true, "")
+		ferr := c.observe(rep, tok, c.breakerErr(berr, results, false), true, "")
 		op.ReplicaSpanAt(rep.name, s0, op.Now())
 		if len(results) != len(sub) {
 			if ferr != nil {

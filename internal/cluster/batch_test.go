@@ -3,55 +3,30 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"precursor/internal/core"
 )
 
-// fakeBatchBackend layers native BatchBackend support over fakeBackend
-// and counts how many batch frames it received, so tests can assert the
-// cluster router preserves batching instead of degrading to per-op calls.
-type fakeBatchBackend struct {
-	*fakeBackend
-	batchCalls atomic.Uint64
-	batchedOps atomic.Uint64
-}
-
-func (f *fakeBatchBackend) Batch(ops []core.BatchOp) ([]core.BatchResult, error) {
-	f.batchCalls.Add(1)
-	f.batchedOps.Add(uint64(len(ops)))
-	results := make([]core.BatchResult, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case core.BatchPut:
-			results[i].Err = f.Put(op.Key, op.Value)
-		case core.BatchGet:
-			results[i].Value, results[i].Err = f.Get(op.Key)
-		case core.BatchDelete:
-			results[i].Err = f.Delete(op.Key)
+// batchOps builds one op of kind per key, values[i] riding with keys[i]
+// when given.
+func batchOps(kind core.BatchOpKind, keys []string, values ...[]byte) []core.BatchOp {
+	ops := make([]core.BatchOp, len(keys))
+	for i, k := range keys {
+		ops[i] = core.BatchOp{Kind: kind, Key: k}
+		if i < len(values) {
+			ops[i].Value = values[i]
 		}
 	}
-	return results, nil
+	return ops
 }
 
 // TestBatchRoutingAcrossShards: one batch scattered over four shards
 // comes back in the caller's op order, each value stored on its ring
-// owner, with native batch frames used per shard (not per-op fallback).
+// owner, one batch frame per shard (never op by op).
 func TestBatchRoutingAcrossShards(t *testing.T) {
-	backends := map[string]*fakeBatchBackend{}
-	var shards []Shard
-	for _, name := range ShardNames(4) {
-		b := &fakeBatchBackend{fakeBackend: newFake()}
-		backends[name] = b
-		shards = append(shards, Shard{Name: name, Backend: b})
-	}
-	c, err := New(shards, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, backends := newFakeCluster(t, 4, Options{})
 
 	const n = 64
 	keys := make([]string, n)
@@ -60,7 +35,7 @@ func TestBatchRoutingAcrossShards(t *testing.T) {
 		keys[i] = fmt.Sprintf("bk%04d", i)
 		vals[i] = []byte(keys[i])
 	}
-	results, err := c.PutBatch(keys, vals)
+	results, err := c.Batch(batchOps(core.BatchPut, keys, vals...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +63,15 @@ func TestBatchRoutingAcrossShards(t *testing.T) {
 	if shipped != n {
 		t.Errorf("batched ops = %d, want %d", shipped, n)
 	}
+	for name, b := range backends {
+		if got := b.calls.Load(); got != 0 {
+			t.Errorf("%s saw %d single-op calls for a batch", name, got)
+		}
+	}
 
 	// Order-preserving reassembly on reads, including per-op not-found.
 	getKeys := append(append([]string(nil), keys[:8]...), "bk-missing")
-	gres, err := c.GetBatch(getKeys)
+	gres, err := c.Batch(batchOps(core.BatchGet, getKeys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +84,7 @@ func TestBatchRoutingAcrossShards(t *testing.T) {
 		t.Errorf("missing key err = %v, want ErrNotFound", gres[8].Err)
 	}
 
-	dres, err := c.DeleteBatch(keys[:4])
+	dres, err := c.Batch(batchOps(core.BatchDelete, keys[:4]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,33 +92,6 @@ func TestBatchRoutingAcrossShards(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("delete %d: %v", i, r.Err)
 		}
-	}
-}
-
-// TestBatchPerOpFallback: a backend without BatchBackend still serves
-// cluster batches, driven op by op.
-func TestBatchPerOpFallback(t *testing.T) {
-	c, backends := newFakeCluster(t, 2, Options{})
-	res, err := c.Batch([]core.BatchOp{
-		{Kind: core.BatchPut, Key: "a", Value: []byte("1")},
-		{Kind: core.BatchPut, Key: "b", Value: []byte("2")},
-		{Kind: core.BatchGet, Key: "a"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || res[1].Err != nil || res[2].Err != nil {
-		t.Fatalf("fallback batch errs: %v %v %v", res[0].Err, res[1].Err, res[2].Err)
-	}
-	if string(res[2].Value) != "1" {
-		t.Fatalf("fallback get = %q", res[2].Value)
-	}
-	var calls uint64
-	for _, b := range backends {
-		calls += b.calls.Load()
-	}
-	if calls != 3 {
-		t.Errorf("backend calls = %d, want 3 (per-op fallback)", calls)
 	}
 }
 
@@ -196,7 +149,7 @@ func TestReplicatedBatchQuorumWrite(t *testing.T) {
 		keys[i] = fmt.Sprintf("qk%02d", i)
 		vals[i] = []byte(keys[i])
 	}
-	results, err := c.PutBatch(keys, vals)
+	results, err := c.Batch(batchOps(core.BatchPut, keys, vals...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +198,7 @@ func TestReplicatedBatchQuorumWrite(t *testing.T) {
 func TestReplicatedBatchQuorumShortfall(t *testing.T) {
 	c, fakes, _ := newReplicatedFakes(t, 3, false, Options{WriteQuorum: 3, DisableAutoRepair: true})
 	fakes[1].setFail(core.ErrClosed)
-	results, err := c.PutBatch([]string{"s1", "s2"}, [][]byte{[]byte("a"), []byte("b")})
+	results, err := c.Batch(batchOps(core.BatchPut, []string{"s1", "s2"}, []byte("a"), []byte("b")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +243,7 @@ func TestReplicatedBatchReadFailover(t *testing.T) {
 	for _, inject := range []error{core.ErrClosed, core.ErrIntegrity} {
 		fakes[0].setFail(inject)
 		fakes[1].setFail(inject)
-		results, err := c.GetBatch(keys)
+		results, err := c.Batch(batchOps(core.BatchGet, keys))
 		if err != nil {
 			t.Fatal(err)
 		}

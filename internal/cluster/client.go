@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -16,57 +17,20 @@ import (
 	"precursor/internal/overload"
 )
 
-// Backend is one shard's key-value connection. *core.Client satisfies it,
-// as does the root package's *precursor.Pool (the usual choice, so many
-// goroutines can drive the cluster client concurrently).
+// Backend is one shard's key-value connection, driven through the one
+// call shape every layer of the client stack offers: the ctx carries the
+// caller's deadline and parent span down to the wire (PROTOCOL.md §9).
+// *core.Client satisfies it, as does the root package's *precursor.Pool
+// (the usual choice, so many goroutines can drive the cluster client
+// concurrently) — and so does *Client itself.
 type Backend interface {
-	Put(key string, value []byte) error
-	Get(key string) ([]byte, error)
-	Delete(key string) error
+	PutContext(ctx context.Context, key string, value []byte) error
+	GetContext(ctx context.Context, key string) ([]byte, error)
+	DeleteContext(ctx context.Context, key string) error
+	// BatchContext executes ops in order and returns per-op results; the
+	// error is batch-level (transport, timeout). See core.Client.Batch.
+	BatchContext(ctx context.Context, ops []core.BatchOp) ([]core.BatchResult, error)
 	Close() error
-}
-
-// TracedBackend is the optional trace-propagating capability of a
-// Backend: backends that can carry a caller's trace context to the
-// server inside the sealed control data (core.Client, the root
-// package's Pool) implement it, and the cluster client uses it so the
-// cluster-level span — quorum write, hedged read, failover walk —
-// becomes the parent of every per-shard span it fans out to, across
-// process boundaries. Backends without it are driven through the plain
-// methods; correlation stops at this hop, nothing else changes.
-type TracedBackend interface {
-	// PutTraced is Put continuing the given trace (see core.Client.PutTraced).
-	PutTraced(ref obs.SpanRef, key string, value []byte) error
-	// GetTraced is Get continuing the given trace.
-	GetTraced(ref obs.SpanRef, key string) ([]byte, error)
-	// DeleteTraced is Delete continuing the given trace.
-	DeleteTraced(ref obs.SpanRef, key string) error
-}
-
-// backendPut routes one put through the backend's traced variant when
-// it has one and the caller has a live trace, and the plain method
-// otherwise.
-func backendPut(b Backend, ref obs.SpanRef, key string, value []byte) error {
-	if tb, ok := b.(TracedBackend); ok && ref.Valid() {
-		return tb.PutTraced(ref, key, value)
-	}
-	return b.Put(key, value)
-}
-
-// backendGet is backendPut's read analogue.
-func backendGet(b Backend, ref obs.SpanRef, key string) ([]byte, error) {
-	if tb, ok := b.(TracedBackend); ok && ref.Valid() {
-		return tb.GetTraced(ref, key)
-	}
-	return b.Get(key)
-}
-
-// backendDelete is backendPut's delete analogue.
-func backendDelete(b Backend, ref obs.SpanRef, key string) error {
-	if tb, ok := b.(TracedBackend); ok && ref.Valid() {
-		return tb.DeleteTraced(ref, key)
-	}
-	return b.Delete(key)
 }
 
 // Shard names one cluster member and its connection.
@@ -375,10 +339,32 @@ func (c *Client) Ring() *Ring { return c.ring }
 // ShardFor returns the name of the replica group that owns key.
 func (c *Client) ShardFor(key string) string { return c.ring.Lookup(key) }
 
-// groupFor resolves the owning replica group, checking liveness.
-func (c *Client) groupFor(key string) (*groupState, error) {
+// minBudget is the minimum remaining ctx budget worth sending a replica
+// anything for: below this, an operation is resolved ErrTimeout locally —
+// doomed work never reaches a replica.
+const minBudget = time.Millisecond
+
+// spent reports a ctx with no budget left worth spending — cancelled,
+// past its deadline, or within minBudget of it — as core.ErrTimeout
+// joined with the ctx's error. The cluster consults it before it admits
+// a replica and between failover and hedge steps, so whatever it refuses
+// was never sent and is never unconfirmed.
+func spent(ctx context.Context) error {
+	if d, ok := ctx.Deadline(); ok && time.Until(d) < minBudget {
+		return fmt.Errorf("%w: %w", core.ErrTimeout, context.DeadlineExceeded)
+	}
+	return core.CtxErr(ctx)
+}
+
+// groupFor resolves the owning replica group, checking liveness and that
+// ctx still has budget to spend: a spent ctx fails here, before any replica
+// is admitted, so no breaker is charged for the caller's deadline.
+func (c *Client) groupFor(ctx context.Context, key string) (*groupState, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
+	}
+	if err := spent(ctx); err != nil {
+		return nil, err
 	}
 	g := c.groups[c.ring.Lookup(key)]
 	if g == nil {
@@ -390,17 +376,28 @@ func (c *Client) groupFor(key string) (*groupState, error) {
 // Put stores value under key on the owning group: directly on a
 // single-replica group, quorum-fanned-out on a replicated one.
 func (c *Client) Put(key string, value []byte) error {
-	g, err := c.groupFor(key)
+	return c.PutContext(context.Background(), key, value)
+}
+
+// PutContext is Put under ctx: its deadline bounds every replica's
+// attempt, and the span ref it carries (obs.WithRef) becomes the parent
+// of the cluster-level span, which in turn parents every per-replica
+// span it fans out to, across process boundaries. Without a cluster
+// tracer the caller's ctx is passed through untouched.
+func (c *Client) PutContext(ctx context.Context, key string, value []byte) error {
+	g, err := c.groupFor(ctx, key)
 	if err != nil {
 		return err
 	}
 	c.opts.Heat.Record(heat.KindPut, heat.HashKey(key), len(value), 0)
+	// Two literals, not one shared closure: the fan-out's escapes to the
+	// heap, and the single-replica path must not pay for that (allocgate).
 	if g.single() {
-		return c.singleOp(g.replicas[0], func(b Backend) error { return b.Put(key, value) },
+		return c.singleOp(ctx, g.replicas[0], func(ctx context.Context, b Backend) error { return b.PutContext(ctx, key, value) },
 			func(r *replicaState) { r.puts.Add(1) })
 	}
-	return c.quorumWrite(g, key, func(b Backend, ref obs.SpanRef) error {
-		return backendPut(b, ref, key, value)
+	return c.quorumWrite(ctx, g, key, func(ctx context.Context, b Backend) error {
+		return b.PutContext(ctx, key, value)
 	}, false, func(r *replicaState) { r.puts.Add(1) })
 }
 
@@ -409,27 +406,26 @@ func (c *Client) Put(key string, value []byte) error {
 // failures (the integrity backstop: a Byzantine replica can corrupt its
 // copy, but the client-side MAC catches it and the read moves on).
 func (c *Client) Get(key string) ([]byte, error) {
-	g, err := c.groupFor(key)
+	return c.GetContext(context.Background(), key)
+}
+
+// GetContext is Get under ctx (see PutContext): a ctx that runs out
+// mid-read stops the failover walk and launches no hedge.
+func (c *Client) GetContext(ctx context.Context, key string) ([]byte, error) {
+	g, err := c.groupFor(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	c.opts.Heat.Record(heat.KindGet, heat.HashKey(key), 0, 0)
+	var v []byte
 	if g.single() {
-		rep := g.replicas[0]
-		tok, err := c.admitLegacy(rep)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		v, err := rep.backend.Get(key)
-		rep.recordLatency(t0)
-		if err = c.observe(rep, tok, err, false, ""); err == nil {
-			rep.gets.Add(1)
-		}
-		c.opts.Heat.AddBytesOut(len(v))
-		return v, err
+		err = c.singleOp(ctx, g.replicas[0], func(ctx context.Context, b Backend) (err error) {
+			v, err = b.GetContext(ctx, key)
+			return err
+		}, func(r *replicaState) { r.gets.Add(1) })
+	} else {
+		v, err = c.replicatedGet(ctx, g, key)
 	}
-	v, err := c.replicatedGet(g, key)
 	c.opts.Heat.AddBytesOut(len(v))
 	return v, err
 }
@@ -437,29 +433,34 @@ func (c *Client) Get(key string) ([]byte, error) {
 // Delete removes key from the owning group (quorum-acked when
 // replicated; a replica reporting not-found counts as an ack).
 func (c *Client) Delete(key string) error {
-	g, err := c.groupFor(key)
+	return c.DeleteContext(context.Background(), key)
+}
+
+// DeleteContext is Delete under ctx (see PutContext).
+func (c *Client) DeleteContext(ctx context.Context, key string) error {
+	g, err := c.groupFor(ctx, key)
 	if err != nil {
 		return err
 	}
 	c.opts.Heat.Record(heat.KindDelete, heat.HashKey(key), 0, 0)
 	if g.single() {
-		return c.singleOp(g.replicas[0], func(b Backend) error { return b.Delete(key) },
+		return c.singleOp(ctx, g.replicas[0], func(ctx context.Context, b Backend) error { return b.DeleteContext(ctx, key) },
 			func(r *replicaState) { r.deletes.Add(1) })
 	}
-	return c.quorumWrite(g, key, func(b Backend, ref obs.SpanRef) error {
-		return backendDelete(b, ref, key)
+	return c.quorumWrite(ctx, g, key, func(ctx context.Context, b Backend) error {
+		return b.DeleteContext(ctx, key)
 	}, true, func(r *replicaState) { r.deletes.Add(1) })
 }
 
 // singleOp runs one operation against a single-replica group with the
 // original breaker semantics.
-func (c *Client) singleOp(rep *replicaState, do func(Backend) error, tally func(*replicaState)) error {
+func (c *Client) singleOp(ctx context.Context, rep *replicaState, do func(context.Context, Backend) error, tally func(*replicaState)) error {
 	tok, err := c.admitLegacy(rep)
 	if err != nil {
 		return err
 	}
 	t0 := time.Now()
-	err = do(rep.backend)
+	err = do(ctx, rep.backend)
 	rep.recordLatency(t0)
 	if err = c.observe(rep, tok, err, false, ""); err == nil {
 		tally(rep)
@@ -483,9 +484,10 @@ func (c *Client) admitLegacy(rep *replicaState) (admitToken, error) {
 // repairing journal the key instead (repair re-syncs it later — journal
 // entries are dirty markers, not acks). Partial application joins
 // core.ErrUnconfirmed onto the failure, mirroring the single-node
-// write-outcome semantics. do receives the quorum op's own span ref so
-// every replica attempt stitches under the one cluster-level trace.
-func (c *Client) quorumWrite(g *groupState, key string, do func(Backend, obs.SpanRef) error, isDelete bool, tally func(*replicaState)) error {
+// write-outcome semantics. do receives a ctx carrying the quorum op's own
+// span ref so every replica attempt stitches under the one cluster-level
+// trace.
+func (c *Client) quorumWrite(ctx context.Context, g *groupState, key string, do func(context.Context, Backend) error, isDelete bool, tally func(*replicaState)) error {
 	live := make([]*replicaState, 0, len(g.replicas))
 	toks := make([]admitToken, 0, len(g.replicas))
 	for _, rep := range g.replicas {
@@ -504,9 +506,10 @@ func (c *Client) quorumWrite(g *groupState, key string, do func(Backend, obs.Spa
 	}
 	op := c.opts.Tracer.Start(int(c.traceSlot.Add(1)), kind)
 	op.SetGroup(g.name)
-	// Read before the fan-out launches: Ref's fields are fixed at Start,
-	// and the collector goroutine owns every later mutation of op.
-	ref := op.Ref()
+	// Derived before the fan-out launches (the collector goroutine owns
+	// every later mutation of op), into a variable of its own: reassigning
+	// ctx would make the goroutines capture it by reference, on the heap.
+	opCtx := op.Continue(ctx)
 	// Each fan-out goroutine runs its breaker observation itself and
 	// reports into the buffered channel, so stragglers (e.g. an attempt
 	// stuck in a dead pool's acquire wait) drain in the background
@@ -521,7 +524,7 @@ func (c *Client) quorumWrite(g *groupState, key string, do func(Backend, obs.Spa
 		go func(rep *replicaState, tok admitToken) {
 			s0 := op.Now()
 			t0 := time.Now()
-			err := do(rep.backend, ref)
+			err := do(opCtx, rep.backend)
 			d := time.Since(t0)
 			rep.recordLatency(t0)
 			rep.noteLatency(d)
@@ -619,10 +622,10 @@ func (c *Client) noteQuorumShortfall(g *groupState, acks int, detail string) {
 // over to the next on shard-level errors and on payload-MAC failures.
 // Not-found from a healthy replica is authoritative (an up replica has
 // every acked write) and is returned immediately.
-func (c *Client) replicatedGet(g *groupState, key string) (val []byte, retErr error) {
+func (c *Client) replicatedGet(ctx context.Context, g *groupState, key string) (val []byte, retErr error) {
 	op := c.opts.Tracer.Start(int(c.traceSlot.Add(1)), "get")
 	op.SetGroup(g.name)
-	ref := op.Ref()
+	ctx = op.Continue(ctx) // primary, hedge and failover attempts share the op's trace
 	defer func() {
 		op.SetError(retErr)
 		op.Finish()
@@ -638,7 +641,7 @@ func (c *Client) replicatedGet(g *groupState, key string) (val []byte, retErr er
 	attempted := 0
 	hedgeable := c.opts.HedgeReads && !probeFallback && len(order) >= 2
 	if hedgeable {
-		v, err, tried, done := c.hedgedGet(g, op, order, key)
+		v, err, tried, done := c.hedgedGet(ctx, g, op, order, key)
 		if done {
 			return v, err
 		}
@@ -651,6 +654,9 @@ func (c *Client) replicatedGet(g *groupState, key string) (val []byte, retErr er
 		}
 	}
 	for _, rep := range order {
+		if attempted > 0 && spent(ctx) != nil {
+			break // the caller's budget is gone: stop failing over
+		}
 		var tok admitToken
 		var ok bool
 		if probeFallback {
@@ -664,7 +670,7 @@ func (c *Client) replicatedGet(g *groupState, key string) (val []byte, retErr er
 		attempted++
 		s0 := op.Now()
 		t0 := time.Now()
-		v, err := backendGet(rep.backend, ref, key)
+		v, err := rep.backend.GetContext(ctx, key)
 		d := time.Since(t0)
 		rep.recordLatency(t0)
 		err = c.observe(rep, tok, err, true, "")
@@ -713,7 +719,7 @@ func (c *Client) replicatedGet(g *groupState, key string) (val []byte, retErr er
 // the sequential walk: the primary was not admittable, or every
 // launched attempt failed at the shard level (tried reports how many
 // attempts ran, err the last shard-level failure).
-func (c *Client) hedgedGet(g *groupState, op *obs.Op, order []*replicaState, key string) (val []byte, err error, tried int, done bool) {
+func (c *Client) hedgedGet(ctx context.Context, g *groupState, op *obs.Op, order []*replicaState, key string) (val []byte, err error, tried int, done bool) {
 	primary := order[0]
 	ptok, ok := primary.admitRead()
 	if !ok {
@@ -729,11 +735,10 @@ func (c *Client) hedgedGet(g *groupState, op *obs.Op, order []*replicaState, key
 	// Buffered to the maximum attempt count so a losing straggler's send
 	// never blocks: its reply is simply dropped with the channel.
 	replies := make(chan hedgeReply, 2)
-	ref := op.Ref() // primary and hedge share the cluster op's trace
 	launch := func(rep *replicaState, tok admitToken) {
 		s0 := op.Now()
 		t0 := time.Now()
-		v, gerr := backendGet(rep.backend, ref, key)
+		v, gerr := rep.backend.GetContext(ctx, key)
 		d := time.Since(t0)
 		rep.recordLatency(t0)
 		gerr = c.observe(rep, tok, gerr, true, "")
@@ -775,7 +780,7 @@ func (c *Client) hedgedGet(g *groupState, op *obs.Op, order []*replicaState, key
 				lastErr = r.err
 			}
 		case <-timer.C:
-			if launched > 1 {
+			if launched > 1 || spent(ctx) != nil {
 				continue
 			}
 			if !c.opts.Budget.TrySpend() {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,15 +10,24 @@ import (
 	"time"
 
 	"precursor/internal/core"
+	"precursor/internal/obs"
 )
 
-// fakeBackend is an in-memory Backend with injectable failures.
+// fakeBackend is an in-memory Backend with injectable failures and read
+// delay; it records what every call's ctx carried, so tests can assert
+// what the cluster client propagates.
 type fakeBackend struct {
-	mu     sync.Mutex
-	m      map[string][]byte
-	fail   error // when non-nil every op returns it
-	closed bool
-	calls  atomic.Uint64 // ops that reached the backend
+	mu        sync.Mutex
+	m         map[string][]byte
+	fail      error // when non-nil every op returns it
+	closed    bool
+	refs      []obs.SpanRef // per call: the span ref its ctx carried
+	deadlines []time.Time   // per call: its ctx's deadline (zero = none)
+
+	calls      atomic.Uint64 // single ops that reached the backend
+	batchCalls atomic.Uint64 // batch frames that reached the backend
+	batchedOps atomic.Uint64 // ops those frames carried
+	getDelay   atomic.Int64  // nanoseconds every GetContext sleeps first
 }
 
 func newFake() *fakeBackend { return &fakeBackend{m: map[string][]byte{}} }
@@ -28,43 +38,70 @@ func (f *fakeBackend) setFail(err error) {
 	f.mu.Unlock()
 }
 
-func (f *fakeBackend) Put(key string, value []byte) error {
-	f.calls.Add(1)
+// seen returns the span ref of every call so far, in order.
+func (f *fakeBackend) seen() []obs.SpanRef {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.fail != nil {
-		return f.fail
-	}
-	f.m[key] = append([]byte(nil), value...)
-	return nil
+	return append([]obs.SpanRef(nil), f.refs...)
 }
 
-func (f *fakeBackend) Get(key string) ([]byte, error) {
-	f.calls.Add(1)
+// note records what a call's ctx carried.
+func (f *fakeBackend) note(ctx context.Context) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.fail != nil {
-		return nil, f.fail
-	}
-	v, ok := f.m[key]
-	if !ok {
-		return nil, core.ErrNotFound
-	}
-	return v, nil
+	f.refs = append(f.refs, obs.RefFrom(ctx))
+	d, _ := ctx.Deadline()
+	f.deadlines = append(f.deadlines, d)
 }
 
-func (f *fakeBackend) Delete(key string) error {
-	f.calls.Add(1)
+// apply runs ops against the map, with core.Client's per-op semantics.
+func (f *fakeBackend) apply(ops ...core.BatchOp) []core.BatchResult {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.fail != nil {
-		return f.fail
+	out := make([]core.BatchResult, len(ops))
+	for i, op := range ops {
+		v, ok := f.m[op.Key]
+		switch {
+		case f.fail != nil:
+			out[i].Err = f.fail
+		case op.Kind == core.BatchPut:
+			f.m[op.Key] = append([]byte(nil), op.Value...)
+		case !ok:
+			out[i].Err = core.ErrNotFound
+		case op.Kind == core.BatchGet:
+			out[i].Value = v
+		default:
+			delete(f.m, op.Key)
+		}
 	}
-	if _, ok := f.m[key]; !ok {
-		return core.ErrNotFound // matches core.Client semantics
-	}
-	delete(f.m, key)
-	return nil
+	return out
+}
+
+func (f *fakeBackend) PutContext(ctx context.Context, key string, value []byte) error {
+	f.calls.Add(1)
+	f.note(ctx)
+	return f.apply(core.BatchOp{Kind: core.BatchPut, Key: key, Value: value})[0].Err
+}
+
+func (f *fakeBackend) GetContext(ctx context.Context, key string) ([]byte, error) {
+	f.calls.Add(1)
+	f.note(ctx)
+	time.Sleep(time.Duration(f.getDelay.Load()))
+	r := f.apply(core.BatchOp{Kind: core.BatchGet, Key: key})[0]
+	return r.Value, r.Err
+}
+
+func (f *fakeBackend) DeleteContext(ctx context.Context, key string) error {
+	f.calls.Add(1)
+	f.note(ctx)
+	return f.apply(core.BatchOp{Kind: core.BatchDelete, Key: key})[0].Err
+}
+
+func (f *fakeBackend) BatchContext(ctx context.Context, ops []core.BatchOp) ([]core.BatchResult, error) {
+	f.batchCalls.Add(1)
+	f.batchedOps.Add(uint64(len(ops)))
+	f.note(ctx)
+	return f.apply(ops...), nil
 }
 
 func (f *fakeBackend) Close() error {

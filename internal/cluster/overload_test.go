@@ -7,29 +7,15 @@ package cluster
 // deadlines cutting off batch fan-out before doomed work is issued.
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"precursor/internal/core"
 	"precursor/internal/overload"
 )
-
-// slowGetBackend delays Gets by the configured duration (Put/Delete
-// run at full speed), modeling a replica with a latency tail.
-type slowGetBackend struct {
-	*fakeBackend
-	delay atomic.Int64 // nanoseconds
-}
-
-func (s *slowGetBackend) Get(key string) ([]byte, error) {
-	if d := s.delay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	return s.fakeBackend.Get(key)
-}
 
 // newHedgeGroup builds a one-group, two-replica client whose slow
 // replica can be delayed per-test. pinPrimary makes the slow replica
@@ -42,10 +28,9 @@ func pinPrimary(c *Client) {
 	c.reps["group-0/fast"].ewma.Store(int64(2 * time.Millisecond))
 }
 
-func newHedgeGroup(t *testing.T, opts Options) (*Client, *slowGetBackend, *fakeBackend) {
+func newHedgeGroup(t *testing.T, opts Options) (*Client, *fakeBackend, *fakeBackend) {
 	t.Helper()
-	slow := &slowGetBackend{fakeBackend: newFake()}
-	fast := newFake()
+	slow, fast := newFake(), newFake()
 	opts.DisableAutoRepair = true
 	c, err := NewReplicated([]ReplicaGroup{{
 		Name: "group-0",
@@ -72,7 +57,7 @@ func TestHedgedReadWinsOverSlowPrimary(t *testing.T) {
 	pinPrimary(c)
 
 	const primaryDelay = 150 * time.Millisecond
-	slow.delay.Store(int64(primaryDelay))
+	slow.getDelay.Store(int64(primaryDelay))
 	start := time.Now()
 	v, err := c.Get("k")
 	elapsed := time.Since(start)
@@ -110,7 +95,7 @@ func TestHedgeDeniedWhenBudgetEmpty(t *testing.T) {
 	pinPrimary(c)
 
 	const primaryDelay = 30 * time.Millisecond
-	slow.delay.Store(int64(primaryDelay))
+	slow.getDelay.Store(int64(primaryDelay))
 	start := time.Now()
 	v, err := c.Get("k")
 	elapsed := time.Since(start)
@@ -144,7 +129,7 @@ func TestHedgedReadsRepeatedlyConsistent(t *testing.T) {
 		}
 	}
 	pinPrimary(c)
-	slow.delay.Store(int64(20 * time.Millisecond))
+	slow.getDelay.Store(int64(20 * time.Millisecond))
 	// Losing stragglers from earlier hedges must not corrupt later
 	// reads (each hedge's reply channel is buffered to the attempt
 	// count, and the loser's reply is simply dropped with it).
@@ -198,82 +183,42 @@ func TestRetryLaterDoesNotTripBreaker(t *testing.T) {
 	}
 }
 
-// countingBatchBackend records every Batch fan-out it receives and the
-// deadline it was handed.
-type countingBatchBackend struct {
-	*fakeBackend
-	batchCalls atomic.Uint64
-	deadlines  chan time.Time
-}
-
-func (b *countingBatchBackend) BatchDeadline(ops []core.BatchOp, deadline time.Time) ([]core.BatchResult, error) {
-	b.batchCalls.Add(1)
-	select {
-	case b.deadlines <- deadline:
-	default:
-	}
-	res := make([]core.BatchResult, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case core.BatchPut:
-			res[i].Err = b.Put(op.Key, op.Value)
-		case core.BatchGet:
-			res[i].Value, res[i].Err = b.Get(op.Key)
-		case core.BatchDelete:
-			res[i].Err = b.Delete(op.Key)
-		}
-	}
-	return res, nil
-}
-
 func TestBatchDeadlineExpiredParentDoesNotFanOut(t *testing.T) {
-	b := &countingBatchBackend{fakeBackend: newFake(), deadlines: make(chan time.Time, 8)}
-	c, err := New([]Shard{{Name: "s0", Backend: b}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-
+	c, backends := newFakeCluster(t, 1, Options{})
 	ops := []core.BatchOp{
 		{Kind: core.BatchPut, Key: "a", Value: []byte("1")},
 		{Kind: core.BatchPut, Key: "b", Value: []byte("2")},
 	}
-	res, err := c.BatchDeadline(ops, time.Now().Add(-time.Second))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := c.BatchContext(ctx, ops)
 	if err != nil {
-		t.Fatalf("BatchDeadline: %v", err)
+		t.Fatalf("BatchContext: %v", err)
 	}
 	for i, r := range res {
-		if !errors.Is(r.Err, core.ErrTimeout) {
-			t.Errorf("op %d: got %v, want ErrTimeout", i, r.Err)
+		if !errors.Is(r.Err, core.ErrTimeout) || errors.Is(r.Err, core.ErrUnconfirmed) {
+			t.Errorf("op %d: got %v, want a plain ErrTimeout", i, r.Err)
 		}
 	}
-	if n := b.batchCalls.Load(); n != 0 {
-		t.Fatalf("backend saw %d batch calls — a spent parent must not fan out", n)
-	}
-	if n := b.calls.Load(); n != 0 {
-		t.Fatalf("backend saw %d per-op calls — a spent parent must not fan out", n)
+	for _, b := range backends {
+		if n := b.batchCalls.Load() + b.calls.Load(); n != 0 {
+			t.Fatalf("backend saw %d calls — a spent parent must not fan out", n)
+		}
 	}
 }
 
 func TestBatchDeadlinePropagatesToBackend(t *testing.T) {
-	b := &countingBatchBackend{fakeBackend: newFake(), deadlines: make(chan time.Time, 8)}
-	c, err := New([]Shard{{Name: "s0", Backend: b}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-
+	c, backends := newFakeCluster(t, 1, Options{})
 	parent := time.Now().Add(5 * time.Second)
-	res, err := c.BatchDeadline([]core.BatchOp{{Kind: core.BatchPut, Key: "a", Value: []byte("1")}}, parent)
+	ctx, cancel := context.WithDeadline(context.Background(), parent)
+	defer cancel()
+	res, err := c.BatchContext(ctx, []core.BatchOp{{Kind: core.BatchPut, Key: "a", Value: []byte("1")}})
 	if err != nil || res[0].Err != nil {
-		t.Fatalf("BatchDeadline: %v, %v", err, res)
+		t.Fatalf("BatchContext: %v, %v", err, res)
 	}
-	select {
-	case got := <-b.deadlines:
-		if !got.Equal(parent) {
-			t.Errorf("backend saw deadline %v, want the parent's %v", got, parent)
+	for _, b := range backends {
+		if len(b.deadlines) != 1 || !b.deadlines[0].Equal(parent) {
+			t.Errorf("backend saw deadlines %v, want exactly the parent's %v", b.deadlines, parent)
 		}
-	default:
-		t.Fatal("backend's BatchDeadline was never called — deadline capability not detected")
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -122,7 +123,7 @@ func (c *Client) tendReplica(g *groupState, rep *replicaState) {
 // probeReplica runs the half-open probe: any data-level answer (even
 // not-found) proves the replica is back.
 func (c *Client) probeReplica(rep *replicaState, tok admitToken) {
-	_, err := rep.backend.Get(probeKey)
+	_, err := rep.backend.GetContext(context.Background(), probeKey)
 	if err != nil && !c.opts.IsShardFailure(err) {
 		err = nil // a data-level reply is a live replica
 	}
@@ -323,12 +324,13 @@ func (c *Client) fullSync(donor, rep *replicaState) error {
 // ordinary (MAC-verified, re-encrypted) data path. Not-found on the
 // donor means the key was deleted — mirror the delete.
 func (c *Client) replayKey(donor, rep *replicaState, key string) error {
-	v, err := donor.backend.Get(key)
+	ctx := context.Background() // repair is the client's own work: no caller's deadline or trace applies
+	v, err := donor.backend.GetContext(ctx, key)
 	switch {
 	case err == nil:
-		return rep.backend.Put(key, v)
+		return rep.backend.PutContext(ctx, key, v)
 	case errors.Is(err, core.ErrNotFound):
-		if err := rep.backend.Delete(key); err != nil && !errors.Is(err, core.ErrNotFound) {
+		if err := rep.backend.DeleteContext(ctx, key); err != nil && !errors.Is(err, core.ErrNotFound) {
 			return err
 		}
 		return nil

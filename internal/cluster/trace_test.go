@@ -1,66 +1,12 @@
 package cluster
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"precursor/internal/core"
 	"precursor/internal/obs"
 )
-
-// tracedFake is a fakeBackend that also implements the Traced* backend
-// interfaces, recording every propagated ref it is handed.
-type tracedFake struct {
-	*fakeBackend
-	mu   sync.Mutex
-	refs []obs.SpanRef
-}
-
-func newTracedFake() *tracedFake { return &tracedFake{fakeBackend: newFake()} }
-
-func (f *tracedFake) note(ref obs.SpanRef) {
-	f.mu.Lock()
-	f.refs = append(f.refs, ref)
-	f.mu.Unlock()
-}
-
-func (f *tracedFake) seen() []obs.SpanRef {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]obs.SpanRef(nil), f.refs...)
-}
-
-func (f *tracedFake) PutTraced(ref obs.SpanRef, key string, value []byte) error {
-	f.note(ref)
-	return f.Put(key, value)
-}
-
-func (f *tracedFake) GetTraced(ref obs.SpanRef, key string) ([]byte, error) {
-	f.note(ref)
-	return f.Get(key)
-}
-
-func (f *tracedFake) DeleteTraced(ref obs.SpanRef, key string) error {
-	f.note(ref)
-	return f.Delete(key)
-}
-
-func (f *tracedFake) BatchDeadlineTraced(ref obs.SpanRef, ops []core.BatchOp, deadline time.Time) ([]core.BatchResult, error) {
-	f.note(ref)
-	out := make([]core.BatchResult, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case core.BatchPut:
-			out[i].Err = f.Put(op.Key, op.Value)
-		case core.BatchGet:
-			out[i].Value, out[i].Err = f.Get(op.Key)
-		case core.BatchDelete:
-			out[i].Err = f.Delete(op.Key)
-		}
-	}
-	return out, nil
-}
 
 // TestQuorumWritePropagatesOneRef checks a replicated write hands every
 // replica the SAME valid span ref — the cluster op's — so all replica
@@ -69,9 +15,9 @@ func (f *tracedFake) BatchDeadlineTraced(ref obs.SpanRef, ops []core.BatchOp, de
 func TestQuorumWritePropagatesOneRef(t *testing.T) {
 	tr := obs.New(obs.Config{Side: obs.SideClient, Ring: 16})
 	rg := ReplicaGroup{Name: "group-0"}
-	fakes := make([]*tracedFake, 3)
+	fakes := make([]*fakeBackend, 3)
 	for i := range fakes {
-		fakes[i] = newTracedFake()
+		fakes[i] = newFake()
 		rg.Replicas = append(rg.Replicas, Shard{
 			Name: "group-0/r" + string(rune('0'+i)), Backend: fakes[i],
 		})
@@ -132,25 +78,12 @@ func TestQuorumWritePropagatesOneRef(t *testing.T) {
 	}
 }
 
-// tracedSlowFake delays traced gets, for hedged-read tests.
-type tracedSlowFake struct {
-	*tracedFake
-	delay time.Duration
-}
-
-func (f *tracedSlowFake) GetTraced(ref obs.SpanRef, key string) ([]byte, error) {
-	f.note(ref)
-	time.Sleep(f.delay)
-	return f.Get(key)
-}
-
 // TestHedgedReadSharesTrace checks the primary attempt and the hedge
 // carry the SAME trace ref, so the stitched trace shows both server
 // spans racing under one cluster read.
 func TestHedgedReadSharesTrace(t *testing.T) {
 	tr := obs.New(obs.Config{Side: obs.SideClient, Ring: 16})
-	slow := &tracedSlowFake{tracedFake: newTracedFake()}
-	fast := newTracedFake()
+	slow, fast := newFake(), newFake()
 	c, err := NewReplicated([]ReplicaGroup{{
 		Name: "group-0",
 		Replicas: []Shard{
@@ -172,7 +105,7 @@ func TestHedgedReadSharesTrace(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	pinPrimary(c)
-	slow.delay = 150 * time.Millisecond
+	slow.getDelay.Store(int64(150 * time.Millisecond))
 
 	if v, err := c.Get("k"); err != nil || string(v) != "v" {
 		t.Fatalf("Get = %q, %v", v, err)
@@ -182,7 +115,7 @@ func TestHedgedReadSharesTrace(t *testing.T) {
 	}
 
 	// The slow primary saw a get ref; the fast hedge saw the same one.
-	slowRef, fastRef := lastGetRef(t, slow.tracedFake), lastGetRef(t, fast)
+	slowRef, fastRef := lastGetRef(t, slow), lastGetRef(t, fast)
 	if !slowRef.Valid() || slowRef != fastRef {
 		t.Fatalf("primary ref %+v != hedge ref %+v", slowRef, fastRef)
 	}
@@ -200,7 +133,7 @@ func TestHedgedReadSharesTrace(t *testing.T) {
 
 // lastGetRef returns the most recent ref a fake saw (skipping the
 // setup put's).
-func lastGetRef(t *testing.T, f *tracedFake) obs.SpanRef {
+func lastGetRef(t *testing.T, f *fakeBackend) obs.SpanRef {
 	t.Helper()
 	refs := f.seen()
 	if len(refs) == 0 {
@@ -215,10 +148,10 @@ func lastGetRef(t *testing.T, f *tracedFake) obs.SpanRef {
 func TestBatchFanoutAcrossGroupsOneTrace(t *testing.T) {
 	tr := obs.New(obs.Config{Side: obs.SideClient, Ring: 16})
 	names := ShardNames(2)
-	backends := map[string]*tracedFake{}
+	backends := map[string]*fakeBackend{}
 	var shards []Shard
 	for _, name := range names {
-		b := newTracedFake()
+		b := newFake()
 		backends[name] = b
 		shards = append(shards, Shard{Name: name, Backend: b})
 	}

@@ -11,6 +11,7 @@ package core
 // reorder same-session replies.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -91,80 +92,21 @@ const maxPipelined = 16
 // a batch-level error after the frame was sent, write ops additionally
 // carry ErrUnconfirmed in their slots.
 func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
-	f, err := c.BatchAsync(ops)
+	return c.BatchContext(context.Background(), ops)
+}
+
+// BatchContext is Batch under ctx (see PutContext): the frame's deadline
+// is the earlier of Timeout and ctx's, so a parent budget propagates
+// through batch sub-ops instead of being silently extended; a spent ctx
+// fails fast with ErrTimeout — nothing reaches the wire, nothing is
+// unconfirmed; and the span ref ctx carries parents the batch span and
+// rides the sealed batch control to the server's batch span.
+func (c *Client) BatchContext(ctx context.Context, ops []BatchOp) ([]BatchResult, error) {
+	f, err := c.batchAsync(ctx, ops)
 	if err != nil {
 		return nil, err
 	}
 	return f.Wait()
-}
-
-// BatchTraced is Batch continuing a caller-supplied trace: the batch's
-// local span adopts ref's trace id (or forwards it verbatim when this
-// client has no tracer) and the context rides the sealed batch control
-// to the server, so the server-side batch span stitches under the same
-// end-to-end trace. A zero ref is identical to Batch.
-func (c *Client) BatchTraced(ref obs.SpanRef, ops []BatchOp) ([]BatchResult, error) {
-	f, err := c.batchAsync(ops, time.Time{}, ref)
-	if err != nil {
-		return nil, err
-	}
-	return f.Wait()
-}
-
-// BatchDeadlineTraced is BatchDeadline continuing a caller-supplied
-// trace (see BatchTraced).
-func (c *Client) BatchDeadlineTraced(ref obs.SpanRef, ops []BatchOp, deadline time.Time) ([]BatchResult, error) {
-	f, err := c.batchAsync(ops, deadline, ref)
-	if err != nil {
-		return nil, err
-	}
-	return f.Wait()
-}
-
-// BatchDeadline is Batch under a caller-supplied absolute deadline:
-// the frame's effective deadline is the earlier of the client's
-// configured Timeout and the parent's deadline, so a parent budget
-// propagates through batch sub-ops instead of being silently extended.
-// A deadline that is already spent fails fast with ErrTimeout before
-// anything is sent — nothing reaches the wire, nothing is unconfirmed.
-// A zero deadline means no parent bound (identical to Batch).
-func (c *Client) BatchDeadline(ops []BatchOp, deadline time.Time) ([]BatchResult, error) {
-	f, err := c.batchAsync(ops, deadline, obs.SpanRef{})
-	if err != nil {
-		return nil, err
-	}
-	return f.Wait()
-}
-
-// PutBatch stores values[i] under keys[i] as one batch frame.
-func (c *Client) PutBatch(keys []string, values [][]byte) ([]BatchResult, error) {
-	if len(keys) != len(values) {
-		return nil, fmt.Errorf("%w: %d keys, %d values", ErrTooLarge, len(keys), len(values))
-	}
-	ops := make([]BatchOp, len(keys))
-	for i := range keys {
-		ops[i] = BatchOp{Kind: BatchPut, Key: keys[i], Value: values[i]}
-	}
-	return c.Batch(ops)
-}
-
-// GetBatch fetches keys as one batch frame; results[i].Value holds
-// keys[i]'s value on success.
-func (c *Client) GetBatch(keys []string) ([]BatchResult, error) {
-	ops := make([]BatchOp, len(keys))
-	for i := range keys {
-		ops[i] = BatchOp{Kind: BatchGet, Key: keys[i]}
-	}
-	return c.Batch(ops)
-}
-
-// DeleteBatch removes keys as one batch frame.
-func (c *Client) DeleteBatch(keys []string) ([]BatchResult, error) {
-	ops := make([]BatchOp, len(keys))
-	for i := range keys {
-		ops[i] = BatchOp{Kind: BatchDelete, Key: keys[i]}
-	}
-	return c.Batch(ops)
 }
 
 // BatchAsync sends ops as one frame and returns immediately with a
@@ -172,14 +114,10 @@ func (c *Client) DeleteBatch(keys []string) ([]BatchResult, error) {
 // The frame is sent (with credit wait) before BatchAsync returns, so a
 // nil-error return means the request is on the wire.
 func (c *Client) BatchAsync(ops []BatchOp) (*BatchFuture, error) {
-	return c.batchAsync(ops, time.Time{}, obs.SpanRef{})
+	return c.batchAsync(context.Background(), ops)
 }
 
-// batchAsync is BatchAsync bounded by an optional parent deadline
-// (zero = none): the frame's deadline is the earlier of Timeout-from-
-// now and the parent's. ref, when valid, is the caller's trace context
-// to continue (see BatchTraced).
-func (c *Client) batchAsync(ops []BatchOp, parent time.Time, ref obs.SpanRef) (*BatchFuture, error) {
+func (c *Client) batchAsync(ctx context.Context, ops []BatchOp) (*BatchFuture, error) {
 	if len(ops) == 0 || len(ops) > wire.MaxBatchOps {
 		return nil, fmt.Errorf("%w: batch of %d ops (1..%d)", ErrTooLarge, len(ops), wire.MaxBatchOps)
 	}
@@ -205,14 +143,9 @@ func (c *Client) batchAsync(ops []BatchOp, parent time.Time, ref obs.SpanRef) (*
 	// this batch's budget, so a nearly-expired parent surfaces
 	// ErrTimeout here instead of fanning out doomed work with a
 	// quietly extended deadline.
-	deadline := time.Now().Add(c.cfg.Timeout)
-	if !parent.IsZero() && parent.Before(deadline) {
-		deadline = parent
-	}
-	if !time.Now().Before(deadline) {
-		// The parent's budget is already spent: nothing was sent,
-		// nothing is unconfirmed.
-		return nil, ErrTimeout
+	deadline, err := OpDeadline(ctx, c.cfg.Timeout)
+	if err != nil {
+		return nil, err
 	}
 	for len(c.inflight) >= c.window.Limit() {
 		// Drain the oldest reply before admitting more pipelined state.
@@ -224,22 +157,14 @@ func (c *Client) batchAsync(ops []BatchOp, parent time.Time, ref obs.SpanRef) (*
 			return nil, ErrTimeout
 		}
 	}
-	return c.startBatchLocked(ops, deadline, ref)
+	return c.startBatchLocked(ops, deadline, obs.RefFrom(ctx))
 }
 
 // startBatchLocked assembles, seals and sends one batch frame under its
 // own trace, which a failure before the frame is in the ring finishes
 // here. Called with mu held.
 func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.SpanRef) (*BatchFuture, error) {
-	var op *obs.Op
-	if tr := c.cfg.Tracer; tr != nil {
-		op = tr.Start(int(c.id), "batch")
-		op.SetClient(c.id)
-		// Continue the caller's trace (no-op on a zero ref) and
-		// propagate this batch's own span as the server's parent.
-		op.AdoptRef(ref)
-		ref = op.Ref()
-	}
+	op, ref := c.startTrace("batch", ref)
 	f, err := c.sendBatchLocked(ops, deadline, ref, op)
 	if err != nil {
 		op.SetError(err)

@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// batchOps builds one op of kind per key, values[i] riding with keys[i]
+// when given.
+func batchOps(kind BatchOpKind, keys []string, values ...[]byte) []BatchOp {
+	ops := make([]BatchOp, len(keys))
+	for i, k := range keys {
+		ops[i] = BatchOp{Kind: kind, Key: k}
+		if i < len(values) {
+			ops[i].Value = values[i]
+		}
+	}
+	return ops
+}
+
 // batchModes runs a subtest under each server storage mode the batch
 // path has a distinct branch for.
 func batchModes(t *testing.T, fn func(t *testing.T, tc *testCluster, c *Client)) {
@@ -41,7 +54,7 @@ func TestBatchPutGetDeleteRoundTrip(t *testing.T) {
 			keys[i] = fmt.Sprintf("batch-key-%d", i)
 			values[i] = bytes.Repeat([]byte{byte(i + 1)}, 10+i*13)
 		}
-		results, err := c.PutBatch(keys, values)
+		results, err := c.Batch(batchOps(BatchPut, keys, values...))
 		if err != nil {
 			t.Fatalf("PutBatch: %v", err)
 		}
@@ -50,7 +63,7 @@ func TestBatchPutGetDeleteRoundTrip(t *testing.T) {
 				t.Fatalf("put %d: %v", i, r.Err)
 			}
 		}
-		results, err = c.GetBatch(keys)
+		results, err = c.Batch(batchOps(BatchGet, keys))
 		if err != nil {
 			t.Fatalf("GetBatch: %v", err)
 		}
@@ -59,7 +72,7 @@ func TestBatchPutGetDeleteRoundTrip(t *testing.T) {
 				t.Fatalf("get %d: err=%v len=%d want %d", i, r.Err, len(r.Value), len(values[i]))
 			}
 		}
-		results, err = c.DeleteBatch(keys[:10])
+		results, err = c.Batch(batchOps(BatchDelete, keys[:10]))
 		if err != nil {
 			t.Fatalf("DeleteBatch: %v", err)
 		}
@@ -68,7 +81,7 @@ func TestBatchPutGetDeleteRoundTrip(t *testing.T) {
 				t.Fatalf("delete %d: %v", i, r.Err)
 			}
 		}
-		results, err = c.GetBatch(keys)
+		results, err = c.Batch(batchOps(BatchGet, keys))
 		if err != nil {
 			t.Fatalf("GetBatch after delete: %v", err)
 		}
@@ -212,7 +225,7 @@ func TestBatchInterleavedWithSingleOps(t *testing.T) {
 func TestBatchReplayRejectedPerOp(t *testing.T) {
 	tc := newCluster(t, ServerConfig{})
 	c := tc.connect()
-	if _, err := c.PutBatch([]string{"r1"}, [][]byte{[]byte("v")}); err != nil {
+	if _, err := c.Batch(batchOps(BatchPut, []string{"r1"}, []byte("v"))); err != nil {
 		t.Fatal(err)
 	}
 	// Force an oid reuse: the server must reject the whole batch with a
@@ -239,7 +252,7 @@ func TestBatchReplayRejectedPerOp(t *testing.T) {
 	c.mu.Lock()
 	c.oid += 2
 	c.mu.Unlock()
-	if _, err := c.GetBatch([]string{"r1"}); err != nil {
+	if _, err := c.Batch(batchOps(BatchGet, []string{"r1"})); err != nil {
 		t.Fatalf("post-replay batch: %v", err)
 	}
 }
@@ -263,9 +276,6 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := c.Batch([]BatchOp{{Kind: 0, Key: "k"}}); err == nil {
 		t.Error("invalid kind accepted")
 	}
-	if _, err := c.PutBatch([]string{"a", "b"}, [][]byte{[]byte("1")}); err == nil {
-		t.Error("mismatched PutBatch lengths accepted")
-	}
 	// A batch whose assembled frame exceeds the ring slot fails before
 	// sending — no partial application.
 	huge := make([]BatchOp, 4)
@@ -276,7 +286,7 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := c.Batch(huge); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("frame-oversized batch: %v", err)
 	}
-	if _, err := c.GetBatch([]string{"h0"}); err != nil {
+	if _, err := c.Batch(batchOps(BatchGet, []string{"h0"})); err != nil {
 		t.Fatalf("client unusable after rejected batch: %v", err)
 	}
 }
@@ -326,17 +336,17 @@ func TestBatchOwnerOnlyAccessControl(t *testing.T) {
 	tc.server.SetOwnerOnly(true)
 	owner := tc.connect()
 	other := tc.connect()
-	if _, err := owner.PutBatch([]string{"mine"}, [][]byte{[]byte("secret")}); err != nil {
+	if _, err := owner.Batch(batchOps(BatchPut, []string{"mine"}, []byte("secret"))); err != nil {
 		t.Fatal(err)
 	}
-	results, err := other.GetBatch([]string{"mine"})
+	results, err := other.Batch(batchOps(BatchGet, []string{"mine"}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(results[0].Err, ErrNotFound) {
 		t.Errorf("foreign batch get: %v, want ErrNotFound (pretend absence)", results[0].Err)
 	}
-	results, err = other.DeleteBatch([]string{"mine"})
+	results, err = other.Batch(batchOps(BatchDelete, []string{"mine"}))
 	if err != nil {
 		t.Fatal(err)
 	}

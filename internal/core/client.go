@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/ecdsa"
 	"encoding/binary"
 	"errors"
@@ -243,26 +244,61 @@ func (c *Client) ID() uint32 { return c.id }
 // unknown — the request may or may not have been applied — the error
 // matches both its cause (ErrTimeout or ErrReplay) and ErrUnconfirmed.
 func (c *Client) Put(key string, value []byte) error {
-	return c.PutTraced(obs.SpanRef{}, key, value)
+	return c.PutContext(context.Background(), key, value)
 }
 
-// PutTraced is Put carrying an upstream trace ref: the operation's
-// span joins the ref's trace and the context propagates to the server
-// inside the sealed control data, so the server-side spans stitch into
-// the same end-to-end trace. A zero ref is exactly Put.
-func (c *Client) PutTraced(ref obs.SpanRef, key string, value []byte) error {
+// PutContext is Put under ctx, the one carrier of a caller's deadline and
+// parent span (PROTOCOL.md §9): the operation runs until the earlier of
+// Timeout and ctx's deadline; a ctx already spent or cancelled fails with
+// ErrTimeout before anything is sent, so nothing is unconfirmed; and the
+// span ref ctx carries (obs.WithRef) parents this operation's span and
+// rides the sealed control data to the server, whose spans join the trace.
+func (c *Client) PutContext(ctx context.Context, key string, value []byte) error {
 	if len(key) == 0 || len(key) > wire.MaxKeyLen || len(value) > wire.MaxValueLen {
 		return ErrTooLarge
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
+	deadline, err := c.beginOp(ctx, "put")
+	if err != nil {
+		return err
 	}
-	c.beginOpRef("put", ref)
-	err := writeOutcome(c.putOnce(key, value, time.Now().Add(c.cfg.Timeout)))
+	err = writeOutcome(c.putOnce(key, value, deadline))
 	c.endOp(err)
 	return err
+}
+
+// OpDeadline is the one place an operation's effective deadline is
+// computed, at every layer (PROTOCOL.md §9): the earlier of now+timeout
+// and ctx's deadline — a caller's budget is never extended and never
+// extends the configured one — or CtxErr's error for a ctx already spent.
+func OpDeadline(ctx context.Context, timeout time.Duration) (time.Time, error) {
+	if err := CtxErr(ctx); err != nil {
+		return time.Time{}, err
+	}
+	deadline := time.Now().Add(timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	return deadline, nil
+}
+
+// CtxErr reports a ctx under which no further work may start —
+// cancelled, or its deadline passed — as ErrTimeout joined with the
+// ctx's error; nil while the ctx is live. The layers consult it where
+// they already consult the deadline — before a send, between retries,
+// failover steps and hedges — so what it refuses was never sent and is
+// never unconfirmed.
+func CtxErr(ctx context.Context) error {
+	err := ctx.Err()
+	if err == nil {
+		// A deadline can pass a moment before the ctx's timer fires.
+		if d, ok := ctx.Deadline(); !ok || time.Now().Before(d) {
+			return nil
+		}
+		err = context.DeadlineExceeded
+	}
+	return fmt.Errorf("%w: %w", ErrTimeout, err)
 }
 
 // traceCtx maps the in-flight span ref to its wire encoding (the zero
@@ -271,21 +307,37 @@ func traceCtx(r obs.SpanRef) wire.TraceContext {
 	return wire.TraceContext{TraceID: r.TraceID, ParentSpan: r.SpanID, Sampled: r.Sampled}
 }
 
-// beginOpRef starts the in-flight operation's trace (no-op when the
-// tracer is disabled). ref is the upstream trace ref, if any (the cluster
-// layer's quorum/hedge/batch parents): the local op adopts its trace, and
-// the context propagated on the wire is the local op's span — or, when
-// this connection has no tracer of its own, the caller's ref forwarded
-// verbatim so correlation survives tracer-less hops. Called with mu held.
-func (c *Client) beginOpRef(kind string, ref obs.SpanRef) {
-	if tr := c.cfg.Tracer; tr != nil {
-		c.curOp = tr.Start(int(c.id), kind)
-		c.curOp.SetClient(c.id)
-		c.curOp.AdoptRef(ref)
-		c.curRef = c.curOp.Ref()
-		return
+// beginOp is every single operation's entry: a closed connection is
+// ErrClosed and a spent ctx ErrTimeout — either way nothing is sent —
+// otherwise it returns the operation's effective deadline and starts its
+// trace under the span ref ctx carries. Called with mu held.
+func (c *Client) beginOp(ctx context.Context, kind string) (time.Time, error) {
+	if c.closed {
+		return time.Time{}, ErrClosed
 	}
-	c.curRef = ref
+	deadline, err := OpDeadline(ctx, c.cfg.Timeout)
+	if err == nil {
+		c.curOp, c.curRef = c.startTrace(kind, obs.RefFrom(ctx))
+	}
+	return deadline, err
+}
+
+// startTrace starts one operation's trace (nil when the tracer is
+// disabled) and returns beside it the context to propagate on the wire.
+// ref is the upstream trace, if any (the cluster layer's
+// quorum/hedge/batch parents): the local op adopts it and propagates its
+// own span — or, when this connection has no tracer of its own, the
+// caller's ref is forwarded verbatim so correlation survives tracer-less
+// hops.
+func (c *Client) startTrace(kind string, ref obs.SpanRef) (*obs.Op, obs.SpanRef) {
+	tr := c.cfg.Tracer
+	if tr == nil {
+		return nil, ref
+	}
+	op := tr.Start(int(c.id), kind)
+	op.SetClient(c.id)
+	op.AdoptRef(ref)
+	return op, op.Ref()
 }
 
 // endOp finishes the in-flight trace with the operation's outcome.
@@ -356,22 +408,23 @@ func writeOutcome(err error) error {
 // (ErrNotFound, ErrIntegrity, ErrClosed, ErrTooLarge) return
 // immediately.
 func (c *Client) Get(key string) ([]byte, error) {
-	return c.GetTraced(obs.SpanRef{}, key)
+	return c.GetContext(context.Background(), key)
 }
 
-// GetTraced is Get carrying an upstream trace ref — see PutTraced. A
-// zero ref is exactly Get.
-func (c *Client) GetTraced(ref obs.SpanRef, key string) ([]byte, error) {
+// GetContext is Get under ctx — see PutContext. The read-retry budget is
+// sliced from what ctx leaves of Timeout, and a ctx cancelled between
+// attempts stops the retries.
+func (c *Client) GetContext(ctx context.Context, key string) ([]byte, error) {
 	if len(key) == 0 || len(key) > wire.MaxKeyLen {
 		return nil, ErrTooLarge
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+	deadline, err := c.beginOp(ctx, "get")
+	if err != nil {
+		return nil, err
 	}
-	c.beginOpRef("get", ref)
-	value, err := c.getRetry(key)
+	value, err := c.getRetry(ctx, key, deadline)
 	c.endOp(err)
 	return value, err
 }
@@ -380,19 +433,16 @@ func (c *Client) GetTraced(ref obs.SpanRef, key string) ([]byte, error) {
 // CliAttempt sibling span (numbered 1..n) under the operation's single
 // trace, so retries are visible as a fan of attempts rather than
 // separate operations.
-func (c *Client) getRetry(key string) ([]byte, error) {
-	overall := time.Now().Add(c.cfg.Timeout)
+func (c *Client) getRetry(ctx context.Context, key string, overall time.Time) ([]byte, error) {
 	attempts := c.cfg.ReadRetries + 1
 	// Slice the budget so early attempts leave room for retries; the last
 	// attempt runs to the overall deadline regardless.
-	slice := c.cfg.Timeout / time.Duration(attempts)
-	if slice <= 0 {
-		slice = c.cfg.Timeout
-	}
+	now := time.Now()
+	slice := overall.Sub(now) / time.Duration(attempts)
 	backoff := c.cfg.RetryBase
 	var lastErr error
 	for a := 0; a < attempts; a++ {
-		deadline := time.Now().Add(slice)
+		deadline := now.Add(slice)
 		if a == attempts-1 || deadline.After(overall) {
 			deadline = overall
 		}
@@ -412,7 +462,7 @@ func (c *Client) getRetry(key string) ([]byte, error) {
 		// Bounded exponential backoff with ±50% jitter, capped by what is
 		// left of the operation's budget.
 		sleep := backoff/2 + time.Duration(rand.Int64N(int64(backoff)))
-		if !time.Now().Add(sleep).Before(overall) {
+		if ctx.Err() != nil || !time.Now().Add(sleep).Before(overall) {
 			break
 		}
 		bStart := c.curOp.Now()
@@ -420,6 +470,7 @@ func (c *Client) getRetry(key string) ([]byte, error) {
 		c.curOp.Span(obs.CliBackoff, bStart)
 		backoff *= 2
 		c.retries++
+		now = time.Now()
 	}
 	return nil, lastErr
 }
@@ -483,22 +534,21 @@ func (c *Client) openValue(opKey, mac, payload []byte) ([]byte, error) {
 // Delete removes key from the store. Like Put it is non-idempotent and
 // never retried; an unknown outcome matches ErrUnconfirmed.
 func (c *Client) Delete(key string) error {
-	return c.DeleteTraced(obs.SpanRef{}, key)
+	return c.DeleteContext(context.Background(), key)
 }
 
-// DeleteTraced is Delete carrying an upstream trace ref — see
-// PutTraced. A zero ref is exactly Delete.
-func (c *Client) DeleteTraced(ref obs.SpanRef, key string) error {
+// DeleteContext is Delete under ctx — see PutContext.
+func (c *Client) DeleteContext(ctx context.Context, key string) error {
 	if len(key) == 0 || len(key) > wire.MaxKeyLen {
 		return ErrTooLarge
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
+	deadline, err := c.beginOp(ctx, "delete")
+	if err != nil {
+		return err
 	}
-	c.beginOpRef("delete", ref)
-	err := writeOutcome(c.deleteOnce(key, time.Now().Add(c.cfg.Timeout)))
+	err = writeOutcome(c.deleteOnce(key, deadline))
 	c.endOp(err)
 	return err
 }

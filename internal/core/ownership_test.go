@@ -276,7 +276,7 @@ func TestOwnerOnlyToggleWhileReading(t *testing.T) {
 					got, err = r.c.Get("acl-key")
 				} else {
 					var res []BatchResult
-					if res, err = r.c.GetBatch([]string{"acl-key"}); err == nil {
+					if res, err = r.c.Batch(batchOps(BatchGet, []string{"acl-key"})); err == nil {
 						got, err = res[0].Value, res[0].Err
 					}
 				}

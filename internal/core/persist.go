@@ -38,9 +38,9 @@ var (
 // snapshotMagic versions the snapshot format.
 var snapshotMagic = []byte("PRECURSOR-SNAP-1")
 
-// snapshotV2Sentinel opens the v2 (value-log aware) snapshot plaintext.
-// v1 plaintext begins with the entry count, which can never plausibly be
-// ~4 billion, so the sentinel cleanly separates the formats.
+// snapshotV2Sentinel opens the snapshot plaintext. The retired v1 format
+// began with the entry count, which can never plausibly be ~4 billion, so
+// a v1-shaped plaintext is recognised — and refused as ErrSnapshotFormat.
 const snapshotV2Sentinel = 0xFFFFFFFF
 
 // Seal writes an authenticated, encrypted snapshot of the store to w and
@@ -53,7 +53,8 @@ const snapshotV2Sentinel = 0xFFFFFFFF
 // metadata, sequence numbers and log pointers, but no pool payloads —
 // those are already durable in the log. This is the fix for seal stalls:
 // serialization time (and the table lock hold) no longer scales with
-// total value bytes, only with entry count.
+// total value bytes, only with entry count. Without a log the snapshot
+// is the values' only durable home, so it is full.
 func (s *Server) Seal(w io.Writer) error {
 	return s.seal(w, s.vlog == nil)
 }
@@ -75,12 +76,7 @@ func (s *Server) seal(w io.Writer, full bool) error {
 		// the serialization lands in the new set (and possibly also in the
 		// snapshot — a harmless duplicate), never in neither.
 		s.beginDeltaSeal()
-		var plain []byte
-		if s.vlog != nil {
-			plain, err = s.serializeStateV2(full)
-		} else {
-			plain, err = s.serializeState()
-		}
+		plain, err := s.serializeState(full)
 		if err != nil {
 			s.abortDeltaSeal()
 			return err
@@ -257,51 +253,7 @@ func (s *Server) restore(r io.Reader, allowNewer bool) error {
 	})
 }
 
-// serializeState flattens every entry: metadata from the enclave table
-// plus its payload bytes from the untrusted pool.
-func (s *Server) serializeState() ([]byte, error) {
-	var out []byte
-	var failure error
-	out = binary.LittleEndian.AppendUint32(out, uint32(s.table.Len()))
-	s.table.Range(func(key string, e *entry) bool {
-		if len(key) > wire.MaxKeyLen {
-			failure = wire.ErrOversized
-			return false
-		}
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(key)))
-		out = append(out, key...)
-		out = append(out, e.opKey[:]...)
-		out = binary.LittleEndian.AppendUint32(out, e.owner)
-		flags := byte(0)
-		if e.hasMAC {
-			flags |= 1
-		}
-		if e.inline != nil {
-			flags |= 2
-		}
-		out = append(out, flags)
-		out = append(out, e.mac[:]...)
-		switch {
-		case e.inline != nil:
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(e.inline.Data)))
-			out = append(out, e.inline.Data...)
-		case e.ref.Valid():
-			stored, err := s.pool.Read(e.ref)
-			if err != nil {
-				failure = err
-				return false
-			}
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(stored)))
-			out = append(out, stored...)
-		default:
-			out = binary.LittleEndian.AppendUint32(out, 0)
-		}
-		return true
-	})
-	return out, failure
-}
-
-// serializeStateV2 flattens the store in the value-log-aware format:
+// serializeState flattens the store in the one snapshot format:
 //
 //	sentinel u32 | ver u8 (2) | flags u8 (bit0: payloads present) |
 //	watermark u64 | count u32 | entries...
@@ -314,8 +266,9 @@ func (s *Server) serializeState() ([]byte, error) {
 // are enclave state and small) but no pool payloads — an entry's value
 // lives in the log, reachable through its pointer. Full snapshots add
 // the payload bytes, read back from the log when not cached, and are
-// what the repair path streams to joiners.
-func (s *Server) serializeStateV2(full bool) ([]byte, error) {
+// what the repair path streams to joiners — and what a server without a
+// value log always writes (watermark and every seq 0, no pointers).
+func (s *Server) serializeState(full bool) ([]byte, error) {
 	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, snapshotV2Sentinel)
 	out = append(out, 2)
@@ -386,97 +339,25 @@ func (s *Server) serializeStateV2(full bool) ([]byte, error) {
 	return out, failure
 }
 
-// deserializeState rebuilds the table and pool from snapshot plaintext.
-func (s *Server) deserializeState(buf []byte) error {
-	if len(buf) < 4 {
-		return ErrSnapshotFormat
-	}
-	if binary.LittleEndian.Uint32(buf) == snapshotV2Sentinel {
-		return s.deserializeStateV2(buf[4:])
-	}
-	count := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-
-	// Drop current state, returning resources, then refill in place.
-	// Restore is intended to run before serving traffic (or during a
-	// quiesced window); concurrent requests observe a consistent table at
-	// every individual operation but may see a partially restored set.
-	s.table.Range(func(key string, e *entry) bool {
-		s.releaseEntry(e)
-		return true
-	})
-	s.table.Clear()
-
-	for i := uint32(0); i < count; i++ {
-		if len(buf) < 2 {
-			return ErrSnapshotFormat
-		}
-		keyLen := int(binary.LittleEndian.Uint16(buf))
-		buf = buf[2:]
-		if keyLen == 0 || keyLen > wire.MaxKeyLen || len(buf) < keyLen+wire.OpKeySize+4+1+wire.MACSize+4 {
-			return ErrSnapshotFormat
-		}
-		key := string(buf[:keyLen])
-		buf = buf[keyLen:]
-		e := &entry{}
-		copy(e.opKey[:], buf[:wire.OpKeySize])
-		buf = buf[wire.OpKeySize:]
-		e.owner = binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		flags := buf[0]
-		buf = buf[1:]
-		e.hasMAC = flags&1 != 0
-		inline := flags&2 != 0
-		copy(e.mac[:], buf[:wire.MACSize])
-		buf = buf[wire.MACSize:]
-		dataLen := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if dataLen > wire.MaxValueLen+64+wire.MACSize || len(buf) < dataLen {
-			return ErrSnapshotFormat
-		}
-		data := buf[:dataLen]
-		buf = buf[dataLen:]
-
-		place := s.placeStored
-		if inline {
-			place = s.placeInline
-		}
-		if err := place(e, data); err != nil {
-			return err
-		}
-		if s.vlog != nil {
-			// Migrating a legacy full snapshot into a value-log server:
-			// every value is re-appended so the log, not the snapshot,
-			// becomes its durable home. Requires a fresh log — appending
-			// into one with unreplayed segments fails.
-			if err := s.migrateEntryToVlog(key, e, data); err != nil {
-				return err
-			}
-		}
-		s.table.Put(key, e)
-	}
-	if len(buf) != 0 {
-		return ErrSnapshotFormat
-	}
-	return nil
-}
-
-// deserializeStateV2 rebuilds state from a v2 snapshot (see
-// serializeStateV2). Three cases:
+// deserializeState rebuilds state from snapshot plaintext (see
+// serializeState). Three cases:
 //
 //   - index-only + local value log: entries install with their sequence
 //     numbers and pointers into this node's own log; the caller must run
 //     ReplayVlog next to recover the post-snapshot tail.
-//   - full + local value log: a peer's snapshot — its pointers refer to
-//     the donor's log, so every value is re-appended into the local log
-//     under fresh sequences (requires a fresh log).
-//   - full + no value log: installs like a v1 snapshot, pointers ignored.
+//   - full + local value log: a peer's snapshot, or one sealed before this
+//     server had a log — its pointers, if any, refer to the donor's log,
+//     so every value is re-appended into the local log under fresh
+//     sequences (requires a fresh log: appending into one with unreplayed
+//     segments fails).
+//   - full + no value log: installs values into the pool, pointers ignored.
 //
 // Index-only without a local log is unrecoverable and refused.
-func (s *Server) deserializeStateV2(buf []byte) error {
-	if len(buf) < 14 || buf[0] != 2 {
+func (s *Server) deserializeState(buf []byte) error {
+	if len(buf) < 18 || binary.LittleEndian.Uint32(buf) != snapshotV2Sentinel || buf[4] != 2 {
 		return ErrSnapshotFormat
 	}
+	buf = buf[4:]
 	full := buf[1]&1 != 0
 	watermark := binary.LittleEndian.Uint64(buf[2:])
 	count := binary.LittleEndian.Uint32(buf[10:])
@@ -486,6 +367,10 @@ func (s *Server) deserializeStateV2(buf []byte) error {
 	}
 	migrate := full && s.vlog != nil
 
+	// Drop current state, returning resources, then refill in place.
+	// Restore is intended to run before serving traffic (or during a
+	// quiesced window); concurrent requests observe a consistent table at
+	// every individual operation but may see a partially restored set.
 	s.table.Range(func(key string, e *entry) bool {
 		s.releaseEntry(e)
 		return true
@@ -550,11 +435,17 @@ func (s *Server) deserializeStateV2(buf []byte) error {
 			return err
 		}
 		if migrate {
-			// Donor pointers mean nothing here: re-home the value.
+			// Donor pointers mean nothing here: re-home the value into the
+			// local log under a fresh sequence number. An inline value needs
+			// no payload bytes — e holds it, the record's metadata carries it.
 			e.vptr, e.seq = vlog.Ptr{}, 0
-			if err := s.migrateEntryToVlog(key, e, data); err != nil {
-				return err
+			if e.inline != nil {
+				data = nil
 			}
+			if err := s.vlogPut(key, e, data); err != nil {
+				return fmt.Errorf("migrate %q into value log: %w", key, err)
+			}
+			s.vlogTrack.applied(e.seq)
 		}
 		s.table.Put(key, e)
 	}

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
+
+	"precursor/internal/cryptox"
+	"precursor/internal/wire"
 )
 
 // sealAndCapture seals the server state into a buffer.
@@ -113,6 +117,52 @@ func TestSnapshotGarbageRejected(t *testing.T) {
 	}
 	if err := tc.server.Restore(bytes.NewReader(nil)); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("empty: got %v", err)
+	}
+}
+
+// TestSnapshotV1ShapedPlaintextRejected pins the retirement of the v1
+// codec: a blob that authenticates under the sealing key at the current
+// counter — everything a genuine v1 snapshot would have — but whose
+// plaintext opens with an entry count instead of the v2 sentinel is a
+// typed format error, and the store it was fed to is left as it was.
+func TestSnapshotV1ShapedPlaintextRejected(t *testing.T) {
+	tc := newCluster(t, ServerConfig{})
+	c := tc.connect()
+	if err := c.Put("kept", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	// The v1 body: count u32, then keyLen u16 | key | opKey | owner u32 |
+	// flags u8 | mac | dataLen u32 | data per entry.
+	plain := binary.LittleEndian.AppendUint32(nil, 1)
+	plain = binary.LittleEndian.AppendUint16(plain, 1)
+	plain = append(plain, 'k')
+	plain = append(plain, make([]byte, wire.OpKeySize+4+1+wire.MACSize)...)
+	plain = binary.LittleEndian.AppendUint32(plain, 0)
+
+	key, err := tc.server.enclave.SealingKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead, err := cryptox.NewAEAD(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ad [8]byte
+	binary.LittleEndian.PutUint64(ad[:], tc.server.RollbackCounter())
+	sealed, err := aead.Seal(plain, ad[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := append([]byte(nil), snapshotMagic...)
+	blob = append(blob, ad[:]...)
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(sealed)))
+	blob = append(blob, sealed...)
+
+	if err := tc.server.Restore(bytes.NewReader(blob)); !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("v1-shaped plaintext: %v, want ErrSnapshotFormat", err)
+	}
+	if got, err := c.Get("kept"); err != nil || string(got) != "v" {
+		t.Errorf("store after the refused restore: %q %v", got, err)
 	}
 }
 

@@ -11,6 +11,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -136,7 +137,7 @@ func TestBatchDeadlineSpentParentFailsFast(t *testing.T) {
 		{Kind: BatchGet, Key: "k"},
 	}
 	start := time.Now()
-	_, err := c.BatchDeadline(ops, time.Now().Add(-time.Second))
+	_, err := c.BatchContext(deadlineCtx(t, time.Now().Add(-time.Second)), ops)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("spent parent deadline: got %v, want ErrTimeout", err)
 	}
@@ -157,15 +158,23 @@ func TestBatchDeadlineSpentParentFailsFast(t *testing.T) {
 	}
 
 	// The session is untouched: the same ops apply normally afterwards,
-	// both with a live parent deadline and with the zero (no-bound) one.
-	res, err := c.BatchDeadline(ops, time.Now().Add(5*time.Second))
+	// both with a live parent deadline and with no parent bound at all.
+	res, err := c.BatchContext(deadlineCtx(t, time.Now().Add(5*time.Second)), ops)
 	if err != nil || res[0].Err != nil || res[1].Err != nil {
-		t.Fatalf("BatchDeadline with live parent: %v, %v", err, res)
+		t.Fatalf("BatchContext with live parent: %v, %v", err, res)
 	}
-	res, err = c.BatchDeadline([]BatchOp{{Kind: BatchGet, Key: "k"}}, time.Time{})
+	res, err = c.BatchContext(context.Background(), []BatchOp{{Kind: BatchGet, Key: "k"}})
 	if err != nil || res[0].Err != nil || !bytes.Equal(res[0].Value, []byte("v")) {
-		t.Fatalf("BatchDeadline with zero parent: %v, %v", err, res)
+		t.Fatalf("BatchContext with no parent deadline: %v, %v", err, res)
 	}
+}
+
+// deadlineCtx is a ctx that carries only the given deadline.
+func deadlineCtx(t *testing.T, d time.Time) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithDeadline(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
 }
 
 // TestBatchDeadlineCoversBackpressureWait pins the deadline-stamping
@@ -187,7 +196,7 @@ func TestBatchDeadlineCoversBackpressureWait(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	// Parent is now spent. The op must fail fast with ErrTimeout even
 	// though the client could send immediately.
-	_, err := c.BatchDeadline([]BatchOp{{Kind: BatchPut, Key: "x", Value: []byte("v")}}, parent)
+	_, err := c.BatchContext(deadlineCtx(t, parent), []BatchOp{{Kind: BatchPut, Key: "x", Value: []byte("v")}})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout for a parent spent before entry", err)
 	}

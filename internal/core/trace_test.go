@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -78,8 +79,8 @@ func TestTracePropagationSingleOp(t *testing.T) {
 	}
 }
 
-// TestTracePropagationExplicitRef checks the *Traced entry points adopt
-// a caller-provided parent ref (the cluster layer's path), so the
+// TestTracePropagationExplicitRef checks the …Context entry points adopt
+// the parent ref their ctx carries (the cluster layer's path), so the
 // server's span chains to the original root, not a fresh trace.
 func TestTracePropagationExplicitRef(t *testing.T) {
 	_, c, srvTr, _ := tracedPair(t, ServerConfig{})
@@ -87,14 +88,15 @@ func TestTracePropagationExplicitRef(t *testing.T) {
 	root := obs.New(obs.Config{Side: obs.SideClient, Ring: 8})
 	op := root.Start(0, "cluster-put")
 	ref := op.Ref()
-	if err := c.PutTraced(ref, "k", []byte("v")); err != nil {
-		t.Fatalf("PutTraced: %v", err)
+	ctx := obs.WithRef(context.Background(), ref)
+	if err := c.PutContext(ctx, "k", []byte("v")); err != nil {
+		t.Fatalf("PutContext: %v", err)
 	}
-	if v, err := c.GetTraced(ref, "k"); err != nil || string(v) != "v" {
-		t.Fatalf("GetTraced = %q, %v", v, err)
+	if v, err := c.GetContext(ctx, "k"); err != nil || string(v) != "v" {
+		t.Fatalf("GetContext = %q, %v", v, err)
 	}
-	if err := c.DeleteTraced(ref, "k"); err != nil {
-		t.Fatalf("DeleteTraced: %v", err)
+	if err := c.DeleteContext(ctx, "k"); err != nil {
+		t.Fatalf("DeleteContext: %v", err)
 	}
 	op.Finish()
 

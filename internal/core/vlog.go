@@ -708,22 +708,6 @@ func (s *Server) relocateRecord(key string, payload []byte, tombstone bool, seq 
 	return nil
 }
 
-// migrateEntryToVlog re-homes one restored entry into the local value
-// log under a fresh sequence number: used when a payload-carrying
-// snapshot (legacy v1, or a peer's full v2) lands on a value-log
-// server. data is the entry's snapshot bytes: its stored payload, or the
-// inline value, which e already holds and the record's metadata carries.
-func (s *Server) migrateEntryToVlog(key string, e *entry, data []byte) error {
-	if e.inline != nil {
-		data = nil
-	}
-	if err := s.vlogPut(key, e, data); err != nil {
-		return fmt.Errorf("migrate %q into value log: %w", key, err)
-	}
-	s.vlogTrack.applied(e.seq)
-	return nil
-}
-
 // vlogStats assembles the VlogStats snapshot (nil when disabled).
 func (s *Server) vlogStats() *VlogStats {
 	if s.vlog == nil {

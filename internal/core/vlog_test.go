@@ -509,22 +509,8 @@ func TestVlogMigrateLegacySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := sgx.AsTrustedCounter(sgx.NewMonotonicCounter())
-	fabric := rdma.NewFabric()
-	donorDev, err := fabric.NewDevice("donor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	donor, err := NewServer(donorDev, ServerConfig{
-		Platform: platform, RollbackCounter: counter,
-		Workers: 4, PollInterval: time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(donor.Close)
-	dtc := &testCluster{t: t, fabric: fabric, platform: platform, server: donor, srvDev: donorDev}
-	dc := dtc.connect()
+	dtc := bootMemoryOnly(t, platform)
+	donor, dc := dtc.server, dtc.connect()
 	for i := 0; i < 30; i++ {
 		mustPut(t, dc, fmt.Sprintf("mig-%02d", i), bytes.Repeat([]byte{byte(i)}, 500))
 	}
@@ -541,7 +527,7 @@ func TestVlogMigrateLegacySnapshot(t *testing.T) {
 	})
 	tc := h.boot()
 	if err := tc.server.RestoreReplica(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatalf("RestoreReplica(v1): %v", err)
+		t.Fatalf("RestoreReplica(full snapshot of a log-less donor): %v", err)
 	}
 	c := tc.connect()
 	for i := 0; i < 30; i++ {
@@ -560,6 +546,91 @@ func TestVlogMigrateLegacySnapshot(t *testing.T) {
 	c2 := tc2.connect()
 	if got, err := c2.Get("mig-07"); err != nil || len(got) != 500 {
 		t.Fatalf("mig-07 after migration+crash: %v", err)
+	}
+}
+
+// bootMemoryOnly starts a server without a value log on the given
+// platform (so its snapshots open on any server sharing it), with a
+// trusted counter of its own.
+func bootMemoryOnly(t *testing.T, platform *sgx.Platform) *testCluster {
+	t.Helper()
+	fabric := rdma.NewFabric()
+	dev, err := fabric.NewDevice(fmt.Sprintf("memory-only-%d", time.Now().UnixNano()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := NewServer(dev, ServerConfig{
+		Platform: platform, RollbackCounter: sgx.AsTrustedCounter(sgx.NewMonotonicCounter()),
+		Workers: 4, PollInterval: time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(server.Close)
+	return &testCluster{t: t, fabric: fabric, platform: platform, server: server, srvDev: dev}
+}
+
+// TestSnapshotRestoreMatrix: one snapshot format moves state between
+// servers with and without a value log. A log-less server seals what a
+// value-log server's repair path streams — a full snapshot — so every
+// pairing installs through the same reader: into the pool when the
+// joiner has no log (donor pointers ignored), re-homed into the joiner's
+// own log when it has one. (Value log → value log is
+// TestVlogFullSnapshotForRepair.)
+func TestSnapshotRestoreMatrix(t *testing.T) {
+	for _, m := range []struct {
+		name                  string
+		donorVlog, joinerVlog bool
+	}{
+		{name: "no-vlog to no-vlog"},
+		{name: "no-vlog to vlog (migrates)", joinerVlog: true},
+		{name: "vlog full to no-vlog", donorVlog: true},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			platform, err := sgx.NewPlatform()
+			if err != nil {
+				t.Fatal(err)
+			}
+			boot := func(withVlog bool, seed int64) *testCluster {
+				if !withVlog {
+					return bootMemoryOnly(t, platform)
+				}
+				return newVlogHarness(t, seed, func(cfg *ServerConfig) {
+					cfg.Platform = platform
+					cfg.Vlog.InlineMax = 1
+				}).boot()
+			}
+			donor := boot(m.donorVlog, 41)
+			dc := donor.connect()
+			for i := 0; i < 20; i++ {
+				mustPut(t, dc, fmt.Sprintf("mx-%02d", i), bytes.Repeat([]byte{byte(i + 1)}, 600))
+			}
+			// Two seals put the donor's counter ahead of the joiner's, so
+			// this is the replica-restore path either way.
+			var snap bytes.Buffer
+			for i := 0; i < 2; i++ {
+				snap.Reset()
+				if err := donor.server.seal(&snap, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			joiner := boot(m.joinerVlog, 42)
+			if err := joiner.server.RestoreReplica(bytes.NewReader(snap.Bytes())); err != nil {
+				t.Fatalf("RestoreReplica: %v", err)
+			}
+			jc := joiner.connect()
+			for i := 0; i < 20; i++ {
+				got, err := jc.Get(fmt.Sprintf("mx-%02d", i))
+				if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i + 1)}, 600)) {
+					t.Fatalf("mx-%02d on the joiner: %d bytes, %v", i, len(got), err)
+				}
+			}
+			if m.joinerVlog {
+				if n := joiner.server.Stats().Vlog.Log.AppendedRecords; n < 20 {
+					t.Errorf("joiner log took %d appends, want the 20 migrated values", n)
+				}
+			}
+		})
 	}
 }
 

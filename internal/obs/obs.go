@@ -22,6 +22,7 @@
 package obs
 
 import (
+	"context"
 	"log/slog"
 	"math"
 	"math/rand/v2"
@@ -212,6 +213,27 @@ type SpanRef struct {
 
 // Valid reports whether the ref actually references a trace.
 func (r SpanRef) Valid() bool { return r.TraceID != 0 }
+
+// refKey is the context key a SpanRef travels under.
+type refKey struct{}
+
+// WithRef returns a context carrying ref as the parent span of whatever
+// runs under it: every layer of the op path reads it with RefFrom and
+// records its own work as a child. An invalid ref returns ctx itself, so
+// an untraced caller derives (and allocates) nothing.
+func WithRef(ctx context.Context, ref SpanRef) context.Context {
+	if !ref.Valid() {
+		return ctx
+	}
+	return context.WithValue(ctx, refKey{}, ref)
+}
+
+// RefFrom returns the SpanRef ctx carries, the zero ref when it carries
+// none.
+func RefFrom(ctx context.Context) SpanRef {
+	ref, _ := ctx.Value(refKey{}).(SpanRef)
+	return ref
+}
 
 // Span is one timed stage within a trace.
 type Span struct {
@@ -759,6 +781,18 @@ func (o *Op) AdoptRef(r SpanRef) {
 	o.id = r.TraceID
 	o.parent = r.SpanID
 	o.sampled = r.Sampled
+}
+
+// Continue stitches this operation under the span ctx carries and
+// returns a context carrying the operation's own span, for its children.
+// On a nil Op it returns ctx itself: a layer without a tracer forwards
+// its caller's ref verbatim and allocates nothing.
+func (o *Op) Continue(ctx context.Context) context.Context {
+	if o == nil {
+		return ctx
+	}
+	o.AdoptRef(RefFrom(ctx))
+	return WithRef(ctx, o.Ref())
 }
 
 // TraceID returns the operation's current trace id (0 on nil). Useful

@@ -66,6 +66,7 @@ type Writer struct {
 	slotSize    int
 	credit      *rdma.MemoryRegion // local; remote reader deposits consumed-count here
 	sent        uint64
+	consumed    uint64 // last credit value accepted from the peer
 	signalEvery uint64
 	wrID        uint64
 	frame       []byte // reusable staging buffer
@@ -122,10 +123,18 @@ func (w *Writer) Available() int {
 	return w.availableLocked()
 }
 
+// availableLocked reads the credit word as what it is — outside input,
+// written by an untrusted peer over an untrusted wire. A cumulative
+// consumed-count can only lie in [last accepted, sent]; anything else (a
+// flipped bit, a replayed or forged write) is ignored in favour of the
+// last accepted value, so sent−consumed can never underflow and leave
+// the writer without credit for good. The reader's next credit write
+// overwrites the bad word.
 func (w *Writer) availableLocked() int {
-	consumed := w.credit.ReadUint64(0)
-	inFlight := w.sent - consumed
-	return int(w.slots - inFlight)
+	if c := w.credit.ReadUint64(0); c >= w.consumed && c <= w.sent {
+		w.consumed = c
+	}
+	return int(w.slots - (w.sent - w.consumed))
 }
 
 // TryWrite attempts to place msg into the next slot. It returns false —

@@ -14,10 +14,11 @@ import (
 
 // testRing wires a writer on devA to a ring registered on devB.
 type testRing struct {
-	fabric *rdma.Fabric
-	ringMR *rdma.MemoryRegion
-	writer *Writer
-	reader *Reader
+	fabric   *rdma.Fabric
+	ringMR   *rdma.MemoryRegion
+	creditMR *rdma.MemoryRegion // the writer's credit word, which the reader deposits into
+	writer   *Writer
+	reader   *Reader
 }
 
 func newTestRing(t *testing.T, slots, slotSize, creditEvery int) *testRing {
@@ -50,7 +51,7 @@ func newTestRing(t *testing.T, slots, slotSize, creditEvery int) *testRing {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testRing{fabric: f, ringMR: ring, writer: w, reader: r}
+	return &testRing{fabric: f, ringMR: ring, creditMR: credit, writer: w, reader: r}
 }
 
 func TestRoundTripSingle(t *testing.T) {
@@ -181,6 +182,50 @@ func TestCorruptFramingSkipped(t *testing.T) {
 			}
 			if msg, ready, err := tr.reader.Poll(); !ready || err != nil || string(msg) != "second" {
 				t.Fatalf("frame behind the mangled slot: %q ready=%v err=%v", msg, ready, err)
+			}
+		})
+	}
+}
+
+// TestCorruptCreditIgnored: the credit word is written by the untrusted
+// peer, so a value outside [last accepted, sent] — a flipped bit, a
+// replayed or forged write — must change nothing: the writer keeps the
+// credit it last accepted (never more, never none) and the reader's next
+// genuine credit write takes over.
+func TestCorruptCreditIgnored(t *testing.T) {
+	for name, word := range map[string]uint64{
+		"flipped top bit":      2 | 1<<63, // at the parent commit: sent−consumed underflows, no credit ever again
+		"beyond sent":          7,         // would grant slots still unread
+		"behind last accepted": 1,         // a replayed older count
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr := newTestRing(t, 4, 64, 1)
+			for i := 0; i < 3; i++ {
+				if err := tr.writer.Write([]byte("frame")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if _, ready, err := tr.reader.Poll(); !ready || err != nil {
+					t.Fatalf("poll %d: ready=%v err=%v", i, ready, err)
+				}
+			}
+			if got := tr.writer.Available(); got != 3 {
+				t.Fatalf("available after 3 sent, 2 consumed = %d, want 3", got)
+			}
+			tr.creditMR.WriteUint64(0, word)
+			if got := tr.writer.Available(); got != 3 {
+				t.Fatalf("available after credit word %#x = %d, want the last accepted 3", word, got)
+			}
+			if ok, err := tr.writer.TryWrite([]byte("after")); !ok || err != nil {
+				t.Fatalf("write after the bad credit word: ok=%v err=%v", ok, err)
+			}
+			// The reader's next deposit overwrites the bad word.
+			if _, ready, err := tr.reader.Poll(); !ready || err != nil {
+				t.Fatalf("poll after the bad credit word: ready=%v err=%v", ready, err)
+			}
+			if got := tr.writer.Available(); got != 3 {
+				t.Fatalf("available after 4 sent, 3 consumed = %d, want 3", got)
 			}
 		})
 	}

@@ -1,12 +1,15 @@
 package precursor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
+	"precursor/internal/core"
 	"precursor/internal/overload"
 )
 
@@ -20,18 +23,20 @@ import (
 // for concurrent use by many goroutines.
 //
 // A pool built with NewPool self-heals: when an operation fails with
-// ErrClosed the dead connection is discarded and a background goroutine
-// redials (with backoff) to restore capacity. While capacity is degraded,
+// ErrClosed, or a connection's operations time out wedgedAfter times in
+// a row, the connection is discarded and a background goroutine redials
+// (with backoff) to restore capacity. While capacity is degraded,
 // acquire waits are bounded — an operation that cannot borrow a
-// connection within the pool's timeout fails with an error wrapping
-// ErrTimeout rather than blocking forever, so a cluster breaker sitting
-// above the pool can trip instead of hanging.
+// connection within the pool's timeout or its ctx's deadline fails with
+// an error wrapping ErrTimeout rather than blocking forever, so a
+// cluster breaker sitting above the pool can trip instead of hanging.
 type Pool struct {
-	mu      sync.Mutex
-	free    []*Client
-	all     []*Client
-	waiters []chan *Client
-	closed  bool
+	mu       sync.Mutex
+	free     []*Client
+	all      []*Client
+	waiters  []chan *Client
+	closed   bool
+	timeouts map[*Client]int // consecutive timed-out ops per connection (see finish)
 
 	// redial re-establishes one connection after a dead one is discarded
 	// (nil for NewPoolFromClients: the pool cannot re-dial in-process
@@ -72,6 +77,7 @@ func NewPool(addr string, cfg DialConfig, size int) (*Pool, error) {
 		wait = defaultAcquireWait
 	}
 	p := &Pool{
+		timeouts:    make(map[*Client]int),
 		redial:      func() (*Client, error) { return Dial(addr, cfg) },
 		waitTimeout: wait,
 		budget:      overload.NewRetryBudget(overload.DefaultBudgetMax, overload.DefaultBudgetRatio),
@@ -103,8 +109,9 @@ func NewPoolFromClients(clients []*Client) (*Pool, error) {
 	return p, nil
 }
 
-// acquire borrows a connection, waiting (bounded) if all are busy.
-func (p *Pool) acquire() (*Client, error) {
+// acquire borrows a connection, waiting if all are busy — for at most
+// the pool's timeout, and never past ctx's deadline or cancellation.
+func (p *Pool) acquire(ctx context.Context) (*Client, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -129,40 +136,46 @@ func (p *Pool) acquire() (*Client, error) {
 	p.waiters = append(p.waiters, ch)
 	p.mu.Unlock()
 
-	timer := time.NewTimer(p.waitTimeout)
-	defer timer.Stop()
-	select {
-	case c, ok := <-ch:
-		if !ok || c == nil {
-			return nil, ErrPoolClosed
+	deadline, err := core.OpDeadline(ctx, p.waitTimeout)
+	if err == nil {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		select {
+		case c, ok := <-ch:
+			if !ok || c == nil {
+				return nil, ErrPoolClosed
+			}
+			return c, nil
+		case <-timer.C:
+			err = ErrTimeout
+		case <-ctx.Done():
+			err = core.CtxErr(ctx)
 		}
-		return c, nil
-	case <-timer.C:
 	}
 
-	// Timed out: retract the waiter entry. A release may hand us a
+	// Gave up: retract the waiter entry. A release may hand us a
 	// connection concurrently — if it already did (our entry is gone),
 	// take the connection from the channel and put it back in rotation.
 	p.mu.Lock()
-	for i, w := range p.waiters {
-		if w == ch {
-			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-			p.mu.Unlock()
-			return nil, fmt.Errorf("precursor: pool acquire: %w", ErrTimeout)
-		}
+	i := slices.Index(p.waiters, ch)
+	if i >= 0 {
+		p.waiters = slices.Delete(p.waiters, i, i+1)
 	}
 	p.mu.Unlock()
-	if c, ok := <-ch; ok && c != nil {
-		p.release(c)
+	if i < 0 {
+		if c, ok := <-ch; ok && c != nil {
+			p.mu.Lock()
+			p.release(c)
+		}
 	}
-	return nil, fmt.Errorf("precursor: pool acquire: %w", ErrTimeout)
+	return nil, fmt.Errorf("precursor: pool acquire: %w", err)
 }
 
 // release returns a connection, handing it to a waiter if any. If the
 // pool was closed while the connection was borrowed, the connection is
-// closed here instead of being re-pooled.
+// closed here instead of being re-pooled. Called with mu held (every
+// caller has state of its own to settle under it first); unlocks it.
 func (p *Pool) release(c *Client) {
-	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		_ = c.Close()
@@ -179,17 +192,35 @@ func (p *Pool) release(c *Client) {
 	p.mu.Unlock()
 }
 
-// finish returns a connection after an operation: a connection whose
+// wedgedAfter is how many operations in a row a connection may time out,
+// with none answered between, before the pool stops trusting it.
+const wedgedAfter = 3
+
+// finish returns a connection after an operation. A connection whose
 // operation failed with ErrClosed is dead protocol-wise (its session and
-// oid sequence are gone), so instead of re-pooling it we discard it and
-// redial a replacement in the background.
-func (p *Pool) finish(c *Client, err error) {
-	if err == nil || !errors.Is(err, ErrClosed) || p.redial == nil {
+// oid sequence are gone), and one whose operations only ever time out is
+// wedged (credits or replies lost for good): instead of re-pooling either
+// we discard it and redial a replacement in the background. ownTimeout
+// marks an operation that ran out its connection's own Timeout — a
+// timeout the caller's shorter ctx deadline imposed says nothing about
+// the connection.
+func (p *Pool) finish(c *Client, err error, ownTimeout bool) {
+	p.mu.Lock()
+	dead := false
+	if p.redial != nil {
+		dead = errors.Is(err, ErrClosed)
+		if ownTimeout {
+			p.timeouts[c]++
+			dead = dead || p.timeouts[c] >= wedgedAfter
+		} else if len(p.timeouts) > 0 {
+			delete(p.timeouts, c)
+		}
+	}
+	if !dead {
 		p.release(c)
 		return
 	}
-	_ = c.Close()
-	p.mu.Lock()
+	delete(p.timeouts, c)
 	for i, pc := range p.all {
 		if pc == c {
 			p.all = append(p.all[:i], p.all[i+1:]...)
@@ -198,6 +229,7 @@ func (p *Pool) finish(c *Client, err error) {
 	}
 	stopped := p.closed
 	p.mu.Unlock()
+	_ = c.Close()
 	if !stopped {
 		go p.redialLoop()
 	}
@@ -259,13 +291,9 @@ func (p *Pool) redialLoop() {
 		p.redialFailures = 0
 		p.redialMu.Unlock()
 		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			_ = c.Close()
-			return
+		if !p.closed {
+			p.all = append(p.all, c)
 		}
-		p.all = append(p.all, c)
-		p.mu.Unlock()
 		p.release(c)
 		return
 	}
@@ -275,18 +303,29 @@ func (p *Pool) redialLoop() {
 // after RETRY_LATER, even when the budget would fund more.
 const maxShedRetries = 3
 
-// withShedRetry runs op (which must acquire/finish its own connection
-// per attempt), retrying admission-control sheds under the pool's
-// shared retry budget. A shed is safe to retry for reads AND writes —
-// the sealed RETRY_LATER guarantees the server did not apply the op —
-// but each retry spends a budget token; when the bucket is empty the
-// shed error is returned as-is, which is what bounds fleet-wide retry
-// amplification. Between attempts the server's backoff hint (or a
-// small default) is honored with jitter.
-func (p *Pool) withShedRetry(op func() error) error {
+// do is the pool's one borrow path: check ctx, borrow a connection, run
+// op on it, return it — retrying admission-control sheds under the
+// pool's shared retry budget, each attempt on a freshly borrowed
+// connection. A shed is safe to retry for reads AND writes — the sealed
+// RETRY_LATER guarantees the server did not apply the op — but each
+// retry spends a budget token; when the bucket is empty the shed error
+// is returned as-is, which is what bounds fleet-wide retry
+// amplification. Between attempts the server's backoff hint (or a small
+// default) is honored with jitter, unless it would overrun ctx's
+// deadline. A spent or cancelled ctx fails with ErrTimeout before a
+// connection is borrowed: nothing sent, nothing unconfirmed.
+func (p *Pool) do(ctx context.Context, op func(*Client) error) error {
 	backoff := 2 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		err := op()
+		if err := core.CtxErr(ctx); err != nil {
+			return err
+		}
+		c, err := p.acquire(ctx)
+		if err != nil {
+			return err
+		}
+		err = op(c)
+		p.finish(c, err, errors.Is(err, ErrTimeout) && core.CtxErr(ctx) == nil)
 		if err == nil {
 			p.budget.OnSuccess()
 			return nil
@@ -298,7 +337,11 @@ func (p *Pool) withShedRetry(op func() error) error {
 		if errors.As(err, &rl) && rl.Hint > backoff {
 			backoff = rl.Hint
 		}
-		time.Sleep(overload.Jitter(backoff))
+		sleep := overload.Jitter(backoff)
+		if d, ok := ctx.Deadline(); ok && time.Until(d) < sleep {
+			return err
+		}
+		time.Sleep(sleep)
 		backoff *= 2
 	}
 }
@@ -312,28 +355,27 @@ func (p *Pool) Budget() *overload.RetryBudget { return p.budget }
 // shed is retried under the pool's retry budget (the server guarantees
 // a shed write was not applied, so the retry cannot double-apply).
 func (p *Pool) Put(key string, value []byte) error {
-	return p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		err = c.Put(key, value)
-		p.finish(c, err)
-		return err
-	})
+	return p.PutContext(context.Background(), key, value)
+}
+
+// PutContext is Put under ctx (PROTOCOL.md §9): its deadline bounds the
+// wait for a connection, the shed retries and the operation itself, and
+// the span ref it carries (WithSpan) travels with whichever connection the
+// op borrows — shed retries included, so every attempt lands in one trace.
+func (p *Pool) PutContext(ctx context.Context, key string, value []byte) error {
+	return p.do(ctx, func(c *Client) error { return c.PutContext(ctx, key, value) })
 }
 
 // Get fetches and verifies the value for key. RETRY_LATER sheds are
 // retried under the pool's retry budget.
 func (p *Pool) Get(key string) ([]byte, error) {
-	var v []byte
-	err := p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		v, err = c.Get(key)
-		p.finish(c, err)
+	return p.GetContext(context.Background(), key)
+}
+
+// GetContext is Get under ctx (see PutContext).
+func (p *Pool) GetContext(ctx context.Context, key string) (v []byte, err error) {
+	err = p.do(ctx, func(c *Client) (err error) {
+		v, err = c.GetContext(ctx, key)
 		return err
 	})
 	return v, err
@@ -342,60 +384,12 @@ func (p *Pool) Get(key string) ([]byte, error) {
 // Delete removes key. RETRY_LATER sheds are retried under the pool's
 // retry budget.
 func (p *Pool) Delete(key string) error {
-	return p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		err = c.Delete(key)
-		p.finish(c, err)
-		return err
-	})
+	return p.DeleteContext(context.Background(), key)
 }
 
-// PutTraced is Put continuing a caller-supplied trace: whichever
-// connection the op borrows adopts ref's trace and carries it to the
-// server inside the sealed control data (see Client.PutTraced). Shed
-// retries reuse the same ref, so every attempt lands in one trace.
-func (p *Pool) PutTraced(ref SpanRef, key string, value []byte) error {
-	return p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		err = c.PutTraced(ref, key, value)
-		p.finish(c, err)
-		return err
-	})
-}
-
-// GetTraced is Get continuing a caller-supplied trace (see PutTraced).
-func (p *Pool) GetTraced(ref SpanRef, key string) ([]byte, error) {
-	var v []byte
-	err := p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		v, err = c.GetTraced(ref, key)
-		p.finish(c, err)
-		return err
-	})
-	return v, err
-}
-
-// DeleteTraced is Delete continuing a caller-supplied trace (see
-// PutTraced).
-func (p *Pool) DeleteTraced(ref SpanRef, key string) error {
-	return p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		err = c.DeleteTraced(ref, key)
-		p.finish(c, err)
-		return err
-	})
+// DeleteContext is Delete under ctx (see PutContext).
+func (p *Pool) DeleteContext(ctx context.Context, key string) error {
+	return p.do(ctx, func(c *Client) error { return c.DeleteContext(ctx, key) })
 }
 
 // Batch executes ops as one multi-op frame — one seal, one ring
@@ -407,104 +401,16 @@ func (p *Pool) DeleteTraced(ref SpanRef, key string) error {
 // RetryLaterError — nothing was applied — so the whole frame is
 // retried under the budget like a single op.
 func (p *Pool) Batch(ops []BatchOp) ([]BatchResult, error) {
-	var results []BatchResult
-	err := p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		results, err = c.Batch(ops)
-		p.finish(c, err)
-		return err
-	})
-	return results, err
+	return p.BatchContext(context.Background(), ops)
 }
 
-// BatchDeadline is Batch under a caller-supplied absolute deadline
-// (zero = none): the parent's remaining budget bounds the frame's
-// deadline, and a spent deadline fails fast with ErrTimeout before
-// anything is sent. Shed retries stop once the deadline would be
-// overrun.
-func (p *Pool) BatchDeadline(ops []BatchOp, deadline time.Time) ([]BatchResult, error) {
-	var results []BatchResult
-	err := p.withShedRetry(func() error {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return ErrTimeout
-		}
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		results, err = c.BatchDeadline(ops, deadline)
-		p.finish(c, err)
-		return err
-	})
-	return results, err
-}
-
-// BatchDeadlineTraced is BatchDeadline continuing a caller-supplied
-// trace (zero deadline = none): the whole frame — and the server-side
-// batch span applying it — stitches under ref's trace. See
-// Client.BatchDeadlineTraced.
-func (p *Pool) BatchDeadlineTraced(ref SpanRef, ops []BatchOp, deadline time.Time) ([]BatchResult, error) {
-	var results []BatchResult
-	err := p.withShedRetry(func() error {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return ErrTimeout
-		}
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		results, err = c.BatchDeadlineTraced(ref, ops, deadline)
-		p.finish(c, err)
-		return err
-	})
-	return results, err
-}
-
-// PutBatch stores values[i] under keys[i] as one batch frame on one
-// borrowed connection.
-func (p *Pool) PutBatch(keys []string, values [][]byte) ([]BatchResult, error) {
-	var results []BatchResult
-	err := p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		results, err = c.PutBatch(keys, values)
-		p.finish(c, err)
-		return err
-	})
-	return results, err
-}
-
-// GetBatch fetches keys as one batch frame on one borrowed connection.
-func (p *Pool) GetBatch(keys []string) ([]BatchResult, error) {
-	var results []BatchResult
-	err := p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		results, err = c.GetBatch(keys)
-		p.finish(c, err)
-		return err
-	})
-	return results, err
-}
-
-// DeleteBatch removes keys as one batch frame on one borrowed
-// connection.
-func (p *Pool) DeleteBatch(keys []string) ([]BatchResult, error) {
-	var results []BatchResult
-	err := p.withShedRetry(func() error {
-		c, err := p.acquire()
-		if err != nil {
-			return err
-		}
-		results, err = c.DeleteBatch(keys)
-		p.finish(c, err)
+// BatchContext is Batch under ctx (see PutContext): the parent's
+// remaining budget bounds the frame's deadline, and the whole frame —
+// and the server-side batch span applying it — stitches under the span
+// ref ctx carries.
+func (p *Pool) BatchContext(ctx context.Context, ops []BatchOp) (results []BatchResult, err error) {
+	err = p.do(ctx, func(c *Client) (err error) {
+		results, err = c.BatchContext(ctx, ops)
 		return err
 	})
 	return results, err

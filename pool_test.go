@@ -1,16 +1,19 @@
 package precursor_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"precursor"
+	"precursor/internal/faultfab"
 )
 
-func newPoolCluster(t *testing.T, size int) (*precursor.Pool, *precursor.Server) {
+func newPoolCluster(t *testing.T, size int, tune ...func(*precursor.DialConfig)) (*precursor.Pool, *precursor.Server) {
 	t.Helper()
 	platform, err := precursor.NewPlatform()
 	if err != nil {
@@ -23,16 +26,138 @@ func newPoolCluster(t *testing.T, size int) (*precursor.Pool, *precursor.Server)
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	pool, err := precursor.NewPool(svc.Addr(), precursor.DialConfig{
+	cfg := precursor.DialConfig{
 		PlatformKey: platform.AttestationPublicKey(),
 		Measurement: svc.Server.Measurement(),
 		Timeout:     10 * time.Second,
-	}, size)
+	}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	pool, err := precursor.NewPool(svc.Addr(), cfg, size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = pool.Close() })
 	return pool, svc.Server
+}
+
+// gateWire parks one client->server ring write — and with it the
+// operation that borrowed the connection — until released.
+type gateWire struct {
+	precursor.Conn
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gateWire) PostWrite(wrID uint64, rkey uint32, off uint64, data []byte, signaled bool) error {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Conn.PostWrite(wrID, rkey, off, data, signaled)
+}
+
+// TestPoolCtxBoundsAcquireWait: a ctx with 20 ms of budget must not wait
+// the pool's full acquire timeout (10 s here) for its one busy
+// connection: it fails with ErrTimeout in well under 100 ms, and since it
+// never borrowed a connection, nothing reached the server.
+func TestPoolCtxBoundsAcquireWait(t *testing.T) {
+	gate := &gateWire{entered: make(chan struct{}), release: make(chan struct{})}
+	pool, server := newPoolCluster(t, 1, func(cfg *precursor.DialConfig) {
+		cfg.WrapConn = func(c precursor.Conn) precursor.Conn { gate.Conn = c; return gate }
+	})
+	gate.armed.Store(true)
+	busy := make(chan error, 1)
+	go func() { busy <- pool.Put("busy", []byte("v")) }()
+	<-gate.entered // the one connection is borrowed and parked mid-send
+	before := server.Stats()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := pool.PutContext(ctx, "late", []byte("v"))
+	if !errors.Is(err, precursor.ErrTimeout) || errors.Is(err, precursor.ErrUnconfirmed) {
+		t.Errorf("put under a 20ms ctx on a busy pool: %v, want a plain ErrTimeout", err)
+	}
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Errorf("returned after %v, want < 100ms", elapsed)
+	}
+	if after := server.Stats(); after.Puts != before.Puts {
+		t.Errorf("server puts %d -> %d: the refused op must not be sent", before.Puts, after.Puts)
+	}
+	close(gate.release)
+	if err := <-busy; err != nil {
+		t.Fatalf("the parked op: %v", err)
+	}
+	if _, err := pool.Get("late"); !errors.Is(err, precursor.ErrNotFound) {
+		t.Errorf("get of the refused key: %v, want ErrNotFound", err)
+	}
+}
+
+// TestPoolCtxStopsShedRetries: a shed whose backoff (a draining server
+// hints 250 ms) would overrun the ctx is returned as it is, at once,
+// instead of being slept on.
+func TestPoolCtxStopsShedRetries(t *testing.T) {
+	pool, server := newPoolCluster(t, 1)
+	server.SetDraining(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := pool.PutContext(ctx, "k", []byte("v"))
+	if !errors.Is(err, precursor.ErrRetryLater) {
+		t.Errorf("put on a draining server: %v, want ErrRetryLater", err)
+	}
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Errorf("returned after %v, want < 100ms (no 250ms backoff under a 30ms ctx)", elapsed)
+	}
+}
+
+// TestPoolReplacesWedgedConnection: a connection whose request frames
+// vanish on the wire answers nothing and closes nothing — every
+// operation on it just times out. After wedgedAfter such operations in a
+// row the pool discards it and redials, and serves again without the
+// caller closing anything.
+func TestPoolReplacesWedgedConnection(t *testing.T) {
+	// Only the first dialed connection loses its ring writes (for good:
+	// HardLoss); its replacement is clean.
+	lossy := faultfab.New(faultfab.Config{Seed: 1, HardLoss: true,
+		C2S: faultfab.ClassMap{faultfab.ClassWrite: faultfab.ClassProbs{Drop: 1}}})
+	var dialed atomic.Uint64
+	pool, _ := newPoolCluster(t, 1, func(cfg *precursor.DialConfig) {
+		cfg.Timeout = 50 * time.Millisecond
+		cfg.ReadRetries = -1
+		cfg.WrapConn = func(c precursor.Conn) precursor.Conn {
+			if dialed.Add(1) == 1 {
+				return lossy.Wrap(c, faultfab.C2S, "wedged")
+			}
+			return c
+		}
+	})
+	for i := 0; i < 3; i++ {
+		if _, err := pool.Get("k"); !errors.Is(err, precursor.ErrTimeout) {
+			t.Fatalf("get %d on the wedged connection: %v, want ErrTimeout", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := pool.Put("k", []byte("v"))
+		if err == nil {
+			break
+		}
+		// Between discard and redial the pool has no live connection and
+		// fails fast with ErrClosed.
+		if !errors.Is(err, precursor.ErrClosed) || time.Now().After(deadline) {
+			t.Fatalf("put after the wedged connection was discarded: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := dialed.Load(); n != 2 {
+		t.Errorf("dialed %d connections, want 2 (the wedged one and its replacement)", n)
+	}
+	if got, err := pool.Get("k"); err != nil || string(got) != "v" {
+		t.Errorf("get on the replacement: %q %v", got, err)
+	}
 }
 
 func TestPoolBasicOps(t *testing.T) {

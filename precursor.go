@@ -36,6 +36,7 @@
 package precursor
 
 import (
+	"context"
 	"io"
 
 	"precursor/internal/audit"
@@ -139,11 +140,17 @@ type (
 	// Trace is one completed operation's recorded spans.
 	Trace = obs.Trace
 	// SpanRef is a portable reference into a live trace (trace id,
-	// parent span id, sampling decision) that the *Traced operation
-	// variants carry across process hops — see OBSERVABILITY.md
-	// "End-to-end trace correlation".
+	// parent span id, sampling decision) that a context carries (WithSpan)
+	// down the client stack and across process hops — see
+	// OBSERVABILITY.md "End-to-end trace correlation".
 	SpanRef = obs.SpanRef
 )
+
+// WithSpan returns a context under which every …Context operation of
+// Client, Pool and ClusterClient records its spans as children of ref and
+// carries the trace to the server inside the sealed control data. The
+// same context carries the caller's deadline (PROTOCOL.md §9).
+func WithSpan(ctx context.Context, ref SpanRef) context.Context { return obs.WithRef(ctx, ref) }
 
 // Re-exported security-audit types. An AuditLog is a hash-chained,
 // enclave-MACed record of security events (failed attestations, MAC

@@ -13,6 +13,19 @@ import (
 	"precursor"
 )
 
+// batchOps builds one op of kind per key, values[i] riding with keys[i]
+// when given.
+func batchOps(kind precursor.BatchOpKind, keys []string, values ...[]byte) []precursor.BatchOp {
+	ops := make([]precursor.BatchOp, len(keys))
+	for i, k := range keys {
+		ops[i] = precursor.BatchOp{Kind: kind, Key: k}
+		if i < len(values) {
+			ops[i].Value = values[i]
+		}
+	}
+	return ops
+}
+
 // replSeed makes the replication chaos workload reproducible: the same
 // seed yields the same key/op sequence (go test -args -repl.seed=N).
 var replSeed = flag.Int64("repl.seed", 1, "seed for the replication chaos workload")
@@ -263,7 +276,7 @@ func TestReplicatedBatchQuorumKillOne(t *testing.T) {
 			ks = append(ks, key(i))
 			vs = append(vs, val(i, 0))
 		}
-		results, err := cc.PutBatch(ks, vs)
+		results, err := cc.Batch(batchOps(precursor.BatchPut, ks, vs...))
 		if err != nil {
 			t.Fatalf("preload batch at %d: %v", base, err)
 		}
@@ -363,7 +376,7 @@ func TestReplicatedBatchQuorumKillOne(t *testing.T) {
 	for i := range ks {
 		ks[i] = key(i)
 	}
-	results, err := cc.GetBatch(ks)
+	results, err := cc.Batch(batchOps(precursor.BatchGet, ks))
 	if err != nil {
 		t.Fatal(err)
 	}

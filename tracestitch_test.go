@@ -99,8 +99,10 @@ func TestTraceStitchAcceptance(t *testing.T) {
 
 	// Seeded mixed workload: the puts warm the read-preference EWMAs
 	// (the yet-fast primary wins the read order), then the primary's
-	// wire degrades and reads must hedge to a secondary to answer.
-	for i := 0; i < 6; i++ {
+	// wire degrades and reads must hedge to a secondary to answer. The
+	// first sample seeds an EWMA outright, so enough puts follow for a
+	// cold-start outlier on the primary (a loaded CI host) to decay away.
+	for i := 0; i < 24; i++ {
 		if err := cc.Put(fmt.Sprintf("stitch%02d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
