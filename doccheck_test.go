@@ -326,3 +326,54 @@ func TestDocsCoverTracing(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsCoverMemory pins the documentation for memory per stored byte:
+// the pool and enclave series a server exports, their fleet sums, and the
+// DESIGN.md section that states the class-table rule and the per-key
+// budget. A rename in code without the matching doc update fails here.
+func TestDocsCoverMemory(t *testing.T) {
+	for _, tc := range []struct {
+		file    string
+		phrases []string
+	}{
+		{"OBSERVABILITY.md", []string{
+			"precursor_pool_bytes_reserved",
+			"precursor_pool_bytes_in_use",
+			"precursor_pool_bytes_requested",
+			"precursor_enclave_epc_pages",
+			"precursor_fleet_pool_bytes_reserved",
+			"precursor_fleet_pool_bytes_requested",
+			"TestMemoryPerStoredByte",
+		}},
+		{"DESIGN.md", []string{
+			"### Memory per stored byte",
+			"classes per doubling",
+			"PoolBytesRequested",
+			"Enclave.Reserve",
+			"TestMemoryPerStoredByte",
+		}},
+		{"metrics.go", []string{
+			`"precursor_pool_bytes_reserved"`,
+			`"precursor_pool_bytes_in_use"`,
+			`"precursor_pool_bytes_requested"`,
+		}},
+		{"internal/fleet/fleet.go", []string{
+			`case "precursor_pool_bytes_reserved"`,
+			`case "precursor_pool_bytes_requested"`,
+			`"precursor_fleet_pool_bytes_reserved"`,
+			`"precursor_fleet_pool_bytes_requested"`,
+		}},
+	} {
+		data, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Errorf("read %s: %v", tc.file, err)
+			continue
+		}
+		text := string(data)
+		for _, phrase := range tc.phrases {
+			if !strings.Contains(text, phrase) {
+				t.Errorf("%s: missing %q", tc.file, phrase)
+			}
+		}
+	}
+}

@@ -8,12 +8,15 @@ import (
 
 // enclaveAccountant mirrors the hash table's memory behaviour onto the
 // simulated enclave so the EPC working set (Table 1) and paging charges
-// (Figure 7) come from real allocation and access patterns.
+// (Figure 7) come from real allocation and access patterns. The buckets
+// and session keys themselves live on the Go heap; the regions here are
+// reserved, not allocated, so the model costs pages of accounting and no
+// bytes of memory.
 type enclaveAccountant struct {
 	enclave *sgx.Enclave
 
 	mu       sync.Mutex
-	table    *sgx.Region // backing region for the current bucket array
+	table    *sgx.Region // reserved extent of the current bucket array
 	sessions *sgx.Region // per-client session state (grown in steps)
 	nSess    int
 }
@@ -35,7 +38,7 @@ func (a *enclaveAccountant) GrowTable(oldBytes, newBytes int) {
 	if a.table != nil {
 		a.enclave.Free(a.table)
 	}
-	region, err := a.enclave.Alloc(newBytes)
+	region, err := a.enclave.Reserve(newBytes)
 	if err != nil {
 		// Destroyed enclave: nothing to account.
 		a.table = nil
@@ -53,7 +56,7 @@ func (a *enclaveAccountant) TouchBucket(i, n, entrySize int) {
 		return
 	}
 	off := i * entrySize
-	if off+entrySize > len(region.Data) {
+	if off+entrySize > region.Size() {
 		return // table grew concurrently; next touch lands in new region
 	}
 	region.Touch(off, entrySize)
@@ -65,14 +68,14 @@ func (a *enclaveAccountant) chargeSession() {
 	defer a.mu.Unlock()
 	a.nSess++
 	need := a.nSess * sessionStateBytes
-	if a.sessions != nil && need <= len(a.sessions.Data) {
+	if a.sessions != nil && need <= a.sessions.Size() {
 		a.sessions.Touch(0, need)
 		return
 	}
 	if a.sessions != nil {
 		a.enclave.Free(a.sessions)
 	}
-	region, err := a.enclave.Alloc(need*2 + sessionStateBytes)
+	region, err := a.enclave.Reserve(need*2 + sessionStateBytes)
 	if err != nil {
 		a.sessions = nil
 		return

@@ -240,7 +240,11 @@ type ServerStats struct {
 	Clients            int
 	Enclave            sgx.Stats
 	PoolBytesReserved  int64
-	PoolBytesInUse     int64
+	PoolBytesInUse     int64 // live slots, each counted at its class size
+	// PoolBytesRequested is the stored bytes inside those slots; the gap
+	// to PoolBytesInUse is size-class padding, the gap to
+	// PoolBytesReserved adds free and never-used slots.
+	PoolBytesRequested int64
 	PoolGrowths        uint64 // ≈ ocall count for pool growth
 	// Vlog reports durable value-log activity; nil when DataDir is unset.
 	Vlog *VlogStats

@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"precursor/internal/cryptox"
+	"precursor/internal/wire"
 )
 
 // metaOp is one operation of the metamorphic stream, with the outcome
@@ -39,8 +42,9 @@ func metaOutcome(value []byte, err error) metaResult {
 // metaStream generates a seeded operation stream and runs a plain map
 // beside it as the model. The server runs owner-only: a put by anyone
 // takes the key over, gets and deletes see only the caller's own keys.
-// A final sweep reads every surviving key back through its owner.
-func metaStream(seed int64, n int) ([]metaOp, int) {
+// A final sweep reads every surviving key back through its owner; the
+// second result is the length of each surviving value.
+func metaStream(seed int64, n int) ([]metaOp, []int) {
 	type owned struct {
 		value []byte
 		owner int
@@ -77,13 +81,15 @@ func metaStream(seed int64, n int) ([]metaOp, int) {
 		}
 		ops = append(ops, op)
 	}
+	var survivors []int
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("m%d", i)
 		if cur, ok := model[key]; ok {
 			ops = append(ops, metaOp{client: cur.owner, kind: BatchGet, key: key, want: metaResult{value: cur.value}})
+			survivors = append(survivors, len(cur.value))
 		}
 	}
-	return ops, len(model)
+	return ops, survivors
 }
 
 // metaRun is what one run of the stream left behind: every
@@ -95,6 +101,7 @@ type metaRun struct {
 		puts, gets, deletes uint64
 		entries             int
 		poolBytesInUse      int64
+		poolBytesRequested  int64
 	}
 	batches, readThroughs uint64
 }
@@ -139,6 +146,7 @@ func runMetaStream(t *testing.T, cfg ServerConfig, cli []func(*ClientConfig), op
 	st := tc.server.Stats()
 	run.counters.puts, run.counters.gets, run.counters.deletes = st.Puts, st.Gets, st.Deletes
 	run.counters.entries, run.counters.poolBytesInUse = st.Entries, st.PoolBytesInUse
+	run.counters.poolBytesRequested = st.PoolBytesRequested
 	run.batches = st.Batches
 	if st.Vlog != nil {
 		run.readThroughs = st.Vlog.ReadThroughs
@@ -155,20 +163,41 @@ func runMetaStream(t *testing.T, cfg ServerConfig, cli []func(*ClientConfig), op
 // Both framings share one apply path, so on top of matching the model the
 // single-op run and the batch-of-one run must agree result for result
 // and on the server's op, entry and pool counters.
+//
+// The pool holds exactly what the model says it should: each mode names
+// the bytes a surviving value of n bytes occupies there (pooled), and
+// their sum over the model is the server's PoolBytesRequested — nothing
+// leaked by an overwrite or a delete, nothing counted at slot size.
 func TestMetamorphicAgainstModel(t *testing.T) {
 	inline := func(c *ClientConfig) { c.InlineSmallValues = true }
+	const sealed = cryptox.PayloadSealOverhead // nonce + MAC beside the ciphertext
 	modes := []struct {
-		name string
-		srv  ServerConfig
-		cli  []func(*ClientConfig)
-		vlog bool
+		name   string
+		srv    ServerConfig
+		cli    []func(*ClientConfig)
+		vlog   bool
+		pooled func(n int) int
 	}{
-		{name: "base"},
-		{name: "hardened", srv: ServerConfig{HardenedMACs: true}},
-		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, cli: []func(*ClientConfig){inline}},
+		{name: "base", pooled: func(n int) int { return n + sealed }},
+		// The MAC is enclave state, not pool bytes.
+		{name: "hardened", srv: ServerConfig{HardenedMACs: true},
+			pooled: func(n int) int { return n + sealed - wire.MACSize }},
+		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, cli: []func(*ClientConfig){inline},
+			pooled: func(n int) int {
+				if n < DefaultInlineMax {
+					return 0 // enclave-resident
+				}
+				return n + sealed
+			}},
 		// A cache threshold inside the value-size range: larger values are
 		// disk-only and read through.
-		{name: "vlog", vlog: true, srv: ServerConfig{Vlog: VlogConfig{InlineMax: 256, GCInterval: -1}}},
+		{name: "vlog", vlog: true, srv: ServerConfig{Vlog: VlogConfig{InlineMax: 256, GCInterval: -1}},
+			pooled: func(n int) int {
+				if n+sealed > 256 {
+					return 0 // disk-only
+				}
+				return n + sealed
+			}},
 	}
 	framings := []struct {
 		name  string
@@ -190,8 +219,18 @@ func TestMetamorphicAgainstModel(t *testing.T) {
 							i, ops[i].client, ops[i].kind, ops[i].key, got.err, len(got.value), want.err, len(want.value))
 					}
 				}
-				if run.counters.entries != survivors {
-					t.Errorf("entries = %d, model holds %d keys", run.counters.entries, survivors)
+				if run.counters.entries != len(survivors) {
+					t.Errorf("entries = %d, model holds %d keys", run.counters.entries, len(survivors))
+				}
+				var pooled int64
+				for _, n := range survivors {
+					pooled += int64(m.pooled(n))
+				}
+				if run.counters.poolBytesRequested != pooled {
+					t.Errorf("PoolBytesRequested = %d, model's stored bytes sum to %d", run.counters.poolBytesRequested, pooled)
+				}
+				if run.counters.poolBytesInUse < pooled {
+					t.Errorf("PoolBytesInUse = %d is below the %d bytes stored", run.counters.poolBytesInUse, pooled)
 				}
 				if m.vlog && run.readThroughs == 0 {
 					t.Error("no get read through to the value log: the disk-only path went untested")

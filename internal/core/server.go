@@ -502,10 +502,10 @@ func (s *Server) trustedLoop(worker int) {
 				continue
 			}
 			if scratch == nil {
-				// Lazily allocate this trusted thread's in-enclave staging
+				// Lazily reserve this trusted thread's in-enclave staging
 				// page for control data and replies, first request only —
 				// the small one-time EPC jump Table 1 shows at one key.
-				scratch, _ = s.enclave.Alloc(sgx.PageSize)
+				scratch, _ = s.enclave.Reserve(sgx.PageSize)
 			}
 			if scratch != nil {
 				scratch.Touch(0, len(msg)%sgx.PageSize+1)
@@ -891,6 +891,7 @@ func (s *Server) Stats() ServerStats {
 		Enclave:            s.enclave.Stats(),
 		PoolBytesReserved:  ps.BytesReserved,
 		PoolBytesInUse:     ps.BytesInUse,
+		PoolBytesRequested: ps.BytesRequested,
 		PoolGrowths:        ps.Growths,
 		ShedReads:          gs.ShedReads,
 		ShedWrites:         gs.ShedWrites,

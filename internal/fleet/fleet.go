@@ -301,6 +301,11 @@ type Rollup struct {
 	// AuthFailures and Replays sum the server-side integrity counters
 	// across all targets.
 	AuthFailures, Replays uint64
+	// PoolBytesReserved and PoolBytesRequested sum the servers' payload
+	// pools: memory held against bytes actually stored in it. Their ratio
+	// is the fleet's pool memory per stored byte (class padding plus free
+	// and never-used slots).
+	PoolBytesReserved, PoolBytesRequested uint64
 	// AuditEvents sums precursor_audit_events_total by kind across all
 	// targets (empty when no target exports an audit log).
 	AuditEvents map[string]uint64
@@ -377,6 +382,10 @@ func (a *Aggregator) Snapshot() Rollup {
 				r.AuthFailures += uint64(s.Value)
 			case "precursor_replays_total":
 				r.Replays += uint64(s.Value)
+			case "precursor_pool_bytes_reserved":
+				r.PoolBytesReserved += uint64(s.Value)
+			case "precursor_pool_bytes_requested":
+				r.PoolBytesRequested += uint64(s.Value)
 			case "precursor_audit_events_total":
 				if kind := s.Labels["kind"]; kind != "" {
 					r.AuditEvents[kind] += uint64(s.Value)
@@ -491,6 +500,10 @@ func (a *Aggregator) WriteProm(w io.Writer) error {
 	fmt.Fprintf(&b, "precursor_fleet_auth_failures_total %d\n", r.AuthFailures)
 	head("precursor_fleet_replays_total", "Replay rejections summed across the fleet", "counter")
 	fmt.Fprintf(&b, "precursor_fleet_replays_total %d\n", r.Replays)
+	head("precursor_fleet_pool_bytes_reserved", "Payload pool memory reserved, summed across the fleet", "gauge")
+	fmt.Fprintf(&b, "precursor_fleet_pool_bytes_reserved %d\n", r.PoolBytesReserved)
+	head("precursor_fleet_pool_bytes_requested", "Payload bytes stored in those pools, without size-class padding", "gauge")
+	fmt.Fprintf(&b, "precursor_fleet_pool_bytes_requested %d\n", r.PoolBytesRequested)
 	if len(r.AuditEvents) > 0 {
 		head("precursor_fleet_audit_events_total", "Security audit events summed across the fleet, by kind", "counter")
 		kinds := make([]string, 0, len(r.AuditEvents))

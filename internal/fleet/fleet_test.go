@@ -70,10 +70,14 @@ func TestAggregatorRollup(t *testing.T) {
 precursor_cluster_read_failovers_total 2
 precursor_cluster_repairs_total 1
 precursor_auth_failures_total 4
+precursor_pool_bytes_reserved 2097152
+precursor_pool_bytes_requested 1500000
 precursor_audit_events_total{kind="breaker_trip"} 2
 precursor_stage_latency_seconds{side="client",stage="cli_total",quantile="0.99"} 0.002
 `)
 	a2 := promTarget(t, `precursor_replays_total 5
+precursor_pool_bytes_reserved 1048576
+precursor_pool_bytes_requested 4120
 precursor_audit_events_total{kind="breaker_trip"} 1
 precursor_audit_events_total{kind="byzantine_failover"} 1
 precursor_stage_latency_seconds{side="client",stage="cli_total",quantile="0.99"} 0.004
@@ -99,6 +103,9 @@ precursor_stage_latency_seconds{side="client",stage="cli_total",quantile="0.5"} 
 	}
 	if r.AuthFailures != 4 || r.Replays != 5 {
 		t.Fatalf("security counters: %+v", r)
+	}
+	if r.PoolBytesReserved != 3<<20 || r.PoolBytesRequested != 1504120 {
+		t.Fatalf("pool bytes: reserved %d requested %d", r.PoolBytesReserved, r.PoolBytesRequested)
 	}
 	if r.AuditEvents["breaker_trip"] != 3 || r.AuditEvents["byzantine_failover"] != 1 {
 		t.Fatalf("audit events: %+v", r.AuditEvents)
@@ -157,6 +164,8 @@ func TestAggregatorDownTarget(t *testing.T) {
 func TestWritePromRoundTrip(t *testing.T) {
 	src := promTarget(t, `precursor_cluster_quorum_shortfalls_total 7
 precursor_cluster_read_failovers_total 2
+precursor_pool_bytes_reserved 1045504
+precursor_pool_bytes_requested 935240
 precursor_audit_events_total{kind="replay"} 9
 `)
 	agg, err := New(Config{Targets: []Target{{Name: "s", URL: src.URL}}})
@@ -185,6 +194,12 @@ precursor_audit_events_total{kind="replay"} 9
 	}
 	if s, ok := byName("precursor_fleet_read_failovers_total"); !ok || s.Value != 2 {
 		t.Fatalf("read failovers: %+v ok=%v", s, ok)
+	}
+	if s, ok := byName("precursor_fleet_pool_bytes_reserved"); !ok || s.Value != 1045504 {
+		t.Fatalf("pool reserved: %+v ok=%v", s, ok)
+	}
+	if s, ok := byName("precursor_fleet_pool_bytes_requested"); !ok || s.Value != 935240 {
+		t.Fatalf("pool requested: %+v ok=%v", s, ok)
 	}
 	if s, ok := byName("precursor_fleet_audit_events_total"); !ok || s.Labels["kind"] != "replay" || s.Value != 9 {
 		t.Fatalf("audit events: %+v ok=%v", s, ok)

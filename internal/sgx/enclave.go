@@ -40,15 +40,32 @@ type Enclave struct {
 	callCounts map[string]uint64
 }
 
-// Region is a block of enclave memory returned by Alloc. Data is ordinary
-// process memory, but because the only reference lives inside enclave-owned
-// structures reached through ecalls, package boundaries enforce the
-// isolation the hardware would.
+// Region is a block of enclave memory returned by Alloc or Reserve. Data is
+// ordinary process memory, but because the only reference lives inside
+// enclave-owned structures reached through ecalls, package boundaries
+// enforce the isolation the hardware would.
+//
+// What the enclave accounts — address range, heap bytes, pages — follows the
+// region's size, not len(Data): a Reserve'd region has a size and no Data.
 type Region struct {
-	Data []byte
+	Data []byte // nil for a region made by Reserve
 
 	enclave *Enclave
 	base    int64
+	size    int64
+}
+
+// Size returns the bytes the enclave accounts for the region. It is fixed
+// at creation, so it may be read without holding any lock.
+func (r *Region) Size() int { return int(r.size) }
+
+// lastPage is the page holding the final byte of the n-byte extent at base;
+// an empty extent still occupies the page it starts on.
+func lastPage(base, n int64) int64 {
+	if n <= 0 {
+		n = 1
+	}
+	return (base + n - 1) / PageSize
 }
 
 // Measurement returns the enclave's MRENCLAVE-equivalent identity.
@@ -60,6 +77,19 @@ func (e *Enclave) Measurement() Measurement { return e.measurement }
 // heap may exceed the EPC — exactly like real SGX — at the price of paging
 // charges on access.
 func (e *Enclave) Alloc(n int) (*Region, error) {
+	r, err := e.Reserve(n)
+	if err != nil {
+		return nil, err
+	}
+	r.Data = make([]byte, r.size)
+	return r, nil
+}
+
+// Reserve is Alloc without the backing bytes: it takes n bytes of enclave
+// address range, counts them on the heap and in the working set, and
+// charges faults on Touch exactly as Alloc does, for state whose footprint
+// the model needs but whose contents live elsewhere in the process.
+func (e *Enclave) Reserve(n int) (*Region, error) {
 	if n < 0 {
 		n = 0
 	}
@@ -79,9 +109,8 @@ func (e *Enclave) Alloc(n int) (*Region, error) {
 	}
 	e.nextBase += span
 	e.heapBytes += int64(n)
-	r := &Region{Data: make([]byte, n), enclave: e, base: base}
 	e.touchLocked(base, int64(n))
-	return r, nil
+	return &Region{enclave: e, base: base, size: int64(n)}, nil
 }
 
 // Free returns a region's pages to the allocator's accounting, retiring
@@ -95,18 +124,18 @@ func (e *Enclave) Free(r *Region) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.heapBytes -= int64(len(r.Data))
+	e.heapBytes -= r.size
 	if e.heapBytes < 0 {
 		e.heapBytes = 0
 	}
-	for p := r.base / PageSize; p <= (r.base+int64(len(r.Data)))/PageSize; p++ {
+	for p := r.base / PageSize; p <= lastPage(r.base, r.size); p++ {
 		delete(e.resident, p)
 		delete(e.pages, p)
 	}
 	r.Data = nil
 }
 
-// Touch records an access to r.Data[off:off+n] for paging purposes. The
+// Touch records an access to bytes [off, off+n) of r for paging purposes. The
 // store calls this on every in-enclave read or write so that exceeding the
 // EPC produces the fault charges Figure 7's paging experiment shows.
 func (r *Region) Touch(off, n int) {
@@ -119,12 +148,7 @@ func (r *Region) Touch(off, n int) {
 }
 
 func (e *Enclave) touchLocked(base, n int64) {
-	if n <= 0 {
-		n = 1
-	}
-	first := base / PageSize
-	last := (base + n - 1) / PageSize
-	for p := first; p <= last; p++ {
+	for p := base / PageSize; p <= lastPage(base, n); p++ {
 		e.pages[p] = struct{}{}
 		if _, ok := e.resident[p]; ok {
 			continue

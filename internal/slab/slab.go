@@ -4,9 +4,10 @@
 // The design mirrors §3.8: instead of performing an ocall per allocation,
 // the enclave hands out slots from a pool in untrusted memory that was
 // pre-allocated up front, and only when the pool runs dry does it issue a
-// single (batched) ocall to enlarge it. The pool uses power-of-two size
-// classes with per-class free lists, so slot reuse after deletes and
-// updates is O(1).
+// single (batched) ocall to enlarge it. The pool uses geometrically spaced
+// size classes (eight per doubling, as jemalloc and TCMalloc space theirs)
+// with per-class free lists, so slot reuse after deletes and updates is
+// O(1) and a slot is at most one ninth padding.
 package slab
 
 import (
@@ -28,7 +29,13 @@ const (
 	minClassShift = 6
 	// maxClassShift is the largest slot (1 MiB).
 	maxClassShift = 20
-	numClasses    = maxClassShift - minClassShift + 1
+	// stepShift: each doubling [2^k, 2^(k+1)) is cut into 1<<stepShift
+	// equal steps of 2^(k-stepShift) bytes. The smallest step is 8 B, so
+	// every slot size is a multiple of 8, and a request one byte past a
+	// class boundary wastes under 1/(1<<stepShift + 1) = 11.1 % of its slot
+	// (four steps would bound it at 20 %, sixteen need 4 B steps at 64 B).
+	stepShift  = 3
+	numClasses = (maxClassShift-minClassShift)<<stepShift + 1
 )
 
 // Ref locates an allocation: the pointer the enclave hash table stores
@@ -48,11 +55,12 @@ func (r Ref) Size() int { return int(r.size) }
 
 // Stats is a snapshot of pool usage.
 type Stats struct {
-	BytesReserved int64  // total untrusted memory owned by the pool
-	BytesInUse    int64  // bytes in live allocations (slot-rounded)
-	Allocs        uint64 // total successful allocations
-	Frees         uint64
-	Growths       uint64 // times GrowFunc was invoked (≈ ocall count)
+	BytesReserved  int64  // total untrusted memory owned by the pool
+	BytesInUse     int64  // bytes in live allocations (slot-rounded)
+	BytesRequested int64  // sum of live Ref.Size(): BytesInUse minus class padding
+	Allocs         uint64 // total successful allocations
+	Frees          uint64
+	Growths        uint64 // times GrowFunc was invoked (≈ ocall count)
 }
 
 // GrowFunc is invoked (outside the pool lock) whenever the pool must
@@ -104,22 +112,29 @@ func New(opts ...Option) *Pool {
 	return p
 }
 
-// classFor returns the size-class index for a request of n bytes.
+// classFor returns the index of the smallest size class that holds n bytes.
 func classFor(n int) (int, error) {
-	if n <= 0 {
-		n = 1
+	if n <= 1<<minClassShift {
+		return 0, nil
 	}
-	shift := bits.Len(uint(n - 1))
-	if shift < minClassShift {
-		shift = minClassShift
-	}
-	if shift > maxClassShift {
+	if n > 1<<maxClassShift {
 		return 0, ErrTooLarge
 	}
-	return shift - minClassShift, nil
+	// m = n-1 lies in the doubling [2^k, 2^(k+1)); its leading one and the
+	// stepShift bits below it, m>>(k-stepShift) = 1<<stepShift + step, name
+	// the step it falls in, and n needs the class that ends that step.
+	// (Shift counts are masked so the compiler emits a bare shift.)
+	m := uint(n - 1)
+	k := uint(bits.Len(m)) - 1
+	return int((k-minClassShift)<<stepShift + m>>((k-stepShift)&63) - (1<<stepShift - 1)), nil
 }
 
-func classSize(class int) int { return 1 << (class + minClassShift) }
+// classSize returns the slot size of a class: (1<<stepShift + step) steps
+// of 2^(k-stepShift) bytes, the class's doubling starting at 2^k.
+func classSize(class int) int {
+	c := uint(class)
+	return int((1<<stepShift + c&(1<<stepShift-1)) << ((c>>stepShift + minClassShift - stepShift) & 63))
+}
 
 // Alloc reserves a slot of at least n bytes and returns its reference.
 // Zero-byte requests allocate the minimum slot (a Ref must always be
@@ -141,6 +156,7 @@ func (p *Pool) Alloc(n int) (Ref, error) {
 		ref.size = uint32(n)
 		p.stats.Allocs++
 		p.stats.BytesInUse += int64(classSize(class))
+		p.stats.BytesRequested += int64(n)
 		p.mu.Unlock()
 		return ref, nil
 	}
@@ -192,6 +208,7 @@ func (p *Pool) bumpLocked(class, n int) (Ref, bool) {
 	cs.next.off += uint32(slot)
 	p.stats.Allocs++
 	p.stats.BytesInUse += int64(slot)
+	p.stats.BytesRequested += int64(n)
 	return ref, true
 }
 
@@ -207,6 +224,7 @@ func (p *Pool) Free(ref Ref) {
 	cs.free = append(cs.free, Ref{class: ref.class, chunk: ref.chunk, off: ref.off})
 	p.stats.Frees++
 	p.stats.BytesInUse -= int64(classSize(int(ref.class)))
+	p.stats.BytesRequested -= int64(ref.size)
 }
 
 // Write stores data into the slot. len(data) must not exceed the slot.

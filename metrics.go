@@ -438,7 +438,8 @@ func (m *MetricsServer) writeServerMetrics(b *strings.Builder) {
 	gauge("precursor_clients", "Connected client sessions", float64(st.Clients))
 	gauge("precursor_enclave_epc_pages", "Enclave working set in pages", float64(st.Enclave.EPCPages))
 	gauge("precursor_pool_bytes_reserved", "Untrusted payload pool reserved bytes", float64(st.PoolBytesReserved))
-	gauge("precursor_pool_bytes_in_use", "Untrusted payload pool live bytes", float64(st.PoolBytesInUse))
+	gauge("precursor_pool_bytes_in_use", "Untrusted payload pool live bytes, slot-rounded", float64(st.PoolBytesInUse))
+	gauge("precursor_pool_bytes_requested", "Untrusted payload pool live bytes as stored, without size-class padding", float64(st.PoolBytesRequested))
 	gauge("precursor_ready", "1 once the server has completed bootstrap (readiness)", boolGauge(m.server.Ready()))
 	counter("precursor_seals_total", "Successful sealed-snapshot writes", m.server.SealsTotal())
 	if last := m.server.LastSealTime(); !last.IsZero() {
