@@ -28,11 +28,12 @@ benchmark:
 	bash benchmark/run.sh -all
 
 # Allocation gates (run without -race): zero-alloc codecs and sketches,
-# the payload-cipher budget, the whole-process single-op budget on a
-# bare connection and through a Pool, and the live heap per stored byte
-# across value sizes (printed as a table).
+# the payload-cipher budget, the per-layer budgets of the TCP fabric and
+# the value log, the whole-process single-op budget on a bare connection,
+# through a Pool and through an R=2 cluster client, and the live heap per
+# stored byte across value sizes (printed as a table).
 allocgate:
-	PRECURSOR_ALLOC_GATE=1 $(GO) test ./internal/wire/ ./internal/cryptox/ ./internal/heat/ ./internal/core/ . \
+	PRECURSOR_ALLOC_GATE=1 $(GO) test ./internal/wire/ ./internal/cryptox/ ./internal/heat/ ./internal/rdma/ ./internal/vlog/ ./internal/core/ . \
 		-run 'ZeroAlloc|AllocBudget|MemoryPerStoredByte' -count=1 -v
 
 # Non-test Go lines of the op-path packages, and their sum: the number

@@ -411,7 +411,8 @@ func (c *Client) replicatedGetBatch(ctx context.Context, g *groupState, ops []co
 	ctx = op.Continue(ctx)
 	defer op.Finish()
 	out := make([]core.BatchResult, len(ops))
-	order := g.readOrder()
+	var ups [readOrderStack]*replicaState
+	order := g.readOrder(ups[:0])
 	probeFallback := len(order) == 0
 	if probeFallback {
 		order = g.replicas

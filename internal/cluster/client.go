@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -197,6 +199,9 @@ type groupState struct {
 	quorum   int // write quorum (1 for single-replica groups)
 	// repairMu admits one repair run per group at a time (see runRepair).
 	repairMu sync.Mutex
+	// fanFree holds the group's idle fan-out records (see quorumWrite).
+	fanMu   sync.Mutex
+	fanFree []*fanout
 }
 
 func (g *groupState) single() bool { return len(g.replicas) == 1 }
@@ -220,6 +225,9 @@ type replicaState struct {
 	name    string
 	backend Backend
 	group   *groupState
+	// work hands a fan-out to a parked writer goroutine of this replica;
+	// unbuffered, so a send succeeds only if one is waiting.
+	work chan *fanout
 
 	puts, gets, deletes atomic.Uint64
 	errors              atomic.Uint64
@@ -295,7 +303,7 @@ func NewReplicated(groups []ReplicaGroup, opts Options) (*Client, error) {
 			if _, dup := c.reps[r.Name]; dup {
 				return nil, fmt.Errorf("precursor/cluster: duplicate replica name %q", r.Name)
 			}
-			rep := &replicaState{name: r.Name, backend: r.Backend, group: gs, lat: hist.NewSharded(0)}
+			rep := &replicaState{name: r.Name, backend: r.Backend, group: gs, lat: hist.NewSharded(0), work: make(chan *fanout)}
 			gs.replicas = append(gs.replicas, rep)
 			c.reps[r.Name] = rep
 		}
@@ -390,15 +398,11 @@ func (c *Client) PutContext(ctx context.Context, key string, value []byte) error
 		return err
 	}
 	c.opts.Heat.Record(heat.KindPut, heat.HashKey(key), len(value), 0)
-	// Two literals, not one shared closure: the fan-out's escapes to the
-	// heap, and the single-replica path must not pay for that (allocgate).
 	if g.single() {
 		return c.singleOp(ctx, g.replicas[0], func(ctx context.Context, b Backend) error { return b.PutContext(ctx, key, value) },
 			func(r *replicaState) { r.puts.Add(1) })
 	}
-	return c.quorumWrite(ctx, g, key, func(ctx context.Context, b Backend) error {
-		return b.PutContext(ctx, key, value)
-	}, false, func(r *replicaState) { r.puts.Add(1) })
+	return c.quorumWrite(ctx, g, "put", key, value)
 }
 
 // Get fetches and verifies the value for key from the owning group's
@@ -447,9 +451,7 @@ func (c *Client) DeleteContext(ctx context.Context, key string) error {
 		return c.singleOp(ctx, g.replicas[0], func(ctx context.Context, b Backend) error { return b.DeleteContext(ctx, key) },
 			func(r *replicaState) { r.deletes.Add(1) })
 	}
-	return c.quorumWrite(ctx, g, key, func(ctx context.Context, b Backend) error {
-		return b.DeleteContext(ctx, key)
-	}, true, func(r *replicaState) { r.deletes.Add(1) })
+	return c.quorumWrite(ctx, g, "delete", key, nil)
 }
 
 // singleOp runs one operation against a single-replica group with the
@@ -479,134 +481,177 @@ func (c *Client) admitLegacy(rep *replicaState) (admitToken, error) {
 	return tok, nil
 }
 
+// fanout is one quorum write in flight: a pooled record (per group, so its
+// arrays stay sized by the group) that the caller fills, the per-replica
+// writer goroutines tally into, and whoever lets go of it last recycles.
+type fanout struct {
+	c     *Client
+	g     *groupState
+	ctx   context.Context // carries the quorum op's span ref to every replica attempt
+	op    *obs.Op         // single-owner: touched under mu, finished by the last holder
+	kind  string          // "put" or "delete": the trace's kind, and which call a writer makes
+	key   string
+	value []byte          // the caller's slice: a straggler still reads it after the quorum
+	reps  []*replicaState // live replicas and the tokens they were admitted under
+	toks  []admitToken
+	done  chan error   // the write's outcome, sent once: at quorum, or with the last result
+	refs  atomic.Int32 // writers still running, plus the caller until it has read done
+
+	mu                      sync.Mutex
+	landed, acks, notFounds int
+	firstFail, firstData    error
+	resolved                bool
+}
+
 // quorumWrite fans a write out to every live replica of g concurrently
-// and succeeds once quorum acks arrive. Replicas that are down or
-// repairing journal the key instead (repair re-syncs it later — journal
-// entries are dirty markers, not acks). Partial application joins
-// core.ErrUnconfirmed onto the failure, mirroring the single-node
-// write-outcome semantics. do receives a ctx carrying the quorum op's own
-// span ref so every replica attempt stitches under the one cluster-level
-// trace.
-func (c *Client) quorumWrite(ctx context.Context, g *groupState, key string, do func(context.Context, Backend) error, isDelete bool, tally func(*replicaState)) error {
-	live := make([]*replicaState, 0, len(g.replicas))
-	toks := make([]admitToken, 0, len(g.replicas))
+// and succeeds once quorum acks arrive; stragglers (e.g. an attempt stuck
+// in a dead pool's acquire wait) report in the background without stalling
+// the caller. Replicas that are down or repairing journal the key instead
+// (repair re-syncs it later — journal entries are dirty markers, not
+// acks). Partial application joins core.ErrUnconfirmed onto the failure,
+// mirroring the single-node write-outcome semantics.
+func (c *Client) quorumWrite(ctx context.Context, g *groupState, kind, key string, value []byte) error {
+	g.fanMu.Lock()
+	var f *fanout
+	if n := len(g.fanFree); n > 0 {
+		f, g.fanFree = g.fanFree[n-1], g.fanFree[:n-1]
+	} else {
+		f = &fanout{c: c, g: g, done: make(chan error, 1)} // reps and toks grow to the group's size on first use
+	}
+	g.fanMu.Unlock()
+	f.refs.Store(1) // the caller's hold
 	for _, rep := range g.replicas {
 		if tok, ok := rep.admitWrite(c.opts.JournalCap, key); ok {
-			live = append(live, rep)
-			toks = append(toks, tok)
+			f.reps, f.toks = append(f.reps, rep), append(f.toks, tok)
 		}
 	}
-	if len(live) == 0 {
+	if len(f.reps) == 0 {
+		f.release()
 		c.noteQuorumShortfall(g, 0, "no live replicas")
 		return &ShardError{Shard: g.name, Err: ErrShardDown}
 	}
-	kind := "put"
+	f.op = c.opts.Tracer.Start(int(c.traceSlot.Add(1)), kind)
+	f.op.SetGroup(g.name)
+	f.ctx, f.kind, f.key, f.value = f.op.Continue(ctx), kind, key, value
+	f.refs.Add(int32(len(f.reps))) // and one per writer
+	for _, rep := range f.reps {
+		// Hand the write to a parked writer of this replica, else start one:
+		// a replica runs as many writes at once as it is asked to, so a
+		// straggler delays nobody, and a steady load starts no goroutine.
+		select {
+		case rep.work <- f:
+		default:
+			go rep.writer(c.stopCh, f)
+		}
+	}
+	err := <-f.done
+	f.release()
+	return err
+}
+
+// writer runs this replica's share of one fan-out after another, parking
+// between them until the client closes.
+func (s *replicaState) writer(stop <-chan struct{}, f *fanout) {
+	for {
+		f.run(s)
+		select {
+		case f = <-s.work:
+		case <-stop:
+			return
+		}
+	}
+}
+
+// run performs the write on rep — breaker observation included — and
+// tallies it: the result that completes the quorum wakes the caller, the
+// last one settles a shortfall.
+func (f *fanout) run(rep *replicaState) {
+	c, isDelete := f.c, f.kind == "delete"
+	s0, t0 := f.op.Now(), time.Now()
+	var err error
 	if isDelete {
-		kind = "delete"
+		err = rep.backend.DeleteContext(f.ctx, f.key)
+	} else {
+		err = rep.backend.PutContext(f.ctx, f.key, f.value)
 	}
-	op := c.opts.Tracer.Start(int(c.traceSlot.Add(1)), kind)
-	op.SetGroup(g.name)
-	// Derived before the fan-out launches (the collector goroutine owns
-	// every later mutation of op), into a variable of its own: reassigning
-	// ctx would make the goroutines capture it by reference, on the heap.
-	opCtx := op.Continue(ctx)
-	// Each fan-out goroutine runs its breaker observation itself and
-	// reports into the buffered channel, so stragglers (e.g. an attempt
-	// stuck in a dead pool's acquire wait) drain in the background
-	// without stalling the caller.
-	type repResult struct {
-		rep        *replicaState
-		err        error
-		start, end int64 // obs timebase; 0 when tracing is off
+	rep.recordLatency(t0)
+	rep.noteLatency(time.Since(t0))
+	err = c.observe(rep, f.toks[slices.Index(f.reps, rep)], err, true, f.key)
+	// For a delete, a replica that never had the key is at the desired end
+	// state, so not-found counts toward the quorum.
+	notFound := isDelete && errors.Is(err, core.ErrNotFound)
+	shardLevel := err != nil && (c.opts.IsShardFailure(err) || errors.Is(err, core.ErrUnconfirmed))
+	end := f.op.Now()
+
+	f.mu.Lock()
+	f.op.ReplicaSpanAt(rep.name, s0, end)
+	switch {
+	case err == nil && isDelete:
+		rep.deletes.Add(1)
+		f.acks++
+	case err == nil:
+		rep.puts.Add(1)
+		f.acks++
+	case notFound:
+		f.acks++
+		f.notFounds++
+	case shardLevel && f.firstFail == nil:
+		f.firstFail = err
+	case !shardLevel && f.firstData == nil:
+		f.firstData = err
 	}
-	results := make(chan repResult, len(live))
-	for i, rep := range live {
-		go func(rep *replicaState, tok admitToken) {
-			s0 := op.Now()
-			t0 := time.Now()
-			err := do(opCtx, rep.backend)
-			d := time.Since(t0)
-			rep.recordLatency(t0)
-			rep.noteLatency(d)
-			if err = c.observe(rep, tok, err, true, key); err == nil {
-				tally(rep)
-			}
-			results <- repResult{rep: rep, err: err, start: s0, end: op.Now()}
-		}(rep, toks[i])
+	f.landed++
+	switch {
+	case f.resolved:
+	case f.acks >= f.g.quorum && isDelete && f.acks == f.notFounds:
+		f.resolve(core.ErrNotFound)
+	case f.acks >= f.g.quorum:
+		f.resolve(nil)
+	case f.landed == len(f.reps):
+		f.resolve(f.shortfall())
 	}
-	// One collector goroutine owns the trace op (an obs.Op is single-
-	// owner): it signals the write's outcome on done the moment quorum is
-	// reached — the caller does not wait for stragglers — then keeps
-	// draining so every replica's share of the fan-out lands as a
-	// CliReplica child span before Finish.
-	done := make(chan error, 1)
-	go func() {
-		var acks, notFounds int
-		var firstFail, firstData error
-		resolved := false
-		resolve := func(err error) {
-			if !resolved {
-				resolved = true
-				op.SetError(err)
-				done <- err
-			}
-		}
-		for range live {
-			r := <-results
-			op.ReplicaSpanAt(r.rep.name, r.start, r.end)
-			switch {
-			case r.err == nil:
-				acks++
-			case isDelete && errors.Is(r.err, core.ErrNotFound):
-				// The replica never had the key — for a delete that is the
-				// desired end state, so it counts toward the quorum.
-				acks++
-				notFounds++
-			case c.opts.IsShardFailure(r.err) || errors.Is(r.err, core.ErrUnconfirmed):
-				if firstFail == nil {
-					firstFail = r.err
-				}
-			default:
-				if firstData == nil {
-					firstData = r.err
-				}
-			}
-			if !resolved && acks >= g.quorum {
-				if isDelete && acks == notFounds {
-					resolve(core.ErrNotFound)
-				} else {
-					resolve(nil)
-				}
-			}
-		}
-		if !resolved {
-			c.noteQuorumShortfall(g, acks, kind)
-			switch {
-			case acks == 0 && firstFail == nil && firstData != nil:
-				// Every replica rejected the operation deterministically
-				// (e.g. oversized value): a clean data error, nothing was
-				// applied.
-				resolve(firstData)
-			default:
-				cause := firstFail
-				if cause == nil {
-					cause = firstData
-				}
-				if cause == nil {
-					cause = ErrShardDown
-				}
-				if acks > 0 && !errors.Is(cause, core.ErrUnconfirmed) {
-					// Some replicas applied the write and the group is below
-					// quorum: the outcome is indeterminate until repair
-					// reconverges.
-					cause = fmt.Errorf("%w; %w", cause, core.ErrUnconfirmed)
-				}
-				resolve(&ShardError{Shard: g.name, Err: fmt.Errorf("%w (%d/%d acks): %w", ErrNoQuorum, acks, g.quorum, cause)})
-			}
-		}
-		op.Finish()
-	}()
-	return <-done
+	f.mu.Unlock()
+	f.release()
+}
+
+// resolve settles the write's outcome and wakes the caller.
+func (f *fanout) resolve(err error) {
+	f.resolved = true
+	f.op.SetError(err)
+	f.done <- err
+}
+
+// shortfall is the outcome of a write whose every result is in and that
+// missed its quorum.
+func (f *fanout) shortfall() error {
+	f.c.noteQuorumShortfall(f.g, f.acks, f.kind)
+	if f.acks == 0 && f.firstFail == nil && f.firstData != nil {
+		// Every replica rejected the operation deterministically (e.g.
+		// oversized value): a clean data error, nothing was applied.
+		return f.firstData
+	}
+	cause := cmp.Or(f.firstFail, f.firstData, error(ErrShardDown))
+	if f.acks > 0 && !errors.Is(cause, core.ErrUnconfirmed) {
+		// Some replicas applied the write and the group is below quorum:
+		// the outcome is indeterminate until repair reconverges.
+		cause = fmt.Errorf("%w; %w", cause, core.ErrUnconfirmed)
+	}
+	return &ShardError{Shard: f.g.name, Err: fmt.Errorf("%w (%d/%d acks): %w", ErrNoQuorum, f.acks, f.g.quorum, cause)}
+}
+
+// release drops one hold on the record. The last one finishes the trace —
+// every replica's span is in — and returns the record to its group's free
+// list, emptied of everything the write lent it.
+func (f *fanout) release() {
+	if f.refs.Add(-1) != 0 {
+		return
+	}
+	f.op.Finish()
+	g := f.g
+	*f = fanout{c: f.c, g: g, reps: f.reps[:0], toks: f.toks[:0], done: f.done}
+	g.fanMu.Lock()
+	g.fanFree = append(g.fanFree, f)
+	g.fanMu.Unlock()
 }
 
 // noteQuorumShortfall counts, audits and trace-annotates one replicated
@@ -630,7 +675,8 @@ func (c *Client) replicatedGet(ctx context.Context, g *groupState, key string) (
 		op.SetError(retErr)
 		op.Finish()
 	}()
-	order := g.readOrder()
+	var ups [readOrderStack]*replicaState
+	order := g.readOrder(ups[:0])
 	probeFallback := len(order) == 0
 	if probeFallback {
 		// No replica is up. Try breaker probes on downed replicas so a
@@ -817,9 +863,13 @@ func (c *Client) hedgeDelay(rep *replicaState) time.Duration {
 	return d
 }
 
-// readOrder snapshots the group's up replicas, fastest (EWMA) first.
-func (g *groupState) readOrder() []*replicaState {
-	ups := make([]*replicaState, 0, len(g.replicas))
+// readOrderStack sizes the stack array a read keeps its replica order in;
+// a larger group's order spills to the heap.
+const readOrderStack = 8
+
+// readOrder appends a snapshot of the group's up replicas to ups, fastest
+// (EWMA) first.
+func (g *groupState) readOrder(ups []*replicaState) []*replicaState {
 	for _, rep := range g.replicas {
 		rep.mu.Lock()
 		up := !rep.down && !rep.repairing
@@ -828,7 +878,7 @@ func (g *groupState) readOrder() []*replicaState {
 			ups = append(ups, rep)
 		}
 	}
-	sort.SliceStable(ups, func(i, j int) bool { return ups[i].ewma.Load() < ups[j].ewma.Load() })
+	slices.SortStableFunc(ups, func(a, b *replicaState) int { return cmp.Compare(a.ewma.Load(), b.ewma.Load()) })
 	return ups
 }
 

@@ -145,8 +145,12 @@ type Server struct {
 	lastSealDur atomic.Int64 // nanos the last Seal spent serializing
 
 	// Durable value log (nil unless ServerConfig.DataDir is set).
-	vlog          *vlog.Log
-	vlogAEAD      *cryptox.AEAD // seals per-record metadata; enclave-derived
+	vlog     *vlog.Log
+	vlogAEAD *cryptox.AEAD // seals per-record metadata; enclave-derived
+	// vlogMetaBuf is the enclave's scratch for a record's metadata plaintext
+	// and associated data; nothing aliases it once vlogMetaMu is released.
+	vlogMetaMu    sync.Mutex
+	vlogMetaBuf   []byte
 	vlogTrack     seqTracker
 	vlogWatermark uint64 // applied-seq watermark from Restore; guarded by sealMu
 

@@ -197,45 +197,42 @@ type vlogMeta struct {
 	value []byte // inline value, only when vlogMetaInline
 }
 
-// encodeVlogMeta flattens m with a zero seq placeholder at bytes [2,10).
-func encodeVlogMeta(m *vlogMeta) []byte {
-	out := make([]byte, 0, vlogMetaFixedLen+len(m.value))
-	out = append(out, vlogMetaVersion, m.flags)
-	out = binary.LittleEndian.AppendUint64(out, m.seq)
-	out = binary.LittleEndian.AppendUint32(out, m.owner)
-	out = append(out, m.opKey[:]...)
-	out = append(out, m.mac[:]...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(m.value)))
-	out = append(out, m.value...)
-	return out
+// appendVlogMeta appends m's plaintext, sealed under sequence seq, to dst.
+func appendVlogMeta(dst []byte, m *vlogMeta, seq uint64) []byte {
+	dst = append(dst, vlogMetaVersion, m.flags)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint32(dst, m.owner)
+	dst = append(dst, m.opKey[:]...)
+	dst = append(dst, m.mac[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.value)))
+	return append(dst, m.value...)
 }
 
-// decodeVlogMeta parses sealed-metadata plaintext.
-func decodeVlogMeta(buf []byte) (*vlogMeta, error) {
+// decodeVlogMeta parses sealed-metadata plaintext; the inline value
+// aliases buf.
+func decodeVlogMeta(buf []byte) (vlogMeta, error) {
 	if len(buf) < vlogMetaFixedLen || buf[0] != vlogMetaVersion {
-		return nil, fmt.Errorf("%w: bad value-log metadata", ErrSnapshotFormat)
+		return vlogMeta{}, fmt.Errorf("%w: bad value-log metadata", ErrSnapshotFormat)
 	}
-	m := &vlogMeta{flags: buf[1]}
+	m := vlogMeta{flags: buf[1]}
 	m.seq = binary.LittleEndian.Uint64(buf[2:])
 	m.owner = binary.LittleEndian.Uint32(buf[10:])
 	copy(m.opKey[:], buf[14:14+cryptox.OperationKeySize])
 	copy(m.mac[:], buf[14+cryptox.OperationKeySize:])
 	valLen := int(binary.LittleEndian.Uint16(buf[vlogMetaFixedLen-2:]))
 	if len(buf) != vlogMetaFixedLen+valLen {
-		return nil, fmt.Errorf("%w: bad value-log metadata length", ErrSnapshotFormat)
+		return vlogMeta{}, fmt.Errorf("%w: bad value-log metadata length", ErrSnapshotFormat)
 	}
 	m.value = buf[vlogMetaFixedLen:]
 	return m, nil
 }
 
-// vlogAD builds the placement-bound associated data for a record.
-func vlogAD(ptr vlog.Ptr, key []byte) []byte {
-	ad := make([]byte, 0, 21+4+8+len(key))
-	ad = append(ad, "precursor-vlog-rec-v1"...)
-	ad = binary.LittleEndian.AppendUint32(ad, ptr.Segment)
-	ad = binary.LittleEndian.AppendUint64(ad, ptr.Offset)
-	ad = append(ad, key...)
-	return ad
+// appendVlogAD appends the placement-bound associated data for a record.
+func appendVlogAD[K string | []byte](dst []byte, ptr vlog.Ptr, key K) []byte {
+	dst = append(dst, "precursor-vlog-rec-v1"...)
+	dst = binary.LittleEndian.AppendUint32(dst, ptr.Segment)
+	dst = binary.LittleEndian.AppendUint64(dst, ptr.Offset)
+	return append(dst, key...)
 }
 
 // initVlog opens the value log and derives its metadata sealing key
@@ -275,32 +272,45 @@ func (s *Server) initVlog() error {
 	return nil
 }
 
-// sealVlogMeta produces the sealed metadata for m at placement ptr,
-// patching seq into the plaintext first.
-func (s *Server) sealVlogMeta(plain []byte, ptr vlog.Ptr, seq uint64, key string) ([]byte, error) {
-	binary.LittleEndian.PutUint64(plain[2:], seq)
-	return s.vlogAEAD.Seal(plain, vlogAD(ptr, []byte(key)))
+// sealVlogMeta appends the sealed metadata for m at placement ptr, sequence
+// seq, to dst — the log's untrusted record buffer. Plaintext (it carries
+// K_operation) and AD are built in the enclave's scratch and never leave it.
+func (s *Server) sealVlogMeta(dst []byte, m *vlogMeta, ptr vlog.Ptr, seq uint64, key string) ([]byte, error) {
+	s.vlogMetaMu.Lock()
+	defer s.vlogMetaMu.Unlock()
+	plain := appendVlogMeta(s.vlogMetaBuf[:0], m, seq)
+	buf := appendVlogAD(plain, ptr, key)
+	s.vlogMetaBuf = buf[:0]
+	return s.vlogAEAD.SealAppend(dst, buf[:len(plain)], buf[len(plain):])
 }
 
 // openVlogMeta opens and parses a record's sealed metadata, verifying
 // its placement binding and that the sealed sequence matches the
-// record header (the header is untrusted).
-func (s *Server) openVlogMeta(ptr vlog.Ptr, rec vlog.Record) (*vlogMeta, error) {
-	plain, err := s.vlogAEAD.Open(rec.Meta, vlogAD(ptr, rec.Key))
+// record header (the header is untrusted). The plaintext is opened in
+// the enclave's scratch; what is returned owns its bytes — an inline
+// value is copied out.
+func (s *Server) openVlogMeta(ptr vlog.Ptr, rec vlog.Record) (vlogMeta, error) {
+	s.vlogMetaMu.Lock()
+	defer s.vlogMetaMu.Unlock()
+	buf := appendVlogAD(s.vlogMetaBuf[:0], ptr, rec.Key)
+	n := len(buf)
+	buf, err := s.vlogAEAD.OpenAppend(buf, rec.Meta, buf[:n])
 	if err != nil {
-		return nil, fmt.Errorf("%w: value-log record %v", ErrSnapshotAuth, ptr)
+		return vlogMeta{}, fmt.Errorf("%w: value-log record %v", ErrSnapshotAuth, ptr)
 	}
-	m, err := decodeVlogMeta(plain)
+	s.vlogMetaBuf = buf[:0]
+	m, err := decodeVlogMeta(buf[n:])
 	if err != nil {
-		return nil, err
+		return vlogMeta{}, err
 	}
 	if m.seq != rec.Seq {
-		return nil, fmt.Errorf("%w: value-log record %v header seq %d != sealed seq %d",
+		return vlogMeta{}, fmt.Errorf("%w: value-log record %v header seq %d != sealed seq %d",
 			ErrSnapshotAuth, ptr, rec.Seq, m.seq)
 	}
 	if (m.flags&vlogMetaTombstone != 0) != rec.Tombstone {
-		return nil, fmt.Errorf("%w: value-log record %v tombstone flag mismatch", ErrSnapshotAuth, ptr)
+		return vlogMeta{}, fmt.Errorf("%w: value-log record %v tombstone flag mismatch", ErrSnapshotAuth, ptr)
 	}
+	m.value = append([]byte(nil), m.value...)
 	return m, nil
 }
 
@@ -328,12 +338,13 @@ func (s *Server) vlogMayCache(n int) bool {
 }
 
 // vlogAppend appends one record for key — payload beside the sealed
-// metadata m — and blocks until it is durable.
-func (s *Server) vlogAppend(key string, m *vlogMeta, payload []byte) (vlog.Ptr, uint64, error) {
-	plain := encodeVlogMeta(m)
-	return s.vlog.Append([]byte(key), payload, m.flags&vlogMetaTombstone != 0, len(plain)+cryptox.SealOverhead,
-		func(ptr vlog.Ptr, seq uint64) ([]byte, error) {
-			return s.sealVlogMeta(plain, ptr, seq, key)
+// metadata m — and blocks until it is durable. at is zero for a new
+// record, or the sequence number a relocated one keeps.
+func (s *Server) vlogAppend(key string, m *vlogMeta, payload []byte, at uint64) (vlog.Ptr, uint64, error) {
+	return s.vlog.AppendSealed([]byte(key), payload, m.flags&vlogMetaTombstone != 0,
+		vlogMetaFixedLen+len(m.value)+cryptox.SealOverhead, at,
+		func(dst []byte, ptr vlog.Ptr, seq uint64) ([]byte, error) {
+			return s.sealVlogMeta(dst, m, ptr, seq, key)
 		})
 }
 
@@ -341,7 +352,7 @@ func (s *Server) vlogAppend(key string, m *vlogMeta, payload []byte) (vlog.Ptr, 
 // the stored ciphertext bytes, none for an enclave-inline value, which
 // rides in the sealed metadata. On success e.vptr and e.seq are set.
 func (s *Server) vlogPut(key string, e *entry, payload []byte) (err error) {
-	m := &vlogMeta{owner: e.owner, opKey: e.opKey, mac: e.mac}
+	m := vlogMeta{owner: e.owner, opKey: e.opKey, mac: e.mac}
 	if e.inline != nil {
 		m.flags |= vlogMetaInline
 		m.value = e.inline.Data
@@ -349,14 +360,14 @@ func (s *Server) vlogPut(key string, e *entry, payload []byte) (err error) {
 	if e.hasMAC {
 		m.flags |= vlogMetaHasMAC
 	}
-	e.vptr, e.seq, err = s.vlogAppend(key, m, payload)
+	e.vptr, e.seq, err = s.vlogAppend(key, &m, payload, 0)
 	return err
 }
 
 // vlogDelete appends a durable tombstone for key and returns its
 // sequence number.
 func (s *Server) vlogDelete(key string, owner uint32) (uint64, error) {
-	_, seq, err := s.vlogAppend(key, &vlogMeta{flags: vlogMetaTombstone, owner: owner}, nil)
+	_, seq, err := s.vlogAppend(key, &vlogMeta{flags: vlogMetaTombstone, owner: owner}, nil, 0)
 	return seq, err
 }
 
@@ -441,7 +452,7 @@ func (s *Server) ReplayVlog() (VlogRecovery, error) {
 				}
 				return err
 			}
-			s.applyVlogRecord(ptr, r, m, tombs, &rec)
+			s.applyVlogRecord(ptr, r, &m, tombs, &rec)
 			return nil
 		})
 		rec.Replay = st
@@ -648,21 +659,19 @@ func (s *Server) compactSegment(id uint32) error {
 				}
 				return merr
 			}
-			key := string(r.Key)
+			// Looked up in place: only a record that moves pays for a key string.
+			cur, live := s.table.GetBytes(r.Key)
 			if r.Tombstone {
-				if r.Seq != anchor {
-					if _, live := s.table.Get(key); live || id == oldest {
-						return nil // superseded, or nothing earlier to resurrect
-					}
+				if r.Seq != anchor && (live || id == oldest) {
+					return nil // superseded, or nothing earlier to resurrect
 				}
-				return s.relocateRecord(key, nil, true, r.Seq, m, nil)
+				return s.relocateRecord(string(r.Key), nil, true, r.Seq, &m, nil)
 			}
-			cur, ok := s.table.Get(key)
-			if ok && cur.vptr == ptr {
-				return s.relocateRecord(key, r.Payload, false, r.Seq, m, cur)
+			if live && cur.vptr == ptr {
+				return s.relocateRecord(string(r.Key), r.Payload, false, r.Seq, &m, cur)
 			}
 			if r.Seq == anchor {
-				return s.relocateRecord(key, r.Payload, false, r.Seq, m, nil)
+				return s.relocateRecord(string(r.Key), r.Payload, false, r.Seq, &m, nil)
 			}
 			return nil // dead version
 		})
@@ -678,11 +687,7 @@ func (s *Server) compactSegment(id uint32) error {
 // for live values — swings the index pointer only if the entry is still
 // the one that was copied.
 func (s *Server) relocateRecord(key string, payload []byte, tombstone bool, seq uint64, m *vlogMeta, cur *entry) error {
-	plain := encodeVlogMeta(m)
-	newPtr, err := s.vlog.AppendAt(seq, []byte(key), payload, tombstone, len(plain)+cryptox.SealOverhead,
-		func(ptr vlog.Ptr) ([]byte, error) {
-			return s.sealVlogMeta(plain, ptr, seq, key)
-		})
+	newPtr, _, err := s.vlogAppend(key, m, payload, seq)
 	if err != nil {
 		return err
 	}

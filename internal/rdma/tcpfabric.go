@@ -41,6 +41,32 @@ const (
 
 const tcpMaxFrame = 4 << 20
 
+// maxRetainedScratch bounds what a connection's scratch buffers keep
+// between frames: one that grew past it for a single large frame is
+// dropped after use, so an idle connection holds no large buffer.
+const maxRetainedScratch = 64 << 10
+
+// retain returns buf emptied for the next frame, or nil when it outgrew
+// maxRetainedScratch.
+func retain(buf []byte) []byte {
+	if cap(buf) > maxRetainedScratch {
+		return nil
+	}
+	return buf[:0]
+}
+
+// popFront removes and returns the head of *q, compacting in place so the
+// backing array's head is reused and the vacated tail pins nothing.
+func popFront[T any](q *[]T) T {
+	s := *q
+	head := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	*q = s[:n]
+	return head
+}
+
 // ErrFrameTooLarge is returned for oversized fabric frames.
 var ErrFrameTooLarge = errors.New("rdma: tcp fabric frame too large")
 
@@ -50,7 +76,13 @@ type TCPQP struct {
 	device *Device
 	conn   net.Conn
 
-	wmu sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // serializes frame writes
+	wbuf []byte     // write scratch, guarded by wmu: one frame is assembled here and leaves in one conn.Write
+
+	// Agent-goroutine scratch, reused frame after frame: rbuf holds the
+	// frame being applied (every apply* copies what it keeps before the
+	// next read), abuf the data a READ is answered with.
+	rbuf, abuf []byte
 
 	mu      sync.Mutex
 	state   qpState
@@ -59,7 +91,7 @@ type TCPQP struct {
 	recvQ   []postedRecv
 	pending []inboundMsg
 	nextOp  uint64
-	awaits  map[uint64]*pendingOp
+	awaits  map[uint64]pendingOp
 
 	done chan struct{}
 }
@@ -80,7 +112,7 @@ func NewTCPQP(dev *Device, conn net.Conn) *TCPQP {
 	q := &TCPQP{
 		device: dev,
 		conn:   conn,
-		awaits: make(map[uint64]*pendingOp),
+		awaits: make(map[uint64]pendingOp),
 		done:   make(chan struct{}),
 	}
 	go q.agent()
@@ -126,29 +158,32 @@ func (l *TCPListener) Accept() (*TCPQP, error) {
 // Close stops the listener.
 func (l *TCPListener) Close() error { return l.ln.Close() }
 
-// writeFrame sends one length-prefixed frame: [u32 len][type][payload].
-func (q *TCPQP) writeFrame(ft byte, payload []byte) error {
-	if len(payload)+1 > tcpMaxFrame {
-		return ErrFrameTooLarge
-	}
+// writeFrame sends one length-prefixed frame, [u32 len][type][verb
+// header][data], assembled in the connection's write scratch so that it
+// leaves in one conn.Write. Callers bound the frame: post refuses an
+// oversized one, and an ack carries at most tcpMaxFrame/2 of read data.
+func (q *TCPQP) writeFrame(ft byte, vh, data []byte) error {
+	n := 1 + len(vh) + len(data)
 	q.wmu.Lock()
 	defer q.wmu.Unlock()
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = ft
-	if _, err := q.conn.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rdma: fabric write: %w", err)
+	if cap(q.wbuf) < 4+n {
+		q.wbuf = make([]byte, 0, 4+n)
 	}
-	if _, err := q.conn.Write(payload); err != nil {
+	buf := binary.LittleEndian.AppendUint32(q.wbuf[:0], uint32(n))
+	buf = append(buf, ft)
+	buf = append(buf, vh...)
+	buf = append(buf, data...)
+	_, err := q.conn.Write(buf)
+	q.wbuf = retain(buf)
+	if err != nil {
 		return fmt.Errorf("rdma: fabric write: %w", err)
 	}
 	return nil
 }
 
-// checkReadyTCP validates the QP can initiate.
-func (q *TCPQP) checkReadyTCP() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// readyLocked reports why the QP cannot take a work request, if it
+// cannot. Called with mu held.
+func (q *TCPQP) readyLocked() error {
 	switch q.state {
 	case qpErr:
 		return ErrQPError
@@ -158,13 +193,32 @@ func (q *TCPQP) checkReadyTCP() error {
 	return nil
 }
 
-// register tracks an awaiting op and returns its id.
-func (q *TCPQP) register(p *pendingOp) uint64 {
+// post initiates one operation: it registers op to await its ack, stamps
+// the op id into the first eight bytes of the verb header vh and sends the
+// frame. An oversized frame is refused before anything is registered and
+// a failed write takes its registration back, so a post that returned an
+// error leaves no entry behind for enterErrorTCP to flush.
+func (q *TCPQP) post(ft byte, op pendingOp, vh, data []byte) error {
+	if 1+len(vh)+len(data) > tcpMaxFrame {
+		return ErrFrameTooLarge
+	}
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	if err := q.readyLocked(); err != nil {
+		q.mu.Unlock()
+		return err
+	}
 	q.nextOp++
-	q.awaits[q.nextOp] = p
-	return q.nextOp
+	opID := q.nextOp
+	q.awaits[opID] = op
+	q.mu.Unlock()
+	binary.LittleEndian.PutUint64(vh, opID)
+	if err := q.writeFrame(ft, vh, data); err != nil {
+		q.mu.Lock()
+		delete(q.awaits, opID)
+		q.mu.Unlock()
+		return err
+	}
+	return nil
 }
 
 // PostWrite implements Conn.
@@ -178,32 +232,22 @@ func (q *TCPQP) PostWriteImm(wrID uint64, rkey uint32, off uint64, data []byte, 
 }
 
 func (q *TCPQP) postWriteTCP(ft byte, wrID uint64, rkey uint32, off uint64, data []byte, imm uint32, signaled bool) error {
-	if err := q.checkReadyTCP(); err != nil {
-		return err
-	}
-	opID := q.register(&pendingOp{wrID: wrID, op: OpWrite, signaled: signaled})
 	// [opID u64][rkey u32][off u64][imm u32][data]
-	payload := make([]byte, 24, 24+len(data))
-	binary.LittleEndian.PutUint64(payload[0:], opID)
-	binary.LittleEndian.PutUint32(payload[8:], rkey)
-	binary.LittleEndian.PutUint64(payload[12:], off)
-	binary.LittleEndian.PutUint32(payload[20:], imm)
-	payload = append(payload, data...)
-	return q.writeFrame(ft, payload)
+	var vh [24]byte
+	binary.LittleEndian.PutUint32(vh[8:], rkey)
+	binary.LittleEndian.PutUint64(vh[12:], off)
+	binary.LittleEndian.PutUint32(vh[20:], imm)
+	return q.post(ft, pendingOp{wrID: wrID, op: OpWrite, signaled: signaled}, vh[:], data)
 }
 
 // PostRead implements Conn.
 func (q *TCPQP) PostRead(wrID uint64, rkey uint32, off uint64, dst []byte) error {
-	if err := q.checkReadyTCP(); err != nil {
-		return err
-	}
-	opID := q.register(&pendingOp{wrID: wrID, op: OpRead, signaled: true, dst: dst})
-	payload := make([]byte, 24)
-	binary.LittleEndian.PutUint64(payload[0:], opID)
-	binary.LittleEndian.PutUint32(payload[8:], rkey)
-	binary.LittleEndian.PutUint64(payload[12:], off)
-	binary.LittleEndian.PutUint32(payload[20:], uint32(len(dst)))
-	return q.writeFrame(frRead, payload)
+	// [opID u64][rkey u32][off u64][len u32]
+	var vh [24]byte
+	binary.LittleEndian.PutUint32(vh[8:], rkey)
+	binary.LittleEndian.PutUint64(vh[12:], off)
+	binary.LittleEndian.PutUint32(vh[20:], uint32(len(dst)))
+	return q.post(frRead, pendingOp{wrID: wrID, op: OpRead, signaled: true, dst: dst}, vh[:], nil)
 }
 
 // PostAtomicCAS implements Conn.
@@ -217,47 +261,32 @@ func (q *TCPQP) PostAtomicFAA(wrID uint64, rkey uint32, off uint64, add uint64) 
 }
 
 func (q *TCPQP) postAtomicTCP(ft byte, wrID uint64, rkey uint32, off uint64, compare, val uint64, op OpType) error {
-	if err := q.checkReadyTCP(); err != nil {
-		return err
-	}
-	opID := q.register(&pendingOp{wrID: wrID, op: op, signaled: true})
-	payload := make([]byte, 36)
-	binary.LittleEndian.PutUint64(payload[0:], opID)
-	binary.LittleEndian.PutUint32(payload[8:], rkey)
-	binary.LittleEndian.PutUint64(payload[12:], off)
-	binary.LittleEndian.PutUint64(payload[20:], compare)
-	binary.LittleEndian.PutUint64(payload[28:], val)
-	return q.writeFrame(ft, payload)
+	// [opID u64][rkey u32][off u64][compare u64][val u64]
+	var vh [36]byte
+	binary.LittleEndian.PutUint32(vh[8:], rkey)
+	binary.LittleEndian.PutUint64(vh[12:], off)
+	binary.LittleEndian.PutUint64(vh[20:], compare)
+	binary.LittleEndian.PutUint64(vh[28:], val)
+	return q.post(ft, pendingOp{wrID: wrID, op: op, signaled: true}, vh[:], nil)
 }
 
 // PostSend implements Conn.
 func (q *TCPQP) PostSend(wrID uint64, data []byte, signaled, inline bool) error {
-	if err := q.checkReadyTCP(); err != nil {
-		return err
-	}
 	_ = inline
-	opID := q.register(&pendingOp{wrID: wrID, op: OpSend, signaled: signaled})
-	payload := make([]byte, 8, 8+len(data))
-	binary.LittleEndian.PutUint64(payload[0:], opID)
-	payload = append(payload, data...)
-	return q.writeFrame(frSend, payload)
+	var vh [8]byte // [opID u64][data]
+	return q.post(frSend, pendingOp{wrID: wrID, op: OpSend, signaled: signaled}, vh[:], data)
 }
 
 // PostRecv implements Conn.
 func (q *TCPQP) PostRecv(wrID uint64, buf []byte) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	switch q.state {
-	case qpErr:
-		return ErrQPError
-	case qpClosed:
-		return ErrQPClosed
+	if err := q.readyLocked(); err != nil {
+		return err
 	}
 	r := postedRecv{wrID: wrID, buf: buf}
 	if len(q.pending) > 0 {
-		msg := q.pending[0]
-		q.pending = q.pending[1:]
-		q.recvCQ = append(q.recvCQ, makeRecvCompletion(r, msg))
+		q.recvCQ = append(q.recvCQ, makeRecvCompletion(r, popFront(&q.pending)))
 		return nil
 	}
 	q.recvQ = append(q.recvQ, r)
@@ -280,7 +309,7 @@ func (q *TCPQP) PollRecv(max int) []Completion {
 
 // SetError implements Conn.
 func (q *TCPQP) SetError() {
-	_ = q.writeFrame(frError, nil)
+	_ = q.writeFrame(frError, nil, nil)
 	q.enterErrorTCP()
 }
 
@@ -344,33 +373,42 @@ func (q *TCPQP) agent() {
 			q.enterErrorTCP()
 			return
 		}
+		q.rbuf = retain(q.rbuf)
 	}
 }
 
+// readFrame reads the next frame into the agent's read scratch; the
+// payload it returns is valid until the next call.
 func (q *TCPQP) readFrame() (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(q.conn, hdr[:]); err != nil {
+	if cap(q.rbuf) < 5 {
+		q.rbuf = make([]byte, 0, 512)
+	}
+	hdr := q.rbuf[:5]
+	if _, err := io.ReadFull(q.conn, hdr); err != nil {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n == 0 || n > tcpMaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n-1)
+	ft := hdr[4]
+	if cap(q.rbuf) < int(n-1) {
+		q.rbuf = make([]byte, 0, n-1)
+	}
+	payload := q.rbuf[:n-1]
 	if _, err := io.ReadFull(q.conn, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return ft, payload, nil
 }
 
 // sendAck replies to an initiated op: [opID u64][status][old u64][data].
 func (q *TCPQP) sendAck(opID uint64, status byte, old uint64, data []byte) {
-	payload := make([]byte, 17, 17+len(data))
-	binary.LittleEndian.PutUint64(payload[0:], opID)
-	payload[8] = status
-	binary.LittleEndian.PutUint64(payload[9:], old)
-	payload = append(payload, data...)
-	_ = q.writeFrame(frAck, payload)
+	var vh [17]byte
+	binary.LittleEndian.PutUint64(vh[0:], opID)
+	vh[8] = status
+	binary.LittleEndian.PutUint64(vh[9:], old)
+	_ = q.writeFrame(frAck, vh[:], data)
 }
 
 func (q *TCPQP) applyWrite(hasImm bool, p []byte) {
@@ -409,16 +447,20 @@ func (q *TCPQP) applyRead(p []byte) {
 		q.sendAck(opID, ackRemoteError, 0, nil)
 		return
 	}
-	dst := make([]byte, n)
+	if cap(q.abuf) < int(n) {
+		q.abuf = make([]byte, 0, n)
+	}
+	dst := q.abuf[:n]
 	mr, err := q.device.lookupMR(rkey)
 	if err == nil {
 		err = mr.remoteRead(off, dst)
 	}
+	status := ackOK
 	if err != nil {
-		q.sendAck(opID, ackRemoteError, 0, nil)
-		return
+		status, dst = ackRemoteError, nil
 	}
-	q.sendAck(opID, ackOK, 0, dst)
+	q.sendAck(opID, status, 0, dst)
+	q.abuf = retain(q.abuf)
 }
 
 func (q *TCPQP) applyAtomic(cas bool, p []byte) {
@@ -448,11 +490,13 @@ func (q *TCPQP) applySend(p []byte) {
 		return
 	}
 	opID := binary.LittleEndian.Uint64(p[0:])
-	data := append([]byte(nil), p[8:]...)
-	q.deliverTCP(inboundMsg{data: data})
+	q.deliverTCP(inboundMsg{data: p[8:]})
 	q.sendAck(opID, ackOK, 0, nil)
 }
 
+// deliverTCP hands msg to the oldest posted receive, which copies its
+// data; with none posted the message waits, on a copy of its own — msg.data
+// aliases the agent's read scratch.
 func (q *TCPQP) deliverTCP(msg inboundMsg) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -460,12 +504,11 @@ func (q *TCPQP) deliverTCP(msg inboundMsg) {
 		return
 	}
 	if len(q.recvQ) == 0 {
+		msg.data = append([]byte(nil), msg.data...)
 		q.pending = append(q.pending, msg)
 		return
 	}
-	r := q.recvQ[0]
-	q.recvQ = q.recvQ[1:]
-	q.recvCQ = append(q.recvCQ, makeRecvCompletion(r, msg))
+	q.recvCQ = append(q.recvCQ, makeRecvCompletion(popFront(&q.recvQ), msg))
 }
 
 func (q *TCPQP) applyAck(p []byte) {

@@ -83,6 +83,18 @@ func TestTCPOversizedPostRejected(t *testing.T) {
 	if c := pollSendWait(t, cliQP); c.Status != StatusOK || c.WRID != 3 {
 		t.Fatalf("completion after rejected post = %+v", c)
 	}
+
+	// A rejected post initiated nothing, so it awaits nothing: when the QP
+	// later fails, no completion may be flushed for wrID 1 or 2.
+	if err := cliQP.PostWrite(4, mr.RKey(), 0, []byte("in flight or acked"), true); err != nil {
+		t.Fatal(err)
+	}
+	cliQP.SetError()
+	for _, c := range cliQP.PollSend(16) {
+		if c.WRID == 1 || c.WRID == 2 {
+			t.Errorf("phantom completion for a rejected post: %+v", c)
+		}
+	}
 }
 
 func TestTCPOversizedFrameHeaderKillsQP(t *testing.T) {

@@ -277,10 +277,9 @@ func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	end := off + int64(len(p))
-	if end > int64(len(h.f.buf)) {
-		grown := make([]byte, end)
-		copy(grown, h.f.buf)
-		h.f.buf = grown
+	if grow := end - int64(len(h.f.buf)); grow > 0 {
+		// Zero-filled growth, amortised: one copy per doubling, not per write.
+		h.f.buf = append(h.f.buf, make([]byte, grow)...)
 	}
 	copy(h.f.buf[off:end], p)
 	return len(p), nil

@@ -3,6 +3,7 @@ package vlog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -81,40 +82,71 @@ func (l *Log) scanSegment(id uint32, st *ReplayStats, fn func(Ptr, Record) error
 	if err != nil {
 		return 0, fmt.Errorf("vlog: replay open segment %d: %w", id, err)
 	}
+	defer f.Close()
 	size, err := f.Size()
 	if err != nil {
-		f.Close()
 		return 0, fmt.Errorf("vlog: replay stat segment %d: %w", id, err)
 	}
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			f.Close()
-			return 0, fmt.Errorf("vlog: replay read segment %d: %w", id, err)
-		}
-	}
-	f.Close()
-
-	off := int64(0)
-	for off < size {
-		// Sequence numbers may legitimately regress mid-stream: GC
-		// relocates records into newer segments keeping their original
-		// (older) sequence. Only structural damage tears a segment.
-		rec, n, derr := decodeRecord(buf[off:])
-		if derr != nil {
-			return l.truncateTorn(id, off, size, derr, st)
-		}
-		if err := fn(Ptr{Segment: id, Offset: uint64(off), Length: uint32(n)}, rec); err != nil {
-			return 0, err
+	// Sequence numbers may legitimately regress mid-stream: GC relocates
+	// records into newer segments keeping their original (older) sequence.
+	// Only structural damage tears a segment.
+	off, damage, err := walkSegment(f, id, size, func(ptr Ptr, rec Record) error {
+		if err := fn(ptr, rec); err != nil {
+			return err
 		}
 		if rec.Seq > st.MaxSeq {
 			st.MaxSeq = rec.Seq
 		}
 		st.Records++
-		st.Bytes += uint64(n)
-		off += int64(n)
+		st.Bytes += uint64(ptr.Length)
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	if damage != nil {
+		return l.truncateTorn(id, off, size, damage, st)
 	}
 	return off, nil
+}
+
+// segmentWindow is how much of a segment a scan holds in memory at a time
+// (a record larger than that gets a window of its own size): replay and
+// compaction walk 64 MiB segments without a 64 MiB buffer each.
+const segmentWindow = 256 << 10
+
+// walkSegment decodes the first size bytes of segment file f record by
+// record, in offset order, through one window buffer that every Record
+// handed to fn aliases until fn returns. It stops at the first structural
+// damage and reports it with the offset reached (a clean walk ends at
+// size); an I/O error or an error from fn aborts the walk and is returned
+// as err.
+func walkSegment(f File, id uint32, size int64, fn func(Ptr, Record) error) (off int64, damage, err error) {
+	var buf []byte
+	var base int64 // file offset of buf[0]
+	for off < size {
+		avail := buf[off-base:]
+		total, headerOK := recordTotal(avail)
+		if (len(avail) < recordHeaderLen || headerOK && len(avail) < total) && base+int64(len(buf)) < size {
+			// The window ends inside this record: refill it from here.
+			want := min(int64(max(segmentWindow, total)), size-off)
+			buf = slices.Grow(buf[:0], int(want))[:want]
+			if _, err := f.ReadAt(buf, off); err != nil {
+				return off, nil, fmt.Errorf("vlog: read segment %d: %w", id, err)
+			}
+			base = off
+			continue
+		}
+		rec, n, derr := decodeRecord(avail)
+		if derr != nil {
+			return off, derr, nil
+		}
+		if err := fn(Ptr{Segment: id, Offset: uint64(off), Length: uint32(n)}, rec); err != nil {
+			return off, nil, err
+		}
+		off += int64(n)
+	}
+	return off, nil, nil
 }
 
 // truncateTorn cuts segment id down to off, recording the damage.
@@ -151,22 +183,9 @@ func (l *Log) IterateSegment(id uint32, fn func(ptr Ptr, rec Record) error) erro
 		return fmt.Errorf("%w: segment %d: %v", ErrNotFound, id, err)
 	}
 	defer f.Close()
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			return fmt.Errorf("vlog: read segment %d: %w", id, err)
-		}
+	off, damage, err := walkSegment(f, id, size, fn)
+	if damage != nil {
+		return fmt.Errorf("segment %d offset %d: %w", id, off, damage)
 	}
-	off := int64(0)
-	for off < size {
-		rec, n, derr := decodeRecord(buf[off:])
-		if derr != nil {
-			return fmt.Errorf("segment %d offset %d: %w", id, off, derr)
-		}
-		if err := fn(Ptr{Segment: id, Offset: uint64(off), Length: uint32(n)}, rec); err != nil {
-			return err
-		}
-		off += int64(n)
-	}
-	return nil
+	return err
 }

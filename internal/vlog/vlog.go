@@ -37,6 +37,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by the log.
@@ -142,6 +143,21 @@ type syncReq struct {
 	done chan error
 }
 
+// counters are the lifetime activity counts behind Stats, bumped without
+// a lock on the append and read paths.
+type counters struct {
+	appendedRecords, appendedBytes atomic.Uint64
+	groupCommits, syncedAppends    atomic.Uint64
+	reads                          atomic.Uint64
+	gcReclaimed, gcSegments        atomic.Uint64
+	deadBytes                      atomic.Int64
+}
+
+// maxRetainedRecord bounds the record buffer the log keeps between
+// appends: one that grew past it for a single large value is dropped
+// after the write.
+const maxRetainedRecord = 64 << 10
+
 // Log is a partitioned value log. All methods are safe for concurrent
 // use.
 type Log struct {
@@ -157,16 +173,26 @@ type Log struct {
 	seq        uint64
 	writers    map[uint32]File
 	dirty      map[uint32]File // files with unsynced writes
+	syncing    map[uint32]File // files of the group commit in progress (or just done): the committer fsyncs them outside mu
 	segs       map[uint32]*segState
+	// rec is the record being appended, encoded in place and handed to
+	// WriteAt before mu is released. It is untrusted memory: the enclave
+	// appends only sealed metadata to it.
+	rec []byte
 
 	readMu  sync.Mutex
 	readers map[uint32]File
 
-	syncCh  chan syncReq
-	stopCh  chan struct{}
-	doneCh  chan struct{}
-	statsMu sync.Mutex
-	stats   Stats
+	syncCh chan syncReq
+	stopCh chan struct{}
+	doneCh chan struct{}
+	// doneFree recycles appenders' completion channels (a sync.Pool would
+	// be emptied by every second GC cycle). A channel goes back only after
+	// its appender received the committer's one send; one whose appender
+	// left through stopCh may still be queued or written to and is dropped.
+	doneMu   sync.Mutex
+	doneFree []chan error
+	stats    counters
 }
 
 // Open creates or opens the log in cfg.Dir. Existing segments are
@@ -256,35 +282,32 @@ func (l *Log) segmentSize(id uint32) (int64, error) {
 	return f.Size()
 }
 
-// Append reserves placement for a record, asks the caller to produce
-// the enclave-sealed metadata for that placement via sealMeta (the hook
-// that lets the enclave fold segment and offset into the metadata's
-// associated data), writes the record, and blocks until the record's
-// group commit has fsynced. It returns the record's pointer and
-// sequence number only after the bytes are durable — the server acks a
-// put no earlier than this return.
-//
-// metaLen must equal len(sealMeta(...)) exactly: placement is reserved
-// before the metadata exists, so its size is declared up front.
-func (l *Log) Append(key, payload []byte, tombstone bool, metaLen int, sealMeta func(ptr Ptr, seq uint64) ([]byte, error)) (Ptr, uint64, error) {
-	return l.append(key, payload, tombstone, metaLen, 0, false, sealMeta)
-}
+// SealFunc produces the enclave-sealed metadata of the record placed at
+// ptr with sequence number seq — the hook that lets the enclave fold
+// segment and offset into the metadata's associated data. It appends the
+// sealed bytes to dst, which is the log's own record buffer (untrusted
+// memory: nothing but the sealed bytes may be written to it), and returns
+// the extended slice.
+type SealFunc func(dst []byte, ptr Ptr, seq uint64) ([]byte, error)
 
-// AppendAt appends a record that keeps a previously issued sequence
-// number instead of drawing a fresh one — the GC relocation path. A
+// AppendSealed reserves placement for a record, has seal append the
+// metadata for that placement to the record in place, writes the record,
+// and blocks until the record's group commit has fsynced. It returns the
+// record's pointer and sequence number only after the bytes are durable —
+// the server acks a put no earlier than this return.
+//
+// metaLen must equal the number of bytes seal appends exactly: placement
+// is reserved before the metadata exists, so its size is declared up
+// front.
+//
+// at is zero for a new record, which draws the next sequence number (the
+// first is 1). A nonzero at is the GC relocation path: the record keeps
+// that previously issued number and the log's counter is not advanced. A
 // relocated record is the same logical version of its key, so it must
 // keep its version: replay applies records newest-sequence-wins, and a
 // relocation that drew a fresh sequence could outrank a genuinely newer
-// write it raced with. The log's own counter is not advanced.
-func (l *Log) AppendAt(seq uint64, key, payload []byte, tombstone bool, metaLen int, sealMeta func(ptr Ptr) ([]byte, error)) (Ptr, error) {
-	ptr, _, err := l.append(key, payload, tombstone, metaLen, seq, true, func(p Ptr, _ uint64) ([]byte, error) {
-		return sealMeta(p)
-	})
-	return ptr, err
-}
-
-// append is the shared reservation + group-commit path.
-func (l *Log) append(key, payload []byte, tombstone bool, metaLen int, seqOverride uint64, hasOverride bool, sealMeta func(ptr Ptr, seq uint64) ([]byte, error)) (Ptr, uint64, error) {
+// write it raced with.
+func (l *Log) AppendSealed(key, payload []byte, tombstone bool, metaLen int, at uint64, seal SealFunc) (Ptr, uint64, error) {
 	recLen := recordLen(len(key), metaLen, len(payload))
 
 	l.mu.Lock()
@@ -314,10 +337,8 @@ func (l *Log) append(key, payload []byte, tombstone bool, metaLen int, seqOverri
 		l.mu.Unlock()
 		return Ptr{}, 0, err
 	}
-	var seq uint64
-	if hasOverride {
-		seq = seqOverride
-	} else {
+	seq := at
+	if seq == 0 {
 		l.seq++
 		seq = l.seq
 	}
@@ -329,9 +350,13 @@ func (l *Log) append(key, payload []byte, tombstone bool, metaLen int, seqOverri
 	// reserved offsets in reservation order, so a crash tears only the
 	// tail, never a hole. The sealed metadata is ~100 B of AEAD work —
 	// cheap next to the fsync this append is about to wait for.
-	meta, err := sealMeta(ptr, seq)
-	if err == nil && len(meta) != metaLen {
-		err = fmt.Errorf("vlog: sealMeta returned %d bytes, declared %d", len(meta), metaLen)
+	if cap(l.rec) < recLen {
+		l.rec = make([]byte, 0, recLen)
+	}
+	buf := appendRecordHead(l.rec[:0], seq, tombstone, key, metaLen, len(payload))
+	buf, err = seal(buf, ptr, seq)
+	if sealed := len(buf) - recordHeaderLen - len(key); err == nil && sealed != metaLen {
+		err = fmt.Errorf("vlog: sealMeta returned %d bytes, declared %d", sealed, metaLen)
 	}
 	if err != nil {
 		// The reserved region is never written: the tail is torn at this
@@ -342,8 +367,14 @@ func (l *Log) append(key, payload []byte, tombstone bool, metaLen int, seqOverri
 		l.mu.Unlock()
 		return Ptr{}, 0, err
 	}
-	buf := encodeRecord(nil, seq, tombstone, key, meta, payload)
-	if _, err := w.WriteAt(buf, int64(ptr.Offset)); err != nil {
+	buf = finishRecord(buf, 0, payload)
+	_, err = w.WriteAt(buf, int64(ptr.Offset))
+	if cap(buf) <= maxRetainedRecord {
+		l.rec = buf
+	} else {
+		l.rec = nil
+	}
+	if err != nil {
 		l.wedged = true
 		l.mu.Unlock()
 		return Ptr{}, 0, fmt.Errorf("vlog: write: %w", err)
@@ -351,20 +382,21 @@ func (l *Log) append(key, payload []byte, tombstone bool, metaLen int, seqOverri
 	l.dirty[ptr.Segment] = w
 	l.mu.Unlock()
 
-	l.statsMu.Lock()
-	l.stats.AppendedRecords++
-	l.stats.AppendedBytes += uint64(recLen)
-	l.statsMu.Unlock()
+	l.stats.appendedRecords.Add(1)
+	l.stats.appendedBytes.Add(uint64(recLen))
 
 	// Group commit: wait for the committer's next fsync batch.
-	req := syncReq{done: make(chan error, 1)}
+	done := l.doneChan()
 	select {
-	case l.syncCh <- req:
+	case l.syncCh <- syncReq{done: done}:
 	case <-l.stopCh:
 		return Ptr{}, 0, ErrClosed
 	}
 	select {
-	case err := <-req.done:
+	case err = <-done:
+		l.doneMu.Lock()
+		l.doneFree = append(l.doneFree, done)
+		l.doneMu.Unlock()
 		if err != nil {
 			return Ptr{}, 0, err
 		}
@@ -372,6 +404,27 @@ func (l *Log) append(key, payload []byte, tombstone bool, metaLen int, seqOverri
 		return Ptr{}, 0, ErrClosed
 	}
 	return ptr, seq, nil
+}
+
+// Append is AppendSealed of a new record for a caller that returns the
+// sealed metadata as a slice of its own, which is copied into the record.
+func (l *Log) Append(key, payload []byte, tombstone bool, metaLen int, sealMeta func(ptr Ptr, seq uint64) ([]byte, error)) (Ptr, uint64, error) {
+	return l.AppendSealed(key, payload, tombstone, metaLen, 0, func(dst []byte, ptr Ptr, seq uint64) ([]byte, error) {
+		meta, err := sealMeta(ptr, seq)
+		return append(dst, meta...), err
+	})
+}
+
+// doneChan returns an empty completion channel, recycled if one is free.
+func (l *Log) doneChan() chan error {
+	l.doneMu.Lock()
+	defer l.doneMu.Unlock()
+	if n := len(l.doneFree); n > 0 {
+		done := l.doneFree[n-1]
+		l.doneFree = l.doneFree[:n-1]
+		return done
+	}
+	return make(chan error, 1)
 }
 
 // rotateLocked switches appends to a fresh segment. Called with mu held.
@@ -392,14 +445,16 @@ func (l *Log) rotateLocked() error {
 	l.active = next
 	l.activeOff = 0
 	l.segs[next] = &segState{}
-	// Retire write handles for full segments with nothing left unsynced:
-	// the committer holds its own reference for any still-dirty file.
+	// Retire write handles for full segments with nothing left unsynced.
+	// A file the committer may be fsyncing right now stays open too —
+	// closing it under the fsync would fail the commit and wedge the log —
+	// and is retired by a later rotation.
 	for id, old := range l.writers {
-		if id != next {
-			if _, dirty := l.dirty[id]; !dirty {
-				_ = old.Close()
-				delete(l.writers, id)
-			}
+		_, dirty := l.dirty[id]
+		_, syncing := l.syncing[id]
+		if id != next && !dirty && !syncing {
+			_ = old.Close()
+			delete(l.writers, id)
 		}
 	}
 	return nil
@@ -423,8 +478,13 @@ func (l *Log) writerLocked(id uint32) (File, error) {
 // fsyncs every dirty segment once, and releases the whole batch.
 func (l *Log) committer() {
 	defer close(l.doneCh)
+	// The batch slice is reused, and two dirty maps take turns: one
+	// collects under mu as l.dirty while the other is fsynced as l.syncing;
+	// both change hands, and are written, only under mu.
+	var batch []syncReq
+	spare := make(map[uint32]File)
 	for {
-		var batch []syncReq
+		batch = batch[:0]
 		select {
 		case <-l.stopCh:
 			return
@@ -443,8 +503,9 @@ func (l *Log) committer() {
 		}
 		l.mu.Lock()
 		wedged := l.wedged
+		clear(spare) // the previous commit's files
 		dirty := l.dirty
-		l.dirty = make(map[uint32]File)
+		l.dirty, l.syncing = spare, dirty
 		l.mu.Unlock()
 		var err error
 		if wedged {
@@ -467,11 +528,10 @@ func (l *Log) committer() {
 				l.mu.Unlock()
 			}
 		}
+		spare = dirty
 		if err == nil {
-			l.statsMu.Lock()
-			l.stats.GroupCommits++
-			l.stats.SyncedAppends += uint64(len(batch))
-			l.statsMu.Unlock()
+			l.stats.groupCommits.Add(1)
+			l.stats.syncedAppends.Add(uint64(len(batch)))
 		}
 		for _, r := range batch {
 			r.done <- err
@@ -507,9 +567,7 @@ func (l *Log) ReadAt(ptr Ptr) (Record, error) {
 		}
 		return Record{}, ErrBadRecord
 	}
-	l.statsMu.Lock()
-	l.stats.Reads++
-	l.statsMu.Unlock()
+	l.stats.reads.Add(1)
 	return rec, nil
 }
 
@@ -555,9 +613,7 @@ func (l *Log) MarkDead(ptr Ptr) {
 		// to account.
 		return
 	}
-	l.statsMu.Lock()
-	l.stats.DeadBytes += int64(ptr.Length)
-	l.statsMu.Unlock()
+	l.stats.deadBytes.Add(int64(ptr.Length))
 }
 
 // SegmentStat describes one segment for GC candidate selection.
@@ -637,19 +693,26 @@ func (l *Log) RemoveSegment(id uint32) error {
 	if err := l.fs.SyncDir(l.cfg.Dir); err != nil {
 		return fmt.Errorf("vlog: remove segment %d: sync dir: %w", id, err)
 	}
-	l.statsMu.Lock()
-	l.stats.GCReclaimed += uint64(bytes)
-	l.stats.GCSegments++
-	l.stats.DeadBytes -= dead
-	l.statsMu.Unlock()
+	l.stats.gcReclaimed.Add(uint64(bytes))
+	l.stats.gcSegments.Add(1)
+	l.stats.deadBytes.Add(-dead)
 	return nil
 }
 
 // Stats returns a snapshot of log activity.
 func (l *Log) Stats() Stats {
-	l.statsMu.Lock()
-	st := l.stats
-	l.statsMu.Unlock()
+	st := Stats{
+		AppendedRecords: l.stats.appendedRecords.Load(),
+		AppendedBytes:   l.stats.appendedBytes.Load(),
+		// Synced appends first: read the other way round, a commit landing
+		// between the two loads would show appends without their commit.
+		SyncedAppends: l.stats.syncedAppends.Load(),
+		GroupCommits:  l.stats.groupCommits.Load(),
+		Reads:         l.stats.reads.Load(),
+		GCReclaimed:   l.stats.gcReclaimed.Load(),
+		GCSegments:    l.stats.gcSegments.Load(),
+		DeadBytes:     l.stats.deadBytes.Load(),
+	}
 	l.mu.Lock()
 	st.Segments = len(l.segs)
 	st.ActiveSegment = l.active
@@ -762,8 +825,16 @@ func recordLen(keyLen, metaLen, payLen int) int {
 // record's placement.
 func encodeRecord(dst []byte, seq uint64, tombstone bool, key, meta, payload []byte) []byte {
 	start := len(dst)
+	dst = appendRecordHead(dst, seq, tombstone, key, len(meta), len(payload))
+	dst = append(dst, meta...)
+	return finishRecord(dst, start, payload)
+}
+
+// appendRecordHead appends a record up to and including its key; the
+// sealed metadata goes next, in place, then finishRecord.
+func appendRecordHead(dst []byte, seq uint64, tombstone bool, key []byte, metaLen, payLen int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, recordMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc patched below
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc patched by finishRecord
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
 	var flags byte
 	if tombstone {
@@ -771,23 +842,41 @@ func encodeRecord(dst []byte, seq uint64, tombstone bool, key, meta, payload []b
 	}
 	dst = append(dst, flags)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(meta)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, key...)
-	dst = append(dst, meta...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(metaLen))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(payLen))
+	return append(dst, key...)
+}
+
+// finishRecord appends the payload to the record that starts at
+// dst[start] and patches its CRC.
+func finishRecord(dst []byte, start int, payload []byte) []byte {
 	dst = append(dst, payload...)
 	crc := crc32.Checksum(dst[start+8:], crcTable)
 	binary.LittleEndian.PutUint32(dst[start+4:start+8], crc)
 	return dst
 }
 
+// recordTotal reads the header at the start of buf: the encoded length of
+// the record it announces, and whether the header is whole and plausible
+// (magic, lengths within the framing limits). It checks no CRC.
+func recordTotal(buf []byte) (total int, ok bool) {
+	if len(buf) < recordHeaderLen || binary.LittleEndian.Uint32(buf) != recordMagic {
+		return 0, false
+	}
+	keyLen := int(binary.LittleEndian.Uint16(buf[17:]))
+	metaLen := int(binary.LittleEndian.Uint16(buf[19:]))
+	payLen := int(binary.LittleEndian.Uint32(buf[21:]))
+	if keyLen == 0 || keyLen > MaxKeyBytes || metaLen > MaxMetaBytes || payLen > MaxPayloadBytes {
+		return 0, false
+	}
+	return recordLen(keyLen, metaLen, payLen), true
+}
+
 // decodeRecord parses one record at the start of buf, returning it and
 // the encoded length consumed. Slices alias buf.
 func decodeRecord(buf []byte) (Record, int, error) {
-	if len(buf) < recordHeaderLen {
-		return Record{}, 0, ErrTornSegment
-	}
-	if binary.LittleEndian.Uint32(buf) != recordMagic {
+	total, ok := recordTotal(buf)
+	if !ok || len(buf) < total {
 		return Record{}, 0, ErrTornSegment
 	}
 	crc := binary.LittleEndian.Uint32(buf[4:])
@@ -795,14 +884,6 @@ func decodeRecord(buf []byte) (Record, int, error) {
 	flags := buf[16]
 	keyLen := int(binary.LittleEndian.Uint16(buf[17:]))
 	metaLen := int(binary.LittleEndian.Uint16(buf[19:]))
-	payLen := int(binary.LittleEndian.Uint32(buf[21:]))
-	if keyLen == 0 || keyLen > MaxKeyBytes || metaLen > MaxMetaBytes || payLen > MaxPayloadBytes {
-		return Record{}, 0, ErrTornSegment
-	}
-	total := recordLen(keyLen, metaLen, payLen)
-	if len(buf) < total {
-		return Record{}, 0, ErrTornSegment
-	}
 	if crc32.Checksum(buf[8:total], crcTable) != crc {
 		return Record{}, 0, ErrTornSegment
 	}
