@@ -66,12 +66,19 @@ examples:
 	$(GO) run ./examples/twittercache
 	$(GO) run ./examples/netdeploy
 
-# Short fuzz pass over every wire decoder.
+# Short fuzz pass over every fuzz target, the list CI's "Fuzz smoke"
+# steps run: package and anchored target name, 20 s each.
+FUZZ_TARGETS = \
+	wire:FuzzDecodeRequest wire:FuzzDecodeResponse wire:FuzzDecodeRequestControl \
+	wire:FuzzDecodeResponseControl wire:FuzzBatchFrame \
+	sgx:FuzzVerifyQuote sgx:FuzzClientHandshakeComplete sgx:FuzzRespondHandshake \
+	core:FuzzRestore vlog:FuzzSegmentReplay audit:FuzzAuditChain \
+	cryptox:FuzzSalsa20MatchesReference cryptox:FuzzCMACMatchesReference
 fuzz:
-	$(GO) test ./internal/wire/ -fuzz '^FuzzDecodeRequest$$' -fuzztime 30s
-	$(GO) test ./internal/wire/ -fuzz '^FuzzDecodeResponse$$' -fuzztime 30s
-	$(GO) test ./internal/wire/ -fuzz '^FuzzDecodeRequestControl$$' -fuzztime 30s
-	$(GO) test ./internal/wire/ -fuzz '^FuzzDecodeResponseControl$$' -fuzztime 30s
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz internal/$${t%%:*} $${t##*:}"; \
+		$(GO) test ./internal/$${t%%:*}/ -fuzz "^$${t##*:}$$" -fuzztime 20s -run '^$$'; \
+	done
 
 clean:
 	$(GO) clean -testcache

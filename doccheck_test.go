@@ -11,6 +11,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -373,6 +375,55 @@ func TestDocsCoverMemory(t *testing.T) {
 		for _, phrase := range tc.phrases {
 			if !strings.Contains(text, phrase) {
 				t.Errorf("%s: missing %q", tc.file, phrase)
+			}
+		}
+	}
+}
+
+// TestFuzzTargetsListed keeps `make fuzz` and CI's "Fuzz smoke" steps from
+// drifting apart again: every Fuzz function in the tree must be named in
+// both lists. benchmark/ is its own module, out of reach of the Makefile's
+// ./internal/<pkg> paths.
+func TestFuzzTargetsListed(t *testing.T) {
+	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz[A-Z]\w*)\(\w+ \*testing\.F\)`)
+	var targets []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "benchmark") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFunc.FindAllSubmatch(src, -1) {
+			targets = append(targets, string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) == 0 {
+		t.Fatal("found no fuzz target; the walk is broken")
+	}
+	for _, file := range []string{"Makefile", ".github/workflows/ci.yml"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A name ends at a space, a quote, a backslash-newline, ';' or '$'.
+		words := strings.FieldsFunc(string(data), func(r rune) bool {
+			return strings.ContainsRune(" \t\n\\'\";:^$", r)
+		})
+		for _, target := range targets {
+			if !slices.Contains(words, target) {
+				t.Errorf("%s does not run %s", file, target)
 			}
 		}
 	}

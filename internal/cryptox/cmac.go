@@ -4,6 +4,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 )
 
@@ -91,10 +92,10 @@ func (c *CMAC) Write(p []byte) (int, error) {
 			c.flushBuf()
 		}
 	}
-	// Process whole blocks, keeping at least one byte pending for the final
-	// block transformation.
+	// Process whole blocks straight from p, keeping at least one byte
+	// pending for the final block transformation.
 	for len(p) > CMACSize {
-		xorBlock(c.x[:], p[:CMACSize])
+		xorBlock(&c.x, p)
 		c.block.Encrypt(c.x[:], c.x[:])
 		p = p[CMACSize:]
 	}
@@ -105,7 +106,7 @@ func (c *CMAC) Write(p []byte) (int, error) {
 }
 
 func (c *CMAC) flushBuf() {
-	xorBlock(c.x[:], c.buf[:])
+	xorBlock(&c.x, c.buf[:])
 	c.block.Encrypt(c.x[:], c.x[:])
 	c.n = 0
 }
@@ -123,14 +124,14 @@ func (c *CMAC) sum() *[CMACSize]byte {
 	c.last = [CMACSize]byte{}
 	if c.n == CMACSize {
 		copy(c.last[:], c.buf[:])
-		xorBlock(c.last[:], c.k1[:])
+		xorBlock(&c.last, c.k1[:])
 	} else {
 		copy(c.last[:], c.buf[:c.n])
 		c.last[c.n] = 0x80
-		xorBlock(c.last[:], c.k2[:])
+		xorBlock(&c.last, c.k2[:])
 	}
 	c.tag = c.x
-	xorBlock(c.tag[:], c.last[:])
+	xorBlock(&c.tag, c.last[:])
 	c.block.Encrypt(c.tag[:], c.tag[:])
 	return &c.tag
 }
@@ -186,9 +187,9 @@ func shiftLeftOne(dst, src []byte) {
 	}
 }
 
-// xorBlock XORs b into a in place; both must be 16 bytes.
-func xorBlock(a, b []byte) {
-	for i := 0; i < CMACSize; i++ {
-		a[i] ^= b[i]
-	}
+// xorBlock XORs the first 16 bytes of b into a, as two 64-bit words.
+func xorBlock(a *[CMACSize]byte, b []byte) {
+	le := binary.LittleEndian
+	le.PutUint64(a[0:], le.Uint64(a[0:])^le.Uint64(b[0:]))
+	le.PutUint64(a[8:], le.Uint64(a[8:])^le.Uint64(b[8:]))
 }

@@ -1,0 +1,106 @@
+package cryptox
+
+import (
+	"bytes"
+	"testing"
+)
+
+// fit returns b cut or zero-padded to n bytes, so the fuzzer's byte strings
+// always form a valid key or nonce.
+func fit(b []byte, n int) []byte {
+	out := make([]byte, n)
+	copy(out, b)
+	return out
+}
+
+// chunkLen turns one byte of a fuzzed chunk plan into a length between 1
+// and 1276 bytes: sub-block, block-aligned and many-block calls all occur.
+func chunkLen(b byte) int { return 1 + 5*int(b) }
+
+// FuzzSalsa20MatchesReference: from any seek offset, any split of the input
+// into calls — copying or in place — yields the one-block reference's
+// keystream.
+func FuzzSalsa20MatchesReference(f *testing.F) {
+	const carry = uint64(1) << 38 // byte offset of the 2^32-block boundary
+	for _, length := range []uint16{0, 1, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 8192} {
+		f.Add([]byte("k"), []byte("n"), uint64(0), length, []byte{}, false)
+		f.Add([]byte("key"), []byte("nonce"), uint64(63), length, []byte{0, 12, 13, 25}, true)
+		f.Add([]byte{0x80}, []byte{}, carry-160, length, []byte{}, false)
+		f.Add([]byte{0x80}, []byte{}, carry-200, length, []byte{31, 0, 19}, true)
+	}
+	f.Add([]byte{}, []byte{}, carry-1, uint16(130), []byte{0}, true)
+	f.Add([]byte{1, 2, 3}, []byte{4}, ^uint64(0)>>1, uint16(300), []byte{7, 200}, false)
+
+	f.Fuzz(func(t *testing.T, key, nonce []byte, offset uint64, length uint16, plan []byte, inPlace bool) {
+		key, nonce = fit(key, Salsa20KeySize), fit(nonce, Salsa20NonceSize)
+		offset &= 1<<63 - 1 // the reference adds byte indices to it
+		n := int(length) % (8<<10 + 1)
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(i*31) ^ key[i%len(key)]
+		}
+		want := refSalsa20XOR(key, nonce, offset, src)
+
+		s, err := NewSalsa20(key, nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Seek(offset)
+		in := src
+		got := make([]byte, n)
+		if inPlace {
+			copy(got, src)
+			in = got
+		}
+		for off, i := 0, 0; off < n; i++ {
+			c := n - off
+			if len(plan) > 0 {
+				c = min(c, chunkLen(plan[i%len(plan)]))
+			}
+			if err := s.XORKeyStream(got[off:off+c], in[off:off+c]); err != nil {
+				t.Fatal(err)
+			}
+			off += c
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("offset %d, %d bytes, plan %v, in place %v: differs from the reference", offset, n, plan, inPlace)
+		}
+	})
+}
+
+// FuzzCMACMatchesReference: one Write, any split into Writes, and the
+// one-shot helper all give the tag of the RFC 4493 reference.
+func FuzzCMACMatchesReference(f *testing.F) {
+	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33, 48, 64, 65, 4104} {
+		msg := make([]byte, n)
+		for i := range msg {
+			msg[i] = byte(i)
+		}
+		f.Add([]byte("0123456789abcdef"), msg, []byte{})
+		f.Add([]byte{}, msg, []byte{0, 3, 2, 6})
+	}
+
+	f.Fuzz(func(t *testing.T, key, msg, plan []byte) {
+		key = fit(key, macKeySize)
+		want := refCMAC(key, msg)
+
+		if got, err := ComputeCMAC(key, msg); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes in one Write: %x, reference %x (%v)", len(msg), got, want, err)
+		}
+		if len(plan) == 0 {
+			return
+		}
+		c, err := NewCMAC(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off, i := 0, 0; off < len(msg); i++ {
+			n := min(len(msg)-off, chunkLen(plan[i%len(plan)]))
+			_, _ = c.Write(msg[off : off+n]) // never fails
+			off += n
+		}
+		if !c.verify(want) {
+			t.Fatalf("%d bytes split by %v: %x, reference %x", len(msg), plan, c.Sum(nil), want)
+		}
+	})
+}

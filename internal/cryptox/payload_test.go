@@ -2,6 +2,7 @@ package cryptox
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"os"
@@ -150,3 +151,110 @@ func TestPayloadCipherAllocBudget(t *testing.T) {
 		t.Errorf("control SealAppend+OpenAppend allocate %.1f allocs/run into warm buffers, want 0", n)
 	}
 }
+
+// TestPayloadGoldenCrossCommit opens frames sealed by the commit before the
+// multi-block Salsa20 core and the word-wise CMAC loop (30ed8f6): the bytes
+// a stored value or an in-flight reply carries did not move, so values
+// written by an older client still verify and decrypt. Operation key
+// 0x10..0x2f, value byte i = 7i mod 256; one partial block and three blocks
+// plus a tail.
+func TestPayloadGoldenCrossCommit(t *testing.T) {
+	var op OperationKey
+	for i := range op {
+		op[i] = byte(0x10 + i)
+	}
+	for _, v := range []struct {
+		n            int
+		payload, mac string
+	}{
+		{32, "d9bfcaa495bb0ace2348ed32b357e3e5a3bc6ef28d3f406924bf1552ade48c1f0b39f3a8577c6abc",
+			"1f999b44803cdb818bef5cc5ecebf759"},
+		{200, "2ca413e4c90816d0da82c99faba03798c115c7fa1709c82e9eb07893d9c665f54e66ae0377b346f6" +
+			"fbb4d88078b7d6da357f8882d8183190cc05d93f44f308b3a517d1e7211e607cda1a6a5fe8c0399c" +
+			"cadb81e78d1c8ec5820bcbc1330c93757257d330fe07218b7c153492cc96da0ba710f5914d5a3f2c" +
+			"2cf1dcbb3aef9ce9f3e62f735b348b6fe44d35d7d8cc830015841fa7388acdf8fd9720e57b117879" +
+			"b5b25ff9701941e65ed028e5da06833d3b45e14f51c34885d9505d991c4d0ea73e07514cd27e35b2" +
+			"b4251051eeada90a",
+			"cb3a142a0d1ebd7d72e4df620ff52798"},
+	} {
+		want := make([]byte, v.n)
+		for i := range want {
+			want[i] = byte(i * 7)
+		}
+		payload, mac := mustHex(t, v.payload), mustHex(t, v.mac)
+		got, err := new(PayloadCipher).OpenAppend(nil, &op, payload, mac)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%d B: frame sealed at the parent commit opens as %x, %v", v.n, got, err)
+		}
+		// Sealing draws a random nonce, so the forward direction is pinned
+		// through the primitives: same nonce, same ciphertext, same tag.
+		ct, err := Salsa20XOR(op[:], payload[:Salsa20NonceSize], want)
+		if err != nil || hex.EncodeToString(ct) != v.payload[2*Salsa20NonceSize:] {
+			t.Errorf("%d B: ciphertext under the parent's nonce moved (%v)", v.n, err)
+		}
+		if tag, err := ComputeCMAC(MACKey(op), payload); err != nil || hex.EncodeToString(tag) != v.mac {
+			t.Errorf("%d B: tag over the parent's payload moved: %x (%v)", v.n, tag, err)
+		}
+	}
+}
+
+// payloadBenchSizes spans the set-up-bound and the byte-bound side of the
+// crossover (DESIGN.md §5 "The per-byte path"): the empty value, which is
+// set-up alone, the benchmark's small values, its 1 KiB and 4 KiB ones, and
+// the paper's largest.
+var payloadBenchSizes = []int{0, 32, 64, 128, 256, 512, 1024, 4096, 16384}
+
+// BenchmarkPayloadSeal is the call the client makes per put
+// (internal/core/client.go buildRequest, batch.go): a long-lived
+// PayloadCipher sealing into a warm frame.
+func BenchmarkPayloadSeal(b *testing.B) {
+	for _, size := range payloadBenchSizes {
+		b.Run(byteSizeName(size), func(b *testing.B) {
+			var p PayloadCipher
+			op, err := NewOperationKey()
+			if err != nil {
+				b.Fatal(err)
+			}
+			value := make([]byte, size)
+			frame := make([]byte, 0, size+PayloadSealOverhead)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if frame, err = p.SealAppend(frame[:0], &op, value); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPayloadOpen is the call the client makes per get
+// (internal/core/client.go openValue): verify, then decrypt into a slice
+// the caller keeps.
+func BenchmarkPayloadOpen(b *testing.B) {
+	for _, size := range payloadBenchSizes {
+		b.Run(byteSizeName(size), func(b *testing.B) {
+			var p PayloadCipher
+			op, err := NewOperationKey()
+			if err != nil {
+				b.Fatal(err)
+			}
+			frame, err := p.SealAppend(nil, &op, make([]byte, size))
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload, mac := frame[:len(frame)-CMACSize], frame[len(frame)-CMACSize:]
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchSink, err = p.OpenAppend(nil, &op, payload, mac); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var benchSink []byte

@@ -141,6 +141,65 @@ func TestSalsa20Seek(t *testing.T) {
 	}
 }
 
+// TestSalsa20CounterCarry crosses the 2^32-block boundary (byte offset
+// 2^38), where the low counter word wraps and the high one must take the
+// carry: 160 bytes before it to 352 bytes after, in one call and in ragged
+// chunks, against the one-block reference.
+func TestSalsa20CounterCarry(t *testing.T) {
+	key := bytes.Repeat([]byte{0x5a}, Salsa20KeySize)
+	nonce := []byte("carry\x00\x01\x02")
+	const start = uint64(1)<<38 - 160
+	src := make([]byte, 512)
+	rand.New(rand.NewSource(38)).Read(src)
+	want := refSalsa20XOR(key, nonce, start, src)
+	if bytes.Equal(want[160:224], refSalsa20XOR(key, nonce, 0, src[160:224])) {
+		t.Fatal("reference ignores the high counter word")
+	}
+
+	for _, chunks := range [][]int{{512}, {1, 63, 95, 1, 64, 130, 158}, {159, 2, 351}, {160, 352}, {96, 128, 288}} {
+		s, err := NewSalsa20(key, nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Seek(start)
+		got := make([]byte, len(src))
+		off := 0
+		for _, n := range chunks {
+			if err := s.XORKeyStream(got[off:off+n], src[off:off+n]); err != nil {
+				t.Fatal(err)
+			}
+			off += n
+		}
+		if off != len(src) || !bytes.Equal(got, want) {
+			t.Errorf("chunks %v: keystream across the 2^32-block boundary differs from the reference", chunks)
+		}
+	}
+}
+
+// TestSalsa20InPlace encrypts with dst == src, the overlap XORKeyStream
+// documents, at the block edges and the benchmark's value size.
+func TestSalsa20InPlace(t *testing.T) {
+	key := bytes.Repeat([]byte{3}, Salsa20KeySize)
+	nonce := bytes.Repeat([]byte{4}, Salsa20NonceSize)
+	rng := rand.New(rand.NewSource(4096))
+	for _, n := range []int{0, 1, 63, 64, 65, 4095, 4096, 4097} {
+		msg := make([]byte, n)
+		rng.Read(msg)
+		want := refSalsa20XOR(key, nonce, 0, msg)
+		s, err := NewSalsa20(key, nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := append([]byte(nil), msg...)
+		if err := s.XORKeyStream(buf, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Errorf("%d bytes in place: differs from the reference", n)
+		}
+	}
+}
+
 // TestSalsa20DistinctNonces checks that different nonces yield unrelated
 // keystreams (the property the fresh-IV-per-put requirement rests on).
 func TestSalsa20DistinctNonces(t *testing.T) {

@@ -84,7 +84,7 @@ type Server struct {
 	cfg     ServerConfig
 	enclave *sgx.Enclave
 	storage *cryptox.AEAD
-	macKey  []byte
+	mac     *cryptox.CMAC
 
 	buckets []bucketState
 
@@ -129,11 +129,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	mac, err := cryptox.NewCMAC(macKey)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:      c,
 		enclave:  enclave,
 		storage:  storage,
-		macKey:   macKey,
+		mac:      mac,
 		buckets:  make([]bucketState, c.Buckets),
 		sessions: make(map[uint32]*session),
 	}
@@ -426,12 +430,12 @@ func (s *Server) put(sess *session, key, value []byte) []byte {
 		return s.seal(sess, wire.StatusServerError, nil)
 	}
 	s.cryptoBytes.Add(uint64(len(sealed)))
-	mac, err := cryptox.ComputeCMAC(s.macKey, sealed)
-	if err != nil {
-		return s.seal(sess, wire.StatusServerError, nil)
-	}
+	// s.mac is keyed once and never written to: the key does not change, and
+	// each put MACs on its own copy of the running state.
+	mac := *s.mac
+	_, _ = mac.Write(sealed) // never fails
 	entry := storedEntry{sealed: sealed}
-	copy(entry.mac[:], mac)
+	mac.Sum(entry.mac[:0])
 
 	if i, _, found := s.findInBucket(b, key); found {
 		b.entries[i] = entry

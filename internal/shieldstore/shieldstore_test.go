@@ -258,6 +258,18 @@ func TestConcurrentClients(t *testing.T) {
 		}(i, c)
 	}
 	wg.Wait()
+
+	// Concurrent puts MAC on copies of the one keyed CMAC: every stored tag
+	// is the CMAC of its own sealed entry (and -race saw no write to it).
+	for i := range srv.buckets {
+		for _, e := range srv.buckets[i].entries {
+			mac := *srv.mac
+			_, _ = mac.Write(e.sealed)
+			if !bytes.Equal(mac.Sum(nil), e.mac[:]) {
+				t.Fatalf("bucket %d: stored tag is not the CMAC of its sealed entry", i)
+			}
+		}
+	}
 }
 
 // TestOverTCP runs the handshake and operations across a real TCP socket.
