@@ -51,15 +51,18 @@ func connectInProcess(t *testing.T, platform *precursor.Platform, fabric *precur
 // adds nothing to what the connection's op costs (get: the value handed
 // back + the one-time MAC key schedule; put: that schedule + the stored
 // entry + the key string), so the budgets are the core gate's base-mode
-// ones — and so are those of a one-shard ClusterClient over that pool: the
-// single-replica route adds a breaker check and a latency sample, no
-// allocation. The last row is the replicated route (R=2, two such pools):
-// a read orders its replicas in a stack array and a quorum write borrows a
-// pooled fan-out record and parked per-replica writers, so a get costs
-// what it costs on one connection and a put twice that, once per replica,
-// and nothing for the fan-out itself — the benchmark's replicated_durable
-// workload resolves its allocs/op only to ±1, so this row is where a
-// variable captured by reference shows. Run without -race
+// ones — and so are those of a one-shard ClusterClient over that pool: a
+// group of one takes the cluster's one route as a fan-out of one on the
+// caller's goroutine (a pooled record, a work list of one, a breaker
+// check, a latency sample), no allocation — whether cluster.New or
+// cluster.NewReplicated built it, which the cluster-g1 row pins by having
+// to read what the cluster row reads. The last row is the same route at
+// R=2 (two such pools): a read orders its replicas in a stack array and a
+// quorum write hands its record to parked per-replica writers, so a get
+// costs what it costs on one connection and a put twice that, once per
+// replica, and nothing for the fan-out itself — the benchmark's
+// replicated_durable workload resolves its allocs/op only to ±1, so this
+// row is where a variable captured by reference shows. Run without -race
 // (PRECURSOR_ALLOC_GATE pattern, `make allocgate`).
 func TestPoolOpPathAllocBudget(t *testing.T) {
 	if os.Getenv("PRECURSOR_ALLOC_GATE") == "" {
@@ -87,6 +90,13 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cc.Close() })
+	g1, err := cluster.NewReplicated([]cluster.ReplicaGroup{{Name: "group-0", Replicas: []cluster.Shard{
+		{Name: "group-0/r0", Backend: newPool("g1")},
+	}}}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = g1.Close() })
 	r2, err := cluster.NewReplicated([]cluster.ReplicaGroup{{Name: "group-0", Replicas: []cluster.Shard{
 		{Name: "group-0/r0", Backend: newPool("r0")}, {Name: "group-0/r1", Backend: newPool("r1")},
 	}}}, cluster.Options{DisableAutoRepair: true})
@@ -105,6 +115,7 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("user%012d", i)
 	}
+	measured := map[string]string{} // row → allocs/op as logged, to two decimals
 	measure := func(what string, budget float64, op func(int)) {
 		for i := 0; i < warm; i++ {
 			op(i)
@@ -121,6 +132,7 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 		if got > budget {
 			t.Errorf("%s: %.2f allocs/op exceeds the budget of %.1f", what, got, budget)
 		}
+		measured[what] = fmt.Sprintf("%.2f", got)
 	}
 	for _, kv := range []struct {
 		name           string
@@ -130,6 +142,7 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 	}{
 		{"pool", pool.Get, pool.Put, 2.5, 4.5},   // 2.13, 3.13 at this commit and its parent
 		{"cluster", cc.Get, cc.Put, 2.5, 4.5},    // 2.13, 3.13
+		{"cluster-g1", g1.Get, g1.Put, 2.5, 4.5}, // what the cluster row reads
 		{"cluster-r2", r2.Get, r2.Put, 4.5, 8.5}, // 2.13, 6.25 (two replicas' 3.13 each)
 	} {
 		get := func(i int) {
@@ -147,6 +160,11 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 		}
 		measure(kv.name+" get", kv.getMax, get)
 		measure(kv.name+" put", kv.putMax, put)
+	}
+	for _, op := range []string{" get", " put"} {
+		if a, b := measured["cluster"+op], measured["cluster-g1"+op]; a != b {
+			t.Errorf("a group of one costs %s allocs per%s built by New and %s built by NewReplicated: one route, one cost", a, op, b)
+		}
 	}
 }
 

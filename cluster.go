@@ -107,8 +107,7 @@ type ClusterConfig struct {
 	// estimate of its latency is also issued to the next healthy
 	// replica, and the first sealed-valid reply wins. Hedges spend
 	// retry-budget tokens, so tail-latency insurance can never become a
-	// read storm. DialReplicatedCluster only (single-replica groups
-	// have nowhere to hedge).
+	// read storm. A group of one has nowhere to hedge.
 	HedgeReads bool
 	// HedgeMinDelay floors the hedge delay (default 1 ms).
 	HedgeMinDelay time.Duration
@@ -117,7 +116,7 @@ type ClusterConfig struct {
 	// bucket (see OverloadGate / RetryBudget in this package).
 	RetryBudget *RetryBudget
 
-	// Replication (DialReplicatedCluster only).
+	// Replication (groups of more than one replica).
 
 	// WriteQuorum is the number of replica acks a write needs in a
 	// replicated group (0 = majority of the group).
@@ -134,49 +133,14 @@ type ClusterConfig struct {
 // independently — and returns a client that routes operations by
 // consistent key hash. A shard that later dies fails fast with a
 // ShardError wrapping ErrShardDown while the others keep serving; see
-// ClusterClient.Degraded.
+// ClusterClient.Degraded. It is DialReplicatedCluster over groups of one:
+// a lone shard's GroupName is its address, so placement is by address.
 func DialCluster(shards []ShardSpec, cfg ClusterConfig) (*ClusterClient, error) {
-	if len(shards) == 0 {
-		return nil, ErrNoShards
+	groups := make([][]ShardSpec, len(shards))
+	for i := range shards {
+		groups[i] = shards[i : i+1]
 	}
-	if cfg.ConnsPerShard <= 0 {
-		cfg.ConnsPerShard = 1
-	}
-	applyTraceRing(cfg)
-	members := make([]cluster.Shard, 0, len(shards))
-	fail := func(err error) (*ClusterClient, error) {
-		for _, m := range members {
-			_ = m.Backend.Close()
-		}
-		return nil, err
-	}
-	for _, spec := range shards {
-		pool, err := NewPool(spec.Addr, DialConfig{
-			PlatformKey: spec.PlatformKey,
-			Measurement: spec.Measurement,
-			Timeout:     cfg.Timeout,
-			ReadRetries: cfg.ReadRetries,
-			WrapConn:    cfg.WrapConn,
-			Tracer:      cfg.Tracer,
-		}, cfg.ConnsPerShard)
-		if err != nil {
-			return fail(fmt.Errorf("shard %s: %w", spec.Addr, err))
-		}
-		members = append(members, cluster.Shard{Name: spec.Addr, Backend: pool})
-	}
-	return cluster.New(members, cluster.Options{
-		VirtualNodes: cfg.VirtualNodes,
-		RetryBackoff: cfg.RetryBackoff,
-		MaxBackoff:   cfg.MaxBackoff,
-		IsShardFailure: func(err error) bool {
-			return errors.Is(err, core.ErrClosed) ||
-				errors.Is(err, core.ErrTimeout) ||
-				errors.Is(err, ErrPoolClosed)
-		},
-		Tracer: cfg.ClusterTracer,
-		Audit:  cfg.Audit,
-		Heat:   cfg.Heat,
-	})
+	return DialReplicatedCluster(groups, cfg)
 }
 
 // applyTraceRing rebounds the configured tracers' recent-trace rings

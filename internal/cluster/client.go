@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -159,16 +157,18 @@ func (o *Options) withDefaults() Options {
 
 // Client routes operations across shards by consistent key hash.
 //
-// Each ring position is a replica group (size 1 unless built with
-// NewReplicated). Within a group every replica has an independent health
-// breaker. Single-replica groups keep the original semantics: when the
-// one replica's breaker is open, operations fail immediately with a
-// ShardError wrapping ErrShardDown until the retry backoff elapses and a
-// probe is let through. Replicated groups never fail fast while any
-// replica survives: writes fan out to all live replicas and succeed on a
-// quorum of acks, reads fail over from the fastest replica to the next,
-// and a recovering replica is repaired (snapshot + delta + journal
-// replay) before it serves again.
+// Each ring position is a replica group (of one unless built with
+// NewReplicated), and every operation takes the same route through it
+// whatever its size: writes fan out to all live replicas and succeed on a
+// quorum of acks, reads go to the fastest replica and fail over to the
+// next. Within a group every replica has an independent health breaker. A
+// replicated group never fails fast while any replica survives, and a
+// recovering replica is repaired (snapshot + delta + journal replay)
+// before it serves again. A group of one is a fan-out of one: when its
+// replica's breaker is open, operations fail at once with a ShardError
+// wrapping ErrShardDown until the retry backoff elapses and one of them
+// is let through as the probe; it has no peer to repair from, so it keeps
+// no repair state.
 //
 // Client is safe for concurrent use when its Backends are (use pools).
 type Client struct {
@@ -196,14 +196,17 @@ type Client struct {
 type groupState struct {
 	name     string
 	replicas []*replicaState
-	quorum   int // write quorum (1 for single-replica groups)
+	quorum   int // write quorum (1 for a group of one)
 	// repairMu admits one repair run per group at a time (see runRepair).
 	repairMu sync.Mutex
-	// fanFree holds the group's idle fan-out records (see quorumWrite).
+	// fanFree holds the group's idle fan-out records (see write).
 	fanMu   sync.Mutex
 	fanFree []*fanout
 }
 
+// single reports a group of one. Its replica has no peers, which decides
+// two things, each written once on replicaState (admitWrite,
+// fallBehindLocked) — and never which route an operation takes.
 func (g *groupState) single() bool { return len(g.replicas) == 1 }
 
 // replicaState is one replica's connection plus health and counters.
@@ -216,7 +219,7 @@ func (g *groupState) single() bool { return len(g.replicas) == 1 }
 // completing after it tripped would close (on success) or deepen (on
 // failure) the breaker it knows nothing about.
 //
-// On top of the breaker, a replica in an R>1 group moves through three
+// On top of the breaker, a replica with peers moves through three
 // states: up (serving), down (breaker open), repairing (breaker closed
 // again but excluded from reads and live writes until its journal and —
 // after state loss — a donor snapshot have been replayed). Writes that
@@ -251,7 +254,7 @@ type replicaState struct {
 	retryAt  time.Time // next probe admission when down
 	probing  bool      // a probe op is in flight
 
-	repairing     bool     // R>1: serving suspended until repair completes
+	repairing     bool     // serving suspended until repair completes (never set without peers)
 	needsFullSync bool     // repair must adopt a donor snapshot first
 	journal       []string // keys written while this replica was not up
 	journalDrop   bool     // journal overflowed; forces needsFullSync
@@ -381,8 +384,8 @@ func (c *Client) groupFor(ctx context.Context, key string) (*groupState, error) 
 	return g, nil
 }
 
-// Put stores value under key on the owning group: directly on a
-// single-replica group, quorum-fanned-out on a replicated one.
+// Put stores value under key on the owning group: fanned out to its live
+// replicas and acked at the write quorum (one ack, on a group of one).
 func (c *Client) Put(key string, value []byte) error {
 	return c.PutContext(context.Background(), key, value)
 }
@@ -398,11 +401,7 @@ func (c *Client) PutContext(ctx context.Context, key string, value []byte) error
 		return err
 	}
 	c.opts.Heat.Record(heat.KindPut, heat.HashKey(key), len(value), 0)
-	if g.single() {
-		return c.singleOp(ctx, g.replicas[0], func(ctx context.Context, b Backend) error { return b.PutContext(ctx, key, value) },
-			func(r *replicaState) { r.puts.Add(1) })
-	}
-	return c.quorumWrite(ctx, g, "put", key, value)
+	return c.writeOne(ctx, g, "put", core.BatchOp{Kind: core.BatchPut, Key: key, Value: value})
 }
 
 // Get fetches and verifies the value for key from the owning group's
@@ -421,21 +420,16 @@ func (c *Client) GetContext(ctx context.Context, key string) ([]byte, error) {
 		return nil, err
 	}
 	c.opts.Heat.Record(heat.KindGet, heat.HashKey(key), 0, 0)
-	var v []byte
-	if g.single() {
-		err = c.singleOp(ctx, g.replicas[0], func(ctx context.Context, b Backend) (err error) {
-			v, err = b.GetContext(ctx, key)
-			return err
-		}, func(r *replicaState) { r.gets.Add(1) })
-	} else {
-		v, err = c.replicatedGet(ctx, g, key)
-	}
-	c.opts.Heat.AddBytesOut(len(v))
-	return v, err
+	// The work list of one lives on this frame: read never retains ops.
+	ops := [1]core.BatchOp{{Kind: core.BatchGet, Key: key}}
+	var out [1]core.BatchResult
+	c.read(ctx, g, "get", ops[:], out[:])
+	c.opts.Heat.AddBytesOut(len(out[0].Value))
+	return out[0].Value, out[0].Err
 }
 
-// Delete removes key from the owning group (quorum-acked when
-// replicated; a replica reporting not-found counts as an ack).
+// Delete removes key from the owning group (acked at the write quorum; a
+// replica reporting not-found counts as an ack).
 func (c *Client) Delete(key string) error {
 	return c.DeleteContext(context.Background(), key)
 }
@@ -447,445 +441,25 @@ func (c *Client) DeleteContext(ctx context.Context, key string) error {
 		return err
 	}
 	c.opts.Heat.Record(heat.KindDelete, heat.HashKey(key), 0, 0)
-	if g.single() {
-		return c.singleOp(ctx, g.replicas[0], func(ctx context.Context, b Backend) error { return b.DeleteContext(ctx, key) },
-			func(r *replicaState) { r.deletes.Add(1) })
-	}
-	return c.quorumWrite(ctx, g, "delete", key, nil)
+	return c.writeOne(ctx, g, "delete", core.BatchOp{Kind: core.BatchDelete, Key: key})
 }
 
-// singleOp runs one operation against a single-replica group with the
-// original breaker semantics.
-func (c *Client) singleOp(ctx context.Context, rep *replicaState, do func(context.Context, Backend) error, tally func(*replicaState)) error {
-	tok, err := c.admitLegacy(rep)
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	err = do(ctx, rep.backend)
-	rep.recordLatency(t0)
-	if err = c.observe(rep, tok, err, false, ""); err == nil {
-		tally(rep)
-	}
-	return err
-}
-
-// admitLegacy consults a single-replica group's breaker, counting
-// fail-fast rejections as errors like the original client did.
-func (c *Client) admitLegacy(rep *replicaState) (admitToken, error) {
-	tok, err := rep.admit()
-	if err != nil {
-		rep.errors.Add(1)
-		return admitToken{}, err
-	}
-	return tok, nil
-}
-
-// fanout is one quorum write in flight: a pooled record (per group, so its
-// arrays stay sized by the group) that the caller fills, the per-replica
-// writer goroutines tally into, and whoever lets go of it last recycles.
-type fanout struct {
-	c     *Client
-	g     *groupState
-	ctx   context.Context // carries the quorum op's span ref to every replica attempt
-	op    *obs.Op         // single-owner: touched under mu, finished by the last holder
-	kind  string          // "put" or "delete": the trace's kind, and which call a writer makes
-	key   string
-	value []byte          // the caller's slice: a straggler still reads it after the quorum
-	reps  []*replicaState // live replicas and the tokens they were admitted under
-	toks  []admitToken
-	done  chan error   // the write's outcome, sent once: at quorum, or with the last result
-	refs  atomic.Int32 // writers still running, plus the caller until it has read done
-
-	mu                      sync.Mutex
-	landed, acks, notFounds int
-	firstFail, firstData    error
-	resolved                bool
-}
-
-// quorumWrite fans a write out to every live replica of g concurrently
-// and succeeds once quorum acks arrive; stragglers (e.g. an attempt stuck
-// in a dead pool's acquire wait) report in the background without stalling
-// the caller. Replicas that are down or repairing journal the key instead
-// (repair re-syncs it later — journal entries are dirty markers, not
-// acks). Partial application joins core.ErrUnconfirmed onto the failure,
-// mirroring the single-node write-outcome semantics.
-func (c *Client) quorumWrite(ctx context.Context, g *groupState, kind, key string, value []byte) error {
-	g.fanMu.Lock()
-	var f *fanout
-	if n := len(g.fanFree); n > 0 {
-		f, g.fanFree = g.fanFree[n-1], g.fanFree[:n-1]
-	} else {
-		f = &fanout{c: c, g: g, done: make(chan error, 1)} // reps and toks grow to the group's size on first use
-	}
-	g.fanMu.Unlock()
-	f.refs.Store(1) // the caller's hold
-	for _, rep := range g.replicas {
-		if tok, ok := rep.admitWrite(c.opts.JournalCap, key); ok {
-			f.reps, f.toks = append(f.reps, rep), append(f.toks, tok)
-		}
-	}
-	if len(f.reps) == 0 {
-		f.release()
-		c.noteQuorumShortfall(g, 0, "no live replicas")
-		return &ShardError{Shard: g.name, Err: ErrShardDown}
-	}
-	f.op = c.opts.Tracer.Start(int(c.traceSlot.Add(1)), kind)
-	f.op.SetGroup(g.name)
-	f.ctx, f.kind, f.key, f.value = f.op.Continue(ctx), kind, key, value
-	f.refs.Add(int32(len(f.reps))) // and one per writer
-	for _, rep := range f.reps {
-		// Hand the write to a parked writer of this replica, else start one:
-		// a replica runs as many writes at once as it is asked to, so a
-		// straggler delays nobody, and a steady load starts no goroutine.
-		select {
-		case rep.work <- f:
-		default:
-			go rep.writer(c.stopCh, f)
-		}
-	}
-	err := <-f.done
-	f.release()
-	return err
-}
-
-// writer runs this replica's share of one fan-out after another, parking
-// between them until the client closes.
-func (s *replicaState) writer(stop <-chan struct{}, f *fanout) {
-	for {
-		f.run(s)
-		select {
-		case f = <-s.work:
-		case <-stop:
-			return
-		}
-	}
-}
-
-// run performs the write on rep — breaker observation included — and
-// tallies it: the result that completes the quorum wakes the caller, the
-// last one settles a shortfall.
-func (f *fanout) run(rep *replicaState) {
-	c, isDelete := f.c, f.kind == "delete"
-	s0, t0 := f.op.Now(), time.Now()
-	var err error
-	if isDelete {
-		err = rep.backend.DeleteContext(f.ctx, f.key)
-	} else {
-		err = rep.backend.PutContext(f.ctx, f.key, f.value)
-	}
-	rep.recordLatency(t0)
-	rep.noteLatency(time.Since(t0))
-	err = c.observe(rep, f.toks[slices.Index(f.reps, rep)], err, true, f.key)
-	// For a delete, a replica that never had the key is at the desired end
-	// state, so not-found counts toward the quorum.
-	notFound := isDelete && errors.Is(err, core.ErrNotFound)
-	shardLevel := err != nil && (c.opts.IsShardFailure(err) || errors.Is(err, core.ErrUnconfirmed))
-	end := f.op.Now()
-
-	f.mu.Lock()
-	f.op.ReplicaSpanAt(rep.name, s0, end)
-	switch {
-	case err == nil && isDelete:
-		rep.deletes.Add(1)
-		f.acks++
-	case err == nil:
-		rep.puts.Add(1)
-		f.acks++
-	case notFound:
-		f.acks++
-		f.notFounds++
-	case shardLevel && f.firstFail == nil:
-		f.firstFail = err
-	case !shardLevel && f.firstData == nil:
-		f.firstData = err
-	}
-	f.landed++
-	switch {
-	case f.resolved:
-	case f.acks >= f.g.quorum && isDelete && f.acks == f.notFounds:
-		f.resolve(core.ErrNotFound)
-	case f.acks >= f.g.quorum:
-		f.resolve(nil)
-	case f.landed == len(f.reps):
-		f.resolve(f.shortfall())
-	}
-	f.mu.Unlock()
-	f.release()
-}
-
-// resolve settles the write's outcome and wakes the caller.
-func (f *fanout) resolve(err error) {
-	f.resolved = true
-	f.op.SetError(err)
-	f.done <- err
-}
-
-// shortfall is the outcome of a write whose every result is in and that
-// missed its quorum.
-func (f *fanout) shortfall() error {
-	f.c.noteQuorumShortfall(f.g, f.acks, f.kind)
-	if f.acks == 0 && f.firstFail == nil && f.firstData != nil {
-		// Every replica rejected the operation deterministically (e.g.
-		// oversized value): a clean data error, nothing was applied.
-		return f.firstData
-	}
-	cause := cmp.Or(f.firstFail, f.firstData, error(ErrShardDown))
-	if f.acks > 0 && !errors.Is(cause, core.ErrUnconfirmed) {
-		// Some replicas applied the write and the group is below quorum:
-		// the outcome is indeterminate until repair reconverges.
-		cause = fmt.Errorf("%w; %w", cause, core.ErrUnconfirmed)
-	}
-	return &ShardError{Shard: f.g.name, Err: fmt.Errorf("%w (%d/%d acks): %w", ErrNoQuorum, f.acks, f.g.quorum, cause)}
-}
-
-// release drops one hold on the record. The last one finishes the trace —
-// every replica's span is in — and returns the record to its group's free
-// list, emptied of everything the write lent it.
-func (f *fanout) release() {
-	if f.refs.Add(-1) != 0 {
-		return
-	}
-	f.op.Finish()
-	g := f.g
-	*f = fanout{c: f.c, g: g, reps: f.reps[:0], toks: f.toks[:0], done: f.done}
-	g.fanMu.Lock()
-	g.fanFree = append(g.fanFree, f)
-	g.fanMu.Unlock()
-}
-
-// noteQuorumShortfall counts, audits and trace-annotates one replicated
-// write that missed its quorum.
-func (c *Client) noteQuorumShortfall(g *groupState, acks int, detail string) {
-	c.quorumShortfalls.Add(1)
-	c.opts.Audit.Add(audit.Record{Kind: audit.KindQuorumShortfall, Actor: g.name,
-		Detail: fmt.Sprintf("%s: %d/%d acks", detail, acks, g.quorum)})
-	c.opts.Tracer.NoteFault(fmt.Sprintf("quorum shortfall group=%s %d/%d acks", g.name, acks, g.quorum))
-}
-
-// replicatedGet serves a read from the fastest healthy replica, failing
-// over to the next on shard-level errors and on payload-MAC failures.
-// Not-found from a healthy replica is authoritative (an up replica has
-// every acked write) and is returned immediately.
-func (c *Client) replicatedGet(ctx context.Context, g *groupState, key string) (val []byte, retErr error) {
-	op := c.opts.Tracer.Start(int(c.traceSlot.Add(1)), "get")
-	op.SetGroup(g.name)
-	ctx = op.Continue(ctx) // primary, hedge and failover attempts share the op's trace
-	defer func() {
-		op.SetError(retErr)
-		op.Finish()
-	}()
-	var ups [readOrderStack]*replicaState
-	order := g.readOrder(ups[:0])
-	probeFallback := len(order) == 0
-	if probeFallback {
-		// No replica is up. Try breaker probes on downed replicas so a
-		// read-only workload can still resurrect the group.
-		order = g.replicas
-	}
-	var lastErr error
-	attempted := 0
-	hedgeable := c.opts.HedgeReads && !probeFallback && len(order) >= 2
-	if hedgeable {
-		v, err, tried, done := c.hedgedGet(ctx, g, op, order, key)
-		if done {
-			return v, err
-		}
-		// Every hedged attempt failed at the shard level (or the primary
-		// could not be admitted); fall through to the sequential walk —
-		// tripped replicas will be skipped by their breakers.
-		attempted += tried
-		if err != nil {
-			lastErr = err
-		}
-	}
-	for _, rep := range order {
-		if attempted > 0 && spent(ctx) != nil {
-			break // the caller's budget is gone: stop failing over
-		}
-		var tok admitToken
-		var ok bool
-		if probeFallback {
-			tok, ok = rep.admitProbe()
-		} else {
-			tok, ok = rep.admitRead()
-		}
-		if !ok {
-			continue
-		}
-		attempted++
-		s0 := op.Now()
-		t0 := time.Now()
-		v, err := rep.backend.GetContext(ctx, key)
-		d := time.Since(t0)
-		rep.recordLatency(t0)
-		err = c.observe(rep, tok, err, true, "")
-		op.ReplicaSpanAt(rep.name, s0, op.Now())
-		if err == nil {
-			rep.noteLatency(d)
-			rep.gets.Add(1)
-			c.opts.Budget.OnSuccess()
-			if attempted > 1 {
-				c.failovers.Add(1)
-				c.opts.Audit.Add(audit.Record{Kind: audit.KindReadFailover, Actor: rep.name,
-					Detail: fmt.Sprintf("group %s: read served by attempt %d", g.name, attempted)})
-				c.opts.Tracer.NoteFault(fmt.Sprintf("read failover group=%s served-by=%s attempt=%d", g.name, rep.name, attempted))
-			}
-			return v, nil
-		}
-		if errors.Is(err, core.ErrIntegrity) {
-			// Integrity backstop: this replica returned a payload whose
-			// MAC does not verify — treat like an outage and fail over.
-			c.opts.Audit.Add(audit.Record{Kind: audit.KindByzantineFailover, Actor: rep.name,
-				Detail: fmt.Sprintf("group %s: payload MAC failed verification", g.name)})
-			c.opts.Tracer.NoteFault(fmt.Sprintf("byzantine failover group=%s replica=%s", g.name, rep.name))
-			lastErr = err
-			continue
-		}
-		if !c.opts.IsShardFailure(err) {
-			return nil, err // data-level and authoritative (e.g. not-found)
-		}
-		lastErr = err
-	}
-	if attempted == 0 {
-		for _, rep := range g.replicas {
-			rep.errors.Add(1)
-		}
-		return nil, &ShardError{Shard: g.name, Err: ErrShardDown}
-	}
-	return nil, lastErr
-}
-
-// hedgedGet races the fastest replica against a budget-guarded hedge:
-// the read is issued to order[0] immediately, and if no reply has
-// arrived within hedgeDelay, a second copy goes to the next admittable
-// replica. The first sealed-valid reply wins; the loser's late result
-// is discarded (reads are idempotent, so a duplicate apply is
-// harmless). Returns done=false when the caller should fall back to
-// the sequential walk: the primary was not admittable, or every
-// launched attempt failed at the shard level (tried reports how many
-// attempts ran, err the last shard-level failure).
-func (c *Client) hedgedGet(ctx context.Context, g *groupState, op *obs.Op, order []*replicaState, key string) (val []byte, err error, tried int, done bool) {
-	primary := order[0]
-	ptok, ok := primary.admitRead()
-	if !ok {
-		return nil, nil, 0, false
-	}
-	type hedgeReply struct {
-		rep   *replicaState
-		v     []byte
-		err   error
-		d     time.Duration
-		start int64
-	}
-	// Buffered to the maximum attempt count so a losing straggler's send
-	// never blocks: its reply is simply dropped with the channel.
-	replies := make(chan hedgeReply, 2)
-	launch := func(rep *replicaState, tok admitToken) {
-		s0 := op.Now()
-		t0 := time.Now()
-		v, gerr := rep.backend.GetContext(ctx, key)
-		d := time.Since(t0)
-		rep.recordLatency(t0)
-		gerr = c.observe(rep, tok, gerr, true, "")
-		replies <- hedgeReply{rep: rep, v: v, err: gerr, d: d, start: s0}
-	}
-	go launch(primary, ptok)
-	launched := 1
-	timer := time.NewTimer(c.hedgeDelay(primary))
-	defer timer.Stop()
-	var lastErr error
-	for received := 0; received < launched; {
-		select {
-		case r := <-replies:
-			received++
-			op.ReplicaSpanAt(r.rep.name, r.start, op.Now())
-			switch {
-			case r.err == nil:
-				r.rep.noteLatency(r.d)
-				r.rep.gets.Add(1)
-				c.opts.Budget.OnSuccess()
-				if r.rep != primary {
-					c.hedgesWon.Add(1)
-					c.opts.Tracer.NoteFault(fmt.Sprintf("hedge won group=%s replica=%s", g.name, r.rep.name))
-				}
-				return r.v, nil, launched, true
-			case errors.Is(r.err, core.ErrIntegrity):
-				// Integrity backstop, as in the sequential walk: treat the
-				// replica as Byzantine and let the race (or the fallback
-				// walk) serve the read elsewhere.
-				c.opts.Audit.Add(audit.Record{Kind: audit.KindByzantineFailover, Actor: r.rep.name,
-					Detail: fmt.Sprintf("group %s: payload MAC failed verification", g.name)})
-				c.opts.Tracer.NoteFault(fmt.Sprintf("byzantine failover group=%s replica=%s", g.name, r.rep.name))
-				lastErr = r.err
-			case !c.opts.IsShardFailure(r.err):
-				// Data-level and authoritative (e.g. not-found from a
-				// healthy replica) — the race is decided.
-				return nil, r.err, launched, true
-			default:
-				lastErr = r.err
-			}
-		case <-timer.C:
-			if launched > 1 || spent(ctx) != nil {
-				continue
-			}
-			if !c.opts.Budget.TrySpend() {
-				c.hedgesDenied.Add(1)
-				continue
-			}
-			for _, rep := range order[1:] {
-				if tok, hok := rep.admitRead(); hok {
-					launched++
-					c.hedgesLaunched.Add(1)
-					c.opts.Tracer.NoteFault(fmt.Sprintf("hedge launched group=%s replica=%s", g.name, rep.name))
-					go launch(rep, tok)
-					break
-				}
-			}
-		}
-	}
-	return nil, lastErr, launched, false
-}
-
-// hedgeDelay estimates the primary replica's p95 latency from its
-// smoothed (EWMA) latency — 3x the mean is the standard tail estimate
-// for exponential-ish service times — floored at HedgeMinDelay and
-// capped at RetryBackoff so a cold or noisy estimate cannot push the
-// hedge past the breaker's own patience.
-func (c *Client) hedgeDelay(rep *replicaState) time.Duration {
-	d := 3 * time.Duration(rep.ewma.Load())
-	if d < c.opts.HedgeMinDelay {
-		d = c.opts.HedgeMinDelay
-	}
-	if d > c.opts.RetryBackoff {
-		d = c.opts.RetryBackoff
-	}
-	return d
-}
-
-// readOrderStack sizes the stack array a read keeps its replica order in;
-// a larger group's order spills to the heap.
-const readOrderStack = 8
-
-// readOrder appends a snapshot of the group's up replicas to ups, fastest
-// (EWMA) first.
-func (g *groupState) readOrder(ups []*replicaState) []*replicaState {
-	for _, rep := range g.replicas {
-		rep.mu.Lock()
-		up := !rep.down && !rep.repairing
-		rep.mu.Unlock()
-		if up {
-			ups = append(ups, rep)
-		}
-	}
-	slices.SortStableFunc(ups, func(a, b *replicaState) int { return cmp.Compare(a.ewma.Load(), b.ewma.Load()) })
-	return ups
+// writeOne is write for a work list of one.
+func (c *Client) writeOne(ctx context.Context, g *groupState, kind string, op core.BatchOp) error {
+	// Both arrays live on this frame: write copies the list into its record.
+	ops := [1]core.BatchOp{op}
+	var out [1]core.BatchResult
+	c.write(ctx, g, kind, ops[:], out[:])
+	return out[0].Err
 }
 
 // recordLatency adds one operation's elapsed time to the shard's
-// latency histogram, striping across histogram shards for concurrency.
-func (s *replicaState) recordLatency(start time.Time) {
-	s.lat.Record(int(s.latIdx.Add(1)), time.Since(start))
+// latency histogram, striping across histogram shards for concurrency,
+// and returns it.
+func (s *replicaState) recordLatency(start time.Time) time.Duration {
+	d := time.Since(start)
+	s.lat.Record(int(s.latIdx.Add(1)), d)
+	return d
 }
 
 // noteLatency folds one sample into the read-preference EWMA (1/8 new).
@@ -898,64 +472,75 @@ func (s *replicaState) noteLatency(d time.Duration) {
 	s.ewma.Store(old - old/8 + int64(d)/8)
 }
 
-// admit lets an operation through unless the shard's breaker is open,
-// stamping it with the breaker epoch it was admitted under. This is the
-// single-replica-group policy: when down, one probe per backoff window.
-func (s *replicaState) admit() (admitToken, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.down {
-		return admitToken{epoch: s.epoch}, nil
-	}
-	if s.probing || time.Now().Before(s.retryAt) {
-		return admitToken{}, &ShardError{Shard: s.name, Err: ErrShardDown}
-	}
-	s.probing = true // this op is the single half-open probe
-	return admitToken{epoch: s.epoch, probe: true}, nil
-}
-
-// admitWrite decides a replicated write's fate for this replica: live
-// (token returned), or journaled for repair because the replica is down
-// or repairing. The journal append happens under the same lock as the
-// state check, so repair's journal-empty rejoin can never miss a write.
-func (s *replicaState) admitWrite(journalCap int, key string) (admitToken, bool) {
+// admitWrite decides a write's fate for this replica: live (token
+// returned), or — the replica being down or repairing — journaled for
+// repair. The journal append happens under the same lock as the state
+// check, so repair's journal-empty rejoin can never miss a write. A
+// replica without peers has no repair to wait for and no loop tending it:
+// its writes carry the half-open probe themselves.
+func (s *replicaState) admitWrite(journalCap int, ops []core.BatchOp) (admitToken, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.down && !s.repairing {
 		return admitToken{epoch: s.epoch}, true
 	}
-	s.journalLocked(journalCap, key)
-	s.missed.Add(1)
+	if s.group.single() {
+		return s.probeLocked()
+	}
+	for i := range ops {
+		s.journalLocked(journalCap, ops[i].Key)
+	}
+	s.missed.Add(uint64(len(ops)))
 	return admitToken{}, false
 }
 
-// admitRead admits a replicated read only on an up replica.
-func (s *replicaState) admitRead() (admitToken, bool) {
+// admitRead admits a read on an up replica — and, as the group's last
+// resort when none is up, as the half-open probe of a downed one.
+func (s *replicaState) admitRead(lastResort bool) (admitToken, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.down && !s.repairing {
 		return admitToken{epoch: s.epoch}, true
 	}
-	return admitToken{}, false
+	if !lastResort {
+		return admitToken{}, false
+	}
+	return s.probeLocked()
 }
 
-// admitProbe admits one half-open probe on a downed replica whose
-// backoff has elapsed (replicated groups; used when no replica is up and
-// by the background repair scan).
-func (s *replicaState) admitProbe() (admitToken, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.down {
-		if s.repairing {
-			return admitToken{}, false
-		}
-		return admitToken{epoch: s.epoch}, true
-	}
-	if s.probing || time.Now().Before(s.retryAt) {
+// probeLocked admits the one half-open probe of a downed replica whose
+// backoff has elapsed (caller holds s.mu): an op of a group with nobody
+// else to ask, or the background repair scan's own.
+func (s *replicaState) probeLocked() (admitToken, bool) {
+	if !s.down || s.probing || time.Now().Before(s.retryAt) {
 		return admitToken{}, false
 	}
 	s.probing = true
 	return admitToken{epoch: s.epoch, probe: true}, true
+}
+
+// fallBehindLocked suspends this replica's serving until repair has caught
+// it up from a peer, and reports whether there is anything to record
+// (caller holds s.mu). A replica without peers keeps no repair state — no
+// journal, repairing or needsFullSync: no donor can exist, and its breaker
+// alone decides whether it serves.
+func (s *replicaState) fallBehindLocked() bool {
+	if s.group.single() {
+		return false
+	}
+	s.repairing = true
+	return true
+}
+
+// missedWrite journals a write this replica was sent and did not apply —
+// or, the outcome being ambiguous (ErrUnconfirmed), may not have — so
+// repair re-syncs the key from a healthy donor.
+func (s *replicaState) missedWrite(journalCap int, key string) {
+	s.mu.Lock()
+	if s.fallBehindLocked() {
+		s.journalLocked(journalCap, key)
+	}
+	s.mu.Unlock()
 }
 
 // journalLocked appends key to the missed-write journal (caller holds
@@ -980,16 +565,11 @@ func (s *replicaState) journalLocked(cap int, key string) {
 //
 // Only results whose token epoch is still current may transition the
 // breaker, and only a probe's success may close it — a success that was
-// admitted before the trip proves nothing about the shard now.
-//
-// For replicated groups (replicated=true) two extra rules apply: a
-// closing probe lands in the repairing state when the replica has
-// anything to catch up on, and a failed write (writeKey != "") journals
-// its key so repair re-syncs it — including ambiguous outcomes
-// (ErrUnconfirmed), where the replica may or may not have applied it.
-func (c *Client) observe(s *replicaState, tok admitToken, err error, replicated bool, writeKey string) error {
+// admitted before the trip proves nothing about the shard now. A replica
+// with peers that trips falls behind them, and a closing probe leaves it
+// repairing while it has anything to catch up on.
+func (c *Client) observe(s *replicaState, tok admitToken, err error) error {
 	fatal := err != nil && c.opts.IsShardFailure(err)
-	ambiguous := err != nil && errors.Is(err, core.ErrUnconfirmed)
 	tripped := false
 	s.mu.Lock()
 	current := tok.epoch == s.epoch
@@ -1001,13 +581,10 @@ func (c *Client) observe(s *replicaState, tok admitToken, err error, replicated 
 		s.down = true
 		s.probing = false
 		s.failures++
-		if replicated {
-			s.repairing = true
-			if c.opts.OpenRepair != nil {
-				// The outage may have been a restart with state loss; a
-				// snapshot source exists, so re-sync conservatively.
-				s.needsFullSync = true
-			}
+		if s.fallBehindLocked() && c.opts.OpenRepair != nil {
+			// The outage may have been a restart with state loss; a
+			// snapshot source exists, so re-sync conservatively.
+			s.needsFullSync = true
 		}
 		backoff := c.opts.RetryBackoff << uint(min(s.failures-1, 16))
 		if backoff > c.opts.MaxBackoff || backoff <= 0 {
@@ -1016,26 +593,17 @@ func (c *Client) observe(s *replicaState, tok admitToken, err error, replicated 
 		s.retryAt = time.Now().Add(backoff)
 	case !fatal && current && s.down && tok.probe:
 		// The probe came back healthy: close and reset the backoff.
+		// Serving resumes only after repair, if there is any to do.
 		s.epoch++
 		s.down = false
 		s.probing = false
 		s.failures = 0
-		if replicated && (s.needsFullSync || s.journalDrop || len(s.journal) > 0) {
-			s.repairing = true // serving resumes only after repair
-		} else {
-			s.repairing = false
-		}
+		s.repairing = s.needsFullSync || s.journalDrop || len(s.journal) > 0
 	case !fatal && current && !s.down:
 		// Routine success on a closed breaker: nothing to transition.
 	default:
 		// Stale token (the breaker moved on while this op was in
 		// flight): the result must not flap state it predates.
-	}
-	if replicated && writeKey != "" && err != nil && (fatal || ambiguous) {
-		// This replica missed (or may have missed) the write: remember
-		// the key so repair re-syncs it from a healthy donor.
-		s.repairing = true
-		s.journalLocked(c.opts.JournalCap, writeKey)
 	}
 	s.mu.Unlock()
 	if tripped {

@@ -13,17 +13,19 @@
 //
 //   - Ring: a consistent-hash ring with virtual nodes (ring.go). Stable
 //     across membership lists: adding a shard moves ~1/N of the keyspace.
-//   - Client: routes Put/Get/Delete by key hash to per-shard backends,
-//     tracks per-shard health with retry/backoff so a dead shard fails
-//     fast (typed ShardError wrapping ErrShardDown) instead of hanging
-//     every operation, and aggregates per-shard statistics.
-//   - Replication: each ring position can be a ReplicaGroup of R servers
-//     (NewReplicated). Writes fan out to every live replica and succeed
-//     on a quorum of acks; reads come from the fastest healthy replica
-//     with transparent failover (the client-side payload MAC is the
-//     integrity backstop against a Byzantine replica); a recovering
-//     replica is repaired — donor sealed snapshot + delta + journal
-//     replay (repair.go) — before it serves again.
+//   - Client: routes Put/Get/Delete/Batch by key hash to per-shard
+//     backends, tracks per-shard health with retry/backoff so a dead
+//     shard fails fast (typed ShardError wrapping ErrShardDown) instead of
+//     hanging every operation, and aggregates per-shard statistics.
+//   - One route (route.go): each ring position is a ReplicaGroup of R
+//     servers (of one unless built with NewReplicated) and every operation
+//     a work list (of one for Put/Get/Delete). Writes fan out to every
+//     live replica and succeed on a quorum of acks; reads come from the
+//     fastest healthy replica with transparent failover (the client-side
+//     payload MAC is the integrity backstop against a Byzantine replica).
+//     Group size picks no path: a group of one is a fan-out of one. A
+//     recovering replica with peers is repaired — donor sealed snapshot +
+//     delta + journal replay (repair.go) — before it serves again.
 //   - Topology: deployment bookkeeping shared by cmd/precursor-server's
 //     -shard i/n mode and cmd/precursor-cluster (server.go).
 //

@@ -92,19 +92,15 @@ func (c *Client) repairLoop() {
 func (c *Client) tendReplica(g *groupState, rep *replicaState) {
 	rep.mu.Lock()
 	if rep.down {
-		due := !rep.probing && !time.Now().Before(rep.retryAt)
+		tok, due := rep.probeLocked()
+		rep.mu.Unlock()
 		if due {
-			rep.probing = true
-			tok := admitToken{epoch: rep.epoch, probe: true}
-			rep.mu.Unlock()
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
 				c.probeReplica(rep, tok)
 			}()
-			return
 		}
-		rep.mu.Unlock()
 		return
 	}
 	if rep.repairing && !rep.repairBusy {
@@ -127,7 +123,7 @@ func (c *Client) probeReplica(rep *replicaState, tok admitToken) {
 	if err != nil && !c.opts.IsShardFailure(err) {
 		err = nil // a data-level reply is a live replica
 	}
-	_ = c.observe(rep, tok, err, true, "")
+	_ = c.observe(rep, tok, err)
 }
 
 // repairReplica runs one repair attempt and clears the busy flag. A
