@@ -182,11 +182,11 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 //
 // From 4 KiB up the budget is 1.25 heap bytes per stored byte: the slot's
 // worst-case ninth of padding plus the per-key objects. At 1 KiB the same
-// per-key objects (entry 128 B, key 16 B, 32 B bucket / load factor, and the
-// repair dirty-key set until it caps at 65 536 keys: 240 B together) are
-// 0.23 of the value on their own, so the budget there is the measured 1.365
-// plus 3 % — 1.25 at 1 KiB waits for the smaller entry of ROADMAP item H.
-// At 32 B the budget is per key, measured 350 B plus 3 %. These are counts
+// per-key objects (entry 64 B, key 16 B, 32 B bucket / load factor, and the
+// repair dirty-key set until it caps at 65 536 keys: 176 B together) are
+// 0.17 of the value on their own, so the budget there is the measured 1.303
+// plus 3 % — 1.25 at 1 KiB waits for the interned keys of ROADMAP item H.
+// At 32 B the budget is per key, measured 286 B plus 3 %. These are counts
 // of live bytes after GC and repeat to a fraction of a percent. Run without
 // -race (PRECURSOR_ALLOC_GATE pattern, `make allocgate`).
 func TestMemoryPerStoredByte(t *testing.T) {
@@ -209,11 +209,11 @@ func TestMemoryPerStoredByte(t *testing.T) {
 		// budgets heap growth / keys. Zero: reported only.
 		maxPerByte, maxPerKey float64
 	}{
-		{valueSize: 32, maxPerKey: 360},         // 350.1
-		{valueSize: 256},                        // 2.186
-		{valueSize: 1 << 10, maxPerByte: 1.40},  // 1.365
-		{valueSize: 4 << 10, maxPerByte: 1.25},  // 1.199
-		{valueSize: 16 << 10, maxPerByte: 1.25}, // 1.143
+		{valueSize: 32, maxPerKey: 295},         // 285.5
+		{valueSize: 256},                        // 1.935
+		{valueSize: 1 << 10, maxPerByte: 1.34},  // 1.303
+		{valueSize: 4 << 10, maxPerByte: 1.25},  // 1.183
+		{valueSize: 16 << 10, maxPerByte: 1.25}, // 1.139
 	} {
 		t.Run(fmt.Sprintf("%dB", tc.valueSize), func(t *testing.T) {
 			platform, err := precursor.NewPlatform()

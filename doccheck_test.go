@@ -380,6 +380,38 @@ func TestDocsCoverMemory(t *testing.T) {
 	}
 }
 
+// TestDocsCoverWaitingPath pins the documentation of the waiting path: the
+// counters that show it, their export, and the DESIGN.md and PROTOCOL.md
+// text that says when a reply goes inline and what the doorbell word is.
+func TestDocsCoverWaitingPath(t *testing.T) {
+	for file, phrases := range map[string][]string{
+		"OBSERVABILITY.md": {
+			"precursor_replies_inline_total", "precursor_replies_queued_total",
+			"precursor_poll_spins_total", "precursor_poll_yields_total", "precursor_poll_sleeps_total",
+			"RepliesInline", "RepliesQueued", "PollSpins", "PollYields", "PollSleeps",
+		},
+		"metrics.go": {
+			`"precursor_replies_inline_total"`, `"precursor_replies_queued_total"`,
+			`"precursor_poll_spins_total"`, `"precursor_poll_yields_total"`, `"precursor_poll_sleeps_total"`,
+		},
+		"DESIGN.md": {
+			"### The waiting path", "doorbell", "PostBounded", "replyCreditWait", "RWMutex",
+		},
+		"PROTOCOL.md": {"doorbell word", "inline"},
+	} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Errorf("read %s: %v", file, err)
+			continue
+		}
+		for _, phrase := range phrases {
+			if !strings.Contains(string(data), phrase) {
+				t.Errorf("%s: missing %q", file, phrase)
+			}
+		}
+	}
+}
+
 // TestFuzzTargetsListed keeps `make fuzz` and CI's "Fuzz smoke" steps from
 // drifting apart again: every Fuzz function in the tree must be named in
 // both lists. benchmark/ is its own module, out of reach of the Makefile's

@@ -62,9 +62,10 @@ func failed(op *obs.Op, status wire.Status, cause error) wire.BatchOpResult {
 
 func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, op *obs.Op) wire.BatchOpResult {
 	s.puts.Add(1)
-	e := &entry{owner: sess.id}
+	inline := o.Flags&wire.FlagInlineValue != 0
+	e := newEntry(sess.id, inline || s.cfg.HardenedMACs || s.vlog != nil)
 	var stored []byte
-	if o.Flags&wire.FlagInlineValue != 0 {
+	if inline {
 		// §5.2 optimization: the small value lives inside the enclave; a
 		// log record carries it in the sealed metadata, payload empty.
 		if err := s.placeInline(e, o.InlineValue); err != nil {

@@ -149,9 +149,7 @@ func (c *Client) batchAsync(ctx context.Context, ops []BatchOp) (*BatchFuture, e
 	}
 	for len(c.inflight) >= c.window.Limit() {
 		// Drain the oldest reply before admitting more pipelined state.
-		if err := c.waitAnyLocked(); err != nil {
-			return nil, err
-		}
+		c.waitAnyLocked()
 		if time.Now().After(deadline) {
 			// Nothing was sent, nothing is unconfirmed.
 			return nil, ErrTimeout
@@ -290,13 +288,9 @@ func (f *BatchFuture) Wait() ([]BatchResult, error) {
 			f.resolveFailureLocked(ErrClosed)
 			break
 		}
-		if time.Now().After(f.deadline) {
-			f.resolveFailureLocked(ErrTimeout)
-			break
-		}
 		// No single op is waiting: whatever authenticated frame arrives
 		// is a batch reply (resolving its future) or stale.
-		if _, _, err := c.recvLocked(nil); err != nil {
+		if _, _, err := c.recvLocked(nil, f.deadline); err != nil {
 			f.resolveFailureLocked(err)
 			break
 		}
@@ -315,28 +309,18 @@ func (f *BatchFuture) Err() error {
 // waitAnyLocked drives the poll loop until any inflight batch
 // resolves, the earliest deadline passes, or the connection dies.
 // Called with mu held.
-func (c *Client) waitAnyLocked() error {
+func (c *Client) waitAnyLocked() {
 	var oldest *BatchFuture
 	for _, f := range c.inflight {
 		if oldest == nil || f.oid < oldest.oid {
 			oldest = f
 		}
 	}
-	if oldest == nil {
-		return nil
-	}
-	before := len(c.inflight)
-	for len(c.inflight) >= before {
-		if time.Now().After(oldest.deadline) {
-			oldest.resolveFailureLocked(ErrTimeout)
-			return nil
-		}
-		if _, _, err := c.recvLocked(nil); err != nil {
+	for before := len(c.inflight); oldest != nil && len(c.inflight) >= before; {
+		if _, _, err := c.recvLocked(nil, oldest.deadline); err != nil {
 			oldest.resolveFailureLocked(err)
-			return nil
 		}
 	}
-	return nil
 }
 
 // resolveBatchReplyLocked matches an authenticated batch reply to its
@@ -455,9 +439,11 @@ func (f *BatchFuture) resolveFailureLocked(cause error) {
 	f.finishLocked(cause)
 }
 
-// finishLocked marks the future resolved, removes it from the inflight
-// map and closes its trace. Called with mu held.
+// finishLocked marks the future resolved — which ends the connection's
+// wait, if one is open — removes it from the inflight map and closes its
+// trace. Called with mu held.
 func (f *BatchFuture) finishLocked(err error) {
+	f.c.wait.Done()
 	f.done = true
 	f.err = err
 	delete(f.c.inflight, f.oid)

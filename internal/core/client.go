@@ -140,6 +140,9 @@ type Client struct {
 	opKeys     []cryptox.OperationKey
 	payload    cryptox.PayloadCipher
 
+	// wait is the back-off of every wait on this connection, for a reply
+	// and for request-ring credit alike. Guarded by mu.
+	wait ringbuf.Ladder
 	// window is the connection's AIMD pipelining limit: how many batch
 	// frames may be in flight at once. RETRY_LATER and timeouts shrink
 	// it multiplicatively; successes recover it additively (floor 1,
@@ -171,6 +174,10 @@ func Connect(cfg ClientConfig) (*Client, error) {
 
 	cl := &Client{cfg: c, conn: c.Conn, device: c.Device,
 		window: overload.NewAIMD(1, maxPipelined)}
+	cl.wait.Spin, cl.wait.Sleep, cl.wait.Adaptive = ringbuf.WaiterSpin, ringbuf.MinSleep, true
+	if c.Conn.PostBounded() {
+		cl.wait.Yield = ringbuf.WaiterYield
+	}
 	cl.respRing = c.Device.RegisterMemory(
 		ringbuf.RingBytes(c.RespSlots, c.RespSlotSize), rdma.PermRemoteWrite)
 	cl.reqCredit = c.Device.RegisterMemory(ringbuf.CreditBytes, rdma.PermRemoteWrite)
@@ -635,10 +642,7 @@ func (c *Client) roundTrip(ctl *wire.RequestControl, value []byte, external bool
 		return nil, nil, err
 	}
 	for {
-		if time.Now().After(deadline) {
-			return nil, nil, ErrTimeout
-		}
-		rc, payload, err := c.recvLocked(ctl)
+		rc, payload, err := c.recvLocked(ctl, deadline)
 		if rc != nil || err != nil {
 			op.Span(obs.CliRespWait, t)
 			return rc, payload, err
@@ -651,10 +655,10 @@ func (c *Client) roundTrip(ctl *wire.RequestControl, value []byte, external bool
 // flight) must surface as the operation's timeout, not a hang — and a
 // frame that timed out here never entered the ring, so nothing is
 // unconfirmed. The ring writer copies the frame before returning, so the
-// scratch buffers are free for the next frame. For tracing, the loop
-// splits into credit wait (all the failed TryWrite spins) and the one
-// successful ring write. The fast path — first TryWrite succeeds —
-// reuses t, the previous span's end, as both the (zero-length) credit
+// scratch buffers are free for the next frame. The wait climbs c.wait, and
+// the wait for the reply carries on from there. For tracing, the loop
+// splits into credit wait (all the failed TryWrites) and the one
+// successful ring write. The fast path — first TryWrite succeeds — reuses t, the previous span's end, as both the (zero-length) credit
 // wait and the write start, so it costs one clock read; the clock is
 // re-read only on actual credit stalls. It returns the ring-write span's
 // end. Called with mu held.
@@ -669,23 +673,21 @@ func (c *Client) sendFrameLocked(op *obs.Op, t int64, deadline time.Time) (int64
 			op.SpanAt(obs.CliCreditWait, waitStart, writeStart)
 			return op.SpanEnd(obs.CliRingWrite, writeStart), nil
 		}
-		if time.Now().After(deadline) {
+		if !c.wait.Wait(deadline) {
 			return t, ErrTimeout
 		}
-		time.Sleep(2 * time.Microsecond)
 		writeStart = op.Now()
 	}
 }
 
-// recvLocked polls the response ring once and dispatches whatever frame
-// arrived. want is the single op awaiting its reply, nil when only
-// pipelined batches are in flight. A batch reply resolves its future; the
-// reply to want is returned (or its typed error: ErrReplay, a
-// RetryLaterError); anything else is counted and skipped, and the step
-// reports nothing. It sleeps briefly on an empty ring — sleeping rather
-// than spinning lets the runtime park in the netpoller, which matters on
-// low-core hosts where a busy spin would starve the TCP fabric's agent
-// goroutines. Of transport errors only fatal ones are returned.
+// recvLocked is one step of awaiting a reply: it polls the response ring
+// once and dispatches whatever frame arrived. want is the single op
+// awaiting its reply, nil when only pipelined batches are in flight. A
+// batch reply resolves its future; the reply to want is returned (or its
+// typed error: ErrReplay, a RetryLaterError); anything else is counted and
+// skipped, and the step reports nothing. On an empty ring it takes one step
+// of c.wait; past deadline it reports ErrTimeout, whatever the ring held.
+// Of transport errors only fatal ones are returned.
 //
 // Over an untrusted network, frames that fail authentication — a
 // corrupt ring slot, a response whose AEAD open fails, an
@@ -694,24 +696,42 @@ func (c *Client) sendFrameLocked(op *obs.Op, t int64, deadline time.Time) (int64
 // such a frame would let an attacker cancel requests with garbage, so an
 // operation's fate is decided only by an authenticated response or its
 // deadline. Called with mu held.
-func (c *Client) recvLocked(want *wire.RequestControl) (*wire.ResponseControl, []byte, error) {
+func (c *Client) recvLocked(want *wire.RequestControl, deadline time.Time) (rc *wire.ResponseControl, payload []byte, err error) {
 	msg, ready, err := c.respReader.PollInto(c.pollBuf)
 	c.pollBuf = msg[:cap(msg)]
-	if err != nil {
-		if errors.Is(err, ringbuf.ErrCorrupt) {
-			// The reader consumed the mangled slot; the bytes are
-			// unattributable noise.
-			c.badFrames++
-			return nil, nil, nil
+	if err == nil && !ready {
+		if !c.wait.Wait(deadline) {
+			err = ErrTimeout
 		}
+		return nil, nil, err
+	}
+	pending := len(c.inflight)
+	switch {
+	case errors.Is(err, ringbuf.ErrCorrupt):
+		// The reader consumed the mangled slot; the bytes are
+		// unattributable noise.
+		c.badFrames++
+		err = nil
+	case err != nil:
 		// Anything else is a failed credit write — the connection is dead
 		// or dying.
-		return nil, nil, fmt.Errorf("%w: %v", ErrClosed, err)
+		err = fmt.Errorf("%w: %v", ErrClosed, err)
+	default:
+		rc, payload, err = c.dispatchLocked(msg, want)
 	}
-	if !ready {
-		time.Sleep(2 * time.Microsecond)
-		return nil, nil, nil
+	// A frame that decided nothing, not even a batch future, is followed by
+	// another poll at once — but never past the deadline, however many come.
+	if rc == nil && err == nil && len(c.inflight) == pending && time.Now().After(deadline) {
+		err = ErrTimeout
 	}
+	if rc != nil || err != nil {
+		c.wait.Done()
+	}
+	return rc, payload, err
+}
+
+// dispatchLocked is recvLocked's handling of one arrived frame.
+func (c *Client) dispatchLocked(msg []byte, want *wire.RequestControl) (*wire.ResponseControl, []byte, error) {
 	resp, rc := &c.resp, &c.rctl
 	if err := resp.Decode(msg); err != nil {
 		c.badFrames++
@@ -822,6 +842,10 @@ type ClientStats struct {
 	// credit — each unit is one spin of the credit-wait loop, so the
 	// counter measures flow-control backpressure.
 	CreditStalls uint64
+	// PollSpins, PollYields and PollSleeps count the steps of this
+	// connection's waits: polled again at once, after a yield, after a sleep
+	// (one or more per operation: the spin has switched itself off).
+	PollSpins, PollYields, PollSleeps uint64
 	// Stages is the per-stage latency snapshot from this client's
 	// tracer, nil when ClientConfig.Tracer is unset. Add ignores it (a
 	// quantile snapshot cannot be summed): to aggregate stage latencies
@@ -847,6 +871,9 @@ func (s *ClientStats) Add(other ClientStats) {
 	s.StaleFrames += other.StaleFrames
 	s.UnauthStatuses += other.UnauthStatuses
 	s.CreditStalls += other.CreditStalls
+	s.PollSpins += other.PollSpins
+	s.PollYields += other.PollYields
+	s.PollSleeps += other.PollSleeps
 }
 
 // StatsStruct returns client-side operation counters, plus the tracer's
@@ -854,7 +881,7 @@ func (s *ClientStats) Add(other ClientStats) {
 func (c *Client) StatsStruct() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return ClientStats{
+	st := ClientStats{
 		Puts: c.puts, Gets: c.gets, Deletes: c.deletes,
 		Batches: c.batches, BatchedOps: c.batchedOps,
 		IntegrityFailures: c.integrityFailures,
@@ -867,6 +894,8 @@ func (c *Client) StatsStruct() ClientStats {
 		CreditStalls:      c.reqWriter.Stalls(),
 		Stages:            c.cfg.Tracer.Snapshot(),
 	}
+	st.PollSpins, st.PollYields, st.PollSleeps = c.wait.Steps()
+	return st
 }
 
 // Tracer returns the client's tracer (nil when tracing is disabled).

@@ -127,8 +127,9 @@ type ServerConfig struct {
 	EntryBytes int
 	// ImagePages is the enclave's static EPC footprint in pages.
 	ImagePages int
-	// PollInterval is the idle back-off of trusted threads; 0 disables
-	// sleeping (pure busy-poll, as the paper's server).
+	// PollInterval is the sleep of an idle trusted thread's back-off, the
+	// last rung after spinning and yielding (0 means the default 20 µs);
+	// negative disables sleeping (pure busy-poll, as the paper's server).
 	PollInterval time.Duration
 	// MaxClients bounds concurrent sessions (0 = unlimited). The security
 	// discussion (§3.9) notes an attacker can exhaust the RNIC's
@@ -252,6 +253,14 @@ type ServerStats struct {
 	// sealing state (0 = never sealed). Index-only snapshots keep this
 	// flat as the store grows — the satellite fix for seal stalls.
 	SealDuration time.Duration
+	// RepliesInline counts the replies a trusted thread wrote into the
+	// response ring itself, RepliesQueued those it handed to the sender
+	// pool, one goroutine hand-off each (ring out of credit, replies queued
+	// already, or a transport whose post can stall: the TCP fabric always).
+	RepliesInline, RepliesQueued uint64
+	// PollSpins, PollYields and PollSleeps count the trusted threads' idle
+	// sweeps: those that went straight on, yielded, or slept PollInterval.
+	PollSpins, PollYields, PollSleeps uint64
 	// ShedReads, ShedWrites and ShedBatches count operations refused by
 	// the admission gate with sealed RETRY_LATER (all zero when
 	// ServerConfig.Overload is nil).

@@ -388,20 +388,19 @@ func (s *Server) deserializeState(buf []byte) error {
 		}
 		key := string(buf[:keyLen])
 		buf = buf[keyLen:]
-		e := &entry{}
+		eflags := buf[wire.OpKeySize+4]
+		wide := eflags != 0 || s.vlog != nil
+		e := newEntry(binary.LittleEndian.Uint32(buf[wire.OpKeySize:]), wide)
 		copy(e.opKey[:], buf[:wire.OpKeySize])
-		buf = buf[wire.OpKeySize:]
-		e.owner = binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		eflags := buf[0]
-		buf = buf[1:]
+		buf = buf[wire.OpKeySize+4+1:]
 		e.hasMAC = eflags&1 != 0
 		inline := eflags&2 != 0
 		hasVptr := eflags&4 != 0
-		copy(e.mac[:], buf[:wire.MACSize])
-		buf = buf[wire.MACSize:]
-		e.seq = binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
+		if wide {
+			copy(e.mac[:], buf[:wire.MACSize])
+			e.seq = binary.LittleEndian.Uint64(buf[wire.MACSize:])
+		}
+		buf = buf[wire.MACSize+8:]
 		if hasVptr {
 			if len(buf) < 16 {
 				return ErrSnapshotFormat

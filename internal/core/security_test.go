@@ -122,7 +122,7 @@ func TestReplayedRequestRejected(t *testing.T) {
 		c.mu.Unlock()
 		t.Fatal(err)
 	}
-	if err := c.reqWriter.Write(frame); err != nil {
+	if err := c.reqWriter.WriteDeadline(frame, time.Now().Add(time.Second)); err != nil {
 		c.mu.Unlock()
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestForgedControlDataRejected(t *testing.T) {
 		c.mu.Unlock()
 		t.Fatal(err)
 	}
-	err = c.reqWriter.Write(frame)
+	err = c.reqWriter.WriteDeadline(frame, time.Now().Add(time.Second))
 	c.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestRogueClientGarbageFrame(t *testing.T) {
 	// The rogue writes a syntactically valid ring frame whose content is
 	// garbage, bypassing its own protocol stack.
 	rogue.mu.Lock()
-	err := rogue.reqWriter.Write([]byte{0x01, 0x02, 0x03})
+	err := rogue.reqWriter.WriteDeadline([]byte{0x01, 0x02, 0x03}, time.Now().Add(time.Second))
 	rogue.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

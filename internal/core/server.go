@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,20 +36,42 @@ const replyFrameFree = 64
 
 // entry is the per-key security metadata the enclave's hash table stores:
 // K_operation, the pointer into the untrusted payload pool, and the owner
-// (Fig. 3). In hardened mode the payload MAC is kept here too; in inline
-// mode the value itself is.
+// (Fig. 3) — 64 bytes, all the base mode keeps per key. What only some
+// modes store sits behind entryMore: every entry points at one, the base
+// mode's at noMore, which is shared, all zeroes and never written.
 type entry struct {
 	opKey  cryptox.OperationKey
 	ref    slab.Ref
-	mac    [wire.MACSize]byte
-	hasMAC bool
-	inline *sgx.Region // enclave-resident small value, nil otherwise
 	owner  uint32
-	// Value-log placement (zero when the log is disabled): the durable
-	// record backing this version and its log sequence number. With the
-	// log enabled ref becomes a cache — evictable, rebuildable from vptr.
-	vptr vlog.Ptr
-	seq  uint64
+	hasMAC bool // mac holds the payload MAC (hardened mode)
+	*entryMore
+}
+
+// entryMore is an entry's mode-specific part: the payload MAC in hardened
+// mode, the value itself in inline mode, and with a value log the durable
+// record backing this version and its log sequence number (ref is then a
+// cache: evictable, rebuildable from vptr).
+type entryMore struct {
+	mac    [wire.MACSize]byte
+	inline *sgx.Region
+	vptr   vlog.Ptr
+	seq    uint64
+}
+
+var noMore entryMore
+
+// newEntry returns an entry; a wide one owns its entryMore, in the same
+// allocation: hardened mode, a value log or an inline value need it.
+func newEntry(owner uint32, wide bool) *entry {
+	if !wide {
+		return &entry{owner: owner, entryMore: &noMore}
+	}
+	w := &struct {
+		entry
+		more entryMore
+	}{}
+	w.entry = entry{owner: owner, entryMore: &w.more}
+	return &w.entry
 }
 
 // session is the per-client state: the transport-encryption AEAD keyed
@@ -74,6 +95,8 @@ type session struct {
 	respCredit *rdma.MemoryRegion
 	lastOid    uint64 // accessed only by the owning trusted thread
 	revoked    atomic.Bool
+	mayInline  bool         // the transport's post is a bounded in-memory copy (rdma.Conn.PostBounded)
+	queued     atomic.Int32 // replies handed to the sender pool, not yet written or dropped
 
 	// Scratch reused across frames so the server's steady-state op path
 	// allocates nothing in the codecs or the control seals. Accessed only
@@ -91,10 +114,11 @@ type session struct {
 
 // outFrame is a reply handed from a trusted thread to the untrusted
 // sender pool (§3.8: "trusted threads write request replies into an
-// untrusted queue; the worker threads send these messages using RDMA").
-// frame comes from Server.frames and goes back once the ring write has
-// returned. The tracing op rides along (nil when tracing is off): the
-// sender loop owns the final srv_send span and finishes the trace.
+// untrusted queue; the worker threads send these messages using RDMA"),
+// when the thread could not post it itself (sendReply). frame comes from
+// Server.frames and goes back once the ring write has returned. The
+// tracing op rides along (nil when tracing is off): the sender loop owns
+// the final srv_send span and finishes the trace.
 type outFrame struct {
 	sess  *session
 	frame []byte
@@ -118,7 +142,9 @@ type Server struct {
 	nextID    uint32
 	ownerOnly atomic.Bool
 
-	out chan outFrame
+	out                          chan outFrame
+	pollers                      []ringbuf.Ladder // each trusted thread's idle back-off
+	repliesInline, repliesQueued atomic.Uint64
 	// frames recycles reply frame buffers between trusted threads (take)
 	// and senders (give back after the ring write copied the frame).
 	frames chan []byte
@@ -257,6 +283,7 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 
 	// Ecall ii.: start the trusted polling threads.
 	s.byWorker.Store(make([][]*session, c.Workers))
+	s.pollers = make([]ringbuf.Ladder, c.Workers)
 	for w := 0; w < c.Workers; w++ {
 		w := w
 		if err := enclave.Ecall("start_polling", func() error { return nil }); err != nil {
@@ -369,7 +396,8 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 		ringbuf.RingBytes(s.cfg.RingSlots, s.cfg.SlotSize), rdma.PermRemoteWrite)
 	respCredit := s.device.RegisterMemory(ringbuf.CreditBytes, rdma.PermRemoteWrite)
 
-	sess := &session{conn: conn, aead: aead, reqRing: reqRing, respCredit: respCredit}
+	sess := &session{conn: conn, aead: aead, reqRing: reqRing, respCredit: respCredit,
+		mayInline: conn.PostBounded()}
 
 	sess.reqReader, err = ringbuf.NewReader(ringbuf.ReaderConfig{
 		Ring: reqRing, Slots: s.cfg.RingSlots, SlotSize: s.cfg.SlotSize,
@@ -464,15 +492,11 @@ func (s *Server) trustedLoop(worker int) {
 	var scratch *sgx.Region
 	var pollBuf []byte
 	tr := s.cfg.Tracer
-	// Adaptive idle back-off: spin (lowest latency while traffic is
-	// hot), then yield the P (stay runnable without starving the TCP
-	// fabric's goroutines), then sleep PollInterval (cede the core on a
-	// genuinely idle ring). A single ready frame resets the ladder.
-	const (
-		spinSweeps  = 64
-		yieldSweeps = 1024
-	)
-	idle := 0
+	// Idle back-off, reset by a single ready frame: spin, then yield the P —
+	// both with in-memory transports only — then sleep PollInterval a sweep
+	// (a negative one keeps yielding: a pure busy-poll).
+	idle := &s.pollers[worker]
+	idle.Sleep = s.cfg.PollInterval
 	for {
 		select {
 		case <-s.stopCh:
@@ -490,7 +514,11 @@ func (s *Server) trustedLoop(worker int) {
 		// under low load — never touch the clock.
 		var iterStart int64
 		progress := false
+		idle.Spin, idle.Yield = ringbuf.PollerSpin, ringbuf.PollerYield
 		for _, sess := range mine {
+			if !sess.mayInline {
+				idle.Spin, idle.Yield = 0, 0
+			}
 			if sess.revoked.Load() {
 				continue
 			}
@@ -528,46 +556,32 @@ func (s *Server) trustedLoop(worker int) {
 			s.handleRequest(sess, msg, op, now)
 		}
 		if progress {
-			idle = 0
-			continue
-		}
-		idle++
-		switch {
-		case idle <= spinSweeps:
-			// Hot spin: a frame is likely mid-flight.
-		case idle <= spinSweeps+yieldSweeps:
-			runtime.Gosched()
-		default:
-			if s.cfg.PollInterval > 0 {
-				time.Sleep(s.cfg.PollInterval)
-			} else {
-				runtime.Gosched()
-			}
+			idle.Done()
+		} else {
+			idle.Wait(time.Time{})
 		}
 	}
 }
 
-// senderLoop is one untrusted worker: it posts trusted threads' replies
-// into client response rings with one-sided writes.
+// senderLoop is one untrusted worker: it posts the replies trusted threads
+// queued (sendReply) into client response rings with one-sided writes.
 func (s *Server) senderLoop() {
 	for {
 		select {
 		case <-s.stopCh:
 			return
 		case of := <-s.out:
-			if of.sess.revoked.Load() {
-				s.recycleFrame(of.frame)
-				of.op.SetError(ErrRevoked)
-				of.op.Finish()
-				continue
-			}
 			// Errors here mean the client vanished or was revoked; the
 			// reply is dropped, which the client observes as a timeout.
 			// The wait for ring credit is bounded: one client whose
 			// response ring never drains must not pin a shared sender
 			// and starve every other session's replies.
-			err := of.sess.respWriter.WriteDeadline(of.frame, time.Now().Add(replyCreditWait))
-			of.op.Span(obs.SrvSend, of.enq)
+			err := ErrRevoked
+			if !of.sess.revoked.Load() {
+				err = of.sess.respWriter.WriteDeadline(of.frame, time.Now().Add(replyCreditWait))
+				of.op.Span(obs.SrvSend, of.enq)
+			}
+			of.sess.queued.Add(-1)
 			of.op.SetError(err)
 			of.op.Finish()
 			// Sent or given up on: either way the ring writer has returned
@@ -598,13 +612,13 @@ func (s *Server) recycleFrame(b []byte) {
 	}
 }
 
-// reply encodes and enqueues a single-op response for the untrusted
-// sender pool: control sealed under the op's reply AD, or — control nil —
-// an unauthenticated status frame with no sealed segment at all. It takes
-// ownership of op: on the happy path the sender loop finishes the trace
-// after the ring write; on encode/seal failures and shutdown the trace is
-// finished here. now is the caller's last stage-boundary timestamp (0
-// when op is nil), continuing the chained clock reads.
+// reply encodes and sends a single-op response: control sealed under the
+// op's reply AD, or — control nil — an unauthenticated status frame with no
+// sealed segment at all. It takes ownership of op: whoever writes the frame
+// into the ring, sendReply or the sender loop, finishes the trace after the
+// write; on encode/seal failures and shutdown the trace is finished here.
+// now is the caller's last stage-boundary timestamp (0 when op is nil),
+// continuing the chained clock reads.
 func (s *Server) reply(sess *session, status wire.Status, control *wire.ResponseControl, payload []byte, op *obs.Op, now int64) {
 	if control == nil {
 		s.sendReply(sess, status, nil, nil, payload, op, now)
@@ -621,9 +635,14 @@ func (s *Server) reply(sess *session, status wire.Status, control *wire.Response
 
 // sendReply builds the response frame — header ‖ control plaintext pt
 // sealed under ad (nothing when pt is nil) ‖ payload — in a recycled
-// buffer and hands it to the sender pool. Only the seal happens in the
-// enclave; the frame itself is untrusted memory. Ownership of op is as
-// in reply.
+// buffer and sends it. Only the seal happens in the enclave; the frame
+// itself is untrusted memory. Ownership of op is as in reply.
+//
+// The trusted thread runs the reply to completion — one TryWrite, which
+// never waits — unless a post on this transport could stall on the peer,
+// replies of the session are still queued (order), or the ring is out of
+// credit (the bounded wait is the sender pool's): then the frame goes down
+// §3.8's untrusted queue.
 func (s *Server) sendReply(sess *session, status wire.Status, pt, ad, payload []byte, op *obs.Op, now int64) {
 	sealedLen := 0
 	if pt != nil {
@@ -644,9 +663,23 @@ func (s *Server) sendReply(sess *session, status wire.Status, pt, ad, payload []
 		now = op.SpanEnd(obs.SrvReplySeal, now)
 	}
 	frame = append(frame, payload...)
+	if sess.mayInline && sess.queued.Load() == 0 {
+		// An error means the client vanished or was revoked: dropped.
+		if sent, err := sess.respWriter.TryWrite(frame); sent || err != nil {
+			s.repliesInline.Add(1)
+			op.Span(obs.SrvSend, now)
+			op.SetError(err)
+			op.Finish()
+			s.recycleFrame(frame)
+			return
+		}
+	}
+	sess.queued.Add(1)
+	s.repliesQueued.Add(1)
 	select {
 	case s.out <- outFrame{sess: sess, frame: frame, op: op, enq: now}:
 	case <-s.stopCh:
+		sess.queued.Add(-1)
 		s.recycleFrame(frame)
 		op.Finish()
 	}
@@ -877,7 +910,14 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Unlock()
 	ps := s.pool.Stats()
 	gs := s.gate.Stats()
+	var spins, yields, sleeps uint64
+	for i := range s.pollers {
+		a, b, c := s.pollers[i].Steps()
+		spins, yields, sleeps = spins+a, yields+b, sleeps+c
+	}
 	return ServerStats{
+		RepliesInline: s.repliesInline.Load(), RepliesQueued: s.repliesQueued.Load(),
+		PollSpins: spins, PollYields: yields, PollSleeps: sleeps,
 		Vlog:               s.vlogStats(),
 		SealDuration:       time.Duration(s.lastSealDur.Load()),
 		Puts:               s.puts.Load(),

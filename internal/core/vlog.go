@@ -559,14 +559,9 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 // policy and resources allow; otherwise the entry stays disk-only, served
 // by read-through, rather than failing recovery.
 func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) *entry {
-	e := &entry{
-		owner:  m.owner,
-		opKey:  m.opKey,
-		mac:    m.mac,
-		hasMAC: m.flags&vlogMetaHasMAC != 0,
-		vptr:   ptr,
-		seq:    r.Seq,
-	}
+	e := newEntry(m.owner, true)
+	e.opKey, e.hasMAC = m.opKey, m.flags&vlogMetaHasMAC != 0
+	e.mac, e.vptr, e.seq = m.mac, ptr, r.Seq
 	if m.flags&vlogMetaInline != 0 {
 		_ = s.placeInline(e, m.value)
 	} else {
@@ -699,10 +694,12 @@ func (s *Server) relocateRecord(key string, payload []byte, tombstone bool, seq 
 		}
 		return nil
 	}
-	moved := *cur
-	moved.vptr = newPtr
+	moved := newEntry(cur.owner, true)
+	more := moved.entryMore
+	*moved, *more = *cur, *cur.entryMore
+	moved.entryMore, more.vptr = more, newPtr
 	if !s.table.Upsert(key, func(e *entry, exists bool) (*entry, bool) {
-		return &moved, exists && e == cur
+		return moved, exists && e == cur
 	}) {
 		// A concurrent write replaced the entry while we copied: the
 		// relocated bytes are garbage (the new version owns the key).

@@ -257,6 +257,10 @@ func (c *Conn) PollSend(max int) []rdma.Completion { return c.inner.PollSend(max
 // PollRecv implements rdma.Conn (pass-through).
 func (c *Conn) PollRecv(max int) []rdma.Completion { return c.inner.PollRecv(max) }
 
+// PostBounded implements rdma.Conn (pass-through: a fault is drawn and
+// scheduled in memory, never waited for).
+func (c *Conn) PostBounded() bool { return c.inner.PostBounded() }
+
 // SetError implements rdma.Conn (pass-through).
 func (c *Conn) SetError() { c.inner.SetError() }
 

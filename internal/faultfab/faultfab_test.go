@@ -63,6 +63,7 @@ func (s *sinkConn) PostSend(wrID uint64, data []byte, signaled, inline bool) err
 func (s *sinkConn) PostRecv(wrID uint64, buf []byte) error { return nil }
 func (s *sinkConn) PollSend(max int) []rdma.Completion     { return nil }
 func (s *sinkConn) PollRecv(max int) []rdma.Completion     { return nil }
+func (s *sinkConn) PostBounded() bool                      { return true }
 func (s *sinkConn) SetError()                              { s.mu.Lock(); s.errored = true; s.mu.Unlock() }
 func (s *sinkConn) Close() error                           { s.mu.Lock(); s.closed = true; s.mu.Unlock(); return nil }
 

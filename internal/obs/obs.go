@@ -90,8 +90,9 @@ const (
 	SrvVlogRead
 	// SrvReplySeal is response-control encoding plus AEAD sealing.
 	SrvReplySeal
-	// SrvSend is the reply's untrusted-sender path: from enqueue on the
-	// outgoing channel to the one-sided response-ring write returning
+	// SrvSend runs from the sealed reply to the one-sided response-ring
+	// write returning: the trusted thread's own write, or, for a queued
+	// reply, the untrusted-sender path from enqueue on the outgoing channel
 	// (includes response-ring credit wait).
 	SrvSend
 	// SrvTotal spans the whole server-side handling (recorded

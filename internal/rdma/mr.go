@@ -3,14 +3,21 @@ package rdma
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 )
 
 // MemoryRegion is a registered buffer a NIC may access. Remote peers
 // address it by rkey and byte offset; the owning host accesses it through
-// ReadAt/WriteAt, which synchronize with concurrent NIC DMA the way real
-// hardware's cache-coherent DMA does.
+// ReadAt/WriteAt, which take the region's lock against concurrent NIC DMA.
+// A host that polls the region for remote writes asks Doorbell first and
+// takes the lock only when the word moved — the stand-in for
+// cache-coherent DMA, where an idle poll is a plain load.
 type MemoryRegion struct {
-	mu   sync.RWMutex
+	mu sync.RWMutex
+	// bell counts the remote writes and atomics applied to the region. It
+	// is bumped after the bytes are in place and the lock released, so a
+	// poller that sees it move finds the bytes and no writer in its way.
+	bell atomic.Uint64
 	buf  []byte
 	lkey uint32
 	rkey uint32
@@ -31,6 +38,12 @@ func (m *MemoryRegion) Len() int { return len(m.buf) }
 
 // Perm returns the registered permissions.
 func (m *MemoryRegion) Perm() Perm { return m.perm }
+
+// Doorbell returns the count of remote writes and atomics applied so far.
+// A poller that loads it before looking at the bytes, and found nothing,
+// may skip the look for as long as the word stays put: a write it missed
+// bumps the word after its bytes landed, hence after that load.
+func (m *MemoryRegion) Doorbell() uint64 { return m.bell.Load() }
 
 // ReadAt copies min(len(dst), Len()-off) bytes from the region into dst,
 // returning the count. Used by the owning host to poll rings.
@@ -86,6 +99,14 @@ func (m *MemoryRegion) SetByte(off int, v byte) {
 // permission and bounds exactly; unlike local access, a violation is an
 // error that will transition the initiating QP to the error state.
 func (m *MemoryRegion) remoteWrite(off uint64, data []byte) error {
+	err := m.applyWrite(off, data)
+	if err == nil {
+		m.bell.Add(1)
+	}
+	return err
+}
+
+func (m *MemoryRegion) applyWrite(off uint64, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dead {
@@ -121,6 +142,14 @@ func (m *MemoryRegion) remoteRead(off uint64, dst []byte) error {
 // remoteAtomic applies an 8-byte atomic; cas selects compare-and-swap
 // (otherwise fetch-and-add). Returns the original value.
 func (m *MemoryRegion) remoteAtomic(off uint64, cas bool, compare, swapOrAdd uint64) (uint64, error) {
+	old, err := m.applyAtomic(off, cas, compare, swapOrAdd)
+	if err == nil {
+		m.bell.Add(1)
+	}
+	return old, err
+}
+
+func (m *MemoryRegion) applyAtomic(off uint64, cas bool, compare, swapOrAdd uint64) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dead {

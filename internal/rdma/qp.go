@@ -290,6 +290,10 @@ func popCompletions(cq *[]Completion, max int) []Completion {
 	return out
 }
 
+// PostBounded implements Conn: a post copies between registered regions
+// of this process.
+func (q *QP) PostBounded() bool { return true }
+
 // SetError implements Conn. Both ends observe the failure, as tearing down
 // an RC connection does.
 func (q *QP) SetError() {

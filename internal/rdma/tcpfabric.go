@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // This file implements the TCP fabric: RDMA verbs tunneled over a real
@@ -40,6 +41,14 @@ const (
 )
 
 const tcpMaxFrame = 4 << 20
+
+// tcpWriteStall bounds one frame's conn.Write. A write only waits when the
+// socket buffers are full, that is when the peer has stopped reading — and
+// the posting goroutine may be one that other connections depend on (a
+// server's shared reply sender, a trusted thread returning ring credit).
+// Past the bound the connection is given up on, the way an RC queue pair
+// errors out once its retries are exhausted.
+const tcpWriteStall = 250 * time.Millisecond
 
 // maxRetainedScratch bounds what a connection's scratch buffers keep
 // between frames: one that grew past it for a single large frame is
@@ -162,6 +171,9 @@ func (l *TCPListener) Close() error { return l.ln.Close() }
 // header][data], assembled in the connection's write scratch so that it
 // leaves in one conn.Write. Callers bound the frame: post refuses an
 // oversized one, and an ack carries at most tcpMaxFrame/2 of read data.
+// The write is bounded by tcpWriteStall; a failed one may have cut a frame
+// short, after which the stream cannot be framed again, so it closes the
+// connection — the agent's read then fails and moves the QP to error.
 func (q *TCPQP) writeFrame(ft byte, vh, data []byte) error {
 	n := 1 + len(vh) + len(data)
 	q.wmu.Lock()
@@ -173,9 +185,11 @@ func (q *TCPQP) writeFrame(ft byte, vh, data []byte) error {
 	buf = append(buf, ft)
 	buf = append(buf, vh...)
 	buf = append(buf, data...)
+	_ = q.conn.SetWriteDeadline(time.Now().Add(tcpWriteStall))
 	_, err := q.conn.Write(buf)
 	q.wbuf = retain(buf)
 	if err != nil {
+		_ = q.conn.Close()
 		return fmt.Errorf("rdma: fabric write: %w", err)
 	}
 	return nil
@@ -306,6 +320,11 @@ func (q *TCPQP) PollRecv(max int) []Completion {
 	defer q.mu.Unlock()
 	return popCompletions(&q.recvCQ, max)
 }
+
+// PostBounded implements Conn: a post is a conn.Write under wmu, and a
+// ring's worth of frames can exceed a socket buffer, so a peer that stops
+// reading stalls whoever posts for up to tcpWriteStall.
+func (q *TCPQP) PostBounded() bool { return false }
 
 // SetError implements Conn.
 func (q *TCPQP) SetError() {

@@ -55,7 +55,7 @@ func TestMultipleRingsIndependent(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 200; n++ {
 				msg := []byte(fmt.Sprintf("c%d-m%d", id, n))
-				if err := ends[id].writer.Write(msg); err != nil {
+				if err := write(ends[id].writer, msg); err != nil {
 					t.Errorf("client %d write: %v", id, err)
 					return
 				}

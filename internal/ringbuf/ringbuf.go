@@ -5,7 +5,7 @@
 // registered memory: clients write requests into a ring in server memory
 // with one-sided RDMA WRITEs, and the server's trusted threads poll that
 // memory; responses flow through a mirror-image ring in client memory.
-// No doorbells, sends, or remote completions are involved — polling plain
+// No sends, remote completions or interrupts are involved — polling plain
 // memory is what makes the receive path ecall-free.
 //
 // Every slot carries a start sign, an explicit length, and an end sign
@@ -160,8 +160,6 @@ func (w *Writer) TryWrite(msg []byte) (bool, error) {
 
 	w.wrID++
 	signaled := w.wrID%w.signalEvery == 0
-	inline := len(frame) <= rdma.InlineThreshold
-	_ = inline // inline affects latency modelling only
 	if err := w.conn.PostWrite(w.wrID, w.ringRKey, off, frame, signaled); err != nil {
 		return false, fmt.Errorf("post write: %w", err)
 	}
@@ -182,30 +180,16 @@ func (w *Writer) TryWrite(msg []byte) (bool, error) {
 // concurrently with writes.
 func (w *Writer) Stalls() uint64 { return w.stalls.Load() }
 
-// Write places msg into the ring, spinning until credit is available —
-// the client-side flow-control loop of §3.7.
-func (w *Writer) Write(msg []byte) error {
-	for {
-		ok, err := w.TryWrite(msg)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		// Park briefly rather than spin: flow-control credit arrives via a
-		// remote write, which on the TCP fabric needs the netpoller to run.
-		time.Sleep(2 * time.Microsecond)
-	}
-}
-
-// WriteDeadline is Write with an upper bound on the credit wait: it
-// returns ErrRingFull once the deadline passes. Shared senders (the
-// server's reply pool) must use this — a peer whose ring never drains
-// (wedged, vanished, or malicious) returns no credit, and TryWrite
-// alone never touches the conn, so an unbounded Write would block on a
-// dead ring forever.
+// WriteDeadline places msg into the ring, waiting for credit — the
+// flow-control loop of §3.7 — until deadline: it returns ErrRingFull once
+// that passes. The wait is always bounded: a peer whose ring never drains
+// (wedged, vanished, or malicious) returns no credit, and TryWrite alone
+// never touches the conn, so an unbounded wait would block on a dead ring
+// forever. It sleeps between attempts: whoever waits here is off the fast
+// path already, and credit arrives via a remote write, which on the TCP
+// fabric needs the netpoller to run.
 func (w *Writer) WriteDeadline(msg []byte, deadline time.Time) error {
+	wait := Ladder{Sleep: MinSleep}
 	for {
 		ok, err := w.TryWrite(msg)
 		if err != nil {
@@ -214,10 +198,9 @@ func (w *Writer) WriteDeadline(msg []byte, deadline time.Time) error {
 		if ok {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if !wait.Wait(deadline) {
 			return ErrRingFull
 		}
-		time.Sleep(2 * time.Microsecond)
 	}
 }
 
@@ -238,6 +221,11 @@ type Reader struct {
 	lastFlushed uint64
 	wrID        uint64
 	hdr         []byte
+	// idleBell is one more than the ring region's doorbell word as loaded
+	// by the last poll that found the next slot plainly empty; 0 when the
+	// last poll found anything else. While the word stays there nothing
+	// has landed since, and a poll answers "empty" without a look.
+	idleBell uint64
 	// credit stages the consumed count for the credit write: a stack
 	// array would escape through the rdma.Conn interface on every flush.
 	credit [CreditBytes]byte
@@ -297,13 +285,7 @@ func NewReader(cfg ReaderConfig) (*Reader, error) {
 // the ring must stay in sync past garbage, or one flipped bit would
 // wedge the session forever. The caller decides what corruption means;
 // the reader only guarantees forward progress.
-func (r *Reader) Poll() ([]byte, bool, error) {
-	msg, ok, err := r.PollInto(nil)
-	if !ok {
-		return nil, ok, err
-	}
-	return msg, ok, err
-}
+func (r *Reader) Poll() ([]byte, bool, error) { return r.PollInto(nil) }
 
 // PollInto is Poll with a caller-provided buffer, the allocation-free
 // variant hot loops use: the frame is read into buf when its capacity
@@ -315,6 +297,27 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 func (r *Reader) PollInto(buf []byte) ([]byte, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	bell, rang := r.bellLocked()
+	if !rang {
+		return buf, false, nil
+	}
+	return r.lookLocked(buf, bell)
+}
+
+// bellLocked and lookLocked are the two halves of a poll, in the order
+// that loses no frame: load the ring region's doorbell word, then look at
+// the slot; remember the word only when the slot was plainly empty; look
+// again whenever it moved. A frame that lands after the load bumps the
+// word past what is remembered, so it is never slept through, and a poll
+// of an idle ring stops at the load — it takes no lock a remote writer
+// takes. bellLocked reports whether the look is due.
+func (r *Reader) bellLocked() (bell uint64, rang bool) {
+	bell = r.ring.Doorbell() + 1
+	return bell, bell != r.idleBell
+}
+
+func (r *Reader) lookLocked(buf []byte, bell uint64) ([]byte, bool, error) {
+	r.idleBell = 0
 	slotOff := r.base + int(r.readIdx%r.slots)*r.slotSize
 	if sign := r.ring.ByteAt(slotOff); sign != StartSign {
 		if sign != 0 {
@@ -325,6 +328,7 @@ func (r *Reader) PollInto(buf []byte) ([]byte, bool, error) {
 			err := fmt.Errorf("%w: start sign %#x", ErrCorrupt, sign)
 			return buf, false, r.consumeCorruptLocked(slotOff, err)
 		}
+		r.idleBell = bell
 		return buf, false, nil
 	}
 	if n := r.ring.ReadAt(slotOff, r.hdr); n != headerLen {

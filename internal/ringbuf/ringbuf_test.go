@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"precursor/internal/rdma"
 )
@@ -19,6 +20,11 @@ type testRing struct {
 	creditMR *rdma.MemoryRegion // the writer's credit word, which the reader deposits into
 	writer   *Writer
 	reader   *Reader
+}
+
+// write is WriteDeadline with a bound no passing test reaches.
+func write(w *Writer, msg []byte) error {
+	return w.WriteDeadline(msg, time.Now().Add(10*time.Second))
 }
 
 func newTestRing(t *testing.T, slots, slotSize, creditEvery int) *testRing {
@@ -170,11 +176,11 @@ func TestCorruptFramingSkipped(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr := newTestRing(t, 4, 64, 1)
-			if err := tr.writer.Write([]byte("first")); err != nil {
+			if err := write(tr.writer, []byte("first")); err != nil {
 				t.Fatal(err)
 			}
 			mangle(tr.ringMR)
-			if err := tr.writer.Write([]byte("second")); err != nil {
+			if err := write(tr.writer, []byte("second")); err != nil {
 				t.Fatal(err)
 			}
 			if _, ready, err := tr.reader.Poll(); ready || !errors.Is(err, ErrCorrupt) {
@@ -201,7 +207,7 @@ func TestCorruptCreditIgnored(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tr := newTestRing(t, 4, 64, 1)
 			for i := 0; i < 3; i++ {
-				if err := tr.writer.Write([]byte("frame")); err != nil {
+				if err := write(tr.writer, []byte("frame")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -279,7 +285,7 @@ func TestStreamQuick(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, m := range msgs {
-				if err := tr.writer.Write(m); err != nil {
+				if err := write(tr.writer, m); err != nil {
 					errCh <- err
 					return
 				}

@@ -4,6 +4,7 @@ import (
 	"crypto/ecdsa"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -256,10 +257,13 @@ func (c *Client) roundTrip(op wire.Opcode, key string, sealedPayload []byte) (*w
 	if len(frame) > c.reqWriter.MaxMessage() {
 		return nil, nil, ErrTooLarge
 	}
-	if err := c.reqWriter.Write(frame); err != nil {
+	deadline := time.Now().Add(c.cfg.Timeout)
+	if err := c.reqWriter.WriteDeadline(frame, deadline); err != nil {
+		if errors.Is(err, ringbuf.ErrRingFull) {
+			return nil, nil, ErrTimeout
+		}
 		return nil, nil, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
-	deadline := time.Now().Add(c.cfg.Timeout)
 	for {
 		msg, ready, err := c.respReader.Poll()
 		if err != nil {

@@ -30,7 +30,7 @@ func TestReplayRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := (&request{op: wire.OpGet, clientID: c.id, sealedControl: sealed}).encode(nil)
-	err = c.reqWriter.Write(frame)
+	err = c.reqWriter.WriteDeadline(frame, time.Now().Add(time.Second))
 	c.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

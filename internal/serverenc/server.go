@@ -279,6 +279,10 @@ func (s *Server) trustedLoop(worker int) {
 	}
 }
 
+// replyCreditWait bounds a sender's wait for one client's response-ring
+// credit, as in internal/core: past it the reply is dropped.
+const replyCreditWait = 20 * time.Millisecond
+
 func (s *Server) senderLoop() {
 	for {
 		select {
@@ -286,7 +290,7 @@ func (s *Server) senderLoop() {
 			return
 		case of := <-s.out:
 			if !of.sess.revoked.Load() {
-				_ = of.sess.respWriter.Write(of.frame)
+				_ = of.sess.respWriter.WriteDeadline(of.frame, time.Now().Add(replyCreditWait))
 			}
 		}
 	}

@@ -69,8 +69,8 @@ var (
 // beside K_operation (segment id, byte offset, full record length).
 type Ptr struct {
 	Segment uint32
+	Length  uint32 // beside Segment: 16 bytes, no padding, in every index entry
 	Offset  uint64
-	Length  uint32
 }
 
 // Valid reports whether the pointer refers to a record.

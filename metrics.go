@@ -426,6 +426,11 @@ func (m *MetricsServer) writeServerMetrics(b *strings.Builder) {
 	counter("precursor_deletes_total", "Completed delete operations", st.Deletes)
 	counter("precursor_batches_total", "Multi-op batch frames applied", st.Batches)
 	counter("precursor_batched_ops_total", "Operations carried by batch frames (each also counted in puts/gets/deletes)", st.BatchedOps)
+	counter("precursor_replies_inline_total", "Replies a trusted thread wrote into the response ring itself", st.RepliesInline)
+	counter("precursor_replies_queued_total", "Replies handed to the untrusted sender pool: ring out of credit, earlier replies queued, or a transport whose post can stall", st.RepliesQueued)
+	counter("precursor_poll_spins_total", "Idle sweeps of the trusted threads that went straight on", st.PollSpins)
+	counter("precursor_poll_yields_total", "Idle sweeps of the trusted threads that yielded the processor", st.PollYields)
+	counter("precursor_poll_sleeps_total", "Idle sweeps of the trusted threads that slept PollInterval", st.PollSleeps)
 	counter("precursor_replays_total", "Rejected replayed requests", st.Replays)
 	counter("precursor_auth_failures_total", "Control data that failed authentication", st.AuthFailures)
 	counter("precursor_bad_requests_total", "Malformed requests", st.BadRequests)
