@@ -399,15 +399,45 @@ func TestDocsCoverWaitingPath(t *testing.T) {
 		},
 		"PROTOCOL.md": {"doorbell word", "inline"},
 	} {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			t.Errorf("read %s: %v", file, err)
-			continue
-		}
-		for _, phrase := range phrases {
-			if !strings.Contains(string(data), phrase) {
-				t.Errorf("%s: missing %q", file, phrase)
-			}
+		pinPhrases(t, file, phrases)
+	}
+}
+
+// TestDocsCoverTCPWaitingPath pins the documentation of the TCP fabric's
+// half of the waiting path: the park and fabric counters, their export,
+// the ack-request bit and the write bound in PROTOCOL.md, and the DESIGN.md
+// subsection with its ablation.
+func TestDocsCoverTCPWaitingPath(t *testing.T) {
+	counters := []string{
+		"precursor_poll_parks_woken_total", "precursor_poll_parks_capped_total",
+		"precursor_fabric_frames_written_total", "precursor_fabric_frames_read_total",
+		"precursor_fabric_reads_total", "precursor_fabric_acks_sent_total",
+	}
+	quoted := make([]string, len(counters))
+	for i, c := range counters {
+		quoted[i] = `"` + c + `"`
+	}
+	for file, phrases := range map[string][]string{
+		"OBSERVABILITY.md": append(counters, "PollParksWoken", "PollParksCapped", "Fabric.AcksSent", "ParkCap"),
+		"metrics.go":       quoted,
+		"DESIGN.md":        {"### The TCP half of the waiting path", "ablation", "ackEvery", "MemoryRegion.Arm", "bufio.Reader"},
+		"PROTOCOL.md":      {"ack-request bit", "in op-id order", "always NAKed", "125–250 ms", "refused", "park"},
+	} {
+		pinPhrases(t, file, phrases)
+	}
+}
+
+// pinPhrases fails t for each phrase file does not contain.
+func pinPhrases(t *testing.T, file string, phrases []string) {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Errorf("read %s: %v", file, err)
+		return
+	}
+	for _, phrase := range phrases {
+		if !strings.Contains(string(data), phrase) {
+			t.Errorf("%s: missing %q", file, phrase)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"crypto/ecdsa"
 	"encoding/json"
 	"fmt"
 	"time"
 
+	"precursor/internal/audit"
+	"precursor/internal/cryptox"
 	"precursor/internal/rdma"
 	"precursor/internal/sgx"
 )
@@ -93,6 +96,66 @@ func recvMsg(conn rdma.Conn, v any, deadline time.Time) error {
 		}
 		return nil
 	}
+}
+
+// attest is the client half of every session's bootstrap: it sends hello,
+// completed with the attestation key share, awaits the welcome until
+// deadline and verifies its quote against key and m. It returns the
+// welcome and the AEAD keyed with K_session.
+func attest(conn rdma.Conn, hello helloMsg, key *ecdsa.PublicKey, m sgx.Measurement, deadline time.Time) (*welcomeMsg, *cryptox.AEAD, error) {
+	hs, err := sgx.NewClientHandshake()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := conn.PostRecv(1, make([]byte, bootstrapBufSize)); err != nil {
+		return nil, nil, fmt.Errorf("post bootstrap recv: %w", err)
+	}
+	share := hs.Hello()
+	hello.AttestPub, hello.AttestNonce = share.PublicKey, share.Nonce
+	if err := sendMsg(conn, 1, &hello); err != nil {
+		return nil, nil, err
+	}
+	var welcome welcomeMsg
+	if err := recvMsg(conn, &welcome, deadline); err != nil {
+		return nil, nil, err
+	}
+	if welcome.Error != "" {
+		return nil, nil, fmt.Errorf("precursor: server rejected connection: %s", welcome.Error)
+	}
+	sessionKey, err := hs.Complete(key, sgx.ServerHello{PublicKey: welcome.AttestPub, Quote: welcome.quote()}, m)
+	if err != nil {
+		return nil, nil, fmt.Errorf("attestation: %w", err)
+	}
+	aead, err := cryptox.NewAEAD(sessionKey)
+	return &welcome, aead, err
+}
+
+// respondAttest is the enclave's half ("add_client", ecall iii.): it
+// answers hello's key share and returns the welcome, carrying the quote
+// and nothing else yet, and the AEAD keyed with K_session. A failed
+// handshake is audited and refused with a welcome sent as wrID.
+func (s *Server) respondAttest(conn rdma.Conn, hello *helloMsg, wrID uint64) (*welcomeMsg, *cryptox.AEAD, error) {
+	var (
+		sh         sgx.ServerHello
+		sessionKey []byte
+	)
+	err := s.enclave.Ecall("add_client", func() error {
+		var err error
+		sh, sessionKey, err = s.enclave.RespondHandshake(sgx.ClientHello{PublicKey: hello.AttestPub, Nonce: hello.AttestNonce})
+		return err
+	})
+	if err != nil {
+		detail := err.Error()
+		if hello.Role != "" {
+			detail = hello.Role + " session: " + detail
+		}
+		s.cfg.Audit.Add(audit.Record{Kind: audit.KindAttestFail, Detail: detail})
+		_ = sendMsg(conn, wrID, &welcomeMsg{Error: "attestation failed"})
+		return nil, nil, fmt.Errorf("attestation: %w", err)
+	}
+	aead, err := cryptox.NewAEAD(sessionKey)
+	return &welcomeMsg{AttestPub: sh.PublicKey, QuoteMeasurement: sh.Quote.Measurement[:],
+		QuoteReportData: sh.Quote.ReportData, QuoteSignature: sh.Quote.Signature}, aead, err
 }
 
 func (w *welcomeMsg) quote() sgx.Quote {

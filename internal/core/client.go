@@ -174,51 +174,28 @@ func Connect(cfg ClientConfig) (*Client, error) {
 
 	cl := &Client{cfg: c, conn: c.Conn, device: c.Device,
 		window: overload.NewAIMD(1, maxPipelined)}
-	cl.wait.Spin, cl.wait.Sleep, cl.wait.Adaptive = ringbuf.WaiterSpin, ringbuf.MinSleep, true
-	if c.Conn.PostBounded() {
-		cl.wait.Yield = ringbuf.WaiterYield
-	}
 	cl.respRing = c.Device.RegisterMemory(
 		ringbuf.RingBytes(c.RespSlots, c.RespSlotSize), rdma.PermRemoteWrite)
 	cl.reqCredit = c.Device.RegisterMemory(ringbuf.CreditBytes, rdma.PermRemoteWrite)
+	cl.wait.Spin, cl.wait.Sleep, cl.wait.Adaptive = ringbuf.WaiterSpin, ringbuf.MinSleep, true
+	if c.Conn.PostBounded() {
+		cl.wait.Yield = ringbuf.WaiterYield
+	} else {
+		// The reply and the credit are written by the fabric's agent, which
+		// wakes the wait: a spin would only hold a P the agent needs.
+		cl.wait.Spin, cl.wait.Wake, cl.wait.Sleep = 0, make(chan struct{}, 1), ringbuf.ParkCap
+		cl.respRing.Arm(cl.wait.Wake)
+		cl.reqCredit.Arm(cl.wait.Wake)
+	}
 
-	hs, err := sgx.NewClientHandshake()
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Conn.PostRecv(1, make([]byte, bootstrapBufSize)); err != nil {
-		return nil, fmt.Errorf("post bootstrap recv: %w", err)
-	}
-	hello := hs.Hello()
-	if err := sendMsg(c.Conn, 1, &helloMsg{
-		AttestPub:     hello.PublicKey,
-		AttestNonce:   hello.Nonce,
-		RespRingRKey:  cl.respRing.RKey(),
-		RespSlots:     c.RespSlots,
-		RespSlotSize:  c.RespSlotSize,
+	welcome, aead, err := attest(c.Conn, helloMsg{
+		RespRingRKey: cl.respRing.RKey(), RespSlots: c.RespSlots, RespSlotSize: c.RespSlotSize,
 		ReqCreditRKey: cl.reqCredit.RKey(),
-	}); err != nil {
-		return nil, err
-	}
-	var welcome welcomeMsg
-	if err := recvMsg(c.Conn, &welcome, time.Now().Add(c.Timeout)); err != nil {
-		return nil, err
-	}
-	if welcome.Error != "" {
-		return nil, fmt.Errorf("precursor: server rejected connection: %s", welcome.Error)
-	}
-	sessionKey, err := hs.Complete(c.PlatformKey, sgx.ServerHello{
-		PublicKey: welcome.AttestPub,
-		Quote:     welcome.quote(),
-	}, c.Measurement)
-	if err != nil {
-		return nil, fmt.Errorf("attestation: %w", err)
-	}
-	cl.aead, err = cryptox.NewAEAD(sessionKey)
+	}, c.PlatformKey, c.Measurement, time.Now().Add(c.Timeout))
 	if err != nil {
 		return nil, err
 	}
-	cl.id = welcome.ClientID
+	cl.aead, cl.id = aead, welcome.ClientID
 	binary.LittleEndian.PutUint32(cl.ad[:], cl.id)
 
 	cl.reqWriter, err = ringbuf.NewWriter(ringbuf.WriterConfig{
@@ -844,8 +821,13 @@ type ClientStats struct {
 	CreditStalls uint64
 	// PollSpins, PollYields and PollSleeps count the steps of this
 	// connection's waits: polled again at once, after a yield, after a sleep
-	// (one or more per operation: the spin has switched itself off).
-	PollSpins, PollYields, PollSleeps uint64
+	// (one or more per operation: the spin has switched itself off) or, over
+	// the TCP fabric, a park that a write ended (PollParksWoken) or that ran
+	// to ringbuf.ParkCap (PollParksCapped).
+	PollSpins, PollYields, PollSleeps, PollParksWoken, PollParksCapped uint64
+	// Fabric counts the TCP fabric's frames, socket reads and acks on the
+	// connection's device (zero in process).
+	Fabric rdma.FabricStats
 	// Stages is the per-stage latency snapshot from this client's
 	// tracer, nil when ClientConfig.Tracer is unset. Add ignores it (a
 	// quantile snapshot cannot be summed): to aggregate stage latencies
@@ -874,6 +856,9 @@ func (s *ClientStats) Add(other ClientStats) {
 	s.PollSpins += other.PollSpins
 	s.PollYields += other.PollYields
 	s.PollSleeps += other.PollSleeps
+	s.PollParksWoken += other.PollParksWoken
+	s.PollParksCapped += other.PollParksCapped
+	s.Fabric.Add(other.Fabric)
 }
 
 // StatsStruct returns client-side operation counters, plus the tracer's
@@ -892,9 +877,11 @@ func (c *Client) StatsStruct() ClientStats {
 		StaleFrames:       c.staleFrames,
 		UnauthStatuses:    c.unauthStatuses,
 		CreditStalls:      c.reqWriter.Stalls(),
+		Fabric:            c.device.FabricStats(),
 		Stages:            c.cfg.Tracer.Snapshot(),
 	}
 	st.PollSpins, st.PollYields, st.PollSleeps = c.wait.Steps()
+	st.PollParksWoken, st.PollParksCapped = c.wait.Parks()
 	return st
 }
 

@@ -35,6 +35,7 @@ import (
 	"precursor/internal/heat"
 	"precursor/internal/obs"
 	"precursor/internal/overload"
+	"precursor/internal/rdma"
 	"precursor/internal/sgx"
 )
 
@@ -129,7 +130,9 @@ type ServerConfig struct {
 	ImagePages int
 	// PollInterval is the sleep of an idle trusted thread's back-off, the
 	// last rung after spinning and yielding (0 means the default 20 µs);
-	// negative disables sleeping (pure busy-poll, as the paper's server).
+	// negative disables sleeping (pure busy-poll, as the paper's server). A
+	// thread whose sessions are all on the TCP fabric parks on their writes
+	// instead.
 	PollInterval time.Duration
 	// MaxClients bounds concurrent sessions (0 = unlimited). The security
 	// discussion (§3.9) notes an attacker can exhaust the RNIC's
@@ -259,8 +262,13 @@ type ServerStats struct {
 	// already, or a transport whose post can stall: the TCP fabric always).
 	RepliesInline, RepliesQueued uint64
 	// PollSpins, PollYields and PollSleeps count the trusted threads' idle
-	// sweeps: those that went straight on, yielded, or slept PollInterval.
-	PollSpins, PollYields, PollSleeps uint64
+	// sweeps: those that went straight on, yielded, or slept PollInterval
+	// or parked; PollParksWoken and PollParksCapped count the parks a write
+	// ended and those that ran to ringbuf.ParkCap.
+	PollSpins, PollYields, PollSleeps, PollParksWoken, PollParksCapped uint64
+	// Fabric counts the TCP fabric's frames, socket reads and acks on the
+	// server's device.
+	Fabric rdma.FabricStats
 	// ShedReads, ShedWrites and ShedBatches count operations refused by
 	// the admission gate with sealed RETRY_LATER (all zero when
 	// ServerConfig.Overload is nil).

@@ -213,24 +213,7 @@ func repairRemoteError(msg string) error {
 // connection handler's goroutine. It returns when the peer says bye,
 // goes quiet past the idle timeout, or the server shuts down.
 func (s *Server) serveRepair(conn rdma.Conn, hello *helloMsg) error {
-	var (
-		sh         sgx.ServerHello
-		sessionKey []byte
-	)
-	err := s.enclave.Ecall("add_client", func() error {
-		var err error
-		sh, sessionKey, err = s.enclave.RespondHandshake(sgx.ClientHello{
-			PublicKey: hello.AttestPub,
-			Nonce:     hello.AttestNonce,
-		})
-		return err
-	})
-	if err != nil {
-		s.cfg.Audit.Add(audit.Record{Kind: audit.KindAttestFail, Detail: "repair session: " + err.Error()})
-		_ = sendMsg(conn, 2, &welcomeMsg{Error: "attestation failed"})
-		return fmt.Errorf("attestation: %w", err)
-	}
-	aead, err := cryptox.NewAEAD(sessionKey)
+	welcome, aead, err := s.respondAttest(conn, hello, 2)
 	if err != nil {
 		return err
 	}
@@ -243,12 +226,7 @@ func (s *Server) serveRepair(conn rdma.Conn, hello *helloMsg) error {
 	if err := link.postRecv(); err != nil {
 		return err
 	}
-	if err := sendMsg(conn, 2, &welcomeMsg{
-		AttestPub:        sh.PublicKey,
-		QuoteMeasurement: sh.Quote.Measurement[:],
-		QuoteReportData:  sh.Quote.ReportData,
-		QuoteSignature:   sh.Quote.Signature,
-	}); err != nil {
+	if err := sendMsg(conn, 2, welcome); err != nil {
 		return err
 	}
 	s.repairSessions.Add(1)
@@ -404,36 +382,7 @@ func ConnectRepair(cfg RepairConfig) (*RepairClient, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	hs, err := sgx.NewClientHandshake()
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Conn.PostRecv(1, make([]byte, bootstrapBufSize)); err != nil {
-		return nil, fmt.Errorf("post bootstrap recv: %w", err)
-	}
-	hello := hs.Hello()
-	if err := sendMsg(cfg.Conn, 1, &helloMsg{
-		Role:        repairRole,
-		AttestPub:   hello.PublicKey,
-		AttestNonce: hello.Nonce,
-	}); err != nil {
-		return nil, err
-	}
-	var welcome welcomeMsg
-	if err := recvMsg(cfg.Conn, &welcome, time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	if welcome.Error != "" {
-		return nil, fmt.Errorf("precursor: server rejected repair session: %s", welcome.Error)
-	}
-	sessionKey, err := hs.Complete(cfg.PlatformKey, sgx.ServerHello{
-		PublicKey: welcome.AttestPub,
-		Quote:     welcome.quote(),
-	}, cfg.Measurement)
-	if err != nil {
-		return nil, fmt.Errorf("attestation: %w", err)
-	}
-	aead, err := cryptox.NewAEAD(sessionKey)
+	_, aead, err := attest(cfg.Conn, helloMsg{Role: repairRole}, cfg.PlatformKey, cfg.Measurement, time.Now().Add(timeout))
 	if err != nil {
 		return nil, err
 	}

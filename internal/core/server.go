@@ -144,6 +144,7 @@ type Server struct {
 
 	out                          chan outFrame
 	pollers                      []ringbuf.Ladder // each trusted thread's idle back-off
+	wakes                        []chan struct{}  // each trusted thread's park, armed into its TCP request rings
 	repliesInline, repliesQueued atomic.Uint64
 	// frames recycles reply frame buffers between trusted threads (take)
 	// and senders (give back after the ring write copied the frame).
@@ -284,8 +285,10 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 	// Ecall ii.: start the trusted polling threads.
 	s.byWorker.Store(make([][]*session, c.Workers))
 	s.pollers = make([]ringbuf.Ladder, c.Workers)
+	s.wakes = make([]chan struct{}, c.Workers)
 	for w := 0; w < c.Workers; w++ {
 		w := w
+		s.wakes[w] = make(chan struct{}, 1)
 		if err := enclave.Ecall("start_polling", func() error { return nil }); err != nil {
 			return nil, err
 		}
@@ -368,24 +371,7 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 		}
 	}
 
-	var (
-		sh         sgx.ServerHello
-		sessionKey []byte
-	)
-	err := s.enclave.Ecall("add_client", func() error {
-		var err error
-		sh, sessionKey, err = s.enclave.RespondHandshake(sgx.ClientHello{
-			PublicKey: hello.AttestPub,
-			Nonce:     hello.AttestNonce,
-		})
-		return err
-	})
-	if err != nil {
-		s.cfg.Audit.Add(audit.Record{Kind: audit.KindAttestFail, Detail: err.Error()})
-		_ = sendMsg(conn, 1, &welcomeMsg{Error: "attestation failed"})
-		return 0, fmt.Errorf("attestation: %w", err)
-	}
-	aead, err := cryptox.NewAEAD(sessionKey)
+	welcome, aead, err := s.respondAttest(conn, &hello, 1)
 	if err != nil {
 		return 0, err
 	}
@@ -420,6 +406,9 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 	id := s.nextID
 	sess.id = id
 	binary.LittleEndian.PutUint32(sess.ad[:], id)
+	if !sess.mayInline {
+		reqRing.Arm(s.wakes[int(id)%s.cfg.Workers])
+	}
 	s.sessions[id] = sess
 	s.rebuildWorkersLocked()
 	s.mu.Unlock()
@@ -429,17 +418,8 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 	s.logEvent("client attested and connected", slog.Int("client", int(id)),
 		slog.Int("reqRingSlots", s.cfg.RingSlots))
 
-	welcome := &welcomeMsg{
-		AttestPub:        sh.PublicKey,
-		QuoteMeasurement: sh.Quote.Measurement[:],
-		QuoteReportData:  sh.Quote.ReportData,
-		QuoteSignature:   sh.Quote.Signature,
-		ClientID:         id,
-		ReqRingRKey:      reqRing.RKey(),
-		ReqSlots:         s.cfg.RingSlots,
-		ReqSlotSize:      s.cfg.SlotSize,
-		RespCreditRKey:   respCredit.RKey(),
-	}
+	welcome.ClientID, welcome.ReqRingRKey, welcome.RespCreditRKey = id, reqRing.RKey(), respCredit.RKey()
+	welcome.ReqSlots, welcome.ReqSlotSize = s.cfg.RingSlots, s.cfg.SlotSize
 	if err := sendMsg(conn, 2, welcome); err != nil {
 		return 0, err
 	}
@@ -494,9 +474,9 @@ func (s *Server) trustedLoop(worker int) {
 	tr := s.cfg.Tracer
 	// Idle back-off, reset by a single ready frame: spin, then yield the P —
 	// both with in-memory transports only — then sleep PollInterval a sweep
-	// (a negative one keeps yielding: a pure busy-poll).
+	// (a negative one keeps yielding: a pure busy-poll), or, when every
+	// session's ring is armed, park until a write lands.
 	idle := &s.pollers[worker]
-	idle.Sleep = s.cfg.PollInterval
 	for {
 		select {
 		case <-s.stopCh:
@@ -513,10 +493,12 @@ func (s *Server) trustedLoop(worker int) {
 		// is stamped lazily so idle sweeps — the overwhelming majority
 		// under low load — never touch the clock.
 		var iterStart int64
-		progress := false
+		progress, armed := false, len(mine) > 0
 		idle.Spin, idle.Yield = ringbuf.PollerSpin, ringbuf.PollerYield
 		for _, sess := range mine {
-			if !sess.mayInline {
+			if sess.mayInline {
+				armed = false
+			} else {
 				idle.Spin, idle.Yield = 0, 0
 			}
 			if sess.revoked.Load() {
@@ -554,6 +536,10 @@ func (s *Server) trustedLoop(worker int) {
 				now = op.SpanEnd(obs.SrvPickup, iterStart)
 			}
 			s.handleRequest(sess, msg, op, now)
+		}
+		idle.Wake, idle.Sleep = nil, s.cfg.PollInterval
+		if armed {
+			idle.Wake, idle.Sleep = s.wakes[worker], ringbuf.ParkCap
 		}
 		if progress {
 			idle.Done()
@@ -910,14 +896,16 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Unlock()
 	ps := s.pool.Stats()
 	gs := s.gate.Stats()
-	var spins, yields, sleeps uint64
+	var spins, yields, sleeps, woken, capped uint64
 	for i := range s.pollers {
 		a, b, c := s.pollers[i].Steps()
-		spins, yields, sleeps = spins+a, yields+b, sleeps+c
+		d, e := s.pollers[i].Parks()
+		spins, yields, sleeps, woken, capped = spins+a, yields+b, sleeps+c, woken+d, capped+e
 	}
 	return ServerStats{
 		RepliesInline: s.repliesInline.Load(), RepliesQueued: s.repliesQueued.Load(),
 		PollSpins: spins, PollYields: yields, PollSleeps: sleeps,
+		PollParksWoken: woken, PollParksCapped: capped, Fabric: s.device.FabricStats(),
 		Vlog:               s.vlogStats(),
 		SealDuration:       time.Duration(s.lastSealDur.Load()),
 		Puts:               s.puts.Load(),

@@ -20,7 +20,13 @@ type Device struct {
 	mrs        map[uint32]*MemoryRegion
 	nextKey    uint32
 	randomKeys bool
+
+	tcp fabricCounters // summed over the device's TCP queue pairs
 }
+
+// FabricStats returns the TCP fabric counters summed over every queue pair
+// created on this device (zero for a device on the in-process fabric only).
+func (d *Device) FabricStats() FabricStats { return d.tcp.stats() }
 
 // NewDevice creates a stand-alone device. Devices participating in an
 // in-process Fabric are created with Fabric.NewDevice instead.

@@ -18,6 +18,8 @@ type MemoryRegion struct {
 	// is bumped after the bytes are in place and the lock released, so a
 	// poller that sees it move finds the bytes and no writer in its way.
 	bell atomic.Uint64
+	// wake, once armed, takes a token after every bump of bell (Arm).
+	wake atomic.Pointer[chan struct{}]
 	buf  []byte
 	lkey uint32
 	rkey uint32
@@ -44,6 +46,29 @@ func (m *MemoryRegion) Perm() Perm { return m.perm }
 // may skip the look for as long as the word stays put: a write it missed
 // bumps the word after its bytes landed, hence after that load.
 func (m *MemoryRegion) Doorbell() uint64 { return m.bell.Load() }
+
+// Arm makes the region leave a token in wake, a channel with a buffer of
+// one, each time a remote write or atomic bumps its doorbell — after the
+// bump. A poller that loaded the doorbell before it looked, found nothing
+// and then parks on wake cannot sleep through a write: that write's token
+// is there, or an older one still is. Only regions whose remote writes an
+// agent goroutine applies (the TCP fabric) are worth arming; in process the
+// writer is the peer's own thread and an idle poll costs one load.
+func (m *MemoryRegion) Arm(wake chan struct{}) { m.wake.Store(&wake) }
+
+// Armed reports whether the region leaves wake tokens.
+func (m *MemoryRegion) Armed() bool { return m.wake.Load() != nil }
+
+// ring bumps the doorbell, then leaves a token if the region is armed.
+func (m *MemoryRegion) ring() {
+	m.bell.Add(1)
+	if w := m.wake.Load(); w != nil {
+		select {
+		case *w <- struct{}{}:
+		default:
+		}
+	}
+}
 
 // ReadAt copies min(len(dst), Len()-off) bytes from the region into dst,
 // returning the count. Used by the owning host to poll rings.
@@ -101,7 +126,7 @@ func (m *MemoryRegion) SetByte(off int, v byte) {
 func (m *MemoryRegion) remoteWrite(off uint64, data []byte) error {
 	err := m.applyWrite(off, data)
 	if err == nil {
-		m.bell.Add(1)
+		m.ring()
 	}
 	return err
 }
@@ -144,7 +169,7 @@ func (m *MemoryRegion) remoteRead(off uint64, dst []byte) error {
 func (m *MemoryRegion) remoteAtomic(off uint64, cas bool, compare, swapOrAdd uint64) (uint64, error) {
 	old, err := m.applyAtomic(off, cas, compare, swapOrAdd)
 	if err == nil {
-		m.bell.Add(1)
+		m.ring()
 	}
 	return old, err
 }

@@ -25,14 +25,20 @@ const MinSleep = 2 * time.Microsecond
 // A client (Waiter*) spins for a round trip to a poller on a core of its
 // own and yields for a server that has a batch frame to work through or
 // has to be scheduled first; its ladder is adaptive, so a connection whose
-// replies do not come that soon — the TCP fabric, an oversubscribed host —
-// goes straight to MinSleep steps.
+// replies do not come that soon — an oversubscribed host — goes straight
+// to MinSleep steps. Over the TCP fabric both park on the write instead
+// (see Ladder's Wake), from the start.
 const (
 	PollerSpin  = 10 * time.Microsecond
 	PollerYield = 2 * time.Millisecond
 	WaiterSpin  = 20 * time.Microsecond
 	WaiterYield = 200 * time.Microsecond
 )
+
+// ParkCap is the Sleep of a ladder that parks on a Wake channel: a token
+// ends the park as soon as a write lands, so the cap only bounds how often
+// an idle waiter looks at all.
+const ParkCap = time.Millisecond
 
 // An adaptive ladder stops spinning after spinMisses waits in a row had to
 // sleep, and from then on spins in one wait of every probeEvery to find out
@@ -63,13 +69,24 @@ const (
 // waits and a poller, whose next request is a network round trip away,
 // never has one.)
 //
+// With Wake set a step of the last phase parks instead of sleeping: it
+// waits for a token on Wake — the channel the memory it polls is armed with
+// (rdma.MemoryRegion.Arm) — or for Sleep, whichever comes first. Over a
+// transport whose writes an agent goroutine applies that is the write
+// itself waking the waiter, where a timer sleep would be late by up to the
+// netpoller's resolution once every P went idle; such a waiter wants no
+// early phase at all.
+//
 // A Ladder belongs to one waiting goroutine; only the counters may be read
 // from elsewhere. The zero value sleeps never and yields always.
 type Ladder struct {
 	Spin, Yield, Sleep time.Duration
 	Adaptive           bool
+	Wake               chan struct{}
 	// Clock replaces time.Now in tests.
 	Clock func() time.Time
+
+	timer *time.Timer // a park's cap, reused from park to park
 
 	start    time.Time // when the wait began
 	waiting  bool
@@ -80,6 +97,7 @@ type Ladder struct {
 	skipped  int  // waits since the last one that spun, while off
 
 	spins, yields, sleeps atomic.Uint64
+	woken, capped         atomic.Uint64 // parks that ended on a token, on the cap
 }
 
 // Wait is called after an attempt came up empty. It takes the step the
@@ -107,9 +125,36 @@ func (l *Ladder) Wait(deadline time.Time) bool {
 	default:
 		l.slept = true
 		l.sleeps.Add(1)
-		time.Sleep(l.Sleep)
+		if l.Wake != nil {
+			l.park()
+		} else {
+			time.Sleep(l.Sleep)
+		}
 	}
 	return true
+}
+
+// park waits for a token on Wake for at most Sleep.
+func (l *Ladder) park() {
+	if l.timer == nil {
+		l.timer = time.NewTimer(l.Sleep)
+	} else {
+		l.timer.Reset(l.Sleep)
+	}
+	select {
+	case <-l.Wake:
+		l.woken.Add(1)
+		if !l.timer.Stop() {
+			// Fired meanwhile: take its tick, so the next park does not
+			// end on it (timers of a go.mod before 1.23 keep one).
+			select {
+			case <-l.timer.C:
+			default:
+			}
+		}
+	case <-l.timer.C:
+		l.capped.Add(1)
+	}
 }
 
 // Done ends the wait: what was awaited arrived, or the caller gave up. It
@@ -148,7 +193,14 @@ func (l *Ladder) spinsNext() bool {
 	return true
 }
 
-// Steps returns how many steps the ladder has taken in each phase.
+// Steps returns how many steps the ladder has taken in each phase (a park
+// is a step of the last one).
 func (l *Ladder) Steps() (spins, yields, sleeps uint64) {
 	return l.spins.Load(), l.yields.Load(), l.sleeps.Load()
+}
+
+// Parks returns how many parks ended on a Wake token and how many on the
+// cap.
+func (l *Ladder) Parks() (woken, capped uint64) {
+	return l.woken.Load(), l.capped.Load()
 }

@@ -430,7 +430,13 @@ func (m *MetricsServer) writeServerMetrics(b *strings.Builder) {
 	counter("precursor_replies_queued_total", "Replies handed to the untrusted sender pool: ring out of credit, earlier replies queued, or a transport whose post can stall", st.RepliesQueued)
 	counter("precursor_poll_spins_total", "Idle sweeps of the trusted threads that went straight on", st.PollSpins)
 	counter("precursor_poll_yields_total", "Idle sweeps of the trusted threads that yielded the processor", st.PollYields)
-	counter("precursor_poll_sleeps_total", "Idle sweeps of the trusted threads that slept PollInterval", st.PollSleeps)
+	counter("precursor_poll_sleeps_total", "Idle sweeps of the trusted threads that slept PollInterval or parked on their TCP sessions' writes", st.PollSleeps)
+	counter("precursor_poll_parks_woken_total", "Parks of the trusted threads that a write into one of their rings ended", st.PollParksWoken)
+	counter("precursor_poll_parks_capped_total", "Parks of the trusted threads that ran to their cap with no write", st.PollParksCapped)
+	counter("precursor_fabric_frames_written_total", "TCP fabric frames the server sent, acks included", st.Fabric.FramesWritten)
+	counter("precursor_fabric_frames_read_total", "TCP fabric frames the server received", st.Fabric.FramesRead)
+	counter("precursor_fabric_reads_total", "Reads from the server's TCP fabric sockets; each brings in one frame or several", st.Fabric.Reads)
+	counter("precursor_fabric_acks_sent_total", "TCP fabric acks the server sent: one per op whose frame asked for it, and one per failed op", st.Fabric.AcksSent)
 	counter("precursor_replays_total", "Rejected replayed requests", st.Replays)
 	counter("precursor_auth_failures_total", "Control data that failed authentication", st.AuthFailures)
 	counter("precursor_bad_requests_total", "Malformed requests", st.BadRequests)
