@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"precursor/internal/core"
-	"precursor/internal/perf"
 	"precursor/internal/rdma"
 	"precursor/internal/sgx"
 	"precursor/internal/shieldstore"
@@ -97,11 +96,8 @@ func table1Precursor() ([]EPCRow, error) {
 			}
 			inserted++
 		}
-		snap := perf.NewTracer(server.Enclave()).Snapshot(fmt.Sprintf("%d keys", phase))
-		rows = append(rows, EPCRow{
-			System: "precursor", Keys: phase,
-			Pages: snap.Stats.EPCPages, MiB: snap.Stats.WorkingSetMiB(),
-		})
+		st := server.Enclave().Stats()
+		rows = append(rows, EPCRow{System: "precursor", Keys: phase, Pages: st.EPCPages, MiB: st.WorkingSetMiB()})
 	}
 	return rows, nil
 }
@@ -138,11 +134,8 @@ func table1ShieldStore() ([]EPCRow, error) {
 			}
 			inserted++
 		}
-		snap := perf.NewTracer(server.Enclave()).Snapshot(fmt.Sprintf("%d keys", phase))
-		rows = append(rows, EPCRow{
-			System: "shieldstore", Keys: phase,
-			Pages: snap.Stats.EPCPages, MiB: snap.Stats.WorkingSetMiB(),
-		})
+		st := server.Enclave().Stats()
+		rows = append(rows, EPCRow{System: "shieldstore", Keys: phase, Pages: st.EPCPages, MiB: st.WorkingSetMiB()})
 	}
 	return rows, nil
 }

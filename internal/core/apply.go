@@ -7,9 +7,13 @@ package core
 // back. Base and value-log placement differ at exactly three points —
 // the durable append, the conditional Upsert versus the plain Swap, and
 // the pool copy being a cache rather than the store — each a branch on
-// s.vlog below.
+// s.vlog below. Server encryption (§5.1) re-seals the value before a put
+// places it and before a get replies it: a branch on s.storage each.
 
 import (
+	"bytes"
+
+	"precursor/internal/cryptox"
 	"precursor/internal/heat"
 	"precursor/internal/obs"
 	"precursor/internal/wire"
@@ -21,24 +25,24 @@ import (
 // o is the op view: opcode, flags, key, K_operation and inline value,
 // all from inside the opened control seal. seg is the op's extent of
 // untrusted memory — nonce‖ciphertext‖MAC for an external put, empty
-// otherwise — borrowed from the poll buffer for the duration of the call.
+// otherwise — borrowed from the poll buffer for the call, at frame index idx.
 //
 // The result travels by value. For a found get it carries the key
 // material (aliasing the entry) and payload aliases the stored bytes in
-// pool or log memory; the caller copies both into its reply before it
-// handles the next operation.
+// pool, log or (server encryption) session memory; the caller copies both
+// into its reply before it handles the next operation.
 //
 // op is the single-op trace, nil for batched ops (their frame records
 // one srv_batch span instead): a failure's cause annotates it, and end
 // is where its srv_apply span — srv_vlog_read after a read-through —
 // stopped.
-func (s *Server) apply(sess *session, o *wire.BatchOp, seg []byte, op *obs.Op, now int64) (res wire.BatchOpResult, payload []byte, end int64) {
+func (s *Server) apply(sess *session, o *wire.BatchOp, seg []byte, idx int, op *obs.Op, now int64) (res wire.BatchOpResult, payload []byte, end int64) {
 	switch o.Op {
 	case wire.OpPut:
-		res = s.applyPut(sess, o, seg, op)
+		res = s.applyPut(sess, o, seg, idx, op)
 		end = op.SpanEnd(obs.SrvApply, now)
 	case wire.OpGet:
-		res, payload, end = s.applyGet(sess, o, op, now)
+		res, payload, end = s.applyGet(sess, o, idx, op, now)
 	case wire.OpDelete:
 		res = s.applyDelete(sess, o, op)
 		end = op.SpanEnd(obs.SrvApply, now)
@@ -60,7 +64,7 @@ func failed(op *obs.Op, status wire.Status, cause error) wire.BatchOpResult {
 	return wire.BatchOpResult{Status: status}
 }
 
-func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, op *obs.Op) wire.BatchOpResult {
+func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, op *obs.Op) wire.BatchOpResult {
 	s.puts.Add(1)
 	inline := o.Flags&wire.FlagInlineValue != 0
 	e := newEntry(sess.id, inline || s.cfg.HardenedMACs || s.vlog != nil)
@@ -72,7 +76,7 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, op *obs.Op
 			return failed(op, wire.StatusServerError, err)
 		}
 	} else {
-		if len(o.OpKey) != wire.OpKeySize || len(seg) <= wire.MACSize {
+		if s.storage == nil && len(o.OpKey) != wire.OpKeySize || len(seg) <= wire.MACSize {
 			s.badRequests.Add(1)
 			return failed(op, wire.StatusBadRequest, ErrBadResponse)
 		}
@@ -80,6 +84,15 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, op *obs.Op
 		// seg is already ciphertext‖MAC, the base-mode stored form: it goes
 		// to the pool and to the log verbatim, never through a staging copy.
 		stored = seg
+		if s.storage != nil {
+			// The entry trusts the re-sealed blob's version only: its nonce.
+			var err error
+			if stored, err = s.recrypt(sess, sess.aead, sess.payAD.of(sess.id, sess.lastOid, idx), seg, s.storage, o.Key); err != nil {
+				s.authFailure(sess, "payload")
+				return failed(op, wire.StatusAuthFailed, ErrAuth)
+			}
+			copy(e.opKey[:], stored[:cryptox.GCMNonceSize])
+		}
 		if s.cfg.HardenedMACs {
 			// §3.9 hardening: the MAC is enclave state — in the entry and
 			// the log's sealed metadata, never in untrusted memory or the
@@ -135,7 +148,7 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, op *obs.Op
 	return wire.BatchOpResult{Status: wire.StatusOK}
 }
 
-func (s *Server) applyGet(sess *session, o *wire.BatchOp, op *obs.Op, now int64) (wire.BatchOpResult, []byte, int64) {
+func (s *Server) applyGet(sess *session, o *wire.BatchOp, idx int, op *obs.Op, now int64) (wire.BatchOpResult, []byte, int64) {
 	s.gets.Add(1)
 	e, ok := s.table.GetBytes(o.Key)
 	if !ok || s.isDenied(sess, e) {
@@ -172,8 +185,17 @@ func (s *Server) applyGet(sess *session, o *wire.BatchOp, op *obs.Op, now int64)
 		if payload, err = s.pool.Read(e.ref); err != nil {
 			return failed(op, wire.StatusServerError, err), nil, now
 		}
+		if s.storage != nil {
+			if !bytes.HasPrefix(payload, e.opKey[:cryptox.GCMNonceSize]) {
+				payload = nil // not the version the entry trusts: it fails to open
+			}
+			if payload, err = s.recrypt(sess, s.storage, o.Key, payload, sess.aead, sess.payAD.of(sess.id, sess.lastOid, idx)); err != nil {
+				s.authFailure(sess, "stored value")
+				return failed(op, wire.StatusServerError, ErrIntegrity), nil, now
+			}
+		}
 	}
-	if res.Flags&wire.FlagInlineValue == 0 {
+	if res.Flags&wire.FlagInlineValue == 0 && s.storage == nil {
 		res.OpKey = e.opKey[:]
 		if e.hasMAC {
 			res.PayloadMAC = e.mac[:]

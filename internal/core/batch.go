@@ -213,13 +213,16 @@ func (c *Client) sendBatchLocked(ops []BatchOp, deadline time.Time, ref obs.Span
 				// payload region; the op's extent is what was appended.
 				payloadAt := len(c.payloadBuf)
 				var err error
-				if c.opKeys[i], err = cryptox.NewOperationKey(); err == nil {
-					c.payloadBuf, err = c.payload.SealAppend(c.payloadBuf, &c.opKeys[i], ops[i].Value)
+				if !c.serverEnc {
+					c.opKeys[i], err = cryptox.NewOperationKey()
+					bop.OpKey = c.opKeys[i][:]
+				}
+				if err == nil {
+					c.payloadBuf, err = c.sealValue(c.payloadBuf, &c.opKeys[i], ops[i].Value, c.oid, i)
 				}
 				if err != nil {
 					return nil, err
 				}
-				bop.OpKey = c.opKeys[i][:]
 				bop.PayloadLen = uint32(len(c.payloadBuf) - payloadAt)
 			}
 		case BatchGet:
@@ -373,17 +376,17 @@ func (c *Client) resolveBatchReplyLocked(pt, payload []byte) {
 		res := &c.brep.Results[i]
 		seg := payload[off : off+int(res.PayloadLen)]
 		off += int(res.PayloadLen)
-		f.results[i] = c.batchOpResult(f.kinds[i], res, seg)
+		f.results[i] = c.batchOpResult(f.kinds[i], res, seg, f.oid, i)
 	}
 	c.window.OnSuccess()
 	f.finishLocked(nil)
 }
 
 // batchOpResult converts one sealed per-op result into the client-side
-// outcome, decrypting get payloads. res and seg alias the client's
-// scratch (opened control and poll buffer), so values are copied or
-// decrypted into fresh memory before returning.
-func (c *Client) batchOpResult(kind BatchOpKind, res *wire.BatchOpResult, seg []byte) BatchResult {
+// outcome, decrypting get payloads (op idx of the frame with oid). res and
+// seg alias the client's scratch (opened control and poll buffer), so
+// values are copied or decrypted into fresh memory before returning.
+func (c *Client) batchOpResult(kind BatchOpKind, res *wire.BatchOpResult, seg []byte, oid uint64, idx int) BatchResult {
 	switch res.Status {
 	case wire.StatusOK:
 	case wire.StatusNotFound:
@@ -407,7 +410,7 @@ func (c *Client) batchOpResult(kind BatchOpKind, res *wire.BatchOpResult, seg []
 	if res.Flags&wire.FlagInlineValue != 0 {
 		return BatchResult{Value: append([]byte(nil), res.InlineValue...)}
 	}
-	value, err := c.openValue(res.OpKey, res.PayloadMAC, seg)
+	value, err := c.openValue(res.OpKey, res.PayloadMAC, seg, oid, idx)
 	return BatchResult{Value: value, Err: err}
 }
 

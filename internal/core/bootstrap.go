@@ -49,6 +49,8 @@ type welcomeMsg struct {
 	ReqSlots       int    `json:"reqSlots"`
 	ReqSlotSize    int    `json:"reqSlotSize"`
 	RespCreditRKey uint32 `json:"respCreditRKey"`
+	// ServerEncryption announces the §5.1 baseline placement.
+	ServerEncryption bool `json:"serverEncryption,omitempty"`
 	// Error, if the server rejected the client.
 	Error string `json:"error,omitempty"`
 }

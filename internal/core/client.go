@@ -104,6 +104,7 @@ type Client struct {
 	respRing   *rdma.MemoryRegion
 	reqCredit  *rdma.MemoryRegion
 	closed     bool
+	serverEnc  bool // the server announced the server-encryption placement
 
 	// curOp is the in-flight operation's tracing handle (nil when the
 	// tracer is disabled). Guarded by mu like the rest of the op state —
@@ -139,6 +140,7 @@ type Client struct {
 	opKey      cryptox.OperationKey // the in-flight put's K_operation
 	opKeys     []cryptox.OperationKey
 	payload    cryptox.PayloadCipher
+	payAD      payloadAD
 
 	// wait is the back-off of every wait on this connection, for a reply
 	// and for request-ring credit alike. Guarded by mu.
@@ -195,7 +197,7 @@ func Connect(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl.aead, cl.id = aead, welcome.ClientID
+	cl.aead, cl.id, cl.serverEnc = aead, welcome.ClientID, welcome.ServerEncryption
 	binary.LittleEndian.PutUint32(cl.ad[:], cl.id)
 
 	cl.reqWriter, err = ringbuf.NewWriter(ringbuf.WriterConfig{
@@ -483,7 +485,7 @@ func (c *Client) getOnce(key string, deadline time.Time) ([]byte, error) {
 		return append([]byte(nil), rc.InlineValue...), nil
 	}
 	t0 := c.curOp.Now()
-	value, err := c.openValue(rc.OpKey, rc.PayloadMAC, payload)
+	value, err := c.openValue(rc.OpKey, rc.PayloadMAC, payload, c.oid, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -495,19 +497,21 @@ func (c *Client) getOnce(key string, deadline time.Time) ([]byte, error) {
 // openValue verifies and decrypts a fetched value under its one-time key
 // (the client-side integrity check of Algorithm 1). A nil mac is the base
 // mode: the MAC travels behind the ciphertext in the untrusted payload.
-// The plaintext is the one allocation of a get: the caller keeps it, so
-// it must not live in scratch.
-func (c *Client) openValue(opKey, mac, payload []byte) ([]byte, error) {
-	if len(opKey) != wire.OpKeySize {
+// Under server encryption the value comes with no key material, sealed
+// under K_session for op idx of frame oid. The plaintext is the one
+// allocation of a get: the caller keeps it, so it must not live in scratch.
+func (c *Client) openValue(opKey, mac, payload []byte, oid uint64, idx int) (value []byte, err error) {
+	switch {
+	case c.serverEnc != (len(opKey) == 0), mac == nil && len(payload) < wire.MACSize:
 		return nil, ErrBadResponse
-	}
-	if mac == nil {
-		if len(payload) < wire.MACSize {
-			return nil, ErrBadResponse
+	case c.serverEnc:
+		value, err = c.aead.OpenAppend(nil, payload, c.payAD.of(c.id, oid, idx))
+	default:
+		if mac == nil {
+			payload, mac = payload[:len(payload)-wire.MACSize], payload[len(payload)-wire.MACSize:]
 		}
-		payload, mac = payload[:len(payload)-wire.MACSize], payload[len(payload)-wire.MACSize:]
+		value, err = c.payload.OpenAppend(nil, (*cryptox.OperationKey)(opKey), payload, mac)
 	}
-	value, err := c.payload.OpenAppend(nil, (*cryptox.OperationKey)(opKey), payload, mac)
 	if err != nil {
 		c.integrityFailures++
 		return nil, fmt.Errorf("%w: %v", ErrIntegrity, err)
@@ -554,19 +558,22 @@ func (c *Client) deleteOnce(key string, deadline time.Time) error {
 // sealed control ‖ [nonce‖ciphertext ‖ MAC] — every part appended in
 // place: the header reserves the whole frame, the control is sealed
 // straight behind it, and an external value is encrypted under a fresh
-// K_operation straight behind that. It returns the end of the last span
-// it recorded, for the caller's chained clock reads.
+// K_operation straight behind that (sealValue). It returns the end of the
+// last span it recorded, for the caller's chained clock reads.
 func (c *Client) buildRequest(ctl *wire.RequestControl, value []byte, external bool) (int64, error) {
 	op := c.curOp
 	t := op.Now()
 	var err error
 	payloadLen := 0
 	if external {
-		if c.opKey, err = cryptox.NewOperationKey(); err != nil {
-			return t, err
+		payloadLen = cryptox.GCMNonceSize + len(value)
+		if !c.serverEnc {
+			if c.opKey, err = cryptox.NewOperationKey(); err != nil {
+				return t, err
+			}
+			ctl.OpKey = c.opKey[:]
+			payloadLen = cryptox.Salsa20NonceSize + len(value)
 		}
-		ctl.OpKey = c.opKey[:]
-		payloadLen = cryptox.Salsa20NonceSize + len(value)
 	}
 	sealedLen := ctl.EncodedLen() + cryptox.SealOverhead
 	// Refused before any work: an oversized value must not leave an
@@ -586,13 +593,23 @@ func (c *Client) buildRequest(ctl *wire.RequestControl, value []byte, external b
 	}
 	t = op.SpanEnd(obs.CliSeal, t)
 	if external {
-		if frame, err = c.payload.SealAppend(frame, &c.opKey, value); err != nil {
+		if frame, err = c.sealValue(frame, &c.opKey, value, ctl.Oid, 0); err != nil {
 			return t, err
 		}
 		t = op.SpanEnd(obs.CliEncrypt, t)
 	}
 	c.frameBuf = frame
 	return t, nil
+}
+
+// sealValue appends a put's payload extent to dst: nonce‖ciphertext‖MAC
+// under the one-time key k, or under server encryption nonce‖ciphertext‖tag
+// under K_session, bound to op idx of frame oid.
+func (c *Client) sealValue(dst []byte, k *cryptox.OperationKey, value []byte, oid uint64, idx int) ([]byte, error) {
+	if c.serverEnc {
+		return c.aead.SealAppend(dst, value, c.payAD.of(c.id, oid, idx))
+	}
+	return c.payload.SealAppend(dst, k, value)
 }
 
 // roundTrip seals the control data, sends the request, and awaits the

@@ -12,6 +12,13 @@ import (
 	"precursor/internal/sgx"
 )
 
+// placements are a server's two payload placements: Precursor's, and the
+// §5.1 server-encryption baseline's.
+var placements = []struct {
+	name string
+	cfg  ServerConfig
+}{{"precursor", ServerConfig{}}, {"server-enc", ServerConfig{ServerEncryption: true}}}
+
 // testCluster is a server plus helpers to attach clients over an
 // in-process fabric.
 type testCluster struct {
@@ -86,79 +93,109 @@ func (tc *testCluster) connect(opts ...func(*ClientConfig)) *Client {
 }
 
 func TestPutGetDeleteRoundTrip(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			tc := newCluster(t, p.cfg)
+			c := tc.connect()
 
-	value := []byte("the quick brown fox")
-	if err := c.Put("animal", value); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	got, err := c.Get("animal")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if !bytes.Equal(got, value) {
-		t.Errorf("Get = %q, want %q", got, value)
-	}
-	if err := c.Delete("animal"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := c.Get("animal"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get after delete: %v", err)
-	}
-	if err := c.Delete("animal"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("second Delete: %v", err)
+			value := []byte("the quick brown fox")
+			if err := c.Put("animal", value); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			got, err := c.Get("animal")
+			if err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+			if !bytes.Equal(got, value) {
+				t.Errorf("Get = %q, want %q", got, value)
+			}
+			if err := c.Delete("animal"); err != nil {
+				t.Fatalf("Delete: %v", err)
+			}
+			if _, err := c.Get("animal"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Get after delete: %v", err)
+			}
+			if err := c.Delete("animal"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("second Delete: %v", err)
+			}
+		})
 	}
 }
 
+// TestGetMissingKey: a key never stored is not found by Get or Delete, and
+// a refused Delete still counts as one.
 func TestGetMissingKey(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
-	if _, err := c.Get("never-stored"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("got %v, want ErrNotFound", err)
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			tc := newCluster(t, p.cfg)
+			c := tc.connect()
+			if _, err := c.Get("never-stored"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("got %v, want ErrNotFound", err)
+			}
+			if err := c.Delete("never-stored"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Delete: %v, want ErrNotFound", err)
+			}
+			if err := c.Put("k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Delete("k"); err != nil {
+				t.Fatal(err)
+			}
+			if st := tc.server.Stats(); st.Entries != 0 || st.Deletes != 2 {
+				t.Errorf("entries=%d deletes=%d, want 0 and 2", st.Entries, st.Deletes)
+			}
+		})
 	}
 }
 
 func TestUpdateReplacesValue(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			tc := newCluster(t, p.cfg)
+			c := tc.connect()
 
-	if err := c.Put("k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("k", []byte("v2-longer-value")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "v2-longer-value" {
-		t.Errorf("got %q", got)
-	}
-	// The old payload slot must have been freed (revocation support).
-	stats := tc.server.Stats()
-	if stats.Entries != 1 {
-		t.Errorf("entries = %d", stats.Entries)
+			if err := c.Put("k", []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Put("k", []byte("v2-longer-value")); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Get("k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != "v2-longer-value" {
+				t.Errorf("got %q", got)
+			}
+			// The old payload slot must have been freed (revocation support).
+			st := tc.server.Stats()
+			if st.Entries != 1 || st.Puts != 2 || st.Gets != 1 {
+				t.Errorf("entries=%d puts=%d gets=%d, want 1, 2 and 1", st.Entries, st.Puts, st.Gets)
+			}
+		})
 	}
 }
 
 func TestValueSizes(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
-	for _, size := range []int{0, 1, 16, 64, 512, 1024, 4096, 16384} {
-		key := fmt.Sprintf("size-%d", size)
-		value := bytes.Repeat([]byte{byte(size % 251)}, size)
-		if err := c.Put(key, value); err != nil {
-			t.Fatalf("Put %d: %v", size, err)
-		}
-		got, err := c.Get(key)
-		if err != nil {
-			t.Fatalf("Get %d: %v", size, err)
-		}
-		if !bytes.Equal(got, value) {
-			t.Errorf("size %d round trip mismatch", size)
-		}
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			tc := newCluster(t, p.cfg)
+			c := tc.connect()
+			for _, size := range []int{0, 1, 16, 64, 512, 1024, 4096, 16384} {
+				key := fmt.Sprintf("size-%d", size)
+				value := bytes.Repeat([]byte{byte(size % 251)}, size)
+				if err := c.Put(key, value); err != nil {
+					t.Fatalf("Put %d: %v", size, err)
+				}
+				got, err := c.Get(key)
+				if err != nil {
+					t.Fatalf("Get %d: %v", size, err)
+				}
+				if !bytes.Equal(got, value) {
+					t.Errorf("size %d round trip mismatch", size)
+				}
+			}
+		})
 	}
 }
 
@@ -234,41 +271,47 @@ func TestOwnerOnlyAccessControl(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	tc := newCluster(t, ServerConfig{Workers: 4})
-	const nClients = 8
-	const nOps = 120
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := p.cfg
+			cfg.Workers = 4
+			tc := newCluster(t, cfg)
+			const nClients = 8
+			const nOps = 120
 
-	clients := make([]*Client, nClients)
-	for i := range clients {
-		clients[i] = tc.connect()
-	}
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		wg.Add(1)
-		go func(id int, c *Client) {
-			defer wg.Done()
-			for op := 0; op < nOps; op++ {
-				key := fmt.Sprintf("c%d-k%d", id, op%20)
-				val := []byte(fmt.Sprintf("c%d-v%d", id, op))
-				if err := c.Put(key, val); err != nil {
-					t.Errorf("client %d put: %v", id, err)
-					return
-				}
-				got, err := c.Get(key)
-				if err != nil || !bytes.Equal(got, val) {
-					t.Errorf("client %d get: %q %v", id, got, err)
-					return
-				}
+			clients := make([]*Client, nClients)
+			for i := range clients {
+				clients[i] = tc.connect()
 			}
-		}(i, c)
-	}
-	wg.Wait()
-	st := tc.server.Stats()
-	if st.Puts != nClients*nOps || st.Gets != nClients*nOps {
-		t.Errorf("server counted %d puts / %d gets", st.Puts, st.Gets)
-	}
-	if st.Replays != 0 || st.AuthFailures != 0 {
-		t.Errorf("unexpected security events: %+v", st)
+			var wg sync.WaitGroup
+			for i, c := range clients {
+				wg.Add(1)
+				go func(id int, c *Client) {
+					defer wg.Done()
+					for op := 0; op < nOps; op++ {
+						key := fmt.Sprintf("c%d-k%d", id, op%20)
+						val := []byte(fmt.Sprintf("c%d-v%d", id, op))
+						if err := c.Put(key, val); err != nil {
+							t.Errorf("client %d put: %v", id, err)
+							return
+						}
+						got, err := c.Get(key)
+						if err != nil || !bytes.Equal(got, val) {
+							t.Errorf("client %d get: %q %v", id, got, err)
+							return
+						}
+					}
+				}(i, c)
+			}
+			wg.Wait()
+			st := tc.server.Stats()
+			if st.Puts != nClients*nOps || st.Gets != nClients*nOps {
+				t.Errorf("server counted %d puts / %d gets", st.Puts, st.Gets)
+			}
+			if st.Replays != 0 || st.AuthFailures != 0 {
+				t.Errorf("unexpected security events: %+v", st)
+			}
+		})
 	}
 }
 
@@ -325,58 +368,74 @@ func TestInlineSmallValues(t *testing.T) {
 }
 
 func TestServerStatsAndEnclaveAccounting(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
-	for i := 0; i < 100; i++ {
-		if err := c.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := tc.server.Stats()
-	if st.Entries != 100 || st.Clients != 1 {
-		t.Errorf("entries=%d clients=%d", st.Entries, st.Clients)
-	}
-	if st.Enclave.Ecalls == 0 {
-		t.Error("no ecalls recorded (init/start/add_client expected)")
-	}
-	// Critically, ecall count must NOT scale with request count: the hot
-	// path is transition-free (R2).
-	if st.Enclave.Ecalls > 20 {
-		t.Errorf("ecalls = %d, hot path seems to transition", st.Enclave.Ecalls)
-	}
-	if st.PoolBytesReserved == 0 {
-		t.Error("payload pool unused")
-	}
-	if st.Enclave.EPCPages == 0 {
-		t.Error("no EPC pages accounted")
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			tc := newCluster(t, p.cfg)
+			c := tc.connect()
+			for i := 0; i < 100; i++ {
+				if err := c.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := tc.server.Stats()
+			if st.Entries != 100 || st.Clients != 1 {
+				t.Errorf("entries=%d clients=%d", st.Entries, st.Clients)
+			}
+			if st.Enclave.Ecalls == 0 {
+				t.Error("no ecalls recorded (init/start/add_client expected)")
+			}
+			// Critically, ecall count must NOT scale with request count: the
+			// hot path is transition-free (R2), whichever side runs the
+			// payload crypto.
+			if st.Enclave.Ecalls > 20 {
+				t.Errorf("ecalls = %d, hot path seems to transition", st.Enclave.Ecalls)
+			}
+			if st.PoolBytesReserved == 0 {
+				t.Error("payload pool unused")
+			}
+			if st.Enclave.EPCPages == 0 {
+				t.Error("no EPC pages accounted")
+			}
+		})
 	}
 }
 
 func TestLargeValueRejected(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
-	// Larger than a ring slot: rejected client-side.
-	if err := c.Put("k", make([]byte, 64*1024)); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("got %v", err)
-	}
-	if err := c.Put("", []byte("v")); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("empty key: %v", err)
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			tc := newCluster(t, p.cfg)
+			c := tc.connect()
+			// Larger than a ring slot: rejected client-side.
+			if err := c.Put("k", make([]byte, 64*1024)); !errors.Is(err, ErrTooLarge) {
+				t.Errorf("got %v", err)
+			}
+			if err := c.Put("", []byte("v")); !errors.Is(err, ErrTooLarge) {
+				t.Errorf("empty key: %v", err)
+			}
+		})
 	}
 }
 
 func TestClientCloseThenUse(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("k", []byte("v")); !errors.Is(err, ErrClosed) {
-		t.Errorf("Put after close: %v", err)
-	}
-	if _, err := c.Get("k"); !errors.Is(err, ErrClosed) {
-		t.Errorf("Get after close: %v", err)
-	}
-	if err := c.Close(); err != nil {
-		t.Errorf("double close: %v", err)
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			tc := newCluster(t, p.cfg)
+			c := tc.connect()
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Put("k", []byte("v")); !errors.Is(err, ErrClosed) {
+				t.Errorf("Put after close: %v", err)
+			}
+			if _, err := c.Get("k"); !errors.Is(err, ErrClosed) {
+				t.Errorf("Get after close: %v", err)
+			}
+			if err := c.Delete("k"); !errors.Is(err, ErrClosed) {
+				t.Errorf("Delete after close: %v", err)
+			}
+			if err := c.Close(); err != nil {
+				t.Errorf("double close: %v", err)
+			}
+		})
 	}
 }

@@ -159,7 +159,9 @@ func runMetaStream(t *testing.T, cfg ServerConfig, cli []func(*ClientConfig), op
 // log) and a plain map side by side; every observable result must match.
 // This is the whole-system analogue of the hash table's model check.
 //
-// The same stream runs in every storage mode and under every framing.
+// The same stream runs in every storage mode and under every framing; the
+// server-encryption rows are every combination NewServer accepts with it
+// (TestServerEncryptionRefusesTheRest).
 // Both framings share one apply path, so on top of matching the model the
 // single-op run and the batch-of-one run must agree result for result
 // and on the server's op, entry and pool counters.
@@ -197,6 +199,18 @@ func TestMetamorphicAgainstModel(t *testing.T) {
 					return 0 // disk-only
 				}
 				return n + sealed
+			}},
+		// The §5.1 baseline: the pool holds the enclave's re-sealed blob,
+		// nonce‖ciphertext‖tag. With inline values, its only other accepted
+		// combination, small values stay in the enclave as before.
+		{name: "server-enc", srv: ServerConfig{ServerEncryption: true},
+			pooled: func(n int) int { return n + cryptox.SealOverhead }},
+		{name: "server-enc+inline", srv: ServerConfig{ServerEncryption: true, InlineSmallValues: true}, cli: []func(*ClientConfig){inline},
+			pooled: func(n int) int {
+				if n < DefaultInlineMax {
+					return 0
+				}
+				return n + cryptox.SealOverhead
 			}},
 	}
 	framings := []struct {

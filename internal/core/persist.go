@@ -255,8 +255,8 @@ func (s *Server) restore(r io.Reader, allowNewer bool) error {
 
 // serializeState flattens the store in the one snapshot format:
 //
-//	sentinel u32 | ver u8 (2) | flags u8 (bit0: payloads present) |
-//	watermark u64 | count u32 | entries...
+//	sentinel u32 | ver u8 (2) | flags u8 (bit0: payloads present,
+//	bit1: server-encrypted) | watermark u64 | count u32 | entries...
 //
 // entry: keyLen u16 | key | opKey | owner u32 |
 // eflags u8 (1 hasMAC, 2 inline, 4 hasVptr) | mac | seq u64 |
@@ -275,6 +275,9 @@ func (s *Server) serializeState(full bool) ([]byte, error) {
 	flags := byte(0)
 	if full {
 		flags |= 1
+	}
+	if s.storage != nil {
+		flags |= 2
 	}
 	out = append(out, flags)
 	// The watermark is captured before the table walk so it never
@@ -358,12 +361,15 @@ func (s *Server) deserializeState(buf []byte) error {
 		return ErrSnapshotFormat
 	}
 	buf = buf[4:]
-	full := buf[1]&1 != 0
+	full, serverEnc := buf[1]&1 != 0, buf[1]&2 != 0
 	watermark := binary.LittleEndian.Uint64(buf[2:])
 	count := binary.LittleEndian.Uint32(buf[10:])
 	buf = buf[14:]
 	if !full && s.vlog == nil {
 		return fmt.Errorf("%w: index-only snapshot needs a value log (set DataDir)", ErrSnapshotFormat)
+	}
+	if serverEnc != (s.storage != nil) {
+		return fmt.Errorf("%w: snapshot of the other payload placement (ServerEncryption)", ErrSnapshotFormat)
 	}
 	migrate := full && s.vlog != nil
 

@@ -91,53 +91,61 @@ func TestHardenedModeDetectsSubstitution(t *testing.T) {
 }
 
 // TestReplayedRequestRejected re-posts a captured request frame into the
-// server's ring; the enclave's oid check must reject it (Algorithm 2).
+// server's ring; the enclave's oid check must reject it (Algorithm 2), in
+// both payload placements.
 func TestReplayedRequestRejected(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			tc := newCluster(t, p.cfg)
+			c := tc.connect()
 
-	if err := c.Put("k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	// Capture a fresh frame by re-encoding a put with the *same* oid the
-	// client already used: simulate the network adversary replaying the
-	// last message. We reach into the client to rebuild an identical
-	// request (same oid), then write it through the client's own writer.
-	c.mu.Lock()
-	oid := c.oid // already consumed by the server
-	ctl := wire.RequestControl{Op: wire.OpGet, Oid: oid, Key: []byte("k")}
-	pt, err := ctl.Encode()
-	if err != nil {
-		c.mu.Unlock()
-		t.Fatal(err)
-	}
-	sealed, err := c.aead.Seal(pt, c.ad[:])
-	if err != nil {
-		c.mu.Unlock()
-		t.Fatal(err)
-	}
-	req := wire.Request{Op: wire.OpGet, ClientID: c.id, SealedControl: sealed}
-	frame, err := req.Encode(nil)
-	if err != nil {
-		c.mu.Unlock()
-		t.Fatal(err)
-	}
-	if err := c.reqWriter.WriteDeadline(frame, time.Now().Add(time.Second)); err != nil {
-		c.mu.Unlock()
-		t.Fatal(err)
-	}
-	c.mu.Unlock()
+			if err := c.Put("k", []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			// Capture a fresh frame by re-encoding a put with the *same* oid the
+			// client already used: simulate the network adversary replaying the
+			// last message. We reach into the client to rebuild an identical
+			// request (same oid), then write it through the client's own writer.
+			c.mu.Lock()
+			oid := c.oid // already consumed by the server
+			ctl := wire.RequestControl{Op: wire.OpGet, Oid: oid, Key: []byte("k")}
+			pt, err := ctl.Encode()
+			if err != nil {
+				c.mu.Unlock()
+				t.Fatal(err)
+			}
+			sealed, err := c.aead.Seal(pt, c.ad[:])
+			if err != nil {
+				c.mu.Unlock()
+				t.Fatal(err)
+			}
+			req := wire.Request{Op: wire.OpGet, ClientID: c.id, SealedControl: sealed}
+			frame, err := req.Encode(nil)
+			if err != nil {
+				c.mu.Unlock()
+				t.Fatal(err)
+			}
+			if err := c.reqWriter.WriteDeadline(frame, time.Now().Add(time.Second)); err != nil {
+				c.mu.Unlock()
+				t.Fatal(err)
+			}
+			c.mu.Unlock()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for tc.server.Stats().Replays == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("replay not detected")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The legitimate session continues to work afterwards.
-	if err := c.Put("k2", []byte("v2")); err != nil {
-		t.Errorf("post-replay put: %v", err)
+			deadline := time.Now().Add(5 * time.Second)
+			for tc.server.Stats().Replays == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("replay not detected")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// The legitimate session continues to work afterwards.
+			if err := c.Put("k2", []byte("v2")); err != nil {
+				t.Errorf("post-replay put: %v", err)
+			}
+			if got, err := c.Get("k"); err != nil || string(got) != "v1" {
+				t.Errorf("post-replay get: %q %v", got, err)
+			}
+		})
 	}
 }
 

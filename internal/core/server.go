@@ -110,6 +110,9 @@ type session struct {
 	bctl     wire.BatchControl
 	brep     wire.BatchReply
 	bPayload []byte // batch reply payload region (get segments, op order)
+	valPt    []byte // server encryption: a value's plaintext while re-sealed
+	sealed   []byte // server encryption: the re-sealed value, until placed or replied
+	payAD    payloadAD
 }
 
 // outFrame is a reply handed from a trusted thread to the untrusted
@@ -135,6 +138,9 @@ type Server struct {
 	table    *hashtable.Table[*entry]
 	pool     *slab.Pool
 	rollback sgx.TrustedCounter
+	storage  *cryptox.AEAD // the server-encryption storage key; nil otherwise
+	scratch  []*sgx.Region // each trusted thread's staging: a page, and stage bytes more
+	stage    int
 
 	mu        sync.Mutex
 	sessions  map[uint32]*session
@@ -207,6 +213,9 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("precursor: ServerConfig.Platform is required")
 	}
+	if cfg.ServerEncryption && (cfg.HardenedMACs || cfg.DataDir != "") {
+		return nil, fmt.Errorf("precursor: ServerEncryption combines with neither HardenedMACs nor DataDir")
+	}
 	c := cfg.withDefaults()
 	if c.RandomRKeys {
 		device.RandomizeRKeys()
@@ -226,6 +235,7 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 		out:      make(chan outFrame, 1024),
 		frames:   make(chan []byte, replyFrameFree),
 		stopCh:   make(chan struct{}),
+		scratch:  make([]*sgx.Region, c.Workers),
 	}
 	if s.rollback == nil {
 		s.rollback = sgx.AsTrustedCounter(sgx.NewMonotonicCounter())
@@ -241,24 +251,25 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 	}
 	s.acct = newEnclaveAccountant(enclave)
 	if c.Audit != nil {
-		// Key the audit log from inside the enclave: HKDF of the sealing
-		// key, so only this enclave identity (or a replica sharing its
-		// platform and measurement) can MAC the chain. SetKey is set-once
-		// — a log shared across a replica group keeps one key.
-		if err := enclave.Ecall("derive_audit_key", func() error {
-			sk, err := enclave.SealingKey()
-			if err != nil {
-				return err
-			}
-			mk, err := cryptox.HKDF(sk, nil, []byte("precursor-audit-mac-v1"), 32)
-			if err != nil {
-				return err
-			}
-			c.Audit.SetKey(mk)
-			return nil
-		}); err != nil {
+		// Keyed inside the enclave, so only this identity (or a replica sharing
+		// its platform and measurement) can MAC the chain. SetKey is set-once:
+		// a log shared across a replica group keeps one key.
+		mk, err := s.sealedKey("derive_audit_key", "precursor-audit-mac-v1", 32)
+		if err != nil {
 			return nil, fmt.Errorf("audit key: %w", err)
 		}
+		c.Audit.SetKey(mk)
+	}
+	if c.ServerEncryption {
+		// Derived as the value log's key is, so sealed snapshots restore.
+		k, err := s.sealedKey("derive_storage_key", "precursor-serverenc-storage-v1", cryptox.SessionKeySize)
+		if err == nil {
+			s.storage, err = cryptox.NewAEAD(k)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("storage key: %w", err)
+		}
+		s.stage = c.SlotSize
 	}
 	s.pool = slab.New(slab.WithGrowFunc(func(n int) error {
 		// The single ocall of §4/§3.8: enlarge the pre-allocated untrusted
@@ -310,6 +321,19 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
+// sealedKey derives an n-byte key for label from the sealing key, inside
+// the enclave: the same on every start of this platform and image.
+func (s *Server) sealedKey(ecall, label string, n int) (key []byte, err error) {
+	err = s.enclave.Ecall(ecall, func() error {
+		sk, err := s.enclave.SealingKey()
+		if err == nil {
+			key, err = cryptox.HKDF(sk, nil, []byte(label), n)
+		}
+		return err
+	})
+	return key, err
+}
+
 // Ready reports whether the server has completed bootstrap and can take
 // traffic: true once NewServer returns, false while a Restore is
 // replacing state and after Close. /healthz readiness keys off this.
@@ -318,7 +342,7 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // Measurement returns the enclave identity clients must expect.
 func (s *Server) Measurement() sgx.Measurement { return s.enclave.Measurement() }
 
-// Enclave exposes the server's enclave for tooling (perf tracing).
+// Enclave exposes the server's enclave for tooling (Table 1's working set).
 func (s *Server) Enclave() *sgx.Enclave { return s.enclave }
 
 // Tracer returns the server's tracer (nil when tracing is disabled).
@@ -420,6 +444,7 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 
 	welcome.ClientID, welcome.ReqRingRKey, welcome.RespCreditRKey = id, reqRing.RKey(), respCredit.RKey()
 	welcome.ReqSlots, welcome.ReqSlotSize = s.cfg.RingSlots, s.cfg.SlotSize
+	welcome.ServerEncryption = s.cfg.ServerEncryption
 	if err := sendMsg(conn, 2, welcome); err != nil {
 		return 0, err
 	}
@@ -469,7 +494,6 @@ func (s *Server) rebuildWorkersLocked() {
 // long-lived "start polling" ecall issued at startup, so the hot path has
 // no enclave transitions.
 func (s *Server) trustedLoop(worker int) {
-	var scratch *sgx.Region
 	var pollBuf []byte
 	tr := s.cfg.Tracer
 	// Idle back-off, reset by a single ready frame: spin, then yield the P —
@@ -515,15 +539,13 @@ func (s *Server) trustedLoop(worker int) {
 			if !ready {
 				continue
 			}
-			if scratch == nil {
+			if s.scratch[worker] == nil {
 				// Lazily reserve this trusted thread's in-enclave staging
 				// page for control data and replies, first request only —
 				// the small one-time EPC jump Table 1 shows at one key.
-				scratch, _ = s.enclave.Reserve(sgx.PageSize)
+				s.scratch[worker], _ = s.enclave.Reserve(sgx.PageSize + s.stage)
 			}
-			if scratch != nil {
-				scratch.Touch(0, len(msg)%sgx.PageSize+1)
-			}
+			s.scratch[worker].Touch(0, len(msg)%sgx.PageSize+1)
 			progress = true
 			var op *obs.Op
 			var now int64
@@ -680,16 +702,47 @@ func (s *Server) openControl(sess *session, sealed []byte, op *obs.Op, now int64
 	s.cryptoBytes.Add(uint64(len(sealed)))
 	pt, err := sess.aead.OpenAppend(sess.ctlPt[:0], sealed, sess.ad[:])
 	if err != nil {
-		s.authFailures.Add(1)
-		s.logEvent("control data failed authentication", slog.Int("client", int(sess.id)))
-		s.cfg.Audit.Add(audit.Record{Kind: audit.KindAuthFail, Client: sess.id,
-			Detail: "control data failed authentication"})
+		s.authFailure(sess, "control data")
 		op.SetError(ErrAuth)
 		s.reply(sess, wire.StatusAuthFailed, nil, nil, op, now)
 		return false
 	}
 	sess.ctlPt = pt
 	return true
+}
+
+// recrypt is server encryption's two passes: open in under from, stage the
+// plaintext on the enclave scratch, seal it under to into session scratch.
+func (s *Server) recrypt(sess *session, from *cryptox.AEAD, fromAD, in []byte, to *cryptox.AEAD, toAD []byte) ([]byte, error) {
+	s.cryptoBytes.Add(uint64(len(in)))
+	pt, err := from.OpenAppend(sess.valPt[:0], in, fromAD)
+	if err != nil {
+		return nil, err
+	}
+	sess.valPt = pt
+	s.scratch[int(sess.id)%s.cfg.Workers].Touch(sgx.PageSize, len(pt))
+	sess.sealed, err = to.SealAppend(sess.sealed[:0], pt, toAD)
+	s.cryptoBytes.Add(uint64(len(sess.sealed)))
+	return sess.sealed, err
+}
+
+// payloadAD binds a server-encrypted payload to its op, both ways.
+type payloadAD [4 + 8 + 4]byte
+
+// of fills the AD — client id ‖ oid ‖ op index (PROTOCOL.md §3) — and returns it.
+func (a *payloadAD) of(id uint32, oid uint64, idx int) []byte {
+	binary.LittleEndian.PutUint32(a[:], id)
+	binary.LittleEndian.PutUint64(a[4:], oid)
+	binary.LittleEndian.PutUint32(a[12:], uint32(idx))
+	return a[:]
+}
+
+// authFailure counts, logs and audits what of sess failing authentication
+// in the enclave.
+func (s *Server) authFailure(sess *session, what string) {
+	s.authFailures.Add(1)
+	s.logEvent(what+" failed authentication", slog.Int("client", int(sess.id)))
+	s.cfg.Audit.Add(audit.Record{Kind: audit.KindAuthFail, Client: sess.id, Detail: what + " failed authentication"})
 }
 
 // replayed is the replay check (Algorithm 2, lines 4–6): a session's oids
@@ -816,7 +869,7 @@ func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64)
 	if len(req.PayloadMAC) == wire.MACSize {
 		seg = req.Payload[:len(req.Payload)+wire.MACSize]
 	}
-	res, payload, now := s.apply(sess, &o, seg, op, now)
+	res, payload, now := s.apply(sess, &o, seg, 0, op, now)
 	if res.Status != wire.StatusOK && res.Status != wire.StatusNotFound {
 		// Not served: an unauthenticated status frame, which the client
 		// treats as advisory.

@@ -97,7 +97,7 @@ func (s *Server) handleBatch(sess *session, msg []byte, op *obs.Op, now int64) {
 		bop := &ctl.Ops[i]
 		seg := sess.breq.Payload[off : off+int(bop.PayloadLen)]
 		off += int(bop.PayloadLen)
-		res, payload, _ := s.apply(sess, bop, seg, nil, 0)
+		res, payload, _ := s.apply(sess, bop, seg, i, nil, 0)
 		res.PayloadLen = uint32(len(payload))
 		sess.bPayload = append(sess.bPayload, payload...)
 		sess.brep.Results = append(sess.brep.Results, res)

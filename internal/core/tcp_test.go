@@ -14,68 +14,73 @@ import (
 
 // TestOverTCPFabric runs the full Precursor protocol — attestation, ring
 // bootstrap, put/get/delete — across a real TCP connection via the
-// SoftRoCE-style fabric, proving the store works between processes.
+// SoftRoCE-style fabric, proving the store works between processes, in
+// both payload placements.
 func TestOverTCPFabric(t *testing.T) {
-	platform, err := sgx.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serverDev := rdma.NewDevice("server")
-	server, err := NewServer(serverDev, ServerConfig{
-		Platform: platform, Workers: 2, PollInterval: time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	ln, err := rdma.ListenTCP(serverDev, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			qp, err := ln.Accept()
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			platform, err := sgx.NewPlatform()
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			go func() { _, _ = server.HandleConnection(qp) }()
-		}
-	}()
+			serverDev := rdma.NewDevice("server")
+			cfg := p.cfg
+			cfg.Platform, cfg.Workers, cfg.PollInterval = platform, 2, time.Microsecond
+			server, err := NewServer(serverDev, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
 
-	clientDev := rdma.NewDevice("client")
-	conn, err := rdma.DialTCP(clientDev, ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := Connect(ClientConfig{
-		Conn: conn, Device: clientDev,
-		PlatformKey: platform.AttestationPublicKey(),
-		Measurement: server.Measurement(),
-		Timeout:     10 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("Connect over TCP fabric: %v", err)
-	}
-	defer client.Close()
+			ln, err := rdma.ListenTCP(serverDev, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				for {
+					qp, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go func() { _, _ = server.HandleConnection(qp) }()
+				}
+			}()
 
-	value := bytes.Repeat([]byte{0xCD}, 1500)
-	if err := client.Put("tcp-key", value); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	got, err := client.Get("tcp-key")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if !bytes.Equal(got, value) {
-		t.Error("round trip mismatch over TCP fabric")
-	}
-	if err := client.Delete("tcp-key"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := client.Get("tcp-key"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("after delete: %v", err)
+			clientDev := rdma.NewDevice("client")
+			conn, err := rdma.DialTCP(clientDev, ln.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			client, err := Connect(ClientConfig{
+				Conn: conn, Device: clientDev,
+				PlatformKey: platform.AttestationPublicKey(),
+				Measurement: server.Measurement(),
+				Timeout:     10 * time.Second,
+			})
+			if err != nil {
+				t.Fatalf("Connect over TCP fabric: %v", err)
+			}
+			defer client.Close()
+
+			value := bytes.Repeat([]byte{0xCD}, 1500)
+			if err := client.Put("tcp-key", value); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			got, err := client.Get("tcp-key")
+			if err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+			if !bytes.Equal(got, value) {
+				t.Error("round trip mismatch over TCP fabric")
+			}
+			if err := client.Delete("tcp-key"); err != nil {
+				t.Fatalf("Delete: %v", err)
+			}
+			if _, err := client.Get("tcp-key"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("after delete: %v", err)
+			}
+		})
 	}
 }
 

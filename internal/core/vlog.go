@@ -239,18 +239,11 @@ func appendVlogAD[K string | []byte](dst []byte, ptr vlog.Ptr, key K) []byte {
 // inside the enclave. Called from NewServer when DataDir is set.
 func (s *Server) initVlog() error {
 	s.cfg.Vlog = s.cfg.Vlog.withVlogDefaults()
-	if err := s.enclave.Ecall("derive_vlog_key", func() error {
-		sk, err := s.enclave.SealingKey()
-		if err != nil {
-			return err
-		}
-		mk, err := cryptox.HKDF(sk, nil, []byte("precursor-vlog-meta-v1"), 16)
-		if err != nil {
-			return err
-		}
+	mk, err := s.sealedKey("derive_vlog_key", "precursor-vlog-meta-v1", 16)
+	if err == nil {
 		s.vlogAEAD, err = cryptox.NewAEAD(mk)
-		return err
-	}); err != nil {
+	}
+	if err != nil {
 		return fmt.Errorf("vlog key: %w", err)
 	}
 	l, err := vlog.Open(vlog.Config{

@@ -509,7 +509,7 @@ func TestVlogMigrateLegacySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtc := bootMemoryOnly(t, platform)
+	dtc := bootMemoryOnly(t, platform, false)
 	donor, dc := dtc.server, dtc.connect()
 	for i := 0; i < 30; i++ {
 		mustPut(t, dc, fmt.Sprintf("mig-%02d", i), bytes.Repeat([]byte{byte(i)}, 500))
@@ -551,8 +551,9 @@ func TestVlogMigrateLegacySnapshot(t *testing.T) {
 
 // bootMemoryOnly starts a server without a value log on the given
 // platform (so its snapshots open on any server sharing it), with a
-// trusted counter of its own.
-func bootMemoryOnly(t *testing.T, platform *sgx.Platform) *testCluster {
+// trusted counter of its own, in the server-encryption placement when
+// serverEnc is set.
+func bootMemoryOnly(t *testing.T, platform *sgx.Platform, serverEnc bool) *testCluster {
 	t.Helper()
 	fabric := rdma.NewFabric()
 	dev, err := fabric.NewDevice(fmt.Sprintf("memory-only-%d", time.Now().UnixNano()))
@@ -561,7 +562,7 @@ func bootMemoryOnly(t *testing.T, platform *sgx.Platform) *testCluster {
 	}
 	server, err := NewServer(dev, ServerConfig{
 		Platform: platform, RollbackCounter: sgx.AsTrustedCounter(sgx.NewMonotonicCounter()),
-		Workers: 4, PollInterval: time.Microsecond,
+		Workers: 4, PollInterval: time.Microsecond, ServerEncryption: serverEnc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -576,15 +577,19 @@ func bootMemoryOnly(t *testing.T, platform *sgx.Platform) *testCluster {
 // pairing installs through the same reader: into the pool when the
 // joiner has no log (donor pointers ignored), re-homed into the joiner's
 // own log when it has one. (Value log → value log is
-// TestVlogFullSnapshotForRepair.)
+// TestVlogFullSnapshotForRepair.) A server-encrypted snapshot restores on a
+// server of that placement — the storage key is the sealing key's — and is
+// refused by one of the other.
 func TestSnapshotRestoreMatrix(t *testing.T) {
 	for _, m := range []struct {
 		name                  string
 		donorVlog, joinerVlog bool
+		serverEnc             bool
 	}{
 		{name: "no-vlog to no-vlog"},
 		{name: "no-vlog to vlog (migrates)", joinerVlog: true},
 		{name: "vlog full to no-vlog", donorVlog: true},
+		{name: "server-enc to server-enc", serverEnc: true},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			platform, err := sgx.NewPlatform()
@@ -593,7 +598,7 @@ func TestSnapshotRestoreMatrix(t *testing.T) {
 			}
 			boot := func(withVlog bool, seed int64) *testCluster {
 				if !withVlog {
-					return bootMemoryOnly(t, platform)
+					return bootMemoryOnly(t, platform, m.serverEnc)
 				}
 				return newVlogHarness(t, seed, func(cfg *ServerConfig) {
 					cfg.Platform = platform
@@ -612,6 +617,12 @@ func TestSnapshotRestoreMatrix(t *testing.T) {
 				snap.Reset()
 				if err := donor.server.seal(&snap, true); err != nil {
 					t.Fatal(err)
+				}
+			}
+			if m.serverEnc {
+				other := bootMemoryOnly(t, platform, false)
+				if err := other.server.RestoreReplica(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrSnapshotFormat) {
+					t.Fatalf("Precursor-placement server restored a server-encrypted snapshot: %v", err)
 				}
 			}
 			joiner := boot(m.joinerVlog, 42)

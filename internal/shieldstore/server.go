@@ -193,7 +193,7 @@ func (s *Server) groupSlice(g int) [][HashSize]byte {
 // Measurement returns the enclave identity.
 func (s *Server) Measurement() sgx.Measurement { return s.enclave.Measurement() }
 
-// Enclave exposes the server's enclave for tooling (perf tracing).
+// Enclave exposes the server's enclave for tooling (Table 1's working set).
 func (s *Server) Enclave() *sgx.Enclave { return s.enclave }
 
 // Serve handles one client connection until it closes. Call it in its own

@@ -438,10 +438,10 @@ func (m *MetricsServer) writeServerMetrics(b *strings.Builder) {
 	counter("precursor_fabric_reads_total", "Reads from the server's TCP fabric sockets; each brings in one frame or several", st.Fabric.Reads)
 	counter("precursor_fabric_acks_sent_total", "TCP fabric acks the server sent: one per op whose frame asked for it, and one per failed op", st.Fabric.AcksSent)
 	counter("precursor_replays_total", "Rejected replayed requests", st.Replays)
-	counter("precursor_auth_failures_total", "Control data that failed authentication", st.AuthFailures)
+	counter("precursor_auth_failures_total", "Control data (under server encryption also values) that failed authentication", st.AuthFailures)
 	counter("precursor_bad_requests_total", "Malformed requests", st.BadRequests)
 	counter("precursor_trace_context_errors_total", "Sealed controls whose trailing bytes did not decode as a trace context (version-skewed peer; the request was still served)", st.TraceCtxErrors)
-	counter("precursor_enclave_crypto_bytes_total", "Bytes en/decrypted inside the enclave (control data only)", st.EnclaveCryptoBytes)
+	counter("precursor_enclave_crypto_bytes_total", "Bytes en/decrypted inside the enclave (control data; under server encryption also two passes per value)", st.EnclaveCryptoBytes)
 	counter("precursor_enclave_ecalls_total", "Enclave entries", st.Enclave.Ecalls)
 	counter("precursor_enclave_ocalls_total", "Enclave exits", st.Enclave.Ocalls)
 	counter("precursor_enclave_page_faults_total", "EPC paging events", st.Enclave.PageFaults)
