@@ -154,7 +154,7 @@ func (d *overloadDeploy) shedTotal() uint64 {
 	var n uint64
 	for _, svc := range d.svcs {
 		st := svc.Server.Stats()
-		n += st.ShedReads + st.ShedWrites + st.ShedBatches
+		n += st.ShedReads + st.ShedWrites
 	}
 	return n
 }
@@ -164,7 +164,7 @@ func (d *overloadDeploy) arrivalTotal() uint64 {
 	for _, svc := range d.svcs {
 		st := svc.Server.Stats()
 		n += st.Puts + st.Gets + st.Deletes
-		n += st.ShedReads + st.ShedWrites + st.ShedBatches
+		n += st.ShedReads + st.ShedWrites
 	}
 	return n
 }

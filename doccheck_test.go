@@ -202,7 +202,6 @@ func TestDocsCoverOverload(t *testing.T) {
 		{"OBSERVABILITY.md", []string{
 			"precursor_overload_shed_reads_total",
 			"precursor_overload_shed_writes_total",
-			"precursor_overload_shed_batches_total",
 			"precursor_overload_draining",
 			"precursor_overload_admitted_total",
 			"precursor_overload_inflight",
@@ -215,7 +214,6 @@ func TestDocsCoverOverload(t *testing.T) {
 			"precursor_retry_budget_denied_total",
 			"shed read (overload)",
 			"shed write (overload)",
-			"shed batch (overload)",
 			"hedge launched",
 			"hedge won",
 			"-bench-overload",
@@ -293,7 +291,7 @@ func TestDocsCoverTracing(t *testing.T) {
 			"Trace context",
 			"inside the sealed control plaintext",
 			"AD coverage",
-			"clientID(4) ‖ traceID(8 LE)",
+			"Request and reply seals both use the base additional",
 			"precursor_trace_context_errors_total",
 		}},
 		{"README.md", []string{
@@ -489,4 +487,94 @@ func TestFuzzTargetsListed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goTestFlags are go test's own flags the CI and Makefile lines use, each
+// with whether it takes the next word as its value.
+var goTestFlags = map[string]bool{
+	"-race": false, "-v": false, "-short": false, "-benchmem": false,
+	"-run": true, "-count": true, "-timeout": true, "-bench": true,
+	"-benchtime": true, "-fuzz": true, "-fuzztime": true, "-cpu": true,
+}
+
+// TestCIFlagsFollowPackages: go test hands the first flag it does not know,
+// and every word after it, to the test binary. A package path behind such a
+// flag (-chaosops=N) is then no package at all: go test tests the current
+// directory's, which fails on the unknown flag. Every go test line in
+// ci.yml and the Makefile must name its packages before any such flag.
+func TestCIFlagsFollowPackages(t *testing.T) {
+	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := 0
+		for _, line := range strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "\n") {
+			words := shellWords(line)
+			for i := 0; i+1 < len(words); i++ {
+				if words[i] != "go" && words[i] != "$(GO)" || words[i+1] != "test" {
+					continue
+				}
+				lines++
+				unknown := ""
+				for j := i + 2; j < len(words) && !strings.ContainsAny(words[j], ";&|"); j++ {
+					w := words[j]
+					name, _, inline := strings.Cut(w, "=")
+					switch value, own := goTestFlags[name]; {
+					case strings.HasPrefix(w, "-") && !own:
+						if unknown == "" {
+							unknown = w
+						}
+					case strings.HasPrefix(w, "-"):
+						if value && !inline {
+							j++
+						}
+					case unknown != "" && (w == "." || strings.HasPrefix(w, "./")):
+						t.Errorf("%s: %q comes before package %s in %q", file, unknown, w, strings.TrimSpace(line))
+					}
+				}
+			}
+		}
+		if lines == 0 {
+			t.Errorf("%s: found no go test line; the scan is broken", file)
+		}
+	}
+}
+
+// shellWords splits a shell command line into words, a quoted span kept
+// whole without its quotes, with each of ; & | a word of its own.
+func shellWords(line string) []string {
+	var words []string
+	var w strings.Builder
+	var quote rune
+	inWord := false
+	flush := func() {
+		if inWord {
+			words = append(words, w.String())
+			w.Reset()
+			inWord = false
+		}
+	}
+	for _, r := range line {
+		switch {
+		case quote != 0:
+			if r == quote {
+				quote = 0
+			} else {
+				w.WriteRune(r)
+			}
+		case r == '\'' || r == '"':
+			quote, inWord = r, true
+		case r == ' ' || r == '\t':
+			flush()
+		case r == ';' || r == '&' || r == '|':
+			flush()
+			words = append(words, string(r))
+		default:
+			w.WriteRune(r)
+			inWord = true
+		}
+	}
+	flush()
+	return words
 }

@@ -11,7 +11,7 @@ package cluster_test
 //  2. A get never returns a value failing its MAC (corruption surfaces
 //     as ErrIntegrity, never as data).
 //  3. Every perturbed operation maps to a typed error (ErrTimeout,
-//     ErrReplay, ErrUnconfirmed, ErrClosed, ErrShardDown) — never
+//     ErrReplay, ErrUnconfirmed, ErrClosed, ErrShardDown, ErrBadResponse) — never
 //     silent success, never an untyped failure.
 //  4. A partitioned shard trips its breaker (fail-fast ShardError) while
 //     healthy shards keep serving, and the breaker closes again after
@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"precursor"
+	"precursor/internal/core"
 	"precursor/internal/faultfab"
 )
 
@@ -145,10 +146,12 @@ func (h *clusterHarness) check(t *testing.T) {
 }
 
 // transientErr reports outcomes invariant 3 allows for perturbed ops.
+// ErrBadResponse is a frame the enclave refused under seal (a corrupted
+// header it caught): nothing applied, nothing learned.
 func transientErr(err error) bool {
 	return errors.Is(err, precursor.ErrTimeout) || errors.Is(err, precursor.ErrReplay) ||
 		errors.Is(err, precursor.ErrUnconfirmed) || errors.Is(err, precursor.ErrClosed) ||
-		errors.Is(err, precursor.ErrShardDown)
+		errors.Is(err, precursor.ErrShardDown) || errors.Is(err, core.ErrBadResponse)
 }
 
 // clusterWorker drives sequential mixed operations over its own key

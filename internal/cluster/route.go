@@ -21,10 +21,11 @@ import (
 	"precursor/internal/obs"
 )
 
-// askOne runs one op on rep as the plain put, get or delete a bare
-// connection would run — a work list of one costs what a single op costs —
-// and shows rep's breaker the outcome. It takes the op by pointer and only
-// reads through it, so a caller's stack-held list stays on the stack.
+// askOne runs one op on rep through the backend's put, get or delete — on
+// the wire the frame of one askFrame would send, without the fresh
+// []BatchResult BatchContext allocates per call — and shows rep's breaker
+// the outcome. It takes the op by pointer and only reads through it, so a
+// caller's stack-held list stays on the stack.
 func (c *Client) askOne(ctx context.Context, rep *replicaState, tok admitToken, op *core.BatchOp) (r core.BatchResult, d time.Duration) {
 	t0 := time.Now()
 	switch op.Kind {

@@ -23,7 +23,8 @@ import (
 //	        string the table and the delta set share (inline: + the
 //	        enclave region; vlog: nothing more — metadata, AD, seal and
 //	        record are built in owned scratch, the group-commit channel
-//	        is recycled)
+//	        is recycled; server-enc: no key schedule, the value is sealed
+//	        under K_session both ways)
 //	delete  the key string, the delta set's growth, and the missing
 //	        key's re-put that precedes every delete here
 //
@@ -49,6 +50,7 @@ func TestOpPathAllocBudget(t *testing.T) {
 		{name: "hardened", srv: ServerConfig{HardenedMACs: true}, get: 2.5, put: 4.5, putDel: 5},               // 2.13, 3.13, 4.25
 		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, cli: inline, get: 1.5, put: 5, putDel: 6}, // 1.13, 4.13, 5.25
 		{name: "vlog", vlog: true, get: 2.5, put: 6, putDel: 11},                                               // 2.13, 3.13, 4.25
+		{name: "server-enc", srv: ServerConfig{ServerEncryption: true}, get: 1.5, put: 3, putDel: 4},           // 1.12, 2.13, 3.25
 	}
 	const (
 		keys   = 64

@@ -1,10 +1,8 @@
 package core
 
 // The apply path: the one place an authenticated operation touches the
-// store. handleRequest (single-op frames) and handleBatch (OpBatch
-// frames) each decode and verify their own frame, then hand every
-// operation here in the same shape and get the same by-value result
-// back. Base and value-log placement differ at exactly three points —
+// store. handleBatch decodes and verifies a frame, then hands each of its
+// operations here and gets a by-value result back. Base and value-log placement differ at exactly three points —
 // the durable append, the conditional Upsert versus the plain Swap, and
 // the pool copy being a cache rather than the store — each a branch on
 // s.vlog below. Server encryption (§5.1) re-seals the value before a put
@@ -32,10 +30,10 @@ import (
 // pool, log or (server encryption) session memory; the caller copies both
 // into its reply before it handles the next operation.
 //
-// op is the single-op trace, nil for batched ops (their frame records
-// one srv_batch span instead): a failure's cause annotates it, and end
-// is where its srv_apply span — srv_vlog_read after a read-through —
-// stopped.
+// op is the trace of a frame of one, nil for the ops of a larger frame
+// (it records one srv_batch span instead): a failure's cause annotates
+// it, and end is where its srv_apply span — srv_vlog_read after a
+// read-through — stopped.
 func (s *Server) apply(sess *session, o *wire.BatchOp, seg []byte, idx int, op *obs.Op, now int64) (res wire.BatchOpResult, payload []byte, end int64) {
 	switch o.Op {
 	case wire.OpPut:
@@ -49,8 +47,8 @@ func (s *Server) apply(sess *session, o *wire.BatchOp, seg []byte, idx int, op *
 	}
 	if s.cfg.Heat != nil {
 		// Accounted here — the control seal opened, so the key is
-		// authentic — for every op kind and both framings at once. Only the
-		// key's hash enters the sketch.
+		// authentic — for every op kind at once. Only the key's hash enters
+		// the sketch.
 		s.cfg.Heat.Record(heatKind(o.Op), heat.HashKeyBytes(o.Key),
 			len(seg)+len(o.InlineValue), len(payload)+len(res.InlineValue))
 	}

@@ -1,14 +1,13 @@
 package core
 
-// Client-side multi-op batching: N operations ride one sealed control
-// blob and one ring doorbell (wire.OpBatch), amortizing the per-op
-// AEAD seal/verify and doorbell cost that dominates small-value
-// workloads. The synchronous Batch waits for the single sealed reply;
-// BatchAsync pipelines — several batches may be in flight per
-// connection, each resolved by oid when its authenticated reply
-// arrives, which is also why reply matching is a map rather than the
-// single-op path's one-oid comparison: the server's sender pool may
-// reorder same-session replies.
+// The client's one frame kind: every request — a Put, Get or Delete as
+// much as a Batch — is a wire.OpBatch frame whose ops ride one sealed
+// control blob and one ring doorbell; a single op is a frame of one. A
+// synchronous call (a single op or Batch) awaits its frame by oid with the
+// pending state on its own stack; BatchAsync pipelines — several frames may
+// be in flight per connection, each resolved by oid when its authenticated
+// reply arrives, which is why the futures live in a map: the server's
+// sender pool may reorder same-session replies.
 
 import (
 	"context"
@@ -25,14 +24,14 @@ import (
 // BatchOpKind selects the operation a BatchOp performs.
 type BatchOpKind uint8
 
-// Batch operation kinds.
+// Batch operation kinds. Each is its op's wire opcode.
 const (
 	// BatchPut stores Value under Key.
-	BatchPut BatchOpKind = iota + 1
+	BatchPut = BatchOpKind(wire.OpPut)
 	// BatchGet fetches Key's value into the op's BatchResult.
-	BatchGet
+	BatchGet = BatchOpKind(wire.OpGet)
 	// BatchDelete removes Key.
-	BatchDelete
+	BatchDelete = BatchOpKind(wire.OpDelete)
 )
 
 // BatchOp is one operation inside a client batch.
@@ -58,21 +57,29 @@ type BatchResult struct {
 	Err error
 }
 
+// pending is a frame on the wire awaiting its reply: its oid, its ops'
+// kinds in frame order and the results the reply resolves into. A
+// synchronous call keeps it on its own stack; a BatchFuture carries it into
+// the inflight map.
+type pending struct {
+	oid     uint64
+	kinds   []BatchOpKind
+	results []BatchResult
+	op      *obs.Op // the frame's trace, nil when tracing is off
+	sendEnd int64   // the ring write's end, where cli_resp_wait starts
+	done    bool
+	err     error
+}
+
 // BatchFuture is a pipelined batch's pending result, returned by
 // BatchAsync. Wait blocks (driving the connection's poll loop) until
 // the batch's sealed reply arrives or the deadline passes. A future is
 // tied to the client that issued it and shares its serialization: Wait
 // and other client operations may be called from different goroutines.
 type BatchFuture struct {
+	pending
 	c        *Client
-	oid      uint64
-	kinds    []BatchOpKind
-	results  []BatchResult
-	op       *obs.Op
-	sendEnd  int64
 	deadline time.Time
-	done     bool
-	err      error
 }
 
 // maxPipelined bounds the batches one connection may have in flight at
@@ -99,14 +106,28 @@ func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 // is the earlier of Timeout and ctx's, so a parent budget propagates
 // through batch sub-ops instead of being silently extended; a spent ctx
 // fails fast with ErrTimeout — nothing reaches the wire, nothing is
-// unconfirmed; and the span ref ctx carries parents the batch span and
-// rides the sealed batch control to the server's batch span.
+// unconfirmed; and the span ref ctx carries parents the frame's span and
+// rides the sealed control to the server's.
 func (c *Client) BatchContext(ctx context.Context, ops []BatchOp) ([]BatchResult, error) {
-	f, err := c.batchAsync(ctx, ops)
+	if err := checkOps(ops); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, ErrClosed
+	}
+	deadline, err := OpDeadline(ctx, c.cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	return f.Wait()
+	p := pending{results: make([]BatchResult, len(ops))}
+	if err := c.startLocked(ops, &p, deadline, obs.RefFrom(ctx)); err != nil {
+		return nil, err
+	}
+	c.awaitLocked(&p, deadline)
+	endTrace(p.op, p.oid, p.err)
+	return p.results, p.err
 }
 
 // BatchAsync sends ops as one frame and returns immediately with a
@@ -114,24 +135,8 @@ func (c *Client) BatchContext(ctx context.Context, ops []BatchOp) ([]BatchResult
 // The frame is sent (with credit wait) before BatchAsync returns, so a
 // nil-error return means the request is on the wire.
 func (c *Client) BatchAsync(ops []BatchOp) (*BatchFuture, error) {
-	return c.batchAsync(context.Background(), ops)
-}
-
-func (c *Client) batchAsync(ctx context.Context, ops []BatchOp) (*BatchFuture, error) {
-	if len(ops) == 0 || len(ops) > wire.MaxBatchOps {
-		return nil, fmt.Errorf("%w: batch of %d ops (1..%d)", ErrTooLarge, len(ops), wire.MaxBatchOps)
-	}
-	for i := range ops {
-		op := &ops[i]
-		if op.Kind != BatchPut && op.Kind != BatchGet && op.Kind != BatchDelete {
-			return nil, fmt.Errorf("precursor: batch op %d has invalid kind %d", i, op.Kind)
-		}
-		if len(op.Key) == 0 || len(op.Key) > wire.MaxKeyLen {
-			return nil, fmt.Errorf("%w: op %d key", ErrTooLarge, i)
-		}
-		if op.Kind == BatchPut && len(op.Value) > wire.MaxValueLen {
-			return nil, fmt.Errorf("%w: op %d value", ErrTooLarge, i)
-		}
+	if err := checkOps(ops); err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -139,14 +144,9 @@ func (c *Client) batchAsync(ctx context.Context, ops []BatchOp) (*BatchFuture, e
 		return nil, ErrClosed
 	}
 	// The deadline is stamped at entry, before the backpressure drain
-	// below: time spent waiting for a pipelining slot counts against
-	// this batch's budget, so a nearly-expired parent surfaces
-	// ErrTimeout here instead of fanning out doomed work with a
-	// quietly extended deadline.
-	deadline, err := OpDeadline(ctx, c.cfg.Timeout)
-	if err != nil {
-		return nil, err
-	}
+	// below: time spent waiting for a pipelining slot counts against this
+	// batch's budget.
+	deadline := time.Now().Add(c.cfg.Timeout)
 	for len(c.inflight) >= c.window.Limit() {
 		// Drain the oldest reply before admitting more pipelined state.
 		c.waitAnyLocked()
@@ -155,35 +155,70 @@ func (c *Client) batchAsync(ctx context.Context, ops []BatchOp) (*BatchFuture, e
 			return nil, ErrTimeout
 		}
 	}
-	return c.startBatchLocked(ops, deadline, obs.RefFrom(ctx))
-}
-
-// startBatchLocked assembles, seals and sends one batch frame under its
-// own trace, which a failure before the frame is in the ring finishes
-// here. Called with mu held.
-func (c *Client) startBatchLocked(ops []BatchOp, deadline time.Time, ref obs.SpanRef) (*BatchFuture, error) {
-	op, ref := c.startTrace("batch", ref)
-	f, err := c.sendBatchLocked(ops, deadline, ref, op)
-	if err != nil {
-		op.SetError(err)
-		op.Finish()
+	f := &BatchFuture{c: c, deadline: deadline}
+	f.results = make([]BatchResult, len(ops))
+	if err := c.startLocked(ops, &f.pending, deadline, obs.SpanRef{}); err != nil {
+		return nil, err
 	}
-	return f, err
+	f.kinds = slices.Clone(f.kinds) // the scratch is the next frame's
+	if c.inflight == nil {
+		c.inflight = make(map[uint64]*BatchFuture)
+	}
+	c.inflight[f.oid] = f
+	return f, nil
 }
 
-// sendBatchLocked is startBatchLocked's assembly and send. Scratch
-// buffers on the client are reused across batches, so steady-state
-// assembly costs no allocations beyond the future itself and one AES key
-// schedule per encrypted put (the MAC under its one-time key).
-func (c *Client) sendBatchLocked(ops []BatchOp, deadline time.Time, ref obs.SpanRef, op *obs.Op) (*BatchFuture, error) {
-	t0 := op.Now()
+// checkOps validates a batch before anything is locked or sent.
+func checkOps(ops []BatchOp) error {
+	if len(ops) == 0 || len(ops) > wire.MaxBatchOps {
+		return fmt.Errorf("%w: batch of %d ops (1..%d)", ErrTooLarge, len(ops), wire.MaxBatchOps)
+	}
+	for i := range ops {
+		op := &ops[i]
+		if op.Kind != BatchPut && op.Kind != BatchGet && op.Kind != BatchDelete {
+			return fmt.Errorf("precursor: batch op %d has invalid kind %d", i, op.Kind)
+		}
+		if len(op.Key) == 0 || len(op.Key) > wire.MaxKeyLen {
+			return fmt.Errorf("%w: op %d key", ErrTooLarge, i)
+		}
+		if op.Kind == BatchPut && len(op.Value) > wire.MaxValueLen {
+			return fmt.Errorf("%w: op %d value", ErrTooLarge, i)
+		}
+	}
+	return nil
+}
+
+// startLocked sends ops as one frame under a trace of its own — a frame of
+// one is traced as its op, a larger one as "batch" — which a frame that
+// never reached the ring finishes here. Called with mu held.
+func (c *Client) startLocked(ops []BatchOp, p *pending, deadline time.Time, ref obs.SpanRef) error {
+	p.op, ref = c.startTrace(frameKind(len(ops), wire.Opcode(ops[0].Kind)), ref)
+	err := c.sendLocked(ops, p, deadline, ref)
+	if err != nil {
+		p.op.SetError(err)
+		p.op.Finish()
+	}
+	return err
+}
+
+// sendLocked assembles ops into one frame under the next oid and writes it
+// into the request ring, waiting for credit until deadline. The frame is
+// built in place in c.frameBuf. Every extent is known before anything is
+// sealed — an external value's is its length plus its placement's sealing
+// overhead — so the frame is reserved whole, the control is sealed behind
+// the header's bytes and each external value behind that; the header goes
+// in last. p takes the frame's oid, its ops' kinds (c.kinds: scratch, valid
+// until the next frame) and the ring write's end. A frame of one records
+// cli_seal and cli_encrypt on p.op, a larger one cli_batch. Steady state,
+// nothing allocates but one AES key schedule per encrypted put (the MAC
+// under its one-time key). Called with mu held.
+func (c *Client) sendLocked(ops []BatchOp, p *pending, deadline time.Time, ref obs.SpanRef) error {
+	t := p.op.Now()
 	c.oid++
-	c.bctl.Oid = c.oid
-	// Assigned unconditionally: bctl is reused scratch, and a stale
-	// context from the previous batch must not leak into this frame.
-	c.bctl.Trace = traceCtx(ref)
-	c.bctl.Ops = c.bctl.Ops[:0]
-	c.payloadBuf = c.payloadBuf[:0]
+	// Every field is assigned: bctl is reused scratch, and a stale trace
+	// context from the previous frame must not leak into this one.
+	c.bctl.Oid, c.bctl.Trace, c.bctl.Ops = c.oid, traceCtx(ref), c.bctl.Ops[:0]
+	c.kinds = c.kinds[:0]
 	if cap(c.opKeys) < len(ops) {
 		c.opKeys = make([]cryptox.OperationKey, len(ops))
 	}
@@ -195,85 +230,87 @@ func (c *Client) sendBatchLocked(ops []BatchOp, deadline time.Time, ref obs.Span
 		keyBytes += len(ops[i].Key)
 	}
 	c.keyBuf = slices.Grow(c.keyBuf[:0], keyBytes)
-
-	kinds := make([]BatchOpKind, len(ops))
+	payloadLen := 0
 	for i := range ops {
+		o := &ops[i]
 		keyAt := len(c.keyBuf)
-		c.keyBuf = append(c.keyBuf, ops[i].Key...)
-		bop := wire.BatchOp{Key: c.keyBuf[keyAt:]}
-		kinds[i] = ops[i].Kind
-		switch ops[i].Kind {
-		case BatchPut:
-			bop.Op = wire.OpPut
-			if c.cfg.InlineSmallValues && len(ops[i].Value) < c.cfg.InlineMax {
-				bop.Flags = wire.FlagInlineValue
-				bop.InlineValue = ops[i].Value
-			} else {
-				// nonce‖ciphertext‖MAC lands directly in the frame's
-				// payload region; the op's extent is what was appended.
-				payloadAt := len(c.payloadBuf)
-				var err error
-				if !c.serverEnc {
-					c.opKeys[i], err = cryptox.NewOperationKey()
-					bop.OpKey = c.opKeys[i][:]
-				}
-				if err == nil {
-					c.payloadBuf, err = c.sealValue(c.payloadBuf, &c.opKeys[i], ops[i].Value, c.oid, i)
-				}
-				if err != nil {
-					return nil, err
-				}
-				bop.PayloadLen = uint32(len(c.payloadBuf) - payloadAt)
+		c.keyBuf = append(c.keyBuf, o.Key...)
+		bop := wire.BatchOp{Op: wire.Opcode(o.Kind), Key: c.keyBuf[keyAt:]}
+		switch {
+		case o.Kind != BatchPut:
+		case c.cfg.InlineSmallValues && len(o.Value) < c.cfg.InlineMax:
+			bop.Flags, bop.InlineValue = wire.FlagInlineValue, o.Value
+		case c.serverEnc:
+			bop.PayloadLen = uint32(len(o.Value) + cryptox.SealOverhead)
+		default:
+			var err error
+			if c.opKeys[i], err = cryptox.NewOperationKey(); err != nil {
+				return err
 			}
-		case BatchGet:
-			bop.Op = wire.OpGet
-		case BatchDelete:
-			bop.Op = wire.OpDelete
+			bop.OpKey = c.opKeys[i][:]
+			bop.PayloadLen = uint32(len(o.Value) + cryptox.PayloadSealOverhead)
 		}
+		payloadLen += int(bop.PayloadLen)
 		c.bctl.Ops = append(c.bctl.Ops, bop)
+		c.kinds = append(c.kinds, o.Kind)
 	}
-
 	var err error
 	if c.ctlBuf, err = wire.AppendBatchControl(c.ctlBuf[:0], &c.bctl); err != nil {
-		return nil, err
+		return err
 	}
-	if c.sealedBuf, err = c.aead.SealAppend(c.sealedBuf[:0], c.ctlBuf, c.ad[:]); err != nil {
-		return nil, err
+	head := (&wire.BatchRequest{}).EncodedLen()
+	ctlEnd := head + len(c.ctlBuf) + cryptox.SealOverhead
+	if n := ctlEnd + payloadLen; n > c.reqWriter.MaxMessage() {
+		// Refused before any sealing: an oversized value must not leave an
+		// oversized scratch frame behind.
+		return fmt.Errorf("%w: frame of %d bytes exceeds ring slot (%d)", ErrTooLarge, n, c.reqWriter.MaxMessage())
 	}
-	breq := wire.BatchRequest{
-		ClientID:      c.id,
-		Count:         len(ops),
-		SealedControl: c.sealedBuf,
-		Payload:       c.payloadBuf,
+	frame := slices.Grow(c.frameBuf[:0], ctlEnd+payloadLen)[:head]
+	if frame, err = c.aead.SealAppend(frame, c.ctlBuf, c.ad[:]); err != nil {
+		return err
 	}
-	if c.frameBuf, err = breq.AppendTo(c.frameBuf[:0]); err != nil {
-		return nil, err
+	if len(ops) == 1 {
+		t = p.op.SpanEnd(obs.CliSeal, t)
 	}
-	if len(c.frameBuf) > c.reqWriter.MaxMessage() {
-		return nil, fmt.Errorf("%w: batch frame of %d bytes exceeds ring slot (%d)",
-			ErrTooLarge, len(c.frameBuf), c.reqWriter.MaxMessage())
+	for i := range ops {
+		if c.bctl.Ops[i].PayloadLen == 0 {
+			continue
+		}
+		if frame, err = c.sealValue(frame, &c.opKeys[i], ops[i].Value, c.oid, i); err != nil {
+			return err
+		}
 	}
-	t0 = op.SpanEnd(obs.CliBatch, t0)
-	if t0, err = c.sendFrameLocked(op, t0, deadline); err != nil {
-		return nil, err
+	switch {
+	case len(ops) > 1:
+		t = p.op.SpanEnd(obs.CliBatch, t)
+	case payloadLen > 0:
+		t = p.op.SpanEnd(obs.CliEncrypt, t)
 	}
+	// The header goes in over the bytes reserved for it; AppendTo then
+	// copies each segment onto itself.
+	req := wire.BatchRequest{ClientID: c.id, Count: len(ops), SealedControl: frame[head:ctlEnd], Payload: frame[ctlEnd:]}
+	if c.frameBuf, err = req.AppendTo(frame[:0]); err != nil {
+		return err
+	}
+	if t, err = c.sendFrameLocked(p.op, t, deadline); err != nil {
+		return err
+	}
+	p.oid, p.kinds, p.sendEnd = c.oid, c.kinds, t
+	if len(ops) > 1 {
+		c.batches++
+		c.batchedOps += uint64(len(ops))
+	}
+	return nil
+}
 
-	f := &BatchFuture{
-		c:        c,
-		oid:      c.oid,
-		kinds:    kinds,
-		results:  make([]BatchResult, len(ops)),
-		op:       op,
-		sendEnd:  t0,
-		deadline: deadline,
+// sealValue appends a put's payload extent to dst: nonce‖ciphertext‖MAC
+// under the one-time key k, or under server encryption nonce‖ciphertext‖tag
+// under K_session, bound to op idx of frame oid.
+func (c *Client) sealValue(dst []byte, k *cryptox.OperationKey, value []byte, oid uint64, idx int) ([]byte, error) {
+	if c.serverEnc {
+		return c.aead.SealAppend(dst, value, c.payAD.of(c.id, oid, idx))
 	}
-	if c.inflight == nil {
-		c.inflight = make(map[uint64]*BatchFuture)
-	}
-	c.inflight[f.oid] = f
-	c.batches++
-	c.batchedOps += uint64(len(ops))
-	return f, nil
+	return c.payload.SealAppend(dst, k, value)
 }
 
 // Wait blocks until the batch's reply arrives or its deadline passes,
@@ -287,15 +324,14 @@ func (f *BatchFuture) Wait() ([]BatchResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for !f.done {
-		if c.closed {
-			f.resolveFailureLocked(ErrClosed)
-			break
+		err := ErrClosed
+		if !c.closed {
+			// Whatever authenticated frame arrives resolves its own future
+			// (this one included) or is stale.
+			err = c.recvLocked(nil, f.deadline)
 		}
-		// No single op is waiting: whatever authenticated frame arrives
-		// is a batch reply (resolving its future) or stale.
-		if _, _, err := c.recvLocked(nil, f.deadline); err != nil {
-			f.resolveFailureLocked(err)
-			break
+		if err != nil {
+			f.failLocked(err)
 		}
 	}
 	return f.results, f.err
@@ -320,39 +356,46 @@ func (c *Client) waitAnyLocked() {
 		}
 	}
 	for before := len(c.inflight); oldest != nil && len(c.inflight) >= before; {
-		if _, _, err := c.recvLocked(nil, oldest.deadline); err != nil {
-			oldest.resolveFailureLocked(err)
+		if err := c.recvLocked(nil, oldest.deadline); err != nil {
+			oldest.failLocked(err)
 		}
 	}
 }
 
-// resolveBatchReplyLocked matches an authenticated batch reply to its
-// inflight future and fills per-op results. Unmatched oids count as
-// stale; malformed-but-authenticated replies resolve the future with
-// ErrBadResponse. Called with mu held.
-func (c *Client) resolveBatchReplyLocked(pt, payload []byte) {
-	if err := wire.DecodeBatchReply(pt, &c.brep); err != nil {
-		c.badFrames++
-		return
+// awaitLocked drives the poll loop until p — a synchronous frame — is
+// resolved, by its reply or by the failure that ends the wait. Called with
+// mu held.
+func (c *Client) awaitLocked(p *pending, deadline time.Time) {
+	for !p.done {
+		if err := c.recvLocked(p, deadline); err != nil {
+			c.resolveLocked(p, nil, err)
+		}
 	}
-	f := c.inflight[c.brep.Oid]
-	if f == nil || f.done {
-		c.staleFrames++
-		return
-	}
-	if c.brep.Flags&wire.FlagReplay != 0 {
-		// The server saw this oid twice (a duplicated in-flight frame);
-		// the copy that answered first decided the ops, so this copy's
-		// fate is unknown exactly like a single-op replay.
-		f.resolveFailureLocked(ErrReplay)
-		return
-	}
-	if c.brep.Flags&wire.FlagRetryLater != 0 {
-		// The admission gate shed the whole frame as a unit: the oid is
-		// burned server-side, nothing was applied, and every op — reads
-		// and writes alike — resolves with a plain retryable
-		// RetryLaterError (never ErrUnconfirmed). The shed is a
-		// congestion signal for this connection's pipelining window.
+}
+
+// resolveLocked decides every op of p: from its authenticated reply —
+// c.brep, with payload the reply's payload region — or, cause non-nil,
+// from the failure that ended the wait. Called with mu held.
+//
+//   - A sent frame that fails resolves with per-op attribution: writes
+//     carry ErrUnconfirmed joined onto the cause, reads the cause alone. A
+//     replay rejection is such a failure (the copy of the frame that came
+//     first decided the ops), and so is a malformed-but-authenticated reply
+//     (it does not say what was applied), unlike a per-op StatusBadRequest,
+//     a definitive pre-apply rejection that stays plain.
+//   - A shed frame resolves every op, reads and writes alike, with a plain
+//     retryable RetryLaterError: the server burned the oid and applied
+//     nothing. It is a congestion signal for the pipelining window, as a
+//     timeout is.
+func (c *Client) resolveLocked(p *pending, payload []byte, cause error) {
+	p.op.Span(obs.CliRespWait, p.sendEnd)
+	c.wait.Done()
+	p.done = true
+	switch {
+	case cause != nil:
+	case c.brep.Flags&wire.FlagReplay != 0:
+		cause = ErrReplay
+	case c.brep.Flags&wire.FlagRetryLater != 0:
 		var hint time.Duration
 		if len(c.brep.Results) > 0 {
 			hint = RetryHint(c.brep.Results[0].InlineValue)
@@ -360,33 +403,53 @@ func (c *Client) resolveBatchReplyLocked(pt, payload []byte) {
 		c.retryLaters++
 		c.window.OnCongestion()
 		shed := &RetryLaterError{Hint: hint}
-		for i := range f.kinds {
-			f.results[i] = BatchResult{Err: shed}
+		for i := range p.results {
+			p.results[i] = BatchResult{Err: shed}
 		}
-		f.finishLocked(shed)
+		p.err = shed
+		return
+	case len(c.brep.Results) != len(p.kinds) || c.brep.ValidateReplyExtents(len(payload)) != nil:
+		cause = ErrBadResponse
+	}
+	if cause != nil {
+		if errors.Is(cause, ErrTimeout) {
+			c.window.OnCongestion()
+		}
+		unconfirmed := writeOutcome(cause)
+		if errors.Is(cause, ErrBadResponse) {
+			unconfirmed = fmt.Errorf("%w; %w", cause, ErrUnconfirmed)
+		}
+		for i, k := range p.kinds {
+			p.results[i] = BatchResult{Err: unconfirmed}
+			if k == BatchGet {
+				p.results[i].Err = cause
+			}
+		}
+		p.err = cause
 		return
 	}
-	if len(c.brep.Results) != len(f.kinds) ||
-		c.brep.ValidateReplyExtents(len(payload)) != nil {
-		f.resolveFailureLocked(ErrBadResponse)
-		return
+	// A frame of one verifies its get on the op's trace (cli_verify); a
+	// larger frame's trace keeps its one cli_batch span.
+	verify := p.op
+	if len(p.kinds) > 1 {
+		verify = nil
 	}
 	off := 0
 	for i := range c.brep.Results {
 		res := &c.brep.Results[i]
 		seg := payload[off : off+int(res.PayloadLen)]
 		off += int(res.PayloadLen)
-		f.results[i] = c.batchOpResult(f.kinds[i], res, seg, f.oid, i)
+		p.results[i] = c.opResult(p.kinds[i], res, seg, p.oid, i, verify)
 	}
 	c.window.OnSuccess()
-	f.finishLocked(nil)
 }
 
-// batchOpResult converts one sealed per-op result into the client-side
-// outcome, decrypting get payloads (op idx of the frame with oid). res and
-// seg alias the client's scratch (opened control and poll buffer), so
-// values are copied or decrypted into fresh memory before returning.
-func (c *Client) batchOpResult(kind BatchOpKind, res *wire.BatchOpResult, seg []byte, oid uint64, idx int) BatchResult {
+// opResult converts one sealed per-op result into the client-side
+// outcome, decrypting get payloads (op idx of the frame with oid) under
+// verify's cli_verify span. res and seg alias the client's scratch (opened
+// control and poll buffer), so values are copied or decrypted into fresh
+// memory before returning.
+func (c *Client) opResult(kind BatchOpKind, res *wire.BatchOpResult, seg []byte, oid uint64, idx int, verify *obs.Op) BatchResult {
 	switch res.Status {
 	case wire.StatusOK:
 	case wire.StatusNotFound:
@@ -410,56 +473,36 @@ func (c *Client) batchOpResult(kind BatchOpKind, res *wire.BatchOpResult, seg []
 	if res.Flags&wire.FlagInlineValue != 0 {
 		return BatchResult{Value: append([]byte(nil), res.InlineValue...)}
 	}
+	t := verify.Now()
 	value, err := c.openValue(res.OpKey, res.PayloadMAC, seg, oid, idx)
+	if err == nil {
+		verify.Span(obs.CliVerify, t)
+	}
 	return BatchResult{Value: value, Err: err}
 }
 
-// resolveFailureLocked resolves every op of a failed batch with
-// per-op attribution: the frame was sent, so writes carry
-// ErrUnconfirmed joined onto the cause while reads get the cause
-// alone. ErrBadResponse joins too — a malformed-but-authenticated
-// reply leaves write fates unknown (unlike a per-op StatusBadRequest,
-// which is a definitive pre-apply rejection and stays plain). Called
-// with mu held.
-func (f *BatchFuture) resolveFailureLocked(cause error) {
-	if errors.Is(cause, ErrTimeout) {
-		// A pipelined batch dying on its deadline is a congestion signal:
-		// shrink the window so the connection stops piling work onto a
-		// server that cannot drain it.
-		f.c.window.OnCongestion()
-	}
-	unconfirmed := writeOutcome(cause)
-	if errors.Is(cause, ErrBadResponse) {
-		unconfirmed = fmt.Errorf("%w; %w", cause, ErrUnconfirmed)
-	}
-	for i, k := range f.kinds {
-		if k == BatchGet {
-			f.results[i] = BatchResult{Err: cause}
-		} else {
-			f.results[i] = BatchResult{Err: unconfirmed}
-		}
-	}
-	f.finishLocked(cause)
+// failLocked resolves f without a reply (see resolveLocked) and retires it.
+// Called with mu held.
+func (f *BatchFuture) failLocked(cause error) {
+	f.c.resolveLocked(&f.pending, nil, cause)
+	f.finishLocked()
 }
 
-// finishLocked marks the future resolved — which ends the connection's
-// wait, if one is open — removes it from the inflight map and closes its
-// trace. Called with mu held.
-func (f *BatchFuture) finishLocked(err error) {
-	f.c.wait.Done()
-	f.done = true
-	f.err = err
+// finishLocked retires a resolved future: out of the inflight map, its
+// trace closed. Called with mu held.
+func (f *BatchFuture) finishLocked() {
 	delete(f.c.inflight, f.oid)
-	if f.op != nil {
-		f.op.Span(obs.CliRespWait, f.sendEnd)
-		f.op.SetOid(f.oid)
-		if err != nil {
-			f.op.SetError(err)
-			if errors.Is(err, ErrUnconfirmed) || errors.Is(err, ErrTimeout) || errors.Is(err, ErrReplay) {
-				f.op.MarkUnconfirmed()
-			}
-		}
-		f.op.Finish()
-		f.op = nil
+	endTrace(f.op, f.oid, f.err)
+	f.op = nil
+}
+
+// endTrace closes a frame's trace with the frame-level outcome: one that
+// timed out or was replay-rejected after it was sent may have been applied.
+func endTrace(op *obs.Op, oid uint64, err error) {
+	op.SetOid(oid)
+	op.SetError(err)
+	if errors.Is(err, ErrUnconfirmed) || errors.Is(err, ErrTimeout) || errors.Is(err, ErrReplay) {
+		op.MarkUnconfirmed()
 	}
+	op.Finish()
 }

@@ -12,7 +12,8 @@ package core
 //     surfaces as ErrIntegrity, never as data.
 //  3. oid replay counters stay strictly monotonic per client.
 //  4. Corrupted/duplicated/dropped traffic maps to typed errors
-//     (ErrTimeout, ErrReplay, ErrUnconfirmed, ErrIntegrity) — never
+//     (ErrTimeout, ErrReplay, ErrUnconfirmed, ErrIntegrity, and
+//     ErrBadResponse for a frame the enclave refused under seal) — never
 //     silent success and never an untyped failure.
 //
 // The model leans on a protocol fact the ring framing provides: a
@@ -310,6 +311,9 @@ func (w *chaosWorker) doPut(key string, op int) error {
 	case errors.Is(err, ErrUnconfirmed), errors.Is(err, ErrClosed):
 		// Maybe applied (the frame may have landed before the fault).
 		w.model[key][v] = true
+	case errors.Is(err, ErrTimeout), errors.Is(err, ErrBadResponse):
+		// Never sent (no ring credit before the deadline), or refused under
+		// seal — a corrupted header the enclave caught: not applied.
 	default:
 		w.h.fail("worker %d: Put(%s) returned disallowed error: %v", w.id, key, err)
 	}
@@ -332,6 +336,8 @@ func (w *chaosWorker) doDelete(key string) error {
 		w.model[key] = map[string]bool{absentVal: true}
 	case errors.Is(err, ErrUnconfirmed), errors.Is(err, ErrClosed):
 		w.model[key][absentVal] = true
+	case errors.Is(err, ErrTimeout), errors.Is(err, ErrBadResponse):
+		// Never sent, or refused under seal: not applied.
 	default:
 		w.h.fail("worker %d: Delete(%s) returned disallowed error: %v", w.id, key, err)
 	}
@@ -362,7 +368,7 @@ func (w *chaosWorker) doGet(key string) error {
 		// flight or at rest) failed its MAC and was refused, not
 		// returned. The stored blob may stay poisoned until rewritten.
 		w.h.integrity.Add(1)
-	case transientErr(err):
+	case transientErr(err), errors.Is(err, ErrBadResponse):
 		// No state change and no knowledge gained.
 	default:
 		w.h.fail("worker %d: Get(%s) returned disallowed error: %v", w.id, key, err)

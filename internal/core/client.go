@@ -116,31 +116,24 @@ type Client struct {
 	// (the pool/cluster layers trace, the connection just carries).
 	// Zero = no context. Guarded by mu.
 	curRef obs.SpanRef
-	// adx is the extended response AD scratch — client id ‖ trace id —
-	// expected when the request carried a trace context. Guarded by mu.
-	adx [12]byte
 
 	// inflight maps oid to the pending pipelined batch. Guarded by mu.
 	inflight map[uint64]*BatchFuture
 
-	// Per-connection scratch (all guarded by mu), shared by single ops
-	// and batches so the steady-state op path allocates nothing but the
-	// value a read hands back. Each buffer is valid only until the next
-	// use named here; nothing returned to the user aliases any of them.
-	bctl       wire.BatchControl
-	brep       wire.BatchReply
-	resp       wire.Response        // decoded reply frame; aliases pollBuf
-	rctl       wire.ResponseControl // decoded reply control; aliases ctlBuf
-	keyBuf     []byte               // request key bytes, until the control is encoded
-	ctlBuf     []byte               // request control plaintext until sealed, then the opened reply control
-	sealedBuf  []byte               // sealed batch control, until the frame is built
-	frameBuf   []byte               // request frame, until the ring write returns
-	payloadBuf []byte               // batch payload region, until the frame is built
-	pollBuf    []byte               // reply frame, until the next PollInto
-	opKey      cryptox.OperationKey // the in-flight put's K_operation
-	opKeys     []cryptox.OperationKey
-	payload    cryptox.PayloadCipher
-	payAD      payloadAD
+	// Per-connection scratch (all guarded by mu), shared by every frame so
+	// the steady-state op path allocates nothing but the value a read hands
+	// back. Each buffer is valid only until the next use named here;
+	// nothing returned to the user aliases any of them.
+	bctl     wire.BatchControl      // request control, until encoded
+	brep     wire.BatchReply        // decoded reply control; aliases ctlBuf
+	keyBuf   []byte                 // request key bytes, until the control is encoded
+	ctlBuf   []byte                 // request control plaintext until sealed, then the opened reply control
+	frameBuf []byte                 // request frame, until the ring write returns
+	pollBuf  []byte                 // reply frame, until the next PollInto
+	kinds    []BatchOpKind          // the last frame's op kinds, until the next frame
+	opKeys   []cryptox.OperationKey // the frame's K_operations, until sealed into it
+	payload  cryptox.PayloadCipher
+	payAD    payloadAD
 
 	// wait is the back-off of every wait on this connection, for a reply
 	// and for request-ring credit alike. Guarded by mu.
@@ -228,7 +221,10 @@ func (c *Client) ID() uint32 { return c.id }
 // Put is not idempotent from the protocol's point of view (a retried oid
 // is rejected as a replay), so it is never retried: if the outcome is
 // unknown — the request may or may not have been applied — the error
-// matches both its cause (ErrTimeout or ErrReplay) and ErrUnconfirmed.
+// matches both its cause (ErrTimeout, ErrReplay, or ErrBadResponse for a
+// malformed reply) and ErrUnconfirmed. A put that never reached the ring,
+// or that the enclave refused under seal, was not applied: its error is
+// plain.
 func (c *Client) Put(key string, value []byte) error {
 	return c.PutContext(context.Background(), key, value)
 }
@@ -249,7 +245,9 @@ func (c *Client) PutContext(ctx context.Context, key string, value []byte) error
 	if err != nil {
 		return err
 	}
-	err = writeOutcome(c.putOnce(key, value, deadline))
+	if _, err = c.doLocked(BatchOp{Kind: BatchPut, Key: key, Value: value}, deadline); err == nil {
+		c.puts++
+	}
 	c.endOp(err)
 	return err
 }
@@ -345,30 +343,19 @@ func (c *Client) endOp(err error) {
 	op.Finish()
 }
 
-// newControl starts the next operation's control data: a fresh oid, the
-// key staged in scratch, the in-flight trace context.
-func (c *Client) newControl(op wire.Opcode, key string) wire.RequestControl {
-	c.oid++
-	c.keyBuf = append(c.keyBuf[:0], key...)
-	return wire.RequestControl{Op: op, Oid: c.oid, Key: c.keyBuf, Trace: traceCtx(c.curRef)}
-}
-
-func (c *Client) putOnce(key string, value []byte, deadline time.Time) error {
-	ctl := c.newControl(wire.OpPut, key)
-	inline := c.cfg.InlineSmallValues && len(value) < c.cfg.InlineMax
-	if inline {
-		ctl.Flags = wire.FlagInlineValue
-		ctl.InlineValue = value
+// doLocked runs one op as a frame of one on the operation's trace and
+// returns its outcome, or the error that kept the frame off the wire.
+// The op, its result and the frame's pending state stay on this stack.
+// Called with mu held.
+func (c *Client) doLocked(op BatchOp, deadline time.Time) ([]byte, error) {
+	ops := [1]BatchOp{op}
+	var res [1]BatchResult
+	p := pending{results: res[:], op: c.curOp}
+	if err := c.sendLocked(ops[:], &p, deadline, c.curRef); err != nil {
+		return nil, err
 	}
-	rc, _, err := c.roundTrip(&ctl, value, !inline, deadline)
-	if err != nil {
-		return err
-	}
-	if rc.Flags&wire.FlagNotFound != 0 {
-		return ErrBadResponse
-	}
-	c.puts++
-	return nil
+	c.awaitLocked(&p, deadline)
+	return res[0].Value, res[0].Err
 }
 
 // writeOutcome types the result of a non-idempotent write: when the
@@ -411,6 +398,9 @@ func (c *Client) GetContext(ctx context.Context, key string) ([]byte, error) {
 		return nil, err
 	}
 	value, err := c.getRetry(ctx, key, deadline)
+	if err == nil {
+		c.gets++
+	}
 	c.endOp(err)
 	return value, err
 }
@@ -433,7 +423,7 @@ func (c *Client) getRetry(ctx context.Context, key string, overall time.Time) ([
 			deadline = overall
 		}
 		aStart := c.curOp.Now()
-		value, err := c.getOnce(key, deadline)
+		value, err := c.doLocked(BatchOp{Kind: BatchGet, Key: key}, deadline)
 		c.curOp.AttemptSpan(a+1, aStart)
 		if err == nil || !retryableRead(err) {
 			return value, err
@@ -470,28 +460,6 @@ func (c *Client) getRetry(ctx context.Context, key string, overall time.Time) ([
 func retryableRead(err error) bool {
 	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrReplay) ||
 		errors.Is(err, ErrBadResponse) || errors.Is(err, ErrRetryLater)
-}
-
-func (c *Client) getOnce(key string, deadline time.Time) ([]byte, error) {
-	ctl := c.newControl(wire.OpGet, key)
-	rc, payload, err := c.roundTrip(&ctl, nil, false, deadline)
-	if err != nil {
-		return nil, err
-	}
-	if rc.Flags&wire.FlagNotFound != 0 {
-		return nil, ErrNotFound
-	}
-	if rc.Flags&wire.FlagInlineValue != 0 {
-		return append([]byte(nil), rc.InlineValue...), nil
-	}
-	t0 := c.curOp.Now()
-	value, err := c.openValue(rc.OpKey, rc.PayloadMAC, payload, c.oid, 0)
-	if err != nil {
-		return nil, err
-	}
-	c.curOp.Span(obs.CliVerify, t0)
-	c.gets++
-	return value, nil
 }
 
 // openValue verifies and decrypts a fetched value under its one-time key
@@ -536,112 +504,11 @@ func (c *Client) DeleteContext(ctx context.Context, key string) error {
 	if err != nil {
 		return err
 	}
-	err = writeOutcome(c.deleteOnce(key, deadline))
+	if _, err = c.doLocked(BatchOp{Kind: BatchDelete, Key: key}, deadline); err == nil {
+		c.deletes++
+	}
 	c.endOp(err)
 	return err
-}
-
-func (c *Client) deleteOnce(key string, deadline time.Time) error {
-	ctl := c.newControl(wire.OpDelete, key)
-	rc, _, err := c.roundTrip(&ctl, nil, false, deadline)
-	if err != nil {
-		return err
-	}
-	if rc.Flags&wire.FlagNotFound != 0 {
-		return ErrNotFound
-	}
-	c.deletes++
-	return nil
-}
-
-// buildRequest assembles ctl's request frame in c.frameBuf — header ‖
-// sealed control ‖ [nonce‖ciphertext ‖ MAC] — every part appended in
-// place: the header reserves the whole frame, the control is sealed
-// straight behind it, and an external value is encrypted under a fresh
-// K_operation straight behind that (sealValue). It returns the end of the
-// last span it recorded, for the caller's chained clock reads.
-func (c *Client) buildRequest(ctl *wire.RequestControl, value []byte, external bool) (int64, error) {
-	op := c.curOp
-	t := op.Now()
-	var err error
-	payloadLen := 0
-	if external {
-		payloadLen = cryptox.GCMNonceSize + len(value)
-		if !c.serverEnc {
-			if c.opKey, err = cryptox.NewOperationKey(); err != nil {
-				return t, err
-			}
-			ctl.OpKey = c.opKey[:]
-			payloadLen = cryptox.Salsa20NonceSize + len(value)
-		}
-	}
-	sealedLen := ctl.EncodedLen() + cryptox.SealOverhead
-	// Refused before any work: an oversized value must not leave an
-	// oversized scratch frame behind.
-	if wire.RequestFrameLen(ctl.Op, sealedLen, payloadLen) > c.reqWriter.MaxMessage() {
-		return t, ErrTooLarge
-	}
-	if c.ctlBuf, err = ctl.AppendTo(c.ctlBuf[:0]); err != nil {
-		return t, err
-	}
-	frame, err := wire.AppendRequestHeader(c.frameBuf[:0], ctl.Op, c.id, sealedLen, payloadLen)
-	if err != nil {
-		return t, err
-	}
-	if frame, err = c.aead.SealAppend(frame, c.ctlBuf, c.ad[:]); err != nil {
-		return t, err
-	}
-	t = op.SpanEnd(obs.CliSeal, t)
-	if external {
-		if frame, err = c.sealValue(frame, &c.opKey, value, ctl.Oid, 0); err != nil {
-			return t, err
-		}
-		t = op.SpanEnd(obs.CliEncrypt, t)
-	}
-	c.frameBuf = frame
-	return t, nil
-}
-
-// sealValue appends a put's payload extent to dst: nonce‖ciphertext‖MAC
-// under the one-time key k, or under server encryption nonce‖ciphertext‖tag
-// under K_session, bound to op idx of frame oid.
-func (c *Client) sealValue(dst []byte, k *cryptox.OperationKey, value []byte, oid uint64, idx int) ([]byte, error) {
-	if c.serverEnc {
-		return c.aead.SealAppend(dst, value, c.payAD.of(c.id, oid, idx))
-	}
-	return c.payload.SealAppend(dst, k, value)
-}
-
-// roundTrip seals the control data, sends the request, and awaits the
-// authenticated response for the current oid, all under one deadline.
-// When external is set (a put whose value does not ride inline in the
-// control data) value is encrypted under a fresh K_operation straight
-// into the frame. The returned control and payload alias the client's
-// scratch and are valid until the next operation on this connection.
-func (c *Client) roundTrip(ctl *wire.RequestControl, value []byte, external bool, deadline time.Time) (*wire.ResponseControl, []byte, error) {
-	op := c.curOp
-	t, err := c.buildRequest(ctl, value, external)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ctl.Trace.Valid() {
-		// A request that carries a trace context expects its reply sealed
-		// under the extended AD (client id ‖ trace id): the server echoes
-		// the trace binding, so a reply cannot be attributed to the wrong
-		// trace.
-		copy(c.adx[:4], c.ad[:])
-		binary.LittleEndian.PutUint64(c.adx[4:], ctl.Trace.TraceID)
-	}
-	if t, err = c.sendFrameLocked(op, t, deadline); err != nil {
-		return nil, nil, err
-	}
-	for {
-		rc, payload, err := c.recvLocked(ctl, deadline)
-		if rc != nil || err != nil {
-			op.Span(obs.CliRespWait, t)
-			return rc, payload, err
-		}
-	}
 }
 
 // sendFrameLocked writes c.frameBuf into the request ring, waiting for
@@ -675,11 +542,10 @@ func (c *Client) sendFrameLocked(op *obs.Op, t int64, deadline time.Time) (int64
 }
 
 // recvLocked is one step of awaiting a reply: it polls the response ring
-// once and dispatches whatever frame arrived. want is the single op
-// awaiting its reply, nil when only pipelined batches are in flight. A
-// batch reply resolves its future; the reply to want is returned (or its
-// typed error: ErrReplay, a RetryLaterError); anything else is counted and
-// skipped, and the step reports nothing. On an empty ring it takes one step
+// once and dispatches whatever frame arrived. want is the synchronous frame
+// awaiting its reply, nil when only pipelined batches are in flight. The
+// reply to want resolves it, a reply to a future resolves the future;
+// anything else is counted and skipped. On an empty ring it takes one step
 // of c.wait; past deadline it reports ErrTimeout, whatever the ring held.
 // Of transport errors only fatal ones are returned.
 //
@@ -690,116 +556,79 @@ func (c *Client) sendFrameLocked(op *obs.Op, t int64, deadline time.Time) (int64
 // such a frame would let an attacker cancel requests with garbage, so an
 // operation's fate is decided only by an authenticated response or its
 // deadline. Called with mu held.
-func (c *Client) recvLocked(want *wire.RequestControl, deadline time.Time) (rc *wire.ResponseControl, payload []byte, err error) {
+func (c *Client) recvLocked(want *pending, deadline time.Time) error {
 	msg, ready, err := c.respReader.PollInto(c.pollBuf)
 	c.pollBuf = msg[:cap(msg)]
 	if err == nil && !ready {
 		if !c.wait.Wait(deadline) {
-			err = ErrTimeout
+			return ErrTimeout
 		}
-		return nil, nil, err
+		return nil
 	}
-	pending := len(c.inflight)
+	decided := false
 	switch {
 	case errors.Is(err, ringbuf.ErrCorrupt):
 		// The reader consumed the mangled slot; the bytes are
 		// unattributable noise.
 		c.badFrames++
-		err = nil
 	case err != nil:
 		// Anything else is a failed credit write — the connection is dead
 		// or dying.
-		err = fmt.Errorf("%w: %v", ErrClosed, err)
+		return fmt.Errorf("%w: %v", ErrClosed, err)
 	default:
-		rc, payload, err = c.dispatchLocked(msg, want)
+		decided = c.dispatchLocked(msg, want)
 	}
-	// A frame that decided nothing, not even a batch future, is followed by
-	// another poll at once — but never past the deadline, however many come.
-	if rc == nil && err == nil && len(c.inflight) == pending && time.Now().After(deadline) {
-		err = ErrTimeout
+	// A frame that decided nothing is followed by another poll at once —
+	// but never past the deadline, however many come.
+	if !decided && time.Now().After(deadline) {
+		return ErrTimeout
 	}
-	if rc != nil || err != nil {
-		c.wait.Done()
-	}
-	return rc, payload, err
+	return nil
 }
 
-// dispatchLocked is recvLocked's handling of one arrived frame.
-func (c *Client) dispatchLocked(msg []byte, want *wire.RequestControl) (*wire.ResponseControl, []byte, error) {
-	resp, rc := &c.resp, &c.rctl
+// dispatchLocked is recvLocked's handling of one arrived frame; it reports
+// whether the frame resolved want or a future. Every reply is a sealed
+// BatchReply under the base AD: its sealed oid echo binds it to its frame.
+func (c *Client) dispatchLocked(msg []byte, want *pending) bool {
+	var resp wire.Response
 	if err := resp.Decode(msg); err != nil {
 		c.badFrames++
-		return nil, nil, nil
+		return false
 	}
 	if len(resp.SealedControl) == 0 {
 		// Unauthenticated status frame (auth failure / bad-request
 		// notice). Advisory at best, forged at worst.
 		c.unauthStatuses++
-		return nil, nil, nil
+		return false
 	}
 	// Whatever is in flight is already in the ring, so the control scratch
-	// is free to take the reply's opened control. A traced single op
-	// expects the extended AD roundTrip staged in c.adx.
-	traced := want != nil && want.Trace.Valid()
-	ad := c.ad[:]
-	if traced {
-		ad = c.adx[:]
-	}
-	pt, err := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, ad)
-	// base marks a frame that opened under the base AD although a traced
-	// op is in flight. Legitimately that is only a reply the server
-	// sealed before it could know the trace id — an oid-less RETRY_LATER
-	// read shed — or a pipelined batch reply (always base-AD; its sealed
-	// oid echo binds it). Anything else under the "wrong" AD must not
-	// decide the traced operation.
-	base := false
-	if err != nil && traced {
-		pt, err = c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, c.ad[:])
-		base = true
-	}
+	// is free to take the reply's opened control.
+	pt, err := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, c.ad[:])
 	if err != nil {
 		c.badFrames++
-		return nil, nil, nil
+		return false
 	}
 	c.ctlBuf = pt
-	if wire.IsBatchReply(pt) {
-		c.resolveBatchReplyLocked(pt, resp.Payload)
-		return nil, nil, nil
-	}
-	if want == nil {
-		// An authenticated single-op frame with no single op in flight: a
-		// duplicated or very late delivery.
-		c.staleFrames++
-		return nil, nil, nil
-	}
-	if err := rc.Decode(pt); err != nil {
+	if err := wire.DecodeBatchReply(pt, &c.brep); err != nil {
 		c.badFrames++
-		return nil, nil, nil
+		return false
 	}
-	switch {
-	case rc.Flags&wire.FlagRetryLater != 0:
-		// Sealed admission-control shed. A matching oid attributes it to
-		// this op directly. Oid 0 is the read-shed sentinel — the server
-		// refused the frame before opening the control seal, so it could
-		// not echo the oid; only an idempotent read may accept it (a late
-		// sentinel from an earlier shed get is harmless: reads retry with
-		// fresh oids and the superseded reply goes stale). A write never
-		// accepts an oid-less shed.
-		if (rc.Oid == c.oid && !base) || (rc.Oid == 0 && want.Op == wire.OpGet) {
-			c.retryLaters++
-			c.window.OnCongestion()
-			return nil, nil, &RetryLaterError{Hint: RetryHint(rc.InlineValue)}
+	p := want
+	var f *BatchFuture
+	if p == nil || p.oid != c.brep.Oid {
+		if f = c.inflight[c.brep.Oid]; f == nil {
+			// Authenticated but stale: a duplicated or very late delivery
+			// for an oid no longer awaited.
+			c.staleFrames++
+			return false
 		}
-	case rc.Oid == c.oid && !base:
-		if rc.Flags&wire.FlagReplay != 0 {
-			return nil, nil, ErrReplay
-		}
-		return rc, resp.Payload, nil
+		p = &f.pending
 	}
-	// Authenticated but stale (a duplicated in-flight response from an
-	// earlier oid); keep waiting for the fresh one.
-	c.staleFrames++
-	return nil, nil, nil
+	c.resolveLocked(p, resp.Payload, nil)
+	if f != nil {
+		f.finishLocked()
+	}
+	return true
 }
 
 // ClientStats is a snapshot of a client's operation counters, in struct
@@ -807,16 +636,17 @@ func (c *Client) dispatchLocked(msg []byte, want *wire.RequestControl) (*wire.Re
 // returns.
 type ClientStats struct {
 	Puts, Gets, Deletes uint64
-	// Batches counts batch frames sent; BatchedOps counts the operations
-	// they carried (so BatchedOps/Batches is the realized batch factor).
+	// Batches counts frames of more than one op sent; BatchedOps counts
+	// the operations they carried (so BatchedOps/Batches is the realized
+	// batch factor). A single op, or a Batch of one, is a frame of one.
 	Batches, BatchedOps uint64
 	// IntegrityFailures counts Get responses whose payload MAC did not
 	// verify — the client-side tamper-evidence check (Algorithm 1).
 	IntegrityFailures uint64
 	// Retries counts read re-attempts after transient failures.
 	Retries uint64
-	// RetryLaters counts sealed admission-control sheds this connection
-	// received (single ops and batch frames alike).
+	// RetryLaters counts the frames this connection had shed by the
+	// admission gate (sealed RETRY_LATER replies).
 	RetryLaters uint64
 	// Window is the connection's current AIMD pipelining limit — a
 	// gauge, so Add keeps the maximum across connections rather than

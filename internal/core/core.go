@@ -188,10 +188,10 @@ type ServerConfig struct {
 	// disables heat accounting; the hot path then pays one branch per
 	// request.
 	Heat *heat.Collector
-	// Overload, when set, is the admission gate consulted at ring
-	// pickup, before seal verification: excess load is shed with sealed
-	// RETRY_LATER replies carrying a backoff hint, writes preferred
-	// over reads, batches shed as a unit. Nil disables load-based
+	// Overload, when set, is the admission gate consulted on every frame
+	// once its control is open, before any op is applied: excess load is
+	// shed with sealed RETRY_LATER replies carrying a backoff hint, a
+	// frame at a time, writes preferred over reads. Nil disables load-based
 	// admission control (every op is admitted; a drain-only gate still
 	// sheds during graceful shutdown).
 	Overload *overload.Gate
@@ -229,8 +229,9 @@ func (c *ServerConfig) withDefaults() ServerConfig {
 // ServerStats is a snapshot of server activity.
 type ServerStats struct {
 	Puts, Gets, Deletes uint64
-	// Batches counts batch frames applied; BatchedOps counts the
-	// operations they carried (each also counted in Puts/Gets/Deletes).
+	// Batches counts the frames of more than one op applied; BatchedOps
+	// counts the operations they carried (each also counted in
+	// Puts/Gets/Deletes). A frame of one is a single op.
 	Batches, BatchedOps uint64
 	Replays             uint64 // rejected stale/duplicate oids
 	AuthFailures        uint64 // control data (server encryption: also values) failing auth
@@ -273,10 +274,10 @@ type ServerStats struct {
 	// Fabric counts the TCP fabric's frames, socket reads and acks on the
 	// server's device.
 	Fabric rdma.FabricStats
-	// ShedReads, ShedWrites and ShedBatches count operations refused by
-	// the admission gate with sealed RETRY_LATER (all zero when
-	// ServerConfig.Overload is nil).
-	ShedReads, ShedWrites, ShedBatches uint64
+	// ShedReads and ShedWrites count the frames refused by the admission
+	// gate with a sealed RETRY_LATER — a frame of gets only is a read, any
+	// other a write (both zero when ServerConfig.Overload is nil).
+	ShedReads, ShedWrites uint64
 	// Draining reports whether the server is in graceful drain: every
 	// op is shed while in-flight work finishes ahead of seal-and-exit.
 	Draining bool

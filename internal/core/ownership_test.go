@@ -108,8 +108,9 @@ func TestGetResultsNeverAliasScratch(t *testing.T) {
 // response ring while BatchAsync futures are in flight on the same
 // connection: the batch replies are opened and resolved from inside the
 // Get's own poll loop, on the scratch the Get's reply is about to use.
-// Both must come out right — also when the Get is traced and batch
-// replies arrive through the base-AD fallback.
+// Both must come out right — also when the Get is traced: every reply
+// seals under the same AD, and only its sealed oid echo tells the Get's
+// frame of one from the futures' frames.
 func TestSingleOpPollResolvesPipelinedBatches(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {

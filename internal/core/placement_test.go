@@ -124,26 +124,14 @@ func TestServerEncPayloadBinding(t *testing.T) {
 	})
 
 	t.Run("replay a put segment into a later frame", func(t *testing.T) {
-		var earlier []byte
-		host(func(msg []byte) {
-			var r wire.Request
-			if r.Decode(msg) != nil || r.Op != wire.OpPut || r.ClientID != c.ID() || len(r.PayloadMAC) != wire.MACSize {
-				return
-			}
-			seg := r.Payload[:len(r.Payload)+wire.MACSize]
-			if earlier == nil {
-				earlier = append([]byte(nil), seg...)
-			} else {
-				copy(seg, earlier)
-			}
-		})
+		host(replaySegment(c))
 		mustPut(t, c, "a", value('1'))
 		acked["a"] = value('1')
 		before := tc.server.Stats().AuthFailures
 		err := c.Put("a", value('2'))
 		host(nil)
-		if !errors.Is(err, ErrTimeout) || !errors.Is(err, ErrUnconfirmed) {
-			t.Errorf("put carrying an earlier put's segment: %v, want ErrTimeout joined with ErrUnconfirmed", err)
+		if !errors.Is(err, ErrBadResponse) || errors.Is(err, ErrUnconfirmed) {
+			t.Errorf("put carrying an earlier put's segment: %v, want a sealed refusal", err)
 		}
 		if tc.server.Stats().AuthFailures == before {
 			t.Error("the enclave counted no authentication failure")
@@ -195,9 +183,95 @@ func TestServerEncPayloadBinding(t *testing.T) {
 	})
 }
 
+// replaySegment is a host rewrite that puts the payload region of c's first
+// frame carrying one into every later such frame of the same length.
+func replaySegment(c *Client) func(msg []byte) {
+	var earlier []byte
+	return func(msg []byte) {
+		var br wire.BatchRequest
+		switch {
+		case wire.DecodeBatchRequest(msg, &br) != nil || br.ClientID != c.ID() || len(br.Payload) == 0:
+		case earlier == nil:
+			earlier = append([]byte(nil), br.Payload...)
+		case len(earlier) == len(br.Payload):
+			copy(br.Payload, earlier)
+		}
+	}
+}
+
+// TestSingleOpRefusalIsSealed: an op the enclave refuses once its control
+// is open — a server-encrypted put carrying an earlier put's payload, a
+// read-through of a value-log record whose bytes were flipped on disk —
+// gets its sealed per-op status as a single op too. With a 2 s Timeout each
+// returns a typed error at once, not ErrUnconfirmed (nothing was applied),
+// and a Get afterwards returns the last acked value.
+func TestSingleOpRefusalIsSealed(t *testing.T) {
+	timeout := func(cfg *ClientConfig) { cfg.Timeout = 2 * time.Second }
+	refused := func(t *testing.T, what string, op func() error) {
+		t.Helper()
+		start := time.Now()
+		err := op()
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("%s took %v: it waited on its Timeout", what, took)
+		}
+		if !errors.Is(err, ErrBadResponse) || errors.Is(err, ErrUnconfirmed) {
+			t.Errorf("%s: %v, want a sealed refusal that is not unconfirmed", what, err)
+		}
+	}
+	holds := func(t *testing.T, c *Client, want []byte) {
+		t.Helper()
+		if got, err := c.Get("k"); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(k) = %q, %v; want the last acked value %q", got, err, want)
+		}
+	}
+
+	t.Run("server-enc put carrying a replayed segment", func(t *testing.T) {
+		tc := newCluster(t, ServerConfig{ServerEncryption: true})
+		c := tc.connect(timeout)
+		host := hostRings(t, tc)
+		host(replaySegment(c))
+		mustPut(t, c, "k", []byte("acked"))
+		refused(t, "put", func() error { return c.Put("k", []byte("later")) })
+		host(nil)
+		holds(t, c, []byte("acked"))
+	})
+
+	t.Run("vlog read-through of a flipped record", func(t *testing.T) {
+		h := newVlogHarness(t, 5, func(cfg *ServerConfig) { cfg.Vlog.InlineMax = 1 })
+		c := h.boot().connect(timeout)
+		acked := bytes.Repeat([]byte("v"), 300)
+		mustPut(t, c, "k", acked)
+		seg, err := h.fs.OpenWrite("/data/vlog/seg-00000001.vlog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := seg.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The segment's last byte is the record's: flipping it breaks the
+		// record's checksum.
+		last := make([]byte, 1)
+		flip := func() {
+			if _, err := seg.ReadAt(last, size-1); err != nil {
+				t.Fatal(err)
+			}
+			last[0] ^= 0xff
+			if _, err := seg.WriteAt(last, size-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flip()
+		refused(t, "get", func() error { _, err := c.Get("k"); return err })
+		flip()
+		holds(t, c, acked)
+	})
+}
+
 // TestPlacementMismatchIsRefused: the placement rides in the welcome, which
 // the host can rewrite. A client made to believe the other placement gets a
-// typed error each way, on both framings, and the server stores nothing.
+// sealed refusal each way, in a batch and as a single op, and the server
+// stores nothing.
 func TestPlacementMismatchIsRefused(t *testing.T) {
 	for _, p := range placements {
 		t.Run(p.name, func(t *testing.T) {
@@ -225,8 +299,8 @@ func TestPlacementMismatchIsRefused(t *testing.T) {
 			if err != nil || !errors.Is(res[0].Err, ErrBadResponse) {
 				t.Errorf("batched put: %v, %v; want a sealed refusal", res, err)
 			}
-			if err := c.Put("m", []byte("v")); !errors.Is(err, ErrTimeout) {
-				t.Errorf("put: %v, want ErrTimeout", err)
+			if err := c.Put("m", []byte("v")); !errors.Is(err, ErrBadResponse) {
+				t.Errorf("put: %v, want ErrBadResponse", err)
 			}
 			if got, err := c.Get("k"); !errors.Is(err, ErrBadResponse) || got != nil {
 				t.Errorf("get: %q, %v; want ErrBadResponse", got, err)
@@ -241,7 +315,7 @@ func TestPlacementMismatchIsRefused(t *testing.T) {
 // TestServerEncStorageTamperDetected: under server encryption the enclave
 // verifies what it stored. A flipped byte in the stored blob, or an older
 // blob of the same key put back in its slot, ends a Get in a typed error —
-// a single op times out, a batched one is refused in its sealed result —
+// a single op and a batched one alike are refused in their sealed result —
 // counted in AuthFailures, never a wrong value.
 func TestServerEncStorageTamperDetected(t *testing.T) {
 	tc := newCluster(t, ServerConfig{ServerEncryption: true})
@@ -261,8 +335,8 @@ func TestServerEncStorageTamperDetected(t *testing.T) {
 	refused := func(attack string) {
 		t.Helper()
 		before := tc.server.Stats().AuthFailures
-		if got, err := c.Get("k"); !errors.Is(err, ErrTimeout) || got != nil {
-			t.Errorf("%s: Get = %q, %v; want ErrTimeout", attack, got, err)
+		if got, err := c.Get("k"); !errors.Is(err, ErrBadResponse) || got != nil {
+			t.Errorf("%s: Get = %q, %v; want a sealed refusal", attack, got, err)
 		}
 		res, err := c.Batch([]BatchOp{{Kind: BatchGet, Key: "k"}})
 		if err != nil || !errors.Is(res[0].Err, ErrBadResponse) || res[0].Value != nil {
@@ -290,8 +364,9 @@ func TestServerEncStorageTamperDetected(t *testing.T) {
 
 // TestEnclaveCryptoBytesExact: what EnclaveCryptoBytes counts for one put
 // and one get of n bytes. Both placements count the op's sealed request
-// and reply control; server encryption adds its two passes over the sealed
-// value, n + SealOverhead each. The control sizes come from the codecs.
+// and reply control, a frame of one each way; server encryption adds its
+// two passes over the sealed value, n + SealOverhead each. The control
+// sizes come from the codecs.
 // Neither placement enters the enclave per op: the ecall count stays put.
 func TestEnclaveCryptoBytesExact(t *testing.T) {
 	sealed := func(n int) int { return n + cryptox.SealOverhead }
@@ -304,7 +379,7 @@ func TestEnclaveCryptoBytesExact(t *testing.T) {
 				opKey = make([]byte, wire.OpKeySize)
 			}
 			replyCtl := func(k []byte) int {
-				b, err := (&wire.ResponseControl{OpKey: k}).AppendTo(nil)
+				b, err := wire.AppendBatchReply(nil, &wire.BatchReply{Results: []wire.BatchOpResult{{OpKey: k}}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -313,7 +388,11 @@ func TestEnclaveCryptoBytesExact(t *testing.T) {
 			for _, n := range []int{0, 32, 1024, 16000} {
 				key := fmt.Sprintf("k%d", n)
 				requestCtl := func(op wire.Opcode, k []byte) int {
-					return sealed((&wire.RequestControl{Op: op, Key: []byte(key), OpKey: k}).EncodedLen())
+					b, err := wire.AppendBatchControl(nil, &wire.BatchControl{Ops: []wire.BatchOp{{Op: op, Key: []byte(key), OpKey: k}}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sealed(len(b))
 				}
 				passes := 0
 				if p.cfg.ServerEncryption {

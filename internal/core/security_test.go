@@ -90,6 +90,46 @@ func TestHardenedModeDetectsSubstitution(t *testing.T) {
 	}
 }
 
+// sealFrame builds the request frame c would send for ops under oid: the
+// control sealed under the session key, no payload.
+func sealFrame(t *testing.T, c *Client, oid uint64, ops ...wire.BatchOp) []byte {
+	t.Helper()
+	pt, err := wire.AppendBatchControl(nil, &wire.BatchControl{Oid: oid, Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := c.aead.Seal(pt, c.ad[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := (&wire.BatchRequest{ClientID: c.id, Count: len(ops), SealedControl: sealed}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// inject writes frame into c's request ring behind the client's back: the
+// network adversary's hand on the wire.
+func inject(t *testing.T, c *Client, frame []byte) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.reqWriter.WriteDeadline(frame, time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitStat polls the server's stats until counter reads above zero.
+func awaitStat(t *testing.T, s *Server, what string, counter func(ServerStats) uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); counter(s.Stats()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never counted", what)
+		}
+	}
+}
+
 // TestReplayedRequestRejected re-posts a captured request frame into the
 // server's ring; the enclave's oid check must reject it (Algorithm 2), in
 // both payload placements.
@@ -102,42 +142,14 @@ func TestReplayedRequestRejected(t *testing.T) {
 			if err := c.Put("k", []byte("v1")); err != nil {
 				t.Fatal(err)
 			}
-			// Capture a fresh frame by re-encoding a put with the *same* oid the
-			// client already used: simulate the network adversary replaying the
-			// last message. We reach into the client to rebuild an identical
-			// request (same oid), then write it through the client's own writer.
+			// Simulate the network adversary replaying the last message: a
+			// frame of one under the oid the client already used, written
+			// through the client's own writer.
 			c.mu.Lock()
 			oid := c.oid // already consumed by the server
-			ctl := wire.RequestControl{Op: wire.OpGet, Oid: oid, Key: []byte("k")}
-			pt, err := ctl.Encode()
-			if err != nil {
-				c.mu.Unlock()
-				t.Fatal(err)
-			}
-			sealed, err := c.aead.Seal(pt, c.ad[:])
-			if err != nil {
-				c.mu.Unlock()
-				t.Fatal(err)
-			}
-			req := wire.Request{Op: wire.OpGet, ClientID: c.id, SealedControl: sealed}
-			frame, err := req.Encode(nil)
-			if err != nil {
-				c.mu.Unlock()
-				t.Fatal(err)
-			}
-			if err := c.reqWriter.WriteDeadline(frame, time.Now().Add(time.Second)); err != nil {
-				c.mu.Unlock()
-				t.Fatal(err)
-			}
 			c.mu.Unlock()
-
-			deadline := time.Now().Add(5 * time.Second)
-			for tc.server.Stats().Replays == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("replay not detected")
-				}
-				time.Sleep(time.Millisecond)
-			}
+			inject(t, c, sealFrame(t, c, oid, wire.BatchOp{Op: wire.OpGet, Key: []byte("k")}))
+			awaitStat(t, tc.server, "replay", func(st ServerStats) uint64 { return st.Replays })
 			// The legitimate session continues to work afterwards.
 			if err := c.Put("k2", []byte("v2")); err != nil {
 				t.Errorf("post-replay put: %v", err)
@@ -154,26 +166,55 @@ func TestReplayedRequestRejected(t *testing.T) {
 func TestForgedControlDataRejected(t *testing.T) {
 	tc := newCluster(t, ServerConfig{})
 	c := tc.connect()
+	frame, err := (&wire.BatchRequest{ClientID: c.id, Count: 1, SealedControl: bytes.Repeat([]byte{0x42}, 64)}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject(t, c, frame)
+	awaitStat(t, tc.server, "forged control data", func(st ServerStats) uint64 { return st.AuthFailures })
+}
 
+// TestRetiredSingleOpFrameRefused: the single-op request frame is retired
+// (PROTOCOL.md §3). One built with wire.Request — opcode DELETE, its
+// control sealed under the session key and carrying the session's next oid
+// — is refused as an unauthenticated BAD_REQUEST: nothing is applied, no
+// oid is burned, and the session keeps serving.
+func TestRetiredSingleOpFrameRefused(t *testing.T) {
+	tc := newCluster(t, ServerConfig{})
+	c := tc.connect()
+	mustPut(t, c, "k", []byte("kept"))
 	c.mu.Lock()
-	req := wire.Request{Op: wire.OpGet, ClientID: c.id, SealedControl: bytes.Repeat([]byte{0x42}, 64)}
-	frame, err := req.Encode(nil)
-	if err != nil {
-		c.mu.Unlock()
-		t.Fatal(err)
-	}
-	err = c.reqWriter.WriteDeadline(frame, time.Now().Add(time.Second))
+	next := c.oid + 1
 	c.mu.Unlock()
+	pt, err := (&wire.RequestControl{Op: wire.OpDelete, Oid: next, Key: []byte("k")}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for tc.server.Stats().AuthFailures == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("forged control data not counted")
-		}
-		time.Sleep(time.Millisecond)
+	sealed, err := c.aead.Seal(pt, c.ad[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := (&wire.Request{Op: wire.OpDelete, ClientID: c.id, SealedControl: sealed}).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tc.server.Stats()
+	inject(t, c, frame)
+	awaitStat(t, tc.server, "bad request", func(st ServerStats) uint64 { return st.BadRequests - before.BadRequests })
+	// The Get goes out under the very oid the retired frame carried: it is
+	// served, so that oid was not burned, and the delete did not apply.
+	if got, err := c.Get("k"); err != nil || string(got) != "kept" {
+		t.Fatalf("Get after the retired frame: %q, %v", got, err)
+	}
+	if c.LastOid() != next {
+		t.Fatalf("the Get went out under oid %d, want %d", c.LastOid(), next)
+	}
+	st := tc.server.Stats()
+	if st.Replays != 0 || st.AuthFailures != 0 || st.Deletes != 0 {
+		t.Errorf("replays %d, auth failures %d, deletes %d; want none", st.Replays, st.AuthFailures, st.Deletes)
+	}
+	if n := c.StatsStruct().UnauthStatuses; n != 1 {
+		t.Errorf("client saw %d unauthenticated status frames, want the one refusal", n)
 	}
 }
 

@@ -77,18 +77,10 @@ func newEntry(owner uint32, wide bool) *entry {
 // session is the per-client state: the transport-encryption AEAD keyed
 // with K_session, the replay window, and the ring endpoints.
 type session struct {
-	id   uint32
-	conn rdma.Conn
-	aead *cryptox.AEAD
-	ad   [4]byte // request AEAD additional data: the client id
-	// adx is the extended reply AD — client id ‖ trace id — used when
-	// the request carried a trace context, so a reply can only
-	// authenticate against the trace that asked for it. replyAD points
-	// at ad or adx for the op being handled; like lastOid it is owned by
-	// the session's single trusted poller (reply seals synchronously on
-	// that thread before the frame is handed to the sender pool).
-	adx        [12]byte
-	replyAD    []byte
+	id         uint32
+	conn       rdma.Conn
+	aead       *cryptox.AEAD
+	ad         [4]byte // AEAD additional data of every control seal, both ways: the client id
 	reqRing    *rdma.MemoryRegion
 	reqReader  *ringbuf.Reader
 	respWriter *ringbuf.Writer
@@ -104,12 +96,12 @@ type session struct {
 	// that protects lastOid. ctlPt and repPt hold control plaintext: the
 	// bytes that conceptually sit on the trusted thread's staging page
 	// (charged once per poller in trustedLoop), so they add no EPC.
-	ctlPt    []byte // opened request control (single-op or batch), until the reply is sealed
+	ctlPt    []byte // opened request control, until the reply is sealed
 	repPt    []byte // reply control plaintext, until sealed
 	breq     wire.BatchRequest
 	bctl     wire.BatchControl
 	brep     wire.BatchReply
-	bPayload []byte // batch reply payload region (get segments, op order)
+	bPayload []byte // reply payload region (get segments, op order)
 	valPt    []byte // server encryption: a value's plaintext while re-sealed
 	sealed   []byte // server encryption: the re-sealed value, until placed or replied
 	payAD    payloadAD
@@ -557,7 +549,7 @@ func (s *Server) trustedLoop(worker int) {
 				op.SetClient(sess.id)
 				now = op.SpanEnd(obs.SrvPickup, iterStart)
 			}
-			s.handleRequest(sess, msg, op, now)
+			s.handleBatch(sess, msg, op, now)
 		}
 		idle.Wake, idle.Sleep = nil, s.cfg.PollInterval
 		if armed {
@@ -620,45 +612,36 @@ func (s *Server) recycleFrame(b []byte) {
 	}
 }
 
-// reply encodes and sends a single-op response: control sealed under the
-// op's reply AD, or — control nil — an unauthenticated status frame with no
-// sealed segment at all. It takes ownership of op: whoever writes the frame
-// into the ring, sendReply or the sender loop, finishes the trace after the
-// write; on encode/seal failures and shutdown the trace is finished here.
-// now is the caller's last stage-boundary timestamp (0 when op is nil),
-// continuing the chained clock reads.
-func (s *Server) reply(sess *session, status wire.Status, control *wire.ResponseControl, payload []byte, op *obs.Op, now int64) {
-	if control == nil {
-		s.sendReply(sess, status, nil, nil, payload, op, now)
-		return
-	}
-	var err error
-	if sess.repPt, err = control.AppendTo(sess.repPt[:0]); err != nil {
-		op.SetError(err)
-		op.Finish()
-		return
-	}
-	s.sendReply(sess, status, sess.repPt, sess.replyAD, payload, op, now)
+// reply sends an unauthenticated status frame — a header and nothing
+// sealed — for a frame the enclave could not attribute: one that failed to
+// decode or to authenticate. Every other reply is a sealed BatchReply
+// (replyBatch). Ownership of op is as in sendReply.
+func (s *Server) reply(sess *session, status wire.Status, op *obs.Op, now int64) {
+	s.sendReply(sess, status, nil, nil, op, now)
 }
 
 // sendReply builds the response frame — header ‖ control plaintext pt
-// sealed under ad (nothing when pt is nil) ‖ payload — in a recycled
-// buffer and sends it. Only the seal happens in the enclave; the frame
-// itself is untrusted memory. Ownership of op is as in reply.
+// sealed under the session's AD (nothing when pt is nil) ‖ payload — in a
+// recycled buffer and sends it. Only the seal happens in the enclave; the
+// frame itself is untrusted memory. It takes ownership of op: whoever
+// writes the frame into the ring, this thread or the sender loop, finishes
+// the trace after the write; on encode/seal failures and shutdown the trace
+// is finished here. now is the caller's last stage-boundary timestamp (0
+// when op is nil), continuing the chained clock reads.
 //
 // The trusted thread runs the reply to completion — one TryWrite, which
 // never waits — unless a post on this transport could stall on the peer,
 // replies of the session are still queued (order), or the ring is out of
 // credit (the bounded wait is the sender pool's): then the frame goes down
 // §3.8's untrusted queue.
-func (s *Server) sendReply(sess *session, status wire.Status, pt, ad, payload []byte, op *obs.Op, now int64) {
+func (s *Server) sendReply(sess *session, status wire.Status, pt, payload []byte, op *obs.Op, now int64) {
 	sealedLen := 0
 	if pt != nil {
 		sealedLen = len(pt) + cryptox.SealOverhead
 	}
 	frame, err := wire.AppendResponseHeader(s.takeFrame(), status, sealedLen, len(payload))
 	if err == nil && pt != nil {
-		frame, err = sess.aead.SealAppend(frame, pt, ad)
+		frame, err = sess.aead.SealAppend(frame, pt, sess.ad[:])
 	}
 	if err != nil {
 		// Only an oversized reply gets here; its buffer is left to the GC.
@@ -704,7 +687,7 @@ func (s *Server) openControl(sess *session, sealed []byte, op *obs.Op, now int64
 	if err != nil {
 		s.authFailure(sess, "control data")
 		op.SetError(ErrAuth)
-		s.reply(sess, wire.StatusAuthFailed, nil, nil, op, now)
+		s.reply(sess, wire.StatusAuthFailed, op, now)
 		return false
 	}
 	sess.ctlPt = pt
@@ -746,9 +729,9 @@ func (s *Server) authFailure(sess *session, what string) {
 }
 
 // replayed is the replay check (Algorithm 2, lines 4–6): a session's oids
-// must strictly increase. A frame carries one oid, so a batch is replay-
-// checked as a unit. A stale oid is counted, logged and audited; the
-// caller answers it with its framing's sealed FlagReplay reply.
+// must strictly increase. A frame carries one oid, so its ops are
+// replay-checked as a unit. A stale oid is counted, logged and audited; the
+// caller answers it with a sealed FlagReplay reply.
 func (s *Server) replayed(sess *session, oid uint64, op *obs.Op) bool {
 	if oid > sess.lastOid {
 		return false
@@ -762,8 +745,8 @@ func (s *Server) replayed(sess *session, oid uint64, op *obs.Op) bool {
 	return true
 }
 
-// shed notes an admission-control refusal of what (a read, write or
-// batch) on the tracer and the op; the caller sends the sealed
+// shed notes an admission-control refusal of what (a read or a write
+// frame) on the tracer and the op; the caller sends the sealed
 // RETRY_LATER.
 func (s *Server) shed(what string, op *obs.Op) {
 	if tr := s.cfg.Tracer; tr != nil {
@@ -772,148 +755,22 @@ func (s *Server) shed(what string, op *obs.Op) {
 	op.SetError(ErrRetryLater)
 }
 
-// handleRequest implements Algorithm 2 and the get/delete analogues for
-// a single-op frame: decode, admit, open the control seal, replay-check,
-// apply, reply. op (nil when tracing is off) passes to reply, which owns
-// its finish. now is the srv_pickup span's end (0 when op is nil); each
-// stage's end becomes the next stage's start so the chain costs one
-// clock read per boundary.
-func (s *Server) handleRequest(sess *session, msg []byte, op *obs.Op, now int64) {
-	// Replies default to the base AD; only a successfully decoded trace
-	// context upgrades to the extended (trace-bound) AD below. The reset
-	// keeps pre-verification replies — sheds, decode failures — sealed
-	// under the AD the client can always open.
-	sess.replyAD = sess.ad[:]
-	// Batch frames demux on the untrusted opcode byte before the
-	// single-op decoder (which rejects OpBatch). A flipped opcode merely
-	// shifts the sealed-control offset, so the AEAD open fails and the
-	// frame dies unauthenticated — the opcode cannot smuggle a single-op
-	// request into the batch path or vice versa.
-	if len(msg) > 0 && wire.Opcode(msg[0]) == wire.OpBatch {
-		s.handleBatch(sess, msg, op, now)
-		return
-	}
-	var req wire.Request
-	if err := req.Decode(msg); err != nil {
-		s.badRequests.Add(1)
-		op.SetError(err)
-		s.reply(sess, wire.StatusBadRequest, nil, nil, op, now)
-		return
-	}
-	now = op.SpanEnd(obs.SrvDecode, now)
-	// Admission control, decided before the control seal is opened so a
-	// melting server never pays AEAD for work it refuses. Reads shed
-	// right here with an oid-less sealed RETRY_LATER (idempotent
-	// retries make the early exit safe). A refused write must still
-	// open and burn its oid before the shed reply — see below — so only
-	// the decision is taken now. The reply-queue depth is the pressure
-	// signal: backlog × service-time EWMA estimates queue delay.
-	kind := overload.KindWrite
-	if req.Op == wire.OpGet {
-		kind = overload.KindRead
-	}
-	admitted, hint := s.gate.Admit(kind, len(s.out))
-	if !admitted && kind == overload.KindRead {
-		op.SetKind("get")
-		s.shed("read", op)
-		s.reply(sess, wire.StatusRetryLater,
-			&wire.ResponseControl{Flags: wire.FlagRetryLater, InlineValue: hintBytes(hint)},
-			nil, op, now)
-		return
-	}
-	if admitted {
-		start := time.Now()
-		defer func() { s.gate.Done(time.Since(start)) }()
-	}
-	if !s.openControl(sess, req.SealedControl, op, now) {
-		return
-	}
-	var ctl wire.RequestControl
-	if err := ctl.Decode(sess.ctlPt); err != nil || ctl.Op != req.Op {
-		s.badRequests.Add(1)
-		op.SetError(ErrBadResponse)
-		s.reply(sess, wire.StatusBadRequest, nil, nil, op, now)
-		return
-	}
-	op.SetKind(opKind(ctl.Op))
-	op.SetOid(ctl.Oid)
-	s.adoptTrace(sess, ctl.Trace, ctl.TraceBad, op)
-	if s.replayed(sess, ctl.Oid, op) {
-		now = op.SpanEnd(obs.SrvVerify, now)
-		s.reply(sess, wire.StatusReplay,
-			&wire.ResponseControl{Oid: ctl.Oid, Flags: wire.FlagReplay}, nil, op, now)
-		return
-	}
-	sess.lastOid = ctl.Oid
-	now = op.SpanEnd(obs.SrvVerify, now)
-
-	// Refused write: the oid is burned above, so a duplicate delivery of
-	// this exact frame can never apply after the client has already
-	// resolved it as RETRY_LATER and moved on — the shed is guaranteed
-	// "not applied", which is what lets writes retry without
-	// ErrUnconfirmed. The echoed oid inside the seal attributes the
-	// reply to this operation.
-	if !admitted {
-		s.shed("write", op)
-		s.reply(sess, wire.StatusRetryLater,
-			&wire.ResponseControl{Oid: ctl.Oid, Flags: wire.FlagRetryLater, InlineValue: hintBytes(hint)},
-			nil, op, now)
-		return
-	}
-
-	// The single-op frame as an op view: Decode sliced Payload and
-	// PayloadMAC out of msg back to back, so together they are the put's
-	// nonce‖ciphertext‖MAC extent — the shape a batch's payload region has.
-	o := wire.BatchOp{Op: ctl.Op, Flags: ctl.Flags, Key: ctl.Key, OpKey: ctl.OpKey, InlineValue: ctl.InlineValue}
-	var seg []byte
-	if len(req.PayloadMAC) == wire.MACSize {
-		seg = req.Payload[:len(req.Payload)+wire.MACSize]
-	}
-	res, payload, now := s.apply(sess, &o, seg, 0, op, now)
-	if res.Status != wire.StatusOK && res.Status != wire.StatusNotFound {
-		// Not served: an unauthenticated status frame, which the client
-		// treats as advisory.
-		s.reply(sess, res.Status, nil, nil, op, now)
-		return
-	}
-	// The payload is appended to the reply frame straight from pool or log
-	// memory.
-	s.reply(sess, res.Status, &wire.ResponseControl{Oid: ctl.Oid, Flags: res.Flags, OpKey: res.OpKey,
-		PayloadMAC: res.PayloadMAC, InlineValue: res.InlineValue}, payload, op, now)
-}
-
 // adoptTrace stitches the server-side op into the request's propagated
-// trace (server spans adopt the client's trace id) and binds the reply
-// seal to it via the extended AD. A context that was present but failed
-// to decode — a version-skewed peer — is surfaced as a fault annotation
-// and the precursor_trace_context_errors_total counter rather than
-// silently dropping correlation; the reply then stays on the base AD,
-// which is exactly what a context-less client expects.
-func (s *Server) adoptTrace(sess *session, ctx wire.TraceContext, bad bool, op *obs.Op) {
-	if s.adoptTraceOnly(ctx, bad, op) {
-		copy(sess.adx[:4], sess.ad[:])
-		binary.LittleEndian.PutUint64(sess.adx[4:], ctx.TraceID)
-		sess.replyAD = sess.adx[:]
-	}
-}
-
-// adoptTraceOnly is adoptTrace without the reply-AD upgrade, reporting
-// whether a valid context was adopted. The batch path uses it directly:
-// batch replies always seal under the base AD (several batches pipeline
-// per session and the sealed oid echo already binds reply to request),
-// so only the span adoption and the decode-failure accounting apply.
-func (s *Server) adoptTraceOnly(ctx wire.TraceContext, bad bool, op *obs.Op) bool {
-	if ctx.Valid() {
+// trace: server spans adopt the client's trace id. A context that was
+// present but failed to decode — a version-skewed peer — is surfaced as a
+// fault annotation and the precursor_trace_context_errors_total counter
+// rather than silently dropping correlation. Replies seal under the base
+// AD whatever the context: the sealed oid echo binds a reply to its frame.
+func (s *Server) adoptTrace(ctx wire.TraceContext, bad bool, op *obs.Op) {
+	switch {
+	case ctx.Valid():
 		op.AdoptRef(obs.SpanRef{TraceID: ctx.TraceID, SpanID: ctx.ParentSpan, Sampled: ctx.Sampled})
-		return true
-	}
-	if bad {
+	case bad:
 		s.traceCtxErrors.Add(1)
 		if tr := s.cfg.Tracer; tr != nil {
 			tr.NoteFault("trace context decode failure")
 		}
 	}
-	return false
 }
 
 // heatKind maps opcodes to heat collector kinds.
@@ -940,6 +797,15 @@ func opKind(o wire.Opcode) string {
 		return "delete"
 	}
 	return "op"
+}
+
+// frameKind is the trace kind of a frame of n ops whose first is first: a
+// frame of one is traced as its op, on both sides.
+func frameKind(n int, first wire.Opcode) string {
+	if n == 1 {
+		return opKind(first)
+	}
+	return "batch"
 }
 
 // Stats returns a snapshot of server activity.
@@ -980,7 +846,6 @@ func (s *Server) Stats() ServerStats {
 		PoolGrowths:        ps.Growths,
 		ShedReads:          gs.ShedReads,
 		ShedWrites:         gs.ShedWrites,
-		ShedBatches:        gs.ShedBatches,
 		Draining:           gs.Draining,
 	}
 }

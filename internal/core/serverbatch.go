@@ -1,11 +1,12 @@
 package core
 
-// Server-side multi-op batching: one OpBatch frame carries N operations
-// under a single control seal and a single replay check, applied as a
-// unit by the owning trusted thread with per-op result codes sealed
-// into one BatchReply. The per-session scratch state lives on the
-// session struct and is safe without locks for the same reason lastOid
-// is: a session's ring is polled by exactly one trusted thread.
+// The server's one frame kind: every request is a wire.OpBatch frame —
+// a single op is a frame of one — carrying its ops under a single control
+// seal and a single replay check, applied as a unit by the owning trusted
+// thread with per-op result codes sealed into one BatchReply. The
+// per-session scratch state lives on the session struct and is safe
+// without locks for the same reason lastOid is: a session's ring is polled
+// by exactly one trusted thread.
 
 import (
 	"time"
@@ -16,26 +17,22 @@ import (
 	"precursor/internal/wire"
 )
 
-// handleBatch implements the batch analogue of Algorithm 2: open the
-// one sealed control blob, verify the batch as a unit (count
-// cross-check, authenticated payload extents, one replay check for the
-// whole frame), apply the ops in order, and seal every per-op outcome
-// into a single reply.
+// handleBatch implements Algorithm 2 and its get/delete analogues for one
+// frame: decode, open the one sealed control blob, verify the frame as a
+// unit (one replay check, count cross-check, authenticated payload
+// extents), admit, apply the ops in order, and seal every per-op outcome
+// into a single reply. A frame that fails to decode — one of another
+// opcode included — or to authenticate gets an unauthenticated status
+// frame and burns no oid; every later outcome is sealed, an op the enclave
+// refuses included. op (nil when tracing is off) passes to the reply,
+// which owns its finish. now is the srv_pickup span's end (0 when op is
+// nil); each stage's end becomes the next stage's start so the chain costs
+// one clock read per boundary.
 func (s *Server) handleBatch(sess *session, msg []byte, op *obs.Op, now int64) {
-	op.SetKind("batch")
-	// Admission is decided before any decode or AEAD work, but a
-	// refused batch still opens and burns its oid below so the shed is
-	// guaranteed "not applied" — the batch is the replay unit, so the
-	// whole frame sheds as a unit (every per-op result RETRY_LATER).
-	admitted, hint := s.gate.Admit(overload.KindBatch, len(s.out))
-	if admitted {
-		start := time.Now()
-		defer func() { s.gate.Done(time.Since(start)) }()
-	}
 	if err := wire.DecodeBatchRequest(msg, &sess.breq); err != nil {
 		s.badRequests.Add(1)
 		op.SetError(err)
-		s.reply(sess, wire.StatusBadRequest, nil, nil, op, now)
+		s.reply(sess, wire.StatusBadRequest, op, now)
 		return
 	}
 	now = op.SpanEnd(obs.SrvDecode, now)
@@ -45,12 +42,13 @@ func (s *Server) handleBatch(sess *session, msg []byte, op *obs.Op, now int64) {
 	if err := wire.DecodeBatchControl(sess.ctlPt, &sess.bctl); err != nil {
 		s.badRequests.Add(1)
 		op.SetError(err)
-		s.reply(sess, wire.StatusBadRequest, nil, nil, op, now)
+		s.reply(sess, wire.StatusBadRequest, op, now)
 		return
 	}
 	ctl := &sess.bctl
+	op.SetKind(frameKind(len(ctl.Ops), ctl.Ops[0].Op))
 	op.SetOid(ctl.Oid)
-	s.adoptTraceOnly(ctl.Trace, ctl.TraceBad, op)
+	s.adoptTrace(ctl.Trace, ctl.TraceBad, op)
 
 	if s.replayed(sess, ctl.Oid, op) {
 		sess.startReply(ctl.Oid, wire.FlagReplay, 0, wire.BatchOpResult{})
@@ -62,7 +60,7 @@ func (s *Server) handleBatch(sess *session, msg []byte, op *obs.Op, now int64) {
 	// Unit verification: the untrusted header's op count must match the
 	// sealed control's, and the sealed per-op extents must tile the
 	// untrusted payload region exactly (no forged lengths, no overlap).
-	// An authenticated batch that fails is rejected permanently — the
+	// An authenticated frame that fails is rejected permanently — the
 	// oid is consumed so a "fixed" redelivery of the same frame cannot
 	// apply ops the client already resolved as failed.
 	if len(ctl.Ops) != sess.breq.Count || ctl.ValidateExtents(len(sess.breq.Payload)) != nil {
@@ -75,34 +73,63 @@ func (s *Server) handleBatch(sess *session, msg []byte, op *obs.Op, now int64) {
 	}
 	now = op.SpanEnd(obs.SrvVerify, now)
 
+	// Admission control, decided once the control is open: a frame of gets
+	// only is a read, which sheds first; any other frame is a write. The
+	// reply-queue depth is the pressure signal (backlog × service-time EWMA
+	// estimates queue delay). A refused frame has burned its oid above, so a
+	// duplicate delivery can never apply after the client resolved it as
+	// RETRY_LATER: the shed is guaranteed "not applied", which is what lets
+	// writes retry without ErrUnconfirmed. The sealed oid echo attributes
+	// the reply; every op's result is the shed.
+	kind, what := overload.KindRead, "read"
+	for i := range ctl.Ops {
+		if ctl.Ops[i].Op != wire.OpGet {
+			kind, what = overload.KindWrite, "write"
+			break
+		}
+	}
+	admitted, hint := s.gate.Admit(kind, len(s.out))
 	if !admitted {
-		s.shed("batch", op)
+		s.shed(what, op)
 		sess.startReply(ctl.Oid, wire.FlagRetryLater, len(ctl.Ops), wire.BatchOpResult{
 			Status: wire.StatusRetryLater, Flags: wire.FlagRetryLater, InlineValue: hintBytes(hint)})
 		s.replyBatch(sess, wire.StatusRetryLater, nil, op, now)
 		return
 	}
+	start := time.Now()
+	defer func() { s.gate.Done(time.Since(start)) }()
 
-	s.batches.Add(1)
-	s.batchedOps.Add(uint64(len(ctl.Ops)))
-	s.cfg.Heat.RecordBatch(len(ctl.Ops))
+	// A frame of one's apply is its srv_apply span; a larger frame's apply
+	// loop is one srv_batch span, and only such a frame counts as a batch.
+	one, applyOp := len(ctl.Ops) == 1, op
+	if !one {
+		applyOp = nil
+		s.batches.Add(1)
+		s.batchedOps.Add(uint64(len(ctl.Ops)))
+		s.cfg.Heat.RecordBatch(len(ctl.Ops))
+	}
 	sess.startReply(ctl.Oid, 0, 0, wire.BatchOpResult{})
 	sess.bPayload = sess.bPayload[:0]
 	off := 0
 	for i := range ctl.Ops {
-		// A batched op is already the apply path's op view; its extent of
+		// A frame's op is already the apply path's op view; its extent of
 		// the payload region is authenticated by the sealed PayloadLen. A
 		// found value's bytes join the reply's payload region, claimed by
 		// the result's own sealed extent.
 		bop := &ctl.Ops[i]
 		seg := sess.breq.Payload[off : off+int(bop.PayloadLen)]
 		off += int(bop.PayloadLen)
-		res, payload, _ := s.apply(sess, bop, seg, i, nil, 0)
+		res, payload, end := s.apply(sess, bop, seg, i, applyOp, now)
+		if one {
+			now = end
+		}
 		res.PayloadLen = uint32(len(payload))
 		sess.bPayload = append(sess.bPayload, payload...)
 		sess.brep.Results = append(sess.brep.Results, res)
 	}
-	now = op.SpanEnd(obs.SrvBatch, now)
+	if !one {
+		now = op.SpanEnd(obs.SrvBatch, now)
+	}
 	s.replyBatch(sess, wire.StatusOK, sess.bPayload, op, now)
 }
 
@@ -118,11 +145,10 @@ func (sess *session) startReply(oid uint64, flags uint8, n int, fill wire.BatchO
 	}
 }
 
-// replyBatch seals sess.brep and enqueues the response for the sender
-// pool. If the assembled reply would not fit the client's response
+// replyBatch seals sess.brep and sends the response. If the assembled reply would not fit the client's response
 // ring slot, get payloads are stripped — those gets report
 // StatusServerError (retryable) while write results, whose effects are
-// already applied, are preserved. Takes ownership of op like reply.
+// already applied, are preserved. Takes ownership of op like sendReply.
 func (s *Server) replyBatch(sess *session, status wire.Status, payload []byte, op *obs.Op, now int64) {
 	var err error
 	sess.repPt, err = wire.AppendBatchReply(sess.repPt[:0], &sess.brep)
@@ -149,6 +175,5 @@ func (s *Server) replyBatch(sess *session, status wire.Status, payload []byte, o
 			return
 		}
 	}
-	// Batch replies always seal under the base AD (see adoptTraceOnly).
-	s.sendReply(sess, status, sess.repPt, sess.ad[:], payload, op, now)
+	s.sendReply(sess, status, sess.repPt, payload, op, now)
 }

@@ -1,10 +1,10 @@
 package core
 
 // End-to-end admission-control shed semantics over the in-process
-// fabric: a draining server refuses every operation with a sealed
-// RETRY_LATER (carrying a backoff hint), reads are refused before any
-// payload work, writes are guaranteed un-applied, batch frames are
-// shed as a unit with their oid burned — and none of it ever surfaces
+// fabric: a draining server refuses every frame with a sealed
+// RETRY_LATER (carrying a backoff hint) and its oid burned, a frame of
+// gets as a read and any other as a write, writes are guaranteed
+// un-applied, batch frames are shed as a unit — and none of it ever surfaces
 // as ErrUnconfirmed, because a shed op provably did not run. Plus the
 // parent-deadline propagation contract on the batch path: a spent
 // parent fails fast with ErrTimeout before anything reaches the wire.
@@ -122,8 +122,9 @@ func TestDrainShedsBatchAsUnit(t *testing.T) {
 	if err != nil || res[0].Err != nil {
 		t.Fatalf("Batch after drain lifted: %v, %v", err, res)
 	}
-	if st := tc.server.Stats(); st.ShedBatches == 0 {
-		t.Errorf("ShedBatches = 0, want > 0")
+	// A frame carrying a write sheds as a write.
+	if st := tc.server.Stats(); st.ShedWrites == 0 {
+		t.Errorf("ShedWrites = 0, want > 0")
 	}
 }
 

@@ -43,8 +43,7 @@ func serverTraces(t *testing.T, tr *obs.Tracer, n int) []obs.Trace {
 // TestTracePropagationSingleOp checks a traced put/get carries the
 // client's trace context through the sealed control segment: the server
 // records its work under the client's trace id, as a child of the
-// client's span, and the reply authenticates under the trace-extended
-// associated data.
+// client's span, and a frame of one is traced as its op on both sides.
 func TestTracePropagationSingleOp(t *testing.T) {
 	tc, c, srvTr, cliTr := tracedPair(t, ServerConfig{})
 
@@ -244,8 +243,10 @@ func TestTraceContextDecodeFailureCounted(t *testing.T) {
 	tc := newCluster(t, ServerConfig{Tracer: srvTr})
 
 	op := srvTr.Start(0, "get")
-	if adopted := tc.server.adoptTraceOnly(wire.TraceContext{}, true, op); adopted {
-		t.Fatal("bad context reported as adopted")
+	id := op.TraceID()
+	tc.server.adoptTrace(wire.TraceContext{}, true, op)
+	if op.TraceID() != id {
+		t.Fatal("bad context adopted")
 	}
 	op.Finish()
 	if got := tc.server.Stats().TraceCtxErrors; got != 1 {
@@ -266,7 +267,8 @@ func TestTraceContextDecodeFailureCounted(t *testing.T) {
 
 	// A valid context adopts and does not count.
 	op = srvTr.Start(0, "get")
-	if !tc.server.adoptTraceOnly(wire.TraceContext{TraceID: 5, ParentSpan: 6}, false, op) {
+	tc.server.adoptTrace(wire.TraceContext{TraceID: 5, ParentSpan: 6}, false, op)
+	if op.TraceID() != 5 {
 		t.Fatal("valid context not adopted")
 	}
 	op.Finish()

@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"precursor/internal/obs"
 	"precursor/internal/rdma"
 	"precursor/internal/sgx"
 	"precursor/internal/wire"
@@ -20,23 +21,12 @@ import (
 // completion beside replies it queues, a peer that stops draining, and the
 // client's self-switching spin.
 
-// fire sends one request frame and returns without awaiting its reply —
-// what a client does that never drains its response ring. ops nil sends a
-// single-op get of key, otherwise a batch frame of ops.
-func fire(c *Client, key string, ops []BatchOp) error {
+// fire sends ops as one request frame and returns without awaiting its
+// reply — what a client does that never drains its response ring.
+func fire(c *Client, ops ...BatchOp) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	deadline := time.Now().Add(20 * time.Millisecond)
-	if ops != nil {
-		_, err := c.startBatchLocked(ops, deadline, c.curRef)
-		return err
-	}
-	ctl := c.newControl(wire.OpGet, key)
-	if _, err := c.buildRequest(&ctl, nil, false); err != nil {
-		return err
-	}
-	_, err := c.sendFrameLocked(nil, 0, deadline)
-	return err
+	return c.sendLocked(ops, &pending{}, time.Now().Add(20*time.Millisecond), obs.SpanRef{})
 }
 
 // nextReplyOid polls c's response ring once, by hand, and returns the oid
@@ -58,18 +48,11 @@ func nextReplyOid(t *testing.T, c *Client) (oid uint64, ok bool) {
 	if err != nil {
 		t.Fatalf("reply seal: %v", err)
 	}
-	if wire.IsBatchReply(pt) {
-		var rep wire.BatchReply
-		if err := wire.DecodeBatchReply(pt, &rep); err != nil {
-			t.Fatalf("batch reply: %v", err)
-		}
-		return rep.Oid, true
-	}
-	var rc wire.ResponseControl
-	if err := rc.Decode(pt); err != nil {
+	var rep wire.BatchReply
+	if err := wire.DecodeBatchReply(pt, &rep); err != nil {
 		t.Fatalf("reply control: %v", err)
 	}
-	return rc.Oid, true
+	return rep.Oid, true
 }
 
 // sessionOf returns the server's session for c.
@@ -79,8 +62,8 @@ func sessionOf(s *Server, c *Client) *session {
 	return s.sessions[c.ID()]
 }
 
-// TestRepliesKeepIssueOrderInlineOrQueued: one session issues pipelined
-// batch frames and single ops and drains its four-slot response ring at
+// TestRepliesKeepIssueOrderInlineOrQueued: one session issues frames of
+// two ops and of one and drains its four-slot response ring at
 // half the rate, so the ring runs out of credit mid-stream — some replies
 // the trusted thread writes itself, the rest go through the sender queue,
 // and once that has drained replies go inline again. They must arrive in
@@ -104,11 +87,11 @@ func TestRepliesKeepIssueOrderInlineOrQueued(t *testing.T) {
 		return ok
 	}
 	for i := 0; i < frames; i++ {
-		var ops []BatchOp
+		ops := []BatchOp{{Kind: BatchGet, Key: "k"}}
 		if i%3 == 0 {
-			ops = []BatchOp{{Kind: BatchGet, Key: "k"}, {Kind: BatchPut, Key: "k", Value: []byte("v")}}
+			ops = append(ops, BatchOp{Kind: BatchPut, Key: "k", Value: []byte("v")})
 		}
-		if err := fire(c, "k", ops); err != nil {
+		if err := fire(c, ops...); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if i%2 == 1 {
@@ -143,7 +126,7 @@ func TestRepliesKeepIssueOrderInlineOrQueued(t *testing.T) {
 	// Nothing more may reach the ring and the queue must empty.
 	sess := sessionOf(tc.server, c)
 	for i := 0; i < 12; i++ {
-		if err := fire(c, "k", nil); err != nil {
+		if err := fire(c, BatchOp{Kind: BatchGet, Key: "k"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +210,7 @@ func TestStalledPeerNeverDelaysOtherSessions(t *testing.T) {
 			if fired < stalledRequests && i%16 == 0 {
 				// Once the server has given up on the connection a request
 				// no longer goes out; that is the stalled session's affair.
-				_ = fire(stalled, "big", nil)
+				_ = fire(stalled, BatchOp{Kind: BatchGet, Key: "big"})
 				fired++
 			}
 			start := time.Now()

@@ -1,14 +1,14 @@
 // Package overload implements Precursor's overload-protection
 // primitives: the server-side admission gate that sheds excess load
-// before seal verification, the client-side AIMD concurrency
+// before it is applied, the client-side AIMD concurrency
 // controller that adapts the pipelining window to RETRY_LATER and
 // deadline signals, and the token-bucket retry budget that bounds
 // fleet-wide retry amplification.
 //
 // Precursor's servers never coordinate (the paper's client-centric
 // core claim), so when a shard saturates only two parties can stop
-// the melt: the enclave, by refusing work before paying the
-// transition + AEAD cost per doomed op, and the clients, by backing
+// the melt: the enclave, by refusing work before paying the apply,
+// payload and reply cost of a doomed frame, and the clients, by backing
 // off without amplifying. This package supplies both halves; the
 // wiring lives in internal/core (server and client), the pool, and
 // internal/cluster (hedged reads).
@@ -21,7 +21,7 @@ import (
 	"time"
 )
 
-// Kind classifies an operation for admission purposes. Writes are
+// Kind classifies a request frame for admission purposes. Writes are
 // preferred over reads when shedding: a shed read costs the client one
 // cheap idempotent retry, while a shed write stalls durability — so
 // reads shed at a lower pressure threshold.
@@ -29,14 +29,12 @@ type Kind uint8
 
 // Operation kinds, in shed-preference order.
 const (
-	// KindRead is an idempotent read (Get) — first to shed.
+	// KindRead is a frame of idempotent reads (gets only) — first to
+	// shed.
 	KindRead Kind = iota
-	// KindWrite is a single-op write (Put/Delete) — sheds only above
+	// KindWrite is a frame carrying a put or delete — sheds only above
 	// the full pressure threshold.
 	KindWrite
-	// KindBatch is a multi-op batch frame, shed as a unit at the write
-	// threshold (batches carry writes).
-	KindBatch
 )
 
 // GateConfig configures a server admission Gate. The zero value takes
@@ -46,9 +44,9 @@ type GateConfig struct {
 	// server's trusted threads. 0 means DefaultMaxInflight; negative
 	// disables the cap.
 	MaxInflight int
-	// MaxQueueDelay is the estimated queue-delay ceiling for writes and
-	// batches: when backlog × service-time-EWMA exceeds it, the gate
-	// sheds. 0 means DefaultMaxQueueDelay.
+	// MaxQueueDelay is the estimated queue-delay ceiling for writes:
+	// when backlog × service-time-EWMA exceeds it, the gate sheds. 0
+	// means DefaultMaxQueueDelay.
 	MaxQueueDelay time.Duration
 	// ReadFraction scales MaxQueueDelay down for reads so they shed
 	// first (write preference). 0 means DefaultReadFraction; values are
@@ -68,7 +66,7 @@ type GateConfig struct {
 const (
 	// DefaultMaxInflight is the default concurrently-admitted cap.
 	DefaultMaxInflight = 4096
-	// DefaultMaxQueueDelay is the default write/batch queue-delay ceiling.
+	// DefaultMaxQueueDelay is the default write queue-delay ceiling.
 	DefaultMaxQueueDelay = 20 * time.Millisecond
 	// DefaultReadFraction is the default read threshold as a fraction
 	// of MaxQueueDelay.
@@ -99,10 +97,10 @@ func (c GateConfig) withDefaults() GateConfig {
 }
 
 // Gate is the server-side admission controller. It is deliberately
-// cheap — a handful of atomic loads per decision — because it runs at
-// ring pickup, before the expensive seal verification, on every
-// operation. All methods are safe for concurrent use by the server's
-// trusted threads.
+// cheap — a handful of atomic loads per decision — because it runs on
+// every frame, once its control is open and before any op is applied.
+// All methods are safe for concurrent use by the server's trusted
+// threads.
 type Gate struct {
 	cfg      GateConfig
 	draining atomic.Bool
@@ -112,10 +110,9 @@ type Gate struct {
 	// backlog it yields the queue-delay estimate that drives shedding.
 	svcEWMA atomic.Int64
 
-	admitted    atomic.Uint64
-	shedReads   atomic.Uint64
-	shedWrites  atomic.Uint64
-	shedBatches atomic.Uint64
+	admitted   atomic.Uint64
+	shedReads  atomic.Uint64
+	shedWrites atomic.Uint64
 }
 
 // NewGate returns an admission gate with cfg's thresholds (zero fields
@@ -124,9 +121,9 @@ func NewGate(cfg GateConfig) *Gate {
 	return &Gate{cfg: cfg.withDefaults()}
 }
 
-// Admit decides whether an operation of the given kind may proceed.
+// Admit decides whether a frame of the given kind may proceed.
 // backlog is the current depth of the server's reply queue (the
-// cheapest congestion signal available at ring pickup). On admission
+// cheapest congestion signal the trusted thread has). On admission
 // it returns (true, 0) and the caller MUST call Done when the op
 // finishes; on shed it returns (false, hint) where hint is the
 // suggested client backoff.
@@ -199,22 +196,19 @@ func (g *Gate) hint(est time.Duration) time.Duration {
 }
 
 func (g *Gate) shed(kind Kind) {
-	switch kind {
-	case KindRead:
+	if kind == KindRead {
 		g.shedReads.Add(1)
-	case KindWrite:
+	} else {
 		g.shedWrites.Add(1)
-	default:
-		g.shedBatches.Add(1)
 	}
 }
 
 // GateStats is a snapshot of a gate's admission counters.
 type GateStats struct {
-	// Admitted counts operations that passed the gate.
+	// Admitted counts frames that passed the gate.
 	Admitted uint64
-	// ShedReads, ShedWrites and ShedBatches count sheds by kind.
-	ShedReads, ShedWrites, ShedBatches uint64
+	// ShedReads and ShedWrites count shed frames by kind.
+	ShedReads, ShedWrites uint64
 	// Inflight is the current number of admitted, unfinished ops.
 	Inflight int64
 	// ServiceEWMA is the current service-time estimate.
@@ -233,7 +227,6 @@ func (g *Gate) Stats() GateStats {
 		Admitted:    g.admitted.Load(),
 		ShedReads:   g.shedReads.Load(),
 		ShedWrites:  g.shedWrites.Load(),
-		ShedBatches: g.shedBatches.Load(),
 		Inflight:    g.inflight.Load(),
 		ServiceEWMA: time.Duration(g.svcEWMA.Load()),
 		Draining:    g.draining.Load(),

@@ -8,7 +8,7 @@ import (
 
 func TestGateAdmitsWhenIdle(t *testing.T) {
 	g := NewGate(GateConfig{})
-	for _, kind := range []Kind{KindRead, KindWrite, KindBatch} {
+	for _, kind := range []Kind{KindRead, KindWrite} {
 		ok, hint := g.Admit(kind, 0)
 		if !ok {
 			t.Fatalf("idle gate shed kind %d", kind)
@@ -19,7 +19,7 @@ func TestGateAdmitsWhenIdle(t *testing.T) {
 		g.Done(time.Microsecond)
 	}
 	st := g.Stats()
-	if st.Admitted != 3 || st.ShedReads+st.ShedWrites+st.ShedBatches != 0 {
+	if st.Admitted != 2 || st.ShedReads+st.ShedWrites != 0 {
 		t.Fatalf("unexpected stats: %+v", st)
 	}
 }
@@ -78,7 +78,7 @@ func TestGateDrainingShedsEverything(t *testing.T) {
 	if !g.Draining() {
 		t.Fatal("Draining() false after SetDraining(true)")
 	}
-	for _, kind := range []Kind{KindRead, KindWrite, KindBatch} {
+	for _, kind := range []Kind{KindRead, KindWrite} {
 		ok, hint := g.Admit(kind, 0)
 		if ok {
 			t.Fatalf("draining gate admitted kind %d", kind)

@@ -310,7 +310,8 @@ type BatchReply struct {
 // IsBatchReply reports whether an opened (authenticated) response
 // control plaintext is a batch reply rather than a single-op
 // ResponseControl. Both layouts start with oid(8)‖flags(1); FlagBatch
-// is never set by the single-op encoder.
+// is never set by the single-op encoder. Every reply a server sends now
+// is a batch reply.
 func IsBatchReply(pt []byte) bool {
 	return len(pt) >= 9 && pt[8]&FlagBatch != 0
 }

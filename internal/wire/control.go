@@ -36,9 +36,11 @@ const (
 	FlagRetryLater
 )
 
-// RequestControl is the plaintext of a request's transport-encrypted
-// control segment: Algorithm 1's (K_operation, key, oid) tuple plus the
-// opcode binding. Only the enclave sees it.
+// RequestControl is the plaintext of a single-op request's
+// transport-encrypted control segment: Algorithm 1's (K_operation, key,
+// oid) tuple plus the opcode binding. Only the enclave sees it. Retired
+// with the single-op frame (see Request); BatchControl carries the same
+// tuple per op.
 type RequestControl struct {
 	Op    Opcode
 	Flags uint8
@@ -154,10 +156,12 @@ func DecodeRequestControl(buf []byte) (*RequestControl, error) {
 	return c, nil
 }
 
-// ResponseControl is the plaintext of a response's transport-encrypted
-// control segment: the oid echo (freshness), the one-time key needed to
-// decrypt the payload, and — in the hardened in-enclave-MAC mode or the
-// inline-value mode — the extra fields.
+// ResponseControl is the plaintext of a single-op response's
+// transport-encrypted control segment: the oid echo (freshness), the
+// one-time key needed to decrypt the payload, and — in the hardened
+// in-enclave-MAC mode or the inline-value mode — the extra fields. Retired
+// with the single-op frame (see Request); every reply carries a
+// BatchReply.
 type ResponseControl struct {
 	Oid   uint64
 	Flags uint8

@@ -3,7 +3,8 @@
 // A request as written into the server's ring buffer consists of an
 // untrusted header, the transport-encrypted control data (whose plaintext
 // only the enclave sees), and — for put() — the client-encrypted payload
-// plus its MAC, which stay in untrusted memory. The split is the paper's
+// plus its MAC, which stay in untrusted memory. The one request frame is
+// the batch frame (batch.go); a single op is a frame of one. The split is the paper's
 // core mechanism (Fig. 2/3): the server copies only the sealed control
 // bytes into the enclave.
 //
@@ -100,9 +101,11 @@ const (
 	OpKeySize     = 32
 )
 
-// Request is the untrusted-header view of a client request. SealedControl
-// is opaque ciphertext to everything outside the enclave; Payload and
-// PayloadMAC never enter it.
+// Request is the untrusted-header view of a single-op request frame.
+// SealedControl is opaque ciphertext to everything outside the enclave;
+// Payload and PayloadMAC never enter it. The frame is retired — every
+// request is a batch frame, a single op a frame of one (PROTOCOL.md §3) —
+// and a server refuses it; the codec stays for the benchmark's probes.
 type Request struct {
 	Op            Opcode
 	ClientID      uint32

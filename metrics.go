@@ -463,7 +463,6 @@ func (m *MetricsServer) writeServerMetrics(b *strings.Builder) {
 	}
 	counter("precursor_overload_shed_reads_total", "Reads refused by the admission gate with sealed RETRY_LATER", st.ShedReads)
 	counter("precursor_overload_shed_writes_total", "Writes refused by the admission gate with sealed RETRY_LATER", st.ShedWrites)
-	counter("precursor_overload_shed_batches_total", "Batch frames refused as a unit by the admission gate", st.ShedBatches)
 	gauge("precursor_overload_draining", "1 while the server is in graceful drain (shedding every op before seal-and-exit)", boolGauge(st.Draining))
 	if g := m.server.Gate(); g != nil {
 		gs := g.Stats()

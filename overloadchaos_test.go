@@ -79,7 +79,7 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 		for _, svc := range d.svcs {
 			st := svc.Server.Stats()
 			n += st.Puts + st.Gets + st.Deletes
-			n += st.ShedReads + st.ShedWrites + st.ShedBatches
+			n += st.ShedReads + st.ShedWrites
 		}
 		return n
 	}
@@ -87,7 +87,7 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 		var n uint64
 		for _, svc := range d.svcs {
 			st := svc.Server.Stats()
-			n += st.ShedReads + st.ShedWrites + st.ShedBatches
+			n += st.ShedReads + st.ShedWrites
 		}
 		return n
 	}
