@@ -50,8 +50,8 @@ func connectInProcess(t *testing.T, platform *precursor.Platform, fabric *precur
 // client, steady state, Workers: 1. The pool's borrow → call → finish
 // adds nothing to what the connection's op costs (get: the value handed
 // back + the one-time MAC key schedule; put: that schedule + the stored
-// entry + the key string), so the budgets are the core gate's base-mode
-// ones — and so are those of a one-shard ClusterClient over that pool: a
+// entry — an overwrite allocates no key string), so the budgets are the
+// core gate's base-mode ones — and so are those of a one-shard ClusterClient over that pool: a
 // group of one takes the cluster's one route as a fan-out of one on the
 // caller's goroutine (a pooled record, a work list of one, a breaker
 // check, a latency sample), no allocation — whether cluster.New or
@@ -140,10 +140,10 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 		put            func(string, []byte) error
 		getMax, putMax float64
 	}{
-		{"pool", pool.Get, pool.Put, 2.5, 4.5},   // 2.13, 3.13 at this commit and its parent
-		{"cluster", cc.Get, cc.Put, 2.5, 4.5},    // 2.13, 3.13
-		{"cluster-g1", g1.Get, g1.Put, 2.5, 4.5}, // what the cluster row reads
-		{"cluster-r2", r2.Get, r2.Put, 4.5, 8.5}, // 2.13, 6.25 (two replicas' 3.13 each)
+		{"pool", pool.Get, pool.Put, 2.5, 2.5},   // 2.13, 2.13
+		{"cluster", cc.Get, cc.Put, 2.5, 2.5},    // 2.13, 2.13
+		{"cluster-g1", g1.Get, g1.Put, 2.5, 2.5}, // what the cluster row reads
+		{"cluster-r2", r2.Get, r2.Put, 2.5, 4.5}, // 2.13, 4.25 (two replicas' 2.13 each)
 	} {
 		get := func(i int) {
 			if _, err := kv.get(names[i%keys]); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"precursor/internal/sgx"
 )
@@ -14,9 +15,9 @@ import (
 // bytes of memory.
 type enclaveAccountant struct {
 	enclave *sgx.Enclave
+	table   atomic.Pointer[sgx.Region] // reserved extent of the current bucket array
 
 	mu       sync.Mutex
-	table    *sgx.Region // reserved extent of the current bucket array
 	sessions *sgx.Region // per-client session state (grown in steps)
 	nSess    int
 }
@@ -33,25 +34,16 @@ func newEnclaveAccountant(e *sgx.Enclave) *enclaveAccountant {
 // GrowTable implements hashtable.Accountant: the bucket array moved from
 // oldBytes to newBytes of enclave memory.
 func (a *enclaveAccountant) GrowTable(oldBytes, newBytes int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.table != nil {
-		a.enclave.Free(a.table)
+	if old := a.table.Load(); old != nil {
+		a.enclave.Free(old)
 	}
-	region, err := a.enclave.Reserve(newBytes)
-	if err != nil {
-		// Destroyed enclave: nothing to account.
-		a.table = nil
-		return
-	}
-	a.table = region
+	region, _ := a.enclave.Reserve(newBytes) // nil once the enclave is destroyed: nothing to account
+	a.table.Store(region)
 }
 
 // TouchBucket implements hashtable.Accountant: bucket i of n was accessed.
 func (a *enclaveAccountant) TouchBucket(i, n, entrySize int) {
-	a.mu.Lock()
-	region := a.table
-	a.mu.Unlock()
+	region := a.table.Load()
 	if region == nil {
 		return
 	}

@@ -52,8 +52,9 @@ func TestAccountantHoldsNoShadowBuffer(t *testing.T) {
 	}
 
 	acct := tc.server.acct
+	table := acct.table.Load()
 	acct.mu.Lock()
-	table, sessions := acct.table, acct.sessions
+	sessions := acct.sessions
 	acct.mu.Unlock()
 	if table == nil || sessions == nil {
 		t.Fatal("accountant holds no table or session region")

@@ -10,6 +10,7 @@ package core
 
 import (
 	"bytes"
+	"unsafe"
 
 	"precursor/internal/cryptox"
 	"precursor/internal/heat"
@@ -27,8 +28,9 @@ import (
 //
 // The result travels by value. For a found get it carries the key
 // material (aliasing the entry) and payload aliases the stored bytes in
-// pool, log or (server encryption) session memory; the caller copies both
-// into its reply before it handles the next operation.
+// the pool or in session memory — the read-through's record buffer, or the
+// re-sealed value under server encryption; the caller copies both into its
+// reply before it handles the next operation.
 //
 // op is the trace of a frame of one, nil for the ops of a larger frame
 // (it records one srv_batch span instead): a failure's cause annotates
@@ -106,9 +108,7 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 		}
 	}
 
-	// One string for the table, the log and the delta set: the table keeps
-	// it when the key is new.
-	key := string(o.Key)
+	key := keyView(o.Key)
 	if s.vlog == nil {
 		if old, existed := s.table.Swap(key, e); existed {
 			s.releaseEntry(old)
@@ -117,7 +117,7 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 		// store_to_untrusted, durable edition: the append blocks until the
 		// group commit has fsynced, so the ack implies the value survives
 		// kill -9.
-		if err := s.vlogPut(key, e, stored); err != nil {
+		if err := s.vlogPut(o.Key, e, stored); err != nil {
 			s.freeEntryResources(e)
 			return failed(op, wire.StatusServerError, err)
 		}
@@ -148,7 +148,7 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 
 func (s *Server) applyGet(sess *session, o *wire.BatchOp, idx int, op *obs.Op, now int64) (wire.BatchOpResult, []byte, int64) {
 	s.gets.Add(1)
-	e, ok := s.table.GetBytes(o.Key)
+	e, ok := s.table.Get(keyView(o.Key))
 	if !ok || s.isDenied(sess, e) {
 		// Access control: pretend absence rather than leak existence.
 		return wire.BatchOpResult{Status: wire.StatusNotFound, Flags: wire.FlagNotFound},
@@ -166,7 +166,7 @@ func (s *Server) applyGet(sess *session, o *wire.BatchOp, idx int, op *obs.Op, n
 		// The value has no memory-resident copy: read it back from the
 		// value log and re-authenticate its sealed metadata.
 		now, stage = op.SpanEnd(obs.SrvApply, now), obs.SrvVlogRead
-		val, inline, cur, err := s.vlogReadThrough(string(o.Key), e)
+		val, inline, cur, err := s.vlogReadThrough(sess, o.Key, e)
 		if err != nil {
 			return failed(op, wire.StatusServerError, err), nil, now
 		}
@@ -204,11 +204,11 @@ func (s *Server) applyGet(sess *session, o *wire.BatchOp, idx int, op *obs.Op, n
 
 func (s *Server) applyDelete(sess *session, o *wire.BatchOp, op *obs.Op) wire.BatchOpResult {
 	s.deletes.Add(1)
-	e, ok := s.table.GetBytes(o.Key)
+	key := keyView(o.Key)
+	e, ok := s.table.Get(key)
 	if !ok || s.isDenied(sess, e) {
 		return wire.BatchOpResult{Status: wire.StatusNotFound, Flags: wire.FlagNotFound}
 	}
-	key := string(o.Key)
 	if s.vlog == nil {
 		s.table.Delete(key)
 		s.releaseEntry(e)
@@ -216,7 +216,7 @@ func (s *Server) applyDelete(sess *session, o *wire.BatchOp, op *obs.Op) wire.Ba
 		// Deletes must be durable before they are acked: append a
 		// tombstone, then remove the entry only if no newer version raced
 		// in.
-		d, err := s.vlogDelete(key, sess.id)
+		_, d, err := s.vlogAppend(o.Key, &vlogMeta{flags: vlogMetaTombstone, owner: sess.id}, nil, 0)
 		if err != nil {
 			return failed(op, wire.StatusServerError, err)
 		}
@@ -226,6 +226,10 @@ func (s *Server) applyDelete(sess *session, o *wire.BatchOp, op *obs.Op) wire.Ba
 	s.recordDelta(key)
 	return wire.BatchOpResult{Status: wire.StatusOK}
 }
+
+// keyView is key bytes seen as a string without a copy, valid only while
+// those bytes are: the table and the delta set clone a key they keep.
+func keyView(key []byte) string { return unsafe.String(unsafe.SliceData(key), len(key)) }
 
 func (s *Server) isDenied(sess *session, e *entry) bool {
 	return s.ownerOnly.Load() && e.owner != sess.id

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sort"
+	"strings"
 )
 
 // Delta log: the bounded set of keys dirtied since the last seal.
@@ -32,18 +33,25 @@ var (
 
 // recordDelta marks key dirty since the last seal. Called on the apply
 // path after the table mutation, so a key is never in the delta without
-// its final state being visible to a subsequent read.
+// its final state being visible to a subsequent read. key may be a view: a
+// key entering the set shares the table's copy, or is cloned once the table
+// no longer has it (a delete). The table lock nests inside deltaMu.
 func (s *Server) recordDelta(key string) {
 	s.deltaMu.Lock()
-	if !s.deltaOverflow {
-		if len(s.delta) >= deltaLogCap {
-			s.deltaOverflow = true
-			s.delta = make(map[string]struct{})
-		} else {
-			s.delta[key] = struct{}{}
-		}
+	defer s.deltaMu.Unlock()
+	if _, dirty := s.delta[key]; dirty || s.deltaOverflow {
+		return
 	}
-	s.deltaMu.Unlock()
+	if len(s.delta) >= deltaLogCap {
+		s.deltaOverflow = true
+		s.delta = make(map[string]struct{})
+		return
+	}
+	own, ok := s.table.Key(key)
+	if !ok {
+		own = strings.Clone(key)
+	}
+	s.delta[own] = struct{}{}
 }
 
 // beginDeltaSeal swaps in a fresh dirty-key set before state

@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
 	"precursor/internal/obs"
+	"precursor/internal/vlog"
 )
 
 // Buffer-ownership tests for the scratch-backed op path: the client's
@@ -294,4 +297,266 @@ func TestOwnerOnlyToggleWhileReading(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	toggler.Wait()
+}
+
+// fill overwrites b with a byte no key, value or record contains.
+func fill(b []byte) {
+	for i := range b {
+		b[i] = 0xEE
+	}
+}
+
+// scribbleFS is a MemFS that remembers every buffer the log reads segment
+// bytes into — a read-through's record, a compaction's or a replay's walk
+// window — so a test can overwrite them once the operation that read them
+// is over.
+type scribbleFS struct {
+	*vlog.MemFS
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+func (f *scribbleFS) OpenRead(path string) (vlog.File, error) {
+	file, err := f.MemFS.OpenRead(path)
+	if err != nil {
+		return nil, err
+	}
+	return scribbleFile{File: file, fs: f}, nil
+}
+
+// scribble overwrites every buffer read into since the last call.
+func (f *scribbleFS) scribble() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, b := range f.bufs {
+		fill(b)
+	}
+	f.bufs = f.bufs[:0]
+}
+
+type scribbleFile struct {
+	vlog.File
+	fs *scribbleFS
+}
+
+func (r scribbleFile) ReadAt(p []byte, off int64) (int, error) {
+	r.fs.mu.Lock()
+	r.fs.bufs = append(r.fs.bufs, p)
+	r.fs.mu.Unlock()
+	return r.File.ReadAt(p, off)
+}
+
+// TestStoreOwnsItsKeys: puts, overwrites and deletes hand the table and
+// the delta set a view of the opened control's key bytes, and compaction
+// hands them a view of the record's key in its walk window. After every
+// operation this test overwrites the control plaintext of every session
+// and, with a value log, every buffer the log read into; the keys the
+// store kept must be its own copies all the same — Range lists the
+// original keys, DeltaSince the keys dirtied, and a seal → restore round
+// trip brings back every key and value.
+func TestStoreOwnsItsKeys(t *testing.T) {
+	for _, mode := range []string{"base", "vlog"} {
+		t.Run(mode, func(t *testing.T) {
+			var tc *testCluster
+			var h *vlogHarness
+			var fs *scribbleFS
+			if mode == "vlog" {
+				h = newVlogHarness(t, 29, func(cfg *ServerConfig) {
+					cfg.Workers = 1
+					cfg.Vlog.InlineMax = 1 // every get reads through
+					cfg.Vlog.SegmentBytes = 4 << 10
+					cfg.Vlog.GCThreshold = 0.3
+					fs = &scribbleFS{MemFS: cfg.Vlog.FS.(*vlog.MemFS)}
+					cfg.Vlog.FS = fs
+				})
+				tc = h.boot()
+			} else {
+				tc = newCluster(t, ServerConfig{Workers: 1})
+			}
+			c := tc.connect()
+			scribble := func() {
+				s := tc.server
+				s.mu.Lock()
+				for _, sess := range s.sessions {
+					fill(sess.ctlPt[:cap(sess.ctlPt)])
+				}
+				s.mu.Unlock()
+				if fs != nil {
+					fs.scribble()
+				}
+			}
+			do := func(what string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				scribble()
+			}
+			const keys = 48
+			key := func(i int) string { return fmt.Sprintf("owned-key-%03d", i) }
+			value := func(i, v int) []byte { return stamped(7, uint32(i), uint32(v), 200+i) }
+			want := map[string][]byte{}
+			var dirty []string
+			for i := 0; i < keys; i++ {
+				do("put", c.Put(key(i), value(i, 0)))
+				dirty = append(dirty, key(i))
+			}
+			// Overwrites, single and in frames of eight; then every fourth
+			// key deleted, alternately alone and in a frame.
+			for round := 1; round <= 3; round++ {
+				for i := 0; i < keys; i += 8 {
+					if round%2 == 1 {
+						ops := make([]BatchOp, 0, 8)
+						for j := i; j < i+8; j++ {
+							ops = append(ops, BatchOp{Kind: BatchPut, Key: key(j), Value: value(j, round)})
+						}
+						_, err := c.Batch(ops)
+						do("overwrite frame", err)
+						continue
+					}
+					for j := i; j < i+8; j++ {
+						do("overwrite", c.Put(key(j), value(j, round)))
+					}
+				}
+			}
+			for i := 0; i < keys; i++ {
+				want[key(i)] = value(i, 3)
+			}
+			for i := 0; i < keys; i += 4 {
+				if i%8 == 0 {
+					do("delete", c.Delete(key(i)))
+				} else {
+					_, err := c.Batch([]BatchOp{{Kind: BatchDelete, Key: key(i)}})
+					do("delete frame", err)
+				}
+				delete(want, key(i))
+			}
+			if h != nil {
+				tc.server.VlogGCOnce()
+				st := tc.server.Stats().Vlog
+				if st.Log.GCSegments == 0 || st.GCMovedRecords == 0 {
+					t.Fatalf("compaction moved nothing (%d segments removed, %d records moved); the test needs relocations",
+						st.Log.GCSegments, st.GCMovedRecords)
+				}
+				scribble()
+			}
+
+			check := func(tc *testCluster, c *Client, when string) {
+				t.Helper()
+				var got []string
+				tc.server.table.Range(func(k string, _ *entry) bool {
+					got = append(got, k)
+					return true
+				})
+				sort.Strings(got)
+				var wantKeys []string
+				for k := range want {
+					wantKeys = append(wantKeys, k)
+				}
+				sort.Strings(wantKeys)
+				if !slices.Equal(got, wantKeys) {
+					t.Fatalf("%s: Range lists %q, want %q", when, got, wantKeys)
+				}
+				for _, k := range wantKeys {
+					v, err := c.Get(k)
+					if err != nil || !bytes.Equal(v, want[k]) {
+						t.Fatalf("%s: get %s = %x, %v; want %x", when, k, v, err, want[k])
+					}
+					scribble()
+				}
+			}
+			check(tc, c, "after the ops")
+			delta, err := tc.server.DeltaSince(tc.server.SealGeneration())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(dirty)
+			if !slices.Equal(delta, dirty) {
+				t.Fatalf("DeltaSince = %q, want %q", delta, dirty)
+			}
+
+			snap := sealAndCapture(t, tc.server)
+			if h != nil {
+				tc.server.Close()
+				tc = h.boot()
+				do("restore", tc.server.Restore(bytes.NewReader(snap)))
+				_, err := tc.server.ReplayVlog()
+				do("replay", err)
+				c = tc.connect()
+			} else {
+				do("restore", tc.server.Restore(bytes.NewReader(snap)))
+			}
+			check(tc, c, "after seal → restore")
+			// Keys enter the fresh delta set: a put's from the restored
+			// table, a delete's — the table no longer has it — as a clone.
+			put, del := key(1), key(2)
+			want[put] = value(1, 4)
+			do("put after restore", c.Put(put, want[put]))
+			do("delete after restore", c.Delete(del))
+			delete(want, del)
+			if delta, err := tc.server.DeltaSince(tc.server.SealGeneration()); err != nil || !slices.Equal(delta, []string{put, del}) {
+				t.Fatalf("DeltaSince after restore = %q, %v; want [%s %s]", delta, err, put, del)
+			}
+			check(tc, c, "after a put on the restored store")
+		})
+	}
+}
+
+// TestReadThroughBatchesOnTwoSessions: two sessions of one trusted thread
+// each send frames of 32 gets that every one reads through the value log.
+// A read-through reads its record into the session's own buffer, which the
+// next read-through reuses: every payload must reach the reply before the
+// frame's next get overwrites it, and one session's frames must never see
+// the other's bytes.
+func TestReadThroughBatchesOnTwoSessions(t *testing.T) {
+	h := newVlogHarness(t, 31, func(cfg *ServerConfig) {
+		cfg.Workers = 1
+		cfg.Vlog.InlineMax = 1 // nothing memory-resident
+	})
+	tc := h.boot()
+	const perSession = 32
+	rounds := 40
+	if testing.Short() {
+		rounds = 8
+	}
+	size := func(k int) int { return 64 + (k*29)%384 }
+	clients := []*Client{tc.connect(), tc.connect()}
+	for w, c := range clients {
+		for k := 0; k < perSession; k++ {
+			mustPut(t, c, fmt.Sprintf("s%d-k%02d", w, k), stamped(uint32(w), uint32(k), 1, size(k)))
+		}
+	}
+	before := tc.server.Stats().Vlog.ReadThroughs
+	var wg sync.WaitGroup
+	for w, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ops := make([]BatchOp, perSession)
+			for r := 0; r < rounds; r++ {
+				for k := range ops {
+					// Each round walks the keys from another offset, so a
+					// record follows a different one in every frame.
+					j := (k + r) % perSession
+					ops[k] = BatchOp{Kind: BatchGet, Key: fmt.Sprintf("s%d-k%02d", w, j)}
+				}
+				res, err := c.Batch(ops)
+				if err != nil {
+					t.Errorf("session %d round %d: %v", w, r, err)
+					return
+				}
+				for k, got := range res {
+					j := (k + r) % perSession
+					if want := stamped(uint32(w), uint32(j), 1, size(j)); got.Err != nil || !bytes.Equal(got.Value, want) {
+						t.Errorf("session %d round %d get %d: %x, %v; want %x", w, r, j, got.Value, got.Err, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n, want := tc.server.Stats().Vlog.ReadThroughs-before, uint64(len(clients)*rounds*perSession); n != want {
+		t.Errorf("%d read-throughs, want %d: every get must read through", n, want)
+	}
 }

@@ -76,3 +76,67 @@ func TestEPCPagingTriggersFunctionally(t *testing.T) {
 	t.Logf("paging: %d pages working set, %d faults, %.2fms of modelled stall",
 		st.EPCPages, st.PageFaults, float64(st.Cycles)/3.7e6)
 }
+
+// TestNewKeyProbePassFaultsUnchanged pins the paging model's figures for a
+// load of new keys, overwrites and gets under EPC pressure. A put of a new
+// key once probed its buckets twice — a lookup pass, then an insert pass
+// over the same buckets — and now places the key in the pass that found it
+// missing. The second touch of a bucket was always a hit, so the working
+// set and the fault count must be exactly those measured before the
+// change, with the same load.
+func TestNewKeyProbePassFaultsUnchanged(t *testing.T) {
+	const (
+		keys  = 3000
+		frame = 50
+		// Measured before the change with this load.
+		parentPageFaults = 7_465
+		parentEPCPages   = 98
+	)
+	platform, err := sgx.NewPlatform(sgx.WithEPCBytes(24 * sgx.PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := rdma.NewFabric()
+	srvDev, err := fabric.NewDevice("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := NewServer(srvDev, ServerConfig{
+		Platform: platform, Workers: 1, PollInterval: time.Microsecond, ImagePages: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	tc := &testCluster{t: t, fabric: fabric, platform: platform, server: server, srvDev: srvDev}
+	c := tc.connect()
+
+	ops := make([]BatchOp, 0, frame)
+	run := func(kind BatchOpKind, value []byte) {
+		for i := 0; i < keys; i += frame {
+			ops = ops[:0]
+			for j := i; j < i+frame; j++ {
+				ops = append(ops, BatchOp{Kind: kind, Key: fmt.Sprintf("key-%05d", j), Value: value})
+			}
+			results, err := c.Batch(ops)
+			if err != nil {
+				t.Fatalf("frame at %d: %v", i, err)
+			}
+			for _, r := range results {
+				if r.Err != nil {
+					t.Fatalf("op in frame at %d: %v", i, r.Err)
+				}
+			}
+		}
+	}
+	run(BatchPut, []byte("new"))       // every key new: the probe pass that places it
+	run(BatchPut, []byte("overwrite")) // every key present: replaced in place
+	run(BatchGet, nil)
+
+	st := server.Stats().Enclave
+	t.Logf("%d faults, %d pages", st.PageFaults, st.EPCPages)
+	if st.PageFaults != parentPageFaults || st.EPCPages != parentEPCPages {
+		t.Errorf("paging model moved: %d faults, %d pages; before the change %d faults, %d pages",
+			st.PageFaults, st.EPCPages, parentPageFaults, parentEPCPages)
+	}
+}

@@ -392,7 +392,8 @@ func (s *Server) deserializeState(buf []byte) error {
 		if keyLen == 0 || keyLen > wire.MaxKeyLen || len(buf) < keyLen+wire.OpKeySize+4+1+wire.MACSize+8 {
 			return ErrSnapshotFormat
 		}
-		key := string(buf[:keyLen])
+		rawKey := buf[:keyLen]
+		key := keyView(rawKey)
 		buf = buf[keyLen:]
 		eflags := buf[wire.OpKeySize+4]
 		wide := eflags != 0 || s.vlog != nil
@@ -447,7 +448,7 @@ func (s *Server) deserializeState(buf []byte) error {
 			if e.inline != nil {
 				data = nil
 			}
-			if err := s.vlogPut(key, e, data); err != nil {
+			if err := s.vlogPut(rawKey, e, data); err != nil {
 				return fmt.Errorf("migrate %q into value log: %w", key, err)
 			}
 			s.vlogTrack.applied(e.seq)

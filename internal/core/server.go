@@ -104,6 +104,7 @@ type session struct {
 	bPayload []byte // reply payload region (get segments, op order)
 	valPt    []byte // server encryption: a value's plaintext while re-sealed
 	sealed   []byte // server encryption: the re-sealed value, until placed or replied
+	recBuf   []byte // read-through: the log record served, until its payload joins bPayload
 	payAD    payloadAD
 }
 

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -228,7 +230,7 @@ func decodeVlogMeta(buf []byte) (vlogMeta, error) {
 }
 
 // appendVlogAD appends the placement-bound associated data for a record.
-func appendVlogAD[K string | []byte](dst []byte, ptr vlog.Ptr, key K) []byte {
+func appendVlogAD(dst []byte, ptr vlog.Ptr, key []byte) []byte {
 	dst = append(dst, "precursor-vlog-rec-v1"...)
 	dst = binary.LittleEndian.AppendUint32(dst, ptr.Segment)
 	dst = binary.LittleEndian.AppendUint64(dst, ptr.Offset)
@@ -268,7 +270,7 @@ func (s *Server) initVlog() error {
 // sealVlogMeta appends the sealed metadata for m at placement ptr, sequence
 // seq, to dst — the log's untrusted record buffer. Plaintext (it carries
 // K_operation) and AD are built in the enclave's scratch and never leave it.
-func (s *Server) sealVlogMeta(dst []byte, m *vlogMeta, ptr vlog.Ptr, seq uint64, key string) ([]byte, error) {
+func (s *Server) sealVlogMeta(dst []byte, m *vlogMeta, ptr vlog.Ptr, seq uint64, key []byte) ([]byte, error) {
 	s.vlogMetaMu.Lock()
 	defer s.vlogMetaMu.Unlock()
 	plain := appendVlogMeta(s.vlogMetaBuf[:0], m, seq)
@@ -281,19 +283,23 @@ func (s *Server) sealVlogMeta(dst []byte, m *vlogMeta, ptr vlog.Ptr, seq uint64,
 // its placement binding and that the sealed sequence matches the
 // record header (the header is untrusted). The plaintext is opened in
 // the enclave's scratch; what is returned owns its bytes — an inline
-// value is copied out.
-func (s *Server) openVlogMeta(ptr vlog.Ptr, rec vlog.Record) (vlogMeta, error) {
+// value is copied out. A record that fails authentication is audited.
+func (s *Server) openVlogMeta(ptr vlog.Ptr, rec vlog.Record) (m vlogMeta, err error) {
+	defer func() {
+		if errors.Is(err, ErrSnapshotAuth) {
+			s.vlogAuthFailure(err)
+		}
+	}()
 	s.vlogMetaMu.Lock()
 	defer s.vlogMetaMu.Unlock()
 	buf := appendVlogAD(s.vlogMetaBuf[:0], ptr, rec.Key)
 	n := len(buf)
-	buf, err := s.vlogAEAD.OpenAppend(buf, rec.Meta, buf[:n])
+	buf, err = s.vlogAEAD.OpenAppend(buf, rec.Meta, buf[:n])
 	if err != nil {
 		return vlogMeta{}, fmt.Errorf("%w: value-log record %v", ErrSnapshotAuth, ptr)
 	}
 	s.vlogMetaBuf = buf[:0]
-	m, err := decodeVlogMeta(buf[n:])
-	if err != nil {
+	if m, err = decodeVlogMeta(buf[n:]); err != nil {
 		return vlogMeta{}, err
 	}
 	if m.seq != rec.Seq {
@@ -333,8 +339,8 @@ func (s *Server) vlogMayCache(n int) bool {
 // vlogAppend appends one record for key — payload beside the sealed
 // metadata m — and blocks until it is durable. at is zero for a new
 // record, or the sequence number a relocated one keeps.
-func (s *Server) vlogAppend(key string, m *vlogMeta, payload []byte, at uint64) (vlog.Ptr, uint64, error) {
-	return s.vlog.AppendSealed([]byte(key), payload, m.flags&vlogMetaTombstone != 0,
+func (s *Server) vlogAppend(key []byte, m *vlogMeta, payload []byte, at uint64) (vlog.Ptr, uint64, error) {
+	return s.vlog.AppendSealed(key, payload, m.flags&vlogMetaTombstone != 0,
 		vlogMetaFixedLen+len(m.value)+cryptox.SealOverhead, at,
 		func(dst []byte, ptr vlog.Ptr, seq uint64) ([]byte, error) {
 			return s.sealVlogMeta(dst, m, ptr, seq, key)
@@ -344,7 +350,7 @@ func (s *Server) vlogAppend(key string, m *vlogMeta, payload []byte, at uint64) 
 // vlogPut appends e's record and blocks until it is durable: payload is
 // the stored ciphertext bytes, none for an enclave-inline value, which
 // rides in the sealed metadata. On success e.vptr and e.seq are set.
-func (s *Server) vlogPut(key string, e *entry, payload []byte) (err error) {
+func (s *Server) vlogPut(key []byte, e *entry, payload []byte) (err error) {
 	m := vlogMeta{owner: e.owner, opKey: e.opKey, mac: e.mac}
 	if e.inline != nil {
 		m.flags |= vlogMetaInline
@@ -357,28 +363,23 @@ func (s *Server) vlogPut(key string, e *entry, payload []byte) (err error) {
 	return err
 }
 
-// vlogDelete appends a durable tombstone for key and returns its
-// sequence number.
-func (s *Server) vlogDelete(key string, owner uint32) (uint64, error) {
-	_, seq, err := s.vlogAppend(key, &vlogMeta{flags: vlogMetaTombstone, owner: owner}, nil, 0)
-	return seq, err
-}
-
 // vlogReadThrough serves a get whose value is not memory-resident: read
 // the record at the entry's pointer, re-authenticate its sealed
 // metadata against the placement, and return the value bytes. If the
 // segment vanished under a concurrent GC relocation, the entry is
-// re-fetched once and the read retried.
-func (s *Server) vlogReadThrough(key string, e *entry) (value []byte, inline bool, ent *entry, err error) {
+// re-fetched once and the read retried. The record is read into
+// sess.recBuf: a payload returned aliases it until the session's next
+// read-through, so the caller copies it into the reply before the next op.
+func (s *Server) vlogReadThrough(sess *session, key []byte, e *entry) (value []byte, inline bool, ent *entry, err error) {
 	for attempt := 0; ; attempt++ {
-		rec, rerr := s.vlog.ReadAt(e.vptr)
-		if rerr != nil {
+		rec, buf, rerr := s.vlog.ReadInto(sess.recBuf, e.vptr)
+		if sess.recBuf = buf; rerr != nil {
 			if attempt == 0 && (errors.Is(rerr, vlog.ErrNotFound) || errors.Is(rerr, vlog.ErrBadRecord)) {
 				// GC removed the segment after we loaded the entry (a
 				// mid-read removal can surface as a bad-record read error
 				// from the closed handle); the relocated pointer is in
 				// the table now.
-				cur, ok := s.table.Get(key)
+				cur, ok := s.table.Get(keyView(key))
 				if ok && cur.vptr != e.vptr {
 					e = cur
 					continue
@@ -387,15 +388,12 @@ func (s *Server) vlogReadThrough(key string, e *entry) (value []byte, inline boo
 			s.vlogReadErrors.Add(1)
 			return nil, false, e, rerr
 		}
-		if string(rec.Key) != key {
+		if !bytes.Equal(rec.Key, key) {
 			s.vlogReadErrors.Add(1)
 			return nil, false, e, fmt.Errorf("%w: value-log record %v key mismatch", ErrSnapshotAuth, e.vptr)
 		}
 		m, merr := s.openVlogMeta(e.vptr, rec)
 		if merr != nil {
-			if errors.Is(merr, ErrSnapshotAuth) {
-				s.vlogAuthFailure(merr)
-			}
 			return nil, false, e, merr
 		}
 		s.vlogReads.Add(1)
@@ -440,9 +438,6 @@ func (s *Server) ReplayVlog() (VlogRecovery, error) {
 		st, err := s.vlog.Replay(func(ptr vlog.Ptr, r vlog.Record) error {
 			m, err := s.openVlogMeta(ptr, r)
 			if err != nil {
-				if errors.Is(err, ErrSnapshotAuth) {
-					s.vlogAuthFailure(err)
-				}
 				return err
 			}
 			s.applyVlogRecord(ptr, r, &m, tombs, &rec)
@@ -481,10 +476,10 @@ func (s *Server) ReplayVlog() (VlogRecovery, error) {
 // applyVlogRecord folds one authenticated record into the index,
 // newest-sequence-wins, tracking dead bytes for eventual GC.
 func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs map[string]uint64, rec *VlogRecovery) {
-	key := string(r.Key)
+	key := keyView(r.Key)
 	if r.Tombstone {
 		if d, ok := tombs[key]; !ok || r.Seq > d {
-			tombs[key] = r.Seq
+			tombs[strings.Clone(key)] = r.Seq
 		}
 		if s.deleteOlder(key, r.Seq) {
 			rec.Applied++
@@ -642,24 +637,20 @@ func (s *Server) compactSegment(id uint32) error {
 		err := s.vlog.IterateSegment(id, func(ptr vlog.Ptr, r vlog.Record) error {
 			m, merr := s.openVlogMeta(ptr, r)
 			if merr != nil {
-				if errors.Is(merr, ErrSnapshotAuth) {
-					s.vlogAuthFailure(merr)
-				}
 				return merr
 			}
-			// Looked up in place: only a record that moves pays for a key string.
-			cur, live := s.table.GetBytes(r.Key)
+			cur, live := s.table.Get(keyView(r.Key))
 			if r.Tombstone {
 				if r.Seq != anchor && (live || id == oldest) {
 					return nil // superseded, or nothing earlier to resurrect
 				}
-				return s.relocateRecord(string(r.Key), nil, true, r.Seq, &m, nil)
+				return s.relocateRecord(r.Key, nil, true, r.Seq, &m, nil)
 			}
 			if live && cur.vptr == ptr {
-				return s.relocateRecord(string(r.Key), r.Payload, false, r.Seq, &m, cur)
+				return s.relocateRecord(r.Key, r.Payload, false, r.Seq, &m, cur)
 			}
 			if r.Seq == anchor {
-				return s.relocateRecord(string(r.Key), r.Payload, false, r.Seq, &m, nil)
+				return s.relocateRecord(r.Key, r.Payload, false, r.Seq, &m, nil)
 			}
 			return nil // dead version
 		})
@@ -674,7 +665,7 @@ func (s *Server) compactSegment(id uint32) error {
 // sequence number, resealing its metadata for the new placement, and —
 // for live values — swings the index pointer only if the entry is still
 // the one that was copied.
-func (s *Server) relocateRecord(key string, payload []byte, tombstone bool, seq uint64, m *vlogMeta, cur *entry) error {
+func (s *Server) relocateRecord(key, payload []byte, tombstone bool, seq uint64, m *vlogMeta, cur *entry) error {
 	newPtr, _, err := s.vlogAppend(key, m, payload, seq)
 	if err != nil {
 		return err
@@ -691,7 +682,7 @@ func (s *Server) relocateRecord(key string, payload []byte, tombstone bool, seq 
 	more := moved.entryMore
 	*moved, *more = *cur, *cur.entryMore
 	moved.entryMore, more.vptr = more, newPtr
-	if !s.table.Upsert(key, func(e *entry, exists bool) (*entry, bool) {
+	if !s.table.Upsert(keyView(key), func(e *entry, exists bool) (*entry, bool) {
 		return moved, exists && e == cur
 	}) {
 		// A concurrent write replaced the entry while we copied: the

@@ -2,8 +2,11 @@ package hashtable
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strconv"
 	"testing"
+	"unsafe"
 )
 
 func TestSwapSemantics(t *testing.T) {
@@ -157,11 +160,12 @@ func TestDeleteIf(t *testing.T) {
 	}
 }
 
-// TestGetBytesMatchesGet checks the byte-keyed lookup against the string
-// one for present and absent keys of every length class, and that it
-// never allocates — not even past the 32 bytes a string conversion could
-// keep on the stack.
-func TestGetBytesMatchesGet(t *testing.T) {
+// TestGetThroughByteViewMatchesGet checks a lookup through a string view
+// of key bytes — how the enclave looks up the key of an opened control —
+// against one through an ordinary string, for present and absent keys of
+// every length class, and that it never allocates, not even past the 32
+// bytes a string conversion could keep on the stack.
+func TestGetThroughByteViewMatchesGet(t *testing.T) {
 	tbl := New[int](nil, 0)
 	var keys [][]byte
 	for i, n := range []int{1, 8, 31, 32, 33, 64, 500, 4096} {
@@ -170,19 +174,155 @@ func TestGetBytesMatchesGet(t *testing.T) {
 		tbl.Put(string(k), i)
 	}
 	for i, k := range keys {
-		if v, ok := tbl.GetBytes(k); !ok || v != i {
-			t.Errorf("GetBytes(len %d) = %d, %v; want %d", len(k), v, ok, i)
+		if v, ok := tbl.Get(view(k)); !ok || v != i {
+			t.Errorf("Get(view of len %d) = %d, %v; want %d", len(k), v, ok, i)
 		}
 		missing := append(append([]byte(nil), k...), 'x')
-		if _, ok := tbl.GetBytes(missing); ok {
-			t.Errorf("GetBytes found an absent key of len %d", len(missing))
+		if _, ok := tbl.Get(view(missing)); ok {
+			t.Errorf("Get found an absent key of len %d", len(missing))
 		}
 	}
-	if _, ok := tbl.GetBytes(nil); ok {
-		t.Error("GetBytes(nil) found an entry")
+	if _, ok := tbl.Get(view(nil)); ok {
+		t.Error("Get(view of nil) found an entry")
 	}
 	long := keys[len(keys)-1]
-	if a := testing.AllocsPerRun(100, func() { tbl.GetBytes(long) }); a != 0 {
-		t.Errorf("GetBytes of a %d-byte key allocates %.1f times, want 0", len(long), a)
+	if a := testing.AllocsPerRun(100, func() { tbl.Get(view(long)) }); a != 0 {
+		t.Errorf("Get through a view of a %d-byte key allocates %.1f times, want 0", len(long), a)
+	}
+}
+
+// view is b seen as a string without a copy, valid while b's bytes are.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// TestTableOwnsItsKeys inserts, replaces, upserts and deletes through a
+// view of one reused buffer, overwriting the buffer after every call: the
+// table must have cloned each key it inserted, so Range, Get, Key and a
+// later growth all still see the original keys.
+func TestTableOwnsItsKeys(t *testing.T) {
+	tbl := New[int](nil, 0)
+	buf := make([]byte, 16)
+	key := func(i int) string { return fmt.Sprintf("key-%012d", i) }
+	through := func(i int) string { copy(buf, key(i)); return view(buf) }
+	scribble := func() {
+		for i := range buf {
+			buf[i] = '#'
+		}
+	}
+	const n = 45 // below the first growth (55 of 64 buckets)
+	want := map[string]int{}
+	for i := 0; i < n; i++ {
+		switch i % 3 {
+		case 0:
+			tbl.Put(through(i), i)
+		case 1:
+			tbl.Swap(through(i), i)
+		case 2:
+			tbl.Upsert(through(i), func(int, bool) (int, bool) { return i, true })
+		}
+		scribble()
+		want[key(i)] = i
+	}
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			tbl.Swap(through(i), i+1000)
+		} else {
+			tbl.Upsert(through(i), func(cur int, ok bool) (int, bool) { return cur + 1000, ok })
+		}
+		scribble()
+		want[key(i)] = i + 1000
+	}
+	for i := 0; i < n; i += 5 {
+		if i%2 == 0 {
+			tbl.Delete(through(i))
+		} else {
+			tbl.DeleteIf(through(i), func(int) bool { return true })
+		}
+		scribble()
+		delete(want, key(i))
+	}
+	check := func(when string) {
+		t.Helper()
+		seen := 0
+		tbl.Range(func(k string, v int) bool {
+			if w, ok := want[k]; !ok || w != v {
+				t.Errorf("%s: Range yields %q = %d, want %d (present %v)", when, k, v, w, ok)
+			}
+			seen++
+			return true
+		})
+		if seen != len(want) {
+			t.Errorf("%s: Range visits %d entries, want %d", when, seen, len(want))
+		}
+		for k, w := range want {
+			if v, ok := tbl.Get(k); !ok || v != w {
+				t.Errorf("%s: Get(%q) = %d, %v; want %d", when, k, v, ok, w)
+			}
+			if own, ok := tbl.Key(k); !ok || own != k {
+				t.Errorf("%s: Key(%q) = %q, %v", when, k, own, ok)
+			}
+		}
+	}
+	check("before growth")
+	buckets := tbl.Buckets()
+	for i := n; i < 4*n; i++ {
+		tbl.Put(key(i), i)
+		want[key(i)] = i
+	}
+	if tbl.Buckets() == buckets {
+		t.Fatal("the table did not grow")
+	}
+	check("after growth")
+}
+
+// touchLog is an Accountant that records every bucket access.
+type touchLog struct{ buckets []int }
+
+func (l *touchLog) GrowTable(int, int)              {}
+func (l *touchLog) TouchBucket(i, n, entrySize int) { l.buckets = append(l.buckets, i) }
+
+// TestDeleteChargesItsBuckets: both deletes charge the buckets they probe
+// and every bucket the backward shift reads and rewrites, like every other
+// table operation — before, Delete charged none and DeleteIf only its
+// probe, so deletes were invisible to the paging model.
+func TestDeleteChargesItsBuckets(t *testing.T) {
+	// Four keys sharing one home bucket fill it and the three after it.
+	var chain []string
+	home := -1
+	for i := 0; len(chain) < 4; i++ {
+		k := "c-" + strconv.Itoa(i)
+		if h := int(hashKey(k) & (initialBuckets - 1)); home < 0 || h == home {
+			home = h
+			chain = append(chain, k)
+		}
+	}
+	slot := func(d int) int { return (home + d) % initialBuckets }
+	for _, del := range []struct {
+		name string
+		fn   func(*Table[int], string) bool
+	}{
+		{"Delete", (*Table[int]).Delete},
+		{"DeleteIf", func(t *Table[int], k string) bool { return t.DeleteIf(k, func(int) bool { return true }) }},
+	} {
+		log := &touchLog{}
+		tbl := New[int](log, 0)
+		for i, k := range chain {
+			tbl.Put(k, i)
+		}
+		log.buckets = nil
+		if !del.fn(tbl, chain[0]) {
+			t.Fatalf("%s: key not found", del.name)
+		}
+		// The probe reads the home bucket and finds the key; the shift
+		// reads the three followers, moving each back, and the empty
+		// bucket that ends it.
+		want := []int{slot(0), slot(1), slot(2), slot(3), slot(4)}
+		if !slices.Equal(log.buckets, want) {
+			t.Errorf("%s charged buckets %v, want %v", del.name, log.buckets, want)
+		}
+		for i, k := range chain[1:] {
+			if v, ok := tbl.Get(k); !ok || v != i+1 {
+				t.Errorf("%s: Get(%q) = %d, %v after the shift", del.name, k, v, ok)
+			}
+		}
 	}
 }

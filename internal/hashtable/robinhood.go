@@ -15,8 +15,8 @@
 package hashtable
 
 import (
+	"strings"
 	"sync"
-	"unsafe"
 )
 
 const (
@@ -41,6 +41,12 @@ type Accountant interface {
 }
 
 // Table is a Robin-Hood hash table mapping string keys to values of type V.
+//
+// The table owns its keys. Every method accepts a key that may be a view of
+// caller memory, valid only for the call — the enclave looks keys up and
+// stores them straight from the bytes of an opened control or a log record
+// — and clones it only when it inserts a new key. That clone is the only
+// copy the table keeps; the keys Range and Key hand out are it.
 type Table[V any] struct {
 	mu      sync.RWMutex
 	slots   []slot[V]
@@ -93,80 +99,31 @@ func (t *Table[V]) Get(key string) (V, bool) {
 	h := hashKey(key)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var zero V
-	idx, dist := h&t.mask, uint64(0)
-	for {
-		s := &t.slots[idx]
-		if t.acct != nil {
-			t.acct.TouchBucket(int(idx), len(t.slots), t.entSize)
-		}
-		if s.hash == 0 {
-			return zero, false
-		}
-		// Robin-Hood early termination: if the resident entry is closer to
-		// its home than we are to ours, the key cannot be further on.
-		if probeDist(s.hash, idx, t.mask) < dist {
-			return zero, false
-		}
-		if s.hash == h && s.key == key {
-			return s.val, true
-		}
-		idx = (idx + 1) & t.mask
-		dist++
+	if idx, _, ok := t.find(h, key); ok {
+		return t.slots[idx].val, true
 	}
+	var zero V
+	return zero, false
 }
 
-// GetBytes is Get for a key held as bytes — the enclave looks up the key
-// slice of the opened control plaintext without materialising a string of
-// it. The string view is sound because Get only hashes and compares the
-// key and never retains it.
-func (t *Table[V]) GetBytes(key []byte) (V, bool) {
-	return t.Get(unsafe.String(unsafe.SliceData(key), len(key)))
+// Key returns the table's own copy of key, if key is present: a string
+// that stays valid however long the caller keeps it, for a caller that
+// holds only a view.
+func (t *Table[V]) Key(key string) (string, bool) {
+	h := hashKey(key)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if idx, _, ok := t.find(h, key); ok {
+		return t.slots[idx].key, true
+	}
+	return "", false
 }
 
 // Put inserts or replaces the value for key, returning true if the key
 // already existed.
 func (t *Table[V]) Put(key string, val V) bool {
-	h := hashKey(key)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if (t.len+1)*100 > len(t.slots)*maxLoadPercent {
-		t.growLocked()
-	}
-	return t.insertLocked(h, key, val)
-}
-
-func (t *Table[V]) insertLocked(h uint64, key string, val V) bool {
-	idx, dist := h&t.mask, uint64(0)
-	curHash, curKey, curVal := h, key, val
-	inserted := false
-	for {
-		s := &t.slots[idx]
-		if t.acct != nil {
-			t.acct.TouchBucket(int(idx), len(t.slots), t.entSize)
-		}
-		if s.hash == 0 {
-			s.hash, s.key, s.val = curHash, curKey, curVal
-			t.len++
-			return inserted
-		}
-		if s.hash == curHash && s.key == curKey {
-			s.val = curVal
-			return true
-		}
-		// Robin-Hood: steal the slot from a richer (closer-to-home) entry.
-		if existing := probeDist(s.hash, idx, t.mask); existing < dist {
-			s.hash, curHash = curHash, s.hash
-			s.key, curKey = curKey, s.key
-			s.val, curVal = curVal, s.val
-			dist = existing
-			// After the first swap we are placing displaced entries, which
-			// by construction already exist — but the original key was
-			// newly inserted unless matched above.
-		}
-		idx = (idx + 1) & t.mask
-		dist++
-	}
+	_, existed := t.Swap(key, val)
+	return existed
 }
 
 // Swap inserts or replaces the value for key, returning the previous
@@ -176,28 +133,14 @@ func (t *Table[V]) Swap(key string, val V) (V, bool) {
 	h := hashKey(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Fast path: replace in place if present.
-	idx, dist := h&t.mask, uint64(0)
-	for {
+	idx, dist, ok := t.find(h, key)
+	if ok {
 		s := &t.slots[idx]
-		if t.acct != nil {
-			t.acct.TouchBucket(int(idx), len(t.slots), t.entSize)
-		}
-		if s.hash == 0 || probeDist(s.hash, idx, t.mask) < dist {
-			break
-		}
-		if s.hash == h && s.key == key {
-			old := s.val
-			s.val = val
-			return old, true
-		}
-		idx = (idx + 1) & t.mask
-		dist++
+		old := s.val
+		s.val = val
+		return old, true
 	}
-	if (t.len+1)*100 > len(t.slots)*maxLoadPercent {
-		t.growLocked()
-	}
-	t.insertLocked(h, key, val)
+	t.placeLocked(idx, dist, h, key, val)
 	var zero V
 	return zero, false
 }
@@ -214,35 +157,21 @@ func (t *Table[V]) Upsert(key string, fn func(cur V, exists bool) (V, bool)) boo
 	h := hashKey(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, dist := h&t.mask, uint64(0)
-	for {
+	idx, dist, ok := t.find(h, key)
+	if ok {
 		s := &t.slots[idx]
-		if t.acct != nil {
-			t.acct.TouchBucket(int(idx), len(t.slots), t.entSize)
+		val, store := fn(s.val, true)
+		if store {
+			s.val = val
 		}
-		if s.hash == 0 || probeDist(s.hash, idx, t.mask) < dist {
-			break
-		}
-		if s.hash == h && s.key == key {
-			val, ok := fn(s.val, true)
-			if ok {
-				s.val = val
-			}
-			return ok
-		}
-		idx = (idx + 1) & t.mask
-		dist++
+		return store
 	}
 	var zero V
-	val, ok := fn(zero, false)
-	if !ok {
-		return false
+	val, store := fn(zero, false)
+	if store {
+		t.placeLocked(idx, dist, h, key, val)
 	}
-	if (t.len+1)*100 > len(t.slots)*maxLoadPercent {
-		t.growLocked()
-	}
-	t.insertLocked(h, key, val)
-	return true
+	return store
 }
 
 // DeleteIf removes key only when cond approves of its current value,
@@ -253,62 +182,103 @@ func (t *Table[V]) DeleteIf(key string, cond func(cur V) bool) bool {
 	h := hashKey(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, dist := h&t.mask, uint64(0)
-	for {
-		s := &t.slots[idx]
-		if t.acct != nil {
-			t.acct.TouchBucket(int(idx), len(t.slots), t.entSize)
-		}
-		if s.hash == 0 || probeDist(s.hash, idx, t.mask) < dist {
-			return false
-		}
-		if s.hash == h && s.key == key {
-			if !cond(s.val) {
-				return false
-			}
-			t.backwardShiftLocked(idx)
-			t.len--
-			return true
-		}
-		idx = (idx + 1) & t.mask
-		dist++
+	idx, _, ok := t.find(h, key)
+	if !ok || !cond(t.slots[idx].val) {
+		return false
 	}
+	t.backwardShiftLocked(idx)
+	return true
 }
 
 // Delete removes key, returning whether it was present. It uses
 // backward-shift deletion, which preserves Robin-Hood probe invariants
 // without tombstones.
 func (t *Table[V]) Delete(key string) bool {
-	h := hashKey(key)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idx, dist := h&t.mask, uint64(0)
+	return t.DeleteIf(key, func(V) bool { return true })
+}
+
+// find probes for key from its home bucket, charging every bucket it
+// reads, under either lock. It stops at key's slot (ok) or at the first
+// slot that proves key absent — empty, or holding an entry closer to its
+// home than key would be (Robin-Hood early termination) — which is where
+// key belongs, dist from home.
+func (t *Table[V]) find(h uint64, key string) (idx, dist uint64, ok bool) {
+	idx = h & t.mask
 	for {
+		t.touch(idx)
 		s := &t.slots[idx]
 		if s.hash == 0 || probeDist(s.hash, idx, t.mask) < dist {
-			return false
+			return idx, dist, false
 		}
 		if s.hash == h && s.key == key {
-			t.backwardShiftLocked(idx)
-			t.len--
-			return true
+			return idx, dist, true
 		}
 		idx = (idx + 1) & t.mask
 		dist++
 	}
 }
 
+// placeLocked stores a key that find proved absent, stopping at slot idx,
+// dist from home: the key is cloned — the table's one copy — and placed in
+// the same probe pass, unless the table must grow first.
+func (t *Table[V]) placeLocked(idx, dist, h uint64, key string, val V) {
+	key = strings.Clone(key)
+	if (t.len+1)*100 > len(t.slots)*maxLoadPercent {
+		t.growLocked()
+		idx, dist = h&t.mask, 0
+		t.touch(idx)
+	}
+	t.insertLocked(idx, dist, h, key, val)
+}
+
+// insertLocked places an entry whose key is not in the table, Robin-Hood
+// style, from slot idx, dist from its home; the caller has charged slot
+// idx. Every slot between home and idx holds an entry at least as far from
+// its own home, so the walk from there is the walk from home.
+func (t *Table[V]) insertLocked(idx, dist, h uint64, key string, val V) {
+	cur := slot[V]{hash: h, key: key, val: val}
+	for {
+		s := &t.slots[idx]
+		if s.hash == 0 {
+			*s = cur
+			t.len++
+			return
+		}
+		// Robin-Hood: steal the slot from a richer (closer-to-home) entry
+		// and carry on placing the displaced one.
+		if existing := probeDist(s.hash, idx, t.mask); existing < dist {
+			*s, cur = cur, *s
+			dist = existing
+		}
+		idx = (idx + 1) & t.mask
+		dist++
+		t.touch(idx)
+	}
+}
+
+// backwardShiftLocked empties slot idx and pulls each following entry
+// that is not in its home bucket one slot back, charging every bucket it
+// reads.
 func (t *Table[V]) backwardShiftLocked(idx uint64) {
 	var zero slot[V]
 	for {
 		next := (idx + 1) & t.mask
+		t.touch(next)
 		n := &t.slots[next]
 		if n.hash == 0 || probeDist(n.hash, next, t.mask) == 0 {
 			t.slots[idx] = zero
+			t.len--
 			return
 		}
 		t.slots[idx] = *n
 		idx = next
+	}
+}
+
+// touch charges an access to bucket idx.
+func (t *Table[V]) touch(idx uint64) {
+	if t.acct != nil {
+		t.acct.TouchBucket(int(idx), len(t.slots), t.entSize)
 	}
 }
 
@@ -348,8 +318,10 @@ func (t *Table[V]) growLocked() {
 		t.acct.GrowTable(oldBytes, len(t.slots)*t.entSize)
 	}
 	for i := range old {
-		if old[i].hash != 0 {
-			t.insertLocked(old[i].hash, old[i].key, old[i].val)
+		if s := &old[i]; s.hash != 0 {
+			home := s.hash & t.mask
+			t.touch(home)
+			t.insertLocked(home, 0, s.hash, s.key, s.val)
 		}
 	}
 }

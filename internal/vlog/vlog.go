@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -153,9 +154,9 @@ type counters struct {
 	deadBytes                      atomic.Int64
 }
 
-// maxRetainedRecord bounds the record buffer the log keeps between
-// appends: one that grew past it for a single large value is dropped
-// after the write.
+// maxRetainedRecord bounds a record buffer kept between uses — the log's
+// own between appends, a reader's between ReadInto calls: one that grew
+// past it for a single large value is dropped after that record.
 const maxRetainedRecord = 64 << 10
 
 // Log is a partitioned value log. All methods are safe for concurrent
@@ -541,34 +542,48 @@ func (l *Log) committer() {
 
 // ReadAt reads and structurally validates the record at ptr, returning
 // its decoded form. The caller owns cryptographic verification of
-// Meta; Key and Payload alias a fresh buffer.
+// Meta; Key and Payload alias a fresh buffer, the caller's to keep.
 func (l *Log) ReadAt(ptr Ptr) (Record, error) {
+	rec, _, err := l.ReadInto(nil, ptr)
+	return rec, err
+}
+
+// ReadInto is ReadAt into the caller's buffer: the record is read into
+// buf, grown when it does not fit, and Key, Meta and Payload alias the
+// returned buffer, which the caller passes to its next ReadInto. A buffer
+// that grew past maxRetainedRecord for one large record is not returned.
+// The bytes are untrusted, like every byte the log reads back.
+func (l *Log) ReadInto(buf []byte, ptr Ptr) (Record, []byte, error) {
 	if !ptr.Valid() || ptr.Length < recordHeaderLen {
-		return Record{}, ErrBadRecord
+		return Record{}, buf, ErrBadRecord
 	}
 	f, err := l.reader(ptr.Segment)
 	if err != nil {
-		return Record{}, err
+		return Record{}, buf, err
 	}
-	buf := make([]byte, ptr.Length)
+	buf = slices.Grow(buf[:0], int(ptr.Length))[:ptr.Length]
+	keep := buf
+	if cap(buf) > maxRetainedRecord {
+		keep = nil
+	}
 	if _, err := f.ReadAt(buf, int64(ptr.Offset)); err != nil {
 		// A concurrent RemoveSegment closes cached read handles; the
 		// failure then means "segment gone", not "record damaged", and
 		// callers holding a stale pointer should re-fetch it.
 		if !l.segmentLive(ptr.Segment) {
-			return Record{}, fmt.Errorf("%w: segment %d", ErrNotFound, ptr.Segment)
+			return Record{}, keep, fmt.Errorf("%w: segment %d", ErrNotFound, ptr.Segment)
 		}
-		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
+		return Record{}, keep, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
 	rec, n, err := decodeRecord(buf)
 	if err != nil || n != int(ptr.Length) {
 		if !l.segmentLive(ptr.Segment) {
-			return Record{}, fmt.Errorf("%w: segment %d", ErrNotFound, ptr.Segment)
+			return Record{}, keep, fmt.Errorf("%w: segment %d", ErrNotFound, ptr.Segment)
 		}
-		return Record{}, ErrBadRecord
+		return Record{}, keep, ErrBadRecord
 	}
 	l.stats.reads.Add(1)
-	return rec, nil
+	return rec, keep, nil
 }
 
 // segmentLive reports whether segment id is still part of the log.
