@@ -11,18 +11,17 @@ import (
 	"precursor/internal/cluster"
 )
 
-// connectInProcess starts a one-worker server on fabric and attests one
+// connectInProcess starts a one-worker server of cfg on fabric and attests one
 // in-process client to it. The server closes with the test; the client is
 // the caller's to close.
-func connectInProcess(t *testing.T, platform *precursor.Platform, fabric *precursor.Fabric, name string) (*precursor.Server, *precursor.Client) {
+func connectInProcess(t *testing.T, platform *precursor.Platform, fabric *precursor.Fabric, name string, cfg precursor.ServerConfig) (*precursor.Server, *precursor.Client) {
 	t.Helper()
 	dev, err := fabric.NewDevice(name + "-server")
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := precursor.NewServer(dev, precursor.ServerConfig{
-		Platform: platform, Workers: 1, PollInterval: 50 * time.Microsecond,
-	})
+	cfg.Platform, cfg.Workers, cfg.PollInterval = platform, 1, 50*time.Microsecond
+	server, err := precursor.NewServer(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 	// newPool is one server, one in-process client to it, and a pool of
 	// that client.
 	newPool := func(name string) *precursor.Pool {
-		_, client := connectInProcess(t, platform, fabric, name)
+		_, client := connectInProcess(t, platform, fabric, name, precursor.ServerConfig{})
 		pool, err := precursor.NewPoolFromClients([]*precursor.Client{client})
 		if err != nil {
 			t.Fatal(err)
@@ -180,15 +179,18 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 // it is reported per key. The enclave model must not appear in it: the
 // working set is printed beside it from the enclave's own page count.
 //
-// From 4 KiB up the budget is 1.25 heap bytes per stored byte: the slot's
-// worst-case ninth of padding plus the per-key objects. At 1 KiB the same
-// per-key objects (entry 64 B, key 16 B, 32 B bucket / load factor, and the
-// repair dirty-key set until it caps at 65 536 keys: 176 B together) are
-// 0.17 of the value on their own, so the budget there is the measured 1.303
-// plus 3 % — 1.25 at 1 KiB waits for the interned keys of ROADMAP item H.
-// At 32 B the budget is per key, measured 286 B plus 3 %. These are counts
-// of live bytes after GC and repeat to a fraction of a percent. Run without
-// -race (PRECURSOR_ALLOC_GATE pattern, `make allocgate`).
+// A slot is the value plus its placement's framing (the nonce and MAC of
+// the stored form), so a power-of-two value has no class padding and the
+// rest is the per-key objects: entry 64 B (112 B when hardened), key 16 B,
+// 32 B bucket / load factor, and the repair dirty-key set until it caps at
+// 65 536 keys — 176 B together, 0.17 of a 1 KiB value and 0.04 of a 4 KiB
+// one. Beside them the 24 B framing is 0.023 and 0.006 of the value, and
+// the unused tail of the last 1 MiB chunk what is left. The budgets are
+// ROADMAP item H's 1.25 at 1 KiB (measured 1.200) and, from 4 KiB up, the
+// measured figure plus 3 %. At 32 B the budget is per key, measured 286 B
+// plus 3 %. These are counts of live bytes after GC and repeat to a
+// fraction of a percent. Run without -race (PRECURSOR_ALLOC_GATE pattern,
+// `make allocgate`).
 func TestMemoryPerStoredByte(t *testing.T) {
 	if os.Getenv("PRECURSOR_ALLOC_GATE") == "" {
 		t.Skip("set PRECURSOR_ALLOC_GATE=1 to enforce the memory-per-stored-byte budget")
@@ -202,25 +204,32 @@ func TestMemoryPerStoredByte(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	t.Logf("%d keys, 16 B key names; heap = HeapAlloc growth from the empty connected server, after GC", keys)
-	t.Logf("%8s %12s %12s %10s %10s %9s %8s", "value", "user MiB", "heap MiB", "heap/user", "heap B/key", "pool/req", "EPC MiB")
+	t.Logf("%10s %8s %12s %12s %10s %10s %9s %8s", "placement", "value", "user MiB", "heap MiB", "heap/user", "heap B/key", "pool/req", "EPC MiB")
 	for _, tc := range []struct {
+		placement string
 		valueSize int
 		// maxPerByte budgets heap growth / (keys x valueSize); maxPerKey
 		// budgets heap growth / keys. Zero: reported only.
 		maxPerByte, maxPerKey float64
 	}{
-		{valueSize: 32, maxPerKey: 295},         // 285.5
-		{valueSize: 256},                        // 1.935
-		{valueSize: 1 << 10, maxPerByte: 1.34},  // 1.303
-		{valueSize: 4 << 10, maxPerByte: 1.25},  // 1.183
-		{valueSize: 16 << 10, maxPerByte: 1.25}, // 1.139
+		{placement: "base", valueSize: 32, maxPerKey: 295},              // 285.5
+		{placement: "base", valueSize: 256},                             // 1.935
+		{placement: "base", valueSize: 1 << 10, maxPerByte: 1.25},       // 1.200
+		{placement: "base", valueSize: 4 << 10, maxPerByte: 1.09},       // 1.055
+		{placement: "base", valueSize: 16 << 10, maxPerByte: 1.05},      // 1.021
+		{placement: "hardened", valueSize: 4 << 10, maxPerByte: 1.1},    // 1.067
+		{placement: "server-enc", valueSize: 4 << 10, maxPerByte: 1.09}, // 1.055
 	} {
-		t.Run(fmt.Sprintf("%dB", tc.valueSize), func(t *testing.T) {
+		cfg := precursor.ServerConfig{
+			HardenedMACs:     tc.placement == "hardened",
+			ServerEncryption: tc.placement == "server-enc",
+		}
+		t.Run(fmt.Sprintf("%s/%dB", tc.placement, tc.valueSize), func(t *testing.T) {
 			platform, err := precursor.NewPlatform()
 			if err != nil {
 				t.Fatal(err)
 			}
-			server, client := connectInProcess(t, platform, precursor.NewFabric(), "mem")
+			server, client := connectInProcess(t, platform, precursor.NewFabric(), "mem", cfg)
 			defer client.Close()
 
 			value := make([]byte, tc.valueSize)
@@ -240,7 +249,7 @@ func TestMemoryPerStoredByte(t *testing.T) {
 			heap := float64(loaded) - float64(empty)
 			user := float64(keys * tc.valueSize)
 			perByte, perKey := heap/user, heap/keys
-			t.Logf("%8d %12.2f %12.2f %10.3f %10.1f %9.3f %8.2f", tc.valueSize, user/mib, heap/mib, perByte, perKey,
+			t.Logf("%10s %8d %12.2f %12.2f %10.3f %10.1f %9.3f %8.2f", tc.placement, tc.valueSize, user/mib, heap/mib, perByte, perKey,
 				float64(st.PoolBytesReserved)/float64(st.PoolBytesRequested), st.Enclave.WorkingSetMiB())
 			if tc.maxPerByte > 0 && perByte > tc.maxPerByte {
 				t.Errorf("%d B values: %.3f heap bytes per stored byte exceeds the budget of %.2f", tc.valueSize, perByte, tc.maxPerByte)

@@ -269,6 +269,41 @@ func TestMetamorphicAgainstModel(t *testing.T) {
 	}
 }
 
+// TestGridValuesFillTheirSlot ties the framing NewServer hands the pool to
+// the stored form the apply path writes: in every placement, a value of a
+// grid size — 32 B, 1 KiB, 4 KiB — fills its slot to the byte. Should a
+// nonce or a MAC change size without the framing, every such value would
+// move up a class, and the pool would count that padding here.
+func TestGridValuesFillTheirSlot(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		srv  ServerConfig
+	}{
+		{name: "base"},
+		{name: "hardened", srv: ServerConfig{HardenedMACs: true}},
+		{name: "server-enc", srv: ServerConfig{ServerEncryption: true}},
+		{name: "vlog", srv: ServerConfig{Vlog: VlogConfig{InlineMax: 8 << 10, GCInterval: -1}}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := m.srv
+			if m.name == "vlog" {
+				cfg.DataDir = t.TempDir()
+			}
+			tc := newCluster(t, cfg)
+			c := tc.connect()
+			for _, n := range []int{32, 1 << 10, 4 << 10} {
+				if err := c.Put(fmt.Sprintf("v%d", n), make([]byte, n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := tc.server.Stats()
+			if st.PoolBytesRequested == 0 || st.PoolBytesInUse != st.PoolBytesRequested {
+				t.Errorf("three grid-sized values: %d bytes stored in %d bytes of slots", st.PoolBytesRequested, st.PoolBytesInUse)
+			}
+		})
+	}
+}
+
 // TestMetamorphicWithSealRestoreCycles interleaves seal/restore cycles
 // with the random stream: a restore of the latest snapshot must behave as
 // a no-op for the observable state.

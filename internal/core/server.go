@@ -264,7 +264,15 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 		}
 		s.stage = c.SlotSize
 	}
-	s.pool = slab.New(slab.WithGrowFunc(func(n int) error {
+	// The pool's framing is what every stored form carries beyond its value
+	// (placeStored), so a value of a class's grid size fills its slot.
+	framing := cryptox.PayloadSealOverhead // nonce ‖ ciphertext ‖ MAC
+	if c.HardenedMACs {
+		framing = cryptox.Salsa20NonceSize // the MAC is enclave state
+	} else if c.ServerEncryption {
+		framing = cryptox.SealOverhead // the enclave's re-sealed blob
+	}
+	s.pool = slab.New(slab.WithFraming(framing), slab.WithGrowFunc(func(n int) error {
 		// The single ocall of §4/§3.8: enlarge the pre-allocated untrusted
 		// list. The allocation itself happens in untrusted memory.
 		return enclave.Ocall("grow_pool", func() error { return nil })

@@ -6,23 +6,25 @@ import (
 )
 
 // TestClassBoundariesQuick: every allocation lands in a class at least as
-// large as the request, and the class function is monotone.
+// large as the request, and no smaller class would hold it, under every
+// framing.
 func TestClassBoundariesQuick(t *testing.T) {
-	f := func(n uint32) bool {
-		size := int(n % (1 << 20))
+	f := func(n uint32, fi uint8) bool {
+		framing := framings[int(fi)%len(framings)]
+		size := int(n%(1<<20)) + framing
 		if size == 0 {
 			size = 1
 		}
-		class, err := classFor(size)
+		class, err := classFor(size, framing)
 		if err != nil {
 			return false
 		}
-		slot := classSize(class)
+		slot := classSize(class, framing)
 		if slot < size {
 			return false
 		}
 		// Tightness: the next-smaller class (if any) must not fit.
-		if class > 0 && classSize(class-1) >= size && size > 64 {
+		if class > 0 && classSize(class-1, framing) >= size {
 			return false
 		}
 		return true
@@ -36,7 +38,8 @@ func TestClassBoundariesQuick(t *testing.T) {
 // another.
 func TestReuseAcrossClasses(t *testing.T) {
 	p := New()
-	small, err := p.Alloc(64)
+	smallest := classSize(0, 0)
+	small, err := p.Alloc(smallest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,22 +49,23 @@ func TestReuseAcrossClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if big.class == small.class {
-		t.Error("1KiB allocation reused the 64B class")
+		t.Error("1KiB allocation reused the smallest class")
 	}
 	// But a same-class allocation does reuse it.
-	again, err := p.Alloc(40)
+	again, err := p.Alloc(smallest / 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.class != small.class || again.off != small.off {
-		t.Errorf("64B slot not reused: %+v vs %+v", again, small)
+		t.Errorf("smallest slot not reused: %+v vs %+v", again, small)
 	}
 }
 
 // TestZeroAndOneByteAllocations exercise the minimum class.
 func TestZeroAndOneByteAllocations(t *testing.T) {
 	p := New()
-	for _, n := range []int{0, 1, 63, 64} {
+	smallest := classSize(0, 0)
+	for _, n := range []int{0, 1, smallest - 1, smallest} {
 		ref, err := p.Alloc(n)
 		if err != nil {
 			t.Fatalf("alloc %d: %v", n, err)

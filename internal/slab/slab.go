@@ -8,6 +8,11 @@
 // size classes (eight per doubling, as jemalloc and TCMalloc space theirs)
 // with per-class free lists, so slot reuse after deletes and updates is
 // O(1) and a slot is at most one ninth padding.
+//
+// The grid is laid over the value, not the slot: every stored form carries
+// the same framing beyond its value (a nonce and a MAC, say — WithFraming),
+// and a slot is a grid size plus that framing, so a value of a grid size —
+// a power of two among them — fills its slot exactly.
 package slab
 
 import (
@@ -24,16 +29,16 @@ var (
 )
 
 const (
-	// minClassShift is the smallest slot (64 B): a payload nonce plus a
-	// small ciphertext plus its MAC fit without waste.
-	minClassShift = 6
-	// maxClassShift is the largest slot (1 MiB).
+	// minClassShift is the smallest grid size (32 B of value): a 32 B
+	// value fills the smallest slot, and every smaller value takes one.
+	minClassShift = 5
+	// maxClassShift is the largest grid size (1 MiB of value).
 	maxClassShift = 20
 	// stepShift: each doubling [2^k, 2^(k+1)) is cut into 1<<stepShift
-	// equal steps of 2^(k-stepShift) bytes. The smallest step is 8 B, so
-	// every slot size is a multiple of 8, and a request one byte past a
-	// class boundary wastes under 1/(1<<stepShift + 1) = 11.1 % of its slot
-	// (four steps would bound it at 20 %, sixteen need 4 B steps at 64 B).
+	// equal steps of 2^(k-stepShift) bytes (4 B at the 32 B end), and a
+	// value one byte past a grid size wastes under 1/(1<<stepShift + 1) =
+	// 11.1 % of its slot, framing or not (four steps would bound it at 20 %,
+	// sixteen need 2 B steps at 32 B).
 	stepShift  = 3
 	numClasses = (maxClassShift-minClassShift)<<stepShift + 1
 )
@@ -60,7 +65,7 @@ type Stats struct {
 	BytesRequested int64  // sum of live Ref.Size(): BytesInUse minus class padding
 	Allocs         uint64 // total successful allocations
 	Frees          uint64
-	Growths        uint64 // times GrowFunc was invoked (≈ ocall count)
+	Growths        uint64 // chunks reserved, one GrowFunc call (≈ ocall) each
 }
 
 // GrowFunc is invoked (outside the pool lock) whenever the pool must
@@ -71,6 +76,7 @@ type GrowFunc func(bytes int) error
 // Pool is a thread-safe untrusted-memory payload pool.
 type Pool struct {
 	mu       sync.Mutex
+	framing  int
 	classes  [numClasses]classState
 	grow     GrowFunc
 	growStep int
@@ -78,9 +84,9 @@ type Pool struct {
 }
 
 type classState struct {
-	chunks [][]byte // backing memory, one slot per index within a chunk
+	chunks [][]byte // backing memory, whole slots; the newest is bump-allocated
 	free   []Ref
-	next   Ref // bump cursor within the newest chunk; size==0 when exhausted
+	next   int // offset of the newest chunk's first never-used slot
 }
 
 // Option configures a Pool.
@@ -100,6 +106,17 @@ func WithGrowStep(n int) Option {
 	}
 }
 
+// WithFraming sets the pool's framing: the bytes every stored form carries
+// beyond its value (default 0). A slot is a grid size plus the framing, so
+// an allocation of a grid size plus the framing has no padding.
+func WithFraming(n int) Option {
+	return func(p *Pool) {
+		if n > 0 {
+			p.framing = n
+		}
+	}
+}
+
 // New creates a pool and pre-allocates initialBytes across no size class
 // in particular — memory is reserved lazily per class, but the initial
 // reservation is counted so that growth (and hence ocalls) only begins
@@ -112,8 +129,11 @@ func New(opts ...Option) *Pool {
 	return p
 }
 
-// classFor returns the index of the smallest size class that holds n bytes.
-func classFor(n int) (int, error) {
+// classFor returns the index of the smallest size class whose slot holds n
+// bytes under the given framing: the class of the grid size at or above
+// the value, n - framing.
+func classFor(n, framing int) (int, error) {
+	n -= framing
 	if n <= 1<<minClassShift {
 		return 0, nil
 	}
@@ -129,11 +149,12 @@ func classFor(n int) (int, error) {
 	return int((k-minClassShift)<<stepShift + m>>((k-stepShift)&63) - (1<<stepShift - 1)), nil
 }
 
-// classSize returns the slot size of a class: (1<<stepShift + step) steps
-// of 2^(k-stepShift) bytes, the class's doubling starting at 2^k.
-func classSize(class int) int {
+// classSize returns the slot size of a class under the given framing: its
+// grid size, (1<<stepShift + step) steps of 2^(k-stepShift) bytes in the
+// doubling that starts at 2^k, plus the framing.
+func classSize(class, framing int) int {
 	c := uint(class)
-	return int((1<<stepShift + c&(1<<stepShift-1)) << ((c>>stepShift + minClassShift - stepShift) & 63))
+	return int((1<<stepShift+c&(1<<stepShift-1))<<((c>>stepShift+minClassShift-stepShift)&63)) + framing
 }
 
 // Alloc reserves a slot of at least n bytes and returns its reference.
@@ -143,73 +164,56 @@ func (p *Pool) Alloc(n int) (Ref, error) {
 	if n <= 0 {
 		n = 1
 	}
-	class, err := classFor(n)
+	class, err := classFor(n, p.framing)
 	if err != nil {
 		return Ref{}, err
 	}
+	slot := classSize(class, p.framing)
 	p.mu.Lock()
 	cs := &p.classes[class]
-	// Reuse a freed slot first.
-	if len(cs.free) > 0 {
-		ref := cs.free[len(cs.free)-1]
-		cs.free = cs.free[:len(cs.free)-1]
-		ref.size = uint32(n)
-		p.stats.Allocs++
-		p.stats.BytesInUse += int64(classSize(class))
-		p.stats.BytesRequested += int64(n)
-		p.mu.Unlock()
-		return ref, nil
-	}
-	// Bump-allocate within the newest chunk.
-	if ref, ok := p.bumpLocked(class, n); ok {
-		p.mu.Unlock()
-		return ref, nil
-	}
-	// Need more memory: grow outside the lock via the (ocall) callback.
-	slot := classSize(class)
-	chunkBytes := p.growStep
-	if chunkBytes < slot {
-		chunkBytes = slot
-	}
-	growFn := p.grow
-	p.mu.Unlock()
-
-	if growFn != nil {
-		if err := growFn(chunkBytes); err != nil {
-			return Ref{}, fmt.Errorf("slab grow: %w", err)
+	var ref Ref
+	grown := 0 // bytes of the chunk this call's GrowFunc reserved
+	for {
+		// Reuse a freed slot first, then bump-allocate in the newest chunk.
+		if len(cs.free) > 0 {
+			ref = cs.free[len(cs.free)-1]
+			cs.free = cs.free[:len(cs.free)-1]
+			break
+		}
+		if last := len(cs.chunks) - 1; last >= 0 && cs.next+slot <= len(cs.chunks[last]) {
+			ref = Ref{class: uint8(class), chunk: uint32(last), off: uint32(cs.next)}
+			cs.next += slot
+			break
+		}
+		if grown > 0 {
+			// Only after looking again: another allocator of this class may
+			// have grown it while the lock was out, and a second chunk would
+			// move the bump cursor off that one and strand the rest of it.
+			cs.chunks = append(cs.chunks, make([]byte, grown))
+			cs.next = 0
+			p.stats.Growths++
+			p.stats.BytesReserved += int64(grown)
+			continue
+		}
+		// Need more memory: grow outside the lock via the (ocall) callback.
+		grown = max(p.growStep, slot)
+		grown -= grown % slot
+		if p.grow != nil {
+			p.mu.Unlock()
+			err := p.grow(grown)
+			p.mu.Lock()
+			if err != nil {
+				p.mu.Unlock()
+				return Ref{}, fmt.Errorf("slab grow: %w", err)
+			}
 		}
 	}
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cs = &p.classes[class]
-	cs.chunks = append(cs.chunks, make([]byte, chunkBytes-chunkBytes%slot))
-	cs.next = Ref{class: uint8(class), chunk: uint32(len(cs.chunks) - 1), off: 0, size: 1}
-	p.stats.Growths++
-	p.stats.BytesReserved += int64(chunkBytes - chunkBytes%slot)
-	ref, ok := p.bumpLocked(class, n)
-	if !ok {
-		return Ref{}, ErrTooLarge // unreachable: fresh chunk always fits one slot
-	}
-	return ref, nil
-}
-
-func (p *Pool) bumpLocked(class, n int) (Ref, bool) {
-	cs := &p.classes[class]
-	if cs.next.size == 0 || len(cs.chunks) == 0 {
-		return Ref{}, false
-	}
-	slot := classSize(class)
-	chunk := cs.chunks[cs.next.chunk]
-	if int(cs.next.off)+slot > len(chunk) {
-		return Ref{}, false
-	}
-	ref := Ref{class: uint8(class), chunk: cs.next.chunk, off: cs.next.off, size: uint32(n)}
-	cs.next.off += uint32(slot)
+	ref.size = uint32(n)
 	p.stats.Allocs++
 	p.stats.BytesInUse += int64(slot)
 	p.stats.BytesRequested += int64(n)
-	return ref, true
+	p.mu.Unlock()
+	return ref, nil
 }
 
 // Free returns a slot to its class free list. Double frees are the
@@ -223,7 +227,7 @@ func (p *Pool) Free(ref Ref) {
 	cs := &p.classes[ref.class]
 	cs.free = append(cs.free, Ref{class: ref.class, chunk: ref.chunk, off: ref.off})
 	p.stats.Frees++
-	p.stats.BytesInUse -= int64(classSize(int(ref.class)))
+	p.stats.BytesInUse -= int64(classSize(int(ref.class), p.framing))
 	p.stats.BytesRequested -= int64(ref.size)
 }
 
@@ -262,7 +266,7 @@ func (p *Pool) slot(ref Ref) ([]byte, error) {
 		return nil, ErrBadRef
 	}
 	chunk := cs.chunks[ref.chunk]
-	slot := classSize(int(ref.class))
+	slot := classSize(int(ref.class), p.framing)
 	if int(ref.off)+slot > len(chunk) {
 		return nil, ErrBadRef
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -32,84 +33,111 @@ func TestAllocWriteRead(t *testing.T) {
 	}
 }
 
+// framings are the pool framings the class properties are stated over: none
+// (New()), and the three stored forms of internal/core — hardened (nonce),
+// base (nonce + MAC) and server encryption (GCM nonce + tag).
+var framings = []int{0, 8, 24, 28}
+
 // TestAllocSizeClasses states the class table as properties rather than
-// pinning it: every request fits its class, no smaller class would do,
-// classes grow strictly, and a slot is at most one eighth padding.
+// pinning it, under every framing: every value size of the grid fills its
+// slot exactly, every request fits its class, no smaller class would do,
+// classes grow strictly, and a slot is under one ninth padding.
 func TestAllocSizeClasses(t *testing.T) {
-	if numClasses != 113 {
-		t.Fatalf("numClasses = %d, want 113 (8 per doubling, 64 B to 1 MiB)", numClasses)
+	if numClasses != 121 {
+		t.Fatalf("numClasses = %d, want 121 (8 per doubling, 32 B to 1 MiB of value)", numClasses)
 	}
-	for c := 0; c < numClasses; c++ {
-		size := classSize(c)
-		if size%8 != 0 {
-			t.Errorf("classSize(%d) = %d, not a multiple of 8", c, size)
+	for _, f := range framings {
+		for c := 0; c < numClasses; c++ {
+			size := classSize(c, f)
+			if c > 0 && size <= classSize(c-1, f) {
+				t.Errorf("framing %d: classSize(%d) = %d does not exceed classSize(%d) = %d", f, c, size, c-1, classSize(c-1, f))
+			}
+			if got, err := classFor(size, f); err != nil || got != c {
+				t.Errorf("framing %d: classFor(classSize(%d)) = %d, %v", f, c, got, err)
+			}
 		}
-		if c > 0 && size <= classSize(c-1) {
-			t.Errorf("classSize(%d) = %d does not exceed classSize(%d) = %d", c, size, c-1, classSize(c-1))
+		if lo, hi := classSize(0, f), classSize(numClasses-1, f); lo != 32+f || hi != 1<<20+f {
+			t.Errorf("framing %d: class range = [%d, %d], want [32, 1 MiB] + framing", f, lo, hi)
 		}
-		if got, err := classFor(size); err != nil || got != c {
-			t.Errorf("classFor(classSize(%d)) = %d, %v", c, got, err)
-		}
-	}
-	if classSize(0) != 64 || classSize(numClasses-1) != 1<<20 {
-		t.Errorf("class range = [%d, %d], want [64, 1 MiB]", classSize(0), classSize(numClasses-1))
-	}
 
-	sizes := make([]int, 0, 4096+2000)
-	for n := 1; n <= 4096; n++ {
-		sizes = append(sizes, n)
-	}
-	rng := rand.New(rand.NewSource(20))
-	for i := 0; i < 2000; i++ {
-		sizes = append(sizes, rng.Intn(1<<20)+1)
-	}
-	sort.Ints(sizes)
-	prev := 0
-	for _, n := range sizes {
-		c, err := classFor(n)
-		if err != nil {
-			t.Fatalf("classFor(%d): %v", n, err)
+		// Every value size 2^k·(1 + j/8) takes a slot with no padding.
+		p := New(WithFraming(f), WithGrowStep(1))
+		for k := 5; k < 20; k++ {
+			for j := 0; j < 8; j++ {
+				v := 1<<k + j<<(k-3)
+				if _, err := p.Alloc(v + f); err != nil {
+					t.Fatalf("framing %d: Alloc(%d + %d): %v", f, v, f, err)
+				}
+			}
 		}
-		slot := classSize(c)
-		if slot < n {
-			t.Fatalf("classFor(%d) = %d holds only %d bytes", n, c, slot)
+		if _, err := p.Alloc(1<<20 + f); err != nil {
+			t.Fatalf("framing %d: Alloc(1 MiB + %d): %v", f, f, err)
 		}
-		if c < prev {
-			t.Fatalf("classFor not monotone: classFor(%d) = %d after class %d", n, c, prev)
+		if s := p.Stats(); s.BytesInUse != s.BytesRequested {
+			t.Errorf("framing %d: grid values hold %d bytes in slots of %d: %d bytes of padding",
+				f, s.BytesRequested, s.BytesInUse, s.BytesInUse-s.BytesRequested)
 		}
-		prev = c
-		if c > 0 && classSize(c-1) >= n {
-			t.Fatalf("classFor(%d) = %d, but class %d (%d B) already fits", n, c, c-1, classSize(c-1))
-		}
-		if n >= 64 && (slot-n)*8 > slot {
-			t.Fatalf("classFor(%d): slot %d wastes %d bytes, over 12.5%%", n, slot, slot-n)
-		}
-	}
 
-	if c, err := classFor(1 << 20); err != nil || c != numClasses-1 {
-		t.Errorf("classFor(1MiB): %d, %v", c, err)
-	}
-	if _, err := classFor(1<<20 + 1); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("oversize: %v", err)
-	}
-	if _, err := New().Alloc(1<<20 + 1); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("oversize Alloc: %v", err)
+		values := make([]int, 0, 4096+2000)
+		for v := 1; v <= 4096; v++ {
+			values = append(values, v)
+		}
+		rng := rand.New(rand.NewSource(20))
+		for i := 0; i < 2000; i++ {
+			values = append(values, rng.Intn(1<<20)+1)
+		}
+		sort.Ints(values)
+		prev := 0
+		for _, v := range values {
+			n := v + f
+			c, err := classFor(n, f)
+			if err != nil {
+				t.Fatalf("framing %d: classFor(%d): %v", f, n, err)
+			}
+			slot := classSize(c, f)
+			if slot < n {
+				t.Fatalf("framing %d: classFor(%d) = %d holds only %d bytes", f, n, c, slot)
+			}
+			if c < prev {
+				t.Fatalf("framing %d: classFor not monotone: classFor(%d) = %d after class %d", f, n, c, prev)
+			}
+			prev = c
+			if c > 0 && classSize(c-1, f) >= n {
+				t.Fatalf("framing %d: classFor(%d) = %d, but class %d (%d B) already fits", f, n, c, c-1, classSize(c-1, f))
+			}
+			if v >= 32 && (slot-n)*9 >= slot {
+				t.Fatalf("framing %d: classFor(%d): slot %d wastes %d bytes, not under 1/9", f, n, slot, slot-n)
+			}
+		}
+
+		if c, err := classFor(1<<20+f, f); err != nil || c != numClasses-1 {
+			t.Errorf("framing %d: classFor(1 MiB + framing): %d, %v", f, c, err)
+		}
+		if _, err := classFor(1<<20+f+1, f); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("framing %d: oversize: %v", f, err)
+		}
+		if _, err := New(WithFraming(f)).Alloc(1<<20 + f + 1); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("framing %d: oversize Alloc: %v", f, err)
+		}
 	}
 }
 
 // TestFreeAndReuse: a freed slot serves the next allocation of its class
 // even at a different size, and reads back at exactly the new size.
 func TestFreeAndReuse(t *testing.T) {
-	p := New()
-	a, err := p.Alloc(4120) // 4 KiB value + nonce + MAC: the 4608-byte class
+	const framing = 24
+	c, _ := classFor(4096+framing, framing) // 4 KiB value + nonce + MAC
+	slot := classSize(c, framing)
+	p := New(WithFraming(framing))
+	a, err := p.Alloc(4096 + framing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Write(a, bytes.Repeat([]byte{0xAA}, 4120)); err != nil {
+	if err := p.Write(a, bytes.Repeat([]byte{0xAA}, 4096+framing)); err != nil {
 		t.Fatal(err)
 	}
 	p.Free(a)
-	b, err := p.Alloc(4200) // same class, different size
+	b, err := p.Alloc(slot - 100) // same class, different size
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,44 +145,89 @@ func TestFreeAndReuse(t *testing.T) {
 		t.Errorf("freed slot not reused: %+v vs %+v", a, b)
 	}
 	got, err := p.Read(b)
-	if err != nil || len(got) != 4200 {
-		t.Errorf("Read after reuse: %d bytes, %v; want 4200", len(got), err)
+	if err != nil || len(got) != slot-100 {
+		t.Errorf("Read after reuse: %d bytes, %v; want %d", len(got), err, slot-100)
 	}
 	s := p.Stats()
 	if s.Allocs != 2 || s.Frees != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.BytesInUse != 4608 || s.BytesRequested != 4200 {
-		t.Errorf("in use %d, requested %d; want 4608, 4200", s.BytesInUse, s.BytesRequested)
+	if s.BytesInUse != int64(slot) || s.BytesRequested != int64(slot-100) {
+		t.Errorf("in use %d, requested %d; want %d, %d", s.BytesInUse, s.BytesRequested, slot, slot-100)
 	}
 }
 
-// TestChunkHoldsWholeSlots: a 1 MiB chunk of 4608-byte slots hands out
-// floor(1 MiB / 4608) = 227 refs, and the 228th costs exactly one more
-// growth — Growths is the grow_pool ocall count.
+// TestChunkHoldsWholeSlots: a 1 MiB chunk of 4 KiB-value slots hands out
+// floor(1 MiB / slot) refs, and the next one costs exactly one more growth
+// — Growths is the grow_pool ocall count.
 func TestChunkHoldsWholeSlots(t *testing.T) {
+	const framing, n = 24, 4096 + 24
+	c, _ := classFor(n, framing)
+	slot := classSize(c, framing)
+	perChunk := (1 << 20) / slot
 	var ocalls uint64
-	p := New(WithGrowFunc(func(int) error {
+	p := New(WithFraming(framing), WithGrowFunc(func(int) error {
 		ocalls++
 		return nil
 	}))
-	for i := 0; i < 227; i++ {
-		if _, err := p.Alloc(4120); err != nil {
+	for i := 0; i < perChunk; i++ {
+		if _, err := p.Alloc(n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := p.Stats(); s.Growths != 1 || ocalls != 1 || s.BytesReserved != 227*4608 {
-		t.Fatalf("after 227 allocs: growths %d, ocalls %d, reserved %d", s.Growths, ocalls, s.BytesReserved)
+	if s := p.Stats(); s.Growths != 1 || ocalls != 1 || s.BytesReserved != int64(perChunk*slot) {
+		t.Fatalf("after %d allocs: growths %d, ocalls %d, reserved %d", perChunk, s.Growths, ocalls, s.BytesReserved)
 	}
-	ref, err := p.Alloc(4120)
+	ref, err := p.Alloc(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.chunk != 1 || ref.off != 0 {
-		t.Errorf("228th ref = %+v, want the first slot of a second chunk", ref)
+		t.Errorf("ref %d = %+v, want the first slot of a second chunk", perChunk+1, ref)
 	}
 	if s := p.Stats(); s.Growths != 2 || ocalls != 2 {
-		t.Errorf("after 228 allocs: growths %d, ocalls %d, want 2", s.Growths, ocalls)
+		t.Errorf("after %d allocs: growths %d, ocalls %d, want 2", perChunk+1, s.Growths, ocalls)
+	}
+}
+
+// TestConcurrentGrowthKeepsEverySlotReachable: two allocators that both
+// find their class full both call GrowFunc outside the lock. The second to
+// come back must take a slot of the first one's chunk: appending a chunk of
+// its own would move the bump cursor off the first chunk and strand all
+// but one of its slots for good.
+func TestConcurrentGrowthKeepsEverySlotReachable(t *testing.T) {
+	const n = 4096 + 24
+	var parked sync.WaitGroup
+	parked.Add(2)
+	var calls atomic.Int32
+	p := New(WithFraming(24), WithGrowFunc(func(int) error {
+		if calls.Add(1) <= 2 {
+			parked.Done()
+			parked.Wait() // both allocators are out of the lock, both missed
+		}
+		return nil
+	}))
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Alloc(n); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	c, _ := classFor(n, 24)
+	perChunk := (1 << 20) / classSize(c, 24)
+	for i := 2; i < 2*perChunk; i++ {
+		if _, err := p.Alloc(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := p.Stats(); s.BytesReserved != s.BytesInUse {
+		t.Errorf("%d slots in use hold %d bytes, but %d are reserved in %d chunks: %d bytes unreachable",
+			2*perChunk, s.BytesInUse, s.BytesReserved, s.Growths, s.BytesReserved-s.BytesInUse)
 	}
 }
 
@@ -167,7 +240,7 @@ func TestGrowOcallBatching(t *testing.T) {
 		return nil
 	}), WithGrowStep(1<<20))
 
-	for i := 0; i < 10000; i++ { // 10k × 64B = 640 KiB < 1 MiB
+	for i := 0; i < 10000; i++ { // 10k × 32 B = 320 KiB < 1 MiB
 		if _, err := p.Alloc(32); err != nil {
 			t.Fatal(err)
 		}

@@ -75,8 +75,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"precursor_clients 1",
 		"# TYPE precursor_enclave_epc_pages gauge",
 		// "m" and "mb" each hold 1 B of ciphertext + 8 B nonce + 16 B MAC
-		// in a 64 B slot.
-		"precursor_pool_bytes_in_use 128",
+		// in the smallest slot: 32 B of value + that 24 B framing.
+		"precursor_pool_bytes_in_use 112",
 		"precursor_pool_bytes_requested 50",
 		"precursor_enclave_crypto_bytes_total",
 		"precursor_batches_total 1",
