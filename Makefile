@@ -80,7 +80,8 @@ FUZZ_TARGETS = \
 	wire:FuzzDecodeResponseControl wire:FuzzBatchFrame \
 	sgx:FuzzVerifyQuote sgx:FuzzClientHandshakeComplete sgx:FuzzRespondHandshake \
 	core:FuzzRestore vlog:FuzzSegmentReplay audit:FuzzAuditChain \
-	cryptox:FuzzSalsa20MatchesReference cryptox:FuzzCMACMatchesReference
+	cryptox:FuzzSalsa20MatchesReference cryptox:FuzzCMACMatchesReference \
+	hashtable:FuzzTableMatchesMap
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz internal/$${t%%:*} $${t##*:}"; \

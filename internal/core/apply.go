@@ -26,11 +26,12 @@ import (
 // untrusted memory — nonce‖ciphertext‖MAC for an external put, empty
 // otherwise — borrowed from the poll buffer for the call, at frame index idx.
 //
-// The result travels by value. For a found get it carries the key
-// material (aliasing the entry) and payload aliases the stored bytes in
-// the pool or in session memory — the read-through's record buffer, or the
-// re-sealed value under server encryption; the caller copies both into its
-// reply before it handles the next operation.
+// The result travels by value. For a found get it carries the key material
+// (aliasing the session's copy of the entry, sess.got[idx]) and payload
+// aliases the stored bytes in the pool or in session memory — the
+// read-through's record buffer, or the re-sealed value under server
+// encryption; the caller copies both into its reply before it handles the
+// next operation.
 //
 // op is the trace of a frame of one, nil for the ops of a larger frame
 // (it records one srv_batch span instead): a failure's cause annotates
@@ -72,7 +73,7 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 	if inline {
 		// §5.2 optimization: the small value lives inside the enclave; a
 		// log record carries it in the sealed metadata, payload empty.
-		if err := s.placeInline(e, o.InlineValue); err != nil {
+		if err := s.placeInline(&e, o.InlineValue); err != nil {
 			return failed(op, wire.StatusServerError, err)
 		}
 	} else {
@@ -103,7 +104,7 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 		}
 		// store_to_untrusted (Algorithm 2, line 7): the ciphertext goes to
 		// the pre-allocated pool in untrusted memory.
-		if err := s.placeStored(e, stored); err != nil {
+		if err := s.placeStored(&e, stored); err != nil {
 			return failed(op, wire.StatusServerError, err)
 		}
 	}
@@ -111,20 +112,20 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 	key := keyView(o.Key)
 	if s.vlog == nil {
 		if old, existed := s.table.Swap(key, e); existed {
-			s.releaseEntry(old)
+			s.releaseEntry(&old)
 		}
 	} else {
 		// store_to_untrusted, durable edition: the append blocks until the
 		// group commit has fsynced, so the ack implies the value survives
 		// kill -9.
-		if err := s.vlogPut(o.Key, e, stored); err != nil {
-			s.freeEntryResources(e)
+		if err := s.vlogPut(o.Key, &e, stored); err != nil {
+			s.freeEntryResources(&e)
 			return failed(op, wire.StatusServerError, err)
 		}
 		// The index swap is conditional on sequence order, so a relocation
 		// or a concurrent put can never roll a key backwards.
-		var old *entry
-		if s.table.Upsert(key, func(cur *entry, exists bool) (*entry, bool) {
+		var old entry
+		if s.table.Upsert(key, func(cur entry, exists bool) (entry, bool) {
 			if exists {
 				if cur.seq >= e.seq {
 					return cur, false
@@ -133,11 +134,11 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 			}
 			return e, true
 		}) {
-			s.releaseEntry(old)
+			s.releaseEntry(&old)
 		} else {
 			// A concurrent newer put landed between our append and the swap:
 			// this record is dead on arrival.
-			s.freeEntryResources(e)
+			s.freeEntryResources(&e)
 			s.vlog.MarkDead(e.vptr)
 		}
 		s.vlogTrack.applied(e.seq)
@@ -148,8 +149,8 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 
 func (s *Server) applyGet(sess *session, o *wire.BatchOp, idx int, op *obs.Op, now int64) (wire.BatchOpResult, []byte, int64) {
 	s.gets.Add(1)
-	e, ok := s.table.Get(keyView(o.Key))
-	if !ok || s.isDenied(sess, e) {
+	e, ok := &sess.got[idx], false
+	if *e, ok = s.table.Get(keyView(o.Key)); !ok || s.isDenied(sess, e) {
 		// Access control: pretend absence rather than leak existence.
 		return wire.BatchOpResult{Status: wire.StatusNotFound, Flags: wire.FlagNotFound},
 			nil, op.SpanEnd(obs.SrvApply, now)
@@ -166,7 +167,7 @@ func (s *Server) applyGet(sess *session, o *wire.BatchOp, idx int, op *obs.Op, n
 		// The value has no memory-resident copy: read it back from the
 		// value log and re-authenticate its sealed metadata.
 		now, stage = op.SpanEnd(obs.SrvApply, now), obs.SrvVlogRead
-		val, inline, cur, err := s.vlogReadThrough(sess, o.Key, e)
+		val, inline, err := s.vlogReadThrough(sess, o.Key, e)
 		if err != nil {
 			return failed(op, wire.StatusServerError, err), nil, now
 		}
@@ -174,7 +175,7 @@ func (s *Server) applyGet(sess *session, o *wire.BatchOp, idx int, op *obs.Op, n
 			res.Flags = wire.FlagInlineValue
 			res.InlineValue = val
 		} else {
-			e, payload = cur, val
+			payload = val
 		}
 	default:
 		// The encrypted payload is transferred as-is — the server performs
@@ -206,12 +207,12 @@ func (s *Server) applyDelete(sess *session, o *wire.BatchOp, op *obs.Op) wire.Ba
 	s.deletes.Add(1)
 	key := keyView(o.Key)
 	e, ok := s.table.Get(key)
-	if !ok || s.isDenied(sess, e) {
+	if !ok || s.isDenied(sess, &e) {
 		return wire.BatchOpResult{Status: wire.StatusNotFound, Flags: wire.FlagNotFound}
 	}
 	if s.vlog == nil {
 		s.table.Delete(key)
-		s.releaseEntry(e)
+		s.releaseEntry(&e)
 	} else {
 		// Deletes must be durable before they are acked: append a
 		// tombstone, then remove the entry only if no newer version raced
@@ -273,21 +274,21 @@ func (s *Server) placeStored(e *entry, stored []byte) error {
 // deleteOlder removes key's entry and releases it if the entry is older
 // than sequence seq, a tombstone's; a newer version that raced in stays.
 func (s *Server) deleteOlder(key string, seq uint64) bool {
-	var old *entry
-	if !s.table.DeleteIf(key, func(cur *entry) bool {
+	var old entry
+	if !s.table.DeleteIf(key, func(cur entry) bool {
 		old = cur
 		return cur.seq < seq
 	}) {
 		return false
 	}
-	s.releaseEntry(old)
+	s.releaseEntry(&old)
 	return true
 }
 
-// releaseEntry frees an entry the index no longer points at, and marks
-// its log record reclaimable.
+// releaseEntry frees an entry the index no longer holds, and marks its log
+// record reclaimable; the zero entry has nothing to free.
 func (s *Server) releaseEntry(e *entry) {
-	if e == nil {
+	if e.entryMore == nil {
 		return
 	}
 	s.freeEntryResources(e)
@@ -298,8 +299,7 @@ func (s *Server) releaseEntry(e *entry) {
 
 // freeEntryResources returns an entry's memory-resident copy, leaving
 // value-log accounting alone: enough for an entry that never made it
-// into the index. The entry is not modified — a released one may still
-// be read by a get that looked it up a moment ago.
+// into the index. The entry is not modified — a get works on its own copy.
 func (s *Server) freeEntryResources(e *entry) {
 	if e.inline != nil {
 		s.enclave.Free(e.inline)

@@ -285,7 +285,7 @@ func (s *Server) serializeState(full bool) ([]byte, error) {
 	out = binary.LittleEndian.AppendUint64(out, s.vlogTrack.watermark())
 	out = binary.LittleEndian.AppendUint32(out, uint32(s.table.Len()))
 	var failure error
-	s.table.Range(func(key string, e *entry) bool {
+	s.table.Range(func(key string, e entry) bool {
 		if len(key) > wire.MaxKeyLen {
 			failure = wire.ErrOversized
 			return false
@@ -377,8 +377,8 @@ func (s *Server) deserializeState(buf []byte) error {
 	// Restore is intended to run before serving traffic (or during a
 	// quiesced window); concurrent requests observe a consistent table at
 	// every individual operation but may see a partially restored set.
-	s.table.Range(func(key string, e *entry) bool {
-		s.releaseEntry(e)
+	s.table.Range(func(key string, e entry) bool {
+		s.releaseEntry(&e)
 		return true
 	})
 	s.table.Clear()
@@ -433,11 +433,13 @@ func (s *Server) deserializeState(buf []byte) error {
 		data := buf[:dataLen]
 		buf = buf[dataLen:]
 
-		place := s.placeStored
+		var err error
 		if inline {
-			place = s.placeInline
+			err = s.placeInline(&e, data)
+		} else {
+			err = s.placeStored(&e, data)
 		}
-		if err := place(e, data); err != nil {
+		if err != nil {
 			return err
 		}
 		if migrate {
@@ -448,7 +450,7 @@ func (s *Server) deserializeState(buf []byte) error {
 			if e.inline != nil {
 				data = nil
 			}
-			if err := s.vlogPut(rawKey, e, data); err != nil {
+			if err := s.vlogPut(rawKey, &e, data); err != nil {
 				return fmt.Errorf("migrate %q into value log: %w", key, err)
 			}
 			s.vlogTrack.applied(e.seq)

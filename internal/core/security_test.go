@@ -24,7 +24,7 @@ func TestUntrustedMemoryTamperDetected(t *testing.T) {
 
 	// Reach into the untrusted pool and corrupt the stored ciphertext.
 	tampered := false
-	tc.server.table.Range(func(key string, e *entry) bool {
+	tc.server.table.Range(func(key string, e entry) bool {
 		stored, err := tc.server.pool.Read(e.ref)
 		if err != nil {
 			t.Errorf("pool read: %v", err)
@@ -50,7 +50,7 @@ func TestStoredMACTamperDetected(t *testing.T) {
 	if err := c.Put("k", []byte("authentic value")); err != nil {
 		t.Fatal(err)
 	}
-	tc.server.table.Range(func(key string, e *entry) bool {
+	tc.server.table.Range(func(key string, e entry) bool {
 		stored, err := tc.server.pool.Read(e.ref)
 		if err != nil {
 			return false
@@ -75,7 +75,7 @@ func TestHardenedModeDetectsSubstitution(t *testing.T) {
 	}
 	// The attacker overwrites the pool ciphertext wholesale (it cannot
 	// update the in-enclave MAC).
-	tc.server.table.Range(func(key string, e *entry) bool {
+	tc.server.table.Range(func(key string, e entry) bool {
 		stored, err := tc.server.pool.Read(e.ref)
 		if err != nil {
 			return false

@@ -34,11 +34,12 @@ const replyCreditWait = 20 * time.Millisecond
 // memory independent of the number of keys.
 const replyFrameFree = 64
 
-// entry is the per-key security metadata the enclave's hash table stores:
-// K_operation, the pointer into the untrusted payload pool, and the owner
-// (Fig. 3) — 64 bytes, all the base mode keeps per key. What only some
-// modes store sits behind entryMore: every entry points at one, the base
-// mode's at noMore, which is shared, all zeroes and never written.
+// entry is the per-key security metadata the enclave's hash table holds by
+// value: K_operation, the pointer into the untrusted payload pool, and the
+// owner (Fig. 3) — 64 bytes, all the base mode keeps per key. What only some
+// modes store sits behind entryMore: the base mode's is noMore, shared, all
+// zeroes and never written; a wide entry's is its own, written before the
+// entry is stored, so the pointer names the put. The zero entry is no entry.
 type entry struct {
 	opKey  cryptox.OperationKey
 	ref    slab.Ref
@@ -60,18 +61,13 @@ type entryMore struct {
 
 var noMore entryMore
 
-// newEntry returns an entry; a wide one owns its entryMore, in the same
-// allocation: hardened mode, a value log or an inline value need it.
-func newEntry(owner uint32, wide bool) *entry {
+// newEntry returns an entry; a wide one owns its entryMore: hardened mode,
+// a value log or an inline value need it.
+func newEntry(owner uint32, wide bool) entry {
 	if !wide {
-		return &entry{owner: owner, entryMore: &noMore}
+		return entry{owner: owner, entryMore: &noMore}
 	}
-	w := &struct {
-		entry
-		more entryMore
-	}{}
-	w.entry = entry{owner: owner, entryMore: &w.more}
-	return &w.entry
+	return entry{owner: owner, entryMore: new(entryMore)}
 }
 
 // session is the per-client state: the transport-encryption AEAD keyed
@@ -101,10 +97,11 @@ type session struct {
 	breq     wire.BatchRequest
 	bctl     wire.BatchControl
 	brep     wire.BatchReply
-	bPayload []byte // reply payload region (get segments, op order)
-	valPt    []byte // server encryption: a value's plaintext while re-sealed
-	sealed   []byte // server encryption: the re-sealed value, until placed or replied
-	recBuf   []byte // read-through: the log record served, until its payload joins bPayload
+	bPayload []byte  // reply payload region (get segments, op order)
+	valPt    []byte  // server encryption: a value's plaintext while re-sealed
+	sealed   []byte  // server encryption: the re-sealed value, until placed or replied
+	recBuf   []byte  // read-through: the log record served, until its payload joins bPayload
+	got      []entry // each get's copy of its entry, by op index, until the reply is sealed
 	payAD    payloadAD
 }
 
@@ -128,7 +125,7 @@ type Server struct {
 	device   *rdma.Device
 	enclave  *sgx.Enclave
 	acct     *enclaveAccountant
-	table    *hashtable.Table[*entry]
+	table    *hashtable.Table[entry]
 	pool     *slab.Pool
 	rollback sgx.TrustedCounter
 	storage  *cryptox.AEAD // the server-encryption storage key; nil otherwise
@@ -280,7 +277,7 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 
 	// Ecall i.: initialize the hash table inside the enclave.
 	if err := enclave.Ecall("init_hashtable", func() error {
-		s.table = hashtable.New[*entry](s.acct, c.EntryBytes)
+		s.table = hashtable.New[entry](s.acct, c.EntryBytes)
 		return nil
 	}); err != nil {
 		return nil, err

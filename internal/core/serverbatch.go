@@ -9,6 +9,7 @@ package core
 // by exactly one trusted thread.
 
 import (
+	"slices"
 	"time"
 
 	"precursor/internal/cryptox"
@@ -110,6 +111,7 @@ func (s *Server) handleBatch(sess *session, msg []byte, op *obs.Op, now int64) {
 	}
 	sess.startReply(ctl.Oid, 0, 0, wire.BatchOpResult{})
 	sess.bPayload = sess.bPayload[:0]
+	sess.got = slices.Grow(sess.got[:0], len(ctl.Ops))[:len(ctl.Ops)]
 	off := 0
 	for i := range ctl.Ops {
 		// A frame's op is already the apply path's op view; its extent of

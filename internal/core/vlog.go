@@ -367,10 +367,10 @@ func (s *Server) vlogPut(key []byte, e *entry, payload []byte) (err error) {
 // the record at the entry's pointer, re-authenticate its sealed
 // metadata against the placement, and return the value bytes. If the
 // segment vanished under a concurrent GC relocation, the entry is
-// re-fetched once and the read retried. The record is read into
+// re-fetched once into *e and the read retried. The record is read into
 // sess.recBuf: a payload returned aliases it until the session's next
 // read-through, so the caller copies it into the reply before the next op.
-func (s *Server) vlogReadThrough(sess *session, key []byte, e *entry) (value []byte, inline bool, ent *entry, err error) {
+func (s *Server) vlogReadThrough(sess *session, key []byte, e *entry) (value []byte, inline bool, err error) {
 	for attempt := 0; ; attempt++ {
 		rec, buf, rerr := s.vlog.ReadInto(sess.recBuf, e.vptr)
 		if sess.recBuf = buf; rerr != nil {
@@ -381,26 +381,26 @@ func (s *Server) vlogReadThrough(sess *session, key []byte, e *entry) (value []b
 				// the table now.
 				cur, ok := s.table.Get(keyView(key))
 				if ok && cur.vptr != e.vptr {
-					e = cur
+					*e = cur
 					continue
 				}
 			}
 			s.vlogReadErrors.Add(1)
-			return nil, false, e, rerr
+			return nil, false, rerr
 		}
 		if !bytes.Equal(rec.Key, key) {
 			s.vlogReadErrors.Add(1)
-			return nil, false, e, fmt.Errorf("%w: value-log record %v key mismatch", ErrSnapshotAuth, e.vptr)
+			return nil, false, fmt.Errorf("%w: value-log record %v key mismatch", ErrSnapshotAuth, e.vptr)
 		}
 		m, merr := s.openVlogMeta(e.vptr, rec)
 		if merr != nil {
-			return nil, false, e, merr
+			return nil, false, merr
 		}
 		s.vlogReads.Add(1)
 		if m.flags&vlogMetaInline != 0 {
-			return m.value, true, e, nil
+			return m.value, true, nil
 		}
-		return rec.Payload, false, e, nil
+		return rec.Payload, false, nil
 	}
 }
 
@@ -499,10 +499,10 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 		return
 	}
 	e := s.entryFromRecord(ptr, r, m)
-	var prev *entry
+	var prev entry
 	prevSet := false
-	applied := s.table.Upsert(key, func(cur *entry, exists bool) (*entry, bool) {
-		prev, prevSet = nil, false
+	applied := s.table.Upsert(key, func(cur entry, exists bool) (entry, bool) {
+		prev, prevSet = entry{}, false
 		if exists {
 			prev, prevSet = cur, true
 			if cur.seq > r.Seq || (cur.seq == r.Seq && cur.vptr == ptr) {
@@ -523,20 +523,20 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 			// Superseded version, or the stale pre-relocation placement
 			// of this same version: its memory copies are freed and its
 			// record (if the segment still exists) marked dead.
-			s.releaseEntry(prev)
+			s.releaseEntry(&prev)
 		}
 		rec.Applied++
 	case prevSet && prev.seq == r.Seq && prev.vptr == ptr:
 		// This record backs a snapshot entry whose memory copy was not
 		// serialized (index-only snapshots): rehydrate it.
-		s.freeEntryResources(e)
-		if s.rehydrateEntry(key, prev, ptr, r, m) {
+		s.freeEntryResources(&e)
+		if s.rehydrateEntry(key, &prev, ptr, r, m) {
 			rec.Rehydrated++
 		}
 		rec.Skipped++
 	default:
 		// Superseded by a newer version already in the index.
-		s.freeEntryResources(e)
+		s.freeEntryResources(&e)
 		s.vlog.MarkDead(ptr)
 		rec.Skipped++
 	}
@@ -546,21 +546,21 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 // rebuilding the enclave-inline region or the untrusted memory copy when
 // policy and resources allow; otherwise the entry stays disk-only, served
 // by read-through, rather than failing recovery.
-func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) *entry {
+func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) entry {
 	e := newEntry(m.owner, true)
 	e.opKey, e.hasMAC = m.opKey, m.flags&vlogMetaHasMAC != 0
 	e.mac, e.vptr, e.seq = m.mac, ptr, r.Seq
 	if m.flags&vlogMetaInline != 0 {
-		_ = s.placeInline(e, m.value)
+		_ = s.placeInline(&e, m.value)
 	} else {
-		_ = s.placeStored(e, r.Payload)
+		_ = s.placeStored(&e, r.Payload)
 	}
 	return e
 }
 
 // rehydrateEntry rebuilds the memory-resident copy of a snapshot entry
-// from its log record, swapping in a fresh entry only if the original
-// is still installed.
+// from its log record, swapping in a fresh entry only if the original —
+// the put its entryMore names — is still installed.
 func (s *Server) rehydrateEntry(key string, cur *entry, ptr vlog.Ptr, r vlog.Record, m *vlogMeta) bool {
 	if cur.inline != nil || cur.ref.Valid() {
 		return false // already resident
@@ -569,10 +569,10 @@ func (s *Server) rehydrateEntry(key string, cur *entry, ptr vlog.Ptr, r vlog.Rec
 	if fresh.inline == nil && !fresh.ref.Valid() {
 		return false
 	}
-	if !s.table.Upsert(key, func(e *entry, exists bool) (*entry, bool) {
-		return fresh, exists && e == cur
+	if !s.table.Upsert(key, func(e entry, exists bool) (entry, bool) {
+		return fresh, exists && e.entryMore == cur.entryMore
 	}) {
-		s.freeEntryResources(fresh)
+		s.freeEntryResources(&fresh)
 		return false
 	}
 	return true
@@ -647,7 +647,7 @@ func (s *Server) compactSegment(id uint32) error {
 				return s.relocateRecord(r.Key, nil, true, r.Seq, &m, nil)
 			}
 			if live && cur.vptr == ptr {
-				return s.relocateRecord(r.Key, r.Payload, false, r.Seq, &m, cur)
+				return s.relocateRecord(r.Key, r.Payload, false, r.Seq, &m, &cur)
 			}
 			if r.Seq == anchor {
 				return s.relocateRecord(r.Key, r.Payload, false, r.Seq, &m, nil)
@@ -664,7 +664,7 @@ func (s *Server) compactSegment(id uint32) error {
 // relocateRecord re-appends a record at the log head under its original
 // sequence number, resealing its metadata for the new placement, and —
 // for live values — swings the index pointer only if the entry is still
-// the one that was copied.
+// the one that was copied: the same put, named by its entryMore.
 func (s *Server) relocateRecord(key, payload []byte, tombstone bool, seq uint64, m *vlogMeta, cur *entry) error {
 	newPtr, _, err := s.vlogAppend(key, m, payload, seq)
 	if err != nil {
@@ -678,12 +678,11 @@ func (s *Server) relocateRecord(key, payload []byte, tombstone bool, seq uint64,
 		}
 		return nil
 	}
-	moved := newEntry(cur.owner, true)
-	more := moved.entryMore
-	*moved, *more = *cur, *cur.entryMore
+	moved, more := *cur, new(entryMore)
+	*more = *cur.entryMore
 	moved.entryMore, more.vptr = more, newPtr
-	if !s.table.Upsert(keyView(key), func(e *entry, exists bool) (*entry, bool) {
-		return moved, exists && e == cur
+	if !s.table.Upsert(keyView(key), func(e entry, exists bool) (entry, bool) {
+		return moved, exists && e.entryMore == cur.entryMore
 	}) {
 		// A concurrent write replaced the entry while we copied: the
 		// relocated bytes are garbage (the new version owns the key).

@@ -407,14 +407,16 @@ func TestClientSpinSwitchesItselfOff(t *testing.T) {
 	})
 }
 
-// TestEntrySizeClasses: every stored key holds one entry — 64 bytes in the
-// base mode, 112 with its mode-specific part in the same allocation — and
-// one more byte of either costs sixteen (the allocator's next classes are
-// 80 and 128).
+// TestEntrySizeClasses: the table holds every stored key's entry by value
+// in a record — 64 bytes, 72 with the key's place in the arena, beside one
+// 8-byte index slot (hashtable's TestSlotAndRecordSizes pins both) — and a
+// wide mode adds the entry's own entryMore, 48 bytes, the allocator's 48 B
+// class. One more byte of entry costs eight per record, of entryMore
+// sixteen (the next class is 64).
 func TestEntrySizeClasses(t *testing.T) {
 	base, more := unsafe.Sizeof(entry{}), unsafe.Sizeof(entryMore{})
-	if base > 64 || base+more > 112 {
-		t.Fatalf("entry is %d bytes and %d with entryMore, want at most 64 and 112", base, base+more)
+	if base > 64 || more > 48 {
+		t.Fatalf("entry is %d bytes and entryMore %d, want at most 64 and 48", base, more)
 	}
 	if wide := newEntry(7, true); wide.entryMore == &noMore || wide.owner != 7 {
 		t.Fatal("a wide entry shares noMore")

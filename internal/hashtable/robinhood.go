@@ -9,14 +9,30 @@
 // enclave's initial EPC footprint is a few pages, not a statically sized
 // array (the property Table 1 measures).
 //
+// The table is three flat parts rather than a graph of Go objects:
+//
+//   - the index, one array of 8-byte slots, each a hash tag and a record
+//     number: the only part displacement and growth move;
+//   - the records, each key's value held by value beside its key's place in
+//     the arena, in fixed-size chunks that never move; a deleted key's record
+//     is reused through a free list;
+//   - the key arena, append-only chunks of length-prefixed keys. A chunk's
+//     bytes are never rewritten, so a key Key or Range hands out stays valid
+//     however long its holder keeps it. Once deleted keys hold more arena
+//     bytes than present ones, and more than a chunk, the next new key first
+//     copies the present keys into fresh chunks and leaves the old ones to
+//     the garbage collector.
+//
 // The table is guarded by an embedded read-write lock — the "completely
 // in-enclave mechanism" of §4 — so concurrent trusted threads can serve
-// gets in parallel.
+// gets in parallel. A get copies its value out under that lock: the caller
+// works on its own copy.
 package hashtable
 
 import (
-	"strings"
+	"encoding/binary"
 	"sync"
+	"unsafe"
 )
 
 const (
@@ -26,6 +42,13 @@ const (
 	// maxLoadPercent triggers growth; Robin-Hood stays fast up to ~90%,
 	// 85% leaves headroom.
 	maxLoadPercent = 85
+	// A record chunk holds recordChunk = 1<<recordShift records.
+	recordShift = 8
+	recordChunk = 1 << recordShift
+	// A key arena chunk starts at arenaMinChunk bytes and doubles up to
+	// arenaMaxChunk; a longer key gets a chunk of its own.
+	arenaMinChunk = 1 << 10
+	arenaMaxChunk = 64 << 10
 )
 
 // Accountant receives memory-footprint events so the enclave can charge
@@ -45,21 +68,34 @@ type Accountant interface {
 // The table owns its keys. Every method accepts a key that may be a view of
 // caller memory, valid only for the call — the enclave looks keys up and
 // stores them straight from the bytes of an opened control or a log record
-// — and clones it only when it inserts a new key. That clone is the only
-// copy the table keeps; the keys Range and Key hand out are it.
+// — and copies it into the key arena only when it inserts a new key. That
+// copy is the only one the table keeps; the keys Range and Key hand out are
+// views of it.
 type Table[V any] struct {
 	mu      sync.RWMutex
-	slots   []slot[V]
+	slots   []slot
 	mask    uint64
 	len     int
+	recs    []*[recordChunk]record[V]
+	next    uint32   // records ever handed out
+	free    []uint32 // deleted keys' record numbers, reused first
+	keys    arena
 	acct    Accountant
 	entSize int
 }
 
-type slot[V any] struct {
-	hash uint64 // 0 means empty; hashes are forced non-zero
-	key  string
-	val  V
+// slot is one index bucket: the low 32 bits of its key's hash — all a home
+// bucket and a probe distance need, for up to 2^32 buckets — and its
+// record's number plus one, so that 0 marks an empty bucket.
+type slot struct {
+	tag uint32
+	rec uint32
+}
+
+// record is a present key's value and the place of its key in the arena.
+type record[V any] struct {
+	key keyRef
+	val V
 }
 
 // New creates an empty table. entrySizeHint is the approximate bytes per
@@ -69,7 +105,7 @@ func New[V any](acct Accountant, entrySizeHint int) *Table[V] {
 		entrySizeHint = 64
 	}
 	t := &Table[V]{
-		slots:   make([]slot[V], initialBuckets),
+		slots:   make([]slot, initialBuckets),
 		mask:    initialBuckets - 1,
 		acct:    acct,
 		entSize: entrySizeHint,
@@ -94,13 +130,13 @@ func (t *Table[V]) Buckets() int {
 	return len(t.slots)
 }
 
-// Get returns the value for key.
+// Get returns a copy of the value for key.
 func (t *Table[V]) Get(key string) (V, bool) {
 	h := hashKey(key)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if idx, _, ok := t.find(h, key); ok {
-		return t.slots[idx].val, true
+	if _, _, r := t.find(h, key); r != nil {
+		return r.val, true
 	}
 	var zero V
 	return zero, false
@@ -113,8 +149,8 @@ func (t *Table[V]) Key(key string) (string, bool) {
 	h := hashKey(key)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if idx, _, ok := t.find(h, key); ok {
-		return t.slots[idx].key, true
+	if _, _, r := t.find(h, key); r != nil {
+		return t.keys.key(r.key), true
 	}
 	return "", false
 }
@@ -133,11 +169,10 @@ func (t *Table[V]) Swap(key string, val V) (V, bool) {
 	h := hashKey(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, dist, ok := t.find(h, key)
-	if ok {
-		s := &t.slots[idx]
-		old := s.val
-		s.val = val
+	idx, dist, r := t.find(h, key)
+	if r != nil {
+		old := r.val
+		r.val = val
 		return old, true
 	}
 	t.placeLocked(idx, dist, h, key, val)
@@ -157,12 +192,11 @@ func (t *Table[V]) Upsert(key string, fn func(cur V, exists bool) (V, bool)) boo
 	h := hashKey(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, dist, ok := t.find(h, key)
-	if ok {
-		s := &t.slots[idx]
-		val, store := fn(s.val, true)
+	idx, dist, r := t.find(h, key)
+	if r != nil {
+		val, store := fn(r.val, true)
 		if store {
-			s.val = val
+			r.val = val
 		}
 		return store
 	}
@@ -182,10 +216,13 @@ func (t *Table[V]) DeleteIf(key string, cond func(cur V) bool) bool {
 	h := hashKey(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, _, ok := t.find(h, key)
-	if !ok || !cond(t.slots[idx].val) {
+	idx, _, r := t.find(h, key)
+	if r == nil || !cond(r.val) {
 		return false
 	}
+	t.keys.drop(r.key)
+	*r = record[V]{}
+	t.free = append(t.free, t.slots[idx].rec-1)
 	t.backwardShiftLocked(idx)
 	return true
 }
@@ -198,55 +235,76 @@ func (t *Table[V]) Delete(key string) bool {
 }
 
 // find probes for key from its home bucket, charging every bucket it
-// reads, under either lock. It stops at key's slot (ok) or at the first
-// slot that proves key absent — empty, or holding an entry closer to its
-// home than key would be (Robin-Hood early termination) — which is where
-// key belongs, dist from home.
-func (t *Table[V]) find(h uint64, key string) (idx, dist uint64, ok bool) {
+// reads, under either lock. It stops at key's bucket, returning its record,
+// or at the first bucket that proves key absent — empty, or holding an
+// entry closer to its home than key would be (Robin-Hood early
+// termination) — which is where key belongs, dist from home.
+func (t *Table[V]) find(h uint64, key string) (idx, dist uint64, r *record[V]) {
+	tag := uint32(h)
 	idx = h & t.mask
 	for {
 		t.touch(idx)
-		s := &t.slots[idx]
-		if s.hash == 0 || probeDist(s.hash, idx, t.mask) < dist {
-			return idx, dist, false
+		s := t.slots[idx]
+		if s.rec == 0 || probeDist(s.tag, idx, t.mask) < dist {
+			return idx, dist, nil
 		}
-		if s.hash == h && s.key == key {
-			return idx, dist, true
+		if s.tag == tag {
+			if r = t.record(s.rec); t.keys.equal(r.key, key) {
+				return idx, dist, r
+			}
 		}
 		idx = (idx + 1) & t.mask
 		dist++
 	}
 }
 
-// placeLocked stores a key that find proved absent, stopping at slot idx,
-// dist from home: the key is cloned — the table's one copy — and placed in
-// the same probe pass, unless the table must grow first.
+// record returns the record a slot's rec field names.
+func (t *Table[V]) record(rec uint32) *record[V] {
+	n := rec - 1
+	return &t.recs[n>>recordShift][n%recordChunk]
+}
+
+// placeLocked stores a key that find proved absent, stopping at bucket idx,
+// dist from home: the key is copied into the arena — the table's one copy —
+// and placed in the same probe pass, unless the table must grow first.
 func (t *Table[V]) placeLocked(idx, dist, h uint64, key string, val V) {
-	key = strings.Clone(key)
+	if t.keys.dead > max(t.keys.live, arenaMaxChunk) {
+		t.compactKeysLocked()
+	}
+	var n uint32
+	if k := len(t.free); k > 0 {
+		n, t.free = t.free[k-1], t.free[:k-1]
+	} else {
+		if n = t.next; int(n>>recordShift) == len(t.recs) {
+			t.recs = append(t.recs, new([recordChunk]record[V]))
+		}
+		t.next++
+	}
+	s := slot{tag: uint32(h), rec: n + 1}
+	*t.record(s.rec) = record[V]{key: t.keys.add(key), val: val}
 	if (t.len+1)*100 > len(t.slots)*maxLoadPercent {
 		t.growLocked()
 		idx, dist = h&t.mask, 0
 		t.touch(idx)
 	}
-	t.insertLocked(idx, dist, h, key, val)
+	t.insertLocked(idx, dist, s)
 }
 
-// insertLocked places an entry whose key is not in the table, Robin-Hood
-// style, from slot idx, dist from its home; the caller has charged slot
-// idx. Every slot between home and idx holds an entry at least as far from
-// its own home, so the walk from there is the walk from home.
-func (t *Table[V]) insertLocked(idx, dist, h uint64, key string, val V) {
-	cur := slot[V]{hash: h, key: key, val: val}
+// insertLocked places a slot whose key is not in the table, Robin-Hood
+// style, from bucket idx, dist from its home; the caller has charged bucket
+// idx. Every bucket between home and idx holds an entry at least as far
+// from its own home, so the walk from there is the walk from home.
+func (t *Table[V]) insertLocked(idx, dist uint64, cur slot) {
 	for {
 		s := &t.slots[idx]
-		if s.hash == 0 {
+		if s.rec == 0 {
 			*s = cur
 			t.len++
 			return
 		}
-		// Robin-Hood: steal the slot from a richer (closer-to-home) entry
+		// Robin-Hood: steal the bucket from a richer (closer-to-home) entry
 		// and carry on placing the displaced one.
-		if existing := probeDist(s.hash, idx, t.mask); existing < dist {
+		if existing := probeDist(s.tag, idx, t.mask); existing < dist {
 			*s, cur = cur, *s
 			dist = existing
 		}
@@ -256,21 +314,20 @@ func (t *Table[V]) insertLocked(idx, dist, h uint64, key string, val V) {
 	}
 }
 
-// backwardShiftLocked empties slot idx and pulls each following entry
-// that is not in its home bucket one slot back, charging every bucket it
+// backwardShiftLocked empties bucket idx and pulls each following entry
+// that is not in its home bucket one bucket back, charging every bucket it
 // reads.
 func (t *Table[V]) backwardShiftLocked(idx uint64) {
-	var zero slot[V]
 	for {
 		next := (idx + 1) & t.mask
 		t.touch(next)
-		n := &t.slots[next]
-		if n.hash == 0 || probeDist(n.hash, next, t.mask) == 0 {
-			t.slots[idx] = zero
+		n := t.slots[next]
+		if n.rec == 0 || probeDist(n.tag, next, t.mask) == 0 {
+			t.slots[idx] = slot{}
 			t.len--
 			return
 		}
-		t.slots[idx] = *n
+		t.slots[idx] = n
 		idx = next
 	}
 }
@@ -283,15 +340,14 @@ func (t *Table[V]) touch(idx uint64) {
 }
 
 // Clear removes every entry, keeping the current bucket array (and its
-// accounted footprint).
+// accounted footprint). Keys handed out before stay valid.
 func (t *Table[V]) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var zero slot[V]
-	for i := range t.slots {
-		t.slots[i] = zero
-	}
+	clear(t.slots)
 	t.len = 0
+	t.recs, t.next, t.free = nil, 0, nil
+	t.keys = arena{}
 }
 
 // Range calls fn for every entry until fn returns false. The table lock is
@@ -299,9 +355,10 @@ func (t *Table[V]) Clear() {
 func (t *Table[V]) Range(fn func(key string, val V) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for i := range t.slots {
-		if t.slots[i].hash != 0 {
-			if !fn(t.slots[i].key, t.slots[i].val) {
+	for _, s := range t.slots {
+		if s.rec != 0 {
+			r := t.record(s.rec)
+			if !fn(t.keys.key(r.key), r.val) {
 				return
 			}
 		}
@@ -311,28 +368,42 @@ func (t *Table[V]) Range(fn func(key string, val V) bool) {
 func (t *Table[V]) growLocked() {
 	old := t.slots
 	oldBytes := len(old) * t.entSize
-	t.slots = make([]slot[V], len(old)*2)
+	t.slots = make([]slot, len(old)*2)
 	t.mask = uint64(len(t.slots) - 1)
 	t.len = 0
 	if t.acct != nil {
 		t.acct.GrowTable(oldBytes, len(t.slots)*t.entSize)
 	}
-	for i := range old {
-		if s := &old[i]; s.hash != 0 {
-			home := s.hash & t.mask
+	for _, s := range old {
+		if s.rec != 0 {
+			home := uint64(s.tag) & t.mask
 			t.touch(home)
-			t.insertLocked(home, 0, s.hash, s.key, s.val)
+			t.insertLocked(home, 0, s)
 		}
 	}
 }
 
-// probeDist is the distance of the entry with the given hash, currently at
-// index idx, from its home bucket.
-func probeDist(hash, idx, mask uint64) uint64 {
-	return (idx + mask + 1 - (hash & mask)) & mask
+// compactKeysLocked copies every present key into fresh arena chunks. The
+// old chunks are not written again: views of them stay valid, and the
+// garbage collector takes each once no view holds it.
+func (t *Table[V]) compactKeysLocked() {
+	old := t.keys
+	t.keys = arena{}
+	for _, s := range t.slots {
+		if s.rec != 0 {
+			r := t.record(s.rec)
+			r.key = t.keys.add(old.key(r.key))
+		}
+	}
 }
 
-// hashKey is FNV-1a 64, with zero remapped so 0 can mark empty slots.
+// probeDist is the distance of the entry with the given hash tag, currently
+// at index idx, from its home bucket.
+func probeDist(tag uint32, idx, mask uint64) uint64 {
+	return (idx + mask + 1 - (uint64(tag) & mask)) & mask
+}
+
+// hashKey is FNV-1a 64, with zero remapped to one.
 func hashKey(key string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -347,4 +418,71 @@ func hashKey(key string) uint64 {
 		return 1
 	}
 	return h
+}
+
+// keyRef is a key's place in the arena: its chunk's index in the high 32
+// bits, the offset of its length prefix in the low 32.
+type keyRef uint64
+
+// arena is the table's append-only key store.
+type arena struct {
+	chunks     [][]byte // each filled to its length, never past its capacity
+	live, dead int      // bytes of present and of deleted keys, prefixes included
+}
+
+// add appends key and returns its place.
+func (a *arena) add(key string) keyRef {
+	n := uvarintLen(len(key)) + len(key)
+	last := len(a.chunks) - 1
+	if last < 0 || cap(a.chunks[last])-len(a.chunks[last]) < n {
+		size := arenaMinChunk
+		if last >= 0 {
+			size = min(2*cap(a.chunks[last]), arenaMaxChunk)
+		}
+		a.chunks = append(a.chunks, make([]byte, 0, max(size, n)))
+		last++
+	}
+	c := a.chunks[last]
+	ref := keyRef(uint64(last)<<32 | uint64(len(c)))
+	a.chunks[last] = append(binary.AppendUvarint(c, uint64(len(key))), key...)
+	a.live += n
+	return ref
+}
+
+// key returns a view of the key at ref.
+func (a *arena) key(ref keyRef) string {
+	b := a.chunks[ref>>32][uint32(ref):]
+	n, w := int(b[0]), 1
+	if n >= 0x80 {
+		u, uw := binary.Uvarint(b)
+		n, w = int(u), uw
+	}
+	return unsafe.String(unsafe.SliceData(b[w:]), n)
+}
+
+// equal reports whether the key at ref is key: for a key shorter than 128
+// bytes, one prefix byte and the bytes themselves, without decoding.
+func (a *arena) equal(ref keyRef, key string) bool {
+	c, off, n := a.chunks[ref>>32], int(uint32(ref)), len(key)
+	if n < 0x80 {
+		return off+n < len(c) && c[off] == byte(n) && string(c[off+1:off+1+n]) == key
+	}
+	return a.key(ref) == key
+}
+
+// drop counts the key at ref as deleted.
+func (a *arena) drop(ref keyRef) {
+	n := len(a.key(ref))
+	n += uvarintLen(n)
+	a.live -= n
+	a.dead += n
+}
+
+// uvarintLen is the length of n's uvarint encoding.
+func uvarintLen(n int) int {
+	w := 1
+	for ; n >= 0x80; n >>= 7 {
+		w++
+	}
+	return w
 }

@@ -566,6 +566,11 @@ func TestDebugTraces(t *testing.T) {
 	if _, err := client.Get("trace-me"); err != nil {
 		t.Fatal(err)
 	}
+	// A server trace is finished after its reply's ring write — the client
+	// call can return first — so wait, bounded, until both ops' are in.
+	for deadline := time.Now().Add(5 * time.Second); len(tracer.Recent()) < 2 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
 
 	resp, err := http.Get("http://" + metrics.Addr() + "/debug/traces")
 	if err != nil {
