@@ -10,7 +10,6 @@ import (
 
 	"precursor/internal/cluster"
 	"precursor/internal/core"
-	"precursor/internal/rdma"
 )
 
 // Client-routed sharding: the public surface of internal/cluster.
@@ -190,6 +189,12 @@ func DialReplicatedCluster(groups [][]ShardSpec, cfg ClusterConfig) (*ClusterCli
 		cfg.ConnsPerShard = 1
 	}
 	applyTraceRing(cfg)
+	// Every connection to a replica, its pool's and each repair session,
+	// is dialed the same way.
+	dialCfg := func(spec ShardSpec) DialConfig {
+		return DialConfig{PlatformKey: spec.PlatformKey, Measurement: spec.Measurement, Timeout: cfg.Timeout,
+			ReadRetries: cfg.ReadRetries, WrapConn: cfg.WrapConn, Tracer: cfg.Tracer}
+	}
 	specByAddr := make(map[string]ShardSpec)
 	members := make([]cluster.ReplicaGroup, 0, len(groups))
 	fail := func(err error) (*ClusterClient, error) {
@@ -206,14 +211,7 @@ func DialReplicatedCluster(groups [][]ShardSpec, cfg ClusterConfig) (*ClusterCli
 		}
 		rg := cluster.ReplicaGroup{Name: GroupName(g)}
 		for _, spec := range g {
-			pool, err := NewPool(spec.Addr, DialConfig{
-				PlatformKey: spec.PlatformKey,
-				Measurement: spec.Measurement,
-				Timeout:     cfg.Timeout,
-				ReadRetries: cfg.ReadRetries,
-				WrapConn:    cfg.WrapConn,
-				Tracer:      cfg.Tracer,
-			}, cfg.ConnsPerShard)
+			pool, err := NewPool(spec.Addr, dialCfg(spec), cfg.ConnsPerShard)
 			if err != nil {
 				return fail(fmt.Errorf("replica %s: %w", spec.Addr, err))
 			}
@@ -227,22 +225,12 @@ func DialReplicatedCluster(groups [][]ShardSpec, cfg ClusterConfig) (*ClusterCli
 		if !ok {
 			return nil, fmt.Errorf("precursor: unknown replica %q", replica)
 		}
-		device := rdma.NewDevice("precursor-repair-" + replica)
-		conn, err := rdma.DialTCP(device, replica)
+		// A repair session is an ordinary attested connection (PROTOCOL.md §10).
+		c, err := Dial(replica, dialCfg(spec))
 		if err != nil {
 			return nil, err
 		}
-		rc, err := core.ConnectRepair(core.RepairConfig{
-			Conn:        conn,
-			PlatformKey: spec.PlatformKey,
-			Measurement: spec.Measurement,
-			Timeout:     cfg.Timeout,
-		})
-		if err != nil {
-			_ = conn.Close()
-			return nil, err
-		}
-		return rc, nil
+		return c, nil
 	}
 	return cluster.NewReplicated(members, cluster.Options{
 		VirtualNodes: cfg.VirtualNodes,

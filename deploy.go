@@ -50,9 +50,19 @@ func Serve(addr string, cfg ServerConfig) (*Service, error) {
 			// stopping server must hang up on its clients, or their
 			// in-flight operations sit out the full op timeout before
 			// discovering the outage (a cluster client's failover would
-			// be timeout-bound instead of detection-bound).
+			// be timeout-bound instead of detection-bound). One that
+			// failed is dead for good: it is closed and let go.
 			svc.connMu.Lock()
-			svc.conns = append(svc.conns, qp)
+			live := svc.conns[:0]
+			for _, c := range svc.conns {
+				if c.Failed() {
+					_ = c.Close()
+				} else {
+					live = append(live, c)
+				}
+			}
+			clear(svc.conns[len(live):])
+			svc.conns = append(live, qp)
 			svc.connMu.Unlock()
 			go func() {
 				if _, err := server.HandleConnection(qp); err != nil {

@@ -74,9 +74,9 @@ type Options struct {
 	// replicated group (0 = majority). Clamped to each group's size.
 	WriteQuorum int
 	// OpenRepair opens an anti-entropy repair session against the named
-	// replica (the root package dials core.ConnectRepair). Nil restricts
-	// repair to journal replay: a replica that lost state entirely
-	// cannot rejoin without a snapshot source.
+	// replica (the root package dials a *core.Client as for the pool). Nil
+	// restricts repair to journal replay: a replica that lost state
+	// entirely cannot rejoin without a snapshot source.
 	OpenRepair func(replica string) (RepairSession, error)
 	// RepairInterval is the cadence of the background probe/repair scan
 	// over replicated groups (default 250ms).
@@ -641,17 +641,7 @@ func (c *Client) Healthy() bool { return len(c.Degraded()) == 0 }
 
 // Available reports whether at least one replica is currently serving —
 // the cluster-level readiness signal (/healthz reports 503 when false).
-func (c *Client) Available() bool {
-	for _, rep := range c.reps {
-		rep.mu.Lock()
-		up := !rep.down && !rep.repairing
-		rep.mu.Unlock()
-		if up {
-			return true
-		}
-	}
-	return false
-}
+func (c *Client) Available() bool { return len(c.Degraded()) < len(c.reps) }
 
 // ShardStats is one replica's activity and health snapshot.
 type ShardStats struct {

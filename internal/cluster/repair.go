@@ -28,7 +28,8 @@ import (
 // completely does the replica rejoin the serving set.
 
 // RepairSession is one replica's anti-entropy endpoint, opened through
-// Options.OpenRepair. *core.RepairClient satisfies it.
+// Options.OpenRepair. *core.Client satisfies it: each method runs repair
+// ops in the one batch frame of its attested session.
 type RepairSession interface {
 	// FetchSnapshot asks the replica to seal its state and streams the
 	// sealed blob to w, returning the snapshot's seal generation.

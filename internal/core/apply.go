@@ -47,6 +47,10 @@ func (s *Server) apply(sess *session, o *wire.BatchOp, seg []byte, idx int, op *
 	case wire.OpDelete:
 		res = s.applyDelete(sess, o, op)
 		end = op.SpanEnd(obs.SrvApply, now)
+	default:
+		// A repair op (repair.go) moves sealed state, not a key's value.
+		res, payload = s.applyRepair(sess, o, seg, op)
+		return res, payload, op.SpanEnd(obs.SrvApply, now)
 	}
 	if s.cfg.Heat != nil {
 		// Accounted here — the control seal opened, so the key is

@@ -42,6 +42,9 @@ type BatchOp struct {
 	Key string
 	// Value is the value to store (BatchPut only).
 	Value []byte
+	// args are a repair op's sealed arguments; Value is then its chunk
+	// (repair.go).
+	args []byte
 }
 
 // BatchResult is one op's outcome. Batch outcomes are per-op: a batch
@@ -237,6 +240,8 @@ func (c *Client) sendLocked(ops []BatchOp, p *pending, deadline time.Time, ref o
 		c.keyBuf = append(c.keyBuf, o.Key...)
 		bop := wire.BatchOp{Op: wire.Opcode(o.Kind), Key: c.keyBuf[keyAt:]}
 		switch {
+		case o.Kind > BatchDelete: // a repair op: sealed arguments, its chunk as is
+			bop.InlineValue, bop.PayloadLen = o.args, uint32(len(o.Value))
 		case o.Kind != BatchPut:
 		case c.cfg.InlineSmallValues && len(o.Value) < c.cfg.InlineMax:
 			bop.Flags, bop.InlineValue = wire.FlagInlineValue, o.Value
@@ -273,11 +278,15 @@ func (c *Client) sendLocked(ops []BatchOp, p *pending, deadline time.Time, ref o
 		t = p.op.SpanEnd(obs.CliSeal, t)
 	}
 	for i := range ops {
-		if c.bctl.Ops[i].PayloadLen == 0 {
-			continue
-		}
-		if frame, err = c.sealValue(frame, &c.opKeys[i], ops[i].Value, c.oid, i); err != nil {
-			return err
+		switch {
+		case c.bctl.Ops[i].PayloadLen == 0:
+		case ops[i].Kind > BatchDelete:
+			// A repair op's chunk is sealed by the snapshot's own AEAD.
+			frame = append(frame, ops[i].Value...)
+		default:
+			if frame, err = c.sealValue(frame, &c.opKeys[i], ops[i].Value, c.oid, i); err != nil {
+				return err
+			}
 		}
 	}
 	switch {
@@ -462,13 +471,20 @@ func (c *Client) opResult(kind BatchOpKind, res *wire.BatchOpResult, seg []byte,
 		// unconfirmed: the server guarantees the op was not applied.
 		return BatchResult{Err: &RetryLaterError{Hint: RetryHint(res.InlineValue)}}
 	default:
+		if code := res.InlineValue; kind > BatchDelete && len(code) == 1 && int(code[0]) < len(repairErrs) {
+			return BatchResult{Err: repairErrs[code[0]]}
+		}
 		return BatchResult{Err: fmt.Errorf("%w: server status %v", ErrBadResponse, res.Status)}
 	}
 	if res.Flags&wire.FlagNotFound != 0 {
 		return BatchResult{Err: ErrNotFound}
 	}
-	if kind != BatchGet {
+	switch kind {
+	case BatchGet:
+	case BatchPut, BatchDelete:
 		return BatchResult{}
+	default: // a repair op: its sealed result fields, then its chunk
+		return BatchResult{Value: append(append([]byte(nil), res.InlineValue...), seg...)}
 	}
 	if res.Flags&wire.FlagInlineValue != 0 {
 		return BatchResult{Value: append([]byte(nil), res.InlineValue...)}

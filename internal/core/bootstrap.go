@@ -20,11 +20,6 @@ import (
 
 // helloMsg is the client's combined attestation + bootstrap request.
 type helloMsg struct {
-	// Role selects the session type: empty for the ring-based data path,
-	// "repair" for an anti-entropy repair session (PROTOCOL.md §10).
-	// Repair sessions attest exactly like data clients but skip ring
-	// setup — the Resp* / *CreditRKey fields are ignored for them.
-	Role string `json:"role,omitempty"`
 	// Attestation handshake (ECDH public key + nonce).
 	AttestPub   []byte `json:"attestPub"`
 	AttestNonce []byte `json:"attestNonce"`
@@ -135,8 +130,8 @@ func attest(conn rdma.Conn, hello helloMsg, key *ecdsa.PublicKey, m sgx.Measurem
 // respondAttest is the enclave's half ("add_client", ecall iii.): it
 // answers hello's key share and returns the welcome, carrying the quote
 // and nothing else yet, and the AEAD keyed with K_session. A failed
-// handshake is audited and refused with a welcome sent as wrID.
-func (s *Server) respondAttest(conn rdma.Conn, hello *helloMsg, wrID uint64) (*welcomeMsg, *cryptox.AEAD, error) {
+// handshake is audited and refused with a welcome.
+func (s *Server) respondAttest(conn rdma.Conn, hello *helloMsg) (*welcomeMsg, *cryptox.AEAD, error) {
 	var (
 		sh         sgx.ServerHello
 		sessionKey []byte
@@ -147,12 +142,8 @@ func (s *Server) respondAttest(conn rdma.Conn, hello *helloMsg, wrID uint64) (*w
 		return err
 	})
 	if err != nil {
-		detail := err.Error()
-		if hello.Role != "" {
-			detail = hello.Role + " session: " + detail
-		}
-		s.cfg.Audit.Add(audit.Record{Kind: audit.KindAttestFail, Detail: detail})
-		_ = sendMsg(conn, wrID, &welcomeMsg{Error: "attestation failed"})
+		s.cfg.Audit.Add(audit.Record{Kind: audit.KindAttestFail, Detail: err.Error()})
+		_ = sendMsg(conn, 1, &welcomeMsg{Error: "attestation failed"})
 		return nil, nil, fmt.Errorf("attestation: %w", err)
 	}
 	aead, err := cryptox.NewAEAD(sessionKey)

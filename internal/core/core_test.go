@@ -28,6 +28,9 @@ type testCluster struct {
 	server   *Server
 	srvDev   *rdma.Device
 	nDev     int
+	// wrapSrv, when set, interposes on the server end of each connection
+	// connect makes (the client end goes through ClientConfig.Conn).
+	wrapSrv func(rdma.Conn) rdma.Conn
 }
 
 func newCluster(t testing.TB, cfg ServerConfig) *testCluster {
@@ -66,10 +69,14 @@ func (tc *testCluster) connect(opts ...func(*ClientConfig)) *Client {
 		tc.t.Fatal(err)
 	}
 	cliQP, srvQP := tc.fabric.ConnectRC(dev, tc.srvDev)
+	var srv rdma.Conn = srvQP
+	if tc.wrapSrv != nil {
+		srv = tc.wrapSrv(srv)
+	}
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := tc.server.HandleConnection(srvQP)
+		_, err := tc.server.HandleConnection(srv)
 		done <- err
 	}()
 	cfg := ClientConfig{

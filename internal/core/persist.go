@@ -43,6 +43,10 @@ var snapshotMagic = []byte("PRECURSOR-SNAP-1")
 // a v1-shaped plaintext is recognised — and refused as ErrSnapshotFormat.
 const snapshotV2Sentinel = 0xFFFFFFFF
 
+// maxSnapshot bounds a sealed snapshot: Restore refuses a larger header
+// size, and a repair push a larger total.
+const maxSnapshot = 1 << 32
+
 // Seal writes an authenticated, encrypted snapshot of the store to w and
 // bumps the trusted monotonic counter. Only a snapshot produced by the
 // latest Seal will Restore. Sealing also starts a fresh delta log: keys
@@ -182,7 +186,7 @@ func (s *Server) restore(r io.Reader, allowNewer bool) error {
 		}
 		counter := binary.LittleEndian.Uint64(hdr[:8])
 		size := binary.LittleEndian.Uint64(hdr[8:])
-		if size > 1<<32 {
+		if size > maxSnapshot {
 			return ErrSnapshotFormat
 		}
 		// Grow with the data actually present rather than trusting the

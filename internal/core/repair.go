@@ -2,511 +2,297 @@ package core
 
 import (
 	"bytes"
-	"crypto/ecdsa"
-	"encoding/json"
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
-	"sync"
+	"math"
+	"slices"
 	"time"
 
 	"precursor/internal/audit"
 	"precursor/internal/cryptox"
-	"precursor/internal/rdma"
-	"precursor/internal/sgx"
+	"precursor/internal/obs"
+	"precursor/internal/wire"
 )
 
-// Anti-entropy repair sessions (PROTOCOL.md §10).
+// Anti-entropy repair through the op path (PROTOCOL.md §10).
 //
-// A repair session is an attested, transport-encrypted control channel a
-// *client* opens against one replica to move sealed state between group
-// members: fetch a sealed snapshot from a healthy donor, push it into a
-// restarted replica, and enumerate the keys dirtied since the donor's
-// seal so only the delta needs replaying through the data path.
+// Repair moves sealed state between the replicas of a group: fetch a
+// sealed snapshot from a healthy donor, push it into a restarted replica,
+// and list the keys the donor dirtied since its seal so only that delta is
+// replayed through the data path. Each step is an op of the one batch
+// frame on an ordinary attested session, applied by the session's trusted
+// thread under its replay window, control seal and admission rule: a frame
+// of repair ops is a write.
 //
-// Trust model: the sealed snapshot is opaque to the repairing client —
-// it is AEAD-sealed under the replica group's shared sealing key
-// (same platform + same enclave image), so the client ferries bytes it
-// can neither read nor forge. The delta keys and all framing travel
-// under the session key established by the same remote attestation the
-// data path uses. Value plaintext never appears: delta replay re-reads
-// each key through the ordinary MAC-verified Get and re-writes it with a
-// fresh one-time key, exactly like any other client write.
+// Trust model: the sealed snapshot is opaque to the repairing client. It
+// is AEAD-sealed under the replica group's shared sealing key (same
+// platform, same enclave image) with the donor's trusted counter as AD, so
+// the client ferries bytes it can neither read nor forge, and its chunks
+// ride the untrusted payload region: a chunk flipped, dropped or reordered
+// on the way fails that AEAD when the push commits, before the table is
+// touched. Offsets, sizes, generations and the delta's keys travel in the
+// sealed control and reply. Value plaintext never appears: delta replay
+// re-reads each key through the MAC-verified Get and writes it under a
+// fresh one-time key, like any other client write.
+//
+// A repair op rides a frame alone. It carries two little-endian u64
+// arguments in its sealed InlineValue, and its result its fields there:
+//
+//	OpSnapshot(off, 0)     → gen, total; a chunk in the reply's payload region
+//	OpRestore(off, total)  a chunk in the frame's payload region
+//	                       → entries, gen once the chunk completes total
+//	OpDelta(gen, off)      → count, then one page of (u16 length ‖ key)
+//
+// off counts what already crossed: bytes of a snapshot, keys of a delta.
+// off 0 starts over — seals now, begins a push, lists the delta — and any
+// other off must equal what the session has sent or received.
 
-// repairRole is the helloMsg.Role selecting a repair session.
-const repairRole = "repair"
-
-const (
-	// repairBufSize is the receive-buffer (and hence max frame) size for
-	// repair messages — far larger than bootstrapBufSize because sealed
-	// snapshot chunks ride in them.
-	repairBufSize = 256 * 1024
-	// repairChunk caps raw payload bytes per message, leaving headroom
-	// for base64 expansion, JSON framing and the AEAD tag.
-	repairChunk = 96 * 1024
-	// repairIdleTimeout bounds a server-side wait for the next repair
-	// request; an abandoned session must not pin its goroutine.
-	repairIdleTimeout = 60 * time.Second
-	// repairMaxSnapshot bounds a pushed snapshot's declared size.
-	repairMaxSnapshot = 1 << 31
-)
-
-// Repair message opcodes.
-const (
-	repairOpGen           = "gen"            // query the last seal generation
-	repairOpSnapshot      = "snapshot"       // seal now; reply carries gen+size
-	repairOpSnapNext      = "snap-next"      // next snapshot chunk
-	repairOpChunk         = "chunk"          // snapshot chunk reply
-	repairOpDelta         = "delta"          // keys dirtied since Gen
-	repairOpDeltaNext     = "delta-next"     // next page of delta keys
-	repairOpKeys          = "keys"           // delta keys reply
-	repairOpRestoreBegin  = "restore-begin"  // start pushing a snapshot of Size
-	repairOpRestoreChunk  = "restore-chunk"  // one pushed chunk
-	repairOpRestoreCommit = "restore-commit" // apply the pushed snapshot
-	repairOpBye           = "bye"            // end the session
-	repairOpOK            = "ok"             // generic success reply
-	repairOpError         = "error"          // failure reply, Error set
-)
-
-// Direction-bound AEAD additional data: a reflected frame (same key,
-// wrong direction) fails authentication.
-var (
-	repairADClient = [4]byte{'r', 'p', 'r', 'C'}
-	repairADServer = [4]byte{'r', 'p', 'r', 'S'}
-)
-
-// repairMsg is one repair-protocol message. The whole struct is sealed
-// under the session AEAD; keys are carried as base64 []byte so non-UTF-8
-// keys survive the JSON encoding.
-type repairMsg struct {
-	Op      string   `json:"op"`
-	Seq     uint64   `json:"seq"`
-	Gen     uint64   `json:"gen,omitempty"`
-	Size    int      `json:"size,omitempty"`
-	Data    []byte   `json:"data,omitempty"`
-	Keys    [][]byte `json:"keys,omitempty"`
-	More    bool     `json:"more,omitempty"`
-	Entries int      `json:"entries,omitempty"`
-	Error   string   `json:"error,omitempty"`
+// repairState is a session's repair in progress: at most one snapshot
+// being fetched, one being pushed and one delta being listed. The session's
+// first repair op allocates it; each part is dropped once its last piece
+// has crossed, the whole once no part is left, and all of it goes with the
+// session. Accessed only by the owning trusted thread.
+type repairState struct {
+	snap      []byte // sealed snapshot pinned at off 0, until its last chunk is sent
+	snapSent  int
+	push      []byte // pushed snapshot received so far
+	pushTotal uint64
+	keys      []string // delta fixed at off 0, until its last page is sent
+	keysGen   uint64
+	keysSent  int
 }
 
-// repairLink frames sealed repair messages over two-sided SEND/RECV in
-// strict ping-pong, with per-direction sequence numbers (replay and
-// reorder protection within the session).
-type repairLink struct {
-	conn    rdma.Conn
-	aead    *cryptox.AEAD
-	timeout time.Duration
-	stop    <-chan struct{}
-	sendAD  [4]byte
-	recvAD  [4]byte
+// controlOfOne and replyOfOne are what a chunk rides behind: the encoders'
+// control of one repair op with its 16 bytes of arguments, and reply of one
+// result with no fields.
+var controlOfOne, replyOfOne = func() (int, int) {
+	ctl, _ := wire.AppendBatchControl(nil, &wire.BatchControl{Ops: []wire.BatchOp{{Op: wire.OpRestore, InlineValue: make([]byte, 16)}}})
+	rep, _ := wire.AppendBatchReply(nil, &wire.BatchReply{Results: []wire.BatchOpResult{{}}})
+	return len(ctl), len(rep)
+}()
 
-	wr      uint64
-	sendSeq uint64
-	recvSeq uint64
+// errRepairStep refuses a repair op whose arguments are malformed or
+// disagree with what the session has sent or received: a sealed
+// BAD_REQUEST.
+var errRepairStep = errors.New("precursor: repair op out of step")
+
+// repairErrs are the refusals a repair op's sealed result names by index
+// in its one-byte InlineValue, each a typed error at the client; any other
+// failure is a plain server error.
+var repairErrs = [...]error{ErrSealGeneration, ErrDeltaTruncated, ErrSnapshotRollback, ErrSnapshotAuth, ErrSnapshotFormat}
+
+// applyRepair runs one repair op for sess. seg is a pushed chunk, borrowed
+// for the call; a fetched chunk comes back as payload, aliasing the pinned
+// snapshot until the reply copies it. A refused op is one
+// KindRepairAnomaly audit record.
+func (s *Server) applyRepair(sess *session, o *wire.BatchOp, seg []byte, op *obs.Op) (wire.BatchOpResult, []byte) {
+	if sess.repair == nil {
+		sess.repair = new(repairState)
+	}
+	r := sess.repair
+	fields, payload, err := s.repairStep(sess, r, o, seg)
+	if r.snap == nil && r.push == nil && r.keys == nil {
+		sess.repair = nil
+	}
+	if err == nil {
+		return wire.BatchOpResult{Status: wire.StatusOK, InlineValue: fields}, payload
+	}
+	s.cfg.Audit.Add(audit.Record{Kind: audit.KindRepairAnomaly, Client: sess.id,
+		Detail: fmt.Sprintf("repair %v: %v", o.Op, err)})
+	res := failed(op, wire.StatusServerError, err)
+	if errors.Is(err, errRepairStep) {
+		s.badRequests.Add(1)
+		res.Status = wire.StatusBadRequest
+	}
+	if i := slices.IndexFunc(repairErrs[:], func(e error) bool { return errors.Is(err, e) }); i >= 0 {
+		res.InlineValue = []byte{byte(i)}
+	}
+	return res, nil
 }
 
-// postRecv posts one repair-sized receive buffer. The protocol is strict
-// ping-pong, so each side posts exactly one recv before each expected
-// message — never racing an empty receive queue.
-func (l *repairLink) postRecv() error {
-	l.wr++
-	if err := l.conn.PostRecv(l.wr, make([]byte, repairBufSize)); err != nil {
-		return fmt.Errorf("post repair recv: %w", err)
+// repairStep applies o to r and returns the result's sealed fields and the
+// reply's chunk.
+func (s *Server) repairStep(sess *session, r *repairState, o *wire.BatchOp, seg []byte) (fields, payload []byte, err error) {
+	// A chunk is sized to fill the reply alone, so a repair op rides a
+	// frame alone.
+	if len(o.InlineValue) != 16 || len(sess.bctl.Ops) != 1 {
+		return nil, nil, errRepairStep
 	}
-	return nil
-}
-
-func (l *repairLink) send(m *repairMsg) error {
-	l.sendSeq++
-	m.Seq = l.sendSeq
-	pt, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("marshal repair message: %w", err)
-	}
-	sealed, err := l.aead.Seal(pt, l.sendAD[:])
-	if err != nil {
-		return err
-	}
-	if len(sealed) > repairBufSize {
-		return fmt.Errorf("%w: repair frame %d bytes", ErrTooLarge, len(sealed))
-	}
-	l.wr++
-	if err := l.conn.PostSend(l.wr, sealed, false, false); err != nil {
-		return fmt.Errorf("send repair message: %w", err)
-	}
-	return nil
-}
-
-func (l *repairLink) recv() (*repairMsg, error) {
-	deadline := time.Now().Add(l.timeout)
-	for {
-		if l.stop != nil {
-			select {
-			case <-l.stop:
-				return nil, ErrClosed
-			default:
+	a, b := binary.LittleEndian.Uint64(o.InlineValue), binary.LittleEndian.Uint64(o.InlineValue[8:])
+	// What the client's response slot holds beyond the reply's framing.
+	room := sess.respWriter.MaxMessage() - (&wire.Response{}).EncodedLen() - cryptox.SealOverhead - replyOfOne
+	switch o.Op {
+	case wire.OpSnapshot:
+		if a == 0 {
+			// Donor snapshots always carry payloads: a joiner cannot resolve
+			// pointers into this node's value log.
+			var buf bytes.Buffer
+			r.snap, r.snapSent = nil, 0
+			if err := s.seal(&buf, true); err != nil {
+				return nil, nil, err
 			}
+			r.snap = buf.Bytes()
 		}
-		comps := l.conn.PollRecv(1)
-		if len(comps) == 0 {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("%w: repair", ErrTimeout)
-			}
-			time.Sleep(50 * time.Microsecond)
-			continue
+		n := min(len(r.snap)-r.snapSent, room-16)
+		if r.snap == nil || a != uint64(r.snapSent) || n <= 0 {
+			return nil, nil, errRepairStep
 		}
-		c := comps[0]
-		if c.Status != rdma.StatusOK {
-			return nil, fmt.Errorf("%w: repair recv: %v", ErrClosed, c.Err)
+		// The generation is the trusted counter the snapshot header carries.
+		fields = binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(r.snap[len(snapshotMagic):]))
+		fields = binary.LittleEndian.AppendUint64(fields, uint64(len(r.snap)))
+		payload = r.snap[r.snapSent : r.snapSent+n]
+		if r.snapSent += n; r.snapSent == len(r.snap) {
+			r.snap = nil
 		}
-		pt, err := l.aead.Open(c.Buf[:c.Len], l.recvAD[:])
+		return fields, payload, nil
+	case wire.OpRestore:
+		if a == 0 {
+			r.push, r.pushTotal = r.push[:0], b
+		}
+		if a != uint64(len(r.push)) || b != r.pushTotal || b > maxSnapshot || a+uint64(len(seg)) > b {
+			r.push, r.pushTotal = nil, 0
+			return nil, nil, errRepairStep
+		}
+		if r.push = append(r.push, seg...); uint64(len(r.push)) < b {
+			return nil, nil, nil
+		}
+		err := s.RestoreReplica(bytes.NewReader(r.push))
+		r.push, r.pushTotal = nil, 0
 		if err != nil {
-			return nil, ErrAuth
+			return nil, nil, err
 		}
-		var m repairMsg
-		if err := json.Unmarshal(pt, &m); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadResponse, err)
-		}
-		l.recvSeq++
-		if m.Seq != l.recvSeq {
-			return nil, fmt.Errorf("%w: repair sequence %d, want %d", ErrBadResponse, m.Seq, l.recvSeq)
-		}
-		return &m, nil
-	}
-}
-
-// call runs one client-side request/response exchange.
-func (l *repairLink) call(m *repairMsg) (*repairMsg, error) {
-	if err := l.postRecv(); err != nil {
-		return nil, err
-	}
-	if err := l.send(m); err != nil {
-		return nil, err
-	}
-	resp, err := l.recv()
-	if err != nil {
-		return nil, err
-	}
-	if resp.Op == repairOpError {
-		return nil, repairRemoteError(resp.Error)
-	}
-	return resp, nil
-}
-
-// repairRemoteError maps a peer's error string back onto the typed
-// errors the repair orchestration branches on.
-func repairRemoteError(msg string) error {
-	switch {
-	case strings.Contains(msg, "seal generation"):
-		return fmt.Errorf("%w (from peer)", ErrSealGeneration)
-	case strings.Contains(msg, "delta log truncated"):
-		return fmt.Errorf("%w (from peer)", ErrDeltaTruncated)
-	case strings.Contains(msg, "rollback"):
-		return fmt.Errorf("%w (from peer)", ErrSnapshotRollback)
-	}
-	return fmt.Errorf("precursor: repair peer error: %s", msg)
-}
-
-// serveRepair attests and serves one repair session inline on the
-// connection handler's goroutine. It returns when the peer says bye,
-// goes quiet past the idle timeout, or the server shuts down.
-func (s *Server) serveRepair(conn rdma.Conn, hello *helloMsg) error {
-	welcome, aead, err := s.respondAttest(conn, hello, 2)
-	if err != nil {
-		return err
-	}
-	link := &repairLink{
-		conn: conn, aead: aead, timeout: repairIdleTimeout, stop: s.stopCh,
-		sendAD: repairADServer, recvAD: repairADClient,
-	}
-	// Post the recv for the first request before the welcome flies, so
-	// the peer's next send never races an empty receive queue.
-	if err := link.postRecv(); err != nil {
-		return err
-	}
-	if err := sendMsg(conn, 2, welcome); err != nil {
-		return err
-	}
-	s.repairSessions.Add(1)
-	s.logEvent("repair session attested")
-	return s.repairLoop(link)
-}
-
-// repairLoop serves repair requests until the session ends. All session
-// state (the pinned snapshot, delta pages, the incoming restore buffer)
-// is goroutine-local — sessions are independent.
-func (s *Server) repairLoop(link *repairLink) error {
-	var (
-		snap        bytes.Buffer // sealed snapshot being streamed out
-		snapOff     int
-		deltaKeys   []string // delta enumeration being paged out
-		deltaOff    int
-		restoreBuf  bytes.Buffer // pushed snapshot being assembled
-		restoreSize = -1
-	)
-	pageKeys := func() *repairMsg {
-		m := &repairMsg{Op: repairOpKeys}
-		budget := repairChunk
-		for deltaOff < len(deltaKeys) && budget > 0 {
-			k := deltaKeys[deltaOff]
-			m.Keys = append(m.Keys, []byte(k))
-			budget -= len(k) + 8
-			deltaOff++
-		}
-		m.More = deltaOff < len(deltaKeys)
-		return m
-	}
-	for {
-		m, err := link.recv()
-		if err != nil {
-			if errors.Is(err, ErrTimeout) || errors.Is(err, ErrClosed) {
-				return nil // peer gone or server stopping: normal end
-			}
-			return err
-		}
-		var resp *repairMsg
-		switch m.Op {
-		case repairOpGen:
-			resp = &repairMsg{Op: repairOpGen, Gen: s.SealGeneration()}
-		case repairOpSnapshot:
-			snap.Reset()
-			snapOff = 0
-			// Donor snapshots always carry payloads: a joiner cannot
-			// resolve pointers into this node's value log.
-			if err := s.seal(&snap, true); err != nil {
-				resp = &repairMsg{Op: repairOpError, Error: err.Error()}
-			} else {
-				resp = &repairMsg{Op: repairOpSnapshot, Gen: s.SealGeneration(), Size: snap.Len()}
-			}
-		case repairOpSnapNext:
-			data := snap.Bytes()
-			end := min(snapOff+repairChunk, len(data))
-			resp = &repairMsg{Op: repairOpChunk, Data: data[snapOff:end], More: end < len(data)}
-			snapOff = end
-		case repairOpDelta:
-			keys, err := s.DeltaSince(m.Gen)
+		fields = binary.LittleEndian.AppendUint64(nil, uint64(s.table.Len()))
+		return binary.LittleEndian.AppendUint64(fields, s.SealGeneration()), nil, nil
+	case wire.OpDelta:
+		if b == 0 {
+			keys, err := s.DeltaSince(a)
+			r.keys, r.keysGen, r.keysSent = keys, a, 0
 			if err != nil {
-				resp = &repairMsg{Op: repairOpError, Error: err.Error()}
-			} else {
-				deltaKeys, deltaOff = keys, 0
-				resp = pageKeys()
+				return nil, nil, err
 			}
-		case repairOpDeltaNext:
-			resp = pageKeys()
-		case repairOpRestoreBegin:
-			if m.Size < 0 || m.Size > repairMaxSnapshot {
-				resp = &repairMsg{Op: repairOpError, Error: "bad snapshot size"}
-			} else {
-				restoreBuf.Reset()
-				restoreSize = m.Size
-				resp = &repairMsg{Op: repairOpOK}
-			}
-		case repairOpRestoreChunk:
-			if restoreSize < 0 || restoreBuf.Len()+len(m.Data) > restoreSize {
-				resp = &repairMsg{Op: repairOpError, Error: "snapshot overrun"}
-			} else {
-				restoreBuf.Write(m.Data)
-				resp = &repairMsg{Op: repairOpOK}
-			}
-		case repairOpRestoreCommit:
-			switch {
-			case restoreSize < 0:
-				resp = &repairMsg{Op: repairOpError, Error: "no restore in progress"}
-			case restoreBuf.Len() != restoreSize:
-				resp = &repairMsg{Op: repairOpError, Error: "short snapshot"}
-			default:
-				err := s.RestoreReplica(bytes.NewReader(restoreBuf.Bytes()))
-				restoreBuf.Reset()
-				restoreSize = -1
-				if err != nil {
-					resp = &repairMsg{Op: repairOpError, Error: err.Error()}
-				} else {
-					resp = &repairMsg{Op: repairOpOK, Entries: s.table.Len(), Gen: s.SealGeneration()}
-				}
-			}
-		case repairOpBye:
-			// Final reply; no further recv is posted.
-			_ = link.send(&repairMsg{Op: repairOpOK})
-			return nil
-		default:
-			resp = &repairMsg{Op: repairOpError, Error: fmt.Sprintf("unknown repair op %q", m.Op)}
 		}
-		if resp != nil && resp.Op == repairOpError {
-			// Single chokepoint for every failed repair request — one
-			// audit record regardless of which arm built the error reply.
-			s.cfg.Audit.Add(audit.Record{Kind: audit.KindRepairAnomaly,
-				Detail: fmt.Sprintf("repair %s: %s", m.Op, resp.Error)})
+		if r.keys == nil || a != r.keysGen || b != uint64(r.keysSent) {
+			return nil, nil, errRepairStep
 		}
-		if err := link.postRecv(); err != nil {
-			return err
+		// A page fills the slot, and InlineValue's 16-bit length.
+		budget, first := min(room, math.MaxUint16), r.keysSent
+		fields = binary.LittleEndian.AppendUint64(nil, uint64(len(r.keys)))
+		for ; r.keysSent < len(r.keys) && len(fields)+2+len(r.keys[r.keysSent]) <= budget; r.keysSent++ {
+			fields = binary.LittleEndian.AppendUint16(fields, uint16(len(r.keys[r.keysSent])))
+			fields = append(fields, r.keys[r.keysSent]...)
 		}
-		if err := link.send(resp); err != nil {
-			return err
+		if r.keysSent == first && first < len(r.keys) {
+			return nil, nil, fmt.Errorf("%w: a delta key does not fit the response slot", errRepairStep)
 		}
+		if r.keysSent == len(r.keys) {
+			r.keys = nil
+		}
+		return fields, nil, nil
 	}
+	return nil, nil, errRepairStep
 }
 
-// RepairConfig configures ConnectRepair.
-type RepairConfig struct {
-	// Conn is the freshly dialed queue pair; required.
-	Conn rdma.Conn
-	// PlatformKey verifies the replica's attestation quotes; required.
-	PlatformKey *ecdsa.PublicKey
-	// Measurement pins the expected enclave build.
-	Measurement sgx.Measurement
-	// Timeout bounds each repair exchange (default 30 s — snapshot
-	// chunks are large and repair is off the latency-critical path).
-	Timeout time.Duration
-}
-
-// RepairClient drives one replica's repair endpoint: fetch a sealed
-// snapshot, push a sealed snapshot, and enumerate delta keys. Safe for
-// use by one goroutine at a time (an internal mutex enforces it).
-type RepairClient struct {
-	mu   sync.Mutex
-	link repairLink
-}
-
-// ConnectRepair performs remote attestation against the replica's
-// enclave and opens a repair session (helloMsg role "repair").
-func ConnectRepair(cfg RepairConfig) (*RepairClient, error) {
-	if cfg.Conn == nil {
-		return nil, fmt.Errorf("precursor: RepairConfig.Conn is required")
-	}
-	if cfg.PlatformKey == nil {
-		return nil, fmt.Errorf("precursor: PlatformKey is required for attestation")
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	_, aead, err := attest(cfg.Conn, helloMsg{Role: repairRole}, cfg.PlatformKey, cfg.Measurement, time.Now().Add(timeout))
-	if err != nil {
-		return nil, err
-	}
-	return &RepairClient{link: repairLink{
-		conn: cfg.Conn, aead: aead, timeout: timeout,
-		sendAD: repairADClient, recvAD: repairADServer,
-	}}, nil
-}
-
-// SealGeneration asks the replica for its last seal generation.
-func (r *RepairClient) SealGeneration() (uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	resp, err := r.link.call(&repairMsg{Op: repairOpGen})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Gen, nil
-}
-
-// FetchSnapshot has the replica seal its state now and streams the
-// sealed snapshot into w, returning the seal generation. The bytes are
-// opaque to the caller (sealed under the replica group's sealing key).
-func (r *RepairClient) FetchSnapshot(w io.Writer) (uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	resp, err := r.link.call(&repairMsg{Op: repairOpSnapshot})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Op != repairOpSnapshot {
-		return 0, fmt.Errorf("%w: unexpected repair op %q", ErrBadResponse, resp.Op)
-	}
-	gen, size := resp.Gen, resp.Size
-	got := 0
-	for got < size {
-		ch, err := r.link.call(&repairMsg{Op: repairOpSnapNext})
+// FetchSnapshot has the server seal its state now and streams the sealed
+// snapshot into w, a response slot's worth per op, returning the seal's
+// generation. The bytes are opaque to the caller: sealed under the replica
+// group's sealing key.
+func (c *Client) FetchSnapshot(w io.Writer) (uint64, error) {
+	var gen, total, off uint64
+	for off == 0 || off < total {
+		v, err := c.repairOp(wire.OpSnapshot, off, 0, nil)
 		if err != nil {
 			return 0, err
 		}
-		if ch.Op != repairOpChunk {
-			return 0, fmt.Errorf("%w: unexpected repair op %q", ErrBadResponse, ch.Op)
+		if len(v) <= 16 || off > 0 && (binary.LittleEndian.Uint64(v) != gen || binary.LittleEndian.Uint64(v[8:]) != total) {
+			return 0, fmt.Errorf("%w: snapshot chunk at %d", ErrBadResponse, off)
 		}
-		if _, err := w.Write(ch.Data); err != nil {
+		gen, total = binary.LittleEndian.Uint64(v), binary.LittleEndian.Uint64(v[8:])
+		if _, err := w.Write(v[16:]); err != nil {
 			return 0, err
 		}
-		got += len(ch.Data)
-		if !ch.More {
-			break
-		}
-	}
-	if got != size {
-		return 0, fmt.Errorf("%w: snapshot stream short (%d of %d bytes)", ErrBadResponse, got, size)
+		off += uint64(len(v) - 16)
 	}
 	return gen, nil
 }
 
-// PushSnapshot streams a sealed snapshot into the replica, which applies
-// it via RestoreReplica (fast-forwarding its rollback counter to the
-// snapshot's stamp). Returns the replica's entry count after the
-// restore.
-func (r *RepairClient) PushSnapshot(src io.Reader) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// PushSnapshot streams a sealed snapshot into the server, a request slot's
+// worth per op; the chunk that completes it commits RestoreReplica, which
+// fast-forwards the server's rollback counter to the snapshot's stamp. It
+// returns the server's entry count after the restore.
+func (c *Client) PushSnapshot(src io.Reader) (int, error) {
 	data, err := io.ReadAll(src)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := r.link.call(&repairMsg{Op: repairOpRestoreBegin, Size: len(data)}); err != nil {
-		return 0, err
-	}
-	for off := 0; off < len(data); off += repairChunk {
-		end := min(off+repairChunk, len(data))
-		if _, err := r.link.call(&repairMsg{Op: repairOpRestoreChunk, Data: data[off:end]}); err != nil {
+	// A slot holds the frame header, the sealed control of one restore op
+	// with a trace context, and the chunk.
+	room := max(c.reqWriter.MaxMessage()-(&wire.BatchRequest{}).EncodedLen()-cryptox.SealOverhead-
+		controlOfOne-wire.TraceContextSize, 1)
+	var v []byte
+	for off := 0; ; {
+		n := min(len(data)-off, room)
+		if v, err = c.repairOp(wire.OpRestore, uint64(off), uint64(len(data)), data[off:off+n]); err != nil {
 			return 0, err
 		}
+		if off += n; off == len(data) {
+			break
+		}
 	}
-	resp, err := r.link.call(&repairMsg{Op: repairOpRestoreCommit})
-	if err != nil {
-		return 0, err
+	if len(v) != 16 {
+		return 0, fmt.Errorf("%w: restore committed without an entry count", ErrBadResponse)
 	}
-	return resp.Entries, nil
+	return int(binary.LittleEndian.Uint64(v)), nil
 }
 
-// DeltaSince enumerates the keys the replica dirtied since the seal at
-// generation gen (paged transparently). ErrSealGeneration means gen is
-// stale — fetch a fresh snapshot; ErrDeltaTruncated means the replica's
-// delta log overflowed — fall back to a full snapshot.
-func (r *RepairClient) DeltaSince(gen uint64) ([]string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	resp, err := r.link.call(&repairMsg{Op: repairOpDelta, Gen: gen})
-	if err != nil {
-		return nil, err
-	}
+// DeltaSince lists the keys the server dirtied since its seal at
+// generation gen, a page per op. ErrSealGeneration means gen is stale —
+// fetch a fresh snapshot; ErrDeltaTruncated means the server's delta log
+// overflowed — fall back to a full snapshot.
+func (c *Client) DeltaSince(gen uint64) ([]string, error) {
 	var keys []string
-	for {
-		if resp.Op != repairOpKeys {
-			return nil, fmt.Errorf("%w: unexpected repair op %q", ErrBadResponse, resp.Op)
-		}
-		for _, k := range resp.Keys {
-			keys = append(keys, string(k))
-		}
-		if !resp.More {
-			return keys, nil
-		}
-		resp, err = r.link.call(&repairMsg{Op: repairOpDeltaNext})
+	for total := uint64(1); uint64(len(keys)) < total; {
+		v, err := c.repairOp(wire.OpDelta, gen, uint64(len(keys)), nil)
 		if err != nil {
 			return nil, err
 		}
-	}
-}
-
-// Close ends the session (best-effort bye) and closes the connection.
-func (r *RepairClient) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.link.postRecv(); err == nil {
-		if err := r.link.send(&repairMsg{Op: repairOpBye}); err == nil {
-			saved := r.link.timeout
-			r.link.timeout = 500 * time.Millisecond
-			_, _ = r.link.recv()
-			r.link.timeout = saved
+		if len(v) < 8 {
+			return nil, fmt.Errorf("%w: delta page without a count", ErrBadResponse)
+		}
+		page := len(keys)
+		total, v = binary.LittleEndian.Uint64(v), v[8:]
+		for len(v) >= 2 && len(v) >= 2+int(binary.LittleEndian.Uint16(v)) {
+			n := 2 + int(binary.LittleEndian.Uint16(v))
+			keys, v = append(keys, string(v[2:n])), v[n:]
+		}
+		if len(v) != 0 || uint64(len(keys)) > total || len(keys) == page && uint64(page) < total {
+			return nil, fmt.Errorf("%w: delta page at key %d", ErrBadResponse, page)
 		}
 	}
-	return r.link.conn.Close()
+	return keys, nil
+}
+
+// repairOp sends one repair op — arguments a and b sealed in its control,
+// chunk in the frame's payload region — as a frame of one, and returns its
+// sealed result fields followed by the chunk its reply carries. A shed op
+// was not applied, so it is sent again after the server's hint, within the
+// op's deadline; a draining donor thus fails a step only at the deadline.
+func (c *Client) repairOp(kind wire.Opcode, a, b uint64, chunk []byte) ([]byte, error) {
+	args := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(make([]byte, 0, 16), a), b)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	deadline, err := c.beginOp(context.Background(), "repair")
+	if err != nil {
+		return nil, err
+	}
+	op := BatchOp{Kind: BatchOpKind(kind), Value: chunk, args: args}
+	v, err := c.doLocked(op, deadline)
+	for rl := (*RetryLaterError)(nil); errors.As(err, &rl) && time.Now().Add(max(rl.Hint, c.cfg.RetryBase)).Before(deadline); c.retries++ {
+		time.Sleep(max(rl.Hint, c.cfg.RetryBase))
+		v, err = c.doLocked(op, deadline)
+	}
+	c.endOp(err)
+	return v, err
 }

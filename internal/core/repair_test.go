@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"precursor/internal/sgx"
+	"precursor/internal/audit"
+	"precursor/internal/rdma"
+	"precursor/internal/wire"
 )
 
 // newPeer starts a second server on tc's fabric sharing tc's platform —
@@ -34,34 +40,37 @@ func (tc *testCluster) newPeer(cfg ServerConfig) *testCluster {
 	}
 	tc.t.Cleanup(server.Close)
 	// The peer shares tc's fabric but counts devices independently; offset
-	// its counter so client/repair device names never collide with tc's.
+	// its counter so client device names never collide with tc's.
 	return &testCluster{t: tc.t, fabric: tc.fabric, platform: tc.platform, server: server, srvDev: dev, nDev: 1000 * tc.nDev}
 }
 
-// connectRepair opens an attested anti-entropy repair session to tc's
-// server over the in-process fabric.
-func (tc *testCluster) connectRepair() *RepairClient {
+// preload writes n keys of size-byte values to tc's server, in frames of
+// about 16 KiB.
+func (tc *testCluster) preload(n, size int) {
 	tc.t.Helper()
-	tc.nDev++
-	dev, err := tc.fabric.NewDevice(fmt.Sprintf("repair-%d", tc.nDev))
-	if err != nil {
-		tc.t.Fatal(err)
+	c := tc.connect()
+	step := max(1, 16<<10/(size+64))
+	for base := 0; base < n; base += step {
+		var ops []BatchOp
+		for i := base; i < min(base+step, n); i++ {
+			ops = append(ops, BatchOp{Kind: BatchPut, Key: fmt.Sprintf("k%05d", i), Value: bytes.Repeat([]byte{byte(i)}, size)})
+		}
+		if _, err := c.Batch(ops); err != nil {
+			tc.t.Fatal(err)
+		}
 	}
-	cliQP, srvQP := tc.fabric.ConnectRC(dev, tc.srvDev)
-	// Repair sessions occupy HandleConnection for their whole lifetime
-	// (served inline), so the handler runs in the background.
-	go func() { _, _ = tc.server.HandleConnection(srvQP) }()
-	rc, err := ConnectRepair(RepairConfig{
-		Conn:        cliQP,
-		PlatformKey: tc.platform.AttestationPublicKey(),
-		Measurement: tc.server.Measurement(),
-		Timeout:     10 * time.Second,
-	})
-	if err != nil {
-		tc.t.Fatalf("ConnectRepair: %v", err)
+}
+
+// sealedSnapshot preloads n keys of 512 B into tc's server and fetches its
+// sealed snapshot.
+func (tc *testCluster) sealedSnapshot(n int) []byte {
+	tc.t.Helper()
+	tc.preload(n, 512)
+	var sealed bytes.Buffer
+	if _, err := tc.connect().FetchSnapshot(&sealed); err != nil {
+		tc.t.Fatalf("FetchSnapshot: %v", err)
 	}
-	tc.t.Cleanup(func() { _ = rc.Close() })
-	return rc
+	return sealed.Bytes()
 }
 
 // TestRepairSnapshotDeltaTransfer is the end-to-end anti-entropy path:
@@ -79,8 +88,8 @@ func TestRepairSnapshotDeltaTransfer(t *testing.T) {
 		}
 	}
 
-	rd := donor.connectRepair()
-	rt := target.connectRepair()
+	rd := donor.connect()
+	rt := target.connect()
 
 	var sealed bytes.Buffer
 	gen, err := rd.FetchSnapshot(&sealed)
@@ -164,7 +173,7 @@ func TestRepairStaleGeneration(t *testing.T) {
 	if err := cd.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	rd := donor.connectRepair()
+	rd := donor.connect()
 	var sealed bytes.Buffer
 	gen1, err := rd.FetchSnapshot(&sealed)
 	if err != nil {
@@ -172,14 +181,12 @@ func TestRepairStaleGeneration(t *testing.T) {
 	}
 	// A second seal supersedes gen1.
 	sealed.Reset()
-	if _, err := rd.FetchSnapshot(&sealed); err != nil {
-		t.Fatal(err)
+	gen2, err := rd.FetchSnapshot(&sealed)
+	if err != nil || gen2 != gen1+1 {
+		t.Fatalf("second FetchSnapshot = %d, %v; want generation %d", gen2, err, gen1+1)
 	}
 	if _, err := rd.DeltaSince(gen1); !errors.Is(err, ErrSealGeneration) {
 		t.Fatalf("DeltaSince(stale) = %v, want ErrSealGeneration", err)
-	}
-	if g, err := rd.SealGeneration(); err != nil || g != gen1+1 {
-		t.Fatalf("SealGeneration = %d, %v; want %d", g, err, gen1+1)
 	}
 }
 
@@ -200,8 +207,8 @@ func TestRepairRollbackRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rd := donor.connectRepair()
-	rt := target.connectRepair()
+	rd := donor.connect()
+	rt := target.connect()
 	var sealed bytes.Buffer
 	if _, err := rd.FetchSnapshot(&sealed); err != nil {
 		t.Fatal(err)
@@ -211,27 +218,338 @@ func TestRepairRollbackRejected(t *testing.T) {
 	}
 }
 
-// TestRepairAttestationPinned: a repair client pinning a different
-// measurement must fail the handshake — repair sessions attest exactly
-// like data clients.
-func TestRepairAttestationPinned(t *testing.T) {
+// targetUnchanged fails t unless target still holds exactly its one key
+// "own" at trusted counter 0.
+func targetUnchanged(t *testing.T, target *testCluster, ct *Client) {
+	t.Helper()
+	if n, c := target.server.Stats().Entries, target.server.RollbackCounter(); n != 1 || c != 0 {
+		t.Fatalf("target holds %d entries at counter %d, want 1 at 0", n, c)
+	}
+	if v, err := ct.Get("own"); err != nil || string(v) != "kept" {
+		t.Fatalf("target's own key = %q, %v", v, err)
+	}
+}
+
+// TestRepairPushTamperRefused: the client ferrying a snapshot can neither
+// alter nor cut it. A flipped byte, two chunks swapped and a chunk left
+// out each end in a typed error and one repair-anomaly audit record, and
+// the target's table and trusted counter stay as they were.
+func TestRepairPushTamperRefused(t *testing.T) {
 	donor := newCluster(t, ServerConfig{})
-	donor.nDev++
-	dev, err := donor.fabric.NewDevice("repair-bad")
-	if err != nil {
+	log := audit.New(0)
+	target := donor.newPeer(ServerConfig{Audit: log})
+	sealed := donor.sealedSnapshot(150)
+	ct := target.connect()
+	mustPut(t, ct, "own", []byte("kept"))
+
+	const span = 4096 // well inside the sealed payload, which starts at byte 32
+	flipped := slices.Clone(sealed)
+	flipped[len(flipped)/2] ^= 0x01
+	swapped := slices.Clone(sealed)
+	copy(swapped[span:], sealed[2*span:3*span])
+	copy(swapped[2*span:], sealed[span:2*span])
+	dropped := append(slices.Clone(sealed[:span]), sealed[2*span:]...)
+	for _, tt := range []struct {
+		name string
+		blob []byte
+		want error
+	}{
+		{"flipped byte", flipped, ErrSnapshotAuth},
+		{"chunks swapped", swapped, ErrSnapshotAuth},
+		{"chunk dropped", dropped, ErrSnapshotFormat},
+	} {
+		anomalies := log.CountsByKind()[audit.KindRepairAnomaly]
+		if _, err := ct.PushSnapshot(bytes.NewReader(tt.blob)); !errors.Is(err, tt.want) {
+			t.Fatalf("%s: PushSnapshot = %v, want %v", tt.name, err, tt.want)
+		}
+		if got := log.CountsByKind()[audit.KindRepairAnomaly]; got != anomalies+1 {
+			t.Fatalf("%s: %d repair-anomaly records, want %d", tt.name, got, anomalies+1)
+		}
+		targetUnchanged(t, target, ct)
+	}
+	if log.CountsByKind()[audit.KindSnapshotAuth] != 2 {
+		t.Fatalf("audit counts %v, want 2 snapshot_auth records", log.CountsByKind())
+	}
+	// The untouched blob still commits.
+	if n, err := ct.PushSnapshot(bytes.NewReader(sealed)); err != nil || n != 150 {
+		t.Fatalf("PushSnapshot(intact) = %d, %v", n, err)
+	}
+}
+
+// TestRepairOutOfStepRefused: a repair op whose offset or total disagrees
+// with what the session has sent or received — a chunk dropped in flight
+// included — gets a sealed BAD_REQUEST at once, and nothing is restored.
+func TestRepairOutOfStepRefused(t *testing.T) {
+	donor := newCluster(t, ServerConfig{})
+	log := audit.New(0)
+	target := donor.newPeer(ServerConfig{Audit: log})
+	sealed := donor.sealedSnapshot(60)
+	total := uint64(len(sealed))
+	ct := target.connect()
+	mustPut(t, ct, "own", []byte("kept"))
+
+	for _, st := range []struct {
+		name  string
+		op    wire.Opcode
+		a, b  uint64
+		chunk []byte
+	}{
+		{"restore resumed with none begun", wire.OpRestore, 100, total, sealed[100:200]},
+		{"restore total past the bound", wire.OpRestore, 0, maxSnapshot + 1, sealed[:100]},
+		{"restore chunk past its total", wire.OpRestore, 0, 10, sealed[:100]},
+		{"restore begun", wire.OpRestore, 0, total, sealed[:1000]},
+		{"next chunk skips one dropped in flight", wire.OpRestore, 2000, total, sealed[2000:3000]},
+		{"snapshot resumed with none pinned", wire.OpSnapshot, 100, 0, nil},
+		{"delta resumed with none listed", wire.OpDelta, 0, 5, nil},
+	} {
+		_, err := ct.repairOp(st.op, st.a, st.b, st.chunk)
+		if st.name == "restore begun" {
+			if err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrBadResponse) || errors.Is(err, ErrUnconfirmed) {
+			t.Fatalf("%s: %v, want a sealed BAD_REQUEST (plain ErrBadResponse)", st.name, err)
+		}
+	}
+	if got := log.CountsByKind()[audit.KindRepairAnomaly]; got != 6 {
+		t.Fatalf("%d repair-anomaly records, want 6", got)
+	}
+	targetUnchanged(t, target, ct)
+}
+
+// TestRepairReplayedFrameRefused: a repair frame replayed under a spent
+// oid is refused by the session's replay window like any other frame —
+// it does not seal again.
+func TestRepairReplayedFrameRefused(t *testing.T) {
+	tc := newCluster(t, ServerConfig{})
+	c := tc.connect()
+	mustPut(t, c, "k", []byte("v"))
+	if _, err := c.FetchSnapshot(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	cliQP, srvQP := donor.fabric.ConnectRC(dev, donor.srvDev)
-	go func() { _, _ = donor.server.HandleConnection(srvQP) }()
-	_, err = ConnectRepair(RepairConfig{
-		Conn:        cliQP,
-		PlatformKey: donor.platform.AttestationPublicKey(),
-		Measurement: sgx.Measurement{0xba, 0xad},
-		Timeout:     5 * time.Second,
-	})
-	if err == nil {
-		t.Fatal("ConnectRepair accepted a wrong measurement")
+	seals := tc.server.SealsTotal()
+	c.mu.Lock()
+	oid := c.oid // already consumed by the server
+	c.mu.Unlock()
+	inject(t, c, sealFrame(t, c, oid, wire.BatchOp{Op: wire.OpSnapshot, InlineValue: make([]byte, 16)}))
+	awaitStat(t, tc.server, "replay", func(st ServerStats) uint64 { return st.Replays })
+	if got := tc.server.SealsTotal(); got != seals {
+		t.Fatalf("replayed snapshot op sealed: %d seals, want %d", got, seals)
 	}
+	if _, err := c.FetchSnapshot(io.Discard); err != nil {
+		t.Fatalf("fetch after the replay: %v", err)
+	}
+}
+
+// TestRepairClosedSessionIsReleased: a client that hangs up mid-fetch
+// leaves nothing behind. Its session ends at the trusted thread's next
+// sweep, which frees its MaxClients slot, and the snapshot pinned on it
+// becomes garbage.
+func TestRepairClosedSessionIsReleased(t *testing.T) {
+	tc := newCluster(t, ServerConfig{MaxClients: 2})
+	tc.preload(200, 512) // one session; a sealed snapshot of several chunks
+	c := tc.connect()
+	if _, err := c.repairOp(wire.OpSnapshot, 0, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	func() {
+		tc.server.mu.Lock()
+		sess := tc.server.sessions[c.ID()]
+		tc.server.mu.Unlock()
+		if sess == nil || sess.repair == nil || sess.repair.snap == nil {
+			t.Fatal("no snapshot pinned on the session mid-fetch")
+		}
+		runtime.SetFinalizer(sess.repair, func(*repairState) { close(freed) })
+	}()
+	_ = c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for tc.server.Stats().Clients != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("closed session still counted: %d sessions", tc.server.Stats().Clients)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tc.connect() // the second of MaxClients' two slots is free again
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the closed session's pinned snapshot is still reachable")
+		}
+	}
+}
+
+// TestRepairShedStepIsResent: a draining donor sheds a repair frame like
+// any write, and a shed op was not applied, so the client sends the same
+// step again after the hint; the fetch completes once the drain lifts.
+func TestRepairShedStepIsResent(t *testing.T) {
+	tc := newCluster(t, ServerConfig{})
+	tc.preload(100, 512)
+	c := tc.connect()
+	tc.server.SetDraining(true)
+	fetched := make(chan error, 1)
+	go func() {
+		_, err := c.FetchSnapshot(io.Discard)
+		fetched <- err
+	}()
+	awaitStat(t, tc.server, "shed write", func(st ServerStats) uint64 { return st.ShedWrites })
+	tc.server.SetDraining(false)
+	if err := <-fetched; err != nil {
+		t.Fatalf("fetch across a drain: %v", err)
+	}
+	if seals := tc.server.SealsTotal(); seals != 1 {
+		t.Fatalf("%d seals, want 1: a shed op must not apply", seals)
+	}
+}
+
+// flipConn flips one byte in the middle of the first write posted through
+// it that is longer than min: an on-path adversary's hand on a frame.
+type flipConn struct {
+	rdma.Conn
+	min     int
+	flipped atomic.Bool
+}
+
+func (c *flipConn) PostWrite(wrID uint64, rkey uint32, off uint64, data []byte, signaled bool) error {
+	if len(data) > c.min && c.flipped.CompareAndSwap(false, true) {
+		data = slices.Clone(data)
+		data[len(data)/2] ^= 0x01
+	}
+	return c.Conn.PostWrite(wrID, rkey, off, data, signaled)
+}
+
+// TestRepairFetchedChunkTamperedInFlight: a fetched chunk's bytes ride the
+// reply's untrusted payload region, so the fetching client cannot tell one
+// altered in flight — the target's commit does, and refuses the snapshot.
+func TestRepairFetchedChunkTamperedInFlight(t *testing.T) {
+	donor := newCluster(t, ServerConfig{})
+	target := donor.newPeer(ServerConfig{})
+	donor.preload(150, 512)
+	flip := &flipConn{min: 8192}
+	donor.wrapSrv = func(c rdma.Conn) rdma.Conn { flip.Conn = c; return flip }
+	var sealed bytes.Buffer
+	if _, err := donor.connect().FetchSnapshot(&sealed); err != nil {
+		t.Fatal(err)
+	}
+	if !flip.flipped.Load() {
+		t.Fatal("no chunk reply crossed the wrapped connection")
+	}
+	ct := target.connect()
+	mustPut(t, ct, "own", []byte("kept"))
+	if _, err := ct.PushSnapshot(&sealed); !errors.Is(err, ErrSnapshotAuth) {
+		t.Fatalf("PushSnapshot(tampered in flight) = %v, want ErrSnapshotAuth", err)
+	}
+	targetUnchanged(t, target, ct)
+}
+
+// countingConn counts the bytes posted through one end of a queue pair.
+type countingConn struct {
+	rdma.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) PostWrite(wrID uint64, rkey uint32, off uint64, data []byte, signaled bool) error {
+	c.n.Add(int64(len(data)))
+	return c.Conn.PostWrite(wrID, rkey, off, data, signaled)
+}
+
+func (c countingConn) PostWriteImm(wrID uint64, rkey uint32, off uint64, data []byte, imm uint32, signaled bool) error {
+	c.n.Add(int64(len(data)))
+	return c.Conn.PostWriteImm(wrID, rkey, off, data, imm, signaled)
+}
+
+func (c countingConn) PostSend(wrID uint64, data []byte, signaled, inline bool) error {
+	c.n.Add(int64(len(data)))
+	return c.Conn.PostSend(wrID, data, signaled, inline)
+}
+
+// TestRepairBytesPerSnapshotByte counts the bytes both ends of a repair
+// connection post, per sealed snapshot byte, for one fetch leg (donor) and
+// one push leg (target), attestation excluded: chunks cross as they are,
+// so each leg costs only its frames' headers, control seals and credits.
+func TestRepairBytesPerSnapshotByte(t *testing.T) {
+	donor := newCluster(t, ServerConfig{})
+	target := donor.newPeer(ServerConfig{})
+	donor.preload(400, 1024)
+	var fetched, pushed atomic.Int64
+	count := func(n *atomic.Int64) func(rdma.Conn) rdma.Conn {
+		return func(c rdma.Conn) rdma.Conn { return countingConn{c, n} }
+	}
+	donor.wrapSrv, target.wrapSrv = count(&fetched), count(&pushed)
+	rd := donor.connect(func(cfg *ClientConfig) { cfg.Conn = countingConn{cfg.Conn, &fetched} })
+	rt := target.connect(func(cfg *ClientConfig) { cfg.Conn = countingConn{cfg.Conn, &pushed} })
+	fetched.Store(0)
+	pushed.Store(0)
+
+	var sealed bytes.Buffer
+	start := time.Now()
+	if _, err := rd.FetchSnapshot(&sealed); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := rt.PushSnapshot(bytes.NewReader(sealed.Bytes())); err != nil || n != 400 {
+		t.Fatalf("PushSnapshot = %d, %v", n, err)
+	}
+	took := time.Since(start)
+	size := float64(sealed.Len())
+	fetch, push := float64(fetched.Load())/size, float64(pushed.Load())/size
+	t.Logf("sealed snapshot %d B, fetched and pushed in %v; bytes posted per snapshot byte: fetch %.4f, push %.4f",
+		sealed.Len(), took, fetch, push)
+	if fetch > 1.05 || push > 1.05 {
+		t.Fatalf("repair posts fetch %.4f / push %.4f bytes per snapshot byte, budget 1.05", fetch, push)
+	}
+}
+
+// BenchmarkRepairSealPause measures what a fetch's seal, which runs on the
+// donor's trusted thread, costs the other sessions that thread polls. Each
+// iteration is one fetch of a 20 000-key snapshot beside a session that
+// gets in a loop; it reports the seal's duration and the longest get:
+//
+//	go test -run '^$' -bench BenchmarkRepairSealPause -benchtime 5x ./internal/core/
+func BenchmarkRepairSealPause(b *testing.B) {
+	donor := newCluster(b, ServerConfig{Workers: 1})
+	donor.preload(20000, 100)
+	other := donor.connect()
+	rd := donor.connect()
+	var longest atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			start := time.Now()
+			if _, err := other.Get("k00000"); err != nil {
+				b.Error(err)
+				return
+			}
+			if d := int64(time.Since(start)); d > longest.Load() {
+				longest.Store(d)
+			}
+		}
+	}()
+	var seal time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rd.FetchSnapshot(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		seal = max(seal, donor.server.LastSealDuration())
+	}
+	b.StopTimer()
+	close(stop)
+	<-done
+	b.ReportMetric(float64(seal)/1e6, "seal-ms")
+	b.ReportMetric(float64(longest.Load())/1e6, "longest-get-ms")
 }
 
 // TestDeltaLogSemantics covers the dirty-key set's bookkeeping directly:

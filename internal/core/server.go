@@ -103,6 +103,7 @@ type session struct {
 	recBuf   []byte  // read-through: the log record served, until its payload joins bPayload
 	got      []entry // each get's copy of its entry, by op index, until the reply is sealed
 	payAD    payloadAD
+	repair   *repairState // repair ops in progress (repair.go); nil between them
 }
 
 // outFrame is a reply handed from a trusted thread to the untrusted
@@ -161,7 +162,7 @@ type Server struct {
 	deltaSealing  bool
 
 	// sealMu serializes Seal/Restore state swaps (a periodic sealer and a
-	// repair-session snapshot must not interleave their counter bumps).
+	// repair op's snapshot must not interleave their counter bumps).
 	sealMu      sync.Mutex
 	lastSeal    atomic.Int64 // unix nanos of the last successful Seal, 0 = never
 	seals       atomic.Uint64
@@ -187,7 +188,6 @@ type Server struct {
 	badRequests           atomic.Uint64
 	traceCtxErrors        atomic.Uint64
 	cryptoBytes           atomic.Uint64
-	repairSessions        atomic.Uint64
 
 	// gate is the admission controller consulted at ring pickup. Always
 	// non-nil: when ServerConfig.Overload is unset a drain-only gate is
@@ -371,12 +371,6 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 	if err := recvMsg(conn, &hello, time.Now().Add(bootstrapTimeout)); err != nil {
 		return 0, err
 	}
-	if hello.Role == repairRole {
-		// Anti-entropy repair session (§10): attested like a data client
-		// but served inline over two-sided messaging — no rings, no oid
-		// space, no session-table entry. Blocks until the peer hangs up.
-		return 0, s.serveRepair(conn, &hello)
-	}
 	if hello.RespSlots <= 0 || hello.RespSlotSize <= ringbuf.Overhead {
 		_ = sendMsg(conn, 1, &welcomeMsg{Error: "bad response ring geometry"})
 		return 0, ErrBadBootstrap
@@ -393,7 +387,7 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 		}
 	}
 
-	welcome, aead, err := s.respondAttest(conn, &hello, 1)
+	welcome, aead, err := s.respondAttest(conn, &hello)
 	if err != nil {
 		return 0, err
 	}
@@ -451,7 +445,13 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 
 // RevokeClient tears down a client's access by transitioning its queue
 // pair to the error state (§3.9) and dropping its session.
-func (s *Server) RevokeClient(id uint32) bool {
+func (s *Server) RevokeClient(id uint32) bool { return s.endSession(id, true) }
+
+// endSession drops session id and all it holds: its rings, its place in a
+// sweep and under MaxClients, any repair in progress. revoke moves its
+// queue pair to the error state; else the pair has failed (the sweep saw
+// it) and the server's end is closed.
+func (s *Server) endSession(id uint32, revoke bool) bool {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
 	if ok {
@@ -463,10 +463,14 @@ func (s *Server) RevokeClient(id uint32) bool {
 		return false
 	}
 	sess.revoked.Store(true)
-	sess.conn.SetError()
+	if revoke {
+		sess.conn.SetError()
+	} else {
+		_ = sess.conn.Close()
+	}
 	s.device.Deregister(sess.reqRing)
 	s.device.Deregister(sess.respCredit)
-	s.logEvent("client revoked", slog.Int("client", int(id)))
+	s.logEvent("client session ended", slog.Int("client", int(id)), slog.Bool("revoked", revoke))
 	return true
 }
 
@@ -535,6 +539,10 @@ func (s *Server) trustedLoop(worker int) {
 				continue
 			}
 			if !ready {
+				// The ring is drained: a failed queue pair ends the session.
+				if sess.conn.Failed() {
+					s.endSession(sess.id, false)
+				}
 				continue
 			}
 			if s.scratch[worker] == nil {

@@ -117,6 +117,7 @@ func TestOverTCPFabricConcurrentClients(t *testing.T) {
 
 	const n = 4
 	var wg sync.WaitGroup
+	clients := make([]*Client, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(id int) {
@@ -137,7 +138,7 @@ func TestOverTCPFabricConcurrentClients(t *testing.T) {
 				t.Errorf("connect: %v", err)
 				return
 			}
-			defer client.Close()
+			clients[id] = client
 			for op := 0; op < 30; op++ {
 				key := fmt.Sprintf("c%d-k%d", id, op)
 				if err := client.Put(key, []byte(key)); err != nil {
@@ -155,5 +156,18 @@ func TestOverTCPFabricConcurrentClients(t *testing.T) {
 	wg.Wait()
 	if st := server.Stats(); st.Clients != n {
 		t.Errorf("clients = %d", st.Clients)
+	}
+	// A client that hangs up ends its session: the server's end of the
+	// socket reads EOF, the queue pair fails, the trusted thread's sweep
+	// drops the session.
+	for _, c := range clients {
+		if c != nil {
+			_ = c.Close()
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); server.Stats().Clients != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions left after every client closed", server.Stats().Clients)
+		}
 	}
 }

@@ -264,6 +264,9 @@ func (c *Conn) PostBounded() bool { return c.inner.PostBounded() }
 // SetError implements rdma.Conn (pass-through).
 func (c *Conn) SetError() { c.inner.SetError() }
 
+// Failed implements rdma.Conn (pass-through).
+func (c *Conn) Failed() bool { return c.inner.Failed() }
+
 // Close implements rdma.Conn: parked and late frames die with the conn.
 func (c *Conn) Close() error {
 	c.mu.Lock()

@@ -65,6 +65,7 @@ func (s *sinkConn) PollSend(max int) []rdma.Completion     { return nil }
 func (s *sinkConn) PollRecv(max int) []rdma.Completion     { return nil }
 func (s *sinkConn) PostBounded() bool                      { return true }
 func (s *sinkConn) SetError()                              { s.mu.Lock(); s.errored = true; s.mu.Unlock() }
+func (s *sinkConn) Failed() bool                           { return s.wasErrored() || s.wasClosed() }
 func (s *sinkConn) Close() error                           { s.mu.Lock(); s.closed = true; s.mu.Unlock(); return nil }
 
 func noisyConfig(seed uint64) Config {

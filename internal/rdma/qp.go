@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // qpState is the simplified RC queue-pair state machine.
@@ -39,6 +40,7 @@ type QP struct {
 	mu      sync.Mutex
 	peer    *QP
 	state   qpState
+	failed  atomic.Bool // state has left qpReady: Failed reads it without mu
 	sendCQ  []Completion
 	recvCQ  []Completion
 	recvQ   []postedRecv
@@ -67,6 +69,7 @@ func (q *QP) enterErrorLocked() {
 		return
 	}
 	q.state = qpErr
+	q.failed.Store(true)
 	for _, r := range q.recvQ {
 		q.recvCQ = append(q.recvCQ, Completion{
 			WRID: r.wrID, Op: OpRecv, Status: StatusFlushed, Err: ErrQPError, Buf: r.buf,
@@ -306,6 +309,9 @@ func (q *QP) SetError() {
 	}
 }
 
+// Failed implements Conn.
+func (q *QP) Failed() bool { return q.failed.Load() }
+
 // Close implements Conn.
 func (q *QP) Close() error {
 	q.mu.Lock()
@@ -315,6 +321,7 @@ func (q *QP) Close() error {
 	}
 	peer := q.peer
 	q.state = qpClosed
+	q.failed.Store(true)
 	q.peer = nil
 	q.mu.Unlock()
 	if peer != nil {

@@ -181,6 +181,7 @@ type TCPQP struct {
 
 	mu      sync.Mutex
 	state   qpState
+	failed  atomic.Bool // state has left qpReady: Failed reads it without mu
 	sendCQ  []Completion
 	recvCQ  []Completion
 	recvQ   []postedRecv
@@ -477,9 +478,13 @@ func (q *TCPQP) Close() error {
 		return nil
 	}
 	q.state = qpClosed
+	q.failed.Store(true)
 	q.mu.Unlock()
 	return q.conn.Close()
 }
+
+// Failed implements Conn.
+func (q *TCPQP) Failed() bool { return q.failed.Load() }
 
 func (q *TCPQP) enterErrorTCP() {
 	q.mu.Lock()
@@ -488,6 +493,7 @@ func (q *TCPQP) enterErrorTCP() {
 		return
 	}
 	q.state = qpErr
+	q.failed.Store(true)
 	for _, r := range q.recvQ {
 		q.recvCQ = append(q.recvCQ, Completion{
 			WRID: r.wrID, Op: OpRecv, Status: StatusFlushed, Err: ErrQPError, Buf: r.buf,

@@ -160,13 +160,13 @@ func AppendBatchControl(dst []byte, c *BatchControl) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(c.Ops)))
 	for i := range c.Ops {
 		op := &c.Ops[i]
-		if len(op.Key) == 0 || len(op.Key) > MaxKeyLen {
+		if len(op.Key) == 0 && op.Op.keyed() || len(op.Key) > MaxKeyLen {
 			return nil, ErrOversized
 		}
 		if len(op.OpKey) != 0 && len(op.OpKey) != OpKeySize {
 			return nil, ErrControl
 		}
-		if op.Op != OpPut && op.Op != OpGet && op.Op != OpDelete {
+		if !op.Op.inBatch() {
 			return nil, ErrBadOpcode
 		}
 		dst = append(dst, byte(op.Op), op.Flags)
@@ -204,12 +204,12 @@ func DecodeBatchControl(buf []byte, c *BatchControl) error {
 			return ErrControl
 		}
 		op := BatchOp{Op: Opcode(rest[0]), Flags: rest[1]}
-		if op.Op != OpPut && op.Op != OpGet && op.Op != OpDelete {
+		if !op.Op.inBatch() {
 			return ErrBadOpcode
 		}
 		keyLen := int(binary.LittleEndian.Uint16(rest[2:4]))
 		rest = rest[4:]
-		if keyLen == 0 || keyLen > MaxKeyLen || len(rest) < keyLen+1 {
+		if keyLen == 0 && op.Op.keyed() || keyLen > MaxKeyLen || len(rest) < keyLen+1 {
 			return ErrControl
 		}
 		op.Key = rest[:keyLen]
@@ -257,14 +257,15 @@ func DecodeBatchControl(buf []byte, c *BatchControl) error {
 
 // ValidateExtents checks that the ops' authenticated payload extents
 // tile a payload region of payloadLen bytes exactly: no gap, no
-// overlap, no forged length. Returns ErrBatchExtent on any mismatch.
+// overlap, no forged length. Only puts and a restore's snapshot chunk
+// claim any. Returns ErrBatchExtent on any mismatch.
 func (c *BatchControl) ValidateExtents(payloadLen int) error {
 	total := 0
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		n := int(op.PayloadLen)
 		switch {
-		case op.Op != OpPut && n != 0:
+		case op.Op != OpPut && op.Op != OpRestore && n != 0:
 			return ErrBatchExtent
 		case op.Flags&FlagInlineValue != 0 && n != 0:
 			return ErrBatchExtent

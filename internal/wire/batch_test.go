@@ -121,6 +121,30 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchControlRepairOps: the repair ops ride a batch control with no
+// key and their arguments in InlineValue, and only a restore's chunk
+// claims an extent.
+func TestBatchControlRepairOps(t *testing.T) {
+	args := make([]byte, 16)
+	for _, op := range []Opcode{OpSnapshot, OpRestore, OpDelta} {
+		enc, err := AppendBatchControl(nil, &BatchControl{Oid: 3, Ops: []BatchOp{{Op: op, InlineValue: args}}})
+		if err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		var dec BatchControl
+		if err := DecodeBatchControl(enc, &dec); err != nil || dec.Ops[0].Op != op || !bytes.Equal(dec.Ops[0].InlineValue, args) {
+			t.Fatalf("%v: decoded %+v, %v", op, dec.Ops, err)
+		}
+		dec.Ops[0].PayloadLen = 100
+		if err := dec.ValidateExtents(100); (err == nil) != (op == OpRestore) {
+			t.Fatalf("%v claiming an extent: %v", op, err)
+		}
+	}
+	if _, err := AppendBatchControl(nil, &BatchControl{Ops: []BatchOp{{Op: OpGet}}}); !errors.Is(err, ErrOversized) {
+		t.Fatalf("keyless get: %v, want ErrOversized", err)
+	}
+}
+
 // knownWireErr reports whether err is one of the package's typed codec
 // errors — adversarial inputs must map onto these, never panic or leak
 // an untyped error.
@@ -240,6 +264,19 @@ func FuzzBatchFrame(f *testing.F) {
 	}}
 	replyEnc, _ := AppendBatchReply(nil, reply)
 	f.Add(replyEnc)
+	// One seed per repair op: a keyless control whose arguments ride
+	// InlineValue, a restore's chunk under its extent.
+	for _, op := range []Opcode{OpSnapshot, OpRestore, OpDelta} {
+		rctl := &BatchControl{Oid: 8, Ops: []BatchOp{{Op: op, InlineValue: make([]byte, 16)}}}
+		if op == OpRestore {
+			rctl.Ops[0].PayloadLen = 32
+		}
+		enc, err := AppendBatchControl(nil, rctl)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(OpBatch), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0})
 

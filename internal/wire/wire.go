@@ -30,6 +30,12 @@ const (
 	// OpBatch marks a multi-op frame: N ops under one control seal and
 	// one ring doorbell (see batch.go).
 	OpBatch
+	// OpSnapshot, OpRestore and OpDelta are the repair ops (PROTOCOL.md
+	// §10): they move a sealed snapshot or a page of dirtied keys between
+	// replicas, name no key, and ride a batch frame's control only.
+	OpSnapshot
+	OpRestore
+	OpDelta
 )
 
 func (o Opcode) String() string {
@@ -42,9 +48,22 @@ func (o Opcode) String() string {
 		return "DELETE"
 	case OpBatch:
 		return "BATCH"
+	case OpSnapshot:
+		return "SNAPSHOT"
+	case OpRestore:
+		return "RESTORE"
+	case OpDelta:
+		return "DELTA"
 	}
 	return "UNKNOWN"
 }
+
+// keyed reports whether o is a key-value op, which names a key.
+func (o Opcode) keyed() bool { return o == OpPut || o == OpGet || o == OpDelete }
+
+// inBatch reports whether o may ride a batch frame's control: a key-value
+// op or a repair op.
+func (o Opcode) inBatch() bool { return o.keyed() || o >= OpSnapshot && o <= OpDelta }
 
 // Status is a server response status.
 type Status uint8

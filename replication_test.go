@@ -7,11 +7,144 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"precursor"
 )
+
+// bigWrites counts the writes over 8 KiB posted through a connection — in
+// repairGroup's workload only repair's snapshot chunks are that large —
+// and, while spoil is set, flips a byte in the middle of each.
+type bigWrites struct {
+	precursor.Conn
+	n     *atomic.Int64
+	spoil *atomic.Bool
+}
+
+func (c bigWrites) PostWrite(wrID uint64, rkey uint32, off uint64, data []byte, signaled bool) error {
+	if len(data) > 8<<10 {
+		c.n.Add(1)
+		if c.spoil.Load() {
+			data = bytes.Clone(data)
+			data[len(data)/2] ^= 0x01
+		}
+	}
+	return c.Conn.PostWrite(wrID, rkey, off, data, signaled)
+}
+
+// repairGroup serves one group of two replicas holding 200 values of
+// 512 B (a sealed snapshot of about 110 KB), dialed through a bigWrites
+// wrapper, then kills replica 1 and writes until its breaker trips. The
+// returned restart brings replica 1 back empty, to be full-synced.
+func repairGroup(t *testing.T, big *atomic.Int64, spoil *atomic.Bool) (*precursor.ReplicatedClusterService, *precursor.ClusterClient, func() *precursor.Service) {
+	t.Helper()
+	cs, err := precursor.ServeReplicatedCluster(1, 2, precursor.ServerConfig{
+		Workers: 1, PollInterval: 50 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cs.Close)
+	cc, err := precursor.DialReplicatedCluster(cs.GroupSpecs(), precursor.ClusterConfig{
+		Timeout:        time.Second,
+		RetryBackoff:   20 * time.Millisecond,
+		RepairInterval: 10 * time.Millisecond,
+		WriteQuorum:    1,
+		WrapConn:       func(c precursor.Conn) precursor.Conn { return bigWrites{c, big, spoil} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cc.Close() })
+	val := bytes.Repeat([]byte("v"), 512)
+	for i := 0; i < 200; i++ {
+		if err := cc.Put(fmt.Sprintf("k%03d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := big.Load(); n != 0 {
+		t.Fatalf("the workload itself posted %d writes over 8 KiB", n)
+	}
+	// A replica that was down is full-synced when it returns.
+	cs.Groups[0][1].Close()
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; cc.Healthy(); i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("the dead replica never tripped")
+		}
+		_ = cc.Put(fmt.Sprintf("k%03d", i%200), val)
+	}
+	return cs, cc, func() *precursor.Service {
+		svc, err := cs.RestartReplica(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+}
+
+// awaitHealthy waits, bounded, for cc's restarted replica to rejoin.
+func awaitHealthy(t *testing.T, cc *precursor.ClusterClient) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cc.Healthy() {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted replica never rejoined: degraded=%v", cc.Degraded())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRepairTrafficUsesDialConfig: a repair session is dialed with the
+// cluster's dial configuration, so ClusterConfig.WrapConn — fault injection,
+// tracing, traffic accounting — sees its frames. A replica killed and
+// restarted empty is full-synced; the snapshot chunks pushed into it are the
+// only writes of many KiB the client posts, and the wrapper must see them.
+func TestRepairTrafficUsesDialConfig(t *testing.T) {
+	var big atomic.Int64
+	_, cc, restart := repairGroup(t, &big, new(atomic.Bool))
+	restart()
+	awaitHealthy(t, cc)
+	if st := cc.Stats(); st.Repairs < 1 || big.Load() == 0 {
+		t.Fatalf("repairs=%d, writes over 8 KiB seen by WrapConn=%d: the full sync bypassed the dial configuration",
+			st.Repairs, big.Load())
+	}
+}
+
+// TestFailedFullSyncsLeaveNoSessions: each full sync opens a session on the
+// donor and one on the target, and closes both when it ends, failed or not;
+// the servers must then let them go. The pushed chunks are spoiled, so the
+// restarted replica's full syncs fail one after another until the spoiling
+// stops. Afterwards each server holds no more sessions than the cluster
+// client's pools keep: a leak would leave one per failed attempt.
+func TestFailedFullSyncsLeaveNoSessions(t *testing.T) {
+	var big atomic.Int64
+	var spoil atomic.Bool
+	cs, cc, restart := repairGroup(t, &big, &spoil)
+	donor := cs.Groups[0][0].Server
+	pooled := donor.Stats().Clients
+	spoil.Store(true)
+	target := restart().Server
+	deadline := time.Now().Add(30 * time.Second)
+	for cc.Stats().RepairFailures < 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d full syncs failed", cc.Stats().RepairFailures)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	spoil.Store(false)
+	awaitHealthy(t, cc)
+	// A closed session ends at its trusted thread's next idle sweep.
+	for donor.Stats().Clients > pooled || target.Stats().Clients > 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d failed full syncs the donor holds %d sessions (pool: %d), the target %d (pool: 1)",
+				cc.Stats().RepairFailures, donor.Stats().Clients, pooled, target.Stats().Clients)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
 
 // batchOps builds one op of kind per key, values[i] riding with keys[i]
 // when given.
