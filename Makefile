@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchmark allocgate loc figures artifacts examples fuzz clean
+.PHONY: all build vet test fallback race bench benchmark allocgate loc figures artifacts examples fuzz clean
 
-all: build vet test
+all: build vet test fallback
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The payload MAC's fallback to crypto/aes: the purego build's tests, and
+# vet (asmdecl included) of the package on an architecture without the
+# AES-NI assembly.
+fallback:
+	$(GO) test ./internal/cryptox/ -tags purego
+	GOARCH=arm64 $(GO) vet ./internal/cryptox/
 
 race:
 	$(GO) test -race ./...
@@ -81,6 +88,7 @@ FUZZ_TARGETS = \
 	sgx:FuzzVerifyQuote sgx:FuzzClientHandshakeComplete sgx:FuzzRespondHandshake \
 	core:FuzzRestore vlog:FuzzSegmentReplay audit:FuzzAuditChain \
 	cryptox:FuzzSalsa20MatchesReference cryptox:FuzzCMACMatchesReference \
+	cryptox:FuzzAESBlockMatchesStdlib \
 	hashtable:FuzzTableMatchesMap
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

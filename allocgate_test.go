@@ -2,6 +2,7 @@ package precursor_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -48,13 +49,13 @@ func connectInProcess(t *testing.T, platform *precursor.Platform, fabric *precur
 // count per get and per overwrite-put through a Pool over one in-process
 // client, steady state, Workers: 1. The pool's borrow → call → finish
 // adds nothing to what the connection's op costs (get: the value handed
-// back + the one-time MAC key schedule; put: that schedule — the stored
-// entry is a table record, and an overwrite allocates no key string), so
-// the budgets are the
-// core gate's base-mode ones — and so are those of a one-shard ClusterClient over that pool: a
-// group of one takes the cluster's one route as a fan-out of one on the
-// caller's goroutine (a pooled record, a work list of one, a breaker
-// check, a latency sample), no allocation — whether cluster.New or
+// back; put: nothing — the one-time MAC key is expanded in place, the
+// stored entry is a table record, and an overwrite allocates no key
+// string), so the budgets are the core gate's base-mode ones — and so
+// are those of a one-shard ClusterClient over that pool: a group of one
+// takes the cluster's one route as a fan-out of one on the caller's
+// goroutine (a pooled record, a work list of one, a breaker check, a
+// latency sample), no allocation — whether cluster.New or
 // cluster.NewReplicated built it, which the cluster-g1 row pins by having
 // to read what the cluster row reads. The last row is the same route at
 // R=2 (two such pools): a read orders its replicas in a stack array and a
@@ -115,7 +116,7 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("user%012d", i)
 	}
-	measured := map[string]string{} // row → allocs/op as logged, to two decimals
+	measured := map[string]float64{} // row → allocs/op
 	measure := func(what string, budget float64, op func(int)) {
 		for i := 0; i < warm; i++ {
 			op(i)
@@ -132,7 +133,7 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 		if got > budget {
 			t.Errorf("%s: %.2f allocs/op exceeds the budget of %.1f", what, got, budget)
 		}
-		measured[what] = fmt.Sprintf("%.2f", got)
+		measured[what] = got
 	}
 	for _, kv := range []struct {
 		name           string
@@ -140,10 +141,10 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 		put            func(string, []byte) error
 		getMax, putMax float64
 	}{
-		{"pool", pool.Get, pool.Put, 2.5, 1.5},   // 2.13, 1.13
-		{"cluster", cc.Get, cc.Put, 2.5, 1.5},    // 2.13, 1.13
-		{"cluster-g1", g1.Get, g1.Put, 2.5, 1.5}, // what the cluster row reads
-		{"cluster-r2", r2.Get, r2.Put, 2.5, 2.5}, // 2.13, 2.25 (two replicas' 1.13 each)
+		{"pool", pool.Get, pool.Put, 1.5, 0.5},   // 1.13, 0.13
+		{"cluster", cc.Get, cc.Put, 1.5, 0.5},    // 1.13, 0.13
+		{"cluster-g1", g1.Get, g1.Put, 1.5, 0.5}, // what the cluster row reads
+		{"cluster-r2", r2.Get, r2.Put, 1.5, 0.5}, // 1.13, 0.25 (two replicas' 0.13 each)
 	} {
 		get := func(i int) {
 			if _, err := kv.get(names[i%keys]); err != nil {
@@ -161,9 +162,12 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 		measure(kv.name+" get", kv.getMax, get)
 		measure(kv.name+" put", kv.putMax, put)
 	}
+	// The same to the logged precision: the raw counts differ by less than
+	// half its last digit. Comparing the printed figures would flake on a
+	// rounding edge (0.125 prints as 0.12 or 0.13).
 	for _, op := range []string{" get", " put"} {
-		if a, b := measured["cluster"+op], measured["cluster-g1"+op]; a != b {
-			t.Errorf("a group of one costs %s allocs per%s built by New and %s built by NewReplicated: one route, one cost", a, op, b)
+		if a, b := measured["cluster"+op], measured["cluster-g1"+op]; math.Abs(a-b) > 0.005 {
+			t.Errorf("a group of one costs %.3f allocs per%s built by New and %.3f built by NewReplicated: one route, one cost", a, op, b)
 		}
 	}
 }

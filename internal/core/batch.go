@@ -213,8 +213,8 @@ func (c *Client) startLocked(ops []BatchOp, p *pending, deadline time.Time, ref 
 // in last. p takes the frame's oid, its ops' kinds (c.kinds: scratch, valid
 // until the next frame) and the ring write's end. A frame of one records
 // cli_seal and cli_encrypt on p.op, a larger one cli_batch. Steady state,
-// nothing allocates but one AES key schedule per encrypted put (the MAC
-// under its one-time key). Called with mu held.
+// nothing allocates: each encrypted put's one-time MAC key is expanded in
+// place in the connection's PayloadCipher. Called with mu held.
 func (c *Client) sendLocked(ops []BatchOp, p *pending, deadline time.Time, ref obs.SpanRef) error {
 	t := p.op.Now()
 	c.oid++

@@ -21,12 +21,17 @@ const cmacRb = 0x87
 // MAC; construct instances with NewCMAC. A CMAC value must not be used
 // concurrently from multiple goroutines.
 //
-// Every block the AES interface touches — subkeys, running state, the
-// last-block and tag temporaries — is a field, so a CMAC that already lives
-// on the heap (inside a PayloadCipher, say) can be re-keyed and summed
-// without anything escaping through cipher.Block.
+// The AES key schedule is a field: on AES-NI hardware init expands the key
+// into enc in place with the standard library's own instructions
+// (aes_amd64.s), so a CMAC that lives inside a long-lived value — a
+// PayloadCipher, say — is re-keyed without allocating. Elsewhere, and in
+// purego builds, block holds a crypto/aes cipher.Block instead. Every other
+// block the cipher touches — subkeys, running state, the last-block and
+// tag temporaries — is a field too.
 type CMAC struct {
-	block cipher.Block
+	nr    int          // AES rounds of enc: 10, 12 or 14
+	enc   [60]uint32   // round keys, when useAESNI
+	block cipher.Block // the schedule, when !useAESNI
 	k1    [CMACSize]byte
 	k2    [CMACSize]byte
 	x     [CMACSize]byte // running CBC state
@@ -47,24 +52,28 @@ func NewCMAC(key []byte) (*CMAC, error) {
 	return c, nil
 }
 
-// init keys c in place, discarding any absorbed input. The AES key
-// schedule is the one allocation: the standard library cannot re-key a
-// cipher.Block.
+// init keys c in place, discarding any absorbed input. With AES-NI it
+// allocates nothing; the fallback allocates a cipher.Block.
 func (c *CMAC) init(key []byte) error {
 	switch len(key) {
 	case 16, 24, 32:
 	default:
 		return ErrCMACKeySize
 	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return err
+	if useAESNI {
+		c.nr = 6 + len(key)/4
+		expandKeyAsm(c.nr, &key[0], &c.enc[0])
+	} else {
+		block, err := aes.NewCipher(key)
+		if err != nil {
+			return err
+		}
+		c.block = block
 	}
-	c.block = block
 	c.Reset()
 	// Subkey generation (RFC 4493 §2.3).
 	c.last = [CMACSize]byte{}
-	block.Encrypt(c.last[:], c.last[:])
+	c.encrypt(&c.last)
 	shiftLeftOne(c.k1[:], c.last[:])
 	if c.last[0]&0x80 != 0 {
 		c.k1[CMACSize-1] ^= cmacRb
@@ -94,10 +103,10 @@ func (c *CMAC) Write(p []byte) (int, error) {
 	}
 	// Process whole blocks straight from p, keeping at least one byte
 	// pending for the final block transformation.
-	for len(p) > CMACSize {
-		xorBlock(&c.x, p)
-		c.block.Encrypt(c.x[:], c.x[:])
-		p = p[CMACSize:]
+	if len(p) > CMACSize {
+		n := (len(p) - 1) / CMACSize * CMACSize
+		c.absorb(p[:n])
+		p = p[n:]
 	}
 	if len(p) > 0 {
 		c.n = copy(c.buf[:], p)
@@ -106,9 +115,30 @@ func (c *CMAC) Write(p []byte) (int, error) {
 }
 
 func (c *CMAC) flushBuf() {
-	xorBlock(&c.x, c.buf[:])
-	c.block.Encrypt(c.x[:], c.x[:])
+	c.absorb(c.buf[:])
 	c.n = 0
+}
+
+// absorb runs the CBC chain over src, one or more whole blocks, into the
+// running state.
+func (c *CMAC) absorb(src []byte) {
+	if useAESNI {
+		cbcmacAsm(c.nr, &c.enc[0], &c.x, &src[0], len(src)/CMACSize)
+		return
+	}
+	for ; len(src) > 0; src = src[CMACSize:] {
+		xorBlock(&c.x, src)
+		c.block.Encrypt(c.x[:], c.x[:])
+	}
+}
+
+// encrypt enciphers one block in place.
+func (c *CMAC) encrypt(b *[CMACSize]byte) {
+	if useAESNI {
+		encryptBlockAsm(c.nr, &c.enc[0], &b[0], &b[0])
+		return
+	}
+	c.block.Encrypt(b[:], b[:])
 }
 
 // Sum appends the 16-byte tag over everything written so far to b and
@@ -132,7 +162,7 @@ func (c *CMAC) sum() *[CMACSize]byte {
 	}
 	c.tag = c.x
 	xorBlock(&c.tag, c.last[:])
-	c.block.Encrypt(c.tag[:], c.tag[:])
+	c.encrypt(&c.tag)
 	return &c.tag
 }
 

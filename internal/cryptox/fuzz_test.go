@@ -2,6 +2,7 @@ package cryptox
 
 import (
 	"bytes"
+	"crypto/aes"
 	"testing"
 )
 
@@ -101,6 +102,58 @@ func FuzzCMACMatchesReference(f *testing.F) {
 		}
 		if !c.verify(want) {
 			t.Fatalf("%d bytes split by %v: %x, reference %x", len(msg), plan, c.Sum(nil), want)
+		}
+	})
+}
+
+// FuzzAESBlockMatchesStdlib: for 16, 24 and 32-byte keys, the schedule CMAC
+// expands in place and its one-block encrypt give crypto/aes's ciphertext,
+// and absorbing n blocks in one call equals n single-block CBC steps. Run
+// with -tags purego (or on a CPU without AES-NI) both sides are crypto/aes,
+// which pins the fallback's wiring.
+func FuzzAESBlockMatchesStdlib(f *testing.F) {
+	for size := range uint8(3) {
+		for _, n := range []int{0, 1, 2, 3, 16, 17, 256} {
+			data := make([]byte, CMACSize*n+5)
+			for i := range data {
+				data[i] = byte(i*13 + int(size))
+			}
+			f.Add([]byte("0123456789abcdef0123456789abcdef"), data, size)
+		}
+		f.Add([]byte{}, []byte{}, size)
+	}
+
+	f.Fuzz(func(t *testing.T, key, data []byte, size uint8) {
+		key = fit(key, 16+8*int(size%3))
+		block, err := aes.NewCipher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c CMAC
+		if err := c.init(key); err != nil {
+			t.Fatal(err)
+		}
+		var in, want [CMACSize]byte
+		copy(in[:], data)
+		block.Encrypt(want[:], in[:])
+		got := in
+		c.encrypt(&got)
+		if got != want {
+			t.Fatalf("%d-byte key: one block encrypts to %x, crypto/aes %x", len(key), got, want)
+		}
+
+		n := len(data) / CMACSize
+		if n == 0 {
+			return
+		}
+		c.x, want = in, in // any start state
+		c.absorb(data[:n*CMACSize])
+		for b := range n {
+			xorBlock(&want, data[b*CMACSize:])
+			block.Encrypt(want[:], want[:])
+		}
+		if c.x != want {
+			t.Fatalf("%d-byte key, %d blocks in one call: %x, single steps %x", len(key), n, c.x, want)
 		}
 	})
 }

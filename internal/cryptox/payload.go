@@ -25,16 +25,17 @@ func MACKey(op OperationKey) []byte {
 }
 
 // PayloadCipher is the caller-owned state of the client's payload
-// cryptography (Algorithm 1): the Salsa20 stream and the one-shot CMAC.
-// Keeping both in one long-lived value — one per connection — means a
-// seal or an open allocates nothing beyond the AES key schedule of the
-// one-time MAC key (and, on open, the plaintext handed back). Both are
-// re-keyed on every call, since K_operation is single-use; what a call
-// costs is that set-up plus two passes over the value, the Salsa20 core
-// XORing whole blocks from the value straight into the frame and the
-// CMAC loop reading whole blocks straight from it (DESIGN.md §5 "The
-// per-byte path"). The zero value is ready to use; a PayloadCipher must
-// not be used concurrently from multiple goroutines.
+// cryptography (Algorithm 1): the Salsa20 stream and the one-shot CMAC,
+// AES key schedule included. Keeping both in one long-lived value — one
+// per connection — means a seal allocates nothing and an open only the
+// plaintext handed back. Both are re-keyed on every call, since
+// K_operation is single-use; what a call costs is that set-up plus two
+// passes over the value, the Salsa20 core XORing whole blocks from the
+// value straight into the frame and the CMAC loop reading whole blocks
+// straight from it (DESIGN.md §5 "The per-byte path"). Without AES-NI the
+// MAC keys a crypto/aes cipher.Block, one allocation per call. The zero
+// value is ready to use; a PayloadCipher must not be used concurrently
+// from multiple goroutines.
 type PayloadCipher struct {
 	stream Salsa20
 	mac    CMAC
