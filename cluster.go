@@ -2,14 +2,12 @@ package precursor
 
 import (
 	"crypto/ecdsa"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
 	"precursor/internal/cluster"
-	"precursor/internal/core"
 )
 
 // Client-routed sharding: the public surface of internal/cluster.
@@ -64,8 +62,6 @@ type ClusterConfig struct {
 	ConnsPerShard int
 	// Timeout bounds each operation (default 5 s).
 	Timeout time.Duration
-	// VirtualNodes per shard on the placement ring (default 160).
-	VirtualNodes int
 	// RetryBackoff is the base delay before a failed shard is probed
 	// again (default 250 ms, doubling up to MaxBackoff).
 	RetryBackoff time.Duration
@@ -233,14 +229,8 @@ func DialReplicatedCluster(groups [][]ShardSpec, cfg ClusterConfig) (*ClusterCli
 		return c, nil
 	}
 	return cluster.NewReplicated(members, cluster.Options{
-		VirtualNodes: cfg.VirtualNodes,
-		RetryBackoff: cfg.RetryBackoff,
-		MaxBackoff:   cfg.MaxBackoff,
-		IsShardFailure: func(err error) bool {
-			return errors.Is(err, core.ErrClosed) ||
-				errors.Is(err, core.ErrTimeout) ||
-				errors.Is(err, ErrPoolClosed)
-		},
+		RetryBackoff:      cfg.RetryBackoff,
+		MaxBackoff:        cfg.MaxBackoff,
 		WriteQuorum:       cfg.WriteQuorum,
 		OpenRepair:        openRepair,
 		RepairInterval:    cfg.RepairInterval,

@@ -59,17 +59,11 @@ type ReplicaGroup struct {
 
 // Options tunes a cluster Client.
 type Options struct {
-	// VirtualNodes per shard on the ring (DefaultVirtualNodes if <= 0).
-	VirtualNodes int
 	// RetryBackoff is the base delay before a failed shard is probed
 	// again (default 250ms). The delay doubles per consecutive failure up
 	// to MaxBackoff (default 8s).
 	RetryBackoff time.Duration
 	MaxBackoff   time.Duration
-	// IsShardFailure classifies an operation error as a shard outage
-	// (trips the breaker) rather than a data-level error like not-found.
-	// Default: core.ErrClosed or core.ErrTimeout.
-	IsShardFailure func(error) bool
 	// WriteQuorum is the number of replica acks a write needs in a
 	// replicated group (0 = majority). Clamped to each group's size.
 	WriteQuorum int
@@ -124,21 +118,20 @@ type Options struct {
 	Budget *overload.RetryBudget
 }
 
+// isShardFailure classifies an operation error as a shard outage (trips
+// the breaker) rather than a data-level error like not-found: a closed
+// connection or pool, or a timeout.
+func isShardFailure(err error) bool {
+	return errors.Is(err, core.ErrClosed) || errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrPoolClosed)
+}
+
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.VirtualNodes <= 0 {
-		out.VirtualNodes = DefaultVirtualNodes
-	}
 	if out.RetryBackoff <= 0 {
 		out.RetryBackoff = 250 * time.Millisecond
 	}
 	if out.MaxBackoff <= 0 {
 		out.MaxBackoff = 8 * time.Second
-	}
-	if out.IsShardFailure == nil {
-		out.IsShardFailure = func(err error) bool {
-			return errors.Is(err, core.ErrClosed) || errors.Is(err, core.ErrTimeout)
-		}
 	}
 	if out.RepairInterval <= 0 {
 		out.RepairInterval = 250 * time.Millisecond
@@ -320,7 +313,7 @@ func NewReplicated(groups []ReplicaGroup, opts Options) (*Client, error) {
 		c.groups[g.Name] = gs
 		names[i] = g.Name
 	}
-	c.ring = NewRing(names, o.VirtualNodes)
+	c.ring = NewRing(names, DefaultVirtualNodes)
 	c.order = c.ring.Shards()
 	if replicated && !o.DisableAutoRepair {
 		c.wg.Add(1)
@@ -569,7 +562,7 @@ func (s *replicaState) journalLocked(cap int, key string) {
 // with peers that trips falls behind them, and a closing probe leaves it
 // repairing while it has anything to catch up on.
 func (c *Client) observe(s *replicaState, tok admitToken, err error) error {
-	fatal := err != nil && c.opts.IsShardFailure(err)
+	fatal := err != nil && isShardFailure(err)
 	tripped := false
 	s.mu.Lock()
 	current := tok.epoch == s.epoch

@@ -121,7 +121,7 @@ func (c *Client) tendReplica(g *groupState, rep *replicaState) {
 // not-found) proves the replica is back.
 func (c *Client) probeReplica(rep *replicaState, tok admitToken) {
 	_, err := rep.backend.GetContext(context.Background(), probeKey)
-	if err != nil && !c.opts.IsShardFailure(err) {
+	if err != nil && !isShardFailure(err) {
 		err = nil // a data-level reply is a live replica
 	}
 	_ = c.observe(rep, tok, err)

@@ -6,8 +6,8 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-shard virtual-node count used when a
-// Ring (or Client) is built with VirtualNodes <= 0. 160 points per shard
+// DefaultVirtualNodes is the per-shard virtual-node count of a Client's
+// ring, and of a Ring built with vnodes <= 0. 160 points per shard
 // keeps the keyspace balance within a few percent for small clusters
 // while the ring stays tiny (N*160 uint64s).
 const DefaultVirtualNodes = 160

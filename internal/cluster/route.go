@@ -59,7 +59,7 @@ func (c *Client) askFrame(ctx context.Context, rep *replicaState, tok admitToken
 	}
 	worst := err
 	for i := 0; err == nil && i < len(results); i++ {
-		if rerr := results[i].Err; rerr != nil && c.opts.IsShardFailure(rerr) {
+		if rerr := results[i].Err; rerr != nil && isShardFailure(rerr) {
 			worst = rerr
 			break
 		} else if worst == nil {
@@ -235,7 +235,7 @@ func (f *fanout) run(rep *replicaState) {
 			// end state, so not-found counts toward the quorum.
 			t.acks++
 			t.notFounds++
-		case c.opts.IsShardFailure(err) || errors.Is(err, core.ErrUnconfirmed):
+		case isShardFailure(err) || errors.Is(err, core.ErrUnconfirmed):
 			rep.missedWrite(c.opts.JournalCap, op.Key)
 			t.firstFail = cmp.Or(t.firstFail, err)
 		default:
@@ -405,7 +405,7 @@ func (c *Client) read(ctx context.Context, g *groupState, kind string, ops []cor
 				// treat it like an outage and fail over.
 				byzantine = true
 				fallthrough
-			case c.opts.IsShardFailure(err):
+			case isShardFailure(err):
 				lastErr = err
 				unresolved = append(unresolved, pi)
 			default:
@@ -502,7 +502,7 @@ func (c *Client) hedgedGet(ctx context.Context, g *groupState, op *obs.Op, order
 				// walk) serve the read elsewhere.
 				c.noteByzantine(g, h.rep)
 				r = h.r
-			case !c.opts.IsShardFailure(h.r.Err):
+			case !isShardFailure(h.r.Err):
 				// Data-level and authoritative (e.g. not-found from a
 				// healthy replica) — the race is decided.
 				return h.r, asked, true

@@ -59,8 +59,8 @@ func TestAccountantHoldsNoShadowBuffer(t *testing.T) {
 	if table == nil || sessions == nil {
 		t.Fatal("accountant holds no table or session region")
 	}
-	if table.Size() < keys*tc.server.cfg.EntryBytes {
-		t.Errorf("table mirror accounts %d B, below %d keys x %d B", table.Size(), keys, tc.server.cfg.EntryBytes)
+	if table.Size() < keys*DefaultEntryBytes {
+		t.Errorf("table mirror accounts %d B, below %d keys x %d B", table.Size(), keys, DefaultEntryBytes)
 	}
 	if n := len(table.Data) + len(sessions.Data); n != 0 {
 		t.Errorf("accountant regions are backed by %d bytes of Go heap, want 0", n)

@@ -71,7 +71,6 @@ type pending struct {
 	op      *obs.Op // the frame's trace, nil when tracing is off
 	sendEnd int64   // the ring write's end, where cli_resp_wait starts
 	done    bool
-	err     error
 }
 
 // BatchFuture is a pipelined batch's pending result, returned by
@@ -83,6 +82,7 @@ type BatchFuture struct {
 	pending
 	c        *Client
 	deadline time.Time
+	err      error // the frame-level outcome, once resolved
 }
 
 // maxPipelined bounds the batches one connection may have in flight at
@@ -100,7 +100,8 @@ const maxPipelined = 16
 // returned error is batch-level (validation, transport, timeout);
 // per-op outcomes, including partial failures, are in the results. On
 // a batch-level error after the frame was sent, write ops additionally
-// carry ErrUnconfirmed in their slots.
+// carry ErrUnconfirmed in their slots; a frame kept off the wire gives
+// every op its error, plain. A frame of only gets is retried as Get is.
 func (c *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 	return c.BatchContext(context.Background(), ops)
 }
@@ -115,22 +116,8 @@ func (c *Client) BatchContext(ctx context.Context, ops []BatchOp) ([]BatchResult
 	if err := checkOps(ops); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	deadline, err := OpDeadline(ctx, c.cfg.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	p := pending{results: make([]BatchResult, len(ops))}
-	if err := c.startLocked(ops, &p, deadline, obs.RefFrom(ctx)); err != nil {
-		return nil, err
-	}
-	c.awaitLocked(&p, deadline)
-	endTrace(p.op, p.oid, p.err)
-	return p.results, p.err
+	res := make([]BatchResult, len(ops))
+	return res, c.run(ctx, ops, res)
 }
 
 // BatchAsync sends ops as one frame and returns immediately with a
@@ -160,7 +147,10 @@ func (c *Client) BatchAsync(ops []BatchOp) (*BatchFuture, error) {
 	}
 	f := &BatchFuture{c: c, deadline: deadline}
 	f.results = make([]BatchResult, len(ops))
-	if err := c.startLocked(ops, &f.pending, deadline, obs.SpanRef{}); err != nil {
+	var ref obs.SpanRef
+	f.op, ref = c.startTrace(frameKind(len(ops), wire.Opcode(ops[0].Kind)), ref)
+	if err := c.sendLocked(ops, &f.pending, deadline, ref); err != nil {
+		endTrace(f.op, c.oid, err, nil)
 		return nil, err
 	}
 	f.kinds = slices.Clone(f.kinds) // the scratch is the next frame's
@@ -189,19 +179,6 @@ func checkOps(ops []BatchOp) error {
 		}
 	}
 	return nil
-}
-
-// startLocked sends ops as one frame under a trace of its own — a frame of
-// one is traced as its op, a larger one as "batch" — which a frame that
-// never reached the ring finishes here. Called with mu held.
-func (c *Client) startLocked(ops []BatchOp, p *pending, deadline time.Time, ref obs.SpanRef) error {
-	p.op, ref = c.startTrace(frameKind(len(ops), wire.Opcode(ops[0].Kind)), ref)
-	err := c.sendLocked(ops, p, deadline, ref)
-	if err != nil {
-		p.op.SetError(err)
-		p.op.Finish()
-	}
-	return err
 }
 
 // sendLocked assembles ops into one frame under the next oid and writes it
@@ -372,19 +349,24 @@ func (c *Client) waitAnyLocked() {
 }
 
 // awaitLocked drives the poll loop until p — a synchronous frame — is
-// resolved, by its reply or by the failure that ends the wait. Called with
-// mu held.
-func (c *Client) awaitLocked(p *pending, deadline time.Time) {
-	for !p.done {
-		if err := c.recvLocked(p, deadline); err != nil {
-			c.resolveLocked(p, nil, err)
+// resolved, by its reply or by the failure that ends the wait, and returns
+// the frame-level error. Called with mu held.
+func (c *Client) awaitLocked(p *pending, deadline time.Time) error {
+	for {
+		err := c.recvLocked(p, deadline)
+		if p.done {
+			return err
+		}
+		if err != nil {
+			return c.resolveLocked(p, nil, err)
 		}
 	}
 }
 
-// resolveLocked decides every op of p: from its authenticated reply —
-// c.brep, with payload the reply's payload region — or, cause non-nil,
-// from the failure that ended the wait. Called with mu held.
+// resolveLocked decides every op of p — from its authenticated reply,
+// c.brep, with payload the reply's payload region, or, cause non-nil,
+// from the failure that ended the wait — and returns the frame-level
+// error. Each op that succeeded is counted by kind. Called with mu held.
 //
 //   - A sent frame that fails resolves with per-op attribution: writes
 //     carry ErrUnconfirmed joined onto the cause, reads the cause alone. A
@@ -396,7 +378,7 @@ func (c *Client) awaitLocked(p *pending, deadline time.Time) {
 //     retryable RetryLaterError: the server burned the oid and applied
 //     nothing. It is a congestion signal for the pipelining window, as a
 //     timeout is.
-func (c *Client) resolveLocked(p *pending, payload []byte, cause error) {
+func (c *Client) resolveLocked(p *pending, payload []byte, cause error) error {
 	p.op.Span(obs.CliRespWait, p.sendEnd)
 	c.wait.Done()
 	p.done = true
@@ -412,11 +394,7 @@ func (c *Client) resolveLocked(p *pending, payload []byte, cause error) {
 		c.retryLaters++
 		c.window.OnCongestion()
 		shed := &RetryLaterError{Hint: hint}
-		for i := range p.results {
-			p.results[i] = BatchResult{Err: shed}
-		}
-		p.err = shed
-		return
+		return fail(p.results, shed)
 	case len(c.brep.Results) != len(p.kinds) || c.brep.ValidateReplyExtents(len(payload)) != nil:
 		cause = ErrBadResponse
 	}
@@ -434,8 +412,7 @@ func (c *Client) resolveLocked(p *pending, payload []byte, cause error) {
 				p.results[i].Err = cause
 			}
 		}
-		p.err = cause
-		return
+		return cause
 	}
 	// A frame of one verifies its get on the op's trace (cli_verify); a
 	// larger frame's trace keeps its one cli_batch span.
@@ -448,9 +425,12 @@ func (c *Client) resolveLocked(p *pending, payload []byte, cause error) {
 		res := &c.brep.Results[i]
 		seg := payload[off : off+int(res.PayloadLen)]
 		off += int(res.PayloadLen)
-		p.results[i] = c.opResult(p.kinds[i], res, seg, p.oid, i, verify)
+		if p.results[i] = c.opResult(p.kinds[i], res, seg, p.oid, i, verify); p.results[i].Err == nil && p.kinds[i] <= BatchDelete {
+			c.completed[p.kinds[i]]++
+		}
 	}
 	c.window.OnSuccess()
+	return nil
 }
 
 // opResult converts one sealed per-op result into the client-side
@@ -500,7 +480,7 @@ func (c *Client) opResult(kind BatchOpKind, res *wire.BatchOpResult, seg []byte,
 // failLocked resolves f without a reply (see resolveLocked) and retires it.
 // Called with mu held.
 func (f *BatchFuture) failLocked(cause error) {
-	f.c.resolveLocked(&f.pending, nil, cause)
+	f.err = f.c.resolveLocked(&f.pending, nil, cause)
 	f.finishLocked()
 }
 
@@ -508,17 +488,6 @@ func (f *BatchFuture) failLocked(cause error) {
 // trace closed. Called with mu held.
 func (f *BatchFuture) finishLocked() {
 	delete(f.c.inflight, f.oid)
-	endTrace(f.op, f.oid, f.err)
+	endTrace(f.op, f.oid, f.err, f.results)
 	f.op = nil
-}
-
-// endTrace closes a frame's trace with the frame-level outcome: one that
-// timed out or was replay-rejected after it was sent may have been applied.
-func endTrace(op *obs.Op, oid uint64, err error) {
-	op.SetOid(oid)
-	op.SetError(err)
-	if errors.Is(err, ErrUnconfirmed) || errors.Is(err, ErrTimeout) || errors.Is(err, ErrReplay) {
-		op.MarkUnconfirmed()
-	}
-	op.Finish()
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,24 +30,25 @@ type ClientConfig struct {
 	// remote attestation (§3.6). Both are required.
 	PlatformKey *ecdsa.PublicKey
 	Measurement sgx.Measurement
-	// RespSlots and RespSlotSize set the response-ring geometry (defaults
-	// mirror the server's request ring).
-	RespSlots    int
-	RespSlotSize int
+	// RespSlots sets the response ring's slot count (default
+	// DefaultRingSlots); its slots are DefaultSlotSize bytes, as the
+	// server's request ring's are by default.
+	RespSlots int
 	// Timeout is the per-operation deadline: it covers the whole
 	// operation — waiting for ring credit, the response poll loop, and
 	// (for reads) every retry attempt — so retried sends never stretch
 	// an operation past one Timeout.
 	Timeout time.Duration
-	// ReadRetries bounds the extra attempts an idempotent read (Get)
-	// makes after a transient failure (timeout slice, replay-rejected
-	// oid, malformed response), all within Timeout. Each attempt uses a
-	// fresh oid. 0 means DefaultReadRetries; negative disables retries.
-	// Non-idempotent writes (Put/Delete) are never retried — they fail
-	// with a typed error joined with ErrUnconfirmed instead.
+	// ReadRetries bounds the extra attempts an idempotent read — a Get,
+	// or a Batch of only gets — makes after a transient failure (timeout
+	// slice, replay-rejected oid, malformed response, shed), all within
+	// Timeout. Each attempt uses a fresh oid. 0 means DefaultReadRetries;
+	// negative disables retries. Non-idempotent writes are never retried —
+	// they fail with a typed error joined with ErrUnconfirmed instead.
 	ReadRetries int
-	// RetryBase is the base backoff between read retries (default 2ms),
-	// doubled per attempt with ±50% jitter.
+	// RetryBase is the base backoff before a frame is sent again — a read
+	// retry, a shed repair op — (default 2ms), doubled per attempt with
+	// ±50% jitter; a shed's hint, when longer, takes its place.
 	RetryBase time.Duration
 	// InlineSmallValues sends values below InlineMax inside the control
 	// data for enclave-resident storage (§5.2). The server must have the
@@ -66,9 +68,6 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 	out := *c
 	if out.RespSlots <= 0 {
 		out.RespSlots = DefaultRingSlots
-	}
-	if out.RespSlotSize <= 0 {
-		out.RespSlotSize = DefaultSlotSize
 	}
 	if out.Timeout <= 0 {
 		out.Timeout = 5 * time.Second
@@ -106,17 +105,6 @@ type Client struct {
 	closed     bool
 	serverEnc  bool // the server announced the server-encryption placement
 
-	// curOp is the in-flight operation's tracing handle (nil when the
-	// tracer is disabled). Guarded by mu like the rest of the op state —
-	// a client runs one operation at a time.
-	curOp *obs.Op
-	// curRef is the trace context the in-flight operation propagates on
-	// the wire: curOp's own span when tracing is enabled, or a caller-
-	// supplied ref forwarded verbatim when this connection has no tracer
-	// (the pool/cluster layers trace, the connection just carries).
-	// Zero = no context. Guarded by mu.
-	curRef obs.SpanRef
-
 	// inflight maps oid to the pending pipelined batch. Guarded by mu.
 	inflight map[uint64]*BatchFuture
 
@@ -144,8 +132,8 @@ type Client struct {
 	// ceiling maxPipelined).
 	window *overload.AIMD
 
-	// Stats.
-	puts, gets, deletes uint64
+	// Stats. completed counts the ops that succeeded, by kind.
+	completed           [BatchDelete + 1]uint64
 	batches, batchedOps uint64
 	integrityFailures   uint64
 	retries             uint64
@@ -170,7 +158,7 @@ func Connect(cfg ClientConfig) (*Client, error) {
 	cl := &Client{cfg: c, conn: c.Conn, device: c.Device,
 		window: overload.NewAIMD(1, maxPipelined)}
 	cl.respRing = c.Device.RegisterMemory(
-		ringbuf.RingBytes(c.RespSlots, c.RespSlotSize), rdma.PermRemoteWrite)
+		ringbuf.RingBytes(c.RespSlots, DefaultSlotSize), rdma.PermRemoteWrite)
 	cl.reqCredit = c.Device.RegisterMemory(ringbuf.CreditBytes, rdma.PermRemoteWrite)
 	cl.wait.Spin, cl.wait.Sleep, cl.wait.Adaptive = ringbuf.WaiterSpin, ringbuf.MinSleep, true
 	if c.Conn.PostBounded() {
@@ -184,7 +172,7 @@ func Connect(cfg ClientConfig) (*Client, error) {
 	}
 
 	welcome, aead, err := attest(c.Conn, helloMsg{
-		RespRingRKey: cl.respRing.RKey(), RespSlots: c.RespSlots, RespSlotSize: c.RespSlotSize,
+		RespRingRKey: cl.respRing.RKey(), RespSlots: c.RespSlots, RespSlotSize: DefaultSlotSize,
 		ReqCreditRKey: cl.reqCredit.RKey(),
 	}, c.PlatformKey, c.Measurement, time.Now().Add(c.Timeout))
 	if err != nil {
@@ -202,7 +190,7 @@ func Connect(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	cl.respReader, err = ringbuf.NewReader(ringbuf.ReaderConfig{
-		Ring: cl.respRing, Slots: c.RespSlots, SlotSize: c.RespSlotSize,
+		Ring: cl.respRing, Slots: c.RespSlots, SlotSize: DefaultSlotSize,
 		Conn: c.Conn, CreditRKey: welcome.RespCreditRKey,
 	})
 	if err != nil {
@@ -236,20 +224,142 @@ func (c *Client) Put(key string, value []byte) error {
 // span ref ctx carries (obs.WithRef) parents this operation's span and
 // rides the sealed control data to the server, whose spans join the trace.
 func (c *Client) PutContext(ctx context.Context, key string, value []byte) error {
-	if len(key) == 0 || len(key) > wire.MaxKeyLen || len(value) > wire.MaxValueLen {
-		return ErrTooLarge
+	_, err := c.one(ctx, BatchOp{Kind: BatchPut, Key: key, Value: value})
+	return err
+}
+
+// one runs op as a frame of one and returns its outcome. The op and its
+// result stay on this stack.
+func (c *Client) one(ctx context.Context, op BatchOp) ([]byte, error) {
+	ops := [1]BatchOp{op}
+	if err := checkOps(ops[:]); err != nil {
+		return nil, err
 	}
+	var res [1]BatchResult
+	c.run(ctx, ops[:], res[:])
+	return res[0].Value, res[0].Err
+}
+
+// run is every call's one way to the wire: it sends ops as one frame and
+// resolves each op's outcome into res, under one trace and one deadline,
+// the earlier of Timeout and ctx's. A closed connection is ErrClosed and a
+// spent ctx ErrTimeout, both before anything is sent. Two kinds of frame
+// may be sent again, each time under a fresh oid: one of only gets — reads
+// are idempotent — after a transient failure, up to ReadRetries times in
+// slices of the budget, each attempt a cli_attempt span; and a repair op
+// the server shed — a shed op was not applied — until the deadline. Writes
+// go once. Between attempts it backs off, with the server's shed hint as a
+// floor; a ctx done meanwhile ends the call with nothing more sent. It
+// returns the frame-level error; an error that kept the frame off the wire
+// is every op's outcome, plain.
+func (c *Client) run(ctx context.Context, ops []BatchOp, res []BatchResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	deadline, err := c.beginOp(ctx, "put")
+	if c.closed {
+		return fail(res, ErrClosed)
+	}
+	overall, err := OpDeadline(ctx, c.cfg.Timeout)
 	if err != nil {
-		return err
+		return fail(res, err)
 	}
-	if _, err = c.doLocked(BatchOp{Kind: BatchPut, Key: key, Value: value}, deadline); err == nil {
-		c.puts++
+	op, ref := c.startTrace(frameKind(len(ops), wire.Opcode(ops[0].Kind)), obs.RefFrom(ctx))
+	reads, repair := true, ops[0].Kind > BatchDelete
+	for i := range ops {
+		reads = reads && ops[i].Kind == BatchGet
 	}
-	c.endOp(err)
+	tries := 1
+	if reads {
+		tries += c.cfg.ReadRetries
+	}
+	now := time.Now()
+	slice, backoff := overall.Sub(now)/time.Duration(tries), c.cfg.RetryBase
+	for a := 1; ; a++ {
+		deadline := overall
+		if a < tries && now.Add(slice).Before(overall) {
+			deadline = now.Add(slice)
+		}
+		start := op.Now()
+		p := pending{results: res, op: op}
+		if err = c.sendLocked(ops, &p, deadline, ref); err == nil {
+			err = c.awaitLocked(&p, deadline)
+		} else {
+			fail(res, err)
+		}
+		if reads || repair {
+			op.AttemptSpan(a, start)
+		}
+		if !(reads && a < tries && slices.ContainsFunc(res, retryableRead)) && !(repair && errors.Is(err, ErrRetryLater)) {
+			break
+		}
+		var rl *RetryLaterError
+		if errors.As(err, &rl) && rl.Hint > backoff {
+			backoff = rl.Hint
+		}
+		// Exponential backoff with ±50% jitter, within the budget.
+		sleep := backoff/2 + time.Duration(rand.Int64N(int64(backoff)))
+		if !time.Now().Add(sleep).Before(overall) {
+			break
+		}
+		bStart := op.Now()
+		if err = Pause(ctx, sleep); err != nil {
+			fail(res, err)
+			break
+		}
+		op.Span(obs.CliBackoff, bStart)
+		backoff *= 2
+		c.retries++
+		now = time.Now()
+	}
+	endTrace(op, c.oid, err, res)
 	return err
+}
+
+// fail makes err every op's outcome and returns it.
+func fail(res []BatchResult, err error) error {
+	for i := range res {
+		res[i] = BatchResult{Err: err}
+	}
+	return err
+}
+
+// Pause waits d, or until ctx is done: then it returns CtxErr's error. It
+// is the backoff between the attempts of every retry loop, so a ctx
+// cancelled during a backoff sends nothing more.
+func Pause(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return CtxErr(ctx)
+	}
+}
+
+// endTrace closes a call's trace (nil when tracing is off): its last
+// frame's oid, the first failed op's error or else the frame's, and
+// unconfirmed iff some op's outcome is ErrUnconfirmed.
+func endTrace(op *obs.Op, oid uint64, err error, res []BatchResult) {
+	if op == nil {
+		return
+	}
+	op.SetOid(oid)
+	opErr := error(nil)
+	for i := range res {
+		if e := res[i].Err; e != nil {
+			if opErr == nil {
+				opErr = e
+			}
+			if errors.Is(e, ErrUnconfirmed) {
+				op.MarkUnconfirmed()
+			}
+		}
+	}
+	if opErr != nil {
+		err = opErr
+	}
+	op.SetError(err)
+	op.Finish()
 }
 
 // OpDeadline is the one place an operation's effective deadline is
@@ -291,21 +401,6 @@ func traceCtx(r obs.SpanRef) wire.TraceContext {
 	return wire.TraceContext{TraceID: r.TraceID, ParentSpan: r.SpanID, Sampled: r.Sampled}
 }
 
-// beginOp is every single operation's entry: a closed connection is
-// ErrClosed and a spent ctx ErrTimeout — either way nothing is sent —
-// otherwise it returns the operation's effective deadline and starts its
-// trace under the span ref ctx carries. Called with mu held.
-func (c *Client) beginOp(ctx context.Context, kind string) (time.Time, error) {
-	if c.closed {
-		return time.Time{}, ErrClosed
-	}
-	deadline, err := OpDeadline(ctx, c.cfg.Timeout)
-	if err == nil {
-		c.curOp, c.curRef = c.startTrace(kind, obs.RefFrom(ctx))
-	}
-	return deadline, err
-}
-
 // startTrace starts one operation's trace (nil when the tracer is
 // disabled) and returns beside it the context to propagate on the wire.
 // ref is the upstream trace, if any (the cluster layer's
@@ -322,40 +417,6 @@ func (c *Client) startTrace(kind string, ref obs.SpanRef) (*obs.Op, obs.SpanRef)
 	op.SetClient(c.id)
 	op.AdoptRef(ref)
 	return op, op.Ref()
-}
-
-// endOp finishes the in-flight trace with the operation's outcome.
-// Called with mu held.
-func (c *Client) endOp(err error) {
-	c.curRef = obs.SpanRef{}
-	op := c.curOp
-	if op == nil {
-		return
-	}
-	c.curOp = nil
-	op.SetOid(c.oid)
-	if err != nil {
-		op.SetError(err)
-		if errors.Is(err, ErrUnconfirmed) {
-			op.MarkUnconfirmed()
-		}
-	}
-	op.Finish()
-}
-
-// doLocked runs one op as a frame of one on the operation's trace and
-// returns its outcome, or the error that kept the frame off the wire.
-// The op, its result and the frame's pending state stay on this stack.
-// Called with mu held.
-func (c *Client) doLocked(op BatchOp, deadline time.Time) ([]byte, error) {
-	ops := [1]BatchOp{op}
-	var res [1]BatchResult
-	p := pending{results: res[:], op: c.curOp}
-	if err := c.sendLocked(ops[:], &p, deadline, c.curRef); err != nil {
-		return nil, err
-	}
-	c.awaitLocked(&p, deadline)
-	return res[0].Value, res[0].Err
 }
 
 // writeOutcome types the result of a non-idempotent write: when the
@@ -388,76 +449,17 @@ func (c *Client) Get(key string) ([]byte, error) {
 // sliced from what ctx leaves of Timeout, and a ctx cancelled between
 // attempts stops the retries.
 func (c *Client) GetContext(ctx context.Context, key string) ([]byte, error) {
-	if len(key) == 0 || len(key) > wire.MaxKeyLen {
-		return nil, ErrTooLarge
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	deadline, err := c.beginOp(ctx, "get")
-	if err != nil {
-		return nil, err
-	}
-	value, err := c.getRetry(ctx, key, deadline)
-	if err == nil {
-		c.gets++
-	}
-	c.endOp(err)
-	return value, err
+	return c.one(ctx, BatchOp{Kind: BatchGet, Key: key})
 }
 
-// getRetry is Get's budget-sliced retry loop. Each attempt records one
-// CliAttempt sibling span (numbered 1..n) under the operation's single
-// trace, so retries are visible as a fan of attempts rather than
-// separate operations.
-func (c *Client) getRetry(ctx context.Context, key string, overall time.Time) ([]byte, error) {
-	attempts := c.cfg.ReadRetries + 1
-	// Slice the budget so early attempts leave room for retries; the last
-	// attempt runs to the overall deadline regardless.
-	now := time.Now()
-	slice := overall.Sub(now) / time.Duration(attempts)
-	backoff := c.cfg.RetryBase
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		deadline := now.Add(slice)
-		if a == attempts-1 || deadline.After(overall) {
-			deadline = overall
-		}
-		aStart := c.curOp.Now()
-		value, err := c.doLocked(BatchOp{Kind: BatchGet, Key: key}, deadline)
-		c.curOp.AttemptSpan(a+1, aStart)
-		if err == nil || !retryableRead(err) {
-			return value, err
-		}
-		lastErr = err
-		// An admission-control shed carries the server's backoff hint;
-		// honor it when it is longer than the local schedule.
-		var rl *RetryLaterError
-		if errors.As(err, &rl) && rl.Hint > backoff {
-			backoff = rl.Hint
-		}
-		// Bounded exponential backoff with ±50% jitter, capped by what is
-		// left of the operation's budget.
-		sleep := backoff/2 + time.Duration(rand.Int64N(int64(backoff)))
-		if ctx.Err() != nil || !time.Now().Add(sleep).Before(overall) {
-			break
-		}
-		bStart := c.curOp.Now()
-		time.Sleep(sleep)
-		c.curOp.Span(obs.CliBackoff, bStart)
-		backoff *= 2
-		c.retries++
-		now = time.Now()
-	}
-	return nil, lastErr
-}
-
-// retryableRead reports whether an idempotent read may be re-attempted
+// retryableRead reports whether a read's outcome lets it be re-attempted
 // with a fresh oid: yes for timeouts, replay rejections (the server saw
 // a duplicated frame for this oid — a later oid starts clean),
 // malformed-but-authenticated responses, and admission-control sheds
 // (the server guarantees a shed op was not applied); no for terminal
 // outcomes.
-func retryableRead(err error) bool {
+func retryableRead(r BatchResult) bool {
+	err := r.Err
 	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrReplay) ||
 		errors.Is(err, ErrBadResponse) || errors.Is(err, ErrRetryLater)
 }
@@ -495,19 +497,7 @@ func (c *Client) Delete(key string) error {
 
 // DeleteContext is Delete under ctx — see PutContext.
 func (c *Client) DeleteContext(ctx context.Context, key string) error {
-	if len(key) == 0 || len(key) > wire.MaxKeyLen {
-		return ErrTooLarge
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	deadline, err := c.beginOp(ctx, "delete")
-	if err != nil {
-		return err
-	}
-	if _, err = c.doLocked(BatchOp{Kind: BatchDelete, Key: key}, deadline); err == nil {
-		c.deletes++
-	}
-	c.endOp(err)
+	_, err := c.one(ctx, BatchOp{Kind: BatchDelete, Key: key})
 	return err
 }
 
@@ -576,7 +566,9 @@ func (c *Client) recvLocked(want *pending, deadline time.Time) error {
 		// or dying.
 		return fmt.Errorf("%w: %v", ErrClosed, err)
 	default:
-		decided = c.dispatchLocked(msg, want)
+		if decided, err = c.dispatchLocked(msg, want); want != nil && want.done {
+			return err
+		}
 	}
 	// A frame that decided nothing is followed by another poll at once —
 	// but never past the deadline, however many come.
@@ -587,54 +579,56 @@ func (c *Client) recvLocked(want *pending, deadline time.Time) error {
 }
 
 // dispatchLocked is recvLocked's handling of one arrived frame; it reports
-// whether the frame resolved want or a future. Every reply is a sealed
-// BatchReply under the base AD: its sealed oid echo binds it to its frame.
-func (c *Client) dispatchLocked(msg []byte, want *pending) bool {
+// whether the frame resolved want or a future, and want's frame-level
+// error. Every reply is a sealed BatchReply under the base AD: its sealed
+// oid echo binds it to its frame.
+func (c *Client) dispatchLocked(msg []byte, want *pending) (bool, error) {
 	var resp wire.Response
 	if err := resp.Decode(msg); err != nil {
 		c.badFrames++
-		return false
+		return false, nil
 	}
 	if len(resp.SealedControl) == 0 {
 		// Unauthenticated status frame (auth failure / bad-request
 		// notice). Advisory at best, forged at worst.
 		c.unauthStatuses++
-		return false
+		return false, nil
 	}
 	// Whatever is in flight is already in the ring, so the control scratch
 	// is free to take the reply's opened control.
 	pt, err := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, c.ad[:])
 	if err != nil {
 		c.badFrames++
-		return false
+		return false, nil
 	}
 	c.ctlBuf = pt
 	if err := wire.DecodeBatchReply(pt, &c.brep); err != nil {
 		c.badFrames++
-		return false
+		return false, nil
 	}
-	p := want
-	var f *BatchFuture
-	if p == nil || p.oid != c.brep.Oid {
-		if f = c.inflight[c.brep.Oid]; f == nil {
-			// Authenticated but stale: a duplicated or very late delivery
-			// for an oid no longer awaited.
-			c.staleFrames++
-			return false
-		}
-		p = &f.pending
+	if want != nil && want.oid == c.brep.Oid {
+		return true, c.resolveLocked(want, resp.Payload, nil)
 	}
-	c.resolveLocked(p, resp.Payload, nil)
-	if f != nil {
-		f.finishLocked()
+	f := c.inflight[c.brep.Oid]
+	if f == nil {
+		// Authenticated but stale: a duplicated or very late delivery
+		// for an oid no longer awaited.
+		c.staleFrames++
+		return false, nil
 	}
-	return true
+	f.err = c.resolveLocked(&f.pending, resp.Payload, nil)
+	f.finishLocked()
+	return true, nil
 }
 
 // ClientStats is a snapshot of a client's operation counters, in struct
 // form so aggregators (pools, the cluster client) don't juggle positional
 // returns.
 type ClientStats struct {
+	// Puts, Gets and Deletes count the ops that succeeded, in every frame
+	// — a Batch's or a BatchAsync's as much as a single op's — as
+	// ServerStats counts a batch's ops beside single ones. A retried read
+	// counts once.
 	Puts, Gets, Deletes uint64
 	// Batches counts frames of more than one op sent; BatchedOps counts
 	// the operations they carried (so BatchedOps/Batches is the realized
@@ -643,7 +637,8 @@ type ClientStats struct {
 	// IntegrityFailures counts Get responses whose payload MAC did not
 	// verify — the client-side tamper-evidence check (Algorithm 1).
 	IntegrityFailures uint64
-	// Retries counts read re-attempts after transient failures.
+	// Retries counts the frames sent again: reads after transient
+	// failures, repair ops after a shed.
 	Retries uint64
 	// RetryLaters counts the frames this connection had shed by the
 	// admission gate (sealed RETRY_LATER replies).
@@ -714,7 +709,7 @@ func (c *Client) StatsStruct() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := ClientStats{
-		Puts: c.puts, Gets: c.gets, Deletes: c.deletes,
+		Puts: c.completed[BatchPut], Gets: c.completed[BatchGet], Deletes: c.completed[BatchDelete],
 		Batches: c.batches, BatchedOps: c.batchedOps,
 		IntegrityFailures: c.integrityFailures,
 		Retries:           c.retries,

@@ -52,6 +52,8 @@ var (
 	ErrTimeout      = errors.New("precursor: request timed out")
 	ErrIntegrity    = errors.New("precursor: payload integrity check failed")
 	ErrBadBootstrap = errors.New("precursor: malformed bootstrap message")
+	// ErrPoolClosed is returned by operations on a closed pool.
+	ErrPoolClosed = errors.New("precursor: pool closed")
 	// ErrUnconfirmed marks a non-idempotent write whose outcome is
 	// unknown: the request may or may not have been applied. It never
 	// appears alone — it is joined onto the causal error (ErrTimeout or
@@ -114,9 +116,9 @@ type ServerConfig struct {
 	// Workers is the number of trusted polling threads (default 12,
 	// matching the evaluation).
 	Workers int
-	// RingSlots and SlotSize set per-client ring geometry.
-	RingSlots int
-	SlotSize  int
+	// SlotSize sets the per-client ring slot size; a ring has
+	// DefaultRingSlots slots.
+	SlotSize int
 	// HardenedMACs stores payload MACs inside the enclave and returns them
 	// under transport encryption (§3.9).
 	HardenedMACs bool
@@ -128,8 +130,6 @@ type ServerConfig struct {
 	// between K_session and a storage key. Clients follow the server. It
 	// combines with InlineSmallValues only.
 	ServerEncryption bool
-	// EntryBytes is the modelled enclave bytes per hash-table bucket.
-	EntryBytes int
 	// ImagePages is the enclave's static EPC footprint in pages.
 	ImagePages int
 	// PollInterval is the sleep of an idle trusted thread's back-off, the
@@ -202,14 +202,8 @@ func (c *ServerConfig) withDefaults() ServerConfig {
 	if out.Workers <= 0 {
 		out.Workers = DefaultWorkers
 	}
-	if out.RingSlots <= 0 {
-		out.RingSlots = DefaultRingSlots
-	}
 	if out.SlotSize <= 0 {
 		out.SlotSize = DefaultSlotSize
-	}
-	if out.EntryBytes <= 0 {
-		out.EntryBytes = DefaultEntryBytes
 	}
 	if out.ImagePages <= 0 {
 		out.ImagePages = DefaultImagePages

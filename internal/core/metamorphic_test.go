@@ -6,9 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"precursor/internal/cryptox"
+	"precursor/internal/faultfab"
+	"precursor/internal/obs"
+	"precursor/internal/rdma"
 	"precursor/internal/wire"
 )
 
@@ -342,6 +347,86 @@ func TestMetamorphicWithSealRestoreCycles(t *testing.T) {
 		}
 		if got := tc.server.Stats().Entries; got != len(model) {
 			t.Fatalf("round %d entries = %d, model = %d", round, got, len(model))
+		}
+	}
+}
+
+// TestCallShapeKeepsOutcome: the shape of a call does not change its
+// outcome. With the reply to a read's first attempt held on the wire past
+// that attempt's budget slice, Get and a Batch of one get both retry once
+// under a fresh oid and succeed — the held reply arrives stale and is
+// skipped. And a frame that times out is marked unconfirmed in its trace
+// only when it carries a write: a frame of only gets is a read.
+func TestCallShapeKeepsOutcome(t *testing.T) {
+	replies := faultfab.New(faultfab.Config{Seed: 1}) // faultless until partitioned
+	tc := newCluster(t, ServerConfig{})
+	tc.wrapSrv = func(c rdma.Conn) rdma.Conn { return replies.Wrap(c, faultfab.S2C, "server") }
+	tracer := obs.New(obs.Config{Side: obs.SideClient, Workers: 1, Ring: 64})
+	c := tc.connect(func(cfg *ClientConfig) {
+		cfg.Timeout, cfg.ReadRetries, cfg.RetryBase, cfg.Tracer = time.Second, 1, time.Millisecond, tracer
+	})
+	t.Cleanup(func() { replies.Heal(faultfab.S2C) })
+	if err := c.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	shapes := []struct {
+		name string
+		get  func() ([]byte, error)
+	}{
+		{"get", func() ([]byte, error) { return c.Get("k") }},
+		{"batch of one get", func() ([]byte, error) {
+			res, err := c.Batch([]BatchOp{{Kind: BatchGet, Key: "k"}})
+			if err != nil {
+				return nil, err
+			}
+			return res[0].Value, res[0].Err
+		}},
+	}
+	for _, s := range shapes {
+		retries, gets := c.StatsStruct().Retries, tc.server.Stats().Gets
+		replies.Partition(faultfab.S2C)
+		// Once the server has applied a second attempt, the first has run
+		// out its slice: heal, and both replies arrive in order.
+		var returned atomic.Bool
+		healed := make(chan struct{})
+		go func() {
+			defer close(healed)
+			for !returned.Load() && tc.server.Stats().Gets < gets+2 {
+				time.Sleep(time.Millisecond)
+			}
+			replies.Heal(faultfab.S2C)
+		}()
+		v, err := s.get()
+		returned.Store(true)
+		<-healed
+		if err != nil || string(v) != "v" {
+			t.Errorf("%s with its first reply held: %q, %v; want the value", s.name, v, err)
+		}
+		if n := c.StatsStruct().Retries - retries; n != 1 {
+			t.Errorf("%s with its first reply held: %d retries, want 1", s.name, n)
+		}
+	}
+
+	frames := []struct {
+		name        string
+		ops         []BatchOp
+		unconfirmed bool
+	}{
+		{"gets", []BatchOp{{Kind: BatchGet, Key: "k"}, {Kind: BatchGet, Key: "k2"}}, false},
+		{"put and get", []BatchOp{{Kind: BatchPut, Key: "k2", Value: []byte("v2")}, {Kind: BatchGet, Key: "k"}}, true},
+	}
+	for _, f := range frames {
+		replies.Partition(faultfab.S2C)
+		_, err := c.Batch(f.ops)
+		replies.Heal(faultfab.S2C)
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("frame of %s with every reply held: %v, want ErrTimeout", f.name, err)
+		}
+		recent := tracer.Recent()
+		if tr := recent[len(recent)-1]; tr.Kind != "batch" || tr.Unconfirmed != f.unconfirmed {
+			t.Errorf("timed-out frame of %s traced as %q, unconfirmed %v; want a batch, unconfirmed %v",
+				f.name, tr.Kind, tr.Unconfirmed, f.unconfirmed)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"time"
 
 	"precursor/internal/audit"
 	"precursor/internal/cryptox"
@@ -277,22 +276,12 @@ func (c *Client) DeltaSince(gen uint64) ([]string, error) {
 // repairOp sends one repair op — arguments a and b sealed in its control,
 // chunk in the frame's payload region — as a frame of one, and returns its
 // sealed result fields followed by the chunk its reply carries. A shed op
-// was not applied, so it is sent again after the server's hint, within the
-// op's deadline; a draining donor thus fails a step only at the deadline.
+// was not applied, so run sends it again after a backoff, within the op's
+// deadline; a draining donor thus fails a step only at the deadline.
 func (c *Client) repairOp(kind wire.Opcode, a, b uint64, chunk []byte) ([]byte, error) {
 	args := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(make([]byte, 0, 16), a), b)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	deadline, err := c.beginOp(context.Background(), "repair")
-	if err != nil {
-		return nil, err
-	}
-	op := BatchOp{Kind: BatchOpKind(kind), Value: chunk, args: args}
-	v, err := c.doLocked(op, deadline)
-	for rl := (*RetryLaterError)(nil); errors.As(err, &rl) && time.Now().Add(max(rl.Hint, c.cfg.RetryBase)).Before(deadline); c.retries++ {
-		time.Sleep(max(rl.Hint, c.cfg.RetryBase))
-		v, err = c.doLocked(op, deadline)
-	}
-	c.endOp(err)
-	return v, err
+	ops := [1]BatchOp{{Kind: BatchOpKind(kind), Value: chunk, args: args}}
+	var res [1]BatchResult
+	c.run(context.Background(), ops[:], res[:])
+	return res[0].Value, res[0].Err
 }

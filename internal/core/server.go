@@ -277,7 +277,7 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 
 	// Ecall i.: initialize the hash table inside the enclave.
 	if err := enclave.Ecall("init_hashtable", func() error {
-		s.table = hashtable.New[entry](s.acct, c.EntryBytes)
+		s.table = hashtable.New[entry](s.acct, DefaultEntryBytes)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -395,14 +395,14 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 	// Allocate the client's request ring in untrusted server memory and
 	// the credit counter its response-ring reader reports into.
 	reqRing := s.device.RegisterMemory(
-		ringbuf.RingBytes(s.cfg.RingSlots, s.cfg.SlotSize), rdma.PermRemoteWrite)
+		ringbuf.RingBytes(DefaultRingSlots, s.cfg.SlotSize), rdma.PermRemoteWrite)
 	respCredit := s.device.RegisterMemory(ringbuf.CreditBytes, rdma.PermRemoteWrite)
 
 	sess := &session{conn: conn, aead: aead, reqRing: reqRing, respCredit: respCredit,
 		mayInline: conn.PostBounded()}
 
 	sess.reqReader, err = ringbuf.NewReader(ringbuf.ReaderConfig{
-		Ring: reqRing, Slots: s.cfg.RingSlots, SlotSize: s.cfg.SlotSize,
+		Ring: reqRing, Slots: DefaultRingSlots, SlotSize: s.cfg.SlotSize,
 		Conn: conn, CreditRKey: hello.ReqCreditRKey,
 	})
 	if err != nil {
@@ -432,10 +432,10 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 	// The enclave keeps ~200 B of session state (K_session, oid, id).
 	s.acct.chargeSession()
 	s.logEvent("client attested and connected", slog.Int("client", int(id)),
-		slog.Int("reqRingSlots", s.cfg.RingSlots))
+		slog.Int("reqRingSlots", DefaultRingSlots))
 
 	welcome.ClientID, welcome.ReqRingRKey, welcome.RespCreditRKey = id, reqRing.RKey(), respCredit.RKey()
-	welcome.ReqSlots, welcome.ReqSlotSize = s.cfg.RingSlots, s.cfg.SlotSize
+	welcome.ReqSlots, welcome.ReqSlotSize = DefaultRingSlots, s.cfg.SlotSize
 	welcome.ServerEncryption = s.cfg.ServerEncryption
 	if err := sendMsg(conn, 2, welcome); err != nil {
 		return 0, err
@@ -809,6 +809,8 @@ func opKind(o wire.Opcode) string {
 		return "get"
 	case wire.OpDelete:
 		return "delete"
+	case wire.OpSnapshot, wire.OpRestore, wire.OpDelta:
+		return "repair"
 	}
 	return "op"
 }

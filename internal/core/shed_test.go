@@ -205,3 +205,47 @@ func TestBatchDeadlineCoversBackpressureWait(t *testing.T) {
 		t.Fatalf("Get: %v — doomed batch must not apply", err)
 	}
 }
+
+// TestCancelDuringReadBackoffSendsNothing: a ctx cancelled while a read
+// backs off between attempts ends the read at once with ErrTimeout joined
+// with context.Canceled, and no further attempt reaches the server
+// (PROTOCOL.md §9) — for a Get and a Batch of gets alike.
+func TestCancelDuringReadBackoffSendsNothing(t *testing.T) {
+	const retryBase = 2 * time.Second // every backoff sleeps at least 1 s
+	tc := newCluster(t, ServerConfig{})
+	c := tc.connect(func(cfg *ClientConfig) { cfg.Timeout, cfg.RetryBase = 30*time.Second, retryBase })
+	if err := c.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	tc.server.SetDraining(true) // every attempt is shed at once
+	for name, read := range map[string]func(context.Context) error{
+		"get": func(ctx context.Context) error {
+			_, err := c.GetContext(ctx, "k")
+			return err
+		},
+		"batch of gets": func(ctx context.Context) error {
+			_, err := c.BatchContext(ctx, []BatchOp{{Kind: BatchGet, Key: "k"}, {Kind: BatchGet, Key: "k"}})
+			return err
+		},
+	} {
+		shed := tc.server.Stats().ShedReads
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			for tc.server.Stats().ShedReads == shed {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}()
+		start := time.Now()
+		err := read(ctx)
+		if d := time.Since(start); d >= retryBase/2 {
+			t.Errorf("%s: returned %v after a cancel during its backoff, want at once", name, d)
+		}
+		if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: %v, want ErrTimeout joined with context.Canceled", name, err)
+		}
+		if n := tc.server.Stats().ShedReads - shed; n != 1 {
+			t.Errorf("%s: the server saw %d frames, want 1: nothing is sent after the cancel", name, n)
+		}
+	}
+}

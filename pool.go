@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"time"
 
@@ -31,10 +30,14 @@ import (
 // an error wrapping ErrTimeout rather than blocking forever, so a
 // cluster breaker sitting above the pool can trip instead of hanging.
 type Pool struct {
+	// idle holds the connections no operation has borrowed; its capacity
+	// is the pool's size, so a release never blocks. Sends happen under mu,
+	// the drain in Close as well, so Close closes every connection released
+	// before it and a release after it finds the pool closed.
+	idle     chan *Client
+	done     chan struct{} // closed by Close: wakes every waiting acquire
 	mu       sync.Mutex
-	free     []*Client
-	all      []*Client
-	waiters  []chan *Client
+	live     int // connections not discarded: borrowed or idle
 	closed   bool
 	timeouts map[*Client]int // consecutive timed-out ops per connection (see finish)
 
@@ -62,7 +65,7 @@ type Pool struct {
 }
 
 // ErrPoolClosed is returned by operations on a closed pool.
-var ErrPoolClosed = errors.New("precursor: pool closed")
+var ErrPoolClosed = core.ErrPoolClosed
 
 // defaultAcquireWait bounds acquire when DialConfig.Timeout is unset.
 const defaultAcquireWait = 5 * time.Second
@@ -76,22 +79,29 @@ func NewPool(addr string, cfg DialConfig, size int) (*Pool, error) {
 	if wait <= 0 {
 		wait = defaultAcquireWait
 	}
-	p := &Pool{
-		timeouts:    make(map[*Client]int),
-		redial:      func() (*Client, error) { return Dial(addr, cfg) },
-		waitTimeout: wait,
-		budget:      overload.NewRetryBudget(overload.DefaultBudgetMax, overload.DefaultBudgetRatio),
-	}
+	p := newPool(size, wait)
+	p.timeouts = make(map[*Client]int)
+	p.redial = func() (*Client, error) { return Dial(addr, cfg) }
 	for i := 0; i < size; i++ {
 		c, err := Dial(addr, cfg)
 		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("pool connection %d: %w", i, err)
 		}
-		p.free = append(p.free, c)
-		p.all = append(p.all, c)
+		p.idle <- c
+		p.live++
 	}
 	return p, nil
+}
+
+// newPool is an empty pool of size connections.
+func newPool(size int, wait time.Duration) *Pool {
+	return &Pool{
+		idle:        make(chan *Client, size),
+		done:        make(chan struct{}),
+		waitTimeout: wait,
+		budget:      overload.NewRetryBudget(overload.DefaultBudgetMax, overload.DefaultBudgetRatio),
+	}
 }
 
 // NewPoolFromClients pools already-connected clients (e.g. over the
@@ -100,12 +110,11 @@ func NewPoolFromClients(clients []*Client) (*Pool, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("precursor: pool needs at least one client")
 	}
-	p := &Pool{
-		waitTimeout: defaultAcquireWait,
-		budget:      overload.NewRetryBudget(overload.DefaultBudgetMax, overload.DefaultBudgetRatio),
+	p := newPool(len(clients), defaultAcquireWait)
+	for _, c := range clients {
+		p.idle <- c
 	}
-	p.free = append(p.free, clients...)
-	p.all = append(p.all, clients...)
+	p.live = len(clients)
 	return p, nil
 }
 
@@ -113,83 +122,51 @@ func NewPoolFromClients(clients []*Client) (*Pool, error) {
 // the pool's timeout, and never past ctx's deadline or cancellation.
 func (p *Pool) acquire(ctx context.Context) (*Client, error) {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	closed, dead := p.closed, p.redial != nil && p.live == 0
+	p.mu.Unlock()
+	switch {
+	case closed:
 		return nil, ErrPoolClosed
-	}
-	if p.redial != nil && len(p.all) == 0 {
+	case dead:
 		// Every connection is dead and awaiting redial: waiting out the
 		// acquire timeout would stall the caller on a server that is
 		// known-unreachable right now. Fail fast with ErrClosed so a
 		// breaker above the pool trips immediately; the background
 		// redial loops restore capacity when the server returns.
-		p.mu.Unlock()
 		return nil, fmt.Errorf("precursor: pool has no live connections: %w", ErrClosed)
 	}
-	if n := len(p.free); n > 0 {
-		c := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
+	select {
+	case c := <-p.idle:
 		return c, nil
+	default:
 	}
-	ch := make(chan *Client, 1)
-	p.waiters = append(p.waiters, ch)
-	p.mu.Unlock()
-
 	deadline, err := core.OpDeadline(ctx, p.waitTimeout)
 	if err == nil {
 		timer := time.NewTimer(time.Until(deadline))
 		defer timer.Stop()
 		select {
-		case c, ok := <-ch:
-			if !ok || c == nil {
-				return nil, ErrPoolClosed
-			}
+		case c := <-p.idle:
 			return c, nil
+		case <-p.done:
+			return nil, ErrPoolClosed
 		case <-timer.C:
 			err = ErrTimeout
 		case <-ctx.Done():
 			err = core.CtxErr(ctx)
 		}
 	}
-
-	// Gave up: retract the waiter entry. A release may hand us a
-	// connection concurrently — if it already did (our entry is gone),
-	// take the connection from the channel and put it back in rotation.
-	p.mu.Lock()
-	i := slices.Index(p.waiters, ch)
-	if i >= 0 {
-		p.waiters = slices.Delete(p.waiters, i, i+1)
-	}
-	p.mu.Unlock()
-	if i < 0 {
-		if c, ok := <-ch; ok && c != nil {
-			p.mu.Lock()
-			p.release(c)
-		}
-	}
 	return nil, fmt.Errorf("precursor: pool acquire: %w", err)
 }
 
-// release returns a connection, handing it to a waiter if any. If the
-// pool was closed while the connection was borrowed, the connection is
-// closed here instead of being re-pooled. Called with mu held (every
-// caller has state of its own to settle under it first); unlocks it.
-func (p *Pool) release(c *Client) {
+// releaseLocked hands c back to the idle channel and reports true, or
+// reports false once the pool is closed: the caller then closes c. Called
+// with mu held.
+func (p *Pool) releaseLocked(c *Client) bool {
 	if p.closed {
-		p.mu.Unlock()
-		_ = c.Close()
-		return
+		return false
 	}
-	if len(p.waiters) > 0 {
-		ch := p.waiters[0]
-		p.waiters = p.waiters[1:]
-		p.mu.Unlock()
-		ch <- c
-		return
-	}
-	p.free = append(p.free, c)
-	p.mu.Unlock()
+	p.idle <- c
+	return true
 }
 
 // wedgedAfter is how many operations in a row a connection may time out,
@@ -216,21 +193,17 @@ func (p *Pool) finish(c *Client, err error, ownTimeout bool) {
 			delete(p.timeouts, c)
 		}
 	}
-	if !dead {
-		p.release(c)
-		return
+	if dead {
+		delete(p.timeouts, c)
+		p.live--
 	}
-	delete(p.timeouts, c)
-	for i, pc := range p.all {
-		if pc == c {
-			p.all = append(p.all[:i], p.all[i+1:]...)
-			break
-		}
-	}
-	stopped := p.closed
+	kept := !dead && p.releaseLocked(c)
+	redial := dead && !p.closed
 	p.mu.Unlock()
-	_ = c.Close()
-	if !stopped {
+	if !kept {
+		_ = c.Close()
+	}
+	if redial {
 		go p.redialLoop()
 	}
 }
@@ -269,15 +242,13 @@ func (p *Pool) claimRedial() (wait time.Duration, ok bool) {
 // the pool's shared backoff, until it succeeds or the pool closes.
 func (p *Pool) redialLoop() {
 	for {
-		p.mu.Lock()
-		stopped := p.closed
-		p.mu.Unlock()
-		if stopped {
-			return
-		}
 		wait, ok := p.claimRedial()
 		if !ok {
-			time.Sleep(wait)
+			select {
+			case <-p.done:
+				return
+			case <-time.After(wait):
+			}
 			continue
 		}
 		c, err := p.redial()
@@ -291,10 +262,14 @@ func (p *Pool) redialLoop() {
 		p.redialFailures = 0
 		p.redialMu.Unlock()
 		p.mu.Lock()
-		if !p.closed {
-			p.all = append(p.all, c)
+		kept := p.releaseLocked(c)
+		if kept {
+			p.live++
 		}
-		p.release(c)
+		p.mu.Unlock()
+		if !kept {
+			_ = c.Close()
+		}
 		return
 	}
 }
@@ -312,8 +287,9 @@ const maxShedRetries = 3
 // is returned as-is, which is what bounds fleet-wide retry
 // amplification. Between attempts the server's backoff hint (or a small
 // default) is honored with jitter, unless it would overrun ctx's
-// deadline. A spent or cancelled ctx fails with ErrTimeout before a
-// connection is borrowed: nothing sent, nothing unconfirmed.
+// deadline. A spent or cancelled ctx — before a connection is borrowed
+// or during a backoff — fails with ErrTimeout: nothing more is sent,
+// nothing unconfirmed.
 func (p *Pool) do(ctx context.Context, op func(*Client) error) error {
 	backoff := 2 * time.Millisecond
 	for attempt := 0; ; attempt++ {
@@ -341,7 +317,9 @@ func (p *Pool) do(ctx context.Context, op func(*Client) error) error {
 		if d, ok := ctx.Deadline(); ok && time.Until(d) < sleep {
 			return err
 		}
-		time.Sleep(sleep)
+		if err := core.Pause(ctx, sleep); err != nil {
+			return err
+		}
 		backoff *= 2
 	}
 }
@@ -421,7 +399,7 @@ func (p *Pool) BatchContext(ctx context.Context, ops []BatchOp) (results []Batch
 func (p *Pool) Size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.all)
+	return p.live
 }
 
 // Close closes every pooled connection. In-flight operations finish
@@ -430,25 +408,21 @@ func (p *Pool) Size() int {
 // with ErrPoolClosed. Close is idempotent — extra calls return nil.
 func (p *Pool) Close() error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return nil
 	}
 	p.closed = true
-	waiters := p.waiters
-	p.waiters = nil
-	free := p.free
-	p.free = nil
-	p.mu.Unlock()
-
-	for _, ch := range waiters {
-		close(ch)
-	}
+	close(p.done)
 	var firstErr error
-	for _, c := range free {
-		if err := c.Close(); err != nil && firstErr == nil {
-			firstErr = err
+	for {
+		select {
+		case c := <-p.idle:
+			if err := c.Close(); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		default:
+			return firstErr
 		}
 	}
-	return firstErr
 }

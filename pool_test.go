@@ -11,6 +11,7 @@ import (
 
 	"precursor"
 	"precursor/internal/faultfab"
+	"precursor/internal/overload"
 )
 
 func newPoolCluster(t *testing.T, size int, tune ...func(*precursor.DialConfig)) (*precursor.Pool, *precursor.Server) {
@@ -213,6 +214,11 @@ func TestPoolConcurrency(t *testing.T) {
 
 func TestPoolCloseWakesWaiters(t *testing.T) {
 	pool, _ := newPoolCluster(t, 1)
+	// The waiter reads busy-0 from its first Get on: it must exist before
+	// either goroutine starts.
+	if err := pool.Put("busy-0", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
 	// Saturate the single connection with a long-running series, then
 	// close while a waiter is queued.
 	started := make(chan struct{})
@@ -446,5 +452,33 @@ func TestClientStatsStruct(t *testing.T) {
 	agg.Add(st)
 	if agg.Puts != 2*st.Puts || agg.Gets != 2*st.Gets {
 		t.Errorf("ClientStats.Add = %+v", agg)
+	}
+}
+
+// TestPoolCancelDuringShedBackoffSendsNothing: a ctx cancelled while the
+// pool backs off from a shed ends the operation at once, with ErrTimeout
+// joined with context.Canceled, and no further attempt reaches the server.
+func TestPoolCancelDuringShedBackoffSendsNothing(t *testing.T) {
+	pool, server := newPoolCluster(t, 1)
+	// Every attempt is shed with the drain's hint, so the backoff sleeps
+	// at least half of overload.DefaultMaxHint.
+	server.SetDraining(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for server.Stats().ShedWrites == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	start := time.Now()
+	err := pool.PutContext(ctx, "k", []byte("v"))
+	if d := time.Since(start); d >= overload.DefaultMaxHint/2 {
+		t.Errorf("put returned %v after a cancel during its backoff, want at once", d)
+	}
+	if !errors.Is(err, precursor.ErrTimeout) || !errors.Is(err, context.Canceled) {
+		t.Errorf("put cancelled during a shed backoff: %v, want ErrTimeout joined with context.Canceled", err)
+	}
+	if n := server.Stats().ShedWrites; n != 1 {
+		t.Errorf("the server saw %d frames, want 1: nothing is sent after the cancel", n)
 	}
 }
