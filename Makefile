@@ -15,11 +15,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# The payload MAC's fallback to crypto/aes: the purego build's tests, and
+# The payload kernels' generic paths — the Salsa20 core and the MAC keyed
+# through crypto/aes: the purego build's tests and kernel benchmarks, and
 # vet (asmdecl included) of the package on an architecture without the
-# AES-NI assembly.
+# AVX2 and AES-NI assembly.
 fallback:
 	$(GO) test ./internal/cryptox/ -tags purego
+	$(GO) test ./internal/cryptox/ -tags purego -run '^$$' -bench 'Salsa20|PayloadSeal' -benchtime 1x
 	GOARCH=arm64 $(GO) vet ./internal/cryptox/
 
 race:

@@ -23,13 +23,19 @@ func chunkLen(b byte) int { return 1 + 5*int(b) }
 // keystream.
 func FuzzSalsa20MatchesReference(f *testing.F) {
 	const carry = uint64(1) << 38 // byte offset of the 2^32-block boundary
-	for _, length := range []uint16{0, 1, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 8192} {
+	for _, length := range []uint16{0, 1, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1023, 1025, 4095, 4096, 4097, 4159, 8192} {
 		f.Add([]byte("k"), []byte("n"), uint64(0), length, []byte{}, false)
 		f.Add([]byte("key"), []byte("nonce"), uint64(63), length, []byte{0, 12, 13, 25}, true)
 		f.Add([]byte{0x80}, []byte{}, carry-160, length, []byte{}, false)
 		f.Add([]byte{0x80}, []byte{}, carry-200, length, []byte{31, 0, 19}, true)
 	}
 	f.Add([]byte{}, []byte{}, carry-1, uint16(130), []byte{0}, true)
+	// A group of eight blocks whose counters straddle 2^32 at lane j, and
+	// one that starts right after a staged partial block.
+	for j := uint64(1); j <= 7; j++ {
+		f.Add([]byte("lane"), []byte{byte(j)}, carry-64*j, uint16(1024), []byte{}, j%2 == 0)
+	}
+	f.Add([]byte("lane"), []byte{}, carry-64*3-17, uint16(1100), []byte{}, true)
 	f.Add([]byte{1, 2, 3}, []byte{4}, ^uint64(0)>>1, uint16(300), []byte{7, 200}, false)
 
 	f.Fuzz(func(t *testing.T, key, nonce []byte, offset uint64, length uint16, plan []byte, inPlace bool) {

@@ -32,10 +32,12 @@ func MACKey(op OperationKey) []byte {
 // K_operation is single-use; what a call costs is that set-up plus two
 // passes over the value, the Salsa20 core XORing whole blocks from the
 // value straight into the frame and the CMAC loop reading whole blocks
-// straight from it (DESIGN.md §5 "The per-byte path"). Without AES-NI the
-// MAC keys a crypto/aes cipher.Block, one allocation per call. The zero
-// value is ready to use; a PayloadCipher must not be used concurrently
-// from multiple goroutines.
+// straight from it (DESIGN.md §5 "The per-byte path"). On amd64 both
+// passes run assembly — AVX2 Salsa20 for every group of eight blocks,
+// AES-NI under the MAC — and purego selects the generic Go paths for both.
+// Without AES-NI the MAC keys a crypto/aes cipher.Block, one allocation per
+// call. The zero value is ready to use; a PayloadCipher must not be used
+// concurrently from multiple goroutines.
 type PayloadCipher struct {
 	stream Salsa20
 	mac    CMAC

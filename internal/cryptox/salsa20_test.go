@@ -200,6 +200,69 @@ func TestSalsa20InPlace(t *testing.T) {
 	}
 }
 
+// TestSalsa20KernelsAgree runs the AVX2 kernel and the generic core side by
+// side in one binary: one call over the whole input hands every group of
+// eight blocks to the kernel, while the same stream fed in calls shorter
+// than a group never reaches it. Every length 0-9 KiB (odd ones in place);
+// then, copying and in place, from every seek residue at block counters 0
+// and 2^32 - j for j = 1..8, so that the counter carry falls on every lane
+// of a group.
+func TestSalsa20KernelsAgree(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 kernel in this build or on this CPU")
+	}
+	key := bytes.Repeat([]byte{0xa7}, Salsa20KeySize)
+	nonce := []byte("kernels\x00")
+	src := make([]byte, 9<<10)
+	rand.New(rand.NewSource(8)).Read(src)
+
+	check := func(offset uint64, n int, inPlace bool) {
+		t.Helper()
+		s, err := NewSalsa20(key, nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Seek(offset)
+		want := make([]byte, n)
+		for off := 0; off < n; off += salsa20GroupSize - 1 {
+			end := min(n, off+salsa20GroupSize-1)
+			if err := s.XORKeyStream(want[off:end], src[off:end]); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		s.Seek(offset)
+		got := make([]byte, n)
+		in := src[:n]
+		if inPlace {
+			copy(got, in)
+			in = got
+		}
+		if err := s.XORKeyStream(got, in); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("offset %d, %d bytes, in place %v: the AVX2 kernel differs from the generic core", offset, n, inPlace)
+		}
+	}
+
+	for n := 0; n <= len(src); n++ {
+		check(0, n, n%2 == 1)
+	}
+	for j := uint64(0); j <= 8; j++ {
+		base := uint64(0)
+		if j > 0 {
+			base = (1<<32 - j) * salsa20BlockSize
+		}
+		for r := uint64(0); r < salsa20BlockSize; r++ {
+			for _, n := range []int{511, 512, 513, 1024 + 63, 4096, len(src)} {
+				check(base+r, n, false)
+				check(base+r, n, true)
+			}
+		}
+	}
+}
+
 // TestSalsa20DistinctNonces checks that different nonces yield unrelated
 // keystreams (the property the fresh-IV-per-put requirement rests on).
 func TestSalsa20DistinctNonces(t *testing.T) {
@@ -218,7 +281,7 @@ func TestSalsa20DistinctNonces(t *testing.T) {
 }
 
 func BenchmarkSalsa20(b *testing.B) {
-	for _, size := range []int{64, 1024, 16384} {
+	for _, size := range []int{64, 256, 512, 1024, 4096, 16384} {
 		b.Run(byteSizeName(size), func(b *testing.B) {
 			key := make([]byte, Salsa20KeySize)
 			nonce := make([]byte, Salsa20NonceSize)
