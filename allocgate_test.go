@@ -141,10 +141,10 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 		put            func(string, []byte) error
 		getMax, putMax float64
 	}{
-		{"pool", pool.Get, pool.Put, 1.5, 0.5},   // 1.13, 0.13
-		{"cluster", cc.Get, cc.Put, 1.5, 0.5},    // 1.13, 0.13
-		{"cluster-g1", g1.Get, g1.Put, 1.5, 0.5}, // what the cluster row reads
-		{"cluster-r2", r2.Get, r2.Put, 1.5, 0.5}, // 1.13, 0.25 (two replicas' 0.13 each)
+		{"pool", pool.Get, pool.Put, 1.4, 0.4},   // 1.00, 0.00
+		{"cluster", cc.Get, cc.Put, 1.4, 0.4},    // 1.00, 0.00
+		{"cluster-g1", g1.Get, g1.Put, 1.4, 0.4}, // what the cluster row reads
+		{"cluster-r2", r2.Get, r2.Put, 1.4, 0.4}, // 1.00, 0.00 (two replicas' 0.00 each)
 	} {
 		get := func(i int) {
 			if _, err := kv.get(names[i%keys]); err != nil {
@@ -219,8 +219,8 @@ func TestMemoryPerStoredByte(t *testing.T) {
 		// budgets heap growth / keys. Zero: reported only.
 		maxPerByte, maxPerKey float64
 	}{
-		{placement: "base", valueSize: 32, maxPerKey: 272},                // 261.5
-		{placement: "base", valueSize: 32, keys: 300_000, maxPerKey: 170}, // 167.9
+		{placement: "base", valueSize: 32, maxPerKey: 272},                // 259.5
+		{placement: "base", valueSize: 32, keys: 300_000, maxPerKey: 170}, // 165.9
 		{placement: "base", valueSize: 256},                               // 1.841
 		{placement: "base", valueSize: 1 << 10, maxPerByte: 1.25},         // 1.177
 		{placement: "base", valueSize: 4 << 10, maxPerByte: 1.09},         // 1.049

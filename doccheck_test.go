@@ -578,3 +578,65 @@ func shellWords(line string) []string {
 	flush()
 	return words
 }
+
+// TestRaceExemptionOnlyOnTheDMACopy: the registered-memory data path's one
+// byte copy, dma in internal/rdma/mr.go, is the only code the race detector
+// does not see — //go:norace over the runtime's memmove, pulled in by
+// linkname. Anywhere else either directive would hide a real race, so any
+// //go:norace or //go:linkname outside those two declarations fails the
+// test, and so does their absence: the walk would then prove nothing.
+func TestRaceExemptionOnlyOnTheDMACopy(t *testing.T) {
+	const home = "internal/rdma/mr.go"
+	allowed := map[string]string{ // directive → the function it must sit on
+		"//go:norace":                           "dma",
+		"//go:linkname memmove runtime.memmove": "memmove",
+	}
+	found := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		docOf := map[*ast.CommentGroup]string{}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Doc != nil {
+				docOf[fn.Doc] = fn.Name.Name
+			}
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				text := strings.TrimSpace(c.Text)
+				if !strings.HasPrefix(text, "//go:norace") && !strings.HasPrefix(text, "//go:linkname") {
+					continue
+				}
+				if fn, ok := allowed[text]; ok && filepath.ToSlash(path) == home && docOf[group] == fn {
+					found[text] = true
+					continue
+				}
+				t.Errorf("%s: %s outside the DMA copy", loc(path, fset, c.Pos(), ""), text)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for text, fn := range allowed {
+		if !found[text] {
+			t.Errorf("%s: %s no longer sits on %s", home, text, fn)
+		}
+	}
+}

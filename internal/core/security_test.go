@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -250,6 +251,82 @@ func TestRogueClientGarbageFrame(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestSlotRewrittenWhileCopiedIsRefused: a peer holding the request ring's
+// rkey keeps rewriting message bytes of every slot with one-sided writes
+// while the client's gets go through. Registered memory takes no lock, so
+// the trusted thread may copy a slot out while a rewrite lands in it. What
+// it copied is verified before a byte of it is trusted: a rewritten or torn
+// request fails the control AEAD, is counted as a bad request, and the
+// client sees a typed error — a get never returns a wrong value.
+func TestSlotRewrittenWhileCopiedIsRefused(t *testing.T) {
+	tc := newCluster(t, ServerConfig{Workers: 1})
+	c := tc.connect(func(cfg *ClientConfig) { cfg.Timeout = 20 * time.Millisecond })
+	const keys = 8
+	for i := 0; i < keys; i++ {
+		if err := c.Put(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("value-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc.server.mu.Lock()
+	ring := tc.server.sessions[c.ID()].reqRing
+	tc.server.mu.Unlock()
+	peerDev, err := tc.fabric.NewDevice("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, _ := tc.fabric.ConnectRC(peerDev, tc.srvDev)
+
+	// Offsets 5 to 36 of a slot are message bytes of every request frame
+	// (a get's frame is longer than that): the framing stays intact, so
+	// only the enclave's checks can tell.
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var b [1]byte
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for slot := 0; slot < DefaultRingSlots; slot++ {
+				b[0] = byte(i*31 + uint64(slot))
+				off := uint64(slot*DefaultSlotSize) + 5 + i%32
+				if err := peer.PostWrite(i, ring.RKey(), off, b[:], false); err != nil {
+					t.Errorf("peer write: %v", err)
+					return
+				}
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+	}()
+
+	deadline := time.Now().Add(30 * time.Second)
+	gets, failed := 0, 0
+	for tc.server.Stats().BadRequests < 5 || gets < 200 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d gets, %d bad requests by the deadline", gets, tc.server.Stats().BadRequests)
+		}
+		i := gets % keys
+		got, err := c.Get(fmt.Sprintf("key-%d", i))
+		gets++
+		switch {
+		case err == nil:
+			if want := fmt.Sprintf("value-%d", i); string(got) != want {
+				t.Fatalf("get returned %q, want %q", got, want)
+			}
+		case errors.Is(err, ErrTimeout) || errors.Is(err, ErrBadResponse):
+			failed++
+		default:
+			t.Fatalf("get failed with an untyped error: %v", err)
+		}
+	}
+	close(stop)
+	<-done
+	t.Logf("%d gets, %d failed with a typed error; %d bad requests counted", gets, failed, tc.server.Stats().BadRequests)
 }
 
 // TestRevocationCutsAccess: after RevokeClient, the client's QP is in the

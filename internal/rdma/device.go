@@ -4,7 +4,9 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNoSuchDevice is returned when dialing an unknown device name.
@@ -16,8 +18,10 @@ var ErrNoSuchDevice = errors.New("rdma: no such device")
 type Device struct {
 	name string
 
-	mu         sync.RWMutex
-	mrs        map[uint32]*MemoryRegion
+	// mrs is the rkey table, copied on write: a one-sided op looks its
+	// rkey up with one atomic load, and mu serializes the writers.
+	mrs        atomic.Pointer[map[uint32]*MemoryRegion]
+	mu         sync.Mutex
 	nextKey    uint32
 	randomKeys bool
 
@@ -31,14 +35,15 @@ func (d *Device) FabricStats() FabricStats { return d.tcp.stats() }
 // NewDevice creates a stand-alone device. Devices participating in an
 // in-process Fabric are created with Fabric.NewDevice instead.
 func NewDevice(name string) *Device {
-	return &Device{
+	d := &Device{
 		name: name,
-		mrs:  make(map[uint32]*MemoryRegion),
 		// The paper (§3.9, citing ReDMArk) observes that rkeys are
 		// predictable in practice; the sequential assignment reproduces
 		// that weakness deliberately, and tests exploit it.
 		nextKey: 1,
 	}
+	d.mrs.Store(&map[uint32]*MemoryRegion{})
+	return d
 }
 
 // Name returns the device name.
@@ -59,6 +64,7 @@ func (d *Device) RandomizeRKeys() {
 func (d *Device) RegisterMemory(n int, perm Perm) *MemoryRegion {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	mrs := *d.mrs.Load()
 	key := d.nextKey
 	d.nextKey++
 	if d.randomKeys {
@@ -68,19 +74,16 @@ func (d *Device) RegisterMemory(n int, perm Perm) *MemoryRegion {
 				break // fall back to the sequential key
 			}
 			candidate := binary.LittleEndian.Uint32(b[:])
-			if _, taken := d.mrs[candidate]; !taken && candidate != 0 {
+			if _, taken := mrs[candidate]; !taken && candidate != 0 {
 				key = candidate
 				break
 			}
 		}
 	}
-	mr := &MemoryRegion{
-		buf:  make([]byte, n),
-		perm: perm,
-		lkey: key,
-		rkey: key,
-	}
-	d.mrs[mr.rkey] = mr
+	mr := newRegion(n, perm, key)
+	next := maps.Clone(mrs)
+	next[key] = mr
+	d.mrs.Store(&next)
 	return mr
 }
 
@@ -88,16 +91,16 @@ func (d *Device) RegisterMemory(n int, perm Perm) *MemoryRegion {
 // fail with ErrMRDeregistered.
 func (d *Device) Deregister(mr *MemoryRegion) {
 	d.mu.Lock()
-	delete(d.mrs, mr.rkey)
+	next := maps.Clone(*d.mrs.Load())
+	delete(next, mr.rkey)
+	d.mrs.Store(&next)
 	d.mu.Unlock()
 	mr.deregister()
 }
 
 // lookupMR resolves an rkey for an incoming one-sided operation.
 func (d *Device) lookupMR(rkey uint32) (*MemoryRegion, error) {
-	d.mu.RLock()
-	mr, ok := d.mrs[rkey]
-	d.mu.RUnlock()
+	mr, ok := (*d.mrs.Load())[rkey]
 	if !ok {
 		return nil, ErrBadRKey
 	}

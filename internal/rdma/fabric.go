@@ -3,6 +3,7 @@ package rdma
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Hook intercepts outbound WRITE/SEND payloads for fault injection in
@@ -16,7 +17,8 @@ type Hook func(op OpType, data []byte) (mutated []byte, drop bool)
 type Fabric struct {
 	mu      sync.RWMutex
 	devices map[string]*Device
-	faults  Hook
+	// faults is read on every post, without mu.
+	faults atomic.Pointer[Hook]
 }
 
 // NewFabric creates an empty fabric.
@@ -59,13 +61,16 @@ func (f *Fabric) ConnectRC(a, b *Device) (*QP, *QP) {
 
 // SetFaultHook installs (or clears, with nil) the fault-injection hook.
 func (f *Fabric) SetFaultHook(h Hook) {
-	f.mu.Lock()
-	f.faults = h
-	f.mu.Unlock()
+	if h == nil {
+		f.faults.Store(nil)
+		return
+	}
+	f.faults.Store(&h)
 }
 
 func (f *Fabric) hook() Hook {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.faults
+	if h := f.faults.Load(); h != nil {
+		return *h
+	}
+	return nil
 }

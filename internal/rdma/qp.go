@@ -42,6 +42,7 @@ type QP struct {
 	state   qpState
 	failed  atomic.Bool // state has left qpReady: Failed reads it without mu
 	sendCQ  []Completion
+	polled  []Completion // what PollSend returned last
 	recvCQ  []Completion
 	recvQ   []postedRecv
 	pending []inboundMsg // messages that arrived before a recv was posted
@@ -269,27 +270,26 @@ func (q *QP) PostRecv(wrID uint64, buf []byte) error {
 func (q *QP) PollSend(max int) []Completion {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return popCompletions(&q.sendCQ, max)
+	q.polled = popCompletions(&q.sendCQ, max, q.polled)
+	return q.polled
 }
 
 // PollRecv implements Conn.
 func (q *QP) PollRecv(max int) []Completion {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return popCompletions(&q.recvCQ, max)
+	return popCompletions(&q.recvCQ, max, nil)
 }
 
-func popCompletions(cq *[]Completion, max int) []Completion {
-	n := len(*cq)
-	if n == 0 || max <= 0 {
-		return nil
+// popCompletions moves up to max completions from the head of *cq into
+// out, emptied first, and returns it.
+func popCompletions(cq *[]Completion, max int, out []Completion) []Completion {
+	n := min(len(*cq), max)
+	if n <= 0 {
+		return out[:0]
 	}
-	if n > max {
-		n = max
-	}
-	out := make([]Completion, n)
-	copy(out, (*cq)[:n])
-	*cq = append((*cq)[:0], (*cq)[n:]...)
+	out = append(out[:0], (*cq)[:n]...)
+	dropFront(cq, n)
 	return out
 }
 

@@ -183,6 +183,7 @@ type TCPQP struct {
 	state   qpState
 	failed  atomic.Bool // state has left qpReady: Failed reads it without mu
 	sendCQ  []Completion
+	polled  []Completion // what PollSend returned last
 	recvCQ  []Completion
 	recvQ   []postedRecv
 	pending []inboundMsg
@@ -449,14 +450,15 @@ func (q *TCPQP) PostRecv(wrID uint64, buf []byte) error {
 func (q *TCPQP) PollSend(max int) []Completion {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return popCompletions(&q.sendCQ, max)
+	q.polled = popCompletions(&q.sendCQ, max, q.polled)
+	return q.polled
 }
 
 // PollRecv implements Conn.
 func (q *TCPQP) PollRecv(max int) []Completion {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return popCompletions(&q.recvCQ, max)
+	return popCompletions(&q.recvCQ, max, nil)
 }
 
 // PostBounded implements Conn: a post is a conn.Write under wmu, and a

@@ -194,13 +194,14 @@ func TestTCPBufferOwnership(t *testing.T) {
 
 // TestTCPFabricAllocBudget pins the fabric's own cost per verb: a signaled
 // PostWrite of a 1 KiB frame to its completion over loopback, both ends
-// and their agents in this process. What is left is PollSend's result
-// slice. Run without -race (PRECURSOR_ALLOC_GATE pattern, `make allocgate`).
+// and their agents in this process. Nothing is left: PollSend returns the
+// queue pair's own buffer. Run without -race (PRECURSOR_ALLOC_GATE
+// pattern, `make allocgate`).
 func TestTCPFabricAllocBudget(t *testing.T) {
 	if os.Getenv("PRECURSOR_ALLOC_GATE") == "" {
 		t.Skip("set PRECURSOR_ALLOC_GATE=1 to enforce the tcpfabric allocation budget")
 	}
-	const budget = 1.5
+	const budget = 0.5
 	_, serverDev, cliQP, _ := tcpPair(t)
 	mr := serverDev.RegisterMemory(4096, PermRemoteWrite)
 	frame := pattern(1, 1024)

@@ -3,6 +3,7 @@ package ringbuf
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -41,6 +42,66 @@ func ringOver(t *testing.T, wq, rq rdma.Conn, wdev, rdev *rdma.Device, slots, sl
 	return w, r
 }
 
+// fabricPair is a writer's and a reader's queue pair on one of the two
+// fabrics, and a way for a third party to reach the reader's device.
+type fabricPair struct {
+	wq, rq     rdma.Conn
+	wdev, rdev *rdma.Device
+	// dial connects another device to the reader's and returns its end.
+	dial func() rdma.Conn
+}
+
+// fabrics builds a fabricPair on each fabric.
+var fabrics = map[string]func(t *testing.T) fabricPair{
+	"inproc": func(t *testing.T) fabricPair {
+		f := rdma.NewFabric()
+		wdev, _ := f.NewDevice("writer")
+		rdev, _ := f.NewDevice("reader")
+		wq, rq := f.ConnectRC(wdev, rdev)
+		dial := func() rdma.Conn {
+			odev, err := f.NewDevice(fmt.Sprintf("other-%d", time.Now().UnixNano()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oq, _ := f.ConnectRC(odev, rdev)
+			return oq
+		}
+		return fabricPair{wq: wq, rq: rq, wdev: wdev, rdev: rdev, dial: dial}
+	},
+	"tcp": func(t *testing.T) fabricPair {
+		rdev := rdma.NewDevice("reader")
+		ln, err := rdma.ListenTCP(rdev, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ln.Close() })
+		dial := func(dev *rdma.Device) (rdma.Conn, rdma.Conn) {
+			accepted := make(chan *rdma.TCPQP, 1)
+			go func() {
+				q, _ := ln.Accept()
+				accepted <- q
+			}()
+			dq, err := rdma.DialTCP(dev, ln.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			aq := <-accepted
+			if aq == nil {
+				t.Fatal("accept failed")
+			}
+			t.Cleanup(func() { _ = dq.Close(); _ = aq.Close() })
+			return dq, aq
+		}
+		wdev := rdma.NewDevice("writer")
+		wq, rq := dial(wdev)
+		other := func() rdma.Conn {
+			oq, _ := dial(rdma.NewDevice("other"))
+			return oq
+		}
+		return fabricPair{wq: wq, rq: rq, wdev: wdev, rdev: rdev, dial: other}
+	},
+}
+
 // TestDoorbellWriterRacesReader: a writer goroutine streams numbered
 // frames through a small ring — thousands of wrap-arounds — while the
 // reader polls it through the doorbell word, on both fabrics. Every frame
@@ -54,42 +115,10 @@ func TestDoorbellWriterRacesReader(t *testing.T) {
 	if testing.Short() {
 		frames = 20_000
 	}
-	fabrics := map[string]func(t *testing.T) (wq, rq rdma.Conn, wdev, rdev *rdma.Device){
-		"inproc": func(t *testing.T) (rdma.Conn, rdma.Conn, *rdma.Device, *rdma.Device) {
-			f := rdma.NewFabric()
-			wdev, _ := f.NewDevice("writer")
-			rdev, _ := f.NewDevice("reader")
-			wq, rq := f.ConnectRC(wdev, rdev)
-			return wq, rq, wdev, rdev
-		},
-		"tcp": func(t *testing.T) (rdma.Conn, rdma.Conn, *rdma.Device, *rdma.Device) {
-			wdev, rdev := rdma.NewDevice("writer"), rdma.NewDevice("reader")
-			ln, err := rdma.ListenTCP(rdev, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			accepted := make(chan *rdma.TCPQP, 1)
-			go func() {
-				q, _ := ln.Accept()
-				accepted <- q
-			}()
-			wq, err := rdma.DialTCP(wdev, ln.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			rq := <-accepted
-			if rq == nil {
-				t.Fatal("accept failed")
-			}
-			t.Cleanup(func() { _ = wq.Close(); _ = rq.Close() })
-			return wq, rq, wdev, rdev
-		},
-	}
 	for name, connect := range fabrics {
 		t.Run(name, func(t *testing.T) {
-			wq, rq, wdev, rdev := connect(t)
-			w, r := ringOver(t, &mangleConn{Conn: wq, every: mangleEvery}, rq, wdev, rdev, 8, 64)
+			p := connect(t)
+			w, r := ringOver(t, &mangleConn{Conn: p.wq, every: mangleEvery}, p.rq, p.wdev, p.rdev, 8, 64)
 			deadline := time.Now().Add(2 * time.Minute)
 
 			writeErr := make(chan error, 1)

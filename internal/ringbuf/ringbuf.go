@@ -129,8 +129,11 @@ func (w *Writer) Available() int {
 // flipped bit, a replayed or forged write) is ignored in favour of the
 // last accepted value, so sent−consumed can never underflow and leave
 // the writer without credit for good. The reader's next credit write
-// overwrites the bad word.
+// overwrites the bad word. The credit region's doorbell is loaded first,
+// the acquire of every host read of registered memory: the reader cleared
+// the slots it counted before the count landed and bumped the word.
 func (w *Writer) availableLocked() int {
+	w.credit.Doorbell()
 	if c := w.credit.ReadUint64(0); c >= w.consumed && c <= w.sent {
 		w.consumed = c
 	}
@@ -309,8 +312,8 @@ func (r *Reader) PollInto(buf []byte) ([]byte, bool, error) {
 // the slot; remember the word only when the slot was plainly empty; look
 // again whenever it moved. A frame that lands after the load bumps the
 // word past what is remembered, so it is never slept through, and a poll
-// of an idle ring stops at the load — it takes no lock a remote writer
-// takes. bellLocked reports whether the look is due.
+// of an idle ring stops at the load. bellLocked reports whether the look
+// is due.
 func (r *Reader) bellLocked() (bell uint64, rang bool) {
 	bell = r.ring.Doorbell() + 1
 	return bell, bell != r.idleBell

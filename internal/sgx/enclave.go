@@ -23,12 +23,12 @@ type Enclave struct {
 	// sgx-perf reports and Table 1 counts (plus imagePages). Freeing a
 	// region retires its pages — sgx-perf traces pages in active use, not
 	// lifetime-cumulative allocations.
-	pages map[int64]struct{}
+	pages pageSet
 
 	// resident tracks which pages currently fit in the EPC; once the
 	// working set exceeds maxResident, touches of non-resident pages are
 	// charged as EPC faults.
-	resident     map[int64]struct{}
+	resident     pageSet
 	residentFIFO []int64
 	maxResident  int64
 
@@ -38,6 +38,38 @@ type Enclave struct {
 	cycles     uint64
 
 	callCounts map[string]uint64
+}
+
+// pageSet is a set of page numbers, one bit a page, with its size. The
+// enclave never reuses address range (nextBase only grows), so the pages
+// in use are a dense prefix of the numbers with holes where regions were
+// freed.
+type pageSet struct {
+	bits []uint64
+	n    int
+}
+
+func (s *pageSet) has(p int64) bool {
+	i := p >> 6
+	return i < int64(len(s.bits)) && s.bits[i]&(1<<(p&63)) != 0
+}
+
+func (s *pageSet) add(p int64) {
+	i := int(p >> 6)
+	if i >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, i+1-len(s.bits))...)
+	}
+	if bit := uint64(1) << (p & 63); s.bits[i]&bit == 0 {
+		s.bits[i] |= bit
+		s.n++
+	}
+}
+
+func (s *pageSet) remove(p int64) {
+	if s.has(p) {
+		s.bits[p>>6] &^= 1 << (p & 63)
+		s.n--
+	}
 }
 
 // Region is a block of enclave memory returned by Alloc or Reserve. Data is
@@ -129,8 +161,8 @@ func (e *Enclave) Free(r *Region) {
 		e.heapBytes = 0
 	}
 	for p := r.base / PageSize; p <= lastPage(r.base, r.size); p++ {
-		delete(e.resident, p)
-		delete(e.pages, p)
+		e.resident.remove(p)
+		e.pages.remove(p)
 	}
 	r.Data = nil
 }
@@ -149,27 +181,27 @@ func (r *Region) Touch(off, n int) {
 
 func (e *Enclave) touchLocked(base, n int64) {
 	for p := base / PageSize; p <= lastPage(base, n); p++ {
-		e.pages[p] = struct{}{}
-		if _, ok := e.resident[p]; ok {
+		e.pages.add(p)
+		if e.resident.has(p) {
 			continue
 		}
 		// Page not resident: count a fault only once the EPC is full,
 		// i.e. when residency requires evicting another page.
-		if int64(len(e.resident)) >= e.maxResident-int64(e.imagePages) {
+		if int64(e.resident.n) >= e.maxResident-int64(e.imagePages) {
 			// Evict the oldest resident page (FIFO approximation of the
 			// kernel's paging) and charge the round trip.
 			for len(e.residentFIFO) > 0 {
 				victim := e.residentFIFO[0]
 				e.residentFIFO = e.residentFIFO[1:]
-				if _, still := e.resident[victim]; still {
-					delete(e.resident, victim)
+				if e.resident.has(victim) {
+					e.resident.remove(victim)
 					break
 				}
 			}
 			e.pageFaults++
 			e.cycles += e.platform.faultCycles
 		}
-		e.resident[p] = struct{}{}
+		e.resident.add(p)
 		e.residentFIFO = append(e.residentFIFO, p)
 	}
 }
@@ -229,7 +261,7 @@ func (e *Enclave) Stats() Stats {
 		PageFaults: e.pageFaults,
 		Cycles:     e.cycles,
 		HeapBytes:  e.heapBytes,
-		EPCPages:   e.imagePages + len(e.pages),
+		EPCPages:   e.imagePages + e.pages.n,
 	}
 }
 

@@ -109,8 +109,8 @@ func TestFreeLeavesNeighbourPages(t *testing.T) {
 		t.Errorf("heap bytes after free = %d, want 100", after.HeapBytes)
 	}
 	e.mu.Lock()
-	_, inSet := e.pages[b.base/PageSize]
-	_, resident := e.resident[b.base/PageSize]
+	inSet := e.pages.has(b.base / PageSize)
+	resident := e.resident.has(b.base / PageSize)
 	e.mu.Unlock()
 	if !inSet || !resident {
 		t.Errorf("neighbour's page: in working set %v, resident %v; want both", inSet, resident)

@@ -107,8 +107,6 @@ func (p *Platform) CreateEnclave(image []byte, imagePages int) *Enclave {
 		platform:    p,
 		measurement: Measurement(sha256.Sum256(image)),
 		imagePages:  imagePages,
-		pages:       make(map[int64]struct{}),
-		resident:    make(map[int64]struct{}),
 		maxResident: p.epcBytes / PageSize,
 	}
 	p.mu.Lock()
