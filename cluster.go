@@ -82,11 +82,6 @@ type ClusterConfig struct {
 	// separate SideClient tracer from Tracer so per-connection stage
 	// timings and per-operation fan-out views stay distinct.
 	ClusterTracer *Tracer
-	// TraceRing, when > 0, rebounds the recent-trace rings of Tracer and
-	// ClusterTracer (the /debug/traces capacity) at dial time — the
-	// cluster-config face of the -trace-ring flag. Ignored for nil
-	// tracers.
-	TraceRing int
 	// Audit, when set, receives tamper-evident records of the cluster
 	// client's security-relevant events: quorum shortfalls, Byzantine
 	// read failovers, breaker trips and repair anomalies. Share one log
@@ -138,20 +133,6 @@ func DialCluster(shards []ShardSpec, cfg ClusterConfig) (*ClusterClient, error) 
 	return DialReplicatedCluster(groups, cfg)
 }
 
-// applyTraceRing rebounds the configured tracers' recent-trace rings
-// when ClusterConfig.TraceRing asks for a non-default capacity.
-func applyTraceRing(cfg ClusterConfig) {
-	if cfg.TraceRing <= 0 {
-		return
-	}
-	if cfg.Tracer != nil {
-		cfg.Tracer.SetRing(cfg.TraceRing)
-	}
-	if cfg.ClusterTracer != nil {
-		cfg.ClusterTracer.SetRing(cfg.TraceRing)
-	}
-}
-
 // GroupName derives the ring name of a replica group from its members'
 // addresses: the sorted addresses joined with "|". Placement therefore
 // depends only on the membership *set*, so every client that lists the
@@ -184,7 +165,6 @@ func DialReplicatedCluster(groups [][]ShardSpec, cfg ClusterConfig) (*ClusterCli
 	if cfg.ConnsPerShard <= 0 {
 		cfg.ConnsPerShard = 1
 	}
-	applyTraceRing(cfg)
 	// Every connection to a replica, its pool's and each repair session,
 	// is dialed the same way.
 	dialCfg := func(spec ShardSpec) DialConfig {

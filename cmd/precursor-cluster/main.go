@@ -32,40 +32,10 @@
 //
 //	precursor-cluster -top -targets shard0=http://127.0.0.1:9090/metrics
 //
-// Observability-bench mode measures the audit log's overhead on the
-// hot path (audit-off vs audit-on medians over interleaved pairs) and
-// appends the result to a JSON file; -gate exits nonzero when the
-// overhead exceeds 5%:
+// The timing gates — tracing, audit, heat, batching and overload cost —
+// are not modes of this command but rows of the root package's TestGates:
 //
-//	precursor-cluster -bench-obs -obs-json BENCH_obs.json -gate
-//
-// Value-log bench mode measures the durable tier (see DESIGN.md,
-// "Trusted/untrusted storage split"): sustained spill-write throughput,
-// disk read-through latency over a dataset 4x the memory cap, and a
-// restart-from-log-only recovery check; -gate exits nonzero when any
-// acknowledged write is lost:
-//
-//	precursor-cluster -bench-vlog -records 4000 -value-size 4096 \
-//	    -vlog-json BENCH_vlog.json -gate
-//
-// Workload-skew bench mode sweeps a zipfian θ (default 0.6, 0.9, 1.2)
-// over a fixed shard count, measuring the cross-shard imbalance each
-// skew level produces, the heavy-hitter sketch's top-10 recall against
-// an exact tally, and heat accounting's throughput overhead; -gate
-// exits nonzero when the overhead exceeds 3%:
-//
-//	precursor-cluster -bench-skew -shards 4 -skew-json BENCH_heat.json -gate
-//
-// Overload bench mode measures the overload-protection stack: peak
-// throughput vs goodput at 2x saturation on a gated fleet, retry
-// amplification and acked-put durability across shed/recover cycles,
-// and the read-p99 cut hedged reads buy under a one-slow-replica
-// fault injection; -gate exits nonzero when goodput drops below 70%
-// of peak, admitted-op p99 is unbounded, retry amplification exceeds
-// 1.1x, any acked put is lost, or hedging fails to cut read p99
-// within its 10% extra-read allowance:
-//
-//	precursor-cluster -bench-overload -shards 4 -ovl-json BENCH_overload.json -gate
+//	PRECURSOR_OVERHEAD_GATE=1 go test . -run TestGates -v
 package main
 
 import (
@@ -118,33 +88,11 @@ func main() {
 		topEvery = flag.Duration("top-interval", 2*time.Second, "top: refresh interval")
 		topIters = flag.Int("top-iterations", 0, "top: render this many frames then exit (0 = until interrupted)")
 		topSLO   = flag.Float64("slo", 0.999, "top: fleet availability objective")
-		benchObs = flag.Bool("bench-obs", false, "run the observability overhead benchmark: audit-off vs audit-on")
-		obsJSON  = flag.String("obs-json", "BENCH_obs.json", "bench-obs: write the datapoint to this JSON file (empty = stdout only)")
-		obsPairs = flag.Int("pairs", 5, "bench-obs: interleaved off/on measurement pairs")
-		obsGate  = flag.Bool("gate", false, "bench-obs/-vlog/-batch/-skew: exit nonzero when the run misses its acceptance bound")
-		benchVl  = flag.Bool("bench-vlog", false, "run the value-log benchmark: spill writes, disk read-throughs, crash recovery")
-		vlogJSON = flag.String("vlog-json", "BENCH_vlog.json", "bench-vlog: write the datapoint to this JSON file (empty = stdout only)")
-		vlogDir  = flag.String("vlog-dir", "", "bench-vlog: directory for the value log (empty = fresh temp dir, removed after)")
-		vlogMax  = flag.Int("vlog-inline-max", 0, "bench-vlog: inline threshold in bytes (0 = half the value size, so every value spills)")
-		benchBat = flag.Bool("bench-batch", false, "run the multi-op batching benchmark: op-by-op vs batch frames on one server")
-		batSize  = flag.Int("batch-size", 16, "bench-batch: ops per batch frame")
-		batJSON  = flag.String("batch-json", "BENCH_batch.json", "bench-batch: write the datapoint to this JSON file (empty = stdout only)")
-		benchSkw = flag.Bool("bench-skew", false, "run the workload-skew benchmark: zipf θ sweep measuring imbalance, sketch recall and heat overhead")
-		thetas   = flag.String("thetas", "0.6,0.9,1.2", "bench-skew: comma-separated zipf θ values to sweep")
-		skewJSON = flag.String("skew-json", "BENCH_heat.json", "bench-skew: write the result to this JSON file (empty = stdout only)")
 		heatOn   = flag.Bool("heat", false, "serve: accumulate workload heat per shard and export it on the -metrics address (/debug/heat, precursor_heat_*)")
-		benchOvl = flag.Bool("bench-overload", false, "run the overload benchmark: goodput under 2x saturation, shed/recover chaos, hedged reads")
-		ovlJSON  = flag.String("ovl-json", "BENCH_overload.json", "bench-overload: write the result to this JSON file (empty = stdout only)")
 	)
 	flag.Parse()
-	modes := 0
-	for _, on := range []bool{*serve, *bench, *benchRep, *top, *benchObs, *benchVl, *benchBat, *benchSkw, *benchOvl} {
-		if on {
-			modes++
-		}
-	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "precursor-cluster: pass exactly one of -serve, -bench, -bench-replication, -top, -bench-obs, -bench-vlog, -bench-batch, -bench-skew or -bench-overload")
+	if !oneMode(*serve, *bench, *benchRep, *top) {
+		fmt.Fprintln(os.Stderr, "precursor-cluster: pass exactly one of -serve, -bench, -bench-replication or -top")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -154,57 +102,6 @@ func main() {
 		err = runServe(*shards, *replicas, *workers, *metrics, *trace, *traceRng, *tailSamp, *pprofOn, *fleetTgt, *heatOn)
 	case *top:
 		err = runTop(*targets, *topEvery, *topIters, *topSLO, os.Stdout)
-	case *benchObs:
-		err = runBenchObs(obsBenchConfig{
-			benchConfig: benchConfig{
-				shardCounts: *shards, workers: *workers, conns: *conns,
-				records: *records, valueSize: *valsize, clients: *clients,
-				opsPerClient: *ops, workload: *workload, seed: *seed,
-				jsonPath: *obsJSON, out: os.Stdout,
-			},
-			replicas: *replicas, writeQuorum: *quorum,
-			pairs: *obsPairs, gate: *obsGate,
-		})
-	case *benchVl:
-		err = runBenchVlog(vlogBenchConfig{
-			benchConfig: benchConfig{
-				shardCounts: *shards, workers: *workers, conns: *conns,
-				records: *records, valueSize: *valsize, clients: *clients,
-				opsPerClient: *ops, workload: *workload, seed: *seed,
-				jsonPath: *vlogJSON, out: os.Stdout,
-			},
-			dir: *vlogDir, inlineMax: *vlogMax, gate: *obsGate,
-		})
-	case *benchBat:
-		err = runBenchBatch(batchBenchConfig{
-			benchConfig: benchConfig{
-				shardCounts: *shards, workers: *workers, conns: *conns,
-				records: *records, valueSize: *valsize, clients: *clients,
-				opsPerClient: *ops, workload: *workload, seed: *seed,
-				jsonPath: *batJSON, out: os.Stdout,
-			},
-			batchSize: *batSize, gate: *obsGate,
-		})
-	case *benchSkw:
-		err = runBenchSkew(skewBenchConfig{
-			benchConfig: benchConfig{
-				shardCounts: *shards, workers: *workers, conns: *conns,
-				records: *records, valueSize: *valsize, clients: *clients,
-				opsPerClient: *ops, workload: *workload, seed: *seed,
-				jsonPath: *skewJSON, out: os.Stdout,
-			},
-			thetas: *thetas, pairs: *obsPairs, gate: *obsGate,
-		})
-	case *benchOvl:
-		err = runBenchOverload(overloadBenchConfig{
-			benchConfig: benchConfig{
-				shardCounts: *shards, workers: *workers, conns: *conns,
-				records: *records, valueSize: *valsize, clients: *clients,
-				opsPerClient: *ops, workload: *workload, seed: *seed,
-				jsonPath: *ovlJSON, out: os.Stdout,
-			},
-			gate: *obsGate,
-		})
 	case *benchRep:
 		err = runBenchReplication(replBenchConfig{
 			benchConfig: benchConfig{
@@ -227,6 +124,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "precursor-cluster:", err)
 		os.Exit(1)
 	}
+}
+
+// oneMode reports whether exactly one mode flag is set.
+func oneMode(modes ...bool) bool {
+	n := 0
+	for _, on := range modes {
+		if on {
+			n++
+		}
+	}
+	return n == 1
 }
 
 // runServe launches n ring positions (each backed by `replicas` servers

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"precursor/internal/fleet"
 )
 
 // TestRunBenchScalingSweep runs a tiny 1,2-shard sweep end to end and
@@ -53,5 +56,54 @@ func TestWorkloadByName(t *testing.T) {
 	}
 	if _, err := workloadByName("Z"); err == nil {
 		t.Error("workloadByName(Z) accepted")
+	}
+}
+
+func TestParseTargets(t *testing.T) {
+	for _, tc := range []struct {
+		name, flag string
+		want       []fleet.Target // nil: the flag must be refused
+	}{
+		{"name=url", "a=http://10.0.0.1:9090/metrics",
+			[]fleet.Target{{Name: "a", URL: "http://10.0.0.1:9090/metrics"}}},
+		{"bare host:port", "10.0.0.1:9090",
+			[]fleet.Target{{Name: "10.0.0.1:9090", URL: "http://10.0.0.1:9090/metrics"}}},
+		{"default path", "a=http://h:1, b=h:2/",
+			[]fleet.Target{{Name: "a", URL: "http://h:1/metrics"}, {Name: "b", URL: "http://h:2/metrics"}}},
+		{"other path kept", "h:3/stats", []fleet.Target{{Name: "h:3", URL: "http://h:3/stats"}}},
+		{"empty flag", "", nil},
+		{"only separators", " , ,", nil},
+		{"no host", "a=http:///metrics", nil},
+		{"bad url", "a=http://h:1/%zz", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := parseTargets(tc.flag)
+			if tc.want == nil {
+				if err == nil {
+					t.Fatalf("parseTargets(%q) = %+v, want an error", tc.flag, got)
+				}
+				return
+			}
+			if err != nil || !slices.Equal(got, tc.want) {
+				t.Fatalf("parseTargets(%q) = %+v, %v; want %+v", tc.flag, got, err, tc.want)
+			}
+		})
+	}
+}
+
+func TestExactlyOneMode(t *testing.T) {
+	for _, tc := range []struct {
+		modes []bool
+		ok    bool
+	}{
+		{[]bool{false, false, false, false}, false},
+		{[]bool{true, false, false, false}, true},
+		{[]bool{false, false, false, true}, true},
+		{[]bool{true, true, false, false}, false},
+		{[]bool{true, true, true, true}, false},
+	} {
+		if got := oneMode(tc.modes...); got != tc.ok {
+			t.Errorf("oneMode(%v) = %v, want %v", tc.modes, got, tc.ok)
+		}
 	}
 }

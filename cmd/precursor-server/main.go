@@ -122,10 +122,10 @@ func run(addr string, workers int, hardened, inline, ownerOnly bool, statsEvery 
 			Side:          precursor.SideServer,
 			Workers:       workers,
 			SlowThreshold: slowop,
+			Ring:          traceRing,
 			TailSample:    tailSample,
 		})
 		cfg.Tracer = tracer
-		cfg.TraceRing = traceRing
 	}
 	var heatColl *precursor.HeatCollector
 	if heatOn {

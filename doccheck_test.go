@@ -99,8 +99,8 @@ func TestDocsCoverDurableTier(t *testing.T) {
 		}},
 		{"README.md", []string{
 			"-data-dir",
-			"-bench-vlog",
-			"BENCH_vlog.json",
+			"TestVlogCrashRecoveryZeroLostAcked",
+			"TestVlogServesDatasetBeyondMemoryCap",
 		}},
 		{"OBSERVABILITY.md", []string{
 			"srv_vlog_read",
@@ -138,8 +138,8 @@ func TestDocsCoverHeat(t *testing.T) {
 	}{
 		{"README.md", []string{
 			"-heat",
-			"-bench-skew",
-			"BENCH_heat.json",
+			"TestGates/heat",
+			"gate heat overhead",
 			"/debug/heat",
 		}},
 		{"OBSERVABILITY.md", []string{
@@ -155,8 +155,8 @@ func TestDocsCoverHeat(t *testing.T) {
 			"hashed key ids only",
 			"Skew-to-resharding workflow",
 			"/debug/heat",
-			"-bench-skew",
-			"BENCH_heat.json",
+			"TestGates/heat",
+			"gate heat overhead",
 		}},
 	} {
 		data, err := os.ReadFile(tc.file)
@@ -175,7 +175,7 @@ func TestDocsCoverHeat(t *testing.T) {
 
 // TestDocsCoverOverload pins the documentation for the
 // overload-protection stack: the RETRY_LATER protocol section, the
-// operator quickstart (drain, bench gate), and the shed/hedge/budget
+// operator quickstart (drain, gate rows), and the shed/hedge/budget
 // metric families and trace annotations. A rename in code without the
 // matching doc update fails here.
 func TestDocsCoverOverload(t *testing.T) {
@@ -194,8 +194,8 @@ func TestDocsCoverOverload(t *testing.T) {
 		}},
 		{"README.md", []string{
 			"-drain-timeout",
-			"-bench-overload",
-			"BENCH_overload.json",
+			"TestGates/overload",
+			"gate overload goodput",
 			"HedgeReads",
 			"TestOverloadChaosShedRecover",
 		}},
@@ -216,8 +216,8 @@ func TestDocsCoverOverload(t *testing.T) {
 			"shed write (overload)",
 			"hedge launched",
 			"hedge won",
-			"-bench-overload",
-			"BENCH_overload.json",
+			"TestGates/overload",
+			"gate overload goodput",
 			"draining",
 		}},
 	} {
@@ -237,7 +237,7 @@ func TestDocsCoverOverload(t *testing.T) {
 
 // TestDocsCoverBatching pins the documentation for multi-op batch
 // frames: the wire-format section, the user-facing quickstart and
-// bench flag, and the observability stages/metric families. A rename
+// gate row, and the observability stages/metric families. A rename
 // in code without the matching doc update fails here.
 func TestDocsCoverBatching(t *testing.T) {
 	for _, tc := range []struct {
@@ -251,8 +251,8 @@ func TestDocsCoverBatching(t *testing.T) {
 			"ErrUnconfirmed",
 		}},
 		{"README.md", []string{
-			"-bench-batch",
-			"BENCH_batch.json",
+			"TestGates/batch",
+			"gate batch speedup",
 			"BatchAsync",
 			"precursor.BatchOp",
 		}},

@@ -160,10 +160,6 @@ type ServerConfig struct {
 	// pays one branch per request. Spans never carry keys, values or key
 	// material — see OBSERVABILITY.md.
 	Tracer *obs.Tracer
-	// TraceRing, when > 0, rebounds Tracer's recent-trace ring (the
-	// /debug/traces capacity) at server construction — the config-level
-	// face of the -trace-ring flag. Ignored when Tracer is nil.
-	TraceRing int
 	// DataDir, when set, enables the durable value log: values spill to
 	// fixed-size segments under DataDir/vlog on untrusted disk while the
 	// enclave keeps only the index and sealed per-record metadata (see

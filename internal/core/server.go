@@ -210,9 +210,6 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 	if c.RandomRKeys {
 		device.RandomizeRKeys()
 	}
-	if c.TraceRing > 0 {
-		c.Tracer.SetRing(c.TraceRing)
-	}
 	enclave := c.Platform.CreateEnclave(c.Image, c.ImagePages)
 
 	s := &Server{

@@ -233,7 +233,8 @@ func TestRunnerWarmupExcluded(t *testing.T) {
 
 // TestZipfThetaSweep: raising θ must concentrate more mass on the hot
 // set, across both the Gray-approximation path (θ<1) and the
-// rejection-generator path (θ>1) — the sweep -bench-skew runs.
+// rejection-generator path (θ>1, the skew the heat gate row and
+// TestHeatFleetAcceptance run at).
 func TestZipfThetaSweep(t *testing.T) {
 	hotShare := func(theta float64) float64 {
 		g, err := NewGenerator(GeneratorConfig{

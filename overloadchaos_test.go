@@ -48,49 +48,7 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 
 	// One single-shard service per shard, each with its own admission
 	// gate, so drain cycles hit shards independently.
-	type deploy struct {
-		svcs  []*precursor.Service
-		specs []precursor.ShardSpec
-	}
-	var d deploy
-	for i := 0; i < shards; i++ {
-		platform, err := precursor.NewPlatform()
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc, err := precursor.Serve("127.0.0.1:0", precursor.ServerConfig{
-			Workers:  1,
-			Platform: platform,
-			Overload: precursor.NewOverloadGate(precursor.OverloadGateConfig{}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(svc.Close)
-		d.svcs = append(d.svcs, svc)
-		d.specs = append(d.specs, precursor.ShardSpec{
-			Addr:        svc.Addr(),
-			PlatformKey: platform.AttestationPublicKey(),
-			Measurement: svc.Server.Measurement(),
-		})
-	}
-	arrivals := func() uint64 {
-		var n uint64
-		for _, svc := range d.svcs {
-			st := svc.Server.Stats()
-			n += st.Puts + st.Gets + st.Deletes
-			n += st.ShedReads + st.ShedWrites
-		}
-		return n
-	}
-	sheds := func() uint64 {
-		var n uint64
-		for _, svc := range d.svcs {
-			st := svc.Server.Stats()
-			n += st.ShedReads + st.ShedWrites
-		}
-		return n
-	}
+	d := serveGatedShards(t, shards)
 
 	// The client under test rides a faulty wire: a delay tail on
 	// client->server ring writes. Delay-only on purpose — drops and
@@ -115,8 +73,7 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = cc.Close() })
 
-	before := arrivals()
-	shedsBefore := sheds()
+	before, shedsBefore := d.arrivals(), d.sheds()
 
 	// Drain/recover toggler: one seeded-random shard per cycle.
 	stop := make(chan struct{})
@@ -124,24 +81,7 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 	togglerDone.Add(1)
 	go func() {
 		defer togglerDone.Done()
-		rng := rand.New(rand.NewPCG(overloadChaosSeed, 0x70661E))
-		// Each cycle opens with its drained span: a run that finishes
-		// inside the first cycle (the op path got faster than the 180 ms
-		// the recovered span used to grant it) still meets one.
-		for {
-			svc := d.svcs[rng.IntN(len(d.svcs))]
-			svc.Server.SetDraining(true)
-			select {
-			case <-stop:
-			case <-time.After(span):
-			}
-			svc.Server.SetDraining(false)
-			select {
-			case <-stop:
-				return
-			case <-time.After(cycle - span):
-			}
-		}
+		d.drainCycles(cycle, span, 0, stop)
 	}()
 
 	// Writers: unique keys, deterministic values, every ack recorded.
@@ -172,13 +112,10 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 	close(stop)
 	togglerDone.Wait()
 	close(results)
-	for _, svc := range d.svcs {
-		svc.Server.SetDraining(false)
-	}
 
 	const logicalPuts = writers * perWriter
-	arrived := arrivals() - before
-	shed := sheds() - shedsBefore
+	arrived := d.arrivals() - before
+	shed := d.sheds() - shedsBefore
 	amplification := float64(arrived) / float64(logicalPuts)
 	t.Logf("logical=%d arrivals=%d sheds=%d amplification=%.3f", logicalPuts, arrived, shed, amplification)
 
@@ -187,9 +124,9 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 	// maxShedRetries times with hint-honoring backoff, so arrivals stay
 	// within a whisker of the logical load. A storm (naive immediate
 	// retry of every shed) multiplies arrivals instead. The tight
-	// production bound (1.10 over a longer run) is enforced by the
-	// -bench-overload gate; the short run here gets a little slack for
-	// the bucket's initial burst.
+	// production bound (1.10 over a longer run) is the chaos row of
+	// TestGates; the short run here gets a little slack for the bucket's
+	// initial burst.
 	if amplification > 1.15 {
 		t.Errorf("retry amplification %.3f > 1.15 — shed retries are storming", amplification)
 	}
@@ -229,5 +166,95 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 	t.Logf("acked=%d/%d lost=%d ghosts=%d", acked, logicalPuts, lost, ghosts)
 	if acked == 0 {
 		t.Fatal("no puts were acked — the fleet never served")
+	}
+}
+
+// shardFleet is a fleet of single-shard services, each with a fresh
+// platform and its own ServerConfig (ServeCluster shares one, but an
+// admission gate or a heat collector holds per-server state).
+type shardFleet struct {
+	svcs  []*precursor.Service
+	specs []precursor.ShardSpec
+}
+
+// serveShards launches n single-shard services, each configured by what
+// cfg returns for it.
+func serveShards(t *testing.T, n int, cfg func() precursor.ServerConfig) *shardFleet {
+	t.Helper()
+	f := &shardFleet{}
+	for i := 0; i < n; i++ {
+		platform, err := precursor.NewPlatform()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg()
+		c.Platform = platform
+		svc, err := precursor.Serve("127.0.0.1:0", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Close)
+		f.svcs = append(f.svcs, svc)
+		f.specs = append(f.specs, precursor.ShardSpec{
+			Addr:        svc.Addr(),
+			PlatformKey: platform.AttestationPublicKey(),
+			Measurement: svc.Server.Measurement(),
+		})
+	}
+	return f
+}
+
+// serveGatedShards is the fleet the overload suites drive: every shard
+// behind its own admission gate at defaults.
+func serveGatedShards(t *testing.T, n int) *shardFleet {
+	return serveShards(t, n, func() precursor.ServerConfig {
+		return precursor.ServerConfig{
+			Workers:  1,
+			Overload: precursor.NewOverloadGate(precursor.OverloadGateConfig{}),
+		}
+	})
+}
+
+// arrivals sums every server arrival — applied ops plus sheds — the
+// numerator of the retry-amplification measure.
+func (f *shardFleet) arrivals() uint64 {
+	var n uint64
+	for _, svc := range f.svcs {
+		st := svc.Server.Stats()
+		n += st.Puts + st.Gets + st.Deletes + st.ShedReads + st.ShedWrites
+	}
+	return n
+}
+
+// sheds sums the fleet's shed counters.
+func (f *shardFleet) sheds() uint64 {
+	var n uint64
+	for _, svc := range f.svcs {
+		st := svc.Server.Stats()
+		n += st.ShedReads + st.ShedWrites
+	}
+	return n
+}
+
+// drainCycles cycles seeded-random shards through drain — every op shed
+// with a sealed RETRY_LATER — and back. Each cycle opens with its drained
+// span, so a run that ends inside the first cycle still meets one. It
+// returns after cycles cycles (0 = until stop closes), every shard
+// recovered.
+func (f *shardFleet) drainCycles(cycle, span time.Duration, cycles int, stop <-chan struct{}) {
+	rng := rand.New(rand.NewPCG(overloadChaosSeed, 0x70661E))
+	for n := 0; cycles == 0 || n < cycles; n++ {
+		svc := f.svcs[rng.IntN(len(f.svcs))]
+		svc.Server.SetDraining(true)
+		select {
+		case <-stop:
+		case <-time.After(span):
+		}
+		svc.Server.SetDraining(false)
+		select {
+		case <-stop:
+			return
+		case <-time.After(cycle - span):
+		}
 	}
 }

@@ -73,7 +73,6 @@ func TestTraceStitchAcceptance(t *testing.T) {
 		Workers:      1,
 		PollInterval: 50 * time.Microsecond,
 		Tracer:       srvTr,
-		TraceRing:    512,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +215,7 @@ func TestTraceStitchAcceptance(t *testing.T) {
 // invariants end to end: with a retain-essential-only policy, every
 // injected error op and every slow (delayed-wire) op is retained, fast
 // clean traffic is discarded, and the retained set respects the
-// ClusterConfig.TraceRing bound.
+// TracerConfig.Ring bound.
 func TestTraceTailSamplingRetention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tail sampling retention test skipped in -short mode")
@@ -238,7 +237,7 @@ func TestTraceTailSamplingRetention(t *testing.T) {
 
 	mk := func() *precursor.Tracer {
 		return precursor.NewTracer(precursor.TracerConfig{
-			Side: precursor.SideClient, Ring: 64,
+			Side: precursor.SideClient, Ring: ring,
 			TailSample:    -1, // retain essential only
 			SlowThreshold: slowTh,
 			Logger:        slog.New(slog.DiscardHandler), // slow ops are the point; don't spam
@@ -253,7 +252,6 @@ func TestTraceTailSamplingRetention(t *testing.T) {
 		HedgeMinDelay: time.Millisecond,
 		Tracer:        cliTr,
 		ClusterTracer: clsTr,
-		TraceRing:     ring,
 		WrapConn:      wrap,
 	})
 	if err != nil {
@@ -261,7 +259,7 @@ func TestTraceTailSamplingRetention(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = cc.Close() })
 	if cliTr.RingSize() != ring || clsTr.RingSize() != ring {
-		t.Fatalf("TraceRing knob not applied: rings %d/%d, want %d",
+		t.Fatalf("TracerConfig.Ring not applied: rings %d/%d, want %d",
 			cliTr.RingSize(), clsTr.RingSize(), ring)
 	}
 
