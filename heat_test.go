@@ -77,6 +77,9 @@ func TestHeatMetricsEndpoint(t *testing.T) {
 		t.Fatalf("batch: %v %+v", err, results)
 	}
 
+	// The server records an op's heat once the frame's reply is written, so
+	// the counts may trail the replies this goroutine holds by a moment.
+	heatSettled(t, func(s precursor.HeatSnapshot) bool { return s.Puts == 13 && s.Gets == 2 }, heatColl)
 	text := string(httpGet(t, "http://"+metrics.Addr()+"/metrics", http.StatusOK))
 	for _, want := range []string{
 		`precursor_build_info{version="` + precursor.Version + `"`,
@@ -157,15 +160,16 @@ func TestHeatMetricsEndpoint(t *testing.T) {
 		if err := inline.Put(key, value); err != nil {
 			t.Fatal(err)
 		}
-		before := heatColl.Snapshot().BytesOut
+		base := heatColl.Snapshot() // a put adds no bytes out
+		gets, before := base.Gets, base.BytesOut
 		if _, err := inline.Get(key); err != nil {
 			t.Fatal(err)
 		}
-		single := heatColl.Snapshot().BytesOut - before
+		single := heatSettled(t, func(s precursor.HeatSnapshot) bool { return s.Gets > gets }, heatColl).BytesOut - before
 		if res, err := inline.Batch([]core.BatchOp{{Kind: core.BatchGet, Key: key}}); err != nil || res[0].Err != nil {
 			t.Fatalf("batched get of %s: %v %+v", key, err, res)
 		}
-		batched := heatColl.Snapshot().BytesOut - before - single
+		batched := heatSettled(t, func(s precursor.HeatSnapshot) bool { return s.Gets > gets+1 }, heatColl).BytesOut - before - single
 		if single < uint64(len(value)) || batched != single {
 			t.Errorf("%s (%d B): bytes out = %d for a single get, %d for the same get batched", key, len(value), single, batched)
 		}
@@ -178,6 +182,22 @@ func TestHeatMetricsEndpoint(t *testing.T) {
 	}
 	defer bare.Close()
 	httpGet(t, "http://"+bare.Addr()+"/debug/heat", http.StatusNotFound)
+}
+
+// heatSettled waits until the collector's snapshot satisfies done — a
+// server records an op's heat after the frame's reply is written — and
+// returns it; it fails the test after five seconds.
+func heatSettled(t *testing.T, done func(precursor.HeatSnapshot) bool, c *precursor.HeatCollector) precursor.HeatSnapshot {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s := c.Snapshot()
+		if done(s) {
+			return s
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("heat counts did not settle: %d puts, %d gets", s.Puts, s.Gets)
+		}
+	}
 }
 
 // heatTally is an exact per-key op counter wrapped around the cluster

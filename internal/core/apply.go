@@ -54,10 +54,11 @@ func (s *Server) apply(sess *session, o *wire.BatchOp, seg []byte, idx int, op *
 	}
 	if s.cfg.Heat != nil {
 		// Accounted here — the control seal opened, so the key is
-		// authentic — for every op kind at once. Only the key's hash enters
+		// authentic — for every op kind at once, and recorded once the
+		// frame's reply is written (handleBatch). Only the key's hash enters
 		// the sketch.
-		s.cfg.Heat.Record(heatKind(o.Op), heat.HashKeyBytes(o.Key),
-			len(seg)+len(o.InlineValue), len(payload)+len(res.InlineValue))
+		sess.heat = append(sess.heat, heatOp{heatKind(o.Op), heat.HashKeyBytes(o.Key),
+			len(seg) + len(o.InlineValue), len(payload) + len(res.InlineValue)})
 	}
 	return res, payload, end
 }
@@ -72,7 +73,7 @@ func failed(op *obs.Op, status wire.Status, cause error) wire.BatchOpResult {
 func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, op *obs.Op) wire.BatchOpResult {
 	s.puts.Add(1)
 	inline := o.Flags&wire.FlagInlineValue != 0
-	e := newEntry(sess.id, inline || s.cfg.HardenedMACs || s.vlog != nil)
+	e := entry{baseEntry: baseEntry{owner: sess.id}}
 	var stored []byte
 	if inline {
 		// §5.2 optimization: the small value lives inside the enclave; a
@@ -292,9 +293,6 @@ func (s *Server) deleteOlder(key string, seq uint64) bool {
 // releaseEntry frees an entry the index no longer holds, and marks its log
 // record reclaimable; the zero entry has nothing to free.
 func (s *Server) releaseEntry(e *entry) {
-	if e.entryMore == nil {
-		return
-	}
 	s.freeEntryResources(e)
 	if s.vlog != nil && e.vptr.Valid() {
 		s.vlog.MarkDead(e.vptr)

@@ -400,17 +400,17 @@ func (s *Server) deserializeState(buf []byte) error {
 		key := keyView(rawKey)
 		buf = buf[keyLen:]
 		eflags := buf[wire.OpKeySize+4]
-		wide := eflags != 0 || s.vlog != nil
-		e := newEntry(binary.LittleEndian.Uint32(buf[wire.OpKeySize:]), wide)
+		e := entry{baseEntry: baseEntry{owner: binary.LittleEndian.Uint32(buf[wire.OpKeySize:])}}
 		copy(e.opKey[:], buf[:wire.OpKeySize])
 		buf = buf[wire.OpKeySize+4+1:]
 		e.hasMAC = eflags&1 != 0
 		inline := eflags&2 != 0
 		hasVptr := eflags&4 != 0
-		if wide {
-			copy(e.mac[:], buf[:wire.MACSize])
-			e.seq = binary.LittleEndian.Uint64(buf[wire.MACSize:])
+		if e.hasMAC && !s.table.Wide() { // a base-layout record has no room for the MAC
+			return fmt.Errorf("%w: hardened-MAC entry needs HardenedMACs or a value log", ErrSnapshotFormat)
 		}
+		copy(e.mac[:], buf[:wire.MACSize])
+		e.seq = binary.LittleEndian.Uint64(buf[wire.MACSize:])
 		buf = buf[wire.MACSize+8:]
 		if hasVptr {
 			if len(buf) < 16 {

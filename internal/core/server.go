@@ -35,39 +35,27 @@ const replyCreditWait = 20 * time.Millisecond
 const replyFrameFree = 64
 
 // entry is the per-key security metadata the enclave's hash table holds by
-// value: K_operation, the pointer into the untrusted payload pool, and the
-// owner (Fig. 3) — 64 bytes, all the base mode keeps per key. What only some
-// modes store sits behind entryMore: the base mode's is noMore, shared, all
-// zeroes and never written; a wide entry's is its own, written before the
-// entry is stored, so the pointer names the put. The zero entry is no entry.
+// value, whole, in every mode (Fig. 3, the (K_op, ptr, MAC) of §4). A
+// server with neither hardened MACs nor a value log keeps only its
+// baseEntry per key, a 72-byte record; one with either keeps the whole
+// entry, a 112-byte record (hashtable.Dual). The zero entry is no entry.
 type entry struct {
+	baseEntry
+	mac  [wire.MACSize]byte // the payload MAC, when hasMAC (hardened mode)
+	vptr vlog.Ptr           // the durable record backing this version (ref is then a cache: evictable, rebuildable from vptr)
+	seq  uint64             // its log sequence number: with vptr, the version an entry names
+}
+
+// baseEntry is what every mode keeps per key: K_operation, the pointer into
+// the untrusted payload pool, the owner, and the value itself when the
+// client inlined it — inlining is the client's choice, so any server may
+// receive an inline put.
+type baseEntry struct {
 	opKey  cryptox.OperationKey
 	ref    slab.Ref
 	owner  uint32
-	hasMAC bool // mac holds the payload MAC (hardened mode)
-	*entryMore
-}
-
-// entryMore is an entry's mode-specific part: the payload MAC in hardened
-// mode, the value itself in inline mode, and with a value log the durable
-// record backing this version and its log sequence number (ref is then a
-// cache: evictable, rebuildable from vptr).
-type entryMore struct {
-	mac    [wire.MACSize]byte
+	hasMAC bool
 	inline *sgx.Region
-	vptr   vlog.Ptr
-	seq    uint64
-}
-
-var noMore entryMore
-
-// newEntry returns an entry; a wide one owns its entryMore: hardened mode,
-// a value log or an inline value need it.
-func newEntry(owner uint32, wide bool) entry {
-	if !wide {
-		return entry{owner: owner, entryMore: &noMore}
-	}
-	return entry{owner: owner, entryMore: new(entryMore)}
 }
 
 // session is the per-client state: the transport-encryption AEAD keyed
@@ -97,13 +85,21 @@ type session struct {
 	breq     wire.BatchRequest
 	bctl     wire.BatchControl
 	brep     wire.BatchReply
-	bPayload []byte  // reply payload region (get segments, op order)
-	valPt    []byte  // server encryption: a value's plaintext while re-sealed
-	sealed   []byte  // server encryption: the re-sealed value, until placed or replied
-	recBuf   []byte  // read-through: the log record served, until its payload joins bPayload
-	got      []entry // each get's copy of its entry, by op index, until the reply is sealed
+	bPayload []byte   // reply payload region (get segments, op order)
+	valPt    []byte   // server encryption: a value's plaintext while re-sealed
+	sealed   []byte   // server encryption: the re-sealed value, until placed or replied
+	recBuf   []byte   // read-through: the log record served, until its payload joins bPayload
+	got      []entry  // each get's copy of its entry, by op index, until the reply is sealed
+	heat     []heatOp // each applied op's heat record, until the frame's reply is written
 	payAD    payloadAD
 	repair   *repairState // repair ops in progress (repair.go); nil between them
+}
+
+// heatOp is what heat accounting records of one applied op.
+type heatOp struct {
+	kind    heat.Kind
+	hash    uint64
+	in, out int
 }
 
 // outFrame is a reply handed from a trusted thread to the untrusted
@@ -126,7 +122,7 @@ type Server struct {
 	device   *rdma.Device
 	enclave  *sgx.Enclave
 	acct     *enclaveAccountant
-	table    *hashtable.Table[entry]
+	table    *hashtable.Dual[baseEntry, entry]
 	pool     *slab.Pool
 	rollback sgx.TrustedCounter
 	storage  *cryptox.AEAD // the server-encryption storage key; nil otherwise
@@ -274,7 +270,8 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 
 	// Ecall i.: initialize the hash table inside the enclave.
 	if err := enclave.Ecall("init_hashtable", func() error {
-		s.table = hashtable.New[entry](s.acct, DefaultEntryBytes)
+		s.table = hashtable.NewDual(s.acct, DefaultEntryBytes, c.HardenedMACs || c.DataDir != "",
+			func(e entry) baseEntry { return e.baseEntry }, func(b baseEntry) entry { return entry{baseEntry: b} })
 		return nil
 	}); err != nil {
 		return nil, err

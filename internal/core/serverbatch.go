@@ -133,6 +133,10 @@ func (s *Server) handleBatch(sess *session, msg []byte, op *obs.Op, now int64) {
 		now = op.SpanEnd(obs.SrvBatch, now)
 	}
 	s.replyBatch(sess, wire.StatusOK, sess.bPayload, op, now)
+	for _, h := range sess.heat {
+		s.cfg.Heat.Record(h.kind, h.hash, h.in, h.out)
+	}
+	sess.heat = sess.heat[:0]
 }
 
 // startReply resets the session's batch reply scratch for oid, with n

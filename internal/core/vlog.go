@@ -547,9 +547,8 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 // policy and resources allow; otherwise the entry stays disk-only, served
 // by read-through, rather than failing recovery.
 func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) entry {
-	e := newEntry(m.owner, true)
-	e.opKey, e.hasMAC = m.opKey, m.flags&vlogMetaHasMAC != 0
-	e.mac, e.vptr, e.seq = m.mac, ptr, r.Seq
+	e := entry{baseEntry: baseEntry{opKey: m.opKey, owner: m.owner, hasMAC: m.flags&vlogMetaHasMAC != 0},
+		mac: m.mac, vptr: ptr, seq: r.Seq}
 	if m.flags&vlogMetaInline != 0 {
 		_ = s.placeInline(&e, m.value)
 	} else {
@@ -559,24 +558,28 @@ func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) entry
 }
 
 // rehydrateEntry rebuilds the memory-resident copy of a snapshot entry
-// from its log record, swapping in a fresh entry only if the original —
-// the put its entryMore names — is still installed.
+// from its log record, swapping in a fresh entry only if the installed one
+// is still that version, (seq, vptr), and still not resident.
 func (s *Server) rehydrateEntry(key string, cur *entry, ptr vlog.Ptr, r vlog.Record, m *vlogMeta) bool {
-	if cur.inline != nil || cur.ref.Valid() {
-		return false // already resident
+	if resident(cur) {
+		return false
 	}
 	fresh := s.entryFromRecord(ptr, r, m)
-	if fresh.inline == nil && !fresh.ref.Valid() {
+	if !resident(&fresh) {
 		return false
 	}
 	if !s.table.Upsert(key, func(e entry, exists bool) (entry, bool) {
-		return fresh, exists && e.entryMore == cur.entryMore
+		return fresh, exists && e.seq == cur.seq && e.vptr == cur.vptr && !resident(&e)
 	}) {
 		s.freeEntryResources(&fresh)
 		return false
 	}
 	return true
 }
+
+// resident reports whether e's value has a memory copy, in the enclave or
+// in the pool.
+func resident(e *entry) bool { return e.inline != nil || e.ref.Valid() }
 
 // vlogGCLoop periodically compacts segments whose dead-byte ratio
 // crossed the threshold, driven by the in-enclave live-pointer set.
@@ -644,13 +647,10 @@ func (s *Server) compactSegment(id uint32) error {
 				if r.Seq != anchor && (live || id == oldest) {
 					return nil // superseded, or nothing earlier to resurrect
 				}
-				return s.relocateRecord(r.Key, nil, true, r.Seq, &m, nil)
+				return s.relocateRecord(ptr, r, &m, false)
 			}
-			if live && cur.vptr == ptr {
-				return s.relocateRecord(r.Key, r.Payload, false, r.Seq, &m, &cur)
-			}
-			if r.Seq == anchor {
-				return s.relocateRecord(r.Key, r.Payload, false, r.Seq, &m, nil)
+			if live = live && cur.vptr == ptr; live || r.Seq == anchor {
+				return s.relocateRecord(ptr, r, &m, live)
 			}
 			return nil // dead version
 		})
@@ -661,28 +661,28 @@ func (s *Server) compactSegment(id uint32) error {
 	})
 }
 
-// relocateRecord re-appends a record at the log head under its original
-// sequence number, resealing its metadata for the new placement, and —
-// for live values — swings the index pointer only if the entry is still
-// the one that was copied: the same put, named by its entryMore.
-func (s *Server) relocateRecord(key, payload []byte, tombstone bool, seq uint64, m *vlogMeta, cur *entry) error {
-	newPtr, _, err := s.vlogAppend(key, m, payload, seq)
+// relocateRecord re-appends record r, found at ptr, at the log head under
+// its original sequence number, resealing its metadata for the new
+// placement. For a live value it then moves the index pointer, only if
+// the entry is still the version that was copied, (seq, ptr): a put that
+// landed meanwhile holds a newer sequence and keeps the key.
+func (s *Server) relocateRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, live bool) error {
+	newPtr, _, err := s.vlogAppend(r.Key, m, r.Payload, r.Seq)
 	if err != nil {
 		return err
 	}
-	if cur == nil {
-		if !tombstone {
+	if !live {
+		if !r.Tombstone {
 			// A dead put carried only as the sequence anchor: keep the
 			// bytes reclaimable once a newer record takes over as anchor.
 			s.vlog.MarkDead(newPtr)
 		}
 		return nil
 	}
-	moved, more := *cur, new(entryMore)
-	*more = *cur.entryMore
-	moved.entryMore, more.vptr = more, newPtr
-	if !s.table.Upsert(keyView(key), func(e entry, exists bool) (entry, bool) {
-		return moved, exists && e.entryMore == cur.entryMore
+	if !s.table.Upsert(keyView(r.Key), func(e entry, exists bool) (entry, bool) {
+		same := exists && e.seq == r.Seq && e.vptr == ptr
+		e.vptr = newPtr
+		return e, same
 	}) {
 		// A concurrent write replaced the entry while we copied: the
 		// relocated bytes are garbage (the new version owns the key).

@@ -407,6 +407,74 @@ func TestVlogGCCompactsAndSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestVlogRelocationSwapsOnVersion: compaction moves an index entry only if
+// it is still the version the compactor copied, named by (seq, vptr). A put
+// of the same key that lands between the copy and the swap keeps the key;
+// the relocation of an unchanged entry moves its vptr and keeps its seq and
+// its memory copy.
+func TestVlogRelocationSwapsOnVersion(t *testing.T) {
+	h := newVlogHarness(t, 23, func(cfg *ServerConfig) { cfg.Workers = 1 })
+	tc := h.boot()
+	s, c := tc.server, tc.connect()
+	// copied is what compactSegment holds of key's record when it relocates it.
+	copied := func(key string) (entry, vlog.Record, vlogMeta) {
+		t.Helper()
+		e, ok := s.table.Get(key)
+		if !ok {
+			t.Fatalf("%s is not in the index", key)
+		}
+		r, err := s.vlog.ReadAt(e.vptr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.openVlogMeta(e.vptr, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, r, m
+	}
+	moved := func() uint64 { return s.Stats().Vlog.GCMovedRecords }
+	wantValue := func(key, want string) {
+		t.Helper()
+		if got, err := c.Get(key); err != nil || string(got) != want {
+			t.Fatalf("get %s = %q, %v; want %q", key, got, err, want)
+		}
+	}
+
+	mustPut(t, c, "raced", []byte("old"))
+	old, r, m := copied("raced")
+	mustPut(t, c, "raced", []byte("new")) // lands before the swap
+	newer, _ := s.table.Get("raced")
+	if err := s.relocateRecord(old.vptr, r, &m, true); err != nil {
+		t.Fatal(err)
+	}
+	if cur, _ := s.table.Get("raced"); cur != newer || cur.seq <= old.seq {
+		t.Fatalf("a stale relocation (seq %d) touched the newer put: seq %d, vptr %v -> %v", old.seq, cur.seq, newer.vptr, cur.vptr)
+	}
+	if n := moved(); n != 0 {
+		t.Fatalf("a refused relocation counted as moved (%d)", n)
+	}
+	wantValue("raced", "new")
+
+	mustPut(t, c, "kept", []byte("kept"))
+	before, r, m := copied("kept")
+	if err := s.relocateRecord(before.vptr, r, &m, true); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := s.table.Get("kept")
+	if after.seq != before.seq || after.vptr == before.vptr || after.ref != before.ref {
+		t.Fatalf("relocating an unchanged entry: seq %d -> %d, vptr %v -> %v, ref kept %v",
+			before.seq, after.seq, before.vptr, after.vptr, after.ref == before.ref)
+	}
+	if n := moved(); n != 1 {
+		t.Fatalf("moved records = %d, want 1", n)
+	}
+	if _, _, m := copied("kept"); m.seq != before.seq {
+		t.Fatalf("the relocated record seals seq %d, want %d", m.seq, before.seq)
+	}
+	wantValue("kept", "kept")
+}
+
 // TestVlogGCRelocationAfterSnapshotRecovers: a snapshot taken before GC
 // holds pre-relocation pointers. After a crash, replay meets each
 // relocated copy — same sequence, new placement, original segment gone —

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"os"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -408,28 +407,25 @@ func TestClientSpinSwitchesItselfOff(t *testing.T) {
 }
 
 // TestEntrySizeClasses: the table holds every stored key's entry by value
-// in a record — 64 bytes, 72 with the key's place in the arena, beside one
-// 8-byte index slot (hashtable's TestSlotAndRecordSizes pins both) — and a
-// wide mode adds the entry's own entryMore, 48 bytes, the allocator's 48 B
-// class. One more byte of entry costs eight per record, of entryMore
-// sixteen (the next class is 64).
+// in a record beside one 8-byte index slot (hashtable's TestSlotAndRecordSizes
+// pins both). A base-mode record is the 64-byte baseEntry and the key's
+// 8-byte place in the arena: 72 bytes, a chunk of 255 in the allocator's
+// 18 432 B class. A wide record — hardened MACs or a value log — is the whole
+// entry: at most 104 bytes, 112 with the key's place, a chunk of 255 in the
+// 28 672 B class. One more byte of either moves its chunk a class up.
 func TestEntrySizeClasses(t *testing.T) {
-	base, more := unsafe.Sizeof(entry{}), unsafe.Sizeof(entryMore{})
-	if base > 64 || more > 48 {
-		t.Fatalf("entry is %d bytes and entryMore %d, want at most 64 and 48", base, more)
+	base, wide := unsafe.Sizeof(baseEntry{}), unsafe.Sizeof(entry{})
+	if base > 64 || wide > 104 {
+		t.Fatalf("baseEntry is %d bytes and entry %d, want at most 64 and 104", base, wide)
 	}
-	if wide := newEntry(7, true); wide.entryMore == &noMore || wide.owner != 7 {
-		t.Fatal("a wide entry shares noMore")
+	for _, tc := range []struct {
+		cfg  ServerConfig
+		wide bool
+	}{{ServerConfig{}, false}, {ServerConfig{InlineSmallValues: true}, false},
+		{ServerConfig{HardenedMACs: true}, true}, {ServerConfig{DataDir: t.TempDir()}, true}} {
+		tc.cfg.Workers = 1
+		if got := newCluster(t, tc.cfg).server.table.Wide(); got != tc.wide {
+			t.Errorf("%+v: wide records = %v, want %v", tc.cfg, got, tc.wide)
+		}
 	}
-}
-
-// TestMain fails the package if anything ever wrote through a base-mode
-// entry into the shared entryMore.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if noMore != (entryMore{}) {
-		println("noMore was written: a base-mode entry stored a mode-specific field")
-		code = 1
-	}
-	os.Exit(code)
 }

@@ -2,6 +2,7 @@ package hashtable
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +22,49 @@ func TestSlotAndRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(record[*int]{}); n != 16 {
 		t.Errorf("record of a pointer is %d bytes, want 16", n)
 	}
+}
+
+// TestRecordChunksFillTheirSizeClass: a chunk of records whose values hold
+// a pointer carries the allocator's 8-byte type header, so a chunk holds 255
+// records: chunks of 72- and 112-byte records (the enclave's two entry
+// layouts) take exactly the 18 432 and 28 672 B size classes, where 256
+// records would take 19 072 and 32 768 B.
+func TestRecordChunksFillTheirSizeClass(t *testing.T) {
+	type base struct {
+		b [56]byte
+		p *int
+	}
+	type wide struct {
+		b [96]byte
+		p *int
+	}
+	const n = 32
+	perChunk := func(alloc func(i int)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			alloc(i)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	var bases [n]*[recordChunk]record[base]
+	var wides [n]*[recordChunk]record[wide]
+	for _, c := range []struct {
+		record, class uint64
+		got           uint64
+	}{
+		{72, 18432, perChunk(func(i int) { bases[i] = new([recordChunk]record[base]) })},
+		{112, 28672, perChunk(func(i int) { wides[i] = new([recordChunk]record[wide]) })},
+	} {
+		// A stray allocation elsewhere in the window adds a few bytes a chunk;
+		// the next class up is 640 B away at least.
+		if c.got < c.class || c.got > c.class+256 {
+			t.Errorf("a chunk of %d-byte records takes %d B, want the %d B class", c.record, c.got, c.class)
+		}
+	}
+	runtime.KeepAlive(&bases)
+	runtime.KeepAlive(&wides)
 }
 
 // stamped is a value whose every field carries the same version stamp: a

@@ -42,9 +42,12 @@ const (
 	// maxLoadPercent triggers growth; Robin-Hood stays fast up to ~90%,
 	// 85% leaves headroom.
 	maxLoadPercent = 85
-	// A record chunk holds recordChunk = 1<<recordShift records.
-	recordShift = 8
-	recordChunk = 1 << recordShift
+	// A record chunk holds recordChunk records: 255, not 256, because a
+	// chunk of records holding pointers carries the allocator's 8-byte type
+	// header. 255 records of 72 bytes (18 368 with it) fill the 18 432 B
+	// size class and 255 of 112 bytes (28 568) the 28 672 B one, where 256
+	// would spill into the next class up, 19 072 and 32 768 B.
+	recordChunk = 255
 	// A key arena chunk starts at arenaMinChunk bytes and doubles up to
 	// arenaMaxChunk; a longer key gets a chunk of its own.
 	arenaMinChunk = 1 << 10
@@ -261,7 +264,7 @@ func (t *Table[V]) find(h uint64, key string) (idx, dist uint64, r *record[V]) {
 // record returns the record a slot's rec field names.
 func (t *Table[V]) record(rec uint32) *record[V] {
 	n := rec - 1
-	return &t.recs[n>>recordShift][n%recordChunk]
+	return &t.recs[n/recordChunk][n%recordChunk]
 }
 
 // placeLocked stores a key that find proved absent, stopping at bucket idx,
@@ -275,7 +278,7 @@ func (t *Table[V]) placeLocked(idx, dist, h uint64, key string, val V) {
 	if k := len(t.free); k > 0 {
 		n, t.free = t.free[k-1], t.free[:k-1]
 	} else {
-		if n = t.next; int(n>>recordShift) == len(t.recs) {
+		if n = t.next; int(n/recordChunk) == len(t.recs) {
 			t.recs = append(t.recs, new([recordChunk]record[V]))
 		}
 		t.next++

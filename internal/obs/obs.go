@@ -353,9 +353,8 @@ type Tracer struct {
 	side  Side
 	hists [NumStages]*hist.Sharded
 
-	// ring is the recent-trace ring behind a pointer so SetRing can
-	// swap in a new bound without stalling concurrent publishes.
-	ring    atomic.Pointer[traceRing]
+	// ring is the recent-trace ring, sized once by Config.Ring.
+	ring    []atomic.Pointer[Trace]
 	ringIdx atomic.Uint64
 
 	pool sync.Pool
@@ -398,11 +397,6 @@ type faultNote struct {
 	desc string
 }
 
-// traceRing is one immutable-capacity recent-trace ring generation.
-type traceRing struct {
-	slots []atomic.Pointer[Trace]
-}
-
 // exemplar links a stage's latency to the trace that exhibited it.
 type exemplar struct {
 	traceID uint64
@@ -422,8 +416,8 @@ func New(cfg Config) *Tracer {
 	t := &Tracer{
 		side:   cfg.Side,
 		logger: logger,
+		ring:   make([]atomic.Pointer[Trace], ringSize),
 	}
-	t.ring.Store(&traceRing{slots: make([]atomic.Pointer[Trace], ringSize)})
 	switch {
 	case cfg.TailSample < 0:
 		t.sampleCut = 0
@@ -519,28 +513,16 @@ func (t *Tracer) faultsBetween(from, to int64) []string {
 
 // push publishes a finished trace into the lock-free recent ring.
 func (t *Tracer) push(tr *Trace) {
-	r := t.ring.Load()
 	i := t.ringIdx.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(tr)
+	t.ring[i%uint64(len(t.ring))].Store(tr)
 }
 
-// SetRing rebounds the recent-trace ring to n slots (values <= 0 keep
-// the current bound). The swap is lock-free; traces retained under the
-// old bound are dropped, which is acceptable for a startup-time knob.
-// Nil-tracer no-op.
-func (t *Tracer) SetRing(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.ring.Store(&traceRing{slots: make([]atomic.Pointer[Trace], n)})
-}
-
-// RingSize returns the current recent-trace ring bound. Nil-safe.
+// RingSize returns the recent-trace ring bound. Nil-safe.
 func (t *Tracer) RingSize() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.ring.Load().slots)
+	return len(t.ring)
 }
 
 // Recent returns the retained recent traces, oldest first.
@@ -548,13 +530,13 @@ func (t *Tracer) Recent() []Trace {
 	if t == nil {
 		return nil
 	}
-	r := t.ring.Load()
-	out := make([]Trace, 0, len(r.slots))
+	r := t.ring
+	out := make([]Trace, 0, len(r))
 	// Walk the ring from the oldest retained slot forward so the result
 	// is (approximately, under concurrent pushes) in finish order.
 	next := t.ringIdx.Load()
-	for k := uint64(0); k < uint64(len(r.slots)); k++ {
-		p := r.slots[(next+k)%uint64(len(r.slots))].Load()
+	for k := uint64(0); k < uint64(len(r)); k++ {
+		p := r[(next+k)%uint64(len(r))].Load()
 		if p != nil {
 			out = append(out, *p)
 		}

@@ -124,38 +124,6 @@ func TestAdoptRefInheritsSampling(t *testing.T) {
 	op.Finish()
 }
 
-// TestSetRingResizes checks the /debug/traces ring can be rebounded at
-// runtime and keeps publishing into the new bound.
-func TestSetRingResizes(t *testing.T) {
-	tr := New(Config{Side: SideServer, Ring: 4})
-	if tr.RingSize() != 4 {
-		t.Fatalf("RingSize = %d, want 4", tr.RingSize())
-	}
-	tr.SetRing(2)
-	if tr.RingSize() != 2 {
-		t.Fatalf("RingSize after SetRing(2) = %d", tr.RingSize())
-	}
-	for i := 0; i < 6; i++ {
-		op := tr.Start(0, "put")
-		op.SetOid(uint64(i))
-		op.Finish()
-	}
-	if got := len(tr.Recent()); got != 2 {
-		t.Fatalf("recent = %d traces, want ring bound 2", got)
-	}
-	// Non-positive sizes keep the current ring.
-	tr.SetRing(0)
-	if tr.RingSize() != 2 {
-		t.Fatalf("SetRing(0) changed the ring to %d", tr.RingSize())
-	}
-	// Nil tracer: inert.
-	var nilTr *Tracer
-	nilTr.SetRing(8)
-	if nilTr.RingSize() != 0 {
-		t.Fatal("nil tracer RingSize != 0")
-	}
-}
-
 // TestTakeExemplar checks per-stage exemplars record the slowest recent
 // op and reset on read (one exemplar per scrape).
 func TestTakeExemplar(t *testing.T) {
