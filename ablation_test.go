@@ -20,7 +20,7 @@ import (
 
 // benchCluster builds an in-process server+client pair for functional
 // ablations.
-func benchCluster(b *testing.B, cfg precursor.ServerConfig, inlineClient bool) (*precursor.Server, *precursor.Client) {
+func benchCluster(b *testing.B, cfg precursor.ServerConfig) (*precursor.Server, *precursor.Client) {
 	b.Helper()
 	platform, err := precursor.NewPlatform()
 	if err != nil {
@@ -48,10 +48,9 @@ func benchCluster(b *testing.B, cfg precursor.ServerConfig, inlineClient bool) (
 	go func() { _, _ = server.HandleConnection(sq) }()
 	client, err := precursor.Connect(precursor.ClientConfig{
 		Conn: cq, Device: cliDev,
-		PlatformKey:       platform.AttestationPublicKey(),
-		Measurement:       server.Measurement(),
-		Timeout:           30 * time.Second,
-		InlineSmallValues: inlineClient,
+		PlatformKey: platform.AttestationPublicKey(),
+		Measurement: server.Measurement(),
+		Timeout:     30 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -70,7 +69,7 @@ func BenchmarkAblationHardenedMACs(b *testing.B) {
 			name = "hardened"
 		}
 		b.Run(name, func(b *testing.B) {
-			_, client := benchCluster(b, precursor.ServerConfig{HardenedMACs: hardened}, false)
+			_, client := benchCluster(b, precursor.ServerConfig{HardenedMACs: hardened})
 			value := make([]byte, 256)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -96,7 +95,7 @@ func BenchmarkAblationInlineSmallValues(b *testing.B) {
 			name = "inline"
 		}
 		b.Run(name, func(b *testing.B) {
-			_, client := benchCluster(b, precursor.ServerConfig{InlineSmallValues: inline}, inline)
+			_, client := benchCluster(b, precursor.ServerConfig{InlineSmallValues: inline})
 			value := make([]byte, 32) // below the 56 B control-data size
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

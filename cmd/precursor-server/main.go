@@ -67,7 +67,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7100", "listen address")
 		workers   = flag.Int("workers", 12, "trusted polling threads")
 		hardened  = flag.Bool("hardened", false, "store payload MACs inside the enclave (§3.9)")
-		inline    = flag.Bool("inline-small", false, "store values <56B inside the enclave (§5.2)")
+		inline    = flag.Bool("inline-small", false, "store values <56B inside the enclave (§5.2); the welcome announces it, so every client follows")
 		ownerOnly = flag.Bool("owner-only", false, "only the writing client may read/delete a key")
 		stats     = flag.Duration("stats", 0, "print server stats at this interval (0 = off)")
 		metrics   = flag.String("metrics", "", "serve Prometheus metrics on this address (e.g. :9090)")

@@ -14,7 +14,6 @@ import (
 	"precursor"
 	"precursor/internal/core"
 	"precursor/internal/fleet"
-	"precursor/internal/rdma"
 	"precursor/internal/ycsb"
 )
 
@@ -32,7 +31,7 @@ func TestHeatMetricsEndpoint(t *testing.T) {
 	tracer := precursor.NewTracer(precursor.TracerConfig{Side: precursor.SideServer, Workers: 2})
 	svc, err := precursor.Serve("127.0.0.1:0", precursor.ServerConfig{
 		Platform: platform, Workers: 2, PollInterval: time.Microsecond,
-		Heat: heatColl, Tracer: tracer,
+		Heat: heatColl, Tracer: tracer, InlineSmallValues: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,36 +136,22 @@ func TestHeatMetricsEndpoint(t *testing.T) {
 	// Bytes out are accounted where a get's result is produced, so they
 	// cannot depend on the framing: a batched get counts exactly what the
 	// same single get does — for a value stored in the untrusted pool and
-	// for one the enclave holds inline, which only a connection in
-	// inline-small-values mode (not offered by Dial) can store.
-	device := rdma.NewDevice("heat-inline-client")
-	conn, err := rdma.DialTCP(device, svc.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inline, err := core.Connect(core.ClientConfig{
-		Conn: conn, Device: device,
-		PlatformKey: platform.AttestationPublicKey(), Measurement: svc.Server.Measurement(),
-		InlineSmallValues: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inline.Close()
+	// for one the enclave holds inline, as this server's inline mode does
+	// for every value shorter than the bound it announces.
 	for key, value := range map[string][]byte{
 		"enclave-inline": []byte("tiny"),
 		"pool-resident":  bytes.Repeat([]byte("v"), 4*core.DefaultInlineMax),
 	} {
-		if err := inline.Put(key, value); err != nil {
+		if err := client.Put(key, value); err != nil {
 			t.Fatal(err)
 		}
 		base := heatColl.Snapshot() // a put adds no bytes out
 		gets, before := base.Gets, base.BytesOut
-		if _, err := inline.Get(key); err != nil {
+		if _, err := client.Get(key); err != nil {
 			t.Fatal(err)
 		}
 		single := heatSettled(t, func(s precursor.HeatSnapshot) bool { return s.Gets > gets }, heatColl).BytesOut - before
-		if res, err := inline.Batch([]core.BatchOp{{Kind: core.BatchGet, Key: key}}); err != nil || res[0].Err != nil {
+		if res, err := client.Batch([]precursor.BatchOp{{Kind: precursor.BatchGet, Key: key}}); err != nil || res[0].Err != nil {
 			t.Fatalf("batched get of %s: %v %+v", key, err, res)
 		}
 		batched := heatSettled(t, func(s precursor.HeatSnapshot) bool { return s.Gets > gets+1 }, heatColl).BytesOut - before - single

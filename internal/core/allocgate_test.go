@@ -40,19 +40,17 @@ func TestOpPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	inline := func(cfg *ClientConfig) { cfg.InlineSmallValues = true }
 	modes := []struct {
 		name             string
 		srv              ServerConfig
-		cli              func(*ClientConfig)
 		vlog             bool
 		get, put, putDel float64 // budgets: allocs per get, per overwrite-put, per put+delete pair
 	}{
-		{name: "base", get: 1.4, put: 0.4, putDel: 0.8},                                                            // 1.00, 0.00, 0.00
-		{name: "hardened", srv: ServerConfig{HardenedMACs: true}, get: 1.4, put: 0.4, putDel: 0.8},                 // 1.00, 0.00, 0.00
-		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, cli: inline, get: 1.4, put: 2.4, putDel: 2.8}, // 1.00, 2.00, 2.00
-		{name: "vlog", vlog: true, get: 1.4, put: 0.4, putDel: 0.8},                                                // 1.00, 0.00, 0.00
-		{name: "server-enc", srv: ServerConfig{ServerEncryption: true}, get: 1.4, put: 0.4, putDel: 0.8},           // 1.00, 0.00, 0.00
+		{name: "base", get: 1.4, put: 0.4, putDel: 0.8},                                                  // 1.00, 0.00, 0.00
+		{name: "hardened", srv: ServerConfig{HardenedMACs: true}, get: 1.4, put: 0.4, putDel: 0.8},       // 1.00, 0.00, 0.00
+		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, get: 1.4, put: 2.4, putDel: 2.8},    // 1.00, 2.00, 2.00
+		{name: "vlog", vlog: true, get: 1.4, put: 0.4, putDel: 0.8},                                      // 1.00, 0.00, 0.00
+		{name: "server-enc", srv: ServerConfig{ServerEncryption: true}, get: 1.4, put: 0.4, putDel: 0.8}, // 1.00, 0.00, 0.00
 	}
 	const (
 		keys   = 64
@@ -69,11 +67,7 @@ func TestOpPathAllocBudget(t *testing.T) {
 				cfg.DataDir = t.TempDir()
 			}
 			tc := newCluster(t, cfg)
-			var opts []func(*ClientConfig)
-			if m.cli != nil {
-				opts = append(opts, m.cli)
-			}
-			c := tc.connect(opts...)
+			c := tc.connect()
 			names := make([]string, keys)
 			for i := range names {
 				names[i] = fmt.Sprintf("user%012d", i)
@@ -125,11 +119,11 @@ func TestOpPathAllocBudget(t *testing.T) {
 	}
 	// Compaction: every live record of a sealed segment is re-appended at
 	// the log head and its index entry's pointer moved in place, so what is
-	// left is per segment (its listing, file and read window), amortised
-	// over its records. Every key is put twice in a row, so each sealed
-	// segment is half dead and half live.
+	// left is per segment (its listing and file; the read window is the
+	// log's own, reused), amortised over its records. Every key is put twice
+	// in a row, so each sealed segment is half dead and half live.
 	t.Run("vlog-compaction", func(t *testing.T) {
-		const budget = 0.1
+		const budget, bytesBudget = 0.05, 8.0 // 0.036–0.039, 2 B
 		tc := newCluster(t, ServerConfig{Workers: 1, PollInterval: 50 * time.Microsecond, DataDir: t.TempDir(),
 			Vlog: VlogConfig{SegmentBytes: 256 << 10, GCInterval: -1, GCThreshold: 0.25}})
 		c := tc.connect()
@@ -153,10 +147,14 @@ func TestOpPathAllocBudget(t *testing.T) {
 			t.Fatalf("compaction moved %d records, want at least %d", moved, keys)
 		}
 		got := float64(after.Mallocs-before.Mallocs) / float64(moved)
-		t.Logf("vlog     compaction %.3f allocs/record, %.0f B/record over %d records (budget %.1f)", got,
-			float64(after.TotalAlloc-before.TotalAlloc)/float64(moved), moved, budget)
+		gotBytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(moved)
+		t.Logf("vlog     compaction %.3f allocs/record, %.0f B/record over %d records (budgets %.2f, %.0f B)", got,
+			gotBytes, moved, budget, bytesBudget)
 		if got > budget {
-			t.Errorf("compaction: %.3f allocs per relocated record exceeds the budget of %.1f", got, budget)
+			t.Errorf("compaction: %.3f allocs per relocated record exceeds the budget of %.2f", got, budget)
+		}
+		if gotBytes > bytesBudget {
+			t.Errorf("compaction: %.0f B allocated per relocated record exceeds the budget of %.0f B", gotBytes, bytesBudget)
 		}
 	})
 }

@@ -77,7 +77,12 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 	var stored []byte
 	if inline {
 		// §5.2 optimization: the small value lives inside the enclave; a
-		// log record carries it in the sealed metadata, payload empty.
+		// log record carries it in the sealed metadata, payload empty. The
+		// placement is the server's, bounded so the EPC stays small.
+		if !s.cfg.InlineSmallValues || len(o.InlineValue) >= DefaultInlineMax {
+			s.badRequests.Add(1)
+			return failed(op, wire.StatusBadRequest, ErrBadResponse)
+		}
 		if err := s.placeInline(&e, o.InlineValue); err != nil {
 			return failed(op, wire.StatusServerError, err)
 		}

@@ -220,7 +220,7 @@ func (c *Client) sendLocked(ops []BatchOp, p *pending, deadline time.Time, ref o
 		case o.Kind > BatchDelete: // a repair op: sealed arguments, its chunk as is
 			bop.InlineValue, bop.PayloadLen = o.args, uint32(len(o.Value))
 		case o.Kind != BatchPut:
-		case c.cfg.InlineSmallValues && len(o.Value) < c.cfg.InlineMax:
+		case len(o.Value) < c.inlineMax:
 			bop.Flags, bop.InlineValue = wire.FlagInlineValue, o.Value
 		case c.serverEnc:
 			bop.PayloadLen = uint32(len(o.Value) + cryptox.SealOverhead)

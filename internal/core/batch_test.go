@@ -27,22 +27,20 @@ func batchModes(t *testing.T, fn func(t *testing.T, tc *testCluster, c *Client))
 	modes := []struct {
 		name string
 		cfg  ServerConfig
-		opt  func(*ClientConfig)
 	}{
-		{"base", ServerConfig{}, func(*ClientConfig) {}},
-		{"hardened", ServerConfig{HardenedMACs: true}, func(*ClientConfig) {}},
-		{"inline", ServerConfig{InlineSmallValues: true},
-			func(cfg *ClientConfig) { cfg.InlineSmallValues = true }},
+		{"base", ServerConfig{}},
+		{"hardened", ServerConfig{HardenedMACs: true}},
+		{"inline", ServerConfig{InlineSmallValues: true}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			tc := newCluster(t, m.cfg)
-			fn(t, tc, tc.connect(m.opt))
+			fn(t, tc, tc.connect())
 		})
 	}
 	t.Run("vlog", func(t *testing.T) {
 		tc := newCluster(t, ServerConfig{DataDir: t.TempDir()})
-		fn(t, tc, tc.connect(func(*ClientConfig) {}))
+		fn(t, tc, tc.connect())
 	})
 }
 

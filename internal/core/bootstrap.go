@@ -46,6 +46,9 @@ type welcomeMsg struct {
 	RespCreditRKey uint32 `json:"respCreditRKey"`
 	// ServerEncryption announces the §5.1 baseline placement.
 	ServerEncryption bool `json:"serverEncryption,omitempty"`
+	// InlineMax announces the §5.2 inline placement: values shorter than
+	// it are stored inside the enclave. Omitted (0) without the mode.
+	InlineMax int `json:"inlineMax,omitempty"`
 	// Error, if the server rejected the client.
 	Error string `json:"error,omitempty"`
 }

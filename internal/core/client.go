@@ -32,7 +32,7 @@ type ClientConfig struct {
 	Measurement sgx.Measurement
 	// RespSlots sets the response ring's slot count (default
 	// DefaultRingSlots); its slots are DefaultSlotSize bytes, as the
-	// server's request ring's are by default.
+	// server's request ring's are.
 	RespSlots int
 	// Timeout is the per-operation deadline: it covers the whole
 	// operation — waiting for ring credit, the response poll loop, and
@@ -50,11 +50,6 @@ type ClientConfig struct {
 	// retry, a shed repair op — (default 2ms), doubled per attempt with
 	// ±50% jitter; a shed's hint, when longer, takes its place.
 	RetryBase time.Duration
-	// InlineSmallValues sends values below InlineMax inside the control
-	// data for enclave-resident storage (§5.2). The server must have the
-	// mode enabled as well.
-	InlineSmallValues bool
-	InlineMax         int
 	// Tracer records per-stage latency spans and recent operation traces
 	// (a SideClient obs.Tracer). Nil disables tracing. A Tracer is safe
 	// to share across clients (e.g. every connection of a pool), which
@@ -80,9 +75,6 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 	if out.RetryBase <= 0 {
 		out.RetryBase = 2 * time.Millisecond
 	}
-	if out.InlineMax <= 0 {
-		out.InlineMax = DefaultInlineMax
-	}
 	return out
 }
 
@@ -104,6 +96,7 @@ type Client struct {
 	reqCredit  *rdma.MemoryRegion
 	closed     bool
 	serverEnc  bool // the server announced the server-encryption placement
+	inlineMax  int  // values shorter than this travel inline (§5.2): the server's announced bound, 0 when it has no inline mode
 
 	// inflight maps oid to the pending pipelined batch. Guarded by mu.
 	inflight map[uint64]*BatchFuture
@@ -179,6 +172,8 @@ func Connect(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	cl.aead, cl.id, cl.serverEnc = aead, welcome.ClientID, welcome.ServerEncryption
+	// Not covered by the quote: a bound raised by the host only has values refused.
+	cl.inlineMax = min(welcome.InlineMax, DefaultInlineMax)
 	binary.LittleEndian.PutUint32(cl.ad[:], cl.id)
 
 	cl.reqWriter, err = ringbuf.NewWriter(ringbuf.WriterConfig{

@@ -116,16 +116,13 @@ type ServerConfig struct {
 	// Workers is the number of trusted polling threads (default 12,
 	// matching the evaluation).
 	Workers int
-	// SlotSize sets the per-client ring slot size; a ring has
-	// DefaultRingSlots slots.
-	SlotSize int
 	// HardenedMACs stores payload MACs inside the enclave and returns them
 	// under transport encryption (§3.9).
 	HardenedMACs bool
-	// InlineSmallValues stores values smaller than InlineMax directly in
-	// the enclave (§5.2 future-work optimization).
+	// InlineSmallValues stores values shorter than DefaultInlineMax in the
+	// enclave (§5.2 future-work optimization). Clients follow the welcome's
+	// bound; the enclave refuses every other inline put.
 	InlineSmallValues bool
-	InlineMax         int
 	// ServerEncryption is the §5.1 baseline: the enclave re-seals each value
 	// between K_session and a storage key. Clients follow the server. It
 	// combines with InlineSmallValues only.
@@ -198,14 +195,8 @@ func (c *ServerConfig) withDefaults() ServerConfig {
 	if out.Workers <= 0 {
 		out.Workers = DefaultWorkers
 	}
-	if out.SlotSize <= 0 {
-		out.SlotSize = DefaultSlotSize
-	}
 	if out.ImagePages <= 0 {
 		out.ImagePages = DefaultImagePages
-	}
-	if out.InlineMax <= 0 {
-		out.InlineMax = DefaultInlineMax
 	}
 	if len(out.Image) == 0 {
 		out.Image = []byte("precursor-enclave-v1")

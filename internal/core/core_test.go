@@ -340,8 +340,7 @@ func TestHardenedMACMode(t *testing.T) {
 
 func TestInlineSmallValues(t *testing.T) {
 	tc := newCluster(t, ServerConfig{InlineSmallValues: true})
-	withInline := func(cfg *ClientConfig) { cfg.InlineSmallValues = true }
-	c := tc.connect(withInline)
+	c := tc.connect()
 
 	small := []byte("tiny") // < 56 B: stored in the enclave
 	if err := c.Put("small", small); err != nil {

@@ -115,10 +115,10 @@ type metaRun struct {
 // runMetaStream executes ops against a fresh server: as single
 // operations (batch 0) or as batch frames of up to batch consecutive ops
 // of one client.
-func runMetaStream(t *testing.T, cfg ServerConfig, cli []func(*ClientConfig), ops []metaOp, batch int) *metaRun {
+func runMetaStream(t *testing.T, cfg ServerConfig, ops []metaOp, batch int) *metaRun {
 	tc := newCluster(t, cfg)
 	tc.server.SetOwnerOnly(true)
-	clients := []*Client{tc.connect(cli...), tc.connect(cli...)}
+	clients := []*Client{tc.connect(), tc.connect()}
 	run := &metaRun{}
 	for i := 0; i < len(ops); {
 		c := clients[ops[i].client]
@@ -177,12 +177,10 @@ func runMetaStream(t *testing.T, cfg ServerConfig, cli []func(*ClientConfig), op
 // their sum over the model is the server's PoolBytesRequested — nothing
 // leaked by an overwrite or a delete, nothing counted at slot size.
 func TestMetamorphicAgainstModel(t *testing.T) {
-	inline := func(c *ClientConfig) { c.InlineSmallValues = true }
 	const sealed = cryptox.PayloadSealOverhead // nonce + MAC beside the ciphertext
 	modes := []struct {
 		name   string
 		srv    ServerConfig
-		cli    []func(*ClientConfig)
 		vlog   bool
 		pooled func(n int) int
 	}{
@@ -190,7 +188,7 @@ func TestMetamorphicAgainstModel(t *testing.T) {
 		// The MAC is enclave state, not pool bytes.
 		{name: "hardened", srv: ServerConfig{HardenedMACs: true},
 			pooled: func(n int) int { return n + sealed - wire.MACSize }},
-		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, cli: []func(*ClientConfig){inline},
+		{name: "inline", srv: ServerConfig{InlineSmallValues: true},
 			pooled: func(n int) int {
 				if n < DefaultInlineMax {
 					return 0 // enclave-resident
@@ -211,7 +209,7 @@ func TestMetamorphicAgainstModel(t *testing.T) {
 		// combination, small values stay in the enclave as before.
 		{name: "server-enc", srv: ServerConfig{ServerEncryption: true},
 			pooled: func(n int) int { return n + cryptox.SealOverhead }},
-		{name: "server-enc+inline", srv: ServerConfig{ServerEncryption: true, InlineSmallValues: true}, cli: []func(*ClientConfig){inline},
+		{name: "server-enc+inline", srv: ServerConfig{ServerEncryption: true, InlineSmallValues: true},
 			pooled: func(n int) int {
 				if n < DefaultInlineMax {
 					return 0
@@ -232,7 +230,7 @@ func TestMetamorphicAgainstModel(t *testing.T) {
 				if m.vlog {
 					cfg.DataDir = t.TempDir()
 				}
-				run := runMetaStream(t, cfg, m.cli, ops, f.batch)
+				run := runMetaStream(t, cfg, ops, f.batch)
 				for i, got := range run.results {
 					if want := ops[i].want; got.err != want.err || !bytes.Equal(got.value, want.value) {
 						t.Fatalf("op %d (client %d kind %d key %s): got err %q / %d bytes, model says err %q / %d bytes",

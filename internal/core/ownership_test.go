@@ -43,12 +43,10 @@ func TestGetResultsNeverAliasScratch(t *testing.T) {
 	modes := []struct {
 		name string
 		srv  ServerConfig
-		cli  func(*ClientConfig)
 	}{
 		{name: "base"},
 		{name: "hardened", srv: ServerConfig{HardenedMACs: true}},
-		{name: "inline", srv: ServerConfig{InlineSmallValues: true},
-			cli: func(c *ClientConfig) { c.InlineSmallValues = true }},
+		{name: "inline", srv: ServerConfig{InlineSmallValues: true}},
 	}
 	retain, churn := 1000, 10000
 	if testing.Short() {
@@ -57,11 +55,7 @@ func TestGetResultsNeverAliasScratch(t *testing.T) {
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			tc := newCluster(t, m.srv)
-			var opts []func(*ClientConfig)
-			if m.cli != nil {
-				opts = append(opts, m.cli)
-			}
-			c := tc.connect(opts...)
+			c := tc.connect()
 			// Sizes straddle the inline threshold and the cipher's block.
 			size := func(i int) int { return 12 + (i*37)%200 }
 			key := func(i int) string { return fmt.Sprintf("own-%04d", i) }

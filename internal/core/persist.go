@@ -406,8 +406,8 @@ func (s *Server) deserializeState(buf []byte) error {
 		e.hasMAC = eflags&1 != 0
 		inline := eflags&2 != 0
 		hasVptr := eflags&4 != 0
-		if e.hasMAC && !s.table.Wide() { // a base-layout record has no room for the MAC
-			return fmt.Errorf("%w: hardened-MAC entry needs HardenedMACs or a value log", ErrSnapshotFormat)
+		if (e.hasMAC || inline) && !s.table.Wide() { // a base-layout record has no room for the MAC or an inline value
+			return fmt.Errorf("%w: hardened-MAC or inline entry needs HardenedMACs, InlineSmallValues or a value log", ErrSnapshotFormat)
 		}
 		copy(e.mac[:], buf[:wire.MACSize])
 		e.seq = binary.LittleEndian.Uint64(buf[wire.MACSize:])

@@ -189,8 +189,7 @@ func TestSnapshotWrongEnclaveRejected(t *testing.T) {
 // TestSealRestoreWithModes covers hardened-MAC and inline-value entries.
 func TestSealRestoreWithModes(t *testing.T) {
 	tc := newCluster(t, ServerConfig{HardenedMACs: true, InlineSmallValues: true})
-	withInline := func(cfg *ClientConfig) { cfg.InlineSmallValues = true }
-	c := tc.connect(withInline)
+	c := tc.connect()
 
 	if err := c.Put("tiny", []byte("abc")); err != nil { // inline path
 		t.Fatal(err)
@@ -214,6 +213,18 @@ func TestSealRestoreWithModes(t *testing.T) {
 	}
 	if got, err := c.Get("big"); err != nil || !bytes.Equal(got, big) {
 		t.Errorf("big after restore: %v", err)
+	}
+
+	// A base-layout server has no room for an inline value: it refuses a
+	// snapshot holding one rather than dropping the value.
+	in := newCluster(t, ServerConfig{InlineSmallValues: true})
+	mustPut(t, in.connect(), "tiny", []byte("abc"))
+	var inline bytes.Buffer
+	if err := in.server.seal(&inline, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := bootMemoryOnly(t, in.platform, false).server.RestoreReplica(&inline); !errors.Is(err, ErrSnapshotFormat) {
+		t.Errorf("base-layout restore of an inline entry: %v, want ErrSnapshotFormat", err)
 	}
 }
 

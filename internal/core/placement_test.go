@@ -269,28 +269,18 @@ func TestSingleOpRefusalIsSealed(t *testing.T) {
 }
 
 // TestPlacementMismatchIsRefused: the placement rides in the welcome, which
-// the host can rewrite. A client made to believe the other placement gets a
-// sealed refusal each way, in a batch and as a single op, and the server
-// stores nothing.
+// the host can rewrite. A client made to believe the other payload
+// placement gets a sealed refusal each way, in a batch and as a single op,
+// and the server stores nothing. A flipped inline bound is as harmless: a
+// client told to inline by a server without the mode has those puts
+// refused, one told not to by a server with it makes ordinary puts, and no
+// inline entry appears on a server without the mode.
 func TestPlacementMismatchIsRefused(t *testing.T) {
 	for _, p := range placements {
 		t.Run(p.name, func(t *testing.T) {
 			tc := newCluster(t, p.cfg)
 			mustPut(t, tc.connect(), "k", []byte("stored by a client of the server's placement"))
-			tc.fabric.SetFaultHook(func(op rdma.OpType, data []byte) ([]byte, bool) {
-				var w welcomeMsg
-				if op != rdma.OpSend || json.Unmarshal(data, &w) != nil || w.ClientID == 0 {
-					return data, false
-				}
-				w.ServerEncryption = !w.ServerEncryption
-				out, err := json.Marshal(&w)
-				if err != nil {
-					return data, false
-				}
-				return out, false
-			})
-			c := tc.connect(func(cfg *ClientConfig) { cfg.Timeout = 300 * time.Millisecond })
-			tc.fabric.SetFaultHook(nil)
+			c := rewrittenWelcome(t, tc, func(w *welcomeMsg) { w.ServerEncryption = !w.ServerEncryption })
 			if c.serverEnc == p.cfg.ServerEncryption {
 				t.Fatal("the rewritten welcome did not reach the client")
 			}
@@ -307,6 +297,122 @@ func TestPlacementMismatchIsRefused(t *testing.T) {
 			}
 			if st := tc.server.Stats(); st.Entries != 1 {
 				t.Errorf("server holds %d entries, want only the one its own placement stored", st.Entries)
+			}
+		})
+	}
+	for _, mode := range []bool{false, true} {
+		t.Run(fmt.Sprintf("inline mode %v, bound flipped", mode), func(t *testing.T) {
+			tc := newCluster(t, ServerConfig{InlineSmallValues: mode})
+			c := rewrittenWelcome(t, tc, func(w *welcomeMsg) { w.InlineMax = DefaultInlineMax - w.InlineMax })
+			if (c.inlineMax > 0) == mode {
+				t.Fatal("the rewritten welcome did not reach the client")
+			}
+			value := []byte("small")
+			err := c.Put("m", value)
+			res, berr := c.Batch([]BatchOp{{Kind: BatchPut, Key: "b", Value: value}})
+			if !mode {
+				if !errors.Is(err, ErrBadResponse) || berr != nil || !errors.Is(res[0].Err, ErrBadResponse) {
+					t.Errorf("inline puts to a server without the mode: %v and %v, %v; want sealed refusals", err, res, berr)
+				}
+			} else {
+				if err != nil || berr != nil || res[0].Err != nil {
+					t.Fatalf("ordinary puts to an inline server: %v and %v, %v", err, res, berr)
+				}
+				if got, err := c.Get("m"); err != nil || !bytes.Equal(got, value) {
+					t.Errorf("Get = %q, %v", got, err)
+				}
+			}
+			tc.server.table.Range(func(key string, e entry) bool {
+				if e.inline != nil {
+					t.Errorf("%s is enclave-inline, want every value in the pool", key)
+				}
+				return true
+			})
+		})
+	}
+}
+
+// rewrittenWelcome connects a client whose welcome the host rewrote with
+// rewrite on the way.
+func rewrittenWelcome(t *testing.T, tc *testCluster, rewrite func(*welcomeMsg)) *Client {
+	t.Helper()
+	tc.fabric.SetFaultHook(func(op rdma.OpType, data []byte) ([]byte, bool) {
+		var w welcomeMsg
+		if op != rdma.OpSend || json.Unmarshal(data, &w) != nil || w.ClientID == 0 {
+			return data, false
+		}
+		rewrite(&w)
+		out, err := json.Marshal(&w)
+		if err != nil {
+			return data, false
+		}
+		return out, false
+	})
+	defer tc.fabric.SetFaultHook(nil)
+	return tc.connect(func(cfg *ClientConfig) { cfg.Timeout = 300 * time.Millisecond })
+}
+
+// TestInlinePlacementIsEnforced: the §5.2 inline placement is the server's.
+// With the mode on, a client that sets nothing stores a small value inside
+// the enclave. An inline put the mode does not allow — the mode off, or a
+// value of DefaultInlineMax bytes or more — is refused under seal, as a
+// single op and in a batch: nothing is stored and no enclave memory is
+// taken. The refused clients announce a raised bound to themselves, as a
+// host that rewrote the welcome or a modified client would.
+func TestInlinePlacementIsEnforced(t *testing.T) {
+	t.Run("mode on, a default client", func(t *testing.T) {
+		tc := newCluster(t, ServerConfig{InlineSmallValues: true})
+		c := tc.connect()
+		small := []byte("shorter than the bound")
+		mustPut(t, c, "small", small)
+		if e, ok := tc.server.table.Get("small"); !ok || e.inline == nil || !bytes.Equal(e.inline.Data, small) {
+			t.Errorf("the small value is not enclave-inline (entry present %v)", ok)
+		}
+		if st := tc.server.Stats(); st.PoolBytesRequested != 0 {
+			t.Errorf("the untrusted pool holds %d B, want the value in the enclave only", st.PoolBytesRequested)
+		}
+		if got, err := c.Get("small"); err != nil || !bytes.Equal(got, small) {
+			t.Errorf("Get = %q, %v", got, err)
+		}
+	})
+	for _, m := range []struct {
+		name string
+		cfg  ServerConfig
+		n    int
+	}{
+		{"mode off, a small value", ServerConfig{}, 8},
+		{"mode off, 4000 B", ServerConfig{}, 4000},
+		{"mode on, at the bound", ServerConfig{InlineSmallValues: true}, DefaultInlineMax},
+		{"mode on, 4000 B", ServerConfig{InlineSmallValues: true}, 4000},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			tc := newCluster(t, m.cfg)
+			c := tc.connect(func(cfg *ClientConfig) { cfg.Timeout = 2 * time.Second })
+			c.inlineMax = 32 << 10
+			value := bytes.Repeat([]byte{'i'}, m.n)
+			// A trusted thread's first frame reserves its staging page: one
+			// get goes first, so what follows counts the puts alone.
+			if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get of an empty store: %v", err)
+			}
+			before := tc.server.Stats()
+			if err := c.Put("k", value); !errors.Is(err, ErrBadResponse) || errors.Is(err, ErrUnconfirmed) {
+				t.Errorf("inline put: %v, want a sealed refusal that is not unconfirmed", err)
+			}
+			res, err := c.Batch([]BatchOp{{Kind: BatchPut, Key: "k", Value: value}})
+			if err != nil || !errors.Is(res[0].Err, ErrBadResponse) {
+				t.Errorf("batched inline put: %v, %v; want a sealed refusal", res, err)
+			}
+			after := tc.server.Stats()
+			if after.Entries != 0 || after.PoolBytesRequested != 0 {
+				t.Errorf("server holds %d entries and %d pool bytes, want nothing stored", after.Entries, after.PoolBytesRequested)
+			}
+			if after.Enclave.EPCPages != before.Enclave.EPCPages || after.Enclave.HeapBytes != before.Enclave.HeapBytes {
+				t.Errorf("enclave went from %d pages / %d heap bytes to %d / %d, want it unchanged",
+					before.Enclave.EPCPages, before.Enclave.HeapBytes, after.Enclave.EPCPages, after.Enclave.HeapBytes)
+			}
+			if got := after.BadRequests - before.BadRequests; got != 2 {
+				t.Errorf("%d bad requests counted, want 2", got)
 			}
 		})
 	}

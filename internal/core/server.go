@@ -36,26 +36,27 @@ const replyFrameFree = 64
 
 // entry is the per-key security metadata the enclave's hash table holds by
 // value, whole, in every mode (Fig. 3, the (K_op, ptr, MAC) of §4). A
-// server with neither hardened MACs nor a value log keeps only its
-// baseEntry per key, a 72-byte record; one with either keeps the whole
-// entry, a 112-byte record (hashtable.Dual). The zero entry is no entry.
+// server with neither hardened MACs, inline values nor a value log keeps
+// only its baseEntry per key, a 64-byte pointer-free record; any other
+// keeps the whole entry, a 112-byte record (hashtable.Dual). The zero
+// entry is no entry.
 type entry struct {
 	baseEntry
-	mac  [wire.MACSize]byte // the payload MAC, when hasMAC (hardened mode)
-	vptr vlog.Ptr           // the durable record backing this version (ref is then a cache: evictable, rebuildable from vptr)
-	seq  uint64             // its log sequence number: with vptr, the version an entry names
+	hasMAC bool
+	inline *sgx.Region        // the value itself, enclave-resident (inline mode, §5.2)
+	mac    [wire.MACSize]byte // the payload MAC, when hasMAC (hardened mode)
+	vptr   vlog.Ptr           // the durable record backing this version (ref is then a cache: evictable, rebuildable from vptr)
+	seq    uint64             // its log sequence number: with vptr, the version an entry names
 }
 
 // baseEntry is what every mode keeps per key: K_operation, the pointer into
-// the untrusted payload pool, the owner, and the value itself when the
-// client inlined it — inlining is the client's choice, so any server may
-// receive an inline put.
+// the untrusted payload pool and the owner. Inlining is the server's
+// placement (applyPut refuses an inline put elsewhere), so a server that
+// keeps only this part never holds an inline value.
 type baseEntry struct {
-	opKey  cryptox.OperationKey
-	ref    slab.Ref
-	owner  uint32
-	hasMAC bool
-	inline *sgx.Region
+	opKey cryptox.OperationKey
+	ref   slab.Ref
+	owner uint32
 }
 
 // session is the per-client state: the transport-encryption AEAD keyed
@@ -252,7 +253,7 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage key: %w", err)
 		}
-		s.stage = c.SlotSize
+		s.stage = DefaultSlotSize
 	}
 	// The pool's framing is what every stored form carries beyond its value
 	// (placeStored), so a value of a class's grid size fills its slot.
@@ -270,7 +271,7 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 
 	// Ecall i.: initialize the hash table inside the enclave.
 	if err := enclave.Ecall("init_hashtable", func() error {
-		s.table = hashtable.NewDual(s.acct, DefaultEntryBytes, c.HardenedMACs || c.DataDir != "",
+		s.table = hashtable.NewDual(s.acct, DefaultEntryBytes, c.HardenedMACs || c.InlineSmallValues || c.DataDir != "",
 			func(e entry) baseEntry { return e.baseEntry }, func(b baseEntry) entry { return entry{baseEntry: b} })
 		return nil
 	}); err != nil {
@@ -389,14 +390,14 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 	// Allocate the client's request ring in untrusted server memory and
 	// the credit counter its response-ring reader reports into.
 	reqRing := s.device.RegisterMemory(
-		ringbuf.RingBytes(DefaultRingSlots, s.cfg.SlotSize), rdma.PermRemoteWrite)
+		ringbuf.RingBytes(DefaultRingSlots, DefaultSlotSize), rdma.PermRemoteWrite)
 	respCredit := s.device.RegisterMemory(ringbuf.CreditBytes, rdma.PermRemoteWrite)
 
 	sess := &session{conn: conn, aead: aead, reqRing: reqRing, respCredit: respCredit,
 		mayInline: conn.PostBounded()}
 
 	sess.reqReader, err = ringbuf.NewReader(ringbuf.ReaderConfig{
-		Ring: reqRing, Slots: DefaultRingSlots, SlotSize: s.cfg.SlotSize,
+		Ring: reqRing, Slots: DefaultRingSlots, SlotSize: DefaultSlotSize,
 		Conn: conn, CreditRKey: hello.ReqCreditRKey,
 	})
 	if err != nil {
@@ -429,8 +430,11 @@ func (s *Server) HandleConnection(conn rdma.Conn) (uint32, error) {
 		slog.Int("reqRingSlots", DefaultRingSlots))
 
 	welcome.ClientID, welcome.ReqRingRKey, welcome.RespCreditRKey = id, reqRing.RKey(), respCredit.RKey()
-	welcome.ReqSlots, welcome.ReqSlotSize = DefaultRingSlots, s.cfg.SlotSize
+	welcome.ReqSlots, welcome.ReqSlotSize = DefaultRingSlots, DefaultSlotSize
 	welcome.ServerEncryption = s.cfg.ServerEncryption
+	if s.cfg.InlineSmallValues {
+		welcome.InlineMax = DefaultInlineMax
+	}
 	if err := sendMsg(conn, 2, welcome); err != nil {
 		return 0, err
 	}

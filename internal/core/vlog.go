@@ -547,7 +547,7 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 // policy and resources allow; otherwise the entry stays disk-only, served
 // by read-through, rather than failing recovery.
 func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) entry {
-	e := entry{baseEntry: baseEntry{opKey: m.opKey, owner: m.owner, hasMAC: m.flags&vlogMetaHasMAC != 0},
+	e := entry{baseEntry: baseEntry{opKey: m.opKey, owner: m.owner}, hasMAC: m.flags&vlogMetaHasMAC != 0,
 		mac: m.mac, vptr: ptr, seq: r.Seq}
 	if m.flags&vlogMetaInline != 0 {
 		_ = s.placeInline(&e, m.value)

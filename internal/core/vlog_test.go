@@ -752,22 +752,32 @@ func TestVlogFullSnapshotForRepair(t *testing.T) {
 }
 
 // TestVlogInlineValuesRecover: enclave-inline small values ride in the
-// sealed record metadata and come back after a crash.
+// sealed record metadata and come back after a crash, enclave-inline again.
 func TestVlogInlineValuesRecover(t *testing.T) {
 	h := newVlogHarness(t, 13, func(cfg *ServerConfig) {
 		cfg.InlineSmallValues = true
 	})
+	allInline := func(s *Server, when string) {
+		t.Helper()
+		for i := 0; i < 30; i++ {
+			if e, ok := s.table.Get(fmt.Sprintf("tiny-%02d", i)); !ok || e.inline == nil {
+				t.Fatalf("tiny-%02d %s: not enclave-inline (entry present %v)", i, when, ok)
+			}
+		}
+	}
 	tc := h.boot()
 	c := tc.connect()
 	for i := 0; i < 30; i++ {
 		mustPut(t, c, fmt.Sprintf("tiny-%02d", i), []byte(fmt.Sprintf("v%02d", i)))
 	}
+	allInline(tc.server, "before the crash")
 	tc.server.Close()
 	h.fs.Crash()
 	tc2 := h.boot()
 	if _, err := tc2.server.ReplayVlog(); err != nil {
 		t.Fatal(err)
 	}
+	allInline(tc2.server, "after replay")
 	c2 := tc2.connect()
 	for i := 0; i < 30; i++ {
 		got, err := c2.Get(fmt.Sprintf("tiny-%02d", i))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -408,24 +409,52 @@ func TestClientSpinSwitchesItselfOff(t *testing.T) {
 
 // TestEntrySizeClasses: the table holds every stored key's entry by value
 // in a record beside one 8-byte index slot (hashtable's TestSlotAndRecordSizes
-// pins both). A base-mode record is the 64-byte baseEntry and the key's
-// 8-byte place in the arena: 72 bytes, a chunk of 255 in the allocator's
-// 18 432 B class. A wide record — hardened MACs or a value log — is the whole
-// entry: at most 104 bytes, 112 with the key's place, a chunk of 255 in the
-// 28 672 B class. One more byte of either moves its chunk a class up.
+// pins both). A base-mode record is the baseEntry, at most 52 bytes and
+// holding no pointer, and the key's 8-byte place in the arena: 64 bytes, a
+// chunk of 255 in the allocator's 16 384 B class with no type header. A wide
+// record — hardened MACs, inline values or a value log — is the whole entry:
+// at most 104 bytes, 112 with the key's place, a chunk of 255 in the
+// 28 672 B class. One more byte of either, or a pointer in the base one,
+// moves its chunk a class up.
 func TestEntrySizeClasses(t *testing.T) {
 	base, wide := unsafe.Sizeof(baseEntry{}), unsafe.Sizeof(entry{})
-	if base > 64 || wide > 104 {
-		t.Fatalf("baseEntry is %d bytes and entry %d, want at most 64 and 104", base, wide)
+	if base > 52 || wide > 104 {
+		t.Fatalf("baseEntry is %d bytes and entry %d, want at most 52 and 104", base, wide)
+	}
+	if p := pointerField(reflect.TypeOf(baseEntry{}), "baseEntry"); p != "" {
+		t.Errorf("%s holds a pointer: a base record must be pointer-free", p)
 	}
 	for _, tc := range []struct {
 		cfg  ServerConfig
 		wide bool
-	}{{ServerConfig{}, false}, {ServerConfig{InlineSmallValues: true}, false},
+	}{{ServerConfig{}, false}, {ServerConfig{InlineSmallValues: true}, true},
 		{ServerConfig{HardenedMACs: true}, true}, {ServerConfig{DataDir: t.TempDir()}, true}} {
 		tc.cfg.Workers = 1
 		if got := newCluster(t, tc.cfg).server.table.Wide(); got != tc.wide {
 			t.Errorf("%+v: wide records = %v, want %v", tc.cfg, got, tc.wide)
 		}
 	}
+}
+
+// pointerField names the first part of a value of type t, itself named
+// path, that the garbage collector must scan, or returns "".
+func pointerField(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerField(t.Field(i).Type, path+"."+t.Field(i).Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		if t.Len() == 0 {
+			return ""
+		}
+		return pointerField(t.Elem(), path+"[]")
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+		reflect.Interface, reflect.Chan, reflect.Func:
+		return path
+	}
+	return ""
 }

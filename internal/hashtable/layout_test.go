@@ -10,8 +10,8 @@ import (
 )
 
 // TestSlotAndRecordSizes: an index slot is 8 bytes, and a record is its
-// value plus the 8-byte place of its key — so a 64-byte value, the
-// enclave's base entry, makes a 72-byte record.
+// value plus the 8-byte place of its key — so a 64-byte value makes a
+// 72-byte record.
 func TestSlotAndRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(slot{}); n != 8 {
 		t.Errorf("slot is %d bytes, want 8", n)
@@ -26,14 +26,12 @@ func TestSlotAndRecordSizes(t *testing.T) {
 
 // TestRecordChunksFillTheirSizeClass: a chunk of records whose values hold
 // a pointer carries the allocator's 8-byte type header, so a chunk holds 255
-// records: chunks of 72- and 112-byte records (the enclave's two entry
-// layouts) take exactly the 18 432 and 28 672 B size classes, where 256
-// records would take 19 072 and 32 768 B.
+// records: a chunk of 112-byte records (the enclave's wide entry layout)
+// takes exactly the 28 672 B size class, where 256 records would take
+// 32 768 B. The narrow layout is a 64-byte record without a pointer, so no
+// header: 255 of them take 16 320 B in the 16 384 B class.
 func TestRecordChunksFillTheirSizeClass(t *testing.T) {
-	type base struct {
-		b [56]byte
-		p *int
-	}
+	type base [56]byte
 	type wide struct {
 		b [96]byte
 		p *int
@@ -54,7 +52,7 @@ func TestRecordChunksFillTheirSizeClass(t *testing.T) {
 		record, class uint64
 		got           uint64
 	}{
-		{72, 18432, perChunk(func(i int) { bases[i] = new([recordChunk]record[base]) })},
+		{64, 16384, perChunk(func(i int) { bases[i] = new([recordChunk]record[base]) })},
 		{112, 28672, perChunk(func(i int) { wides[i] = new([recordChunk]record[wide]) })},
 	} {
 		// A stray allocation elsewhere in the window adds a few bytes a chunk;

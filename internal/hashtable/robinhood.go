@@ -44,9 +44,10 @@ const (
 	maxLoadPercent = 85
 	// A record chunk holds recordChunk records: 255, not 256, because a
 	// chunk of records holding pointers carries the allocator's 8-byte type
-	// header. 255 records of 72 bytes (18 368 with it) fill the 18 432 B
-	// size class and 255 of 112 bytes (28 568) the 28 672 B one, where 256
-	// would spill into the next class up, 19 072 and 32 768 B.
+	// header. 255 records of 112 bytes (28 568 with it) fill the 28 672 B
+	// size class, where 256 would spill into the next class up, 32 768 B.
+	// 255 pointer-free records of 64 bytes take 16 320 B of the 16 384 B
+	// class.
 	recordChunk = 255
 	// A key arena chunk starts at arenaMinChunk bytes and doubles up to
 	// arenaMaxChunk; a longer key gets a chunk of its own.

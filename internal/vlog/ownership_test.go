@@ -189,6 +189,55 @@ func TestConcurrentAppendersOwnTheirBytes(t *testing.T) {
 	}
 }
 
+// TestConcurrentWalksOwnTheirWindows: segment walks reuse the log's window
+// buffer, and walks at once — two compaction passes, say — never share one:
+// each sees every record of every segment byte for byte, however the walks
+// interleave (run under -race, a shared window is also a reported race).
+func TestConcurrentWalksOwnTheirWindows(t *testing.T) {
+	l, err := Open(Config{Dir: "/walks", FS: NewMemFS(1), SegmentBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payloads := map[Ptr][]byte{}
+	for i := 0; i < 300; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 700+i)
+		ptr, _ := appendOne(t, l, fmt.Sprintf("key-%03d", i), "m", string(payload), false)
+		payloads[ptr] = payload
+	}
+	segs := l.Segments()
+	if len(segs) < 3 {
+		t.Fatalf("%d segments, want several to walk", len(segs))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				seen := 0
+				for _, seg := range segs {
+					if err := l.IterateSegment(seg.ID, func(ptr Ptr, rec Record) error {
+						seen++
+						if !bytes.Equal(rec.Payload, payloads[ptr]) {
+							return fmt.Errorf("%v: payload differs", ptr)
+						}
+						return nil
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if seen != len(payloads) {
+					t.Errorf("a walk saw %d records, %d were appended", seen, len(payloads))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestVlogAppendAllocBudget pins the log's own cost per durable append on
 // MemFS, group commit included: what is left is MemFS growing its file and
 // a segment rotation every thousandth append.

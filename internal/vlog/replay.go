@@ -90,7 +90,7 @@ func (l *Log) scanSegment(id uint32, st *ReplayStats, fn func(Ptr, Record) error
 	// Sequence numbers may legitimately regress mid-stream: GC relocates
 	// records into newer segments keeping their original (older) sequence.
 	// Only structural damage tears a segment.
-	off, damage, err := walkSegment(f, id, size, func(ptr Ptr, rec Record) error {
+	off, damage, err := l.walkSegment(f, id, size, func(ptr Ptr, rec Record) error {
 		if err := fn(ptr, rec); err != nil {
 			return err
 		}
@@ -120,9 +120,19 @@ const segmentWindow = 256 << 10
 // handed to fn aliases until fn returns. It stops at the first structural
 // damage and reports it with the offset reached (a clean walk ends at
 // size); an I/O error or an error from fn aborts the walk and is returned
-// as err.
-func walkSegment(f File, id uint32, size int64, fn func(Ptr, Record) error) (off int64, damage, err error) {
+// as err. The window comes from the log's free list and goes back to it.
+func (l *Log) walkSegment(f File, id uint32, size int64, fn func(Ptr, Record) error) (off int64, damage, err error) {
 	var buf []byte
+	select {
+	case buf = <-l.window:
+	default:
+	}
+	defer func() {
+		select {
+		case l.window <- buf[:0]:
+		default:
+		}
+	}()
 	var base int64 // file offset of buf[0]
 	for off < size {
 		avail := buf[off-base:]
@@ -183,7 +193,7 @@ func (l *Log) IterateSegment(id uint32, fn func(ptr Ptr, rec Record) error) erro
 		return fmt.Errorf("%w: segment %d: %v", ErrNotFound, id, err)
 	}
 	defer f.Close()
-	off, damage, err := walkSegment(f, id, size, fn)
+	off, damage, err := l.walkSegment(f, id, size, fn)
 	if damage != nil {
 		return fmt.Errorf("segment %d offset %d: %w", id, off, damage)
 	}

@@ -183,6 +183,10 @@ type Log struct {
 
 	readMu  sync.Mutex
 	readers map[uint32]File
+	// window is a one-slot free list of segment walk buffers (walkSegment):
+	// replay and compaction reuse one window instead of growing a fresh one
+	// per segment, and two walks at once take one each, never the same.
+	window chan []byte
 
 	syncCh chan syncReq
 	stopCh chan struct{}
@@ -221,6 +225,7 @@ func Open(cfg Config) (*Log, error) {
 		dirty:   make(map[uint32]File),
 		segs:    make(map[uint32]*segState),
 		readers: make(map[uint32]File),
+		window:  make(chan []byte, 1),
 		syncCh:  make(chan syncReq, 1024),
 		stopCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
