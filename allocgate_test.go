@@ -189,16 +189,15 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 // rest is the per-key part of the table: a 64 B record (the 52 B base entry
 // and the key's place; hardened, inline and vlog hold the whole 104 B entry,
 // a 112 B record), in chunks of 255 that fill their size class, 17 B of key
-// arena, an 8 B slot / load factor — and the repair dirty-key set until it
-// caps at 65 536 keys, about 145 B together at 20 000 keys, 0.14 of a 1 KiB value and
-// 0.04 of a 4 KiB one. Beside them the 24 B framing is 0.023 and 0.006 of
-// the value, and the unused tail of the last 1 MiB chunk what is left. The
-// budgets are ROADMAP item H's 1.25 at 1 KiB (the value log's row, its
-// measured figure plus 3 %, rounds to the same) and, from 4 KiB up, the
-// measured figure plus 3 %. At 32 B the budget is per key: at 20 000 keys
-// the measured figure plus 10 B, and at 300 000 keys — small_read's table,
-// past the dirty-key cap — the measured figure plus 4 %, under ROADMAP item
-// T's bar of 170 B. These are counts
+// arena and an 8 B slot / load factor, about 100 B together at 20 000 keys,
+// 0.10 of a 1 KiB value and 0.025 of a 4 KiB one. Beside them the 24 B
+// framing is 0.023 and 0.006 of the value, and the unused tail of the last
+// 1 MiB chunk what is left. No repair is in flight, so no dirty-key set
+// holds a key. From 1 KiB up the budgets are the measured figure plus 3 %,
+// rounded up, under ROADMAP item H's 1.25 at 1 KiB. At 32 B the budget is
+// per key: at 20 000 keys the measured figure plus 10 B, and at 300 000
+// keys — small_read's table — the measured figure plus 4 %, under ROADMAP
+// item T's bar of 170 B. These are counts
 // of live bytes after GC and repeat to a fraction of a percent. Run without
 // -race (PRECURSOR_ALLOC_GATE pattern, `make allocgate`).
 func TestMemoryPerStoredByte(t *testing.T) {
@@ -222,15 +221,15 @@ func TestMemoryPerStoredByte(t *testing.T) {
 		// budgets heap growth / keys. Zero: reported only.
 		maxPerByte, maxPerKey float64
 	}{
-		{placement: "base", valueSize: 32, maxPerKey: 259},                // 248.9
+		{placement: "base", valueSize: 32, maxPerKey: 216},                // 205.2
 		{placement: "base", valueSize: 32, keys: 300_000, maxPerKey: 162}, // 155.7
-		{placement: "base", valueSize: 256},                               // 1.791
-		{placement: "base", valueSize: 1 << 10, maxPerByte: 1.25},         // 1.165
-		{placement: "base", valueSize: 4 << 10, maxPerByte: 1.08},         // 1.046
-		{placement: "base", valueSize: 16 << 10, maxPerByte: 1.05},        // 1.018
-		{placement: "hardened", valueSize: 4 << 10, maxPerByte: 1.1},      // 1.058
-		{placement: "server-enc", valueSize: 4 << 10, maxPerByte: 1.09},   // 1.047
-		{placement: "vlog", valueSize: 1 << 10, maxPerByte: 1.25},         // 1.213
+		{placement: "base", valueSize: 256},                               // 1.621
+		{placement: "base", valueSize: 1 << 10, maxPerByte: 1.16},         // 1.122
+		{placement: "base", valueSize: 4 << 10, maxPerByte: 1.07},         // 1.036
+		{placement: "base", valueSize: 16 << 10, maxPerByte: 1.05},        // 1.016
+		{placement: "hardened", valueSize: 4 << 10, maxPerByte: 1.08},     // 1.048
+		{placement: "server-enc", valueSize: 4 << 10, maxPerByte: 1.07},   // 1.036
+		{placement: "vlog", valueSize: 1 << 10, maxPerByte: 1.21},         // 1.170
 	} {
 		cfg := precursor.ServerConfig{
 			HardenedMACs:     tc.placement == "hardened",

@@ -37,9 +37,9 @@ type RepairSession interface {
 	// PushSnapshot streams a sealed snapshot into the replica, which
 	// verifies and adopts it. Returns the replica's resulting entry count.
 	PushSnapshot(r io.Reader) (int, error)
-	// DeltaSince lists the keys the replica dirtied since its seal at
-	// generation gen (core.ErrSealGeneration if gen is stale,
-	// core.ErrDeltaTruncated if the delta overflowed).
+	// DeltaSince lists the keys the replica dirtied since this session's
+	// FetchSnapshot of generation gen (core.ErrSealGeneration if gen is not
+	// that snapshot's, core.ErrDeltaTruncated if the delta overflowed).
 	DeltaSince(gen uint64) ([]string, error)
 	// Close ends the session.
 	Close() error
@@ -53,10 +53,6 @@ const probeKey = "\x00precursor/probe"
 // repairBatch bounds how many journal entries one drain pass claims, so
 // rejoin latency stays bounded even under a write-heavy race.
 const repairBatch = 256
-
-// snapshotRetries bounds how often a full sync refetches the snapshot
-// because concurrent seals invalidated the delta generation.
-const snapshotRetries = 3
 
 // repairLoop is the background scan over replicated groups: it probes
 // downed replicas whose backoff has elapsed and launches repair for
@@ -278,8 +274,10 @@ func donorFor(g *groupState, rep *replicaState, donors []*replicaState, key stri
 }
 
 // fullSync adopts the donor's sealed snapshot on the target, then
-// replays the donor's post-snapshot delta. If seals race the delta query
-// the snapshot is refetched (bounded by snapshotRetries).
+// replays the donor's post-snapshot delta. The delta is the donor
+// session's own, so no other seal invalidates it; a failed attempt — a
+// delta that overflowed included — leaves the replica needing a full
+// sync, and the next repair scan starts over with a fresh snapshot.
 func (c *Client) fullSync(donor, rep *replicaState) error {
 	ds, err := c.opts.OpenRepair(donor.name)
 	if err != nil {
@@ -291,30 +289,24 @@ func (c *Client) fullSync(donor, rep *replicaState) error {
 		return fmt.Errorf("open target session: %w", err)
 	}
 	defer ts.Close()
-	for attempt := 0; attempt < snapshotRetries; attempt++ {
-		var sealed bytes.Buffer
-		gen, err := ds.FetchSnapshot(&sealed)
-		if err != nil {
-			return fmt.Errorf("fetch snapshot: %w", err)
-		}
-		if _, err := ts.PushSnapshot(bytes.NewReader(sealed.Bytes())); err != nil {
-			return fmt.Errorf("push snapshot: %w", err)
-		}
-		keys, err := ds.DeltaSince(gen)
-		if err != nil {
-			if errors.Is(err, core.ErrSealGeneration) || errors.Is(err, core.ErrDeltaTruncated) {
-				continue // another seal raced in; take a fresh snapshot
-			}
-			return fmt.Errorf("delta since %d: %w", gen, err)
-		}
-		for _, key := range keys {
-			if err := c.replayKey(donor, rep, key); err != nil {
-				return fmt.Errorf("replay delta key: %w", err)
-			}
-		}
-		return nil
+	var sealed bytes.Buffer
+	gen, err := ds.FetchSnapshot(&sealed)
+	if err != nil {
+		return fmt.Errorf("fetch snapshot: %w", err)
 	}
-	return fmt.Errorf("precursor/cluster: snapshot of %q raced concurrent seals %d times", donor.name, snapshotRetries)
+	if _, err := ts.PushSnapshot(bytes.NewReader(sealed.Bytes())); err != nil {
+		return fmt.Errorf("push snapshot: %w", err)
+	}
+	keys, err := ds.DeltaSince(gen)
+	if err != nil {
+		return fmt.Errorf("delta since %d: %w", gen, err)
+	}
+	for _, key := range keys {
+		if err := c.replayKey(donor, rep, key); err != nil {
+			return fmt.Errorf("replay delta key: %w", err)
+		}
+	}
+	return nil
 }
 
 // replayKey copies one key's current state from donor to rep through the

@@ -22,7 +22,7 @@ type fakeRepairHub struct {
 	gen       map[string]uint64
 	fetches   int
 	pushes    int
-	staleOnce bool // next DeltaSince fails ErrSealGeneration (simulated racing seal)
+	truncOnce bool // next DeltaSince fails ErrDeltaTruncated (simulated delta overflow)
 }
 
 func (h *fakeRepairHub) open(replica string) (RepairSession, error) {
@@ -37,6 +37,7 @@ func (h *fakeRepairHub) open(replica string) (RepairSession, error) {
 type fakeSession struct {
 	hub  *fakeRepairHub
 	name string
+	gen  uint64 // generation of this session's last FetchSnapshot
 }
 
 func (s *fakeSession) FetchSnapshot(w io.Writer) (uint64, error) {
@@ -54,7 +55,8 @@ func (s *fakeSession) FetchSnapshot(w io.Writer) (uint64, error) {
 	if _, err := w.Write(blob); err != nil {
 		return 0, err
 	}
-	return s.hub.gen[s.name], nil
+	s.gen = s.hub.gen[s.name]
+	return s.gen, nil
 }
 
 func (s *fakeSession) PushSnapshot(r io.Reader) (int, error) {
@@ -82,11 +84,11 @@ func (s *fakeSession) PushSnapshot(r io.Reader) (int, error) {
 func (s *fakeSession) DeltaSince(gen uint64) ([]string, error) {
 	s.hub.mu.Lock()
 	defer s.hub.mu.Unlock()
-	if s.hub.staleOnce {
-		s.hub.staleOnce = false
-		return nil, core.ErrSealGeneration
+	if s.hub.truncOnce {
+		s.hub.truncOnce = false
+		return nil, core.ErrDeltaTruncated
 	}
-	if gen != s.hub.gen[s.name] {
+	if gen == 0 || gen != s.gen {
 		return nil, core.ErrSealGeneration
 	}
 	return nil, nil
@@ -416,7 +418,8 @@ func TestMutualRepairKeepsAckedWrite(t *testing.T) {
 
 // TestReplicatedFullSyncRepair: a replica whose journal overflowed (or
 // whose state is suspect) is rebuilt from a donor snapshot — including
-// surviving a DeltaSince generation race, which forces a refetch.
+// surviving a truncated delta, after which the next repair scan starts
+// over with a fresh snapshot.
 func TestReplicatedFullSyncRepair(t *testing.T) {
 	c, fakes, hub := newReplicatedFakes(t, 3, true, Options{
 		RetryBackoff:   2 * time.Millisecond,
@@ -435,12 +438,12 @@ func TestReplicatedFullSyncRepair(t *testing.T) {
 		}
 	}
 	// The replica also "lost" its state, and the first delta query will
-	// report a racing seal.
+	// report an overflowed delta.
 	fakes[2].mu.Lock()
 	fakes[2].m = map[string][]byte{}
 	fakes[2].mu.Unlock()
 	hub.mu.Lock()
-	hub.staleOnce = true
+	hub.truncOnce = true
 	hub.mu.Unlock()
 	fakes[2].setFail(nil)
 
@@ -459,7 +462,7 @@ func TestReplicatedFullSyncRepair(t *testing.T) {
 	fetches, pushes := hub.fetches, hub.pushes
 	hub.mu.Unlock()
 	if pushes < 2 || fetches < 2 {
-		t.Errorf("generation race not retried: fetches=%d pushes=%d, want >= 2 each", fetches, pushes)
+		t.Errorf("truncated delta not retried: fetches=%d pushes=%d, want >= 2 each", fetches, pushes)
 	}
 	if got := c.Stats().Repairs; got < 1 {
 		t.Errorf("Repairs = %d, want >= 1", got)

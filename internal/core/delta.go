@@ -4,116 +4,130 @@ import (
 	"errors"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
-// Delta log: the bounded set of keys dirtied since the last seal.
-//
-// Anti-entropy repair reconstructs a lagging replica as "sealed snapshot
-// at generation g, plus a replay of every key dirtied since g". The
-// server only needs to remember *which* keys changed — the repairing
-// client fetches their current values (and re-encrypts them under fresh
-// one-time keys) through the ordinary data path, so no payload plaintext
-// or key material is involved here, matching the client-centric trust
-// model.
+// Delta: the keys dirtied since a repair session's snapshot, which the
+// repairing client re-reads through the data path — no value, K_op or MAC
+// is kept here. A session's OpSnapshot at off 0 arms its set
+// before the seal serializes the table, its OpDelta takes the set, and a
+// new snapshot, a
+// restore or the session's end drops it. With no repair in flight a
+// write records nothing.
 
-// deltaLogCap bounds the dirty-key set. Past the cap the log is poisoned
-// (ErrDeltaTruncated) until the next seal: repair then falls back to a
-// fresh full snapshot instead of an incomplete delta.
+// deltaLogCap bounds a dirty-key set. Past the cap the set lets its keys
+// go and its delta answers ErrDeltaTruncated: repair then starts over with
+// a fresh snapshot instead of an incomplete delta.
 const deltaLogCap = 1 << 16
 
-// Delta-log errors.
+// Delta errors.
 var (
 	// ErrDeltaTruncated reports a dirty-key set that overflowed its bound:
-	// the delta since the last seal is incomplete and must not be used.
+	// the delta since the snapshot is incomplete and must not be used.
 	ErrDeltaTruncated = errors.New("precursor: delta log truncated")
-	// ErrSealGeneration reports a DeltaSince generation that does not match
-	// the server's last seal — the caller's snapshot is stale.
+	// ErrSealGeneration reports a delta generation that is not the one of
+	// the session's own last snapshot — the caller's snapshot is stale.
 	ErrSealGeneration = errors.New("precursor: seal generation mismatch")
 )
 
-// recordDelta marks key dirty since the last seal. Called on the apply
-// path after the table mutation, so a key is never in the delta without
-// its final state being visible to a subsequent read. key may be a view: a
-// key entering the set shares the table's copy, or is cloned once the table
-// no longer has it (a delete). The table lock nests inside deltaMu.
-func (s *Server) recordDelta(key string) {
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	if _, dirty := s.delta[key]; dirty || s.deltaOverflow {
-		return
+// dirtySet is one repair session's dirty-key set. gen, its snapshot's
+// generation, is written and read only by the session's trusted thread.
+type dirtySet struct {
+	gen  uint64
+	keys map[string]struct{} // nil once the set overflowed deltaLogCap
+}
+
+// dirtySets are the sets of the repairs in flight, by session. armed is
+// their count, so a write with none in flight takes no lock.
+type dirtySets struct {
+	armed     atomic.Int32
+	mu        sync.Mutex
+	bySession map[uint32]*dirtySet
+}
+
+// arm registers a fresh set for sess in place of the one it had. An ended
+// session's set goes unregistered: endSession marks the session revoked
+// before it drops the session's set.
+func (d *dirtySets) arm(sess *session) *dirtySet {
+	set := &dirtySet{keys: make(map[string]struct{})}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.bySession == nil {
+		d.bySession = make(map[uint32]*dirtySet)
 	}
-	if len(s.delta) >= deltaLogCap {
-		s.deltaOverflow = true
-		s.delta = make(map[string]struct{})
-		return
+	if !sess.revoked.Load() {
+		d.bySession[sess.id] = set
 	}
-	own, ok := s.table.Key(key)
-	if !ok {
-		own = strings.Clone(key)
-	}
-	s.delta[own] = struct{}{}
+	d.armed.Store(int32(len(d.bySession)))
+	return set
 }
 
-// beginDeltaSeal swaps in a fresh dirty-key set before state
-// serialization starts. Writes applied while the snapshot is being taken
-// land in the new set (and possibly also in the snapshot — a harmless
-// duplicate), so "snapshot + delta" never misses a write. While the seal
-// is in progress the log answers ErrSealGeneration; commitDeltaSeal or
-// abortDeltaSeal ends that window.
-func (s *Server) beginDeltaSeal() {
-	s.deltaMu.Lock()
-	s.delta = make(map[string]struct{})
-	s.deltaOverflow = false
-	s.deltaSealing = true
-	s.deltaMu.Unlock()
+// drop unregisters session id's set, if any, and returns it.
+func (d *dirtySets) drop(id uint32) *dirtySet {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	set := d.bySession[id]
+	delete(d.bySession, id)
+	d.armed.Store(int32(len(d.bySession)))
+	return set
 }
 
-// commitDeltaSeal stamps the freshly swapped dirty-key set with the
-// seal's counter value.
-func (s *Server) commitDeltaSeal(gen uint64) {
-	s.deltaMu.Lock()
-	s.deltaGen = gen
-	s.deltaSealing = false
-	s.deltaMu.Unlock()
+// dropAll unregisters every set: once the store's state is replaced
+// wholesale, no earlier snapshot describes it.
+func (d *dirtySets) dropAll() {
+	d.mu.Lock()
+	clear(d.bySession)
+	d.armed.Store(0)
+	d.mu.Unlock()
 }
 
-// abortDeltaSeal poisons the log after a failed seal: the pre-seal dirty
-// set was discarded, so deltas against the previous generation would be
-// incomplete. The next successful seal heals it.
-func (s *Server) abortDeltaSeal() {
-	s.deltaMu.Lock()
-	s.deltaOverflow = true
-	s.deltaSealing = false
-	s.deltaMu.Unlock()
-}
-
-// SealGeneration returns the trusted-counter value of the last seal this
-// process performed (0 before the first seal). DeltaSince against this
-// generation enumerates everything dirtied after that seal.
-func (s *Server) SealGeneration() uint64 {
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	return s.deltaGen
-}
-
-// DeltaSince returns the sorted keys dirtied since the seal at generation
-// gen. It fails with ErrSealGeneration when gen is not the server's last
-// seal (the caller's snapshot is stale — take a new one) and with
-// ErrDeltaTruncated when the dirty-key set overflowed (fall back to a
-// full snapshot).
-func (s *Server) DeltaSince(gen uint64) ([]string, error) {
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	if s.deltaSealing || gen != s.deltaGen {
+// take unregisters session id's set and returns its keys, sorted:
+// ErrSealGeneration unless the set is of generation gen — take a fresh
+// snapshot — and ErrDeltaTruncated if it overflowed.
+func (d *dirtySets) take(id uint32, gen uint64) ([]string, error) {
+	set := d.drop(id)
+	switch {
+	case set == nil || set.gen != gen:
 		return nil, ErrSealGeneration
-	}
-	if s.deltaOverflow {
+	case set.keys == nil:
 		return nil, ErrDeltaTruncated
 	}
-	keys := make([]string, 0, len(s.delta))
-	for k := range s.delta {
+	keys := make([]string, 0, len(set.keys))
+	for k := range set.keys {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys, nil
+}
+
+// recordDelta marks key dirty in every armed set. Called on the apply path
+// after the table mutation, so a key is never in a delta before its final
+// state is visible to a read, and a write that finds no set armed mutated
+// the table before any snapshot now starting serializes it. key may be a
+// view: a set shares the table's copy, or clones a key the table no longer
+// has (a delete). The table lock nests inside dirtySets.mu.
+func (s *Server) recordDelta(key string) {
+	d := &s.dirty
+	if d.armed.Load() == 0 {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	own, owned := key, false
+	for _, set := range d.bySession {
+		if _, dirty := set.keys[key]; dirty || set.keys == nil {
+			continue
+		}
+		if len(set.keys) >= deltaLogCap {
+			set.keys = nil
+			continue
+		}
+		if !owned {
+			if own, owned = s.table.Key(key); !owned {
+				own, owned = strings.Clone(key), true
+			}
+		}
+		set.keys[own] = struct{}{}
+	}
 }

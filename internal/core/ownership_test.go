@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -341,13 +342,14 @@ func (r scribbleFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestStoreOwnsItsKeys: puts, overwrites and deletes hand the table and
-// the delta set a view of the opened control's key bytes, and compaction
-// hands them a view of the record's key in its walk window. After every
-// operation this test overwrites the control plaintext of every session
-// and, with a value log, every buffer the log read into; the keys the
-// store kept must be its own copies all the same — Range lists the
-// original keys, DeltaSince the keys dirtied, and a seal → restore round
-// trip brings back every key and value.
+// a repair session's dirty-key set a view of the opened control's key
+// bytes, and compaction hands the table a view of the record's key in its
+// walk window. After every operation this test overwrites the control
+// plaintext of every session and, with a value log, every buffer the log
+// read into; the keys the store kept must be its own copies all the same —
+// Range lists the original keys, the repair session's DeltaSince the keys
+// dirtied since its FetchSnapshot, and a seal → restore round trip brings
+// back every key and value.
 func TestStoreOwnsItsKeys(t *testing.T) {
 	for _, mode := range []string{"base", "vlog"} {
 		t.Run(mode, func(t *testing.T) {
@@ -368,6 +370,12 @@ func TestStoreOwnsItsKeys(t *testing.T) {
 				tc = newCluster(t, ServerConfig{Workers: 1})
 			}
 			c := tc.connect()
+			// A repair session's snapshot arms the dirty-key set the ops fill.
+			rc := tc.connect()
+			gen, err := rc.FetchSnapshot(io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
 			scribble := func() {
 				s := tc.server
 				s.mu.Lock()
@@ -460,7 +468,7 @@ func TestStoreOwnsItsKeys(t *testing.T) {
 				}
 			}
 			check(tc, c, "after the ops")
-			delta, err := tc.server.DeltaSince(tc.server.SealGeneration())
+			delta, err := rc.DeltaSince(gen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,14 +489,19 @@ func TestStoreOwnsItsKeys(t *testing.T) {
 				do("restore", tc.server.Restore(bytes.NewReader(snap)))
 			}
 			check(tc, c, "after seal → restore")
-			// Keys enter the fresh delta set: a put's from the restored
-			// table, a delete's — the table no longer has it — as a clone.
+			// Keys enter a set armed on the restored store: a put's from the
+			// restored table, a delete's — the table no longer has it — as a
+			// clone.
+			rc = tc.connect()
+			if gen, err = rc.FetchSnapshot(io.Discard); err != nil {
+				t.Fatal(err)
+			}
 			put, del := key(1), key(2)
 			want[put] = value(1, 4)
 			do("put after restore", c.Put(put, want[put]))
 			do("delete after restore", c.Delete(del))
 			delete(want, del)
-			if delta, err := tc.server.DeltaSince(tc.server.SealGeneration()); err != nil || !slices.Equal(delta, []string{put, del}) {
+			if delta, err := rc.DeltaSince(gen); err != nil || !slices.Equal(delta, []string{put, del}) {
 				t.Fatalf("DeltaSince after restore = %q, %v; want [%s %s]", delta, err, put, del)
 			}
 			check(tc, c, "after a put on the restored store")

@@ -49,9 +49,7 @@ const maxSnapshot = 1 << 32
 
 // Seal writes an authenticated, encrypted snapshot of the store to w and
 // bumps the trusted monotonic counter. Only a snapshot produced by the
-// latest Seal will Restore. Sealing also starts a fresh delta log: keys
-// dirtied after this seal are enumerable with DeltaSince, which is how
-// anti-entropy repair avoids re-streaming unchanged state.
+// latest Seal will Restore.
 //
 // With the value log enabled the snapshot is index-only: per-entry
 // metadata, sequence numbers and log pointers, but no pool payloads —
@@ -76,28 +74,20 @@ func (s *Server) seal(w io.Writer, full bool) error {
 		if err != nil {
 			return err
 		}
-		// Swap in a fresh dirty-key set before serializing: a write racing
-		// the serialization lands in the new set (and possibly also in the
-		// snapshot — a harmless duplicate), never in neither.
-		s.beginDeltaSeal()
 		plain, err := s.serializeState(full)
 		if err != nil {
-			s.abortDeltaSeal()
 			return err
 		}
 		counter, err := s.rollback.Increment()
 		if err != nil {
-			s.abortDeltaSeal()
 			return fmt.Errorf("trusted counter: %w", err)
 		}
 		var ad [8]byte
 		binary.LittleEndian.PutUint64(ad[:], counter)
 		sealed, err := aead.Seal(plain, ad[:])
 		if err != nil {
-			s.abortDeltaSeal()
 			return err
 		}
-		s.commitDeltaSeal(counter)
 		if _, err := w.Write(snapshotMagic); err != nil {
 			return fmt.Errorf("write snapshot: %w", err)
 		}
@@ -233,7 +223,9 @@ func (s *Server) restore(r io.Reader, allowNewer bool) error {
 				Detail: "snapshot failed authentication under sealing key"})
 			return ErrSnapshotAuth
 		}
-		if err := s.deserializeState(plain); err != nil {
+		err = s.deserializeState(plain)
+		s.dirty.dropAll() // under sealMu: no set armed before describes what is left
+		if err != nil {
 			return err
 		}
 		if counter > current {
@@ -245,14 +237,6 @@ func (s *Server) restore(r io.Reader, allowNewer bool) error {
 				return fmt.Errorf("trusted counter: %w", err)
 			}
 		}
-		// The store now equals the snapshot at generation counter exactly:
-		// restart the delta log from there.
-		s.deltaMu.Lock()
-		s.delta = make(map[string]struct{})
-		s.deltaOverflow = false
-		s.deltaSealing = false
-		s.deltaGen = counter
-		s.deltaMu.Unlock()
 		return nil
 	})
 }
@@ -266,7 +250,7 @@ func (s *Server) restore(r io.Reader, allowNewer bool) error {
 // eflags u8 (1 hasMAC, 2 inline, 4 hasVptr) | mac | seq u64 |
 // [seg u32 | off u64 | len u32] | dataLen u32 | data.
 //
-// Index-only (full=false) snapshots always carry inline values (they
+// Index-only (full=false) snapshots carry enclave-inline values (they
 // are enclave state and small) but no pool payloads — an entry's value
 // lives in the log, reachable through its pointer. Full snapshots add
 // the payload bytes, read back from the log when not cached, and are
@@ -298,11 +282,32 @@ func (s *Server) serializeState(full bool) ([]byte, error) {
 		out = append(out, key...)
 		out = append(out, e.opKey[:]...)
 		out = binary.LittleEndian.AppendUint32(out, e.owner)
+		data, inline := []byte(nil), e.inline != nil
+		switch {
+		case inline:
+			data = e.inline.Data
+		case !full:
+		case e.ref.Valid():
+			data, failure = s.pool.Read(e.ref)
+		case e.vptr.Valid():
+			// From the log record; an inline record's value is in its metadata.
+			var m vlogMeta
+			rec, err := s.vlog.ReadAt(e.vptr)
+			if failure = err; err == nil {
+				m, failure = s.openVlogMeta(e.vptr, rec)
+			}
+			if data, inline = rec.Payload, m.flags&vlogMetaInline != 0; inline {
+				data = m.value
+			}
+		}
+		if failure != nil {
+			return false
+		}
 		eflags := byte(0)
 		if e.hasMAC {
 			eflags |= 1
 		}
-		if e.inline != nil {
+		if inline {
 			eflags |= 2
 		}
 		if e.vptr.Valid() {
@@ -316,31 +321,8 @@ func (s *Server) serializeState(full bool) ([]byte, error) {
 			out = binary.LittleEndian.AppendUint64(out, e.vptr.Offset)
 			out = binary.LittleEndian.AppendUint32(out, e.vptr.Length)
 		}
-		switch {
-		case e.inline != nil:
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(e.inline.Data)))
-			out = append(out, e.inline.Data...)
-		case !full:
-			out = binary.LittleEndian.AppendUint32(out, 0)
-		case e.ref.Valid():
-			stored, err := s.pool.Read(e.ref)
-			if err != nil {
-				failure = err
-				return false
-			}
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(stored)))
-			out = append(out, stored...)
-		case e.vptr.Valid():
-			rec, err := s.vlog.ReadAt(e.vptr)
-			if err != nil {
-				failure = err
-				return false
-			}
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(rec.Payload)))
-			out = append(out, rec.Payload...)
-		default:
-			out = binary.LittleEndian.AppendUint32(out, 0)
-		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(data)))
+		out = append(out, data...)
 		return true
 	})
 	return out, failure
@@ -406,8 +388,8 @@ func (s *Server) deserializeState(buf []byte) error {
 		e.hasMAC = eflags&1 != 0
 		inline := eflags&2 != 0
 		hasVptr := eflags&4 != 0
-		if (e.hasMAC || inline) && !s.table.Wide() { // a base-layout record has no room for the MAC or an inline value
-			return fmt.Errorf("%w: hardened-MAC or inline entry needs HardenedMACs, InlineSmallValues or a value log", ErrSnapshotFormat)
+		if e.hasMAC && !s.table.Wide() { // a base-layout record has no room for the MAC
+			return fmt.Errorf("%w: hardened-MAC entry needs HardenedMACs, InlineSmallValues or a value log", ErrSnapshotFormat)
 		}
 		copy(e.mac[:], buf[:wire.MACSize])
 		e.seq = binary.LittleEndian.Uint64(buf[wire.MACSize:])
@@ -437,10 +419,15 @@ func (s *Server) deserializeState(buf []byte) error {
 		data := buf[:dataLen]
 		buf = buf[dataLen:]
 
+		// An inline value enters the enclave only in inline mode; else it
+		// stays in its log record, and without one it is refused.
 		var err error
-		if inline {
+		switch {
+		case inline && s.cfg.InlineSmallValues:
 			err = s.placeInline(&e, data)
-		} else {
+		case inline && (full || !e.vptr.Valid()):
+			err = fmt.Errorf("%w: inline entry needs InlineSmallValues", ErrSnapshotFormat)
+		case !inline:
 			err = s.placeStored(&e, data)
 		}
 		if err != nil {

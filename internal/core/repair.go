@@ -20,11 +20,11 @@ import (
 //
 // Repair moves sealed state between the replicas of a group: fetch a
 // sealed snapshot from a healthy donor, push it into a restarted replica,
-// and list the keys the donor dirtied since its seal so only that delta is
-// replayed through the data path. Each step is an op of the one batch
-// frame on an ordinary attested session, applied by the session's trusted
-// thread under its replay window, control seal and admission rule: a frame
-// of repair ops is a write.
+// and list the keys the donor dirtied since that snapshot so only that
+// delta is replayed through the data path. Each step is an op of the one
+// batch frame on an ordinary attested session, applied by the session's
+// trusted thread under its replay window, control seal and admission rule:
+// a frame of repair ops is a write.
 //
 // Trust model: the sealed snapshot is opaque to the repairing client. It
 // is AEAD-sealed under the replica group's shared sealing key (same
@@ -42,12 +42,13 @@ import (
 //
 //	OpSnapshot(off, 0)     → gen, total; a chunk in the reply's payload region
 //	OpRestore(off, total)  a chunk in the frame's payload region
-//	                       → entries, gen once the chunk completes total
+//	                       → entries, trusted counter once the chunk completes total
 //	OpDelta(gen, off)      → count, then one page of (u16 length ‖ key)
 //
 // off counts what already crossed: bytes of a snapshot, keys of a delta.
 // off 0 starts over — seals now, begins a push, lists the delta — and any
-// other off must equal what the session has sent or received.
+// other off must equal what the session has sent or received. A delta is
+// the keys dirtied since the session's own last snapshot (delta.go).
 
 // repairState is a session's repair in progress: at most one snapshot
 // being fetched, one being pushed and one delta being listed. The session's
@@ -56,6 +57,7 @@ import (
 // session. Accessed only by the owning trusted thread.
 type repairState struct {
 	snap      []byte // sealed snapshot pinned at off 0, until its last chunk is sent
+	snapGen   uint64
 	snapSent  int
 	push      []byte // pushed snapshot received so far
 	pushTotal uint64
@@ -127,20 +129,24 @@ func (s *Server) repairStep(sess *session, r *repairState, o *wire.BatchOp, seg 
 	case wire.OpSnapshot:
 		if a == 0 {
 			// Donor snapshots always carry payloads: a joiner cannot resolve
-			// pointers into this node's value log.
+			// pointers into this node's value log. Armed first, the session's
+			// dirty-key set misses no write the snapshot misses.
 			var buf bytes.Buffer
 			r.snap, r.snapSent = nil, 0
+			set := s.dirty.arm(sess)
 			if err := s.seal(&buf, true); err != nil {
+				s.dirty.drop(sess.id)
 				return nil, nil, err
 			}
-			r.snap = buf.Bytes()
+			// The generation is the trusted counter the snapshot header carries.
+			r.snap, r.snapGen = buf.Bytes(), binary.LittleEndian.Uint64(buf.Bytes()[len(snapshotMagic):])
+			set.gen = r.snapGen
 		}
 		n := min(len(r.snap)-r.snapSent, room-16)
 		if r.snap == nil || a != uint64(r.snapSent) || n <= 0 {
 			return nil, nil, errRepairStep
 		}
-		// The generation is the trusted counter the snapshot header carries.
-		fields = binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(r.snap[len(snapshotMagic):]))
+		fields = binary.LittleEndian.AppendUint64(nil, r.snapGen)
 		fields = binary.LittleEndian.AppendUint64(fields, uint64(len(r.snap)))
 		payload = r.snap[r.snapSent : r.snapSent+n]
 		if r.snapSent += n; r.snapSent == len(r.snap) {
@@ -164,10 +170,10 @@ func (s *Server) repairStep(sess *session, r *repairState, o *wire.BatchOp, seg 
 			return nil, nil, err
 		}
 		fields = binary.LittleEndian.AppendUint64(nil, uint64(s.table.Len()))
-		return binary.LittleEndian.AppendUint64(fields, s.SealGeneration()), nil, nil
+		return binary.LittleEndian.AppendUint64(fields, s.RollbackCounter()), nil, nil
 	case wire.OpDelta:
 		if b == 0 {
-			keys, err := s.DeltaSince(a)
+			keys, err := s.dirty.take(sess.id, a)
 			r.keys, r.keysGen, r.keysSent = keys, a, 0
 			if err != nil {
 				return nil, nil, err
@@ -246,10 +252,10 @@ func (c *Client) PushSnapshot(src io.Reader) (int, error) {
 	return int(binary.LittleEndian.Uint64(v)), nil
 }
 
-// DeltaSince lists the keys the server dirtied since its seal at
-// generation gen, a page per op. ErrSealGeneration means gen is stale —
-// fetch a fresh snapshot; ErrDeltaTruncated means the server's delta log
-// overflowed — fall back to a full snapshot.
+// DeltaSince lists, a page per op, the keys the server dirtied since this
+// session's last FetchSnapshot, of generation gen, and ends that delta.
+// ErrSealGeneration means gen is not that snapshot's — fetch a fresh one;
+// ErrDeltaTruncated means the delta overflowed — fall back likewise.
 func (c *Client) DeltaSince(gen uint64) ([]string, error) {
 	var keys []string
 	for total := uint64(1); uint64(len(keys)) < total; {

@@ -127,24 +127,10 @@ func TestRepairSnapshotDeltaTransfer(t *testing.T) {
 		t.Fatalf("delta = %v, want %v", delta, want)
 	}
 
-	// Replay the delta through the data path (what the cluster client's
-	// repair orchestration does): donor read → target write/delete.
+	// Replay the delta through the data path: donor read → target
+	// write/delete.
 	ct := target.connect()
-	for _, key := range delta {
-		v, err := cd.Get(key)
-		switch {
-		case err == nil:
-			if err := ct.Put(key, v); err != nil {
-				t.Fatalf("replay put %q: %v", key, err)
-			}
-		case errors.Is(err, ErrNotFound):
-			if err := ct.Delete(key); err != nil && !errors.Is(err, ErrNotFound) {
-				t.Fatalf("replay delete %q: %v", key, err)
-			}
-		default:
-			t.Fatalf("replay read %q: %v", key, err)
-		}
-	}
+	replayDelta(t, cd, ct, delta)
 
 	// The target now serves the donor's exact state.
 	for i := 2; i < 40; i++ {
@@ -345,8 +331,8 @@ func TestRepairReplayedFrameRefused(t *testing.T) {
 
 // TestRepairClosedSessionIsReleased: a client that hangs up mid-fetch
 // leaves nothing behind. Its session ends at the trusted thread's next
-// sweep, which frees its MaxClients slot, and the snapshot pinned on it
-// becomes garbage.
+// sweep, which frees its MaxClients slot and drops the dirty-key set its
+// snapshot armed, and the snapshot pinned on it becomes garbage.
 func TestRepairClosedSessionIsReleased(t *testing.T) {
 	tc := newCluster(t, ServerConfig{MaxClients: 2})
 	tc.preload(200, 512) // one session; a sealed snapshot of several chunks
@@ -362,6 +348,9 @@ func TestRepairClosedSessionIsReleased(t *testing.T) {
 		if sess == nil || sess.repair == nil || sess.repair.snap == nil {
 			t.Fatal("no snapshot pinned on the session mid-fetch")
 		}
+		if n := tc.server.dirty.armed.Load(); n != 1 {
+			t.Fatalf("%d dirty-key sets armed mid-fetch, want 1", n)
+		}
 		runtime.SetFinalizer(sess.repair, func(*repairState) { close(freed) })
 	}()
 	_ = c.Close()
@@ -373,6 +362,12 @@ func TestRepairClosedSessionIsReleased(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	tc.connect() // the second of MaxClients' two slots is free again
+	tc.server.dirty.mu.Lock()
+	sets := len(tc.server.dirty.bySession)
+	tc.server.dirty.mu.Unlock()
+	if n := tc.server.dirty.armed.Load(); n != 0 || sets != 0 {
+		t.Fatalf("the closed session left %d dirty-key sets registered (%d armed)", sets, n)
+	}
 	for {
 		runtime.GC()
 		select {
@@ -552,52 +547,287 @@ func BenchmarkRepairSealPause(b *testing.B) {
 	b.ReportMetric(float64(longest.Load())/1e6, "longest-get-ms")
 }
 
-// TestDeltaLogSemantics covers the dirty-key set's bookkeeping directly:
-// generation matching, the in-progress-seal window, the abort poison and
-// the overflow bound.
+// TestDeltaLogSemantics covers a repair session's dirty-key set through
+// the repair ops: with no repair in flight a write takes no lock and
+// records nothing; a snapshot arms the session's set; a delta of another
+// generation fails typed and ends the set; a restore ends every set; past
+// the cap the delta is truncated, never silently short.
 func TestDeltaLogSemantics(t *testing.T) {
 	tc := newCluster(t, ServerConfig{})
 	s := tc.server
+	registered := func() int {
+		s.dirty.mu.Lock()
+		defer s.dirty.mu.Unlock()
+		return len(s.dirty.bySession)
+	}
 
-	if g := s.SealGeneration(); g != 0 {
-		t.Fatalf("initial generation = %d", g)
+	// Idle: a write holding the lock would wait for the test to let it go.
+	s.dirty.mu.Lock()
+	idle := make(chan float64)
+	go func() { idle <- testing.AllocsPerRun(100, func() { s.recordDelta("idle") }) }()
+	select {
+	case n := <-idle:
+		s.dirty.mu.Unlock()
+		if n != 0 || s.dirty.bySession != nil {
+			t.Fatalf("idle recordDelta: %v allocs per call, sets %v", n, s.dirty.bySession)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("recordDelta with no repair in flight waits for the lock")
+	}
+
+	c := tc.connect()
+	gen, err := c.FetchSnapshot(io.Discard)
+	if err != nil {
+		t.Fatal(err)
 	}
 	s.recordDelta("a")
-	if keys, err := s.DeltaSince(0); err != nil || fmt.Sprint(keys) != "[a]" {
-		t.Fatalf("DeltaSince(0) = %v, %v", keys, err)
-	}
-	if _, err := s.DeltaSince(7); !errors.Is(err, ErrSealGeneration) {
+	if _, err := c.DeltaSince(gen + 1); !errors.Is(err, ErrSealGeneration) {
 		t.Fatalf("DeltaSince(wrong gen): %v", err)
 	}
-
-	// During a seal the log is unqueryable; commit stamps the generation.
-	s.beginDeltaSeal()
-	if _, err := s.DeltaSince(0); !errors.Is(err, ErrSealGeneration) {
-		t.Fatalf("DeltaSince(mid-seal): %v", err)
+	// The listing ended the session's set, the stale one included.
+	if _, err := c.DeltaSince(gen); !errors.Is(err, ErrSealGeneration) || registered() != 0 {
+		t.Fatalf("DeltaSince after the set was taken: %v, %d sets", err, registered())
 	}
-	s.commitDeltaSeal(5)
-	if keys, err := s.DeltaSince(5); err != nil || len(keys) != 0 {
-		t.Fatalf("DeltaSince(5) = %v, %v", keys, err)
+	if gen, err = c.FetchSnapshot(io.Discard); err != nil {
+		t.Fatal(err)
 	}
 	s.recordDelta("b")
-	if keys, err := s.DeltaSince(5); err != nil || fmt.Sprint(keys) != "[b]" {
-		t.Fatalf("DeltaSince(5) after write = %v, %v", keys, err)
+	if keys, err := c.DeltaSince(gen); err != nil || fmt.Sprint(keys) != "[b]" {
+		t.Fatalf("DeltaSince(%d) = %v, %v", gen, keys, err)
 	}
 
-	// An aborted seal poisons the log until the next successful seal.
-	s.beginDeltaSeal()
-	s.abortDeltaSeal()
-	if _, err := s.DeltaSince(5); !errors.Is(err, ErrDeltaTruncated) {
-		t.Fatalf("DeltaSince(after abort): %v", err)
+	// No snapshot taken before a restore describes the restored state.
+	var snap bytes.Buffer
+	if gen, err = c.FetchSnapshot(&snap); err != nil {
+		t.Fatal(err)
 	}
-	s.beginDeltaSeal()
-	s.commitDeltaSeal(6)
+	if _, err := tc.connect().PushSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DeltaSince(gen); !errors.Is(err, ErrSealGeneration) {
+		t.Fatalf("DeltaSince across a restore: %v", err)
+	}
+	// A restore outside a repair session ends every set as well.
+	if gen, err = c.FetchSnapshot(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	snap.Reset()
+	if err := s.Seal(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DeltaSince(gen); !errors.Is(err, ErrSealGeneration) || registered() != 0 {
+		t.Fatalf("DeltaSince across a direct restore: %v, %d sets", err, registered())
+	}
 
 	// Overflow: past the cap the delta is truncated, never silently short.
+	if gen, err = c.FetchSnapshot(io.Discard); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i <= deltaLogCap; i++ {
 		s.recordDelta(fmt.Sprintf("key-%d", i))
 	}
-	if _, err := s.DeltaSince(6); !errors.Is(err, ErrDeltaTruncated) {
+	if _, err := c.DeltaSince(gen); !errors.Is(err, ErrDeltaTruncated) {
 		t.Fatalf("DeltaSince(overflow): %v", err)
 	}
+	if n := registered(); n != 0 || s.dirty.armed.Load() != 0 {
+		t.Fatalf("%d sets registered (%d armed) after the listing", n, s.dirty.armed.Load())
+	}
+}
+
+// replayDelta copies each key's current state from the donor session to
+// the target's: what the cluster client's repair orchestration does.
+func replayDelta(t *testing.T, from, to *Client, keys []string) {
+	t.Helper()
+	for _, key := range keys {
+		v, err := from.Get(key)
+		switch {
+		case err == nil:
+			if err := to.Put(key, v); err != nil {
+				t.Fatalf("replay put %q: %v", key, err)
+			}
+		case errors.Is(err, ErrNotFound):
+			if err := to.Delete(key); err != nil && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("replay delete %q: %v", key, err)
+			}
+		default:
+			t.Fatalf("replay read %q: %v", key, err)
+		}
+	}
+}
+
+// sameState fails t unless target holds donor's keys, each with donor's
+// value.
+func sameState(t *testing.T, donor, target *testCluster, cd, ct *Client) {
+	t.Helper()
+	keysOf := func(tc *testCluster) []string {
+		var keys []string
+		tc.server.table.Range(func(k string, _ entry) bool {
+			keys = append(keys, k)
+			return true
+		})
+		sort.Strings(keys)
+		return keys
+	}
+	want := keysOf(donor)
+	if got := keysOf(target); !slices.Equal(got, want) {
+		t.Fatalf("target holds keys %q, donor %q", got, want)
+	}
+	for _, key := range want {
+		dv, derr := cd.Get(key)
+		tv, terr := ct.Get(key)
+		if derr != nil || terr != nil || !bytes.Equal(dv, tv) {
+			t.Fatalf("%s: donor %q, %v; target %q, %v", key, dv, derr, tv, terr)
+		}
+	}
+}
+
+// TestRepairDeltaSurvivesDonorSeal: a delta is the repair session's own,
+// so a donor seal between its FetchSnapshot and its DeltaSince — a
+// server run with -seal-interval seals whenever its timer fires — leaves
+// the delta complete.
+func TestRepairDeltaSurvivesDonorSeal(t *testing.T) {
+	donor := newCluster(t, ServerConfig{})
+	cd := donor.connect()
+	mustPut(t, cd, "before", []byte("v0"))
+	rd := donor.connect()
+	gen, err := rd.FetchSnapshot(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, cd, "a", []byte("v1"))
+	if err := donor.server.Seal(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, cd, "b", []byte("v2"))
+	if err := cd.Delete("before"); err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := rd.DeltaSince(gen); err != nil || fmt.Sprint(keys) != "[a b before]" {
+		t.Fatalf("DeltaSince(%d) across a donor seal = %v, %v; want [a b before]", gen, keys, err)
+	}
+}
+
+// TestRepairTwoSessionsOneDonor: two sessions repair two targets from one
+// donor at once, their fetches, pushes and delta listings interleaved.
+// Each delta is its own session's, so the second fetch's seal leaves the
+// first delta whole, and both targets converge on the donor.
+func TestRepairTwoSessionsOneDonor(t *testing.T) {
+	donor := newCluster(t, ServerConfig{})
+	targets := []*testCluster{donor.newPeer(ServerConfig{}), donor.newPeer(ServerConfig{})}
+	donor.preload(40, 64)
+	cd := donor.connect()
+	rd := []*Client{donor.connect(), donor.connect()}
+	sealed := make([]bytes.Buffer, 2)
+	gens := make([]uint64, 2)
+	var err error
+	if gens[0], err = rd[0].FetchSnapshot(&sealed[0]); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, cd, "after-first", []byte("1"))
+	if gens[1], err = rd[1].FetchSnapshot(&sealed[1]); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, cd, "after-second", []byte("2"))
+	if err := cd.Delete("k00003"); err != nil {
+		t.Fatal(err)
+	}
+	ct := make([]*Client, 2)
+	for i, target := range targets {
+		ct[i] = target.connect()
+		if _, err := ct[i].PushSnapshot(&sealed[i]); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	mustPut(t, cd, "k00005", []byte("after both pushes"))
+	for i := range targets {
+		keys, err := rd[i].DeltaSince(gens[i])
+		if err != nil {
+			t.Fatalf("session %d: DeltaSince(%d): %v", i, gens[i], err)
+		}
+		replayDelta(t, cd, ct[i], keys)
+	}
+	for i, target := range targets {
+		sameState(t, donor, target, cd, ct[i])
+	}
+}
+
+// TestRepairConvergesUnderConcurrentWrites: writers put and delete on the
+// donor while a repair session fetches its snapshot, while the target
+// adopts it and while a periodic seal runs on the donor. After the
+// session's delta is replayed the target equals the donor, key by key: a
+// write racing the snapshot is in the snapshot, the delta or both, never
+// in neither. Run with -race -count=20.
+func TestRepairConvergesUnderConcurrentWrites(t *testing.T) {
+	donor := newCluster(t, ServerConfig{Workers: 2})
+	target := donor.newPeer(ServerConfig{Workers: 2})
+	donor.preload(64, 32)
+	var ops atomic.Int64
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		c := donor.connect()
+		go func() {
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				key := fmt.Sprintf("k%05d", (i*7+w*31)%96)
+				var err error
+				if i%5 == 4 {
+					if err = c.Delete(key); errors.Is(err, ErrNotFound) {
+						err = nil
+					}
+				} else {
+					err = c.Put(key, []byte(fmt.Sprintf("w%d-%d", w, i)))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				ops.Add(1)
+			}
+		}()
+	}
+	await := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ops.Load() < n; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("writers made %d ops, want %d", ops.Load(), n)
+			}
+		}
+	}
+	await(20)
+	rd := donor.connect()
+	var sealed bytes.Buffer
+	gen, err := rd.FetchSnapshot(&sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := target.connect()
+	if _, err := ct.PushSnapshot(&sealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := donor.server.Seal(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	await(ops.Load() + 20)
+	close(stop)
+	for w := 0; w < 2; w++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("writer: %v", err)
+		}
+	}
+	keys, err := rd.DeltaSince(gen)
+	if err != nil {
+		t.Fatalf("DeltaSince(%d): %v", gen, err)
+	}
+	cd := donor.connect()
+	replayDelta(t, cd, ct, keys)
+	sameState(t, donor, target, cd, ct)
 }

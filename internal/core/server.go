@@ -147,16 +147,8 @@ type Server struct {
 	wg     sync.WaitGroup
 	ready  atomic.Bool
 
-	// Delta log: the set of keys dirtied since the last seal, consumed by
-	// the anti-entropy repair path (snapshot at generation g + the keys
-	// dirtied since g reconstruct the current state). Bounded: overflow
-	// poisons the log until the next seal, forcing repair to fall back to
-	// a fresh full snapshot.
-	deltaMu       sync.Mutex
-	delta         map[string]struct{}
-	deltaGen      uint64
-	deltaOverflow bool
-	deltaSealing  bool
+	// dirty holds each in-flight repair session's dirty-key set (delta.go).
+	dirty dirtySets
 
 	// sealMu serializes Seal/Restore state swaps (a periodic sealer and a
 	// repair op's snapshot must not interleave their counter bumps).
@@ -215,7 +207,6 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 		enclave:  enclave,
 		rollback: c.RollbackCounter,
 		sessions: make(map[uint32]*session),
-		delta:    make(map[string]struct{}),
 		out:      make(chan outFrame, 1024),
 		frames:   make(chan []byte, replyFrameFree),
 		stopCh:   make(chan struct{}),
@@ -461,6 +452,7 @@ func (s *Server) endSession(id uint32, revoke bool) bool {
 		return false
 	}
 	sess.revoked.Store(true)
+	s.dirty.drop(id)
 	if revoke {
 		sess.conn.SetError()
 	} else {

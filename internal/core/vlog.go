@@ -545,14 +545,16 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 // entryFromRecord builds the index entry for an authenticated record,
 // rebuilding the enclave-inline region or the untrusted memory copy when
 // policy and resources allow; otherwise the entry stays disk-only, served
-// by read-through, rather than failing recovery.
+// by read-through, rather than failing recovery — an inline value too,
+// outside inline mode.
 func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) entry {
 	e := entry{baseEntry: baseEntry{opKey: m.opKey, owner: m.owner}, hasMAC: m.flags&vlogMetaHasMAC != 0,
 		mac: m.mac, vptr: ptr, seq: r.Seq}
-	if m.flags&vlogMetaInline != 0 {
-		_ = s.placeInline(&e, m.value)
-	} else {
+	switch {
+	case m.flags&vlogMetaInline == 0:
 		_ = s.placeStored(&e, r.Payload)
+	case s.cfg.InlineSmallValues:
+		_ = s.placeInline(&e, m.value)
 	}
 	return e
 }

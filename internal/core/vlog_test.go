@@ -787,6 +787,85 @@ func TestVlogInlineValuesRecover(t *testing.T) {
 	}
 }
 
+// TestVlogInlineValuesStayOnDiskWithoutTheMode: an inline value enters the
+// enclave only in inline mode, on recovery too. A server restarted without
+// the mode replays its inline records disk-only — a get still serves each
+// value, from its record's sealed metadata — and restores an index-only
+// snapshot the same way. Its full snapshot still carries those values as
+// inline; a full snapshot with inline entries, which has no record to fall
+// back on, is refused by a server without the mode.
+func TestVlogInlineValuesStayOnDiskWithoutTheMode(t *testing.T) {
+	h := newVlogHarness(t, 17, func(cfg *ServerConfig) {
+		cfg.InlineSmallValues = true
+	})
+	tc := h.boot()
+	c := tc.connect()
+	for i := 0; i < 10; i++ {
+		mustPut(t, c, fmt.Sprintf("tiny-%02d", i), []byte(fmt.Sprintf("v%02d", i)))
+	}
+	var full bytes.Buffer
+	if _, err := c.FetchSnapshot(&full); err != nil {
+		t.Fatal(err)
+	}
+	index := sealAndCapture(t, tc.server)
+	tc.server.Close()
+	h.fs.Crash()
+	h.cfg.InlineSmallValues = false
+
+	diskOnly := func(tc *testCluster, when string) {
+		t.Helper()
+		c := tc.connect()
+		for i := 0; i < 10; i++ {
+			key := fmt.Sprintf("tiny-%02d", i)
+			if e, ok := tc.server.table.Get(key); !ok || e.inline != nil {
+				t.Fatalf("%s %s: in the enclave without the mode (entry present %v)", key, when, ok)
+			}
+			if got, err := c.Get(key); err != nil || string(got) != fmt.Sprintf("v%02d", i) {
+				t.Fatalf("%s %s: %q %v", key, when, got, err)
+			}
+		}
+	}
+	tc = h.boot()
+	if _, err := tc.server.ReplayVlog(); err != nil {
+		t.Fatal(err)
+	}
+	diskOnly(tc, "after replay")
+	tc.server.Close()
+	tc = h.boot()
+	if err := tc.server.Restore(bytes.NewReader(index)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.server.ReplayVlog(); err != nil {
+		t.Fatal(err)
+	}
+	diskOnly(tc, "after an index-only restore")
+	// Its full snapshot carries each disk-only inline value as inline,
+	// from the record's sealed metadata, for an inline-mode peer to serve.
+	var fromDisk bytes.Buffer
+	if _, err := tc.connect().FetchSnapshot(&fromDisk); err != nil {
+		t.Fatal(err)
+	}
+	inlinePeer := tc.newPeer(ServerConfig{InlineSmallValues: true})
+	if err := inlinePeer.server.RestoreReplica(&fromDisk); err != nil {
+		t.Fatal(err)
+	}
+	cp := inlinePeer.connect()
+	for i := 0; i < 10; i++ {
+		key := fmt.Sprintf("tiny-%02d", i)
+		if got, err := cp.Get(key); err != nil || string(got) != fmt.Sprintf("v%02d", i) {
+			t.Fatalf("%s on the inline-mode peer: %q %v", key, got, err)
+		}
+		if e, _ := inlinePeer.server.table.Get(key); e.inline == nil {
+			t.Fatalf("%s on the inline-mode peer: not inline", key)
+		}
+	}
+	// A wide-layout peer without the mode.
+	peer := tc.newPeer(ServerConfig{HardenedMACs: true})
+	if err := peer.server.RestoreReplica(&full); !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("RestoreReplica(full snapshot with inline entries) = %v, want ErrSnapshotFormat", err)
+	}
+}
+
 // TestVlogIndexOnlySnapshotNeedsLog: an index-only snapshot restored
 // into a server without a value log must be refused, not half-loaded.
 func TestVlogIndexOnlySnapshotNeedsLog(t *testing.T) {
