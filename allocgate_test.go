@@ -173,8 +173,10 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 }
 
 // TestMemoryPerStoredByte is the whole-process analogue of Table 1: what a
-// stored byte costs in live Go heap. A server and one in-process client are
-// connected and left empty; the heap is measured after a forced GC, a fixed
+// stored byte costs in live Go heap. Once the rows before have closed and
+// their goroutines have exited, a server and one in-process client are
+// connected and left empty; the heap is measured after a forced GC (and
+// logged as the row's baseline), a fixed
 // number of keys is preloaded at one value size, and the heap is measured
 // again. The growth is everything the data made the process keep — pool
 // chunks (slot padding and the unused tail of the last chunk included),
@@ -211,8 +213,22 @@ func TestMemoryPerStoredByte(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	// settle waits, at most five seconds, until the goroutines of the rows
+	// before have exited — their servers and clients are closed by then —
+	// so that nothing they hold is counted in a row's empty heap and freed
+	// while it loads.
+	idle := runtime.NumGoroutine()
+	settle := func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > idle && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > idle {
+			t.Logf("%d goroutines still running after 5 s, %d before the first row", n, idle)
+		}
+	}
 	t.Logf("16 B key names; heap = HeapAlloc growth from the empty connected server, after GC")
-	t.Logf("%10s %8s %8s %12s %12s %10s %10s %9s %8s", "placement", "value", "keys", "user MiB", "heap MiB", "heap/user", "heap B/key", "pool/req", "EPC MiB")
+	t.Logf("%10s %8s %8s %12s %12s %10s %10s %9s %8s %10s", "placement", "value", "keys", "user MiB", "heap MiB", "heap/user", "heap B/key", "pool/req", "EPC MiB", "empty MiB")
 	for _, tc := range []struct {
 		placement string
 		valueSize int
@@ -244,6 +260,7 @@ func TestMemoryPerStoredByte(t *testing.T) {
 		} else {
 			name += fmt.Sprintf("@%dk", keys/1000)
 		}
+		settle()
 		t.Run(name, func(t *testing.T) {
 			platform, err := precursor.NewPlatform()
 			if err != nil {
@@ -269,8 +286,8 @@ func TestMemoryPerStoredByte(t *testing.T) {
 			heap := float64(loaded) - float64(empty)
 			user := float64(keys * tc.valueSize)
 			perByte, perKey := heap/user, heap/float64(keys)
-			t.Logf("%10s %8d %8d %12.2f %12.2f %10.3f %10.1f %9.3f %8.2f", tc.placement, tc.valueSize, keys, user/mib, heap/mib, perByte, perKey,
-				float64(st.PoolBytesReserved)/float64(st.PoolBytesRequested), st.Enclave.WorkingSetMiB())
+			t.Logf("%10s %8d %8d %12.2f %12.2f %10.3f %10.1f %9.3f %8.2f %10.2f", tc.placement, tc.valueSize, keys, user/mib, heap/mib, perByte, perKey,
+				float64(st.PoolBytesReserved)/float64(st.PoolBytesRequested), st.Enclave.WorkingSetMiB(), float64(empty)/mib)
 			if tc.maxPerByte > 0 && perByte > tc.maxPerByte {
 				t.Errorf("%d B values: %.3f heap bytes per stored byte exceeds the budget of %.2f", tc.valueSize, perByte, tc.maxPerByte)
 			}

@@ -95,9 +95,11 @@ type ClusterConfig struct {
 	// HedgeReads enables budget-guarded read hedging in replicated
 	// groups: a read the fastest replica has not answered within a p95
 	// estimate of its latency is also issued to the next healthy
-	// replica, and the first sealed-valid reply wins. Hedges spend
-	// retry-budget tokens, so tail-latency insurance can never become a
-	// read storm. A group of one has nowhere to hedge.
+	// replica, and the first sealed-valid reply wins. A hedge spends a
+	// retry-budget token that successful reads earned, never the bucket's
+	// standing allowance, so hedges stay within one read in ten (the
+	// default ratio) from the first read on: tail-latency insurance can
+	// never become a read storm. A group of one has nowhere to hedge.
 	HedgeReads bool
 	// HedgeMinDelay floors the hedge delay (default 1 ms).
 	HedgeMinDelay time.Duration

@@ -39,13 +39,7 @@ func (c *Client) BatchContext(ctx context.Context, ops []core.BatchOp) ([]core.B
 		return nil, nil
 	}
 	results := make([]core.BatchResult, len(ops))
-	if c.opts.Heat != nil {
-		c.opts.Heat.RecordBatch(len(ops))
-		for i := range ops {
-			c.opts.Heat.Record(batchHeatKind(ops[i].Kind),
-				heat.HashKey(ops[i].Key), len(ops[i].Value), 0)
-		}
-	}
+	defer c.recordBatchHeat(ops, results)
 	if err := spent(ctx); err != nil {
 		// The parent's budget is (nearly) spent: resolve every op with a
 		// clean timeout instead of fanning doomed work out to the replicas.
@@ -105,14 +99,20 @@ func (c *Client) BatchContext(ctx context.Context, ops []core.BatchOp) ([]core.B
 		}
 	}
 	op.Finish()
-	if c.opts.Heat != nil {
-		var out int
-		for i := range results {
+	return results, nil
+}
+
+// recordBatchHeat records a client batch's heat once its results are in.
+func (c *Client) recordBatchHeat(ops []core.BatchOp, results []core.BatchResult) {
+	if h := c.opts.Heat; h != nil {
+		h.RecordBatch(len(ops))
+		out := 0
+		for i := range ops {
+			h.Record(batchHeatKind(ops[i].Kind), heat.HashKey(ops[i].Key), len(ops[i].Value), 0)
 			out += len(results[i].Value)
 		}
-		c.opts.Heat.AddBytesOut(out)
+		h.AddBytesOut(out)
 	}
-	return results, nil
 }
 
 // batchHeatKind maps batch op kinds to heat collector kinds.

@@ -105,8 +105,8 @@ type Options struct {
 	// delay (a p95 estimate of its smoothed latency, floored at
 	// HedgeMinDelay), the read is also issued to the next healthy
 	// replica and the first sealed-valid reply wins; the loser's late
-	// result is discarded. Every hedge spends a token from Budget, so
-	// hedging can never more than marginally amplify read load.
+	// result is discarded. Every hedge spends a Budget token that reads
+	// earned, so hedges stay within its ratio of reads from the first on.
 	HedgeReads bool
 	// HedgeMinDelay floors the hedge delay (default 1ms) so
 	// sub-millisecond latency estimates do not hedge every read.
@@ -393,7 +393,7 @@ func (c *Client) PutContext(ctx context.Context, key string, value []byte) error
 	if err != nil {
 		return err
 	}
-	c.opts.Heat.Record(heat.KindPut, heat.HashKey(key), len(value), 0)
+	defer c.opts.Heat.Record(heat.KindPut, heat.HashKey(key), len(value), 0) // recorded after the reply
 	return c.writeOne(ctx, g, "put", core.BatchOp{Kind: core.BatchPut, Key: key, Value: value})
 }
 
@@ -412,11 +412,11 @@ func (c *Client) GetContext(ctx context.Context, key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.opts.Heat.Record(heat.KindGet, heat.HashKey(key), 0, 0)
 	// The work list of one lives on this frame: read never retains ops.
 	ops := [1]core.BatchOp{{Kind: core.BatchGet, Key: key}}
 	var out [1]core.BatchResult
 	c.read(ctx, g, "get", ops[:], out[:])
+	c.opts.Heat.Record(heat.KindGet, heat.HashKey(key), 0, 0)
 	c.opts.Heat.AddBytesOut(len(out[0].Value))
 	return out[0].Value, out[0].Err
 }
@@ -433,7 +433,7 @@ func (c *Client) DeleteContext(ctx context.Context, key string) error {
 	if err != nil {
 		return err
 	}
-	c.opts.Heat.Record(heat.KindDelete, heat.HashKey(key), 0, 0)
+	defer c.opts.Heat.Record(heat.KindDelete, heat.HashKey(key), 0, 0)
 	return c.writeOne(ctx, g, "delete", core.BatchOp{Kind: core.BatchDelete, Key: key})
 }
 

@@ -28,6 +28,17 @@ func pinPrimary(c *Client) {
 	c.reps["group-0/fast"].ewma.Store(int64(2 * time.Millisecond))
 }
 
+// earnHedge reads key ten times: a client hedges only on tokens its
+// successful reads deposited, one per ten.
+func earnHedge(t *testing.T, c *Client, key string) {
+	t.Helper()
+	for i := 0; i < 10; i++ {
+		if _, err := c.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func newHedgeGroup(t *testing.T, opts Options) (*Client, *fakeBackend, *fakeBackend) {
 	t.Helper()
 	slow, fast := newFake(), newFake()
@@ -54,6 +65,7 @@ func TestHedgedReadWinsOverSlowPrimary(t *testing.T) {
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
+	earnHedge(t, c, "k")
 	pinPrimary(c)
 
 	const primaryDelay = 150 * time.Millisecond
@@ -117,6 +129,37 @@ func TestHedgeDeniedWhenBudgetEmpty(t *testing.T) {
 	}
 }
 
+// TestHedgesOnlyOnEarnedTokens: every read of this client has a slow
+// primary and would hedge, but hedges spend only what successful reads
+// earned — none before the tenth success, at most one read in ten after.
+// The retry budget's standing allowance is not theirs to spend.
+func TestHedgesOnlyOnEarnedTokens(t *testing.T) {
+	c, slow, _ := newHedgeGroup(t, Options{HedgeReads: true, HedgeMinDelay: time.Millisecond})
+	if err := c.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	slow.getDelay.Store(int64(10 * time.Millisecond))
+	const reads = 100
+	for i := 1; i <= reads; i++ {
+		pinPrimary(c)
+		if v, err := c.Get("k"); err != nil || string(v) != "v" {
+			t.Fatalf("Get %d = %q, %v", i, v, err)
+		}
+		// Read i hedges only on what reads 1..i-1 earned.
+		if n := c.Stats().HedgesLaunched; n > uint64((i-1)/10) {
+			t.Fatalf("%d hedges launched by read %d, want at most %d", n, i, (i-1)/10)
+		}
+	}
+	st := c.Stats()
+	if st.HedgesLaunched == 0 {
+		t.Fatal("no hedge launched once reads had earned tokens")
+	}
+	if st.RetryBudget.Tokens < overload.DefaultBudgetMax-1 {
+		t.Errorf("hedges spent the standing allowance: %.1f tokens left of %d", st.RetryBudget.Tokens, overload.DefaultBudgetMax)
+	}
+	t.Logf("%d hedges over %d reads", st.HedgesLaunched, reads)
+}
+
 func TestHedgedReadsRepeatedlyConsistent(t *testing.T) {
 	c, slow, _ := newHedgeGroup(t, Options{
 		HedgeReads:    true,
@@ -128,6 +171,7 @@ func TestHedgedReadsRepeatedlyConsistent(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
+	earnHedge(t, c, "k0")
 	pinPrimary(c)
 	slow.getDelay.Store(int64(20 * time.Millisecond))
 	// Losing stragglers from earlier hedges must not corrupt later

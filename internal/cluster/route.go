@@ -513,7 +513,7 @@ func (c *Client) hedgedGet(ctx context.Context, g *groupState, op *obs.Op, order
 			if len(asked) > 1 || spent(ctx) != nil {
 				continue
 			}
-			if !c.opts.Budget.TrySpend() {
+			if !c.opts.Budget.TrySpendEarned() {
 				c.hedgesDenied.Add(1)
 				continue
 			}

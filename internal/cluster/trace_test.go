@@ -104,6 +104,7 @@ func TestHedgedReadSharesTrace(t *testing.T) {
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
+	earnHedge(t, c, "k")
 	pinPrimary(c)
 	slow.getDelay.Store(int64(150 * time.Millisecond))
 

@@ -29,6 +29,10 @@ import (
 //	delete  nothing but the key's re-put that precedes every delete here,
 //	        which inserts the key anew: an append to the table's key arena,
 //	        a chunk per thousands of keys (the delta set shares that copy)
+//	batch   per frame of batchFrame ops: the results slice, and for gets
+//	        one block holding every value of the frame, each value a window
+//	        of it with its capacity clipped; a put frame adds to the results
+//	        slice what its puts cost one by one (inline: 2 each)
 //
 // and nothing amortised: the fabric drains send completions into a buffer
 // the queue pair keeps. Budgets are the measured figures (beside each row)
@@ -41,21 +45,23 @@ func TestOpPathAllocBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	modes := []struct {
-		name             string
-		srv              ServerConfig
-		vlog             bool
-		get, put, putDel float64 // budgets: allocs per get, per overwrite-put, per put+delete pair
+		name               string
+		srv                ServerConfig
+		vlog               bool
+		get, put, putDel   float64 // budgets: allocs per get, per overwrite-put, per put+delete pair
+		getFrame, putFrame float64 // budgets: allocs per frame of batchFrame gets, of batchFrame overwrite-puts
 	}{
-		{name: "base", get: 1.4, put: 0.4, putDel: 0.8},                                                  // 1.00, 0.00, 0.00
-		{name: "hardened", srv: ServerConfig{HardenedMACs: true}, get: 1.4, put: 0.4, putDel: 0.8},       // 1.00, 0.00, 0.00
-		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, get: 1.4, put: 2.4, putDel: 2.8},    // 1.00, 2.00, 2.00
-		{name: "vlog", vlog: true, get: 1.4, put: 0.4, putDel: 0.8},                                      // 1.00, 0.00, 0.00
-		{name: "server-enc", srv: ServerConfig{ServerEncryption: true}, get: 1.4, put: 0.4, putDel: 0.8}, // 1.00, 0.00, 0.00
+		{name: "base", get: 1.4, put: 0.4, putDel: 0.8, getFrame: 2.4, putFrame: 1.4},                                                  // 1.00, 0.00, 0.00, 2.00, 1.00
+		{name: "hardened", srv: ServerConfig{HardenedMACs: true}, get: 1.4, put: 0.4, putDel: 0.8, getFrame: 2.4, putFrame: 1.4},       // 1.00, 0.00, 0.00, 2.00, 1.00
+		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, get: 1.4, put: 2.4, putDel: 2.8, getFrame: 2.4, putFrame: 65.4},   // 1.00, 2.00, 2.00, 2.00, 65.00
+		{name: "vlog", vlog: true, get: 1.4, put: 0.4, putDel: 0.8, getFrame: 2.4, putFrame: 1.4},                                      // 1.00, 0.00, 0.00, 2.00, 1.00
+		{name: "server-enc", srv: ServerConfig{ServerEncryption: true}, get: 1.4, put: 0.4, putDel: 0.8, getFrame: 2.4, putFrame: 1.4}, // 1.00, 0.00, 0.00, 2.00, 1.00
 	}
 	const (
-		keys   = 64
-		warm   = 2000
-		rounds = 20000
+		keys       = 64
+		warm       = 2000
+		rounds     = 20000
+		batchFrame = 32
 	)
 	value := make([]byte, 32)
 	for _, m := range modes {
@@ -88,6 +94,29 @@ func TestOpPathAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// frame returns a call of one Batch, alternating between the two
+			// halves of the keys.
+			frame := func(kind BatchOpKind) func(int) {
+				values := make([][]byte, batchFrame)
+				for j := range values {
+					values[j] = value // a get's Value goes unsent
+				}
+				var halves [2][]BatchOp
+				for h := range halves {
+					halves[h] = batchOps(kind, names[h*batchFrame:(h+1)*batchFrame], values...)
+				}
+				return func(i int) {
+					res, err := c.Batch(halves[i%2])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range res {
+						if r.Err != nil {
+							t.Fatal(r.Err)
+						}
+					}
+				}
+			}
 			measure := func(what string, budget float64, n int, op func(int)) {
 				for i := 0; i < warm; i++ {
 					op(i)
@@ -99,10 +128,10 @@ func TestOpPathAllocBudget(t *testing.T) {
 				}
 				runtime.ReadMemStats(&after)
 				got := float64(after.Mallocs-before.Mallocs) / float64(n)
-				t.Logf("%-8s %-10s %.2f allocs/op, %.0f B/op (budget %.1f)", m.name, what, got,
+				t.Logf("%-8s %-10s %.2f allocs/call, %.0f B/call (budget %.1f)", m.name, what, got,
 					float64(after.TotalAlloc-before.TotalAlloc)/float64(n), budget)
 				if got > budget {
-					t.Errorf("%s %s: %.2f allocs/op exceeds the budget of %.1f", m.name, what, got, budget)
+					t.Errorf("%s %s: %.2f allocs/call exceeds the budget of %.1f", m.name, what, got, budget)
 				}
 			}
 			n := rounds
@@ -114,6 +143,8 @@ func TestOpPathAllocBudget(t *testing.T) {
 			}
 			measure("get", m.get, n, get)
 			measure("put", m.put, n, put)
+			measure("get×32", m.getFrame, n/batchFrame, frame(BatchGet))
+			measure("put×32", m.putFrame, n/batchFrame, frame(BatchPut))
 			measure("put+delete", m.putDel, n, putDel)
 		})
 	}

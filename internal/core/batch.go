@@ -52,7 +52,12 @@ type BatchOp struct {
 // including ErrUnconfirmed attribution for writes on timeout — lands in
 // its own slot.
 type BatchResult struct {
-	// Value is the fetched value (successful BatchGet only).
+	// Value is the fetched value (successful BatchGet only; nil when the
+	// value is empty). A frame's values are windows of one block of their
+	// exact total size, each with its capacity clipped to its length, so
+	// an append to one never writes into another. Holding one keeps the
+	// whole block reachable: no more than the reply it came in, one
+	// response-ring slot (DefaultSlotSize).
 	Value []byte
 	// Err is the op's outcome: nil on success, ErrNotFound, or — for
 	// writes whose fate is unknown — the causal error joined with
@@ -420,12 +425,23 @@ func (c *Client) resolveLocked(p *pending, payload []byte, cause error) error {
 	if len(p.kinds) > 1 {
 		verify = nil
 	}
+	// The frame's get values are carved from one block of their exact
+	// total size, each op's window clipped to its value's length.
+	total := 0
+	for i := range c.brep.Results {
+		total += c.valueLen(p.kinds[i], &c.brep.Results[i])
+	}
+	block := make([]byte, total) // zero bytes: no allocation
 	off := 0
 	for i := range c.brep.Results {
 		res := &c.brep.Results[i]
 		seg := payload[off : off+int(res.PayloadLen)]
 		off += int(res.PayloadLen)
-		if p.results[i] = c.opResult(p.kinds[i], res, seg, p.oid, i, verify); p.results[i].Err == nil && p.kinds[i] <= BatchDelete {
+		var dst []byte // a zero-length value stays nil
+		if n := c.valueLen(p.kinds[i], res); n > 0 {
+			dst, block = block[:0:n], block[n:]
+		}
+		if p.results[i] = c.opResult(p.kinds[i], res, seg, dst, p.oid, i, verify); p.results[i].Err == nil && p.kinds[i] <= BatchDelete {
 			c.completed[p.kinds[i]]++
 		}
 	}
@@ -433,12 +449,30 @@ func (c *Client) resolveLocked(p *pending, payload []byte, cause error) error {
 	return nil
 }
 
+// valueLen is the plaintext length of a successful get's value, read
+// from its authenticated result: the inline value, or the payload extent
+// less its placement's sealing overhead. Any other outcome has none.
+func (c *Client) valueLen(kind BatchOpKind, res *wire.BatchOpResult) int {
+	overhead := cryptox.Salsa20NonceSize // hardened: the MAC is the enclave's
+	switch {
+	case kind != BatchGet || res.Status != wire.StatusOK || res.Flags&wire.FlagNotFound != 0:
+		return 0
+	case res.Flags&wire.FlagInlineValue != 0:
+		return len(res.InlineValue)
+	case c.serverEnc:
+		overhead = cryptox.SealOverhead
+	case res.PayloadMAC == nil: // the MAC rides the payload
+		overhead += wire.MACSize
+	}
+	return max(int(res.PayloadLen)-overhead, 0)
+}
+
 // opResult converts one sealed per-op result into the client-side
 // outcome, decrypting get payloads (op idx of the frame with oid) under
 // verify's cli_verify span. res and seg alias the client's scratch (opened
-// control and poll buffer), so values are copied or decrypted into fresh
-// memory before returning.
-func (c *Client) opResult(kind BatchOpKind, res *wire.BatchOpResult, seg []byte, oid uint64, idx int, verify *obs.Op) BatchResult {
+// control and poll buffer), so a get's value is copied or decrypted into
+// dst, its window of the frame's value block, before returning.
+func (c *Client) opResult(kind BatchOpKind, res *wire.BatchOpResult, seg, dst []byte, oid uint64, idx int, verify *obs.Op) BatchResult {
 	switch res.Status {
 	case wire.StatusOK:
 	case wire.StatusNotFound:
@@ -467,10 +501,10 @@ func (c *Client) opResult(kind BatchOpKind, res *wire.BatchOpResult, seg []byte,
 		return BatchResult{Value: append(append([]byte(nil), res.InlineValue...), seg...)}
 	}
 	if res.Flags&wire.FlagInlineValue != 0 {
-		return BatchResult{Value: append([]byte(nil), res.InlineValue...)}
+		return BatchResult{Value: append(dst, res.InlineValue...)}
 	}
 	t := verify.Now()
-	value, err := c.openValue(res.OpKey, res.PayloadMAC, seg, oid, idx)
+	value, err := c.openValue(dst, res.OpKey, res.PayloadMAC, seg, oid, idx)
 	if err == nil {
 		verify.Span(obs.CliVerify, t)
 	}

@@ -5,6 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
+
+	"precursor/internal/faultfab"
+	"precursor/internal/rdma"
 )
 
 // batchOps builds one op of kind per key, values[i] riding with keys[i]
@@ -353,5 +357,159 @@ func TestBatchOwnerOnlyAccessControl(t *testing.T) {
 	}
 	if got, err := owner.Get("mine"); err != nil || !bytes.Equal(got, []byte("secret")) {
 		t.Errorf("owner's key damaged: %q, %v", got, err)
+	}
+}
+
+// TestBatchValuesShape: a frame's get values share one block, and nothing
+// of that shows to a caller. In every placement a batch of gets returns
+// byte for byte what single Gets return; each value's capacity is its
+// length, so an append to one value, or a write into it, leaves the others
+// as they were; an empty value is nil, as a single Get's is; a get whose
+// payload fails its check is ErrIntegrity on its own while its neighbours
+// stay correct; and a frame retried after a timeout returns the values of
+// the attempt that succeeded, not of the one whose reply came late.
+func TestBatchValuesShape(t *testing.T) {
+	// Empty, inline-sized (below DefaultInlineMax) and external values; the
+	// last is external in every placement, so its payload can be tampered.
+	sizes := []int{0, 1, 7, 16, 33, 55, 56, 64, 100, 255, 1000, 4000}
+	for _, m := range []struct {
+		name string
+		cfg  ServerConfig
+	}{
+		{"base", ServerConfig{}},
+		{"hardened", ServerConfig{HardenedMACs: true}},
+		{"inline", ServerConfig{InlineSmallValues: true}},
+		{"server-enc", ServerConfig{ServerEncryption: true}},
+		{"vlog", ServerConfig{}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := m.cfg
+			if m.name == "vlog" {
+				cfg.DataDir = t.TempDir()
+			}
+			tc := newCluster(t, cfg)
+			host := hostRings(t, tc)
+			writer := tc.connect() // its replies flow while the reader's are held
+			replies := faultfab.New(faultfab.Config{Seed: 1})
+			tc.wrapSrv = func(c rdma.Conn) rdma.Conn { return replies.Wrap(c, faultfab.S2C, "server") }
+			// Two attempts of 1.5 s each: the writer's puts between them must
+			// land before the first one's slice runs out.
+			c := tc.connect(func(cfg *ClientConfig) {
+				cfg.Timeout, cfg.ReadRetries, cfg.RetryBase = 3*time.Second, 1, time.Millisecond
+			})
+			t.Cleanup(func() { replies.Heal(faultfab.S2C) })
+			keys := make([]string, len(sizes))
+			want := make([][]byte, len(sizes))
+			for i, n := range sizes {
+				keys[i], want[i] = fmt.Sprintf("shape-%d", i), bytes.Repeat([]byte{byte(i + 1)}, n)
+				if err := writer.Put(keys[i], want[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ops := batchOps(BatchGet, keys)
+			// check compares a frame's results with want, op by op.
+			check := func(what string, res []BatchResult, want [][]byte) {
+				t.Helper()
+				for i, r := range res {
+					switch {
+					case r.Err != nil || !bytes.Equal(r.Value, want[i]):
+						t.Errorf("%s: get %d = %d bytes, %v; want %d bytes", what, i, len(r.Value), r.Err, len(want[i]))
+					case cap(r.Value) != len(r.Value):
+						t.Errorf("%s: get %d has capacity %d beyond its %d bytes", what, i, cap(r.Value), len(r.Value))
+					case len(want[i]) == 0 && r.Value != nil:
+						t.Errorf("%s: empty get %d = %#v, want nil", what, i, r.Value)
+					}
+				}
+			}
+
+			res, err := c.Batch(ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("batch", res, want)
+			for i := range keys {
+				single, err := c.Get(keys[i])
+				if err != nil || !bytes.Equal(single, res[i].Value) || (single == nil) != (res[i].Value == nil) {
+					t.Errorf("Get %d = %#v, %v; the batch returned %#v", i, single, err, res[i].Value)
+				}
+			}
+			for i := range res {
+				v := res[i].Value
+				_ = append(v, bytes.Repeat([]byte{0xee}, 64)...)
+				for j := range v {
+					v[j] ^= 0xff
+				}
+				for k := range res {
+					if k != i && !bytes.Equal(res[k].Value, want[k]) {
+						t.Errorf("appending to and overwriting get %d changed get %d", i, k)
+					}
+				}
+				for j := range v {
+					v[j] ^= 0xff
+				}
+			}
+
+			// The last byte of the reply's payload region is the last get's:
+			// its MAC, its ciphertext under an enclave-held MAC, or its tag.
+			host(func(msg []byte) {
+				if resp, ok := okReply(msg); ok && len(resp.Payload) > 0 {
+					resp.Payload[len(resp.Payload)-1] ^= 1
+				}
+			})
+			res, err = c.Batch(ops)
+			host(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(res) - 1
+			if !errors.Is(res[last].Err, ErrIntegrity) || res[last].Value != nil {
+				t.Errorf("tampered get = %q, %v; want ErrIntegrity", res[last].Value, res[last].Err)
+			}
+			check("beside a tampered get", res[:last], want)
+
+			// The first attempt's reply is held until the server has applied
+			// the second, and the values change in between: the frame must
+			// return the second attempt's.
+			fresh := make([][]byte, len(sizes))
+			for i, n := range sizes {
+				fresh[i] = bytes.Repeat([]byte{byte(0x80 + i)}, n)
+			}
+			retries, gets := c.StatsStruct().Retries, tc.server.Stats().Gets
+			applied := func(n uint64) bool {
+				for deadline := time.Now().Add(10 * time.Second); tc.server.Stats().Gets < gets+n; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						return false
+					}
+				}
+				return true
+			}
+			replies.Partition(faultfab.S2C)
+			healed := make(chan struct{})
+			go func() {
+				defer close(healed)
+				defer replies.Heal(faultfab.S2C)
+				if !applied(uint64(len(keys))) {
+					t.Error("the first attempt was never applied")
+					return
+				}
+				for i := range keys {
+					if err := writer.Put(keys[i], fresh[i]); err != nil {
+						t.Error(err)
+					}
+				}
+				if !applied(uint64(2 * len(keys))) {
+					t.Error("the second attempt was never applied")
+				}
+			}()
+			res, err = c.Batch(ops)
+			<-healed
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("retried batch", res, fresh)
+			if n := c.StatsStruct().Retries - retries; n != 1 {
+				t.Errorf("the held frame was retried %d times, want 1", n)
+			}
+		})
 	}
 }

@@ -102,8 +102,8 @@ type Client struct {
 	inflight map[uint64]*BatchFuture
 
 	// Per-connection scratch (all guarded by mu), shared by every frame so
-	// the steady-state op path allocates nothing but the value a read hands
-	// back. Each buffer is valid only until the next use named here;
+	// the steady-state op path allocates nothing but the block of values a
+	// frame of gets hands back. Each buffer is valid only until the next use named here;
 	// nothing returned to the user aliases any of them.
 	bctl     wire.BatchControl      // request control, until encoded
 	brep     wire.BatchReply        // decoded reply control; aliases ctlBuf
@@ -463,19 +463,20 @@ func retryableRead(r BatchResult) bool {
 // (the client-side integrity check of Algorithm 1). A nil mac is the base
 // mode: the MAC travels behind the ciphertext in the untrusted payload.
 // Under server encryption the value comes with no key material, sealed
-// under K_session for op idx of frame oid. The plaintext is the one
-// allocation of a get: the caller keeps it, so it must not live in scratch.
-func (c *Client) openValue(opKey, mac, payload []byte, oid uint64, idx int) (value []byte, err error) {
+// under K_session for op idx of frame oid. The plaintext is appended to
+// dst, the op's window of its frame's value block: the caller keeps it, so
+// it must not live in scratch.
+func (c *Client) openValue(dst, opKey, mac, payload []byte, oid uint64, idx int) (value []byte, err error) {
 	switch {
 	case c.serverEnc != (len(opKey) == 0), mac == nil && len(payload) < wire.MACSize:
 		return nil, ErrBadResponse
 	case c.serverEnc:
-		value, err = c.aead.OpenAppend(nil, payload, c.payAD.of(c.id, oid, idx))
+		value, err = c.aead.OpenAppend(dst, payload, c.payAD.of(c.id, oid, idx))
 	default:
 		if mac == nil {
 			payload, mac = payload[:len(payload)-wire.MACSize], payload[len(payload)-wire.MACSize:]
 		}
-		value, err = c.payload.OpenAppend(nil, (*cryptox.OperationKey)(opKey), payload, mac)
+		value, err = c.payload.OpenAppend(dst, (*cryptox.OperationKey)(opKey), payload, mac)
 	}
 	if err != nil {
 		c.integrityFailures++

@@ -326,11 +326,15 @@ func (a *AIMD) Stats() AIMDStats {
 // one, so sustained retry traffic cannot exceed Ratio × the success
 // rate — fleet-wide amplification stays ≤ 1+Ratio even when every
 // client is saturated. Shared per pool (all connections to one shard)
-// and consulted by the cluster layer before hedging. Safe for
-// concurrent use.
+// and consulted by the cluster layer before hedging. A retry may spend
+// the standing allowance the bucket starts with, so a cold client's
+// isolated failures retry at once; a hedge may spend only what successes
+// deposited, so hedges never exceed Ratio × the successes, from the
+// first op on. Safe for concurrent use.
 type RetryBudget struct {
 	mu     sync.Mutex
 	tokens float64
+	earned float64 // the part of tokens successes deposited: all a hedge may spend
 	max    float64
 	ratio  float64
 
@@ -349,7 +353,8 @@ const (
 
 // NewRetryBudget returns a budget with the given capacity and
 // per-success deposit ratio (zero/negative take defaults). The bucket
-// starts full so cold-start retries are not starved.
+// starts full of standing allowance, so cold-start retries are not
+// starved; nothing in it is earned yet, so a cold client does not hedge.
 func NewRetryBudget(max, ratio float64) *RetryBudget {
 	if max <= 0 {
 		max = DefaultBudgetMax
@@ -366,24 +371,39 @@ func (b *RetryBudget) OnSuccess() {
 		return
 	}
 	b.mu.Lock()
-	if b.tokens += b.ratio; b.tokens > b.max {
-		b.tokens = b.max
-	}
+	b.tokens = min(b.tokens+b.ratio, b.max)
+	b.earned = min(b.earned+b.ratio, b.tokens)
 	b.mu.Unlock()
 }
 
-// TrySpend attempts to spend one token for a retry or hedge. It
-// reports whether the spend was granted; when it is not, the caller
-// must give up (return the underlying error) rather than retry —
+// TrySpend attempts to spend one token for a retry, standing allowance
+// first. It reports whether the spend was granted; when it is not, the
+// caller must give up (return the underlying error) rather than retry —
 // that refusal is what bounds the storm.
-func (b *RetryBudget) TrySpend() bool {
+func (b *RetryBudget) TrySpend() bool { return b.spend(false) }
+
+// TrySpendEarned is TrySpend for a hedge: it spends only a token that
+// successes deposited.
+func (b *RetryBudget) TrySpendEarned() bool { return b.spend(true) }
+
+// spend takes one token, from the earned share alone when earnedOnly.
+func (b *RetryBudget) spend(earnedOnly bool) bool {
 	if b == nil {
 		return true
 	}
 	b.mu.Lock()
-	ok := b.tokens >= 1
+	have := b.tokens
+	if earnedOnly {
+		have = b.earned
+	}
+	// Deposits are sums of Ratio: ten of 0.1 make 0.9999999999999999.
+	ok := have >= 1-1e-9
 	if ok {
-		b.tokens--
+		b.tokens = max(b.tokens-1, 0)
+		if earnedOnly {
+			b.earned--
+		}
+		b.earned = max(min(b.earned, b.tokens), 0)
 	}
 	b.mu.Unlock()
 	if ok {

@@ -196,6 +196,51 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetHedgesSpendOnlyEarned: a fresh bucket is full of standing
+// allowance that retries may spend and hedges may not; a hedge needs a
+// token ten successes deposited (at the default ratio), and retries spend
+// the standing allowance before what was earned.
+func TestRetryBudgetHedgesSpendOnlyEarned(t *testing.T) {
+	b := NewRetryBudget(DefaultBudgetMax, DefaultBudgetRatio)
+	for i := 1; i <= 9; i++ {
+		b.OnSuccess()
+		if b.TrySpendEarned() {
+			t.Fatalf("hedge granted after %d successes", i)
+		}
+	}
+	b.OnSuccess()
+	if !b.TrySpendEarned() {
+		t.Fatal("hedge denied after ten successes")
+	}
+	if b.TrySpendEarned() {
+		t.Fatal("a second hedge granted on one earned token")
+	}
+	hedges := 0
+	for i := 0; i < 1000; i++ {
+		b.OnSuccess()
+		if b.TrySpendEarned() {
+			hedges++
+		}
+	}
+	if hedges > 100 {
+		t.Fatalf("%d hedges funded by 1000 successes, want at most 100", hedges)
+	}
+	// Retries spend the standing allowance first: ten earned tokens
+	// survive a retry.
+	b = NewRetryBudget(DefaultBudgetMax, DefaultBudgetRatio)
+	for i := 0; i < 100; i++ {
+		b.OnSuccess()
+	}
+	if !b.TrySpend() {
+		t.Fatal("retry denied from a bucket with standing allowance")
+	}
+	for i := 0; i < 10; i++ {
+		if !b.TrySpendEarned() {
+			t.Fatalf("hedge %d denied: a retry spent an earned token", i)
+		}
+	}
+}
+
 func TestRetryBudgetCap(t *testing.T) {
 	b := NewRetryBudget(2, 1)
 	for i := 0; i < 100; i++ {

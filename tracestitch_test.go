@@ -106,6 +106,7 @@ func TestTraceStitchAcceptance(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
+	earnHedge(t, cc, "stitch00")
 	primaryDelay.Store(int64(40 * time.Millisecond))
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("stitch%02d", i)
@@ -211,6 +212,17 @@ func TestTraceStitchAcceptance(t *testing.T) {
 	}
 }
 
+// earnHedge reads key ten times on a healthy wire: a client hedges only
+// on tokens its successful reads deposited, one per ten.
+func earnHedge(t *testing.T, cc *precursor.ClusterClient, key string) {
+	t.Helper()
+	for i := 0; i < 10; i++ {
+		if _, err := cc.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestTraceTailSamplingRetention checks the tail-sampling acceptance
 // invariants end to end: with a retain-essential-only policy, every
 // injected error op and every slow (delayed-wire) op is retained, fast
@@ -271,6 +283,7 @@ func TestTraceTailSamplingRetention(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
+	earnHedge(t, cc, "tail00")
 	primaryDelay.Store(int64(slowDelay))
 	for i := 0; i < 3; i++ {
 		if _, err := cc.Get(fmt.Sprintf("tail%02d", i)); err != nil {
