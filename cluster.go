@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"precursor/internal/cluster"
+	"precursor/internal/overload"
 )
 
 // Client-routed sharding: the public surface of internal/cluster.
@@ -104,8 +105,10 @@ type ClusterConfig struct {
 	// HedgeMinDelay floors the hedge delay (default 1 ms).
 	HedgeMinDelay time.Duration
 	// RetryBudget, when set, is shared by the cluster client's hedged
-	// reads and overload retries; nil installs a per-client default
-	// bucket (see OverloadGate / RetryBudget in this package).
+	// reads and the overload retries of every pool it dials; nil installs
+	// a per-client default bucket shared the same way (see OverloadGate /
+	// RetryBudget in this package). A read the client completes deposits
+	// a share hedges and retries may spend, a write one only retries may.
 	RetryBudget *RetryBudget
 
 	// Replication (groups of more than one replica).
@@ -173,6 +176,10 @@ func DialReplicatedCluster(groups [][]ShardSpec, cfg ClusterConfig) (*ClusterCli
 		return DialConfig{PlatformKey: spec.PlatformKey, Measurement: spec.Measurement, Timeout: cfg.Timeout,
 			ReadRetries: cfg.ReadRetries, WrapConn: cfg.WrapConn, Tracer: cfg.Tracer}
 	}
+	budget := cfg.RetryBudget
+	if budget == nil {
+		budget = overload.NewRetryBudget(0, 0)
+	}
 	specByAddr := make(map[string]ShardSpec)
 	members := make([]cluster.ReplicaGroup, 0, len(groups))
 	fail := func(err error) (*ClusterClient, error) {
@@ -193,6 +200,7 @@ func DialReplicatedCluster(groups [][]ShardSpec, cfg ClusterConfig) (*ClusterCli
 			if err != nil {
 				return fail(fmt.Errorf("replica %s: %w", spec.Addr, err))
 			}
+			pool.budget, pool.earn = budget, nil
 			rg.Replicas = append(rg.Replicas, cluster.Shard{Name: spec.Addr, Backend: pool})
 			specByAddr[spec.Addr] = spec
 		}
@@ -222,6 +230,6 @@ func DialReplicatedCluster(groups [][]ShardSpec, cfg ClusterConfig) (*ClusterCli
 		Heat:              cfg.Heat,
 		HedgeReads:        cfg.HedgeReads,
 		HedgeMinDelay:     cfg.HedgeMinDelay,
-		Budget:            cfg.RetryBudget,
+		Budget:            budget,
 	})
 }

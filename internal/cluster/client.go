@@ -113,7 +113,8 @@ type Options struct {
 	HedgeMinDelay time.Duration
 	// Budget is the token bucket that admission-control retries and
 	// hedged reads spend from; successful operations earn tokens back
-	// at overload.DefaultBudgetRatio, bounding total amplification. Nil
+	// at overload.DefaultBudgetRatio, bounding total amplification — a
+	// read for hedges and retries, a write for retries alone. Nil
 	// installs a per-client default bucket.
 	Budget *overload.RetryBudget
 }
@@ -772,11 +773,6 @@ func SkewOfGroups(names []string, ops []uint64, hottest *string) heat.Skew {
 	}
 	return heat.SkewOf(ops)
 }
-
-// Budget exposes the client's retry/hedge token bucket (never nil —
-// withDefaults installs one), so callers can share it or surface its
-// stats.
-func (c *Client) Budget() *overload.RetryBudget { return c.opts.Budget }
 
 // Close stops the repair goroutine and closes every replica backend.
 // Safe to call twice.

@@ -180,6 +180,9 @@ func (c *Client) write(ctx context.Context, g *groupState, kind string, ops []co
 	}
 	f.mu.Unlock()
 	f.release()
+	if slices.ContainsFunc(out, func(r core.BatchResult) bool { return r.Err == nil }) {
+		c.opts.Budget.OnWriteSuccess()
+	}
 }
 
 // writer runs this replica's share of one fan-out after another, parking

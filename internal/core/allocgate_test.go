@@ -20,8 +20,9 @@ import (
 //	get     the value handed to the caller, nothing more: the one-time
 //	        payload MAC key is expanded into the connection's
 //	        PayloadCipher in place (no AES key schedule is allocated)
-//	put     nothing (inline: the enclave region). The entry is a record
-//	        the table holds by value, in every mode. vlog: nothing more —
+//	put     nothing (inline: the enclave region, one object with its
+//	        bytes). The entry is a record the table holds by value, in
+//	        every mode. vlog: nothing more —
 //	        metadata, AD, seal and record are built in owned scratch, the
 //	        group-commit channel is recycled; server-enc: the value is
 //	        sealed under K_session both ways. The key is a view of the
@@ -32,7 +33,7 @@ import (
 //	batch   per frame of batchFrame ops: the results slice, and for gets
 //	        one block holding every value of the frame, each value a window
 //	        of it with its capacity clipped; a put frame adds to the results
-//	        slice what its puts cost one by one (inline: 2 each)
+//	        slice what its puts cost one by one (inline: 1 each)
 //
 // and nothing amortised: the fabric drains send completions into a buffer
 // the queue pair keeps. Budgets are the measured figures (beside each row)
@@ -53,7 +54,7 @@ func TestOpPathAllocBudget(t *testing.T) {
 	}{
 		{name: "base", get: 1.4, put: 0.4, putDel: 0.8, getFrame: 2.4, putFrame: 1.4},                                                  // 1.00, 0.00, 0.00, 2.00, 1.00
 		{name: "hardened", srv: ServerConfig{HardenedMACs: true}, get: 1.4, put: 0.4, putDel: 0.8, getFrame: 2.4, putFrame: 1.4},       // 1.00, 0.00, 0.00, 2.00, 1.00
-		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, get: 1.4, put: 2.4, putDel: 2.8, getFrame: 2.4, putFrame: 65.4},   // 1.00, 2.00, 2.00, 2.00, 65.00
+		{name: "inline", srv: ServerConfig{InlineSmallValues: true}, get: 1.4, put: 1.4, putDel: 1.8, getFrame: 2.4, putFrame: 33.4},   // 1.00, 1.00, 1.00, 2.00, 33.00
 		{name: "vlog", vlog: true, get: 1.4, put: 0.4, putDel: 0.8, getFrame: 2.4, putFrame: 1.4},                                      // 1.00, 0.00, 0.00, 2.00, 1.00
 		{name: "server-enc", srv: ServerConfig{ServerEncryption: true}, get: 1.4, put: 0.4, putDel: 0.8, getFrame: 2.4, putFrame: 1.4}, // 1.00, 0.00, 0.00, 2.00, 1.00
 	}

@@ -84,12 +84,19 @@ func TestEPCPagingTriggersFunctionally(t *testing.T) {
 // missing. The second touch of a bucket was always a hit, so the working
 // set and the fault count must be exactly those measured before the
 // change, with the same load.
+//
+// The fault count was re-measured once since, when the table's home bucket
+// became a multiply-shift of the mixed hash tag (bucket counts that are not
+// powers of two): the same keys land in other buckets, so the pages they
+// touch, and the order they touch them in, changed — 7 465 faults became
+// 7 429. The working set did not: 3 000 keys take 4 096 buckets on either
+// ladder.
 func TestNewKeyProbePassFaultsUnchanged(t *testing.T) {
 	const (
 		keys  = 3000
 		frame = 50
-		// Measured before the change with this load.
-		parentPageFaults = 7_465
+		// Measured with this load since the home bucket was last changed.
+		parentPageFaults = 7_429
 		parentEPCPages   = 98
 	)
 	platform, err := sgx.NewPlatform(sgx.WithEPCBytes(24 * sgx.PageSize))

@@ -287,15 +287,15 @@ func (l *touchLog) TouchBucket(i, n, entrySize int) { l.buckets = append(l.bucke
 func TestDeleteChargesItsBuckets(t *testing.T) {
 	// Four keys sharing one home bucket fill it and the three after it.
 	var chain []string
-	home := -1
+	first := -1 // the chain's home bucket
 	for i := 0; len(chain) < 4; i++ {
 		k := "c-" + strconv.Itoa(i)
-		if h := int(hashKey(k) & (initialBuckets - 1)); home < 0 || h == home {
-			home = h
+		if h := int(home(uint32(hashKey(k)), initialBuckets)); first < 0 || h == first {
+			first = h
 			chain = append(chain, k)
 		}
 	}
-	slot := func(d int) int { return (home + d) % initialBuckets }
+	slot := func(d int) int { return (first + d) % initialBuckets }
 	for _, del := range []struct {
 		name string
 		fn   func(*Table[int], string) bool

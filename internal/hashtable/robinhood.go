@@ -7,7 +7,13 @@
 // and Robin-Hood's displacement rule keeps probe sequences short at high
 // load factors. The table starts tiny and grows incrementally so the
 // enclave's initial EPC footprint is a few pages, not a statically sized
-// array (the property Table 1 measures).
+// array (the property Table 1 measures). It grows by half, not by double:
+// its bucket counts run 64, 96, 128, 192, 256, …, a power of two and three
+// times one in turn, so a table that has just grown is at least 57 % full
+// where a doubled one was 43 % full, and the enclave charges up to a
+// quarter fewer buckets for the same keys. A count that is not a power of
+// two has no mask: a key's home bucket is its hash tag, mixed, scaled onto
+// the bucket count by a multiply-shift.
 //
 // The table is three flat parts rather than a graph of Go objects:
 //
@@ -37,10 +43,12 @@ import (
 
 const (
 	// initialBuckets is deliberately small: the enclave working set grows
-	// with the data instead of being pre-allocated (§5.4).
+	// with the data instead of being pre-allocated (§5.4). It is a power of
+	// two, the first rung of the growth ladder (see nextBuckets).
 	initialBuckets = 64
 	// maxLoadPercent triggers growth; Robin-Hood stays fast up to ~90%,
-	// 85% leaves headroom.
+	// 85% leaves headroom. Growth steps of ×3/2 and ×4/3 leave a grown
+	// table at least 85/1.5 ≈ 57 % full.
 	maxLoadPercent = 85
 	// A record chunk holds recordChunk records: 255, not 256, because a
 	// chunk of records holding pointers carries the allocator's 8-byte type
@@ -78,7 +86,7 @@ type Accountant interface {
 type Table[V any] struct {
 	mu      sync.RWMutex
 	slots   []slot
-	mask    uint64
+	n       uint64 // len(slots), the bucket count
 	len     int
 	recs    []*[recordChunk]record[V]
 	next    uint32   // records ever handed out
@@ -89,7 +97,7 @@ type Table[V any] struct {
 }
 
 // slot is one index bucket: the low 32 bits of its key's hash — all a home
-// bucket and a probe distance need, for up to 2^32 buckets — and its
+// bucket and a probe distance need (see home) — and its
 // record's number plus one, so that 0 marks an empty bucket.
 type slot struct {
 	tag uint32
@@ -110,7 +118,7 @@ func New[V any](acct Accountant, entrySizeHint int) *Table[V] {
 	}
 	t := &Table[V]{
 		slots:   make([]slot, initialBuckets),
-		mask:    initialBuckets - 1,
+		n:       initialBuckets,
 		acct:    acct,
 		entSize: entrySizeHint,
 	}
@@ -245,11 +253,11 @@ func (t *Table[V]) Delete(key string) bool {
 // termination) — which is where key belongs, dist from home.
 func (t *Table[V]) find(h uint64, key string) (idx, dist uint64, r *record[V]) {
 	tag := uint32(h)
-	idx = h & t.mask
+	idx = home(tag, t.n)
 	for {
 		t.touch(idx)
 		s := t.slots[idx]
-		if s.rec == 0 || probeDist(s.tag, idx, t.mask) < dist {
+		if s.rec == 0 || probeDist(s.tag, idx, t.n) < dist {
 			return idx, dist, nil
 		}
 		if s.tag == tag {
@@ -257,7 +265,9 @@ func (t *Table[V]) find(h uint64, key string) (idx, dist uint64, r *record[V]) {
 				return idx, dist, r
 			}
 		}
-		idx = (idx + 1) & t.mask
+		if idx++; idx == t.n {
+			idx = 0
+		}
 		dist++
 	}
 }
@@ -288,7 +298,7 @@ func (t *Table[V]) placeLocked(idx, dist, h uint64, key string, val V) {
 	*t.record(s.rec) = record[V]{key: t.keys.add(key), val: val}
 	if (t.len+1)*100 > len(t.slots)*maxLoadPercent {
 		t.growLocked()
-		idx, dist = h&t.mask, 0
+		idx, dist = home(s.tag, t.n), 0
 		t.touch(idx)
 	}
 	t.insertLocked(idx, dist, s)
@@ -308,11 +318,13 @@ func (t *Table[V]) insertLocked(idx, dist uint64, cur slot) {
 		}
 		// Robin-Hood: steal the bucket from a richer (closer-to-home) entry
 		// and carry on placing the displaced one.
-		if existing := probeDist(s.tag, idx, t.mask); existing < dist {
+		if existing := probeDist(s.tag, idx, t.n); existing < dist {
 			*s, cur = cur, *s
 			dist = existing
 		}
-		idx = (idx + 1) & t.mask
+		if idx++; idx == t.n {
+			idx = 0
+		}
 		dist++
 		t.touch(idx)
 	}
@@ -323,10 +335,13 @@ func (t *Table[V]) insertLocked(idx, dist uint64, cur slot) {
 // reads.
 func (t *Table[V]) backwardShiftLocked(idx uint64) {
 	for {
-		next := (idx + 1) & t.mask
+		next := idx + 1
+		if next == t.n {
+			next = 0
+		}
 		t.touch(next)
 		n := t.slots[next]
-		if n.rec == 0 || probeDist(n.tag, next, t.mask) == 0 {
+		if n.rec == 0 || probeDist(n.tag, next, t.n) == 0 {
 			t.slots[idx] = slot{}
 			t.len--
 			return
@@ -369,22 +384,34 @@ func (t *Table[V]) Range(fn func(key string, val V) bool) {
 	}
 }
 
+// growLocked moves the index to the next bucket count of the ladder.
 func (t *Table[V]) growLocked() {
 	old := t.slots
 	oldBytes := len(old) * t.entSize
-	t.slots = make([]slot, len(old)*2)
-	t.mask = uint64(len(t.slots) - 1)
+	t.slots = make([]slot, nextBuckets(len(old)))
+	t.n = uint64(len(t.slots))
 	t.len = 0
 	if t.acct != nil {
 		t.acct.GrowTable(oldBytes, len(t.slots)*t.entSize)
 	}
 	for _, s := range old {
 		if s.rec != 0 {
-			home := uint64(s.tag) & t.mask
-			t.touch(home)
-			t.insertLocked(home, 0, s)
+			h := home(s.tag, t.n)
+			t.touch(h)
+			t.insertLocked(h, 0, s)
 		}
 	}
+}
+
+// nextBuckets is the bucket count a table of n buckets grows to: ×3/2 from a
+// power of two, ×4/3 from three times one, so the counts run 64, 96, 128,
+// 192, 256, … and a growth at maxLoadPercent leaves the table at least
+// maxLoadPercent/1.5 full.
+func nextBuckets(n int) int {
+	if n&(n-1) == 0 {
+		return n + n/2
+	}
+	return n + n/3
 }
 
 // compactKeysLocked copies every present key into fresh arena chunks. The
@@ -401,10 +428,24 @@ func (t *Table[V]) compactKeysLocked() {
 	}
 }
 
+// home is the home bucket of hash tag tag among n buckets: the tag, mixed by
+// a multiplicative hash, scaled onto [0, n) by a multiply-shift. The mix is
+// not optional: FNV-1a gives keys that differ only in their last bytes
+// nearby low bits, which a bare multiply-shift keeps nearby — sequential
+// keys then share buckets and their probes run long. The mix does not depend
+// on n, so keys keep their order of home buckets from one size to the next.
+func home(tag uint32, n uint64) uint64 {
+	return uint64(tag*0x9E3779B1) * n >> 32
+}
+
 // probeDist is the distance of the entry with the given hash tag, currently
-// at index idx, from its home bucket.
-func probeDist(tag uint32, idx, mask uint64) uint64 {
-	return (idx + mask + 1 - (uint64(tag) & mask)) & mask
+// at index idx of n buckets, from its home bucket.
+func probeDist(tag uint32, idx, n uint64) uint64 {
+	h := home(tag, n)
+	if idx < h {
+		idx += n
+	}
+	return idx - h
 }
 
 // hashKey is FNV-1a 64, with zero remapped to one.

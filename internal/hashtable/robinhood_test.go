@@ -3,6 +3,7 @@ package hashtable
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -75,6 +76,80 @@ func TestIncrementalInitialFootprint(t *testing.T) {
 	}
 	if len(grown) < 3 {
 		t.Errorf("expected multiple incremental growths, got %v", grown)
+	}
+}
+
+// TestGrowthLadder pins the table's geometry: bucket counts run 64, 96, 128,
+// 192, …, a power of two and three times one in turn; the load never passes
+// maxLoadPercent, a growth leaves it at no less than maxLoadPercent/1.5, and
+// the accountant hears every step's bytes.
+func TestGrowthLadder(t *testing.T) {
+	const (
+		keys    = 50_000
+		entSize = 92
+	)
+	var want []int
+	for p := initialBuckets; p <= 1<<16; p *= 2 {
+		want = append(want, p, p*3/2)
+	}
+	type step struct{ oldBytes, newBytes int }
+	var steps []step
+	acct := &recordingAccountant{onGrow: func(o, n int) { steps = append(steps, step{o, n}) }}
+	tbl := New[int](acct, entSize)
+	got := []int{tbl.Buckets()}
+	for i := 0; i < keys; i++ {
+		tbl.Put(fmt.Sprintf("user%012d", i), i)
+		n, b := tbl.Len(), tbl.Buckets()
+		if n*100 > b*maxLoadPercent {
+			t.Fatalf("%d keys in %d buckets: load above %d %%", n, b, maxLoadPercent)
+		}
+		if b != got[len(got)-1] {
+			got = append(got, b)
+			if n*150 < b*maxLoadPercent {
+				t.Errorf("growth to %d buckets at %d keys leaves load %.3f, below %d %% / 1.5", b, n, float64(n)/float64(b), maxLoadPercent)
+			}
+		}
+	}
+	if !slices.Equal(got, want[:len(got)]) || got[len(got)-1] != 65_536 {
+		t.Fatalf("bucket counts %v, want a prefix of %v ending at 65536", got, want)
+	}
+	if len(steps) != len(got) {
+		t.Fatalf("%d growth reports for %d sizes", len(steps), len(got))
+	}
+	for i, s := range steps {
+		oldBytes := 0
+		if i > 0 {
+			oldBytes = got[i-1] * entSize
+		}
+		if s != (step{oldBytes, got[i] * entSize}) {
+			t.Errorf("growth report %d = %+v, want %d -> %d bytes", i, s, oldBytes, got[i]*entSize)
+		}
+	}
+}
+
+// TestProbeLength: sequential keys spread over the index. FNV-1a gives keys
+// that differ in their last digits nearby low bits; scaled onto the buckets
+// without mixing, such keys crowd into runs of neighbouring buckets (a mean
+// probe distance of about 100 on this load).
+func TestProbeLength(t *testing.T) {
+	const keys = 300_000
+	tbl := New[struct{}](nil, 0)
+	for i := 0; i < keys; i++ {
+		tbl.Put(fmt.Sprintf("user%012d", i), struct{}{})
+	}
+	var sum, longest uint64
+	for i, s := range tbl.slots {
+		if s.rec != 0 {
+			d := probeDist(s.tag, uint64(i), tbl.n)
+			sum += d
+			longest = max(longest, d)
+		}
+	}
+	mean := float64(sum) / keys
+	t.Logf("%d keys in %d buckets (load %.3f): mean probe distance %.3f, longest %d",
+		keys, tbl.n, float64(keys)/float64(tbl.n), mean, longest)
+	if mean > 2.0 || longest > 32 {
+		t.Errorf("mean probe distance %.3f (bound 2.0), longest %d (bound 32)", mean, longest)
 	}
 }
 

@@ -325,16 +325,16 @@ func (a *AIMD) Stats() AIMDStats {
 // amplification: each success deposits Ratio tokens, each retry spends
 // one, so sustained retry traffic cannot exceed Ratio × the success
 // rate — fleet-wide amplification stays ≤ 1+Ratio even when every
-// client is saturated. Shared per pool (all connections to one shard)
-// and consulted by the cluster layer before hedging. A retry may spend
+// client is saturated. Shared per pool (all connections to one shard),
+// or by a cluster client and every pool it dials. A retry may spend
 // the standing allowance the bucket starts with, so a cold client's
-// isolated failures retry at once; a hedge may spend only what successes
-// deposited, so hedges never exceed Ratio × the successes, from the
+// isolated failures retry at once; a hedge may spend only what OnSuccess
+// deposited, so hedges never exceed Ratio × those successes, from the
 // first op on. Safe for concurrent use.
 type RetryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	earned float64 // the part of tokens successes deposited: all a hedge may spend
+	earned float64 // the part of tokens OnSuccess deposited: all a hedge may spend
 	max    float64
 	ratio  float64
 
@@ -366,13 +366,24 @@ func NewRetryBudget(max, ratio float64) *RetryBudget {
 }
 
 // OnSuccess deposits the per-success ratio into the bucket.
-func (b *RetryBudget) OnSuccess() {
+func (b *RetryBudget) OnSuccess() { b.deposit(true) }
+
+// OnWriteSuccess deposits the per-success ratio as standing allowance: a
+// write's success funds retries, but not hedges, which are reads and spend
+// only what reads earned.
+func (b *RetryBudget) OnWriteSuccess() { b.deposit(false) }
+
+// deposit adds one success's share, to the earned share too when earned.
+func (b *RetryBudget) deposit(earned bool) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	b.tokens = min(b.tokens+b.ratio, b.max)
-	b.earned = min(b.earned+b.ratio, b.tokens)
+	if earned {
+		b.earned += b.ratio
+	}
+	b.earned = min(b.earned, b.tokens)
 	b.mu.Unlock()
 }
 

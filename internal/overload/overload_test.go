@@ -241,6 +241,23 @@ func TestRetryBudgetHedgesSpendOnlyEarned(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetWritesFundOnlyRetries: a write's success deposits
+// standing allowance, which retries spend and hedges do not.
+func TestRetryBudgetWritesFundOnlyRetries(t *testing.T) {
+	b := NewRetryBudget(4, DefaultBudgetRatio)
+	for b.TrySpend() {
+	}
+	for i := 0; i < 20; i++ {
+		b.OnWriteSuccess()
+	}
+	if b.TrySpendEarned() {
+		t.Fatal("a hedge spent what writes deposited")
+	}
+	if !b.TrySpend() || !b.TrySpend() || b.TrySpend() {
+		t.Fatal("twenty write successes did not fund exactly two retries")
+	}
+}
+
 func TestRetryBudgetCap(t *testing.T) {
 	b := NewRetryBudget(2, 1)
 	for i := 0; i < 100; i++ {

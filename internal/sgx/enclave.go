@@ -32,6 +32,13 @@ type Enclave struct {
 	residentFIFO []int64
 	maxResident  int64
 
+	// Regions of at most smallMax bytes share pages: a page is carved into
+	// slots of one size class, freeSlots holds each class's free slots, and
+	// liveSlots counts each carved page's live ones. A carved page is in the
+	// working set while it holds a live slot.
+	freeSlots [smallClasses][]int64
+	liveSlots map[int64]int32
+
 	ecalls     uint64
 	ocalls     uint64
 	pageFaults uint64
@@ -41,9 +48,9 @@ type Enclave struct {
 }
 
 // pageSet is a set of page numbers, one bit a page, with its size. The
-// enclave never reuses address range (nextBase only grows), so the pages
-// in use are a dense prefix of the numbers with holes where regions were
-// freed.
+// enclave reuses no address range but a carved page's slots (nextBase only
+// grows), so the pages in use are a dense prefix of the numbers with holes
+// where regions were freed.
 type pageSet struct {
 	bits []uint64
 	n    int
@@ -103,17 +110,41 @@ func lastPage(base, n int64) int64 {
 // Measurement returns the enclave's MRENCLAVE-equivalent identity.
 func (e *Enclave) Measurement() Measurement { return e.measurement }
 
+// Small regions, of at most smallMax bytes, take a slot of a shared page:
+// the smallest of smallClasses size classes, from smallMin bytes doubling,
+// that holds them. Larger regions start on a page of their own.
+const (
+	smallMin     = 16
+	smallMax     = 64
+	smallClasses = 3
+)
+
+// smallRegion is a small allocated region and its bytes in one object.
+type smallRegion struct {
+	Region
+	buf [smallMax]byte
+}
+
 // Alloc allocates n bytes on the enclave heap and records the pages in the
 // working set. It returns ErrEPCExhausted only if the platform was
 // configured with a hard heap cap smaller than the request; by default the
 // heap may exceed the EPC — exactly like real SGX — at the price of paging
 // charges on access.
 func (e *Enclave) Alloc(n int) (*Region, error) {
-	r, err := e.Reserve(n)
-	if err != nil {
+	n = max(n, 0)
+	if n <= smallMax {
+		s := new(smallRegion)
+		if err := e.place(&s.Region, n); err != nil {
+			return nil, err
+		}
+		s.Data = s.buf[:n:n]
+		return &s.Region, nil
+	}
+	r := new(Region)
+	if err := e.place(r, n); err != nil {
 		return nil, err
 	}
-	r.Data = make([]byte, r.size)
+	r.Data = make([]byte, n)
 	return r, nil
 }
 
@@ -122,27 +153,64 @@ func (e *Enclave) Alloc(n int) (*Region, error) {
 // charges faults on Touch exactly as Alloc does, for state whose footprint
 // the model needs but whose contents live elsewhere in the process.
 func (e *Enclave) Reserve(n int) (*Region, error) {
-	if n < 0 {
-		n = 0
+	r := new(Region)
+	if err := e.place(r, max(n, 0)); err != nil {
+		return nil, err
 	}
+	return r, nil
+}
+
+// place makes r a region of n ≥ 0 bytes of enclave address range, counted
+// on the heap and in the working set.
+func (e *Enclave) place(r *Region, n int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.destroyed {
-		return nil, ErrEnclaveStopped
+		return ErrEnclaveStopped
 	}
 	base := e.nextBase
-	// Keep allocations page-aligned so working-set accounting is exact.
-	span := int64(n)
-	if rem := span % PageSize; rem != 0 {
-		span += PageSize - rem
+	if n <= smallMax {
+		base = e.takeSlotLocked(n)
+	} else {
+		// Keep larger allocations page-aligned so working-set accounting
+		// is exact.
+		e.nextBase += (int64(n) + PageSize - 1) / PageSize * PageSize
 	}
-	if span == 0 {
-		span = PageSize
-	}
-	e.nextBase += span
 	e.heapBytes += int64(n)
 	e.touchLocked(base, int64(n))
-	return &Region{enclave: e, base: base, size: int64(n)}, nil
+	r.enclave, r.base, r.size = e, base, int64(n)
+	return nil
+}
+
+// slotClass is the size class of a small region of n bytes, and its slot
+// size.
+func slotClass(n int64) (class int, size int64) {
+	for size = smallMin; size < n; size <<= 1 {
+		class++
+	}
+	return class, size
+}
+
+// takeSlotLocked returns a free slot for a small region of n bytes,
+// carving a fresh page into slots of n's class when the class has none.
+func (e *Enclave) takeSlotLocked(n int) int64 {
+	class, size := slotClass(int64(n))
+	free := e.freeSlots[class]
+	if len(free) == 0 {
+		page := e.nextBase
+		e.nextBase += PageSize
+		// Carved last slot first, so the first taken is the page's first.
+		for off := PageSize - size; off >= 0; off -= size {
+			free = append(free, page+off)
+		}
+	}
+	slot := free[len(free)-1]
+	e.freeSlots[class] = free[:len(free)-1]
+	if e.liveSlots == nil {
+		e.liveSlots = make(map[int64]int32)
+	}
+	e.liveSlots[slot/PageSize]++
+	return slot
 }
 
 // Free returns a region's pages to the allocator's accounting, retiring
@@ -160,7 +228,15 @@ func (e *Enclave) Free(r *Region) {
 	if e.heapBytes < 0 {
 		e.heapBytes = 0
 	}
-	for p := r.base / PageSize; p <= lastPage(r.base, r.size); p++ {
+	first, last := r.base/PageSize, lastPage(r.base, r.size)
+	if r.size <= smallMax {
+		class, _ := slotClass(r.size)
+		e.freeSlots[class] = append(e.freeSlots[class], r.base)
+		if e.liveSlots[first]--; e.liveSlots[first] > 0 {
+			last = first - 1 // the page holds another live slot: it stays
+		}
+	}
+	for p := first; p <= last; p++ {
 		e.resident.remove(p)
 		e.pages.remove(p)
 	}

@@ -121,6 +121,77 @@ func TestFreeLeavesNeighbourPages(t *testing.T) {
 	}
 }
 
+// TestSmallRegionsSharePages: a region of at most 64 bytes takes a slot of a
+// page carved into slots of its size class, not a page of its own; the page
+// stays in the working set while any of its slots is live, a freed slot is
+// taken again before a page is carved, and a small region and its bytes are
+// one allocation.
+func TestSmallRegionsSharePages(t *testing.T) {
+	p := newTestPlatform(t)
+	e := p.CreateEnclave([]byte("img"), 0)
+	var first []*Region
+	for i := 0; i < PageSize/64; i++ {
+		r, err := e.Alloc(40 + i%25) // 40..64 bytes: the 64 B class
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Data) != r.Size() || cap(r.Data) != r.Size() {
+			t.Fatalf("region of %d B has len %d cap %d", r.Size(), len(r.Data), cap(r.Data))
+		}
+		for j := range r.Data {
+			r.Data[j] = byte(i)
+		}
+		first = append(first, r)
+	}
+	if got := e.Stats().EPCPages; got != 1 {
+		t.Fatalf("64 regions of the 64 B class take %d pages, want 1", got)
+	}
+	for i, r := range first {
+		for _, b := range r.Data {
+			if b != byte(i) {
+				t.Fatalf("region %d's bytes were overwritten", i)
+			}
+		}
+	}
+	more, _ := e.Alloc(64)
+	small, _ := e.Alloc(0)
+	if got := e.Stats().EPCPages; got != 3 {
+		t.Fatalf("a 65th 64 B region and a 0 B one: %d pages, want 3", got)
+	}
+	for _, r := range first[1:] {
+		e.Free(r)
+	}
+	if got := e.Stats().EPCPages; got != 3 {
+		t.Errorf("a page with one live slot left the working set: %d pages, want 3", got)
+	}
+	e.Free(first[0])
+	if got := e.Stats().EPCPages; got != 2 {
+		t.Errorf("a page with no live slot stayed: %d pages, want 2", got)
+	}
+	e.mu.Lock()
+	end := e.nextBase
+	e.mu.Unlock()
+	again, _ := e.Alloc(50)
+	e.mu.Lock()
+	reused := e.nextBase == end
+	e.mu.Unlock()
+	if !reused || e.Stats().EPCPages != 3 {
+		t.Errorf("a freed slot was not taken again: address range grew %v, %d pages", !reused, e.Stats().EPCPages)
+	}
+	for _, r := range []*Region{more, small, again} {
+		e.Free(r)
+	}
+	if st := e.Stats(); st.EPCPages != 0 || st.HeapBytes != 0 {
+		t.Errorf("after freeing everything: %d pages, %d heap bytes", st.EPCPages, st.HeapBytes)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r, _ := e.Alloc(32)
+		e.Free(r)
+	}); n != 1 {
+		t.Errorf("a small region takes %.0f allocations, want 1", n)
+	}
+}
+
 // TestReserveAccountsLikeAlloc: a reserved region is an allocated one minus
 // the bytes — same address range, heap figure, pages, faults and release.
 func TestReserveAccountsLikeAlloc(t *testing.T) {

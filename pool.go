@@ -61,7 +61,10 @@ type Pool struct {
 	// spends a token, every success deposits a fraction of one, so the
 	// pool's retry amplification is bounded (≤ ~1.1×) no matter how
 	// hard the shard sheds. Shared across all the pool's connections.
-	budget *overload.RetryBudget
+	// Successes deposit into earn: budget itself, or nil for a pool a
+	// cluster client dialed, which spends the client's bucket and leaves
+	// the deposits to the client, one per op the client completes.
+	budget, earn *overload.RetryBudget
 }
 
 // ErrPoolClosed is returned by operations on a closed pool.
@@ -96,11 +99,13 @@ func NewPool(addr string, cfg DialConfig, size int) (*Pool, error) {
 
 // newPool is an empty pool of size connections.
 func newPool(size int, wait time.Duration) *Pool {
+	budget := overload.NewRetryBudget(overload.DefaultBudgetMax, overload.DefaultBudgetRatio)
 	return &Pool{
 		idle:        make(chan *Client, size),
 		done:        make(chan struct{}),
 		waitTimeout: wait,
-		budget:      overload.NewRetryBudget(overload.DefaultBudgetMax, overload.DefaultBudgetRatio),
+		budget:      budget,
+		earn:        budget,
 	}
 }
 
@@ -303,7 +308,7 @@ func (p *Pool) do(ctx context.Context, op func(*Client) error) error {
 		err = op(c)
 		p.finish(c, err, errors.Is(err, ErrTimeout) && core.CtxErr(ctx) == nil)
 		if err == nil {
-			p.budget.OnSuccess()
+			p.earn.OnSuccess()
 			return nil
 		}
 		if !errors.Is(err, ErrRetryLater) || attempt >= maxShedRetries || !p.budget.TrySpend() {
@@ -323,11 +328,6 @@ func (p *Pool) do(ctx context.Context, op func(*Client) error) error {
 		backoff *= 2
 	}
 }
-
-// Budget returns the pool's shared retry budget, for metrics exporters
-// and layers (the cluster client) that coordinate their own retries or
-// hedges with the pool's.
-func (p *Pool) Budget() *overload.RetryBudget { return p.budget }
 
 // Put stores value under key using any idle connection. A RETRY_LATER
 // shed is retried under the pool's retry budget (the server guarantees

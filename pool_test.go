@@ -114,6 +114,53 @@ func TestPoolCtxStopsShedRetries(t *testing.T) {
 	}
 }
 
+// TestClusterPoolsSpendTheClusterBudget: the pools a cluster client dials
+// spend ClusterConfig.RetryBudget when they retry a shed, not a bucket of
+// their own, and leave the deposits to the client, which makes one per op:
+// a read's a hedge may spend, a write's only a retry.
+func TestClusterPoolsSpendTheClusterBudget(t *testing.T) {
+	f := serveGatedShards(t, 1)
+	budget := overload.NewRetryBudget(4, 0.1)
+	cc, err := precursor.DialCluster(f.specs, precursor.ClusterConfig{Timeout: 5 * time.Second, RetryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cc.Close() })
+	for budget.TrySpend() {
+		// Empty the bucket: what follows counts this client's deposits.
+	}
+	for i := 0; i < 10; i++ {
+		if err := cc.Put("k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cc.Get("k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := budget.Tokens(); got < 2-1e-9 || got > 2+1e-9 {
+		t.Errorf("10 puts and 10 gets left %.2f tokens, want 2.00 (one deposit per op)", got)
+	}
+	if !budget.TrySpendEarned() || budget.TrySpendEarned() {
+		t.Error("the gets' deposits did not fund exactly one hedge")
+	}
+
+	// A draining shard hints a 250 ms backoff, past the ctx: the pool
+	// spends a token on the retry, then returns the shed instead of
+	// sleeping.
+	f.svcs[0].Server.SetDraining(true)
+	before := budget.Stats()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := cc.PutContext(ctx, "k", []byte("w")); !errors.Is(err, precursor.ErrRetryLater) {
+		t.Fatalf("put on a draining shard: %v, want ErrRetryLater", err)
+	}
+	after := budget.Stats()
+	if after.Granted-before.Granted != 1 || after.Tokens > before.Tokens-1+1e-9 {
+		t.Errorf("the shed retry spent %d tokens of the configured bucket (%.2f -> %.2f), want 1",
+			after.Granted-before.Granted, before.Tokens, after.Tokens)
+	}
+}
+
 // TestPoolReplacesWedgedConnection: a connection whose request frames
 // vanish on the wire answers nothing and closes nothing — every
 // operation on it just times out. After wedgedAfter such operations in a
