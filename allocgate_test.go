@@ -188,11 +188,12 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 //
 // A slot is the value plus its placement's framing (the nonce and MAC of
 // the stored form), so a power-of-two value has no class padding and the
-// rest is the per-key part of the table: a 64 B record (the 52 B base entry
-// and the key's place; hardened, inline and vlog hold the whole 104 B entry,
-// a 112 B record), in chunks of 255 that fill their size class, 17 B of key
-// arena and an 8 B slot / load factor, about 100 B together at 20 000 keys,
-// 0.10 of a 1 KiB value and 0.025 of a 4 KiB one. Beside them the 24 B
+// rest is the per-key part of the table: a 52 B record (the 48 B base entry
+// and the key's 4 B place) in chunks of 315 that fill the 16 KiB class, and
+// the mode's column beside it — 17 B of MAC when hardened, 8 B of region
+// pointer inline, 24 B of version (26 B in its class) with a value log —
+// 17 B of key arena and an 8 B slot / load factor, about 90 B together at
+// 20 000 keys, 0.09 of a 1 KiB value and 0.022 of a 4 KiB one. Beside them the 24 B
 // framing is 0.023 and 0.006 of the value, and the unused tail of the last
 // 1 MiB chunk what is left. No repair is in flight, so no dirty-key set
 // holds a key. From 1 KiB up the budgets are the measured figure plus 3 %,
@@ -237,15 +238,15 @@ func TestMemoryPerStoredByte(t *testing.T) {
 		// budgets heap growth / keys. Zero: reported only.
 		maxPerByte, maxPerKey float64
 	}{
-		{placement: "base", valueSize: 32, maxPerKey: 216},                // 205.2
-		{placement: "base", valueSize: 32, keys: 300_000, maxPerKey: 162}, // 155.7
-		{placement: "base", valueSize: 256},                               // 1.621
-		{placement: "base", valueSize: 1 << 10, maxPerByte: 1.16},         // 1.122
-		{placement: "base", valueSize: 4 << 10, maxPerByte: 1.07},         // 1.036
-		{placement: "base", valueSize: 16 << 10, maxPerByte: 1.05},        // 1.016
-		{placement: "hardened", valueSize: 4 << 10, maxPerByte: 1.08},     // 1.048
-		{placement: "server-enc", valueSize: 4 << 10, maxPerByte: 1.07},   // 1.036
-		{placement: "vlog", valueSize: 1 << 10, maxPerByte: 1.21},         // 1.170
+		{placement: "base", valueSize: 32, maxPerKey: 200},                // 189.9
+		{placement: "base", valueSize: 32, keys: 300_000, maxPerKey: 146}, // 140.1
+		{placement: "base", valueSize: 256},                               // 1.561
+		{placement: "base", valueSize: 1 << 10, maxPerByte: 1.15},         // 1.107
+		{placement: "base", valueSize: 4 << 10, maxPerByte: 1.07},         // 1.032
+		{placement: "base", valueSize: 16 << 10, maxPerByte: 1.05},        // 1.015
+		{placement: "hardened", valueSize: 4 << 10, maxPerByte: 1.07},     // 1.036
+		{placement: "server-enc", valueSize: 4 << 10, maxPerByte: 1.07},   // 1.032
+		{placement: "vlog", valueSize: 1 << 10, maxPerByte: 1.17},         // 1.133
 	} {
 		cfg := precursor.ServerConfig{
 			HardenedMACs:     tc.placement == "hardened",

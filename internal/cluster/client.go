@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -234,7 +235,8 @@ type replicaState struct {
 	// lat records whole-operation latency against this shard as seen by
 	// this client (queueing, transport and retries included). latIdx
 	// rotates recordings across the sharded histogram's stripes, since
-	// many goroutines may drive one shard through a pool.
+	// many goroutines may drive one shard through a pool: one stripe per
+	// processor, each a 29 KiB bucket array once it records.
 	lat    *hist.Sharded
 	latIdx atomic.Uint32
 	// ewma is a smoothed operation latency in nanoseconds, used to order
@@ -300,7 +302,7 @@ func NewReplicated(groups []ReplicaGroup, opts Options) (*Client, error) {
 			if _, dup := c.reps[r.Name]; dup {
 				return nil, fmt.Errorf("precursor/cluster: duplicate replica name %q", r.Name)
 			}
-			rep := &replicaState{name: r.Name, backend: r.Backend, group: gs, lat: hist.NewSharded(0), work: make(chan *fanout)}
+			rep := &replicaState{name: r.Name, backend: r.Backend, group: gs, lat: hist.NewSharded(runtime.GOMAXPROCS(0)), work: make(chan *fanout)}
 			gs.replicas = append(gs.replicas, rep)
 			c.reps[r.Name] = rep
 		}

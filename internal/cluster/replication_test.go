@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -194,6 +195,29 @@ func TestReplicatedQuorumWrite(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// TestReplicaLatencyStripesPerProcessor: a replica's latency histogram has
+// one stripe per processor, not hist.DefaultShards, so 1 000 writes through
+// a two-replica client leave each replica at most GOMAXPROCS bucket arrays
+// of 29 KiB, and the client's stats still read its quantiles.
+func TestReplicaLatencyStripesPerProcessor(t *testing.T) {
+	c, _, _ := newReplicatedFakes(t, 2, false, Options{DisableAutoRepair: true})
+	for i := 0; i < 1000; i++ {
+		if err := c.Put(fmt.Sprintf("k%d", i%50), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, rep := range c.reps {
+		if n, procs := rep.lat.Shards(), runtime.GOMAXPROCS(0); n > procs {
+			t.Errorf("%s: %d latency stripes on %d processors", name, n, procs)
+		}
+	}
+	for _, ss := range c.Stats().Shards {
+		if q := ss.Latency; q.Count == 0 || q.P50 <= 0 || q.P99 < q.P50 {
+			t.Errorf("%s: latency quantiles %+v after 1 000 writes", ss.Name, q)
+		}
+	}
 }
 
 // TestReplicatedQuorumShortfall: when W cannot be met the write fails

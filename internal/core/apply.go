@@ -3,7 +3,7 @@ package core
 // The apply path: the one place an authenticated operation touches the
 // store. handleBatch decodes and verifies a frame, then hands each of its
 // operations here and gets a by-value result back. Base and value-log placement differ at exactly three points —
-// the durable append, the conditional Upsert versus the plain Swap, and
+// the durable append, the index swap's compare on sequence order, and
 // the pool copy being a cache rather than the store — each a branch on
 // s.vlog below. Server encryption (§5.1) re-seals the value before a put
 // places it and before a get replies it: a branch on s.storage each.
@@ -120,11 +120,7 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 	}
 
 	key := keyView(o.Key)
-	if s.vlog == nil {
-		if old, existed := s.table.Swap(key, e); existed {
-			s.releaseEntry(&old)
-		}
-	} else {
+	if s.vlog != nil {
 		// store_to_untrusted, durable edition: the append blocks until the
 		// group commit has fsynced, so the ack implies the value survives
 		// kill -9.
@@ -132,27 +128,25 @@ func (s *Server) applyPut(sess *session, o *wire.BatchOp, seg []byte, idx int, o
 			s.freeEntryResources(&e)
 			return failed(op, wire.StatusServerError, err)
 		}
-		// The index swap is conditional on sequence order, so a relocation
-		// or a concurrent put can never roll a key backwards.
-		var old entry
-		if s.table.Upsert(key, func(cur entry, exists bool) (entry, bool) {
-			if exists {
-				if cur.seq >= e.seq {
-					return cur, false
-				}
-				old = cur
-			}
-			return e, true
-		}) {
-			s.releaseEntry(&old)
-		} else {
-			// A concurrent newer put landed between our append and the swap:
-			// this record is dead on arrival.
-			s.freeEntryResources(&e)
-			s.vlog.MarkDead(e.vptr)
-		}
-		s.vlogTrack.applied(e.seq)
 	}
+	// With a value log the index swap is conditional on sequence order, so a
+	// relocation or a concurrent put can never roll a key backwards.
+	var old entry
+	if s.table.Upsert(key, func(cur entry, exists bool) (entry, bool) {
+		if exists && s.vlog != nil && cur.seq >= e.seq {
+			return cur, false
+		}
+		old = cur
+		return e, true
+	}) {
+		s.releaseEntry(&old)
+	} else {
+		// A concurrent newer put landed between our append and the swap:
+		// this record is dead on arrival.
+		s.freeEntryResources(&e)
+		s.vlog.MarkDead(e.vptr)
+	}
+	s.vlogTrack.applied(e.seq)
 	s.recordDelta(key)
 	return wire.BatchOpResult{Status: wire.StatusOK}
 }
@@ -285,9 +279,9 @@ func (s *Server) placeStored(e *entry, stored []byte) error {
 // than sequence seq, a tombstone's; a newer version that raced in stays.
 func (s *Server) deleteOlder(key string, seq uint64) bool {
 	var old entry
-	if !s.table.DeleteIf(key, func(cur entry) bool {
-		old = cur
-		return cur.seq < seq
+	if !s.table.DeleteIf(key, func(b baseEntry, rec uint32) bool {
+		old = s.table.load(b, rec)
+		return old.seq < seq
 	}) {
 		return false
 	}

@@ -446,7 +446,7 @@ func TestStoreOwnsItsKeys(t *testing.T) {
 			check := func(tc *testCluster, c *Client, when string) {
 				t.Helper()
 				var got []string
-				tc.server.table.Range(func(k string, _ entry) bool {
+				tc.server.table.Range(func(k string, _ baseEntry, _ uint32) bool {
 					got = append(got, k)
 					return true
 				})

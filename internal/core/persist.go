@@ -273,7 +273,8 @@ func (s *Server) serializeState(full bool) ([]byte, error) {
 	out = binary.LittleEndian.AppendUint64(out, s.vlogTrack.watermark())
 	out = binary.LittleEndian.AppendUint32(out, uint32(s.table.Len()))
 	var failure error
-	s.table.Range(func(key string, e entry) bool {
+	s.table.Range(func(key string, b baseEntry, rec uint32) bool {
+		e := s.table.load(b, rec)
 		if len(key) > wire.MaxKeyLen {
 			failure = wire.ErrOversized
 			return false
@@ -363,7 +364,8 @@ func (s *Server) deserializeState(buf []byte) error {
 	// Restore is intended to run before serving traffic (or during a
 	// quiesced window); concurrent requests observe a consistent table at
 	// every individual operation but may see a partially restored set.
-	s.table.Range(func(key string, e entry) bool {
+	s.table.Range(func(_ string, b baseEntry, rec uint32) bool {
+		e := s.table.load(b, rec)
 		s.releaseEntry(&e)
 		return true
 	})
@@ -388,8 +390,8 @@ func (s *Server) deserializeState(buf []byte) error {
 		e.hasMAC = eflags&1 != 0
 		inline := eflags&2 != 0
 		hasVptr := eflags&4 != 0
-		if e.hasMAC && !s.table.Wide() { // a base-layout record has no room for the MAC
-			return fmt.Errorf("%w: hardened-MAC entry needs HardenedMACs, InlineSmallValues or a value log", ErrSnapshotFormat)
+		if e.hasMAC && s.table.macs == nil { // no column to hold the MAC
+			return fmt.Errorf("%w: hardened-MAC entry needs HardenedMACs", ErrSnapshotFormat)
 		}
 		copy(e.mac[:], buf[:wire.MACSize])
 		e.seq = binary.LittleEndian.Uint64(buf[wire.MACSize:])
@@ -446,7 +448,7 @@ func (s *Server) deserializeState(buf []byte) error {
 			}
 			s.vlogTrack.applied(e.seq)
 		}
-		s.table.Put(key, e)
+		s.table.Upsert(key, func(entry, bool) (entry, bool) { return e, true })
 	}
 	if len(buf) != 0 {
 		return ErrSnapshotFormat

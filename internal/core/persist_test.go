@@ -226,6 +226,15 @@ func TestSealRestoreWithModes(t *testing.T) {
 	if err := bootMemoryOnly(t, in.platform, false).server.RestoreReplica(&inline); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("base-layout restore of an inline entry: %v, want ErrSnapshotFormat", err)
 	}
+	// Nor has a server without HardenedMACs a column for the MAC, whatever
+	// other mode it runs: it refuses a snapshot holding one.
+	var macs bytes.Buffer
+	if err := tc.server.seal(&macs, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.newPeer(ServerConfig{InlineSmallValues: true}).server.RestoreReplica(&macs); !errors.Is(err, ErrSnapshotFormat) {
+		t.Errorf("restore of a hardened-MAC entry without HardenedMACs: %v, want ErrSnapshotFormat", err)
+	}
 }
 
 func TestRollbackCounterMonotonic(t *testing.T) {

@@ -322,7 +322,8 @@ func TestPlacementMismatchIsRefused(t *testing.T) {
 					t.Errorf("Get = %q, %v", got, err)
 				}
 			}
-			tc.server.table.Range(func(key string, e entry) bool {
+			tc.server.table.Range(func(key string, b baseEntry, rec uint32) bool {
+				e := tc.server.table.load(b, rec)
 				if e.inline != nil {
 					t.Errorf("%s is enclave-inline, want every value in the pool", key)
 				}

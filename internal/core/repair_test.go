@@ -664,7 +664,7 @@ func sameState(t *testing.T, donor, target *testCluster, cd, ct *Client) {
 	t.Helper()
 	keysOf := func(tc *testCluster) []string {
 		var keys []string
-		tc.server.table.Range(func(k string, _ entry) bool {
+		tc.server.table.Range(func(k string, _ baseEntry, _ uint32) bool {
 			keys = append(keys, k)
 			return true
 		})

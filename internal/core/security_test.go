@@ -25,7 +25,8 @@ func TestUntrustedMemoryTamperDetected(t *testing.T) {
 
 	// Reach into the untrusted pool and corrupt the stored ciphertext.
 	tampered := false
-	tc.server.table.Range(func(key string, e entry) bool {
+	tc.server.table.Range(func(key string, b baseEntry, rec uint32) bool {
+		e := tc.server.table.load(b, rec)
 		stored, err := tc.server.pool.Read(e.ref)
 		if err != nil {
 			t.Errorf("pool read: %v", err)
@@ -51,7 +52,8 @@ func TestStoredMACTamperDetected(t *testing.T) {
 	if err := c.Put("k", []byte("authentic value")); err != nil {
 		t.Fatal(err)
 	}
-	tc.server.table.Range(func(key string, e entry) bool {
+	tc.server.table.Range(func(key string, b baseEntry, rec uint32) bool {
+		e := tc.server.table.load(b, rec)
 		stored, err := tc.server.pool.Read(e.ref)
 		if err != nil {
 			return false
@@ -76,7 +78,8 @@ func TestHardenedModeDetectsSubstitution(t *testing.T) {
 	}
 	// The attacker overwrites the pool ciphertext wholesale (it cannot
 	// update the in-enclave MAC).
-	tc.server.table.Range(func(key string, e entry) bool {
+	tc.server.table.Range(func(key string, b baseEntry, rec uint32) bool {
+		e := tc.server.table.load(b, rec)
 		stored, err := tc.server.pool.Read(e.ref)
 		if err != nil {
 			return false

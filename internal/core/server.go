@@ -34,29 +34,75 @@ const replyCreditWait = 20 * time.Millisecond
 // memory independent of the number of keys.
 const replyFrameFree = 64
 
-// entry is the per-key security metadata the enclave's hash table holds by
-// value, whole, in every mode (Fig. 3, the (K_op, ptr, MAC) of §4). A
-// server with neither hardened MACs, inline values nor a value log keeps
-// only its baseEntry per key, a 64-byte pointer-free record; any other
-// keeps the whole entry, a 112-byte record (hashtable.Dual). The zero
-// entry is no entry.
+// entry is the per-key security metadata of the enclave (Fig. 3, the
+// (K_op, ptr, MAC) of §4), whole: what an operation reads and writes, and
+// what the table keeps in parts (entries). The zero entry is no entry.
 type entry struct {
 	baseEntry
-	hasMAC bool
-	inline *sgx.Region        // the value itself, enclave-resident (inline mode, §5.2)
-	mac    [wire.MACSize]byte // the payload MAC, when hasMAC (hardened mode)
-	vptr   vlog.Ptr           // the durable record backing this version (ref is then a cache: evictable, rebuildable from vptr)
-	seq    uint64             // its log sequence number: with vptr, the version an entry names
+	payloadMAC             // hardened mode
+	inline     *sgx.Region // the value itself, enclave-resident (inline mode, §5.2)
+	version                // value log
 }
 
 // baseEntry is what every mode keeps per key: K_operation, the pointer into
-// the untrusted payload pool and the owner. Inlining is the server's
-// placement (applyPut refuses an inline put elsewhere), so a server that
-// keeps only this part never holds an inline value.
+// the untrusted payload pool and the owner — 48 bytes, no pointer.
 type baseEntry struct {
 	opKey cryptox.OperationKey
 	ref   slab.Ref
 	owner uint32
+}
+
+// payloadMAC is the payload MAC a hardened server keeps as enclave state.
+type payloadMAC struct {
+	hasMAC bool
+	mac    [wire.MACSize]byte
+}
+
+// version names an entry's durable record: its place (ref is then a cache,
+// evictable and rebuildable from vptr) and its sequence number.
+type version struct {
+	vptr vlog.Ptr
+	seq  uint64
+}
+
+// entries is the enclave's table: a 52-byte record per key holding its
+// baseEntry and, beside the records, a column per mode the server runs (nil
+// when off); an entry holds no field its server keeps no column for. Get,
+// Upsert and load see whole entries, a record and its columns under one lock
+// hold; the embedded Table's Put and Swap write the record alone.
+type entries struct {
+	*hashtable.Table[baseEntry]
+	macs   *hashtable.Column[payloadMAC]
+	inline *hashtable.Column[*sgx.Region]
+	vers   *hashtable.Column[version]
+}
+
+func (t *entries) load(b baseEntry, rec uint32) entry {
+	e := entry{baseEntry: b}
+	t.macs.Load(rec, &e.payloadMAC)
+	t.inline.Load(rec, &e.inline)
+	t.vers.Load(rec, &e.version)
+	return e
+}
+
+func (t *entries) Get(key string) (e entry, ok bool) {
+	ok = t.Read(key, func(b baseEntry, rec uint32) { e = t.load(b, rec) })
+	return e, ok
+}
+
+// Upsert stores fn's entry for key if fn says to, handed the current one
+// (zero if absent), and reports whether it stored.
+func (t *entries) Upsert(key string, fn func(cur entry, exists bool) (entry, bool)) bool {
+	return t.Edit(key, func(b *baseEntry, rec uint32, exists bool) bool {
+		e, store := fn(t.load(*b, rec), exists)
+		if store {
+			*b = e.baseEntry
+			t.macs.Store(rec, e.payloadMAC)
+			t.inline.Store(rec, e.inline)
+			t.vers.Store(rec, e.version)
+		}
+		return store
+	})
 }
 
 // session is the per-client state: the transport-encryption AEAD keyed
@@ -123,7 +169,7 @@ type Server struct {
 	device   *rdma.Device
 	enclave  *sgx.Enclave
 	acct     *enclaveAccountant
-	table    *hashtable.Dual[baseEntry, entry]
+	table    *entries
 	pool     *slab.Pool
 	rollback sgx.TrustedCounter
 	storage  *cryptox.AEAD // the server-encryption storage key; nil otherwise
@@ -262,8 +308,9 @@ func NewServer(device *rdma.Device, cfg ServerConfig) (*Server, error) {
 
 	// Ecall i.: initialize the hash table inside the enclave.
 	if err := enclave.Ecall("init_hashtable", func() error {
-		s.table = hashtable.NewDual(s.acct, DefaultEntryBytes, c.HardenedMACs || c.InlineSmallValues || c.DataDir != "",
-			func(e entry) baseEntry { return e.baseEntry }, func(b baseEntry) entry { return entry{baseEntry: b} })
+		t := hashtable.New[baseEntry](s.acct, DefaultEntryBytes)
+		s.table = &entries{t, hashtable.NewColumn[payloadMAC](t, c.HardenedMACs),
+			hashtable.NewColumn[*sgx.Region](t, c.InlineSmallValues), hashtable.NewColumn[version](t, c.DataDir != "")}
 		return nil
 	}); err != nil {
 		return nil, err

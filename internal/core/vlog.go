@@ -440,6 +440,9 @@ func (s *Server) ReplayVlog() (VlogRecovery, error) {
 			if err != nil {
 				return err
 			}
+			if m.flags&vlogMetaHasMAC != 0 && s.table.macs == nil { // no column to hold the MAC
+				return fmt.Errorf("%w: value-log record %v holds a hardened MAC: needs HardenedMACs", ErrSnapshotFormat, ptr)
+			}
 			s.applyVlogRecord(ptr, r, &m, tombs, &rec)
 			return nil
 		})
@@ -548,8 +551,8 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 // by read-through, rather than failing recovery — an inline value too,
 // outside inline mode.
 func (s *Server) entryFromRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta) entry {
-	e := entry{baseEntry: baseEntry{opKey: m.opKey, owner: m.owner}, hasMAC: m.flags&vlogMetaHasMAC != 0,
-		mac: m.mac, vptr: ptr, seq: r.Seq}
+	e := entry{baseEntry: baseEntry{opKey: m.opKey, owner: m.owner},
+		payloadMAC: payloadMAC{m.flags&vlogMetaHasMAC != 0, m.mac}, version: version{ptr, r.Seq}}
 	switch {
 	case m.flags&vlogMetaInline == 0:
 		_ = s.placeStored(&e, r.Payload)

@@ -119,6 +119,32 @@ func TestVlogPutGetReadThrough(t *testing.T) {
 	}
 }
 
+// TestVlogReplayOfHardenedMACsNeedsTheColumn: a hardened server's log
+// records carry each value's MAC in their sealed metadata, never in the
+// record body. A server restarted on that log without HardenedMACs keeps no
+// MAC column, so its replay refuses the records rather than serve values
+// nobody can verify; restarted with the mode it replays and serves them.
+func TestVlogReplayOfHardenedMACsNeedsTheColumn(t *testing.T) {
+	h := newVlogHarness(t, 11, func(cfg *ServerConfig) { cfg.HardenedMACs = true })
+	tc := h.boot()
+	val := bytes.Repeat([]byte("m"), 300)
+	mustPut(t, tc.connect(), "hardened", val)
+	tc.server.Close()
+
+	h.cfg.HardenedMACs = false
+	if _, err := h.boot().server.ReplayVlog(); !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("replay of hardened records without HardenedMACs: %v, want ErrSnapshotFormat", err)
+	}
+	h.cfg.HardenedMACs = true
+	tc = h.boot()
+	if _, err := tc.server.ReplayVlog(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tc.connect().Get("hardened"); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("get after replay with HardenedMACs: %d bytes, %v", len(got), err)
+	}
+}
+
 // TestVlogCrashRecoveryZeroLostAcked is the headline durability claim:
 // every acked put survives kill -9, with no snapshot at all — recovery
 // is pure log replay.

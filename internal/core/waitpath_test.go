@@ -407,31 +407,27 @@ func TestClientSpinSwitchesItselfOff(t *testing.T) {
 	})
 }
 
-// TestEntrySizeClasses: the table holds every stored key's entry by value
-// in a record beside one 8-byte index slot (hashtable's TestSlotAndRecordSizes
-// pins both). A base-mode record is the baseEntry, at most 52 bytes and
-// holding no pointer, and the key's 8-byte place in the arena: 64 bytes, a
-// chunk of 255 in the allocator's 16 384 B class with no type header. A wide
-// record — hardened MACs, inline values or a value log — is the whole entry:
-// at most 104 bytes, 112 with the key's place, a chunk of 255 in the
-// 28 672 B class. One more byte of either, or a pointer in the base one,
-// moves its chunk a class up.
+// TestEntrySizeClasses: the table holds every stored key's baseEntry by
+// value, in a record beside one 8-byte index slot (hashtable's
+// TestSlotAndRecordSizes pins both): at most 48 bytes and no pointer, 52
+// with the key's 4-byte place, a chunk of 315 in the allocator's 16 384 B
+// class with no type header. One more byte, or a pointer, moves the chunk a
+// class up. Each mode's fields are a column that exists exactly when its
+// mode is on: the MAC (hardened), the inline region (inline values) and the
+// version (value log).
 func TestEntrySizeClasses(t *testing.T) {
-	base, wide := unsafe.Sizeof(baseEntry{}), unsafe.Sizeof(entry{})
-	if base > 52 || wide > 104 {
-		t.Fatalf("baseEntry is %d bytes and entry %d, want at most 52 and 104", base, wide)
+	if n := unsafe.Sizeof(baseEntry{}); n > 48 {
+		t.Fatalf("baseEntry is %d bytes, want at most 48", n)
 	}
 	if p := pointerField(reflect.TypeOf(baseEntry{}), "baseEntry"); p != "" {
-		t.Errorf("%s holds a pointer: a base record must be pointer-free", p)
+		t.Errorf("%s holds a pointer: a record must be pointer-free", p)
 	}
-	for _, tc := range []struct {
-		cfg  ServerConfig
-		wide bool
-	}{{ServerConfig{}, false}, {ServerConfig{InlineSmallValues: true}, true},
-		{ServerConfig{HardenedMACs: true}, true}, {ServerConfig{DataDir: t.TempDir()}, true}} {
-		tc.cfg.Workers = 1
-		if got := newCluster(t, tc.cfg).server.table.Wide(); got != tc.wide {
-			t.Errorf("%+v: wide records = %v, want %v", tc.cfg, got, tc.wide)
+	for _, cfg := range []ServerConfig{{}, {InlineSmallValues: true}, {HardenedMACs: true}, {DataDir: t.TempDir()},
+		{HardenedMACs: true, InlineSmallValues: true, DataDir: t.TempDir()}} {
+		cfg.Workers = 1
+		tbl := newCluster(t, cfg).server.table
+		if got := [3]bool{tbl.macs != nil, tbl.inline != nil, tbl.vers != nil}; got != [3]bool{cfg.HardenedMACs, cfg.InlineSmallValues, cfg.DataDir != ""} {
+			t.Errorf("%+v: columns (MAC, inline, version) = %v", cfg, got)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func TestRangeEarlyStop(t *testing.T) {
 		tbl.Put(strconv.Itoa(i), i)
 	}
 	visits := 0
-	tbl.Range(func(key string, v int) bool {
+	tbl.Range(func(key string, v int, _ uint32) bool {
 		visits++
 		return visits < 10
 	})
@@ -83,10 +83,22 @@ func TestRangeEarlyStop(t *testing.T) {
 	}
 }
 
+// upsert is Edit as a conditional replace: fn gets the current value and
+// returns the value to store and whether to store it.
+func upsert[V any](t *Table[V], key string, fn func(cur V, exists bool) (V, bool)) bool {
+	return t.Edit(key, func(v *V, _ uint32, exists bool) bool {
+		val, store := fn(*v, exists)
+		if store {
+			*v = val
+		}
+		return store
+	})
+}
+
 func TestUpsertConditionalSwap(t *testing.T) {
 	tbl := New[int](nil, 0)
 	// Absent key: fn sees exists=false and may insert.
-	if !tbl.Upsert("k", func(cur int, exists bool) (int, bool) {
+	if !upsert(tbl, "k", func(cur int, exists bool) (int, bool) {
 		if exists {
 			t.Fatal("exists=true for fresh key")
 		}
@@ -95,21 +107,21 @@ func TestUpsertConditionalSwap(t *testing.T) {
 		t.Fatal("insert upsert failed")
 	}
 	// Condition holds: replacement applied.
-	if !tbl.Upsert("k", func(cur int, exists bool) (int, bool) { return cur + 10, exists && cur == 1 }) {
+	if !upsert(tbl, "k", func(cur int, exists bool) (int, bool) { return cur + 10, exists && cur == 1 }) {
 		t.Fatal("upsert with matching condition failed")
 	}
 	if v, _ := tbl.Get("k"); v != 11 {
 		t.Fatalf("v = %d", v)
 	}
 	// Condition fails: value untouched, reported as not applied.
-	if tbl.Upsert("k", func(cur int, exists bool) (int, bool) { return 99, cur == 1 }) {
+	if upsert(tbl, "k", func(cur int, exists bool) (int, bool) { return 99, cur == 1 }) {
 		t.Fatal("upsert applied despite failed condition")
 	}
 	if v, _ := tbl.Get("k"); v != 11 {
 		t.Fatalf("v = %d after refused upsert", v)
 	}
 	// Declining an insert leaves the key absent.
-	if tbl.Upsert("absent", func(cur int, exists bool) (int, bool) { return 5, false }) {
+	if upsert(tbl, "absent", func(cur int, exists bool) (int, bool) { return 5, false }) {
 		t.Fatal("declined insert reported as applied")
 	}
 	if _, ok := tbl.Get("absent"); ok {
@@ -118,7 +130,7 @@ func TestUpsertConditionalSwap(t *testing.T) {
 	// Upsert inserts interact correctly with growth.
 	for i := 0; i < 2000; i++ {
 		k := "grow-" + strconv.Itoa(i)
-		tbl.Upsert(k, func(cur int, exists bool) (int, bool) { return i, !exists })
+		upsert(tbl, k, func(cur int, exists bool) (int, bool) { return i, !exists })
 	}
 	if tbl.Len() != 2001 {
 		t.Fatalf("len = %d", tbl.Len())
@@ -128,26 +140,26 @@ func TestUpsertConditionalSwap(t *testing.T) {
 func TestDeleteIf(t *testing.T) {
 	tbl := New[int](nil, 0)
 	tbl.Put("k", 7)
-	if tbl.DeleteIf("k", func(cur int) bool { return cur == 8 }) {
+	if tbl.DeleteIf("k", func(cur int, _ uint32) bool { return cur == 8 }) {
 		t.Fatal("conditional delete fired on mismatched value")
 	}
 	if _, ok := tbl.Get("k"); !ok {
 		t.Fatal("refused delete removed the key")
 	}
-	if !tbl.DeleteIf("k", func(cur int) bool { return cur == 7 }) {
+	if !tbl.DeleteIf("k", func(cur int, _ uint32) bool { return cur == 7 }) {
 		t.Fatal("conditional delete failed on matching value")
 	}
 	if _, ok := tbl.Get("k"); ok {
 		t.Fatal("key survives an approved delete")
 	}
-	if tbl.DeleteIf("k", func(int) bool { return true }) {
+	if tbl.DeleteIf("k", func(int, uint32) bool { return true }) {
 		t.Fatal("delete of absent key reported success")
 	}
 	// Probe chains stay intact after a conditional delete (backward shift).
 	for i := 0; i < 300; i++ {
 		tbl.Put("p-"+strconv.Itoa(i), i)
 	}
-	if !tbl.DeleteIf("p-7", func(int) bool { return true }) {
+	if !tbl.DeleteIf("p-7", func(int, uint32) bool { return true }) {
 		t.Fatal("chain delete failed")
 	}
 	for i := 0; i < 300; i++ {
@@ -217,7 +229,7 @@ func TestTableOwnsItsKeys(t *testing.T) {
 		case 1:
 			tbl.Swap(through(i), i)
 		case 2:
-			tbl.Upsert(through(i), func(int, bool) (int, bool) { return i, true })
+			upsert(tbl, through(i), func(int, bool) (int, bool) { return i, true })
 		}
 		scribble()
 		want[key(i)] = i
@@ -226,7 +238,7 @@ func TestTableOwnsItsKeys(t *testing.T) {
 		if i%2 == 0 {
 			tbl.Swap(through(i), i+1000)
 		} else {
-			tbl.Upsert(through(i), func(cur int, ok bool) (int, bool) { return cur + 1000, ok })
+			upsert(tbl, through(i), func(cur int, ok bool) (int, bool) { return cur + 1000, ok })
 		}
 		scribble()
 		want[key(i)] = i + 1000
@@ -235,7 +247,7 @@ func TestTableOwnsItsKeys(t *testing.T) {
 		if i%2 == 0 {
 			tbl.Delete(through(i))
 		} else {
-			tbl.DeleteIf(through(i), func(int) bool { return true })
+			tbl.DeleteIf(through(i), func(int, uint32) bool { return true })
 		}
 		scribble()
 		delete(want, key(i))
@@ -243,7 +255,7 @@ func TestTableOwnsItsKeys(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		seen := 0
-		tbl.Range(func(k string, v int) bool {
+		tbl.Range(func(k string, v int, _ uint32) bool {
 			if w, ok := want[k]; !ok || w != v {
 				t.Errorf("%s: Range yields %q = %d, want %d (present %v)", when, k, v, w, ok)
 			}
@@ -301,7 +313,7 @@ func TestDeleteChargesItsBuckets(t *testing.T) {
 		fn   func(*Table[int], string) bool
 	}{
 		{"Delete", (*Table[int]).Delete},
-		{"DeleteIf", func(t *Table[int], k string) bool { return t.DeleteIf(k, func(int) bool { return true }) }},
+		{"DeleteIf", func(t *Table[int], k string) bool { return t.DeleteIf(k, func(int, uint32) bool { return true }) }},
 	} {
 		log := &touchLog{}
 		tbl := New[int](log, 0)

@@ -10,32 +10,27 @@ import (
 )
 
 // TestSlotAndRecordSizes: an index slot is 8 bytes, and a record is its
-// value plus the 8-byte place of its key — so a 64-byte value makes a
-// 72-byte record.
+// value plus the 4-byte place of its key — so a 64-byte value makes a
+// 68-byte record, and a pointer, 8-aligned, a 16-byte one.
 func TestSlotAndRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(slot{}); n != 8 {
 		t.Errorf("slot is %d bytes, want 8", n)
 	}
-	if n := unsafe.Sizeof(record[[64]byte]{}); n != 72 {
-		t.Errorf("record of a 64-byte value is %d bytes, want 72", n)
+	if n := unsafe.Sizeof(record[[64]byte]{}); n != 68 {
+		t.Errorf("record of a 64-byte value is %d bytes, want 68", n)
 	}
 	if n := unsafe.Sizeof(record[*int]{}); n != 16 {
 		t.Errorf("record of a pointer is %d bytes, want 16", n)
 	}
 }
 
-// TestRecordChunksFillTheirSizeClass: a chunk of records whose values hold
-// a pointer carries the allocator's 8-byte type header, so a chunk holds 255
-// records: a chunk of 112-byte records (the enclave's wide entry layout)
-// takes exactly the 28 672 B size class, where 256 records would take
-// 32 768 B. The narrow layout is a 64-byte record without a pointer, so no
-// header: 255 of them take 16 320 B in the 16 384 B class.
+// TestRecordChunksFillTheirSizeClass: the enclave's record is a 48-byte
+// pointer-free value and its key's 4-byte place, 52 bytes, and a chunk of
+// recordChunk = 315 of them takes 16 380 B of the 16 384 B size class. A
+// column chunk of pointers carries the allocator's 8-byte type header:
+// 2 528 B, in the 2 688 B class.
 func TestRecordChunksFillTheirSizeClass(t *testing.T) {
-	type base [56]byte
-	type wide struct {
-		b [96]byte
-		p *int
-	}
+	type base [48]byte
 	const n = 32
 	perChunk := func(alloc func(i int)) uint64 {
 		var before, after runtime.MemStats
@@ -46,23 +41,27 @@ func TestRecordChunksFillTheirSizeClass(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / n
 	}
+	if n := unsafe.Sizeof(record[base]{}); n != 52 {
+		t.Fatalf("record of a 48-byte value is %d bytes, want 52", n)
+	}
 	var bases [n]*[recordChunk]record[base]
-	var wides [n]*[recordChunk]record[wide]
+	var ptrs [n]*Column[*int]
 	for _, c := range []struct {
-		record, class uint64
-		got           uint64
+		chunk      string
+		class, got uint64
 	}{
-		{64, 16384, perChunk(func(i int) { bases[i] = new([recordChunk]record[base]) })},
-		{112, 28672, perChunk(func(i int) { wides[i] = new([recordChunk]record[wide]) })},
+		{"315 records of 52 B", 16384, perChunk(func(i int) { bases[i] = new([recordChunk]record[base]) })},
+		{"a column of 315 pointers", 2688, perChunk(func(i int) { ptrs[i] = &Column[*int]{}; ptrs[i].grow() })},
 	} {
-		// A stray allocation elsewhere in the window adds a few bytes a chunk;
-		// the next class up is 640 B away at least.
+		// A stray allocation in the window, or a column's own header and
+		// chunk list, adds a few bytes a chunk; the next class up is 384 B
+		// away at least.
 		if c.got < c.class || c.got > c.class+256 {
-			t.Errorf("a chunk of %d-byte records takes %d B, want the %d B class", c.record, c.got, c.class)
+			t.Errorf("a chunk of %s takes %d B, want the %d B class", c.chunk, c.got, c.class)
 		}
 	}
 	runtime.KeepAlive(&bases)
-	runtime.KeepAlive(&wides)
+	runtime.KeepAlive(&ptrs)
 }
 
 // stamped is a value whose every field carries the same version stamp: a
@@ -106,7 +105,7 @@ func TestGetCopiesAWholeRecord(t *testing.T) {
 				case 0, 1:
 					tbl.Swap(k, stampOf(uint64(i)))
 				case 2:
-					tbl.Upsert(k, func(cur stamped, ok bool) (stamped, bool) { return stampOf(cur[0] + 1), true })
+					upsert(tbl, k, func(cur stamped, ok bool) (stamped, bool) { return stampOf(cur[0] + 1), true })
 				case 3:
 					tbl.Delete(k)
 					tbl.Put(k, stampOf(uint64(i)))
@@ -131,7 +130,7 @@ func TestGetCopiesAWholeRecord(t *testing.T) {
 					bad.Do(func() { t.Errorf("Get returned mixed stamps %v", v) })
 				}
 				if i%64 == 0 {
-					tbl.Range(func(_ string, v stamped) bool {
+					tbl.Range(func(_ string, v stamped, _ uint32) bool {
 						if !whole(v) {
 							bad.Do(func() { t.Errorf("Range yielded mixed stamps %v", v) })
 						}
@@ -164,7 +163,7 @@ func TestKeyViewsOutliveCompaction(t *testing.T) {
 			views = append(views, held{own, strings.Clone(own)})
 		}
 	}
-	tbl.Range(func(k string, v int) bool {
+	tbl.Range(func(k string, v int, _ uint32) bool {
 		if v%2 == 1 {
 			views = append(views, held{k, strings.Clone(k)})
 		}
@@ -233,7 +232,7 @@ func fuzzKey(b byte) string {
 	return fmt.Sprintf("k%d", b) + strings.Repeat("-", int(b%5))
 }
 
-// FuzzTableMatchesMap runs a script of Put, Swap, Upsert, DeleteIf,
+// FuzzTableMatchesMap runs a script of Put, Swap, Edit, DeleteIf,
 // Delete and Clear over up to 255 keys — several growths — against a
 // map. After every op Len, Get, Key and Range agree with the map, and
 // every key Key handed out earlier still reads the same.
@@ -271,7 +270,7 @@ func FuzzTableMatchesMap(f *testing.F) {
 				}
 				model[k] = v
 			case 3:
-				stored := tbl.Upsert(k, func(c int, ok bool) (int, bool) {
+				stored := upsert(tbl, k, func(c int, ok bool) (int, bool) {
 					if ok != had || c != cur {
 						t.Fatalf("op %d: Upsert(%q) saw %d, %v; want %d, %v", i, k, c, ok, cur, had)
 					}
@@ -294,7 +293,7 @@ func FuzzTableMatchesMap(f *testing.F) {
 					t.Fatalf("op %d: Upsert(%q) stored against fn's answer", i, k)
 				}
 			case 4:
-				if tbl.DeleteIf(k, func(c int) bool { return c%2 == 0 }) != (had && cur%2 == 0) {
+				if tbl.DeleteIf(k, func(c int, _ uint32) bool { return c%2 == 0 }) != (had && cur%2 == 0) {
 					t.Fatalf("op %d: DeleteIf(%q) disagrees with the map", i, k)
 				}
 				if had && cur%2 == 0 {
@@ -324,7 +323,7 @@ func FuzzTableMatchesMap(f *testing.F) {
 				views = append(views, held{own, strings.Clone(own)})
 			}
 			seen := 0
-			tbl.Range(func(rk string, rv int) bool {
+			tbl.Range(func(rk string, rv int, _ uint32) bool {
 				if mv, ok := model[rk]; !ok || mv != rv {
 					t.Fatalf("op %d: Range yields %q = %d, map has %d, %v", i, rk, rv, mv, ok)
 				}

@@ -15,13 +15,18 @@
 // two has no mask: a key's home bucket is its hash tag, mixed, scaled onto
 // the bucket count by a multiply-shift.
 //
-// The table is three flat parts rather than a graph of Go objects:
+// The table is four flat parts rather than a graph of Go objects:
 //
 //   - the index, one array of 8-byte slots, each a hash tag and a record
 //     number: the only part displacement and growth move;
-//   - the records, each key's value held by value beside its key's place in
-//     the arena, in fixed-size chunks that never move; a deleted key's record
-//     is reused through a free list;
+//   - the records, each key's value held by value beside its key's 4-byte
+//     place in the arena, in fixed-size chunks that never move; a deleted
+//     key's record is reused through a free list;
+//   - the columns, optional per-record state some tables keep beside the
+//     records (NewColumn): chunks that line up with the record chunks,
+//     indexed by the record number. A column that is not made costs nothing,
+//     so a field only some tables need is a column, not a field of every
+//     record;
 //   - the key arena, append-only chunks of length-prefixed keys. A chunk's
 //     bytes are never rewritten, so a key Key or Range hands out stays valid
 //     however long its holder keeps it. Once deleted keys hold more arena
@@ -32,7 +37,9 @@
 // The table is guarded by an embedded read-write lock — the "completely
 // in-enclave mechanism" of §4 — so concurrent trusted threads can serve
 // gets in parallel. A get copies its value out under that lock: the caller
-// works on its own copy.
+// works on its own copy. Read, Edit, DeleteIf and Range hand their callback
+// the record number under that same lock hold, so a caller reads and
+// writes a record and its columns as one.
 package hashtable
 
 import (
@@ -50,17 +57,20 @@ const (
 	// 85% leaves headroom. Growth steps of ×3/2 and ×4/3 leave a grown
 	// table at least 85/1.5 ≈ 57 % full.
 	maxLoadPercent = 85
-	// A record chunk holds recordChunk records: 255, not 256, because a
-	// chunk of records holding pointers carries the allocator's 8-byte type
-	// header. 255 records of 112 bytes (28 568 with it) fill the 28 672 B
-	// size class, where 256 would spill into the next class up, 32 768 B.
-	// 255 pointer-free records of 64 bytes take 16 320 B of the 16 384 B
-	// class.
-	recordChunk = 255
+	// A record chunk, and each column chunk beside it, holds recordChunk
+	// cells: 315 records of the enclave's 52 bytes take 16 380 B of the
+	// 16 384 B size class (the 256 a power of two suggests would take
+	// 13 312 B of the 13 568 B class, and fill no class better).
+	recordChunk = 315
 	// A key arena chunk starts at arenaMinChunk bytes and doubles up to
-	// arenaMaxChunk; a longer key gets a chunk of its own.
-	arenaMinChunk = 1 << 10
-	arenaMaxChunk = 64 << 10
+	// arenaMaxChunk; a longer key gets a chunk of its own. A key's place is
+	// its chunk's index and its offset in the chunk, 16 bits each: an offset
+	// in a chunk of at most 64 KiB fits, a longer key starts its own chunk at
+	// offset 0, and the arena holds at most arenaMaxChunks chunks — about
+	// 4 GiB of keys — and refuses, loudly, to make one more.
+	arenaMinChunk  = 1 << 10
+	arenaMaxChunk  = 64 << 10
+	arenaMaxChunks = 1 << 16
 )
 
 // Accountant receives memory-footprint events so the enclave can charge
@@ -91,14 +101,15 @@ type Table[V any] struct {
 	recs    []*[recordChunk]record[V]
 	next    uint32   // records ever handed out
 	free    []uint32 // deleted keys' record numbers, reused first
+	cols    []column // a chunk each beside every record chunk
 	keys    arena
 	acct    Accountant
 	entSize int
 }
 
 // slot is one index bucket: the low 32 bits of its key's hash — all a home
-// bucket and a probe distance need (see home) — and its
-// record's number plus one, so that 0 marks an empty bucket.
+// bucket and a probe distance need (see home) — and its record's number
+// plus one, so that 0 marks an empty bucket.
 type slot struct {
 	tag uint32
 	rec uint32
@@ -154,6 +165,19 @@ func (t *Table[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
+// Read calls fn with a copy of key's value and its record number, under the
+// read lock, if key is present, and reports whether it was.
+func (t *Table[V]) Read(key string, fn func(val V, rec uint32)) bool {
+	h := hashKey(key)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	idx, _, r := t.find(h, key)
+	if r != nil {
+		fn(r.val, t.slots[idx].rec-1)
+	}
+	return r != nil
+}
+
 // Key returns the table's own copy of key, if key is present: a string
 // that stays valid however long the caller keeps it, for a caller that
 // holds only a view.
@@ -177,64 +201,55 @@ func (t *Table[V]) Put(key string, val V) bool {
 // Swap inserts or replaces the value for key, returning the previous
 // value if the key existed. The store uses it to reclaim the old payload
 // slot on updates.
-func (t *Table[V]) Swap(key string, val V) (V, bool) {
+func (t *Table[V]) Swap(key string, val V) (old V, existed bool) {
+	t.Edit(key, func(v *V, _ uint32, exists bool) bool {
+		old, existed, *v = *v, exists, val
+		return true
+	})
+	return old, existed
+}
+
+// Edit finds key under the write lock and calls fn with its value, its
+// record number and whether it exists, and returns fn's answer. For a
+// present key fn edits the value and the record's columns in place. For an
+// absent key it is handed the zero record the key would take, columns zero,
+// and the key is inserted with what fn leaves there only if fn answers
+// true. The value-log write path edits newest-wins by sequence number, and
+// value-log GC relocates an entry's pointer only if the entry is still the
+// one whose record was copied, so a concurrent put is never clobbered.
+func (t *Table[V]) Edit(key string, fn func(val *V, rec uint32, exists bool) bool) bool {
 	h := hashKey(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	idx, dist, r := t.find(h, key)
 	if r != nil {
-		old := r.val
-		r.val = val
-		return old, true
+		return fn(&r.val, t.slots[idx].rec-1, true)
 	}
-	t.placeLocked(idx, dist, h, key, val)
-	var zero V
-	return zero, false
+	n := t.spareLocked()
+	if !fn(&t.record(n+1).val, n, false) {
+		t.zeroLocked(n)
+		return false
+	}
+	t.placeLocked(idx, dist, h, key, n)
+	return true
 }
 
-// Upsert atomically inserts or conditionally replaces key's value. fn
-// receives the current value (zero if absent) and whether the key
-// exists, and returns the value to store plus whether to store it.
-// Upsert returns whether a store happened, all under one lock hold.
-// The value-log write path uses it to apply versioned records newest-
-// wins, and value-log GC uses it as a conditional swap: relocate an
-// entry's pointer only if the entry is still the one whose record was
-// copied, so a concurrent put is never clobbered by a stale relocation.
-func (t *Table[V]) Upsert(key string, fn func(cur V, exists bool) (V, bool)) bool {
-	h := hashKey(key)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idx, dist, r := t.find(h, key)
-	if r != nil {
-		val, store := fn(r.val, true)
-		if store {
-			r.val = val
-		}
-		return store
-	}
-	var zero V
-	val, store := fn(zero, false)
-	if store {
-		t.placeLocked(idx, dist, h, key, val)
-	}
-	return store
-}
-
-// DeleteIf removes key only when cond approves of its current value,
-// returning whether a removal happened. The value-log replay path uses
-// it to apply tombstones newest-wins: a tombstone must not remove an
-// entry whose record is newer than the tombstone itself.
-func (t *Table[V]) DeleteIf(key string, cond func(cur V) bool) bool {
+// DeleteIf removes key only when cond approves of its current value and
+// record number, returning whether a removal happened. The value-log replay
+// path uses it to apply tombstones newest-wins: a tombstone must not remove
+// an entry whose record is newer than the tombstone itself.
+func (t *Table[V]) DeleteIf(key string, cond func(val V, rec uint32) bool) bool {
 	h := hashKey(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	idx, _, r := t.find(h, key)
-	if r == nil || !cond(r.val) {
+	if r == nil || !cond(r.val, t.slots[idx].rec-1) {
 		return false
 	}
+	n := t.slots[idx].rec - 1
 	t.keys.drop(r.key)
-	*r = record[V]{}
-	t.free = append(t.free, t.slots[idx].rec-1)
+	t.zeroLocked(n)
+	t.free = append(t.free, n)
 	t.backwardShiftLocked(idx)
 	return true
 }
@@ -243,7 +258,7 @@ func (t *Table[V]) DeleteIf(key string, cond func(cur V) bool) bool {
 // backward-shift deletion, which preserves Robin-Hood probe invariants
 // without tombstones.
 func (t *Table[V]) Delete(key string) bool {
-	return t.DeleteIf(key, func(V) bool { return true })
+	return t.DeleteIf(key, func(V, uint32) bool { return true })
 }
 
 // find probes for key from its home bucket, charging every bucket it
@@ -278,24 +293,45 @@ func (t *Table[V]) record(rec uint32) *record[V] {
 	return &t.recs[n/recordChunk][n%recordChunk]
 }
 
+// spareLocked returns the number of the record a new key takes — the last
+// one freed, else the first never used, its chunks made if need be —
+// without taking it. Its value and columns are zero.
+func (t *Table[V]) spareLocked() uint32 {
+	if k := len(t.free); k > 0 {
+		return t.free[k-1]
+	}
+	if int(t.next/recordChunk) == len(t.recs) {
+		t.recs = append(t.recs, new([recordChunk]record[V]))
+		for _, c := range t.cols {
+			c.grow()
+		}
+	}
+	return t.next
+}
+
+// zeroLocked zeroes record n and its columns.
+func (t *Table[V]) zeroLocked(n uint32) {
+	*t.record(n + 1) = record[V]{}
+	for _, c := range t.cols {
+		c.zero(n)
+	}
+}
+
 // placeLocked stores a key that find proved absent, stopping at bucket idx,
-// dist from home: the key is copied into the arena — the table's one copy —
-// and placed in the same probe pass, unless the table must grow first.
-func (t *Table[V]) placeLocked(idx, dist, h uint64, key string, val V) {
+// dist from home, in record n, the spare one (spareLocked): the key is
+// copied into the arena — the table's one copy — and placed in the same
+// probe pass, unless the table must grow first.
+func (t *Table[V]) placeLocked(idx, dist, h uint64, key string, n uint32) {
 	if t.keys.dead > max(t.keys.live, arenaMaxChunk) {
 		t.compactKeysLocked()
 	}
-	var n uint32
 	if k := len(t.free); k > 0 {
-		n, t.free = t.free[k-1], t.free[:k-1]
+		t.free = t.free[:k-1]
 	} else {
-		if n = t.next; int(n/recordChunk) == len(t.recs) {
-			t.recs = append(t.recs, new([recordChunk]record[V]))
-		}
 		t.next++
 	}
 	s := slot{tag: uint32(h), rec: n + 1}
-	*t.record(s.rec) = record[V]{key: t.keys.add(key), val: val}
+	t.record(s.rec).key = t.keys.add(key)
 	if (t.len+1)*100 > len(t.slots)*maxLoadPercent {
 		t.growLocked()
 		idx, dist = home(s.tag, t.n), 0
@@ -366,18 +402,21 @@ func (t *Table[V]) Clear() {
 	clear(t.slots)
 	t.len = 0
 	t.recs, t.next, t.free = nil, 0, nil
+	for _, c := range t.cols {
+		c.reset()
+	}
 	t.keys = arena{}
 }
 
-// Range calls fn for every entry until fn returns false. The table lock is
-// held in read mode for the duration.
-func (t *Table[V]) Range(fn func(key string, val V) bool) {
+// Range calls fn for every entry, with its record number, until fn returns
+// false. The table lock is held in read mode for the duration.
+func (t *Table[V]) Range(fn func(key string, val V, rec uint32) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, s := range t.slots {
 		if s.rec != 0 {
 			r := t.record(s.rec)
-			if !fn(t.keys.key(r.key), r.val) {
+			if !fn(t.keys.key(r.key), r.val, s.rec-1) {
 				return
 			}
 		}
@@ -465,9 +504,9 @@ func hashKey(key string) uint64 {
 	return h
 }
 
-// keyRef is a key's place in the arena: its chunk's index in the high 32
-// bits, the offset of its length prefix in the low 32.
-type keyRef uint64
+// keyRef is a key's place in the arena: its chunk's index in the high 16
+// bits, the offset of its length prefix in the low 16 (see arenaMaxChunks).
+type keyRef uint32
 
 // arena is the table's append-only key store.
 type arena struct {
@@ -480,6 +519,9 @@ func (a *arena) add(key string) keyRef {
 	n := uvarintLen(len(key)) + len(key)
 	last := len(a.chunks) - 1
 	if last < 0 || cap(a.chunks[last])-len(a.chunks[last]) < n {
+		if last+1 == arenaMaxChunks {
+			panic("hashtable: key arena full: 65 536 chunks")
+		}
 		size := arenaMinChunk
 		if last >= 0 {
 			size = min(2*cap(a.chunks[last]), arenaMaxChunk)
@@ -488,7 +530,7 @@ func (a *arena) add(key string) keyRef {
 		last++
 	}
 	c := a.chunks[last]
-	ref := keyRef(uint64(last)<<32 | uint64(len(c)))
+	ref := keyRef(last<<16 | len(c))
 	a.chunks[last] = append(binary.AppendUvarint(c, uint64(len(key))), key...)
 	a.live += n
 	return ref
@@ -496,7 +538,7 @@ func (a *arena) add(key string) keyRef {
 
 // key returns a view of the key at ref.
 func (a *arena) key(ref keyRef) string {
-	b := a.chunks[ref>>32][uint32(ref):]
+	b := a.chunks[ref>>16][ref&0xffff:]
 	n, w := int(b[0]), 1
 	if n >= 0x80 {
 		u, uw := binary.Uvarint(b)
@@ -508,7 +550,7 @@ func (a *arena) key(ref keyRef) string {
 // equal reports whether the key at ref is key: for a key shorter than 128
 // bytes, one prefix byte and the bytes themselves, without decoding.
 func (a *arena) equal(ref keyRef, key string) bool {
-	c, off, n := a.chunks[ref>>32], int(uint32(ref)), len(key)
+	c, off, n := a.chunks[ref>>16], int(ref&0xffff), len(key)
 	if n < 0x80 {
 		return off+n < len(c) && c[off] == byte(n) && string(c[off+1:off+1+n]) == key
 	}

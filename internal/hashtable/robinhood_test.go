@@ -216,7 +216,7 @@ func TestModelEquivalence(t *testing.T) {
 			}
 		}
 		count := 0
-		tbl.Range(func(k string, v int) bool {
+		tbl.Range(func(k string, v int, _ uint32) bool {
 			if model[k] != v {
 				return false
 			}

@@ -40,6 +40,9 @@ func NewSharded(n int) *Sharded {
 	return &Sharded{shards: make([]shard, n)}
 }
 
+// Shards returns the shard count: the most bucket arrays s ever holds.
+func (s *Sharded) Shards() int { return len(s.shards) }
+
 // Record adds one sample to the worker-th shard (taken modulo the shard
 // count, so any non-negative worker index is valid).
 func (s *Sharded) Record(worker int, d time.Duration) {

@@ -48,7 +48,7 @@ func TestReuseAcrossClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.class == small.class {
+	if len(p.classes[0].free) != 1 || big.Size() != 1024 {
 		t.Error("1KiB allocation reused the smallest class")
 	}
 	// But a same-class allocation does reuse it.
@@ -56,7 +56,7 @@ func TestReuseAcrossClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.class != small.class || again.off != small.off {
+	if again.chunk != small.chunk || again.off != small.off {
 		t.Errorf("smallest slot not reused: %+v vs %+v", again, small)
 	}
 }

@@ -13,6 +13,9 @@
 // the same framing beyond its value (a nonce and a MAC, say — WithFraming),
 // and a slot is a grid size plus that framing, so a value of a grid size —
 // a power of two among them — fills its slot exactly.
+//
+// A Ref — the pointer the enclave keeps per key — is a chunk, an offset and
+// a size, 12 bytes: the size decides the class, so the Ref carries none.
 package slab
 
 import (
@@ -44,9 +47,10 @@ const (
 )
 
 // Ref locates an allocation: the pointer the enclave hash table stores
-// alongside K_operation (the "ptr" of Fig. 3).
+// alongside K_operation (the "ptr" of Fig. 3). It is 12 bytes and names no
+// size class: its size decides the class (classFor), and a slot reused from
+// a class's free list is handed only a size of that class.
 type Ref struct {
-	class uint8
 	chunk uint32
 	off   uint32
 	size  uint32
@@ -181,7 +185,7 @@ func (p *Pool) Alloc(n int) (Ref, error) {
 			break
 		}
 		if last := len(cs.chunks) - 1; last >= 0 && cs.next+slot <= len(cs.chunks[last]) {
-			ref = Ref{class: uint8(class), chunk: uint32(last), off: uint32(cs.next)}
+			ref = Ref{chunk: uint32(last), off: uint32(cs.next)}
 			cs.next += slot
 			break
 		}
@@ -219,15 +223,16 @@ func (p *Pool) Alloc(n int) (Ref, error) {
 // Free returns a slot to its class free list. Double frees are the
 // caller's responsibility (the enclave owns all refs).
 func (p *Pool) Free(ref Ref) {
-	if !ref.Valid() {
+	class, err := classFor(int(ref.size), p.framing)
+	if !ref.Valid() || err != nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	cs := &p.classes[ref.class]
-	cs.free = append(cs.free, Ref{class: ref.class, chunk: ref.chunk, off: ref.off})
+	cs := &p.classes[class]
+	cs.free = append(cs.free, Ref{chunk: ref.chunk, off: ref.off})
 	p.stats.Frees++
-	p.stats.BytesInUse -= int64(classSize(int(ref.class), p.framing))
+	p.stats.BytesInUse -= int64(classSize(class, p.framing))
 	p.stats.BytesRequested -= int64(ref.size)
 }
 
@@ -256,17 +261,18 @@ func (p *Pool) Read(ref Ref) ([]byte, error) {
 }
 
 func (p *Pool) slot(ref Ref) ([]byte, error) {
-	if !ref.Valid() || int(ref.class) >= numClasses {
+	class, err := classFor(int(ref.size), p.framing)
+	if !ref.Valid() || err != nil {
 		return nil, ErrBadRef
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	cs := &p.classes[ref.class]
+	cs := &p.classes[class]
 	if int(ref.chunk) >= len(cs.chunks) {
 		return nil, ErrBadRef
 	}
 	chunk := cs.chunks[ref.chunk]
-	slot := classSize(int(ref.class), p.framing)
+	slot := classSize(class, p.framing)
 	if int(ref.off)+slot > len(chunk) {
 		return nil, ErrBadRef
 	}

@@ -141,7 +141,7 @@ func TestFreeAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.class != b.class || a.chunk != b.chunk || a.off != b.off {
+	if a.chunk != b.chunk || a.off != b.off {
 		t.Errorf("freed slot not reused: %+v vs %+v", a, b)
 	}
 	got, err := p.Read(b)
@@ -255,6 +255,77 @@ func TestGrowFailurePropagates(t *testing.T) {
 	p := New(WithGrowFunc(func(n int) error { return sentinel }))
 	if _, err := p.Alloc(64); !errors.Is(err, sentinel) {
 		t.Errorf("got %v", err)
+	}
+}
+
+// TestRefClassFollowsSize: a Ref names no size class, its size does. A
+// slot on either side of a class boundary, freed and allocated again at
+// another size of its class, comes back with its own bytes, never the other
+// class's; and a Ref whose size maps to no class reads ErrBadRef.
+func TestRefClassFollowsSize(t *testing.T) {
+	const framing = 24
+	p := New(WithFraming(framing))
+	edge := classSize(5, framing) // the largest size of class 5; one more is class 6
+	below, err := p.Alloc(edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	above, err := p.Alloc(edge + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		ref  Ref
+		fill byte
+	}{{below, 'b'}, {above, 'a'}} {
+		if err := p.Write(w.ref, bytes.Repeat([]byte{w.fill}, w.ref.Size())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Free(below)
+	p.Free(above)
+	// The other end of each class, in the other order.
+	again6, err := p.Alloc(classSize(6, framing))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again5, err := p.Alloc(classSize(4, framing) + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		got, freed Ref
+		fill       byte
+	}{{"class 6", again6, above, 'a'}, {"class 5", again5, below, 'b'}} {
+		if c.got.chunk != c.freed.chunk || c.got.off != c.freed.off {
+			t.Errorf("%s: reallocated at %d/%d, freed slot was %d/%d", c.name, c.got.chunk, c.got.off, c.freed.chunk, c.freed.off)
+		}
+		buf, err := p.Read(c.got)
+		if err != nil || len(buf) != c.got.Size() {
+			t.Fatalf("%s: Read = %d bytes, %v", c.name, len(buf), err)
+		}
+		if n := min(len(buf), c.freed.Size()); !bytes.Equal(buf[:n], bytes.Repeat([]byte{c.fill}, n)) {
+			t.Errorf("%s: the reused slot holds another class's bytes", c.name)
+		}
+	}
+	for _, c := range []int{5, 6} {
+		if n := len(p.classes[c].free); n != 0 {
+			t.Errorf("class %d keeps %d free slots after both were reused", c, n)
+		}
+	}
+
+	before := p.Stats()
+	bad := again5
+	bad.size = 1<<maxClassShift + framing + 1 // past the largest class
+	if _, err := p.Read(bad); !errors.Is(err, ErrBadRef) {
+		t.Errorf("Read of a size with no class: %v, want ErrBadRef", err)
+	}
+	if err := p.Write(bad, []byte("x")); !errors.Is(err, ErrBadRef) {
+		t.Errorf("Write of a size with no class: %v, want ErrBadRef", err)
+	}
+	if p.Free(bad); p.Stats() != before {
+		t.Errorf("Free of a size with no class changed the stats: %+v, was %+v", p.Stats(), before)
 	}
 }
 
