@@ -55,9 +55,9 @@ func connectInProcess(t *testing.T, platform *precursor.Platform, fabric *precur
 // are those of a one-shard ClusterClient over that pool: a group of one
 // takes the cluster's one route as a fan-out of one on the caller's
 // goroutine (a pooled record, a work list of one, a breaker check, a
-// latency sample), no allocation — whether cluster.New or
-// cluster.NewReplicated built it, which the cluster-g1 row pins by having
-// to read what the cluster row reads. The last row is the same route at
+// latency sample), no allocation — whether the group is named by its one
+// replica, as DialCluster names it, or apart from it, which the cluster-g1
+// row pins by having to read what the cluster row reads. The last row is the same route at
 // R=2 (two such pools): a read orders its replicas in a stack array and a
 // quorum write hands its record to parked per-replica writers, so a get
 // costs what it costs on one connection and a put twice that, once per
@@ -86,7 +86,9 @@ func TestPoolOpPathAllocBudget(t *testing.T) {
 	}
 	pool := newPool("single")
 	// Closing a cluster client closes its pools, which close their clients.
-	cc, err := cluster.New([]cluster.Shard{{Name: "shard-0", Backend: pool}}, cluster.Options{})
+	cc, err := cluster.NewReplicated([]cluster.ReplicaGroup{{Name: "shard-0", Replicas: []cluster.Shard{
+		{Name: "shard-0", Backend: pool},
+	}}}, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,9 @@ var (
 )
 
 // ShardSpec tells DialCluster how to reach and attest one shard. Serve a
-// shard with precursor-server (or ServeCluster) and copy its printed
-// address, attestation key and measurement here.
+// shard with precursor-server -shard i/n and copy its printed address,
+// attestation key and measurement here; an in-process deployment hands
+// them out itself (ReplicatedClusterService.GroupSpecs).
 type ShardSpec struct {
 	// Addr is the shard's TCP-fabric address. It doubles as the shard's
 	// ring name, so every client must list the same addresses.

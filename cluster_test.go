@@ -9,19 +9,19 @@ import (
 	"precursor"
 )
 
-func newTestCluster(t *testing.T, shards int) (*precursor.ClusterService, *precursor.ClusterClient) {
+func newTestCluster(t *testing.T, shards int) (*precursor.ReplicatedClusterService, *precursor.ClusterClient) {
 	t.Helper()
 	// One worker per shard and a gentle poll interval: the test may run
 	// on a single-core machine, where N shards' trusted threads
 	// busy-spinning at 1µs would starve each other.
-	cs, err := precursor.ServeCluster(shards, precursor.ServerConfig{
+	cs, err := precursor.ServeReplicatedCluster(shards, 1, precursor.ServerConfig{
 		Workers: 1, PollInterval: 50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cs.Close)
-	cc, err := precursor.DialCluster(cs.Specs(), precursor.ClusterConfig{
+	cc, err := precursor.DialReplicatedCluster(cs.GroupSpecs(), precursor.ClusterConfig{
 		ConnsPerShard: 2,
 		Timeout:       5 * time.Second,
 		RetryBackoff:  100 * time.Millisecond,
@@ -61,8 +61,8 @@ func TestClusterRoundTrip(t *testing.T) {
 		t.Errorf("aggregate puts=%d gets=%d, want %d each", st.Puts, st.Gets, keys)
 	}
 	entriesByAddr := map[string]int{}
-	for _, svc := range cs.Shards {
-		entriesByAddr[svc.Addr()] = svc.Server.Stats().Entries
+	for _, group := range cs.Groups {
+		entriesByAddr[group[0].Addr()] = group[0].Server.Stats().Entries
 	}
 	lo, hi := uint64(1<<62), uint64(0)
 	for _, ss := range st.Shards {
@@ -82,8 +82,8 @@ func TestClusterRoundTrip(t *testing.T) {
 	}
 
 	// Kill one shard. Its keys error; everyone else keeps serving.
-	deadAddr := cs.Shards[1].Addr()
-	cs.Shards[1].Close()
+	deadAddr := cs.Groups[1][0].Addr()
+	cs.Groups[1][0].Close()
 
 	var deadKey, liveKey string
 	for i := 0; i < keys && (deadKey == "" || liveKey == ""); i++ {
@@ -141,17 +141,17 @@ func TestClusterRoundTrip(t *testing.T) {
 // TestClusterDialFailure: a bad shard spec fails the whole dial (no
 // partially-connected client) and closes what was already dialed.
 func TestClusterDialFailure(t *testing.T) {
-	cs, err := precursor.ServeCluster(2, precursor.ServerConfig{
+	cs, err := precursor.ServeReplicatedCluster(2, 1, precursor.ServerConfig{
 		Workers: 1, PollInterval: 50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cs.Close()
-	specs := cs.Specs()
-	specs[1].Addr = "127.0.0.1:1" // nothing listens there
-	if _, err := precursor.DialCluster(specs, precursor.ClusterConfig{}); err == nil {
-		t.Fatal("DialCluster succeeded with an unreachable shard")
+	specs := cs.GroupSpecs()
+	specs[1][0].Addr = "127.0.0.1:1" // nothing listens there
+	if _, err := precursor.DialReplicatedCluster(specs, precursor.ClusterConfig{}); err == nil {
+		t.Fatal("DialReplicatedCluster succeeded with an unreachable shard")
 	}
 	if _, err := precursor.DialCluster(nil, precursor.ClusterConfig{}); !errors.Is(err, precursor.ErrNoShards) {
 		t.Errorf("DialCluster(nil) = %v", err)
@@ -159,19 +159,19 @@ func TestClusterDialFailure(t *testing.T) {
 }
 
 // TestClusterAttestsEachShard: a shard whose measurement does not match
-// its spec is rejected during DialCluster — per-shard attestation, not
+// its spec is rejected at dial — per-shard attestation, not
 // cluster-wide trust.
 func TestClusterAttestsEachShard(t *testing.T) {
-	cs, err := precursor.ServeCluster(2, precursor.ServerConfig{
+	cs, err := precursor.ServeReplicatedCluster(2, 1, precursor.ServerConfig{
 		Workers: 1, PollInterval: 50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cs.Close()
-	specs := cs.Specs()
-	specs[1].Measurement[0] ^= 0xFF // wrong enclave build for shard 1
-	if _, err := precursor.DialCluster(specs, precursor.ClusterConfig{}); err == nil {
-		t.Fatal("DialCluster accepted a shard with a wrong measurement")
+	specs := cs.GroupSpecs()
+	specs[1][0].Measurement[0] ^= 0xFF // wrong enclave build for shard 1
+	if _, err := precursor.DialReplicatedCluster(specs, precursor.ClusterConfig{}); err == nil {
+		t.Fatal("DialReplicatedCluster accepted a shard with a wrong measurement")
 	}
 }

@@ -1,32 +1,36 @@
 package main
 
 import (
+	"bytes"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"precursor"
 	"precursor/internal/fleet"
 )
 
-// TestRunBenchScalingSweep runs a tiny 1,2-shard sweep end to end and
-// checks the emitted BENCH_cluster.json datapoints.
-func TestRunBenchScalingSweep(t *testing.T) {
+// runSweep runs a tiny bench sweep end to end and returns the datapoints
+// it wrote to its JSON file.
+func runSweep(t *testing.T, shards, replicas string) []BenchPoint {
+	t.Helper()
 	jsonPath := filepath.Join(t.TempDir(), "BENCH_cluster.json")
-	out, err := os.CreateTemp(t.TempDir(), "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	err = runBench(benchConfig{
-		shardCounts: "1,2", workers: 1, conns: 2,
+	var out bytes.Buffer
+	err := runBench(benchConfig{
+		shardCounts: shards, replicaCounts: replicas, workers: 1, conns: 2,
 		records: 50, valueSize: 32, clients: 2, opsPerClient: 50,
-		workload: "B", seed: 1, jsonPath: jsonPath, out: out,
+		workload: "B", seed: 1, jsonPath: jsonPath, out: &out,
 	})
 	if err != nil {
-		t.Fatalf("runBench: %v", err)
+		t.Fatalf("runBench: %v\n%s", err, out.String())
 	}
+	t.Logf("\n%s", out.String())
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatalf("datapoints not written: %v", err)
@@ -35,15 +39,94 @@ func TestRunBenchScalingSweep(t *testing.T) {
 	if err := json.Unmarshal(data, &points); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, data)
 	}
+	return points
+}
+
+// TestRunBenchScalingSweep runs a tiny 1,2-shard sweep of groups of one
+// end to end and checks the emitted BENCH_cluster.json datapoints.
+func TestRunBenchScalingSweep(t *testing.T) {
+	points := runSweep(t, "1,2", "1")
 	if len(points) != 2 || points[0].Shards != 1 || points[1].Shards != 2 {
 		t.Fatalf("points = %+v", points)
 	}
 	for _, p := range points {
-		if p.Ops != 100 || p.Errors != 0 || p.Kops <= 0 {
+		if p.Replicas != 1 || p.Ops != 100 || p.Errors != 0 || p.Kops <= 0 || p.KilledReplica != "" {
 			t.Errorf("point %d shards: %+v", p.Shards, p)
 		}
 		if len(p.ShardPuts) != p.Shards {
 			t.Errorf("shard_puts has %d entries for %d shards", len(p.ShardPuts), p.Shards)
+		}
+	}
+}
+
+// TestRunBenchReplicationSweep: -shards 1 -replicas 1,2 runs R = 1, R = 2
+// and a kill run at R = 2, whose probe reads fail over to the surviving
+// replica and never see ErrShardDown.
+func TestRunBenchReplicationSweep(t *testing.T) {
+	points := runSweep(t, "1", "1,2")
+	if len(points) != 3 {
+		t.Fatalf("%d points, want R=1, R=2 and the kill run: %+v", len(points), points)
+	}
+	for i, want := range []int{1, 2, 2} {
+		p := points[i]
+		if p.Shards != 1 || p.Replicas != want || p.Ops != 100 || p.Kops <= 0 || len(p.ShardPuts) != want {
+			t.Errorf("point %d: %+v, want 1 shard x %d replicas", i, p, want)
+		}
+		if kill := i == 2; kill != (p.KilledReplica != "") {
+			t.Errorf("point %d: killed replica %q", i, p.KilledReplica)
+		}
+	}
+	for _, p := range points[:2] {
+		if p.Errors != 0 {
+			t.Errorf("R=%d: %d errors without a kill", p.Replicas, p.Errors)
+		}
+	}
+	if kill := points[2]; kill.ShardDownErrors != 0 || kill.FailoverGapMs <= 0 || kill.WriteQuorum != 2 {
+		t.Errorf("kill run: %+v, want 0 shard-down errors and a measured gap", kill)
+	}
+}
+
+// TestPrintMembers: a group of one prints the cluster-shard line
+// precursor-server -shard i/n prints; members of larger groups print
+// cluster-replica lines.
+func TestPrintMembers(t *testing.T) {
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(addr string) precursor.ShardSpec {
+		return precursor.ShardSpec{Addr: addr, PlatformKey: &key.PublicKey}
+	}
+	for _, tc := range []struct {
+		groups [][]precursor.ShardSpec
+		want   []string
+	}{
+		{[][]precursor.ShardSpec{{spec("a:1")}, {spec("b:2")}}, []string{
+			"precursor-cluster serving 2 shards",
+			"cluster-shard: 0/2 addr=a:1 key=",
+			"cluster-shard: 1/2 addr=b:2 key=",
+		}},
+		{[][]precursor.ShardSpec{{spec("a:1"), spec("a:2")}}, []string{
+			"precursor-cluster serving 1 groups x 2 replicas",
+			"cluster-replica: 0/1 replica 0/2 addr=a:1 key=",
+			"cluster-replica: 0/1 replica 1/2 addr=a:2 key=",
+		}},
+	} {
+		var out bytes.Buffer
+		if err := printMembers(&out, tc.groups); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if len(lines) != len(tc.want) {
+			t.Fatalf("printed %q, want %d lines", lines, len(tc.want))
+		}
+		for i, want := range tc.want {
+			if !strings.HasPrefix(lines[i], want) {
+				t.Errorf("line %d = %q, want prefix %q", i, lines[i], want)
+			}
+			if i > 0 && !strings.HasSuffix(lines[i], " measurement="+strings.Repeat("00", 32)) {
+				t.Errorf("line %d = %q, want the measurement last", i, lines[i])
+			}
 		}
 	}
 }

@@ -94,80 +94,14 @@ func (s *Service) Close() {
 	})
 }
 
-// ClusterService is an N-shard Precursor deployment on this process: N
-// independent single-node Services, each with its own enclave (and, by
-// default, its own platform attestation identity). Clients route across
-// the shards themselves — see DialCluster.
-type ClusterService struct {
-	// Shards are the running per-shard services, in shard order.
-	Shards []*Service
-
-	platforms []*Platform
-}
-
-// ServeCluster launches n shards over the TCP fabric, each listening on
-// its own ephemeral port. cfg applies to every shard; when cfg.Platform
-// is nil each shard gets a fresh platform, so clients attest every shard
-// independently (the cluster trust model — no shared server-side secret).
-func ServeCluster(n int, cfg ServerConfig) (*ClusterService, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("precursor: cluster needs at least one shard, got %d", n)
-	}
-	cs := &ClusterService{}
-	for i := 0; i < n; i++ {
-		shardCfg := cfg
-		if shardCfg.DataDir != "" {
-			// Each shard owns its own value log: segment files are
-			// append-ordered per enclave and cannot be shared.
-			shardCfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("shard-%d", i))
-		}
-		if shardCfg.Platform == nil {
-			platform, err := NewPlatform()
-			if err != nil {
-				cs.Close()
-				return nil, fmt.Errorf("shard %d platform: %w", i, err)
-			}
-			shardCfg.Platform = platform
-		}
-		svc, err := Serve("127.0.0.1:0", shardCfg)
-		if err != nil {
-			cs.Close()
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		cs.Shards = append(cs.Shards, svc)
-		cs.platforms = append(cs.platforms, shardCfg.Platform)
-	}
-	return cs, nil
-}
-
-// Specs returns the ShardSpecs a client needs to DialCluster this
-// deployment: each shard's address, attestation key and measurement.
-func (cs *ClusterService) Specs() []ShardSpec {
-	specs := make([]ShardSpec, len(cs.Shards))
-	for i, svc := range cs.Shards {
-		specs[i] = ShardSpec{
-			Addr:        svc.Addr(),
-			PlatformKey: cs.platforms[i].AttestationPublicKey(),
-			Measurement: svc.Server.Measurement(),
-		}
-	}
-	return specs
-}
-
-// Close shuts every shard down.
-func (cs *ClusterService) Close() {
-	for _, svc := range cs.Shards {
-		svc.Close()
-	}
-}
-
-// ReplicatedClusterService is a deployment whose ring positions are
-// replica groups: Groups[g] holds R independent Services that replicate
-// the same key range. Replicas of a group share one platform (and the
-// same enclave image), so their sealing keys match and a sealed snapshot
-// taken on one replica restores on another — the transfer anti-entropy
-// repair performs. Clients drive the replication; see
-// DialReplicatedCluster.
+// ReplicatedClusterService is an in-process deployment whose ring
+// positions are replica groups: Groups[g] holds R independent Services
+// that replicate the same key range. A group of one is a plain shard, so
+// ServeReplicatedCluster(n, 1, cfg) is the N-shard deployment. Replicas
+// of a group share one platform (and the same enclave image), so their
+// sealing keys match and a sealed snapshot taken on one replica restores
+// on another — the transfer anti-entropy repair performs. Clients drive
+// the replication; see DialReplicatedCluster.
 type ReplicatedClusterService struct {
 	// Groups are the running services, Groups[g][r] = replica r of group g.
 	Groups [][]*Service
@@ -180,7 +114,8 @@ type ReplicatedClusterService struct {
 // fabric: `groups` ring positions, each backed by `replicas` copies.
 // When cfg.Platform is nil each *group* gets a fresh platform shared by
 // its replicas (clients still attest every replica separately; replicas
-// of different groups share nothing).
+// of different groups share nothing). With a DataDir, replica r of group
+// g keeps its value log in DataDir/group-g/replica-r.
 func ServeReplicatedCluster(groups, replicas int, cfg ServerConfig) (*ReplicatedClusterService, error) {
 	if groups <= 0 || replicas <= 0 {
 		return nil, fmt.Errorf("precursor: replicated cluster needs groups>0 and replicas>0, got %d×%d", groups, replicas)
@@ -196,29 +131,30 @@ func ServeReplicatedCluster(groups, replicas int, cfg ServerConfig) (*Replicated
 			}
 			groupCfg.Platform = platform
 		}
-		var members []*Service
+		cs.Groups = append(cs.Groups, nil)
+		cs.platforms = append(cs.platforms, groupCfg.Platform)
+		cs.cfgs = append(cs.cfgs, groupCfg)
 		for r := 0; r < replicas; r++ {
-			replicaCfg := groupCfg
-			if replicaCfg.DataDir != "" {
-				// Replicas share a sealing key but never a value log; give
-				// each its own directory so repairs restore into fresh logs.
-				replicaCfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("group-%d", g), fmt.Sprintf("replica-%d", r))
-			}
-			svc, err := Serve("127.0.0.1:0", replicaCfg)
+			svc, err := Serve("127.0.0.1:0", cs.replicaConfig(g, r))
 			if err != nil {
-				for _, m := range members {
-					m.Close()
-				}
 				cs.Close()
 				return nil, fmt.Errorf("group %d replica %d: %w", g, r, err)
 			}
-			members = append(members, svc)
+			cs.Groups[g] = append(cs.Groups[g], svc)
 		}
-		cs.Groups = append(cs.Groups, members)
-		cs.platforms = append(cs.platforms, groupCfg.Platform)
-		cs.cfgs = append(cs.cfgs, groupCfg)
 	}
 	return cs, nil
+}
+
+// replicaConfig is replica r of group g's ServerConfig: its group's, with
+// a value-log directory of its own — replicas share a sealing key but
+// never a value log, so repairs restore into fresh logs.
+func (cs *ReplicatedClusterService) replicaConfig(g, r int) ServerConfig {
+	cfg := cs.cfgs[g]
+	if cfg.DataDir != "" {
+		cfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("group-%d", g), fmt.Sprintf("replica-%d", r))
+	}
+	return cfg
 }
 
 // GroupSpecs returns the per-group ShardSpecs a client needs to
@@ -249,13 +185,7 @@ func (cs *ReplicatedClusterService) RestartReplica(g, r int) (*Service, error) {
 	old := cs.Groups[g][r]
 	addr := old.Addr()
 	old.Close()
-	cfg := cs.cfgs[g]
-	if cfg.DataDir != "" {
-		// Reattach the replica's own value-log directory (mirrors
-		// ServeReplicatedCluster's layout).
-		cfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("group-%d", g), fmt.Sprintf("replica-%d", r))
-	}
-	svc, err := Serve(addr, cfg)
+	svc, err := Serve(addr, cs.replicaConfig(g, r))
 	if err != nil {
 		return nil, fmt.Errorf("restart replica %d/%d on %s: %w", g, r, addr, err)
 	}
@@ -282,6 +212,7 @@ type DialConfig struct {
 	Timeout time.Duration
 	// ReadRetries bounds the extra attempts an idempotent read makes
 	// after a transient failure, within Timeout (0 = default, <0 = off).
+	// A shed is returned, not retried: a Pool retries it under its budget.
 	ReadRetries int
 	// WrapConn, when set, interposes on the freshly dialed queue pair
 	// before the attestation handshake — the hook the chaos harness uses

@@ -5,10 +5,13 @@ package precursor_test
 // every public item", enforced mechanically.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,6 +19,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"precursor"
+	"precursor/internal/audit"
+	"precursor/internal/fleet"
 )
 
 func TestAllExportedIdentifiersDocumented(t *testing.T) {
@@ -639,4 +647,140 @@ func TestRaceExemptionOnlyOnTheDMACopy(t *testing.T) {
 			t.Errorf("%s: %s no longer sits on %s", home, text, fn)
 		}
 	}
+}
+
+// TestDocsCoverEveryMetricFamily: every metric family a fully attached
+// endpoint exports is named in OBSERVABILITY.md — server counters with a
+// value log, an overload gate, a seal and an audit log; a cluster client
+// with its client and cluster tracers and its routing heat; the server's
+// tracer and heat; and /fleet aggregating the endpoint itself. A family
+// added to the code without a line in the reference fails here.
+func TestDocsCoverEveryMetricFamily(t *testing.T) {
+	doc, err := os.ReadFile("OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditLog := precursor.NewAuditLog(64)
+	srvTracer := precursor.NewTracer(precursor.TracerConfig{Side: precursor.SideServer})
+	srvHeat := precursor.NewHeatCollector(precursor.HeatConfig{})
+	cs, err := precursor.ServeReplicatedCluster(1, 1, precursor.ServerConfig{
+		Workers: 1, PollInterval: 50 * time.Microsecond, DataDir: t.TempDir(),
+		Overload: precursor.NewOverloadGate(precursor.OverloadGateConfig{}),
+		Tracer:   srvTracer, Heat: srvHeat, Audit: auditLog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cs.Close)
+	cliTracer := precursor.NewTracer(precursor.TracerConfig{Side: precursor.SideClient})
+	routeHeat := precursor.NewHeatCollector(precursor.HeatConfig{})
+	cc, err := precursor.DialReplicatedCluster(cs.GroupSpecs(), precursor.ClusterConfig{
+		Timeout: 5 * time.Second, Tracer: cliTracer,
+		ClusterTracer: precursor.NewTracer(precursor.TracerConfig{Side: precursor.SideClient}),
+		Audit:         auditLog, Heat: routeHeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cc.Close() })
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("doc%02d", i)
+		if err := cc.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cc.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _ = cc.Get("absent")
+	server := cs.Groups[0][0].Server
+	if err := server.Seal(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	auditLog.Add(audit.Record{Kind: audit.KindReplay, Detail: "one event, so the per-kind family is exported"})
+
+	ms, err := precursor.ServeMetrics(server, "127.0.0.1:0",
+		precursor.WithTracer("server", srvTracer), precursor.WithTracer("client", cliTracer),
+		precursor.WithHeat("server", srvHeat), precursor.WithHeat("client", routeHeat),
+		precursor.WithAudit(auditLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ms.Close() })
+	ms.TrackCluster(cc)
+	agg, err := fleet.New(fleet.Config{Targets: []fleet.Target{{Name: "self", URL: "http://" + ms.Addr() + "/metrics"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fms, err := precursor.ServeClusterMetrics(nil, "127.0.0.1:0", precursor.WithFleet(agg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fms.Close() })
+	// Two scrapes: rates and anomaly baselines need a previous sample.
+	agg.ScrapeOnce()
+	agg.ScrapeOnce()
+
+	families := map[string]bool{}
+	for _, url := range []string{"http://" + ms.Addr() + "/metrics", "http://" + fms.Addr() + "/fleet"} {
+		for _, line := range strings.Split(string(httpGet(t, url, http.StatusOK)), "\n") {
+			if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" && f[1] == "TYPE" {
+				families[f[2]] = true
+			}
+		}
+	}
+	if len(families) < 100 {
+		t.Fatalf("only %d families exported: the endpoint is not fully attached", len(families))
+	}
+	var missing []string
+	for name := range families {
+		if !regexp.MustCompile(`\b` + name + `\b`).Match(doc) {
+			missing = append(missing, name)
+		}
+	}
+	slices.Sort(missing)
+	for _, name := range missing {
+		t.Errorf("OBSERVABILITY.md does not name the exported family %s", name)
+	}
+	t.Logf("%d families exported, %d undocumented", len(families), len(missing))
+}
+
+// TestCIStepNamesParse keeps the workflow files valid YAML: a step name
+// written as a plain (unquoted) scalar ends its mapping value at ": " and
+// starts a comment at " #", so such a name breaks the whole file, and CI
+// with it. Every `name:` value holding either must be quoted.
+func TestCIStepNamesParse(t *testing.T) {
+	if bad := plainNameFaults("- name: Gate table: tracing\n  name: \"Quoted: fine\"\n- name: Heat #2\n"); len(bad) != 2 {
+		t.Fatalf("the check found %q in a sample with two faulty names", bad)
+	}
+	files, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no workflow files: %v", err)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fault := range plainNameFaults(string(data)) {
+			t.Errorf("%s:%s", file, fault)
+		}
+	}
+}
+
+// plainNameFaults lists the lines of a YAML text whose `name:` value is a
+// plain scalar containing ": " or " #".
+func plainNameFaults(yaml string) []string {
+	var faults []string
+	for i, line := range strings.Split(yaml, "\n") {
+		value, ok := strings.CutPrefix(strings.TrimPrefix(strings.TrimSpace(line), "- "), "name:")
+		value = strings.TrimSpace(value)
+		if !ok || value == "" || strings.ContainsRune(`"'|>`, rune(value[0])) {
+			continue
+		}
+		if strings.Contains(value, ": ") || strings.Contains(value, " #") {
+			faults = append(faults, fmt.Sprintf("%d: step name %q is an unquoted scalar holding \": \" or \" #\"", i+1, value))
+		}
+	}
+	return faults
 }

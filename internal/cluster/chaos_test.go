@@ -1,8 +1,8 @@
 package cluster_test
 
-// Chaos invariant suite for the sharded client path: a real
-// ServeCluster deployment over the TCP fabric, dialed through the root
-// DialCluster with the fault-injection fabric (internal/faultfab)
+// Chaos invariant suite for the sharded client path: a real in-process
+// deployment of groups of one over the TCP fabric, dialed through the root
+// DialReplicatedCluster with the fault-injection fabric (internal/faultfab)
 // interposed on every client connection via DialConfig.WrapConn. The
 // suite checks the cluster-level versions of the ISSUE 2 invariants:
 //
@@ -82,8 +82,8 @@ func clusterChaosConfig(seed uint64) faultfab.Config {
 // failure latch.
 type clusterHarness struct {
 	t     *testing.T
-	svc   *precursor.ClusterService
-	specs []precursor.ShardSpec
+	svc   *precursor.ReplicatedClusterService
+	specs [][]precursor.ShardSpec
 	ffab  *faultfab.Fabric
 	cc    *precursor.ClusterClient
 
@@ -98,17 +98,17 @@ type clusterHarness struct {
 // wrap (nil = raw connections).
 func newClusterHarness(t *testing.T, ffab *faultfab.Fabric, connsPerShard int, wrap func(precursor.Conn) precursor.Conn) *clusterHarness {
 	t.Helper()
-	svc, err := precursor.ServeCluster(clusterShards, precursor.ServerConfig{
+	svc, err := precursor.ServeReplicatedCluster(clusterShards, 1, precursor.ServerConfig{
 		Workers:      4,
 		PollInterval: time.Microsecond,
 	})
 	if err != nil {
-		t.Fatalf("ServeCluster: %v", err)
+		t.Fatalf("ServeReplicatedCluster: %v", err)
 	}
 	t.Cleanup(svc.Close)
 
-	specs := svc.Specs()
-	cc, err := precursor.DialCluster(specs, precursor.ClusterConfig{
+	specs := svc.GroupSpecs()
+	cc, err := precursor.DialReplicatedCluster(specs, precursor.ClusterConfig{
 		ConnsPerShard: connsPerShard,
 		Timeout:       clusterOpTimeout,
 		RetryBackoff:  clusterBackoff,
@@ -116,7 +116,7 @@ func newClusterHarness(t *testing.T, ffab *faultfab.Fabric, connsPerShard int, w
 		WrapConn:      wrap,
 	})
 	if err != nil {
-		t.Fatalf("DialCluster: %v", err)
+		t.Fatalf("DialReplicatedCluster: %v", err)
 	}
 	t.Cleanup(func() { _ = cc.Close() })
 	return &clusterHarness{t: t, svc: svc, specs: specs, ffab: ffab, cc: cc}
@@ -394,7 +394,7 @@ func TestChaosClusterPartition(t *testing.T) {
 	cc := h.cc
 
 	// Pick a key on shard 0 (the victim) and one on any other shard.
-	victim := h.specs[0].Addr
+	victim := h.specs[0][0].Addr
 	var keyV, keyH string
 	for i := 0; keyV == "" || keyH == ""; i++ {
 		k := fmt.Sprintf("pk%d", i)

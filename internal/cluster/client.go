@@ -263,23 +263,13 @@ type admitToken struct {
 	probe bool // this op is the single half-open probe
 }
 
-// New builds a cluster client over the given shards, one replica per
-// ring position (the original unreplicated layout).
-func New(shards []Shard, opts Options) (*Client, error) {
-	groups := make([]ReplicaGroup, len(shards))
-	for i, s := range shards {
-		groups[i] = ReplicaGroup{Name: s.Name, Replicas: []Shard{s}}
-	}
-	return NewReplicated(groups, opts)
-}
-
-// NewReplicated builds a cluster client over replica groups. Group names
-// take ring positions; writes to a group fan out to its replicas and
-// need opts.WriteQuorum acks (majority by default); reads are served by
-// the fastest healthy replica with transparent failover. Unless
-// opts.DisableAutoRepair is set, a background goroutine probes downed
-// replicas and repairs recovering ones (donor snapshot + delta + journal
-// replay) before they rejoin.
+// NewReplicated builds a cluster client over replica groups — a plain
+// shard is a group of one. Group names take ring positions; writes to a
+// group fan out to its replicas and need opts.WriteQuorum acks (majority
+// by default); reads are served by the fastest healthy replica with
+// transparent failover. Unless opts.DisableAutoRepair is set, a background
+// goroutine probes downed replicas and repairs recovering ones (donor
+// snapshot + delta + journal replay) before they rejoin.
 func NewReplicated(groups []ReplicaGroup, opts Options) (*Client, error) {
 	if len(groups) == 0 {
 		return nil, ErrNoShards

@@ -120,12 +120,22 @@ func newFakeCluster(t *testing.T, n int, opts Options) (*Client, map[string]*fak
 		backends[name] = b
 		shards = append(shards, Shard{Name: name, Backend: b})
 	}
-	c, err := New(shards, opts)
+	c, err := NewReplicated(groupsOfOne(shards), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
 	return c, backends
+}
+
+// groupsOfOne makes every shard a ring position of its own, named by the
+// shard — the layout the root package's DialCluster builds.
+func groupsOfOne(shards []Shard) []ReplicaGroup {
+	groups := make([]ReplicaGroup, len(shards))
+	for i, s := range shards {
+		groups[i] = ReplicaGroup{Name: s.Name, Replicas: shards[i : i+1]}
+	}
+	return groups
 }
 
 // TestClientRouting: every key is written to the shard the ring names and
@@ -351,11 +361,11 @@ func TestParseShardID(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Options{}); !errors.Is(err, ErrNoShards) {
-		t.Errorf("New(nil) = %v", err)
+	if _, err := NewReplicated(nil, Options{}); !errors.Is(err, ErrNoShards) {
+		t.Errorf("NewReplicated(nil) = %v", err)
 	}
 	b := newFake()
-	if _, err := New([]Shard{{Name: "a", Backend: b}, {Name: "a", Backend: b}}, Options{}); err == nil {
+	if _, err := NewReplicated(groupsOfOne([]Shard{{Name: "a", Backend: b}, {Name: "a", Backend: b}}), Options{}); err == nil {
 		t.Error("duplicate shard names accepted")
 	}
 }

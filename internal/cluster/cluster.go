@@ -18,7 +18,7 @@
 //     shard fails fast (typed ShardError wrapping ErrShardDown) instead of
 //     hanging every operation, and aggregates per-shard statistics.
 //   - One route (route.go): each ring position is a ReplicaGroup of R
-//     servers (of one unless built with NewReplicated) and every operation
+//     servers (R = 1 for a plain shard) and every operation
 //     a work list (of one for Put/Get/Delete). Writes fan out to every
 //     live replica and succeed on a quorum of acks; reads come from the
 //     fastest healthy replica with transparent failover (the client-side
@@ -29,9 +29,11 @@
 //   - Topology: deployment bookkeeping shared by cmd/precursor-server's
 //     -shard i/n mode and cmd/precursor-cluster (server.go).
 //
-// The public entry points live in the root package: precursor.ServeCluster
-// launches an N-shard deployment over the TCP fabric and
-// precursor.DialCluster attests and connects to one.
+// The public entry points live in the root package:
+// precursor.ServeReplicatedCluster launches an in-process deployment of
+// groups×replicas servers over the TCP fabric (groups of one: N shards),
+// and precursor.DialReplicatedCluster — or DialCluster, for the flat
+// shard list separately run servers print — attests and connects to one.
 package cluster
 
 import (
@@ -41,7 +43,7 @@ import (
 
 // Errors returned by cluster operations.
 var (
-	// ErrNoShards is returned by New when the shard list is empty.
+	// ErrNoShards is returned by NewReplicated when the group list is empty.
 	ErrNoShards = errors.New("precursor/cluster: no shards")
 	// ErrShardDown is wrapped by ShardError while a shard's breaker is
 	// open: the shard failed recently and the retry backoff has not
@@ -59,7 +61,7 @@ var (
 // ShardError ties an operation failure to the shard it was routed to, so
 // callers can tell a routing-destination outage from a data error.
 type ShardError struct {
-	Shard string // shard name, as passed to New
+	Shard string // the replica or group it was routed to (one name, in a group of one)
 	Err   error  // underlying cause (ErrShardDown while the breaker is open)
 }
 

@@ -171,10 +171,10 @@ type outcome struct {
 	replicas []string // per replica: breaker and repair state, journal included
 }
 
-// replay runs the script against a fresh client from build over fresh fakes
+// replay runs the script against a fresh client over a group of fresh fakes
 // — ops one at a time as Put/Get/Delete calls (frame 0) or in batches of up
 // to frame consecutive ops — and snapshots what it left.
-func replay(t *testing.T, script []step, replicas, frame int, build func([]Shard, Options) (*Client, error)) outcome {
+func replay(t *testing.T, script []step, replicas, frame int) outcome {
 	t.Helper()
 	hub := &fakeRepairHub{backends: map[string]*fakeBackend{}, gen: map[string]uint64{}}
 	fakes := make([]*fakeBackend, replicas)
@@ -185,7 +185,7 @@ func replay(t *testing.T, script []step, replicas, frame int, build func([]Shard
 		hub.backends[shards[i].Name] = fakes[i]
 	}
 	// Backoffs elapse and repair runs only when the script says so.
-	c, err := build(shards, Options{DisableAutoRepair: true, RetryBackoff: time.Hour, MaxBackoff: time.Hour, JournalCap: 6, OpenRepair: hub.open})
+	c, err := NewReplicated([]ReplicaGroup{{Name: shards[0].Name, Replicas: shards}}, Options{DisableAutoRepair: true, RetryBackoff: time.Hour, MaxBackoff: time.Hour, JournalCap: 6, OpenRepair: hub.open})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,16 +284,10 @@ func replay(t *testing.T, script []step, replicas, frame int, build func([]Shard
 // deletes, with shard-level, ambiguous, data-level and integrity faults
 // injected between them, and requires identical per-op outcomes, Stats
 // counters, breaker states and journals from every pair of modes that the
-// one route makes equivalent: a one-shard client built by New against a
-// NewReplicated group of one (as single ops, as batches of one and as
-// batches of four), and single ops against batches of one on an R = 3
-// group. The script's world is deterministic: replay owns the clock and
-// the repair loop.
+// one route makes equivalent: single ops against batches of one, on a
+// group of one and on an R = 3 group. The script's world is deterministic:
+// replay owns the clock and the repair loop.
 func TestOneRouteMetamorphic(t *testing.T) {
-	viaNew := func(shards []Shard, opts Options) (*Client, error) { return New(shards, opts) }
-	viaGroup := func(shards []Shard, opts Options) (*Client, error) {
-		return NewReplicated([]ReplicaGroup{{Name: shards[0].Name, Replicas: shards}}, opts)
-	}
 	same := func(t *testing.T, a, b outcome) {
 		t.Helper()
 		if len(a.ops) != len(b.ops) {
@@ -314,18 +308,13 @@ func TestOneRouteMetamorphic(t *testing.T) {
 		t.Logf("puts=%d gets=%d deletes=%d errors=%d shortfalls=%d failovers=%d, at the end: %v",
 			st.Puts, st.Gets, st.Deletes, st.Errors, st.QuorumShortfalls, st.Failovers, a.replicas)
 	}
-	one := metamorphicScript(1)
-	for _, frame := range []int{0, 1, 4} {
-		t.Run(fmt.Sprintf("New-vs-group-of-one-frame-%d", frame), func(t *testing.T) {
-			same(t, replay(t, one, 1, frame, viaNew), replay(t, one, 1, frame, viaGroup))
-		})
-	}
 	t.Run("single-vs-batch-of-one-R1", func(t *testing.T) {
-		same(t, replay(t, one, 1, 0, viaNew), replay(t, one, 1, 1, viaNew))
+		one := metamorphicScript(1)
+		same(t, replay(t, one, 1, 0), replay(t, one, 1, 1))
 	})
 	t.Run("single-vs-batch-of-one-R3", func(t *testing.T) {
 		three := metamorphicScript(3)
-		a, b := replay(t, three, 3, 0, viaGroup), replay(t, three, 3, 1, viaGroup)
+		a, b := replay(t, three, 3, 0), replay(t, three, 3, 1)
 		same(t, a, b)
 		// The script must have exercised what it claims to compare.
 		if st := a.stats; st.QuorumShortfalls == 0 || st.Failovers == 0 || st.Puts == 0 || st.Gets == 0 {

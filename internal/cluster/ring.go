@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
+
+	"precursor/internal/heat"
 )
 
 // DefaultVirtualNodes is the per-shard virtual-node count of a Client's
@@ -52,30 +53,13 @@ func NewRing(shards []string, vnodes int) *Ring {
 	for i, s := range uniq {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
-				hash:  ringHash(s + "#" + strconv.Itoa(v)),
+				hash:  heat.HashKey(s + "#" + strconv.Itoa(v)),
 				shard: i,
 			})
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
 	return r
-}
-
-// ringHash is FNV-1a 64 — stable across processes and Go versions,
-// unlike hash/maphash, which is the point: every client must agree —
-// finished with a splitmix64 avalanche, because raw FNV-1a barely mixes
-// its high bits on short, similar strings ("shard-0#17") and the ring
-// orders points by the full 64-bit value.
-func ringHash(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // Lookup returns the shard owning key: the first virtual node clockwise
@@ -93,7 +77,7 @@ func (r *Ring) lookupIndex(key string) int {
 	if len(r.points) == 0 {
 		return -1
 	}
-	h := ringHash(key)
+	h := heat.HashKey(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap around

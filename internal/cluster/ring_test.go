@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 )
@@ -127,5 +128,39 @@ func TestRingEmptyAndSingle(t *testing.T) {
 		if one.Lookup(k) != "only" {
 			t.Fatal("single-shard ring must own everything")
 		}
+	}
+}
+
+// TestRingPlacementPinned: the homes of fixed keys on a fixed ring, and the
+// split of 2000 keys, are what every client computed when they were
+// pinned. Placement is a protocol between clients and the data already
+// stored: a change to the ring's hash, its vnode naming or its search
+// would move keys away from the servers that hold them.
+func TestRingPlacementPinned(t *testing.T) {
+	r := NewRing([]string{"10.0.0.1:7100", "10.0.0.2:7100", "10.0.0.3:7100", "10.0.0.4:7100|10.0.0.5:7100"}, 0)
+	for _, tc := range []struct{ key, home string }{
+		{"", "10.0.0.1:7100"},
+		{"a", "10.0.0.4:7100|10.0.0.5:7100"},
+		{"user00000000", "10.0.0.3:7100"},
+		{"user00000001", "10.0.0.1:7100"},
+		{"user00000042", "10.0.0.2:7100"},
+		{"replication-bench-probe", "10.0.0.3:7100"},
+		{"précurseur", "10.0.0.4:7100|10.0.0.5:7100"},
+		{"k", "10.0.0.1:7100"},
+	} {
+		if got := r.Lookup(tc.key); got != tc.home {
+			t.Errorf("Lookup(%q) = %q, want %q", tc.key, got, tc.home)
+		}
+	}
+	counts := map[string]int{}
+	for _, k := range ringKeys(2000) {
+		counts[r.Lookup(k)]++
+	}
+	want := map[string]int{"10.0.0.1:7100": 533, "10.0.0.2:7100": 468, "10.0.0.3:7100": 539, "10.0.0.4:7100|10.0.0.5:7100": 460}
+	if !maps.Equal(counts, want) {
+		t.Errorf("2000 keys split %v, want %v", counts, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = r.Lookup("user00000042") }); n != 0 {
+		t.Errorf("Lookup allocates %.1f objects per call, want 0", n)
 	}
 }

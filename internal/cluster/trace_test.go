@@ -156,7 +156,7 @@ func TestBatchFanoutAcrossGroupsOneTrace(t *testing.T) {
 		backends[name] = b
 		shards = append(shards, Shard{Name: name, Backend: b})
 	}
-	c, err := New(shards, Options{Tracer: tr})
+	c, err := NewReplicated(groupsOfOne(shards), Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"unsafe"
 
 	"precursor/internal/cryptox"
@@ -57,7 +58,7 @@ func (s *Server) apply(sess *session, o *wire.BatchOp, seg []byte, idx int, op *
 		// authentic — for every op kind at once, and recorded once the
 		// frame's reply is written (handleBatch). Only the key's hash enters
 		// the sketch.
-		sess.heat = append(sess.heat, heatOp{heatKind(o.Op), heat.HashKeyBytes(o.Key),
+		sess.heat = append(sess.heat, heatOp{heatKind(o.Op), heat.HashKey(o.Key),
 			len(seg) + len(o.InlineValue), len(payload) + len(res.InlineValue)})
 	}
 	return res, payload, end
@@ -210,23 +211,36 @@ func (s *Server) applyGet(sess *session, o *wire.BatchOp, idx int, op *obs.Op, n
 func (s *Server) applyDelete(sess *session, o *wire.BatchOp, op *obs.Op) wire.BatchOpResult {
 	s.deletes.Add(1)
 	key := keyView(o.Key)
-	e, ok := s.table.Get(key)
-	if !ok || s.isDenied(sess, &e) {
-		return wire.BatchOpResult{Status: wire.StatusNotFound, Flags: wire.FlagNotFound}
-	}
-	if s.vlog == nil {
-		s.table.Delete(key)
-		s.releaseEntry(&e)
-	} else {
+	notFound := wire.BatchOpResult{Status: wire.StatusNotFound, Flags: wire.FlagNotFound}
+	seq := uint64(math.MaxUint64) // without a value log no version outranks a delete
+	if s.vlog != nil {
 		// Deletes must be durable before they are acked: append a
-		// tombstone, then remove the entry only if no newer version raced
-		// in.
+		// tombstone for a key this session may delete, then remove the
+		// entry only if no newer version raced in.
+		if e, ok := s.table.Get(key); !ok || s.isDenied(sess, &e) {
+			return notFound
+		}
 		_, d, err := s.vlogAppend(o.Key, &vlogMeta{flags: vlogMetaTombstone, owner: sess.id}, nil, 0)
 		if err != nil {
 			return failed(op, wire.StatusServerError, err)
 		}
-		s.deleteOlder(key, d)
-		s.vlogTrack.applied(d)
+		seq = d
+	}
+	// The entry is judged and released as the table holds it, under its
+	// lock: a copy read before may be one a concurrent put has replaced
+	// (and released) since, and may have had another owner.
+	denied := false
+	removed := s.deleteIf(key, func(e entry) bool {
+		denied = e.seq < seq && s.isDenied(sess, &e)
+		return e.seq < seq && !denied
+	})
+	if s.vlog != nil {
+		s.vlogTrack.applied(seq)
+	}
+	if !removed && (denied || s.vlog == nil) {
+		// With a value log a tombstone that removed nothing else was
+		// outrun by a newer put, or by another delete: acked all the same.
+		return notFound
 	}
 	s.recordDelta(key)
 	return wire.BatchOpResult{Status: wire.StatusOK}
@@ -275,13 +289,14 @@ func (s *Server) placeStored(e *entry, stored []byte) error {
 	return err
 }
 
-// deleteOlder removes key's entry and releases it if the entry is older
-// than sequence seq, a tombstone's; a newer version that raced in stays.
-func (s *Server) deleteOlder(key string, seq uint64) bool {
+// deleteIf removes key's entry if cond approves of it, and releases the
+// entry it removed: cond judges, under the table lock, the entry the
+// removal takes.
+func (s *Server) deleteIf(key string, cond func(e entry) bool) bool {
 	var old entry
 	if !s.table.DeleteIf(key, func(b baseEntry, rec uint32) bool {
 		old = s.table.load(b, rec)
-		return old.seq < seq
+		return cond(old)
 	}) {
 		return false
 	}

@@ -41,10 +41,11 @@ type ClientConfig struct {
 	Timeout time.Duration
 	// ReadRetries bounds the extra attempts an idempotent read — a Get,
 	// or a Batch of only gets — makes after a transient failure (timeout
-	// slice, replay-rejected oid, malformed response, shed), all within
+	// slice, replay-rejected oid, malformed response), all within
 	// Timeout. Each attempt uses a fresh oid. 0 means DefaultReadRetries;
-	// negative disables retries. Non-idempotent writes are never retried —
-	// they fail with a typed error joined with ErrUnconfirmed instead.
+	// negative disables retries. A shed (ErrRetryLater) is returned, for
+	// a Pool to retry under its budget. Non-idempotent writes are never
+	// retried — they fail with a typed error joined with ErrUnconfirmed.
 	ReadRetries int
 	// RetryBase is the base backoff before a frame is sent again — a read
 	// retry, a shed repair op — (default 2ms), doubled per attempt with
@@ -240,13 +241,14 @@ func (c *Client) one(ctx context.Context, op BatchOp) ([]byte, error) {
 // the earlier of Timeout and ctx's. A closed connection is ErrClosed and a
 // spent ctx ErrTimeout, both before anything is sent. Two kinds of frame
 // may be sent again, each time under a fresh oid: one of only gets — reads
-// are idempotent — after a transient failure, up to ReadRetries times in
-// slices of the budget, each attempt a cli_attempt span; and a repair op
-// the server shed — a shed op was not applied — until the deadline. Writes
-// go once. Between attempts it backs off, with the server's shed hint as a
-// floor; a ctx done meanwhile ends the call with nothing more sent. It
-// returns the frame-level error; an error that kept the frame off the wire
-// is every op's outcome, plain.
+// are idempotent — after a transient failure (a shed is none: Pool retries
+// it under its budget), up to ReadRetries times in slices of the budget,
+// each attempt a cli_attempt span; and a repair op the server shed — a
+// shed op was not applied — until the deadline. Writes go once. Between
+// attempts it backs off, with the server's shed hint as a floor; a ctx
+// done meanwhile ends the call with nothing more sent. It returns the
+// frame-level error; an error that kept the frame off the wire is every
+// op's outcome, plain.
 func (c *Client) run(ctx context.Context, ops []BatchOp, res []BatchResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -434,8 +436,8 @@ func writeOutcome(err error) error {
 // replay-rejected oid, a malformed response) are retried with a fresh
 // oid up to ReadRetries times under bounded exponential backoff with
 // jitter — all within the single Timeout deadline. Terminal errors
-// (ErrNotFound, ErrIntegrity, ErrClosed, ErrTooLarge) return
-// immediately.
+// (ErrNotFound, ErrIntegrity, ErrClosed, ErrTooLarge) and a shed
+// (ErrRetryLater) return immediately.
 func (c *Client) Get(key string) ([]byte, error) {
 	return c.GetContext(context.Background(), key)
 }
@@ -449,14 +451,14 @@ func (c *Client) GetContext(ctx context.Context, key string) ([]byte, error) {
 
 // retryableRead reports whether a read's outcome lets it be re-attempted
 // with a fresh oid: yes for timeouts, replay rejections (the server saw
-// a duplicated frame for this oid — a later oid starts clean),
-// malformed-but-authenticated responses, and admission-control sheds
-// (the server guarantees a shed op was not applied); no for terminal
-// outcomes.
+// a duplicated frame for this oid — a later oid starts clean) and
+// malformed-but-authenticated responses; no for terminal outcomes, nor
+// for an admission-control shed, which only a budgeted loop may retry
+// (Pool's): retried here as well, one shed read would cost the server
+// (1 + ReadRetries) frames per pool attempt.
 func retryableRead(r BatchResult) bool {
 	err := r.Err
-	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrReplay) ||
-		errors.Is(err, ErrBadResponse) || errors.Is(err, ErrRetryLater)
+	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrReplay) || errors.Is(err, ErrBadResponse)
 }
 
 // openValue verifies and decrypts a fetched value under its one-time key

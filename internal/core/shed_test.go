@@ -15,6 +15,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"precursor/internal/faultfab"
+	"precursor/internal/rdma"
 )
 
 func TestDrainShedsReadWithHint(t *testing.T) {
@@ -209,43 +212,53 @@ func TestBatchDeadlineCoversBackpressureWait(t *testing.T) {
 // TestCancelDuringReadBackoffSendsNothing: a ctx cancelled while a read
 // backs off between attempts ends the read at once with ErrTimeout joined
 // with context.Canceled, and no further attempt reaches the server
-// (PROTOCOL.md §9) — for a Get and a Batch of gets alike.
+// (PROTOCOL.md §9) — for a Get and a Batch of gets alike. The server's
+// replies are held back, so every attempt runs out its slice of the
+// budget: a 1 s slice (3 s over three attempts), then a backoff of at
+// least 0.5 s that the cancel must cut short.
 func TestCancelDuringReadBackoffSendsNothing(t *testing.T) {
-	const retryBase = 2 * time.Second // every backoff sleeps at least 1 s
+	const slice, retryBase = time.Second, time.Second
 	tc := newCluster(t, ServerConfig{})
-	c := tc.connect(func(cfg *ClientConfig) { cfg.Timeout, cfg.RetryBase = 30*time.Second, retryBase })
+	replies := faultfab.New(faultfab.Config{Seed: 1})
+	tc.wrapSrv = func(c rdma.Conn) rdma.Conn { return replies.Wrap(c, faultfab.S2C, "server") }
+	c := tc.connect(func(cfg *ClientConfig) { cfg.Timeout, cfg.ReadRetries, cfg.RetryBase = 3*slice, 2, retryBase })
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	tc.server.SetDraining(true) // every attempt is shed at once
-	for name, read := range map[string]func(context.Context) error{
-		"get": func(ctx context.Context) error {
+	replies.Partition(faultfab.S2C)
+	t.Cleanup(func() { replies.Heal(faultfab.S2C) })
+	for _, r := range []struct {
+		name string
+		ops  uint64 // gets one frame carries
+		read func(context.Context) error
+	}{
+		{"get", 1, func(ctx context.Context) error {
 			_, err := c.GetContext(ctx, "k")
 			return err
-		},
-		"batch of gets": func(ctx context.Context) error {
+		}},
+		{"batch of gets", 2, func(ctx context.Context) error {
 			_, err := c.BatchContext(ctx, []BatchOp{{Kind: BatchGet, Key: "k"}, {Kind: BatchGet, Key: "k"}})
 			return err
-		},
+		}},
 	} {
-		shed := tc.server.Stats().ShedReads
+		gets := tc.server.Stats().Gets
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
-			for tc.server.Stats().ShedReads == shed {
+			for tc.server.Stats().Gets == gets {
 				time.Sleep(time.Millisecond)
 			}
-			cancel()
+			cancel() // the first attempt is on the wire: its slice runs out, then the backoff sees the cancel
 		}()
 		start := time.Now()
-		err := read(ctx)
-		if d := time.Since(start); d >= retryBase/2 {
-			t.Errorf("%s: returned %v after a cancel during its backoff, want at once", name, d)
+		err := r.read(ctx)
+		if d := time.Since(start); d >= slice+retryBase/2 {
+			t.Errorf("%s: returned after %v, want at the end of its first slice (%v)", r.name, d, slice)
 		}
 		if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: %v, want ErrTimeout joined with context.Canceled", name, err)
+			t.Errorf("%s: %v, want ErrTimeout joined with context.Canceled", r.name, err)
 		}
-		if n := tc.server.Stats().ShedReads - shed; n != 1 {
-			t.Errorf("%s: the server saw %d frames, want 1: nothing is sent after the cancel", name, n)
+		if n := tc.server.Stats().Gets - gets; n != r.ops {
+			t.Errorf("%s: the server saw %d gets, want one frame's %d: nothing is sent after the cancel", r.name, n, r.ops)
 		}
 	}
 }

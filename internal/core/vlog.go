@@ -484,7 +484,7 @@ func (s *Server) applyVlogRecord(ptr vlog.Ptr, r vlog.Record, m *vlogMeta, tombs
 		if d, ok := tombs[key]; !ok || r.Seq > d {
 			tombs[strings.Clone(key)] = r.Seq
 		}
-		if s.deleteOlder(key, r.Seq) {
+		if s.deleteIf(key, func(e entry) bool { return e.seq < r.Seq }) {
 			rec.Applied++
 		} else {
 			rec.Skipped++

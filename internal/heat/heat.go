@@ -49,30 +49,17 @@ func (k Kind) String() string {
 	}
 }
 
-// HashKey maps a key to its hashed id: FNV-1a 64 finished with a
-// splitmix64 avalanche — bit-for-bit the same function the cluster
-// ring uses to place keys (internal/cluster ringHash), so a heat
-// snapshot's range buckets line up with ring arcs and a hot bucket
-// names a hot slice of the ring. Implemented as a manual loop (not
-// hash/fnv) so the record path stays allocation-free.
-func HashKey(key string) uint64 {
-	x := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(key); i++ {
-		x ^= uint64(key[i])
-		x *= 0x100000001b3
-	}
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// HashKeyBytes is HashKey for a []byte key (wire decoders hand keys
-// around as byte slices; converting to string would allocate on the
-// record path).
-func HashKeyBytes(key []byte) uint64 {
+// HashKey maps a key — a string, or the []byte a wire decoder hands out —
+// to its hashed id: FNV-1a 64 finished with a splitmix64 avalanche. It is
+// also the cluster ring's placement hash (internal/cluster), so a heat
+// snapshot's range buckets line up with ring arcs and a hot bucket names
+// a hot slice of the ring. FNV-1a is stable across processes and Go
+// versions, unlike hash/maphash, which is the point: every client must
+// agree on placement. The finisher is there because raw FNV-1a barely
+// mixes its high bits on short, similar strings ("shard-0#17") and the
+// ring orders points by the full 64-bit value. A manual loop (not
+// hash/fnv) keeps the record and routing paths allocation-free.
+func HashKey[K string | []byte](key K) uint64 {
 	x := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(key); i++ {
 		x ^= uint64(key[i])

@@ -30,9 +30,15 @@ func TestHashKeyMatchesRingHash(t *testing.T) {
 		if got, want := HashKey(s), ref(s); got != want {
 			t.Errorf("HashKey(%q) = %#x, want %#x", s, got, want)
 		}
-		if got, want := HashKeyBytes([]byte(s)), ref(s); got != want {
-			t.Errorf("HashKeyBytes(%q) = %#x, want %#x", s, got, want)
+		if got, want := HashKey([]byte(s)), ref(s); got != want {
+			t.Errorf("HashKey([]byte(%q)) = %#x, want %#x", s, got, want)
 		}
+	}
+	// Both forms run on the op path: the core records []byte keys, the
+	// cluster client routes and records string ones.
+	key, keyBytes := "user000000000042", []byte("user000000000042")
+	if n := testing.AllocsPerRun(100, func() { _ = HashKey(key) + HashKey(keyBytes) }); n != 0 {
+		t.Errorf("HashKey allocates %.1f objects per call pair, want 0", n)
 	}
 }
 

@@ -210,14 +210,14 @@ func TestMetricsServerDoubleClose(t *testing.T) {
 // shard health are exported with shard labels, and a dead shard flips to
 // up=0.
 func TestClusterMetricsEndpoint(t *testing.T) {
-	cs, err := precursor.ServeCluster(2, precursor.ServerConfig{
+	cs, err := precursor.ServeReplicatedCluster(2, 1, precursor.ServerConfig{
 		Workers: 1, PollInterval: 50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cs.Close()
-	cc, err := precursor.DialCluster(cs.Specs(), precursor.ClusterConfig{
+	cc, err := precursor.DialReplicatedCluster(cs.GroupSpecs(), precursor.ClusterConfig{
 		Timeout: 2 * time.Second, RetryBackoff: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -253,9 +253,9 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	text := fetch()
 	for _, want := range []string{
 		"precursor_cluster_shards 2",
-		"precursor_cluster_shard_up{shard=\"" + cs.Shards[0].Addr() + "\",group=\"" + cs.Shards[0].Addr() + "\"} 1",
-		"precursor_cluster_shard_up{shard=\"" + cs.Shards[1].Addr() + "\",group=\"" + cs.Shards[1].Addr() + "\"} 1",
-		"precursor_cluster_shard_ownership{shard=\"" + cs.Shards[0].Addr() + "\",group=\"" + cs.Shards[0].Addr() + "\"}",
+		"precursor_cluster_shard_up{shard=\"" + cs.Groups[0][0].Addr() + "\",group=\"" + cs.Groups[0][0].Addr() + "\"} 1",
+		"precursor_cluster_shard_up{shard=\"" + cs.Groups[1][0].Addr() + "\",group=\"" + cs.Groups[1][0].Addr() + "\"} 1",
+		"precursor_cluster_shard_ownership{shard=\"" + cs.Groups[0][0].Addr() + "\",group=\"" + cs.Groups[0][0].Addr() + "\"}",
 		"precursor_cluster_shard_keys_estimate",
 		"precursor_cluster_shard_puts_total",
 		"precursor_cluster_shard_errors_total",
@@ -266,8 +266,8 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	}
 
 	// Kill shard 1 and trip its breaker; the endpoint reports it down.
-	deadAddr := cs.Shards[1].Addr()
-	cs.Shards[1].Close()
+	deadAddr := cs.Groups[1][0].Addr()
+	cs.Groups[1][0].Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var deadKey string
@@ -335,14 +335,14 @@ func TestHealthzReadiness(t *testing.T) {
 // ready while any shard serves, and flips to 503 only when every
 // shard's breaker is open.
 func TestClusterHealthzAllShardsDown(t *testing.T) {
-	cs, err := precursor.ServeCluster(2, precursor.ServerConfig{
+	cs, err := precursor.ServeReplicatedCluster(2, 1, precursor.ServerConfig{
 		Workers: 1, PollInterval: 50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cs.Close()
-	cc, err := precursor.DialCluster(cs.Specs(), precursor.ClusterConfig{
+	cc, err := precursor.DialReplicatedCluster(cs.GroupSpecs(), precursor.ClusterConfig{
 		Timeout: time.Second, RetryBackoff: time.Minute, MaxBackoff: time.Minute,
 	})
 	if err != nil {
@@ -369,8 +369,8 @@ func TestClusterHealthzAllShardsDown(t *testing.T) {
 	}
 
 	// Kill every shard and trip every breaker.
-	for _, svc := range cs.Shards {
-		svc.Close()
+	for _, group := range cs.Groups {
+		group[0].Close()
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for i := 0; len(cc.Degraded()) < 2; i++ {
@@ -472,7 +472,7 @@ func validatePromText(t *testing.T, text string) {
 // cluster series and tracer summaries on one endpoint — survives a
 // strict text-format parse.
 func TestMetricsPromTextRoundTrip(t *testing.T) {
-	cs, err := precursor.ServeCluster(2, precursor.ServerConfig{
+	cs, err := precursor.ServeReplicatedCluster(2, 1, precursor.ServerConfig{
 		Workers: 1, PollInterval: 50 * time.Microsecond,
 	})
 	if err != nil {
@@ -480,7 +480,7 @@ func TestMetricsPromTextRoundTrip(t *testing.T) {
 	}
 	defer cs.Close()
 	ctrace := precursor.NewTracer(precursor.TracerConfig{Side: precursor.SideClient, Workers: 4})
-	cc, err := precursor.DialCluster(cs.Specs(), precursor.ClusterConfig{
+	cc, err := precursor.DialReplicatedCluster(cs.GroupSpecs(), precursor.ClusterConfig{
 		Timeout: 2 * time.Second, Tracer: ctrace,
 	})
 	if err != nil {
@@ -495,7 +495,7 @@ func TestMetricsPromTextRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	metrics, err := precursor.ServeMetrics(cs.Shards[0].Server, "127.0.0.1:0",
+	metrics, err := precursor.ServeMetrics(cs.Groups[0][0].Server, "127.0.0.1:0",
 		precursor.WithTracer("client", ctrace))
 	if err != nil {
 		t.Fatal(err)

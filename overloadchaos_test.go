@@ -170,8 +170,8 @@ func TestOverloadChaosShedRecover(t *testing.T) {
 }
 
 // shardFleet is a fleet of single-shard services, each with a fresh
-// platform and its own ServerConfig (ServeCluster shares one, but an
-// admission gate or a heat collector holds per-server state).
+// platform and its own ServerConfig (ServeReplicatedCluster shares one,
+// but an admission gate or a heat collector holds per-server state).
 type shardFleet struct {
 	svcs  []*precursor.Service
 	specs []precursor.ShardSpec

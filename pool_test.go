@@ -114,6 +114,52 @@ func TestPoolCtxStopsShedRetries(t *testing.T) {
 	}
 }
 
+// TestShedReadRetriedByOneLoop: a shed read is retried by the pool's
+// budgeted loop alone. A pooled Get to a draining server sends the frame
+// once and retries it maxShedRetries (3) times, as a pooled Put does; a
+// bare connection's Get sends it once — its read retries are for
+// transport faults, not for a server that asked it to back off.
+func TestShedReadRetriedByOneLoop(t *testing.T) {
+	platform, err := precursor.NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := precursor.Serve("127.0.0.1:0", precursor.ServerConfig{Platform: platform, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	cfg := precursor.DialConfig{PlatformKey: platform.AttestationPublicKey(), Measurement: svc.Server.Measurement()}
+	pool, err := precursor.NewPool(svc.Addr(), cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pool.Close() })
+	client, err := precursor.Dial(svc.Addr(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = client.Close() })
+	svc.Server.SetDraining(true)
+
+	for _, tc := range []struct {
+		what   string
+		op     func() error
+		frames uint64
+	}{
+		{"pooled get", func() error { _, err := pool.Get("k"); return err }, 4},
+		{"bare get", func() error { _, err := client.Get("k"); return err }, 1},
+	} {
+		before := svc.Server.Stats().ShedReads
+		if err := tc.op(); !errors.Is(err, precursor.ErrRetryLater) {
+			t.Fatalf("%s on a draining server: %v, want ErrRetryLater", tc.what, err)
+		}
+		if got := svc.Server.Stats().ShedReads - before; got != tc.frames {
+			t.Errorf("%s sent %d frames, want %d", tc.what, got, tc.frames)
+		}
+	}
+}
+
 // TestClusterPoolsSpendTheClusterBudget: the pools a cluster client dials
 // spend ClusterConfig.RetryBudget when they retry a shed, not a bucket of
 // their own, and leave the deposits to the client, which makes one per op:
