@@ -90,7 +90,7 @@ FUZZ_TARGETS = \
 	sgx:FuzzVerifyQuote sgx:FuzzClientHandshakeComplete sgx:FuzzRespondHandshake \
 	core:FuzzRestore vlog:FuzzSegmentReplay audit:FuzzAuditChain \
 	cryptox:FuzzSalsa20MatchesReference cryptox:FuzzCMACMatchesReference \
-	cryptox:FuzzAESBlockMatchesStdlib \
+	cryptox:FuzzPayloadSealMatchesReference cryptox:FuzzAESBlockMatchesStdlib \
 	hashtable:FuzzTableMatchesMap
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -51,6 +51,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -358,8 +359,8 @@ func runBench(cfg benchConfig) error {
 
 // benchOne runs one YCSB pass against an n × r deployment. With kill set
 // it also runs a probe-read pinger against one group, closes one of that
-// group's replicas mid-workload and reports the longest gap between
-// consecutive successful probes.
+// group's replicas once half of the run's ops have been issued and reports
+// the longest gap between consecutive successful probes.
 func benchOne(n, r int, kill bool, wl ycsb.Workload, cfg benchConfig) (BenchPoint, error) {
 	cs, err := precursor.ServeReplicatedCluster(n, r, precursor.ServerConfig{Workers: cfg.workers})
 	if err != nil {
@@ -386,6 +387,7 @@ func benchOne(n, r int, kill bool, wl ycsb.Workload, cfg benchConfig) (BenchPoin
 		Records: cfg.records, ValueSize: cfg.valueSize, Workload: wl.Name,
 		ShardPuts: map[string]uint64{},
 	}
+	var store ycsb.Store = cc
 	var pingDone, pingStop chan struct{}
 	if kill {
 		// The pinger hammers one key; killing a replica of the key's
@@ -421,13 +423,14 @@ func benchOne(n, r int, kill bool, wl ycsb.Workload, cfg benchConfig) (BenchPoin
 				}
 			}
 		}()
-		go func() {
-			time.Sleep(300 * time.Millisecond)
+		// The replica dies once half of the run's ops have been issued, so
+		// the kill lands inside the workload however short it is.
+		store = &killAfter{Store: cc, at: int64(max(cfg.clients*cfg.opsPerClient/2, 1)), kill: func() {
 			cs.Groups[gi][0].Close()
-		}()
+		}}
 	}
 
-	rep, err := ycsb.RunShared(cc, ycsb.RunnerConfig{
+	rep, err := ycsb.RunShared(store, ycsb.RunnerConfig{
 		Workload: wl, Records: cfg.records, ValueSize: cfg.valueSize,
 		Clients: cfg.clients, OpsPerClient: cfg.opsPerClient, Seed: cfg.seed,
 	})
@@ -451,6 +454,31 @@ func benchOne(n, r int, kill bool, wl ycsb.Workload, cfg benchConfig) (BenchPoin
 		point.ShardPuts[ss.Name] = ss.Puts
 	}
 	return point, nil
+}
+
+// killAfter is a ycsb.Store that runs kill, exactly once, as the at-th op
+// is issued, before that op goes to the store.
+type killAfter struct {
+	ycsb.Store
+	issued atomic.Int64
+	at     int64
+	kill   func()
+}
+
+func (k *killAfter) tick() {
+	if k.issued.Add(1) == k.at {
+		k.kill()
+	}
+}
+
+func (k *killAfter) Put(key string, value []byte) error {
+	k.tick()
+	return k.Store.Put(key, value)
+}
+
+func (k *killAfter) Get(key string) ([]byte, error) {
+	k.tick()
+	return k.Store.Get(key)
 }
 
 // effectiveQuorum mirrors the cluster package's majority default.

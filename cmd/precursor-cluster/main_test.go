@@ -16,16 +16,16 @@ import (
 	"precursor/internal/fleet"
 )
 
-// runSweep runs a tiny bench sweep end to end and returns the datapoints
-// it wrote to its JSON file.
-func runSweep(t *testing.T, shards, replicas string) []BenchPoint {
+// runSweep runs a tiny bench sweep of workload end to end and returns the
+// datapoints it wrote to its JSON file.
+func runSweep(t *testing.T, shards, replicas, workload string) []BenchPoint {
 	t.Helper()
 	jsonPath := filepath.Join(t.TempDir(), "BENCH_cluster.json")
 	var out bytes.Buffer
 	err := runBench(benchConfig{
 		shardCounts: shards, replicaCounts: replicas, workers: 1, conns: 2,
 		records: 50, valueSize: 32, clients: 2, opsPerClient: 50,
-		workload: "B", seed: 1, jsonPath: jsonPath, out: &out,
+		workload: workload, seed: 1, jsonPath: jsonPath, out: &out,
 	})
 	if err != nil {
 		t.Fatalf("runBench: %v\n%s", err, out.String())
@@ -45,7 +45,7 @@ func runSweep(t *testing.T, shards, replicas string) []BenchPoint {
 // TestRunBenchScalingSweep runs a tiny 1,2-shard sweep of groups of one
 // end to end and checks the emitted BENCH_cluster.json datapoints.
 func TestRunBenchScalingSweep(t *testing.T) {
-	points := runSweep(t, "1,2", "1")
+	points := runSweep(t, "1,2", "1", "B")
 	if len(points) != 2 || points[0].Shards != 1 || points[1].Shards != 2 {
 		t.Fatalf("points = %+v", points)
 	}
@@ -61,15 +61,21 @@ func TestRunBenchScalingSweep(t *testing.T) {
 
 // TestRunBenchReplicationSweep: -shards 1 -replicas 1,2 runs R = 1, R = 2
 // and a kill run at R = 2, whose probe reads fail over to the surviving
-// replica and never see ErrShardDown.
+// replica and never see ErrShardDown. The kill lands inside the workload:
+// the killed replica acks fewer puts than its peer, and a put issued after
+// it misses the 2-of-2 quorum, so the kill run counts every op as done or
+// failed rather than all as done. The workload is update-heavy: with these
+// seeds at least 27 puts follow the kill however the two clients
+// interleave, where the read-mostly one has a single put that may precede
+// it.
 func TestRunBenchReplicationSweep(t *testing.T) {
-	points := runSweep(t, "1", "1,2")
+	points := runSweep(t, "1", "1,2", "A")
 	if len(points) != 3 {
 		t.Fatalf("%d points, want R=1, R=2 and the kill run: %+v", len(points), points)
 	}
 	for i, want := range []int{1, 2, 2} {
 		p := points[i]
-		if p.Shards != 1 || p.Replicas != want || p.Ops != 100 || p.Kops <= 0 || len(p.ShardPuts) != want {
+		if p.Shards != 1 || p.Replicas != want || p.Ops+p.Errors != 100 || p.Kops <= 0 || len(p.ShardPuts) != want {
 			t.Errorf("point %d: %+v, want 1 shard x %d replicas", i, p, want)
 		}
 		if kill := i == 2; kill != (p.KilledReplica != "") {
@@ -83,6 +89,17 @@ func TestRunBenchReplicationSweep(t *testing.T) {
 	}
 	if kill := points[2]; kill.ShardDownErrors != 0 || kill.FailoverGapMs <= 0 || kill.WriteQuorum != 2 {
 		t.Errorf("kill run: %+v, want 0 shard-down errors and a measured gap", kill)
+	}
+	kill := points[2]
+	killed, ok := kill.ShardPuts[kill.KilledReplica]
+	for name, puts := range kill.ShardPuts {
+		if ok && name != kill.KilledReplica && killed >= puts {
+			t.Errorf("kill run: killed replica %s acked %d puts, its peer %s %d: the kill missed the workload",
+				kill.KilledReplica, killed, name, puts)
+		}
+	}
+	if !ok {
+		t.Errorf("kill run: no shard_puts entry for the killed replica %s: %v", kill.KilledReplica, kill.ShardPuts)
 	}
 }
 

@@ -186,7 +186,7 @@ func TestCMACDistinguishesMessages(t *testing.T) {
 }
 
 func BenchmarkCMAC(b *testing.B) {
-	for _, size := range []int{64, 1024, 16384} {
+	for _, size := range []int{64, 1024, 4096, 16384} {
 		b.Run(byteSizeName(size), func(b *testing.B) {
 			key := make([]byte, 16)
 			msg := make([]byte, size)

@@ -112,6 +112,43 @@ func FuzzCMACMatchesReference(f *testing.F) {
 	})
 }
 
+// FuzzPayloadSealMatchesReference: a seal under any key, nonce and length
+// up to 9 KiB, behind any prefix, is the one-block reference Salsa20 under
+// that nonce and the CMAC of nonce‖ciphertext — stitched kernel or not —
+// and opens back to the value.
+func FuzzPayloadSealMatchesReference(f *testing.F) {
+	for _, length := range []uint16{0, 1, 15, 16, 511, 512, 513, 1023, 1024, 1025, 1536, 4096, 4103, 8192, 9216} {
+		f.Add([]byte("key"), []byte("nonce"), length, uint8(0))
+		f.Add([]byte{0xff}, []byte{}, length, uint8(5))
+	}
+
+	f.Fuzz(func(t *testing.T, key, nonce []byte, length uint16, prefix uint8) {
+		var op OperationKey
+		copy(op[:], fit(key, len(op)))
+		nonce = fit(nonce, Salsa20NonceSize)
+		value := make([]byte, int(length)%(9<<10+1))
+		for i := range value {
+			value[i] = byte(i*29) ^ op[i%len(op)]
+		}
+		var p PayloadCipher
+		sealed, err := p.seal(make([]byte, prefix%32), &op, nonce, value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := sealed[prefix%32 : len(sealed)-CMACSize]
+		mac := sealed[len(sealed)-CMACSize:]
+		if !bytes.Equal(payload[Salsa20NonceSize:], refSalsa20XOR(op[:], nonce, 0, value)) {
+			t.Fatalf("%d bytes: ciphertext differs from the reference Salsa20", len(value))
+		}
+		if want, err := ComputeCMAC(MACKey(op), payload); err != nil || !bytes.Equal(mac, want) {
+			t.Fatalf("%d bytes: tag %x, CMAC of nonce‖ciphertext %x (%v)", len(value), mac, want, err)
+		}
+		if got, err := p.OpenAppend(nil, &op, payload, mac); err != nil || !bytes.Equal(got, value) {
+			t.Fatalf("%d bytes: the seal does not open back: %v", len(value), err)
+		}
+	})
+}
+
 // FuzzAESBlockMatchesStdlib: for 16, 24 and 32-byte keys, the schedule CMAC
 // expands in place and its one-block encrypt give crypto/aes's ciphertext,
 // and absorbing n blocks in one call equals n single-block CBC steps. Run

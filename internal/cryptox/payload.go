@@ -29,14 +29,19 @@ func MACKey(op OperationKey) []byte {
 // AES key schedule included. Keeping both in one long-lived value — one
 // per connection — means a seal allocates nothing and an open only the
 // plaintext handed back. Both are re-keyed on every call, since
-// K_operation is single-use; what a call costs is that set-up plus two
+// K_operation is single-use; what a call costs is that set-up plus the
 // passes over the value, the Salsa20 core XORing whole blocks from the
 // value straight into the frame and the CMAC loop reading whole blocks
-// straight from it (DESIGN.md §5 "The per-byte path"). On amd64 both
-// passes run assembly — AVX2 Salsa20 for every group of eight blocks,
-// AES-NI under the MAC — and purego selects the generic Go paths for both.
-// Without AES-NI the MAC keys a crypto/aes cipher.Block, one allocation per
-// call. The zero value is ready to use; a PayloadCipher must not be used
+// straight from it (DESIGN.md §5 "The per-byte path"). An open makes two
+// passes, MAC then stream, so nothing is decrypted before it verifies. A
+// seal of a value of two 512-byte groups or more makes one over all whole
+// groups but the first: with AVX2 and AES-NI, a stitched kernel runs the
+// CBC-MAC chain in the gaps of the vector Salsa20, one group behind it.
+// Otherwise, and for the rest of the value, both passes run their own
+// assembly — AVX2 Salsa20 for every group of eight blocks, AES-NI under
+// the MAC — and purego selects the generic Go paths for both. Without
+// AES-NI the MAC keys a crypto/aes cipher.Block, one allocation per call.
+// The zero value is ready to use; a PayloadCipher must not be used
 // concurrently from multiple goroutines.
 type PayloadCipher struct {
 	stream Salsa20
@@ -48,24 +53,58 @@ type PayloadCipher struct {
 // "precursor" work of Algorithm 1, lines 2–4, written straight into the
 // caller's frame. dst must not alias value.
 func (p *PayloadCipher) SealAppend(dst []byte, op *OperationKey, value []byte) ([]byte, error) {
+	return p.seal(dst, op, nil, value)
+}
+
+// seal is SealAppend under the given 8-byte nonce, or under a fresh random
+// one when nonce is nil.
+//
+// With the stitched kernel, whole groups after the first are encrypted and
+// MACed in one pass, the chain one group behind the stream cipher; the
+// first group goes through the plain AVX2 Salsa20, since nothing is yet
+// written for the chain to run beside it. The partial group, the last
+// group's 32 chain blocks and the final block then go the two-pass way.
+// The MAC is keyed after the first Salsa20 pass in both cases, as it was
+// before the kernel: keyed ahead of it, a 32-byte seal ran about 10 %
+// slower.
+func (p *PayloadCipher) seal(dst []byte, op *OperationKey, nonce, value []byte) ([]byte, error) {
 	start := len(dst)
 	dst = slices.Grow(dst, PayloadSealOverhead+len(value))[:start+Salsa20NonceSize+len(value)]
 	payload := dst[start:]
-	// A fresh nonce per encryption prevents the block-replay attack the
-	// paper notes (§3.7).
-	if _, err := rand.Read(payload[:Salsa20NonceSize]); err != nil {
+	if nonce != nil {
+		copy(payload[:Salsa20NonceSize], nonce)
+	} else if _, err := rand.Read(payload[:Salsa20NonceSize]); err != nil {
+		// A fresh nonce per encryption prevents the block-replay attack
+		// the paper notes (§3.7).
 		return nil, fmt.Errorf("nonce: %w", err)
 	}
 	if err := p.stream.init(op[:], payload[:Salsa20NonceSize]); err != nil {
 		return nil, err
 	}
-	if err := p.stream.XORKeyStream(payload[Salsa20NonceSize:], value); err != nil {
+	ct := payload[Salsa20NonceSize:]
+	stitched := useSealAVX2 && len(value) >= 2*salsa20GroupSize
+	first := len(value)
+	if stitched {
+		first = salsa20GroupSize
+	}
+	if err := p.stream.XORKeyStream(ct[:first], value[:first]); err != nil {
 		return nil, err
 	}
 	if err := p.mac.init(op[:macKeySize]); err != nil {
 		return nil, err
 	}
-	_, _ = p.mac.Write(payload)
+	chained := 0 // payload bytes the kernel has absorbed
+	if stitched {
+		whole := len(value) &^ (salsa20GroupSize - 1)
+		chained = whole - salsa20GroupSize
+		payloadSealAVX2(&ct[salsa20GroupSize], &value[salsa20GroupSize], chained/salsa20GroupSize,
+			&p.stream.state, p.stream.counter, &p.mac.enc[0], &p.mac.x, &payload[0])
+		p.stream.counter += uint64(chained / salsa20BlockSize)
+		if err := p.stream.XORKeyStream(ct[whole:], value[whole:]); err != nil {
+			return nil, err
+		}
+	}
+	_, _ = p.mac.Write(payload[chained:])
 	return p.mac.Sum(dst), nil
 }
 

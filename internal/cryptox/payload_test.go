@@ -2,6 +2,7 @@ package cryptox
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"math/rand"
@@ -199,6 +200,125 @@ func TestPayloadGoldenCrossCommit(t *testing.T) {
 		}
 		if tag, err := ComputeCMAC(MACKey(op), payload); err != nil || hex.EncodeToString(tag) != v.mac {
 			t.Errorf("%d B: tag over the parent's payload moved: %x (%v)", v.n, tag, err)
+		}
+	}
+
+	// Values that fill whole 512-byte groups, sealed by the commit before
+	// the stitched seal kernel (07ff9aa): one group, eight, and eight plus
+	// a partial block. Each frame is pinned by its nonce, the SHA-256 of
+	// nonce‖ciphertext and the tag, and is resealed under that nonce
+	// through the seal itself, which the stitched kernel serves where the
+	// CPU has it.
+	for _, v := range []struct {
+		n                  int
+		nonce, digest, mac string
+	}{
+		{512, "68c4ca7f457f5572", "14b49e4d9aed9d719739ef64a3c7921e821db02b92c396ed44b57ac0c8b54472",
+			"2b3035eda548e0084500a779510f7c7a"},
+		{4096, "f9e0d14efeec8a1c", "41c23b230a7edddb3a8c4d4ca52ecaac0a3bff4ee88e7acff57d72f58e32d701",
+			"880469163a5a6a3fe7078798d924719d"},
+		{4103, "c94a4c0e76f66996", "f7dd9e8067ff99777218a04c0b942c42af1a998efb226e7a0bfcc38c0fafd7bc",
+			"b8da3596ce1092ab303b5a42db51de0a"},
+	} {
+		want := make([]byte, v.n)
+		for i := range want {
+			want[i] = byte(i * 7)
+		}
+		var p PayloadCipher
+		sealed, err := p.seal(nil, &op, mustHex(t, v.nonce), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, mac := sealed[:len(sealed)-CMACSize], sealed[len(sealed)-CMACSize:]
+		if digest := sha256.Sum256(payload); hex.EncodeToString(digest[:]) != v.digest {
+			t.Errorf("%d B: nonce‖ciphertext under the parent's nonce moved", v.n)
+		}
+		if hex.EncodeToString(mac) != v.mac {
+			t.Errorf("%d B: tag %x, the parent sealed %s", v.n, mac, v.mac)
+		}
+		if got, err := p.OpenAppend(nil, &op, payload, mustHex(t, v.mac)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%d B: the parent's frame opens as %d bytes, %v", v.n, len(got), err)
+		}
+	}
+}
+
+// twoPassSeal is the seal without the stitched kernel: Salsa20 over value
+// from block counter, then CMAC over nonce‖ciphertext, appended to dst.
+func twoPassSeal(t *testing.T, dst []byte, key, nonce []byte, counter uint64, value []byte) []byte {
+	t.Helper()
+	s, err := NewSalsa20(key, nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Seek(counter * salsa20BlockSize)
+	start := len(dst)
+	dst = append(append(dst, nonce...), make([]byte, len(value))...)
+	if err := s.XORKeyStream(dst[start+Salsa20NonceSize:], value); err != nil {
+		t.Fatal(err)
+	}
+	tag, err := ComputeCMAC(key[:macKeySize], dst[start:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(dst, tag...)
+}
+
+// TestPayloadSealKernelsAgree runs the stitched seal and the two-pass seal
+// side by side in one binary. Every length 0-9 KiB, so every residue mod
+// 16 and mod 512, sealed behind a prefix of 0-6 bytes that moves the
+// payload's alignment; then the kernel alone, from block counters 2^32 - j
+// for j = 0..8, so that the counter carry meets every lane of its first
+// group.
+func TestPayloadSealKernelsAgree(t *testing.T) {
+	if !useSealAVX2 {
+		t.Skip("no stitched seal kernel in this build or on this CPU")
+	}
+	var op OperationKey
+	rng := rand.New(rand.NewSource(50))
+	rng.Read(op[:])
+	src := make([]byte, 9<<10)
+	rng.Read(src)
+
+	var p PayloadCipher
+	for n := 0; n <= len(src); n++ {
+		prefix := []byte("prefix")[:n%7]
+		got, err := p.SealAppend(append([]byte(nil), prefix...), &op, src[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonce := got[len(prefix) : len(prefix)+Salsa20NonceSize]
+		if want := twoPassSeal(t, append([]byte(nil), prefix...), op[:], nonce, 0, src[:n]); !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes behind a %d-byte prefix: the stitched seal differs from the two-pass seal", n, len(prefix))
+		}
+	}
+
+	// The kernel writes its groups 520 bytes after the chain starts, as
+	// SealAppend calls it; the bytes before that stand for the nonce and
+	// the first group.
+	nonce := []byte("stitched")
+	for j := uint64(0); j <= 8; j++ {
+		counter := 1<<32 - j
+		for _, groups := range []int{1, 2, 17} {
+			n := groups * salsa20GroupSize
+			want := twoPassSeal(t, nil, op[:], nonce, counter, src[:n])
+			buf := make([]byte, salsa20GroupSize+Salsa20NonceSize+n)
+			rng.Read(buf[:salsa20GroupSize+Salsa20NonceSize])
+			s, err := NewSalsa20(op[:], nonce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewCMAC(op[:macKeySize])
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloadSealAVX2(&buf[salsa20GroupSize+Salsa20NonceSize], &src[0], groups, &s.state, counter, &c.enc[0], &c.x, &buf[0])
+			if !bytes.Equal(buf[salsa20GroupSize+Salsa20NonceSize:], want[Salsa20NonceSize:Salsa20NonceSize+n]) {
+				t.Fatalf("%d groups from block counter 2^32-%d: ciphertext differs from the two-pass seal", groups, j)
+			}
+			_, _ = c.Write(buf[n:])
+			if tag, err := ComputeCMAC(op[:macKeySize], buf); err != nil || !bytes.Equal(c.Sum(nil), tag) {
+				t.Fatalf("%d groups from block counter 2^32-%d: the chain differs from CMAC's (%v)", groups, j, err)
+			}
 		}
 	}
 }

@@ -7,11 +7,12 @@
 // payload MACs with the SGX SDK's sgx_rijndael128_cmac_msg; both are
 // reimplemented here from their public specifications. Each payload kernel
 // has amd64 assembly beside a generic Go path: an eight-way AVX2 Salsa20
-// keystream (salsa20_amd64.s) beside the generic Salsa20 core, and a CMAC
-// on its own AES-NI key schedule (aes_amd64.s) beside one keyed through
-// crypto/aes. The assembly runs when the CPU has the instructions; the
-// purego build tag, other architectures and older CPUs take the generic
-// paths, which produce the same bytes.
+// keystream (salsa20_amd64.s) beside the generic Salsa20 core, a CMAC on
+// its own AES-NI key schedule (aes_amd64.s) beside one keyed through
+// crypto/aes, and a payload seal that stitches the two (seal_amd64.s)
+// beside running them one after the other. The assembly runs when the CPU
+// has the instructions; the purego build tag, other architectures and
+// older CPUs take the generic paths, which produce the same bytes.
 package cryptox
 
 import (
