@@ -51,7 +51,7 @@ allocgate:
 # command, so every PR quotes the same counts. The sum is a ratchet: the
 # target fails above LOC_CEILING, the sum measured by the last PR that
 # lowered it. A PR that must raise it edits the number in its own diff.
-LOC_CEILING = 7396
+LOC_CEILING = 7245
 loc:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \
 	cluster=$$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | wc -l); \

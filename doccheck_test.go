@@ -261,7 +261,7 @@ func TestDocsCoverBatching(t *testing.T) {
 		{"README.md", []string{
 			"TestGates/batch",
 			"gate batch speedup",
-			"BatchAsync",
+			"A connection has one frame in flight; a `Pool` provides concurrency.",
 			"precursor.BatchOp",
 		}},
 		{"OBSERVABILITY.md", []string{

@@ -3,15 +3,12 @@ package core
 // The client's one frame kind: every request — a Put, Get or Delete as
 // much as a Batch — is a wire.OpBatch frame whose ops ride one sealed
 // control blob and one ring doorbell; a single op is a frame of one. A
-// synchronous call (a single op or Batch) awaits its frame by oid with the
-// pending state on its own stack; BatchAsync pipelines — several frames may
-// be in flight per connection, each resolved by oid when its authenticated
-// reply arrives, which is why the futures live in a map: the server's
-// sender pool may reorder same-session replies.
+// connection has one frame in flight (§3.7): the call awaits it by oid with
+// the pending state on its own stack, and more concurrency is more
+// connections (Pool).
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -66,9 +63,8 @@ type BatchResult struct {
 }
 
 // pending is a frame on the wire awaiting its reply: its oid, its ops'
-// kinds in frame order and the results the reply resolves into. A
-// synchronous call keeps it on its own stack; a BatchFuture carries it into
-// the inflight map.
+// kinds in frame order and the results the reply resolves into. The call
+// keeps it on its own stack.
 type pending struct {
 	oid     uint64
 	kinds   []BatchOpKind
@@ -77,28 +73,6 @@ type pending struct {
 	sendEnd int64   // the ring write's end, where cli_resp_wait starts
 	done    bool
 }
-
-// BatchFuture is a pipelined batch's pending result, returned by
-// BatchAsync. Wait blocks (driving the connection's poll loop) until
-// the batch's sealed reply arrives or the deadline passes. A future is
-// tied to the client that issued it and shares its serialization: Wait
-// and other client operations may be called from different goroutines.
-type BatchFuture struct {
-	pending
-	c        *Client
-	deadline time.Time
-	err      error // the frame-level outcome, once resolved
-}
-
-// maxPipelined bounds the batches one connection may have in flight at
-// once — enough to keep the ring busy, small enough that a stalled
-// server cannot strand unbounded client state. It is the ceiling of
-// the per-connection AIMD window (Client.window): the live limit
-// adapts within [1, maxPipelined], shrinking multiplicatively on
-// RETRY_LATER and timeout signals and recovering additively on
-// successes, so an overloaded server sees its offered load fall
-// instead of a wall of retries.
-const maxPipelined = 16
 
 // Batch executes ops as one frame — one oid, one control seal, one
 // ring doorbell — and returns per-op results in request order. The
@@ -123,47 +97,6 @@ func (c *Client) BatchContext(ctx context.Context, ops []BatchOp) ([]BatchResult
 	}
 	res := make([]BatchResult, len(ops))
 	return res, c.run(ctx, ops, res)
-}
-
-// BatchAsync sends ops as one frame and returns immediately with a
-// future; up to maxPipelined batches may be in flight per connection.
-// The frame is sent (with credit wait) before BatchAsync returns, so a
-// nil-error return means the request is on the wire.
-func (c *Client) BatchAsync(ops []BatchOp) (*BatchFuture, error) {
-	if err := checkOps(ops); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	// The deadline is stamped at entry, before the backpressure drain
-	// below: time spent waiting for a pipelining slot counts against this
-	// batch's budget.
-	deadline := time.Now().Add(c.cfg.Timeout)
-	for len(c.inflight) >= c.window.Limit() {
-		// Drain the oldest reply before admitting more pipelined state.
-		c.waitAnyLocked()
-		if time.Now().After(deadline) {
-			// Nothing was sent, nothing is unconfirmed.
-			return nil, ErrTimeout
-		}
-	}
-	f := &BatchFuture{c: c, deadline: deadline}
-	f.results = make([]BatchResult, len(ops))
-	var ref obs.SpanRef
-	f.op, ref = c.startTrace(frameKind(len(ops), wire.Opcode(ops[0].Kind)), ref)
-	if err := c.sendLocked(ops, &f.pending, deadline, ref); err != nil {
-		endTrace(f.op, c.oid, err, nil)
-		return nil, err
-	}
-	f.kinds = slices.Clone(f.kinds) // the scratch is the next frame's
-	if c.inflight == nil {
-		c.inflight = make(map[uint64]*BatchFuture)
-	}
-	c.inflight[f.oid] = f
-	return f, nil
 }
 
 // checkOps validates a batch before anything is locked or sent.
@@ -304,58 +237,9 @@ func (c *Client) sealValue(dst []byte, k *cryptox.OperationKey, value []byte, oi
 	return c.payload.SealAppend(dst, k, value)
 }
 
-// Wait blocks until the batch's reply arrives or its deadline passes,
-// then returns the per-op results. On timeout, write ops (put/delete)
-// resolve with ErrTimeout joined with ErrUnconfirmed — the frame was
-// on the wire and may have been applied — while reads resolve with
-// plain ErrTimeout; the batch-level error is ErrTimeout. Wait is
-// idempotent: later calls return the resolved results.
-func (f *BatchFuture) Wait() ([]BatchResult, error) {
-	c := f.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for !f.done {
-		err := ErrClosed
-		if !c.closed {
-			// Whatever authenticated frame arrives resolves its own future
-			// (this one included) or is stale.
-			err = c.recvLocked(nil, f.deadline)
-		}
-		if err != nil {
-			f.failLocked(err)
-		}
-	}
-	return f.results, f.err
-}
-
-// Err returns the batch-level error after Wait resolved the future
-// (nil while pending or on success).
-func (f *BatchFuture) Err() error {
-	f.c.mu.Lock()
-	defer f.c.mu.Unlock()
-	return f.err
-}
-
-// waitAnyLocked drives the poll loop until any inflight batch
-// resolves, the earliest deadline passes, or the connection dies.
+// awaitLocked drives the poll loop until p is resolved, by its reply or by
+// the failure that ends the wait, and returns the frame-level error.
 // Called with mu held.
-func (c *Client) waitAnyLocked() {
-	var oldest *BatchFuture
-	for _, f := range c.inflight {
-		if oldest == nil || f.oid < oldest.oid {
-			oldest = f
-		}
-	}
-	for before := len(c.inflight); oldest != nil && len(c.inflight) >= before; {
-		if err := c.recvLocked(nil, oldest.deadline); err != nil {
-			oldest.failLocked(err)
-		}
-	}
-}
-
-// awaitLocked drives the poll loop until p — a synchronous frame — is
-// resolved, by its reply or by the failure that ends the wait, and returns
-// the frame-level error. Called with mu held.
 func (c *Client) awaitLocked(p *pending, deadline time.Time) error {
 	for {
 		err := c.recvLocked(p, deadline)
@@ -375,14 +259,14 @@ func (c *Client) awaitLocked(p *pending, deadline time.Time) error {
 //
 //   - A sent frame that fails resolves with per-op attribution: writes
 //     carry ErrUnconfirmed joined onto the cause, reads the cause alone. A
-//     replay rejection is such a failure (the copy of the frame that came
-//     first decided the ops), and so is a malformed-but-authenticated reply
-//     (it does not say what was applied), unlike a per-op StatusBadRequest,
-//     a definitive pre-apply rejection that stays plain.
+//     timeout and a connection that died under the frame are such failures,
+//     and so are a replay rejection (the copy of the frame that came first
+//     decided the ops) and a malformed-but-authenticated reply (it does not
+//     say what was applied), unlike a per-op StatusBadRequest, a definitive
+//     pre-apply rejection that stays plain.
 //   - A shed frame resolves every op, reads and writes alike, with a plain
 //     retryable RetryLaterError: the server burned the oid and applied
-//     nothing. It is a congestion signal for the pipelining window, as a
-//     timeout is.
+//     nothing.
 func (c *Client) resolveLocked(p *pending, payload []byte, cause error) error {
 	p.op.Span(obs.CliRespWait, p.sendEnd)
 	c.wait.Done()
@@ -397,20 +281,12 @@ func (c *Client) resolveLocked(p *pending, payload []byte, cause error) error {
 			hint = RetryHint(c.brep.Results[0].InlineValue)
 		}
 		c.retryLaters++
-		c.window.OnCongestion()
-		shed := &RetryLaterError{Hint: hint}
-		return fail(p.results, shed)
+		return fail(p.results, &RetryLaterError{Hint: hint})
 	case len(c.brep.Results) != len(p.kinds) || c.brep.ValidateReplyExtents(len(payload)) != nil:
 		cause = ErrBadResponse
 	}
 	if cause != nil {
-		if errors.Is(cause, ErrTimeout) {
-			c.window.OnCongestion()
-		}
-		unconfirmed := writeOutcome(cause)
-		if errors.Is(cause, ErrBadResponse) {
-			unconfirmed = fmt.Errorf("%w; %w", cause, ErrUnconfirmed)
-		}
+		unconfirmed := fmt.Errorf("%w; %w", cause, ErrUnconfirmed)
 		for i, k := range p.kinds {
 			p.results[i] = BatchResult{Err: unconfirmed}
 			if k == BatchGet {
@@ -445,7 +321,6 @@ func (c *Client) resolveLocked(p *pending, payload []byte, cause error) error {
 			c.completed[p.kinds[i]]++
 		}
 	}
-	c.window.OnSuccess()
 	return nil
 }
 
@@ -509,19 +384,4 @@ func (c *Client) opResult(kind BatchOpKind, res *wire.BatchOpResult, seg, dst []
 		verify.Span(obs.CliVerify, t)
 	}
 	return BatchResult{Value: value, Err: err}
-}
-
-// failLocked resolves f without a reply (see resolveLocked) and retires it.
-// Called with mu held.
-func (f *BatchFuture) failLocked(cause error) {
-	f.err = f.c.resolveLocked(&f.pending, nil, cause)
-	f.finishLocked()
-}
-
-// finishLocked retires a resolved future: out of the inflight map, its
-// trace closed. Called with mu held.
-func (f *BatchFuture) finishLocked() {
-	delete(f.c.inflight, f.oid)
-	endTrace(f.op, f.oid, f.err, f.results)
-	f.op = nil
 }

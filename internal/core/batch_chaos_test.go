@@ -25,6 +25,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"precursor/internal/faultfab"
 )
 
 const batchChaosMaxOps = 5
@@ -313,10 +315,11 @@ func TestChaosBatchPath(t *testing.T) {
 	}
 }
 
-// TestChaosBatchMidReset kills the session while batches are in
-// flight: the futures must resolve with typed per-op errors (writes
-// unconfirmed-joined where the frame was sent), never hang, and a
-// fresh session must see only legal values.
+// TestChaosBatchMidReset resets the session while a batch is in flight:
+// the batch must resolve with typed per-op errors (the write, sent,
+// unconfirmed-joined; the read never), never hang, and a fresh session
+// must see only legal values. The server's replies are held back until
+// the frame has reached it, so the reset lands between send and reply.
 func TestChaosBatchMidReset(t *testing.T) {
 	h := newChaosHarness(t, chaosConfig(*faultSeed))
 	w := newBatchChaosWorker(h, 0)
@@ -331,41 +334,48 @@ func TestChaosBatchMidReset(t *testing.T) {
 		w.model[w.key(0)]["seed|"] = true
 	}
 
-	// Launch a pipelined batch, then reset mid-flight.
-	f, err := w.cl.BatchAsync([]BatchOp{
-		{Kind: BatchPut, Key: w.key(0), Value: []byte("midreset|")},
-		{Kind: BatchGet, Key: w.key(0)},
-	})
-	if err == nil {
-		w.cl.Close()
-		done := make(chan struct{})
-		go func() {
-			res, werr := f.Wait()
-			if werr == nil {
-				// The reply raced the close and won — legal.
-				w.applyResult(BatchOp{Kind: BatchPut, Key: w.key(0)}, "midreset|", res[0])
-			} else {
-				if !transientErr(werr) {
-					h.fail("mid-reset batch error not typed: %v", werr)
-				}
-				if !errors.Is(res[0].Err, ErrUnconfirmed) && !errors.Is(res[0].Err, ErrClosed) {
-					h.fail("mid-reset write lacks unconfirmed attribution: %v", res[0].Err)
-				}
-				if errors.Is(res[1].Err, ErrUnconfirmed) {
-					h.fail("mid-reset read carries ErrUnconfirmed: %v", res[1].Err)
-				}
-				w.model[w.key(0)]["midreset|"] = true
-			}
-			close(done)
-		}()
+	h.ffab.Partition(faultfab.S2C)
+	held := h.ffab.Counts()["hold"]
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err := w.cl.Batch([]BatchOp{
+			{Kind: BatchPut, Key: w.key(0), Value: []byte("midreset|")},
+			{Kind: BatchGet, Key: w.key(0)},
+		})
+		if err == nil {
+			h.fail("mid-reset batch succeeded with its replies held back")
+			return
+		}
+		if !transientErr(err) {
+			h.fail("mid-reset batch error not typed: %v", err)
+		}
+		if !errors.Is(res[0].Err, ErrUnconfirmed) {
+			h.fail("mid-reset write lacks unconfirmed attribution: %v", res[0].Err)
+		}
+		if errors.Is(res[1].Err, ErrUnconfirmed) {
+			h.fail("mid-reset read carries ErrUnconfirmed: %v", res[1].Err)
+		}
+		w.model[w.key(0)]["midreset|"] = true
+	}()
+	// Reset once the server has answered into the partition (or the batch
+	// ended on its own: a faulted request frame never reaches the server).
+wait:
+	for h.ffab.Counts()["hold"] == held {
 		select {
 		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("mid-reset batch future never resolved")
+			break wait
+		case <-time.After(time.Millisecond):
 		}
-		w.cl = nil
-		time.Sleep(chaosGrace)
 	}
+	w.cl.conn.SetError()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("mid-reset batch never resolved")
+	}
+	h.ffab.Heal(faultfab.S2C)
+	w.abandon()
 	h.check(t)
 
 	// A fresh session must read a legal candidate.

@@ -138,92 +138,6 @@ func TestBatchMixedOpsAndStatuses(t *testing.T) {
 	}
 }
 
-func TestBatchPipelined(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
-	const pipelined = 8
-	futures := make([]*BatchFuture, pipelined)
-	for b := 0; b < pipelined; b++ {
-		ops := make([]BatchOp, 4)
-		for i := range ops {
-			ops[i] = BatchOp{
-				Kind:  BatchPut,
-				Key:   fmt.Sprintf("pipe-%d-%d", b, i),
-				Value: []byte(fmt.Sprintf("value-%d-%d", b, i)),
-			}
-		}
-		f, err := c.BatchAsync(ops)
-		if err != nil {
-			t.Fatalf("BatchAsync %d: %v", b, err)
-		}
-		futures[b] = f
-	}
-	// Waiting in reverse order exercises out-of-order resolution: later
-	// futures' replies arrive while earlier ones are still registered.
-	for b := pipelined - 1; b >= 0; b-- {
-		results, err := futures[b].Wait()
-		if err != nil {
-			t.Fatalf("Wait %d: %v", b, err)
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("batch %d op %d: %v", b, i, r.Err)
-			}
-		}
-	}
-	for b := 0; b < pipelined; b++ {
-		for i := 0; i < 4; i++ {
-			v, err := c.Get(fmt.Sprintf("pipe-%d-%d", b, i))
-			if err != nil || !bytes.Equal(v, []byte(fmt.Sprintf("value-%d-%d", b, i))) {
-				t.Fatalf("pipe-%d-%d: %q, %v", b, i, v, err)
-			}
-		}
-	}
-	st := c.StatsStruct()
-	if st.Batches != pipelined || st.BatchedOps != pipelined*4 {
-		t.Errorf("client batch counters: %d/%d, want %d/%d",
-			st.Batches, st.BatchedOps, pipelined, pipelined*4)
-	}
-	ss := tc.server.Stats()
-	if ss.Batches != pipelined || ss.BatchedOps != pipelined*4 {
-		t.Errorf("server batch counters: %d/%d", ss.Batches, ss.BatchedOps)
-	}
-}
-
-func TestBatchInterleavedWithSingleOps(t *testing.T) {
-	tc := newCluster(t, ServerConfig{})
-	c := tc.connect()
-	f, err := c.BatchAsync([]BatchOp{
-		{Kind: BatchPut, Key: "async-a", Value: []byte("1")},
-		{Kind: BatchPut, Key: "async-b", Value: []byte("2")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Single ops while the batch is in flight: the single-op poll loop
-	// must dispatch the batch's reply to its future rather than dropping
-	// or misattributing it.
-	if err := c.Put("single", []byte("s")); err != nil {
-		t.Fatalf("interleaved Put: %v", err)
-	}
-	v, err := c.Get("single")
-	if err != nil || !bytes.Equal(v, []byte("s")) {
-		t.Fatalf("interleaved Get: %q, %v", v, err)
-	}
-	results, err := f.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("batch op %d: %v", i, r.Err)
-		}
-	}
-	if v, err := c.Get("async-a"); err != nil || !bytes.Equal(v, []byte("1")) {
-		t.Fatalf("async-a: %q, %v", v, err)
-	}
-}
-
 func TestBatchReplayRejectedPerOp(t *testing.T) {
 	tc := newCluster(t, ServerConfig{})
 	c := tc.connect()

@@ -13,7 +13,6 @@ import (
 
 	"precursor/internal/cryptox"
 	"precursor/internal/obs"
-	"precursor/internal/overload"
 	"precursor/internal/rdma"
 	"precursor/internal/ringbuf"
 	"precursor/internal/sgx"
@@ -99,9 +98,6 @@ type Client struct {
 	serverEnc  bool // the server announced the server-encryption placement
 	inlineMax  int  // values shorter than this travel inline (§5.2): the server's announced bound, 0 when it has no inline mode
 
-	// inflight maps oid to the pending pipelined batch. Guarded by mu.
-	inflight map[uint64]*BatchFuture
-
 	// Per-connection scratch (all guarded by mu), shared by every frame so
 	// the steady-state op path allocates nothing but the block of values a
 	// frame of gets hands back. Each buffer is valid only until the next use named here;
@@ -120,11 +116,6 @@ type Client struct {
 	// wait is the back-off of every wait on this connection, for a reply
 	// and for request-ring credit alike. Guarded by mu.
 	wait ringbuf.Ladder
-	// window is the connection's AIMD pipelining limit: how many batch
-	// frames may be in flight at once. RETRY_LATER and timeouts shrink
-	// it multiplicatively; successes recover it additively (floor 1,
-	// ceiling maxPipelined).
-	window *overload.AIMD
 
 	// Stats. completed counts the ops that succeeded, by kind.
 	completed           [BatchDelete + 1]uint64
@@ -149,8 +140,7 @@ func Connect(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("precursor: PlatformKey is required for attestation")
 	}
 
-	cl := &Client{cfg: c, conn: c.Conn, device: c.Device,
-		window: overload.NewAIMD(1, maxPipelined)}
+	cl := &Client{cfg: c, conn: c.Conn, device: c.Device}
 	cl.respRing = c.Device.RegisterMemory(
 		ringbuf.RingBytes(c.RespSlots, DefaultSlotSize), rdma.PermRemoteWrite)
 	cl.reqCredit = c.Device.RegisterMemory(ringbuf.CreditBytes, rdma.PermRemoteWrite)
@@ -205,8 +195,9 @@ func (c *Client) ID() uint32 { return c.id }
 // Put is not idempotent from the protocol's point of view (a retried oid
 // is rejected as a replay), so it is never retried: if the outcome is
 // unknown — the request may or may not have been applied — the error
-// matches both its cause (ErrTimeout, ErrReplay, or ErrBadResponse for a
-// malformed reply) and ErrUnconfirmed. A put that never reached the ring,
+// matches both its cause (ErrTimeout, ErrReplay, ErrBadResponse for a
+// malformed reply, or ErrClosed for a connection that died after the send)
+// and ErrUnconfirmed. A put that never reached the ring,
 // or that the enclave refused under seal, was not applied: its error is
 // plain.
 func (c *Client) Put(key string, value []byte) error {
@@ -416,18 +407,6 @@ func (c *Client) startTrace(kind string, ref obs.SpanRef) (*obs.Op, obs.SpanRef)
 	return op, op.Ref()
 }
 
-// writeOutcome types the result of a non-idempotent write: when the
-// error leaves the operation's fate unknown (timed out, or the server
-// saw the oid twice and we cannot tell which copy answered), the caller
-// must be able to select on "maybe applied" — so the cause is joined
-// with ErrUnconfirmed rather than replaced by it.
-func writeOutcome(err error) error {
-	if errors.Is(err, ErrTimeout) || errors.Is(err, ErrReplay) {
-		return fmt.Errorf("%w; %w", err, ErrUnconfirmed)
-	}
-	return err
-}
-
 // Get fetches and verifies the value for key: the server returns the
 // stored ciphertext as-is plus the control data with K_operation; the
 // client recomputes the MAC and decrypts (§3.7, "Query data").
@@ -501,59 +480,71 @@ func (c *Client) DeleteContext(ctx context.Context, key string) error {
 
 // sendFrameLocked writes c.frameBuf into the request ring, waiting for
 // credit until deadline: a stalled ring (credits lost or delayed in
-// flight) must surface as the operation's timeout, not a hang — and a
-// frame that timed out here never entered the ring, so nothing is
-// unconfirmed. The ring writer copies the frame before returning, so the
-// scratch buffers are free for the next frame. The wait climbs c.wait, and
-// the wait for the reply carries on from there. For tracing, the loop
-// splits into credit wait (all the failed TryWrites) and the one
-// successful ring write. The fast path — first TryWrite succeeds — reuses t, the previous span's end, as both the (zero-length) credit
-// wait and the write start, so it costs one clock read; the clock is
-// re-read only on actual credit stalls. It returns the ring-write span's
-// end. Called with mu held.
+// flight) must surface as the operation's timeout, not a hang, and a
+// failed connection as ErrClosed at once — and a frame that failed here
+// was never posted, so nothing is unconfirmed. The ring writer copies
+// the frame before returning, so the scratch buffers are free for the next
+// frame. The wait climbs c.wait, and the wait for the reply carries on from
+// there. For tracing, the loop splits into credit wait (all the failed
+// TryWrites) and the one successful ring write. The fast path — first
+// TryWrite succeeds — reuses t, the previous span's end, as both the
+// (zero-length) credit wait and the write start, so it costs one clock
+// read; the clock is re-read only on actual credit stalls. It returns the
+// ring-write span's end. Called with mu held.
 func (c *Client) sendFrameLocked(op *obs.Op, t int64, deadline time.Time) (int64, error) {
 	waitStart, writeStart := t, t
 	for {
 		ok, err := c.reqWriter.TryWrite(c.frameBuf)
-		if err != nil {
-			return t, fmt.Errorf("%w: %v", ErrClosed, err)
-		}
-		if ok {
+		switch {
+		case ok || errors.Is(err, ringbuf.ErrRemote):
+			// ErrRemote is a failed completion drained after the frame was
+			// posted: the frame may be in the ring, so it counts as sent, and
+			// the wait for its reply finds the failed connection.
 			op.SpanAt(obs.CliCreditWait, waitStart, writeStart)
 			return op.SpanEnd(obs.CliRingWrite, writeStart), nil
-		}
-		if !c.wait.Wait(deadline) {
+		case err != nil:
+			return t, fmt.Errorf("%w: %v", ErrClosed, err)
+		case c.conn.Failed():
+			return t, ErrClosed
+		case !c.wait.Wait(deadline):
 			return t, ErrTimeout
 		}
 		writeStart = op.Now()
 	}
 }
 
-// recvLocked is one step of awaiting a reply: it polls the response ring
-// once and dispatches whatever frame arrived. want is the synchronous frame
-// awaiting its reply, nil when only pipelined batches are in flight. The
-// reply to want resolves it, a reply to a future resolves the future;
-// anything else is counted and skipped. On an empty ring it takes one step
-// of c.wait; past deadline it reports ErrTimeout, whatever the ring held.
-// Of transport errors only fatal ones are returned.
+// recvLocked is one step of awaiting want's reply: it polls the response
+// ring once and dispatches whatever frame arrived. The reply to want
+// resolves it; any other frame is counted and skipped. On an empty ring it
+// takes one step of c.wait; past deadline it reports ErrTimeout, whatever
+// the ring held. An empty ring on a failed connection ends the wait with
+// ErrClosed once a second poll finds it empty too: a reply that landed
+// before the failure still decides the op. Of transport errors only fatal
+// ones are returned.
 //
 // Over an untrusted network, frames that fail authentication — a
 // corrupt ring slot, a response whose AEAD open fails, an
 // unauthenticated status frame — cannot be attributed to any operation:
 // anyone on the path could have forged them. Failing an operation on
 // such a frame would let an attacker cancel requests with garbage, so an
-// operation's fate is decided only by an authenticated response or its
-// deadline. Called with mu held.
+// operation's fate is decided only by an authenticated response, its
+// deadline, or the connection's own failure — which, like the deadline,
+// leaves a sent write unconfirmed, and which an attacker able to reset the
+// connection could turn into a timeout anyway. Called with mu held.
 func (c *Client) recvLocked(want *pending, deadline time.Time) error {
 	msg, ready, err := c.respReader.PollInto(c.pollBuf)
-	c.pollBuf = msg[:cap(msg)]
-	if err == nil && !ready {
-		if !c.wait.Wait(deadline) {
-			return ErrTimeout
+	if err == nil && !ready && c.conn.Failed() {
+		if msg, ready, err = c.respReader.PollInto(c.pollBuf); err == nil && !ready {
+			return ErrClosed
 		}
-		return nil
 	}
-	decided := false
+	c.pollBuf = msg[:cap(msg)]
+	if ready {
+		// A reply decides its op even when the credit write behind it failed.
+		if ferr := c.dispatchLocked(msg, want); want.done {
+			return ferr
+		}
+	}
 	switch {
 	case errors.Is(err, ringbuf.ErrCorrupt):
 		// The reader consumed the mangled slot; the bytes are
@@ -563,60 +554,55 @@ func (c *Client) recvLocked(want *pending, deadline time.Time) error {
 		// Anything else is a failed credit write — the connection is dead
 		// or dying.
 		return fmt.Errorf("%w: %v", ErrClosed, err)
+	case ready:
+	case !c.wait.Wait(deadline):
+		return ErrTimeout
 	default:
-		if decided, err = c.dispatchLocked(msg, want); want != nil && want.done {
-			return err
-		}
+		return nil
 	}
 	// A frame that decided nothing is followed by another poll at once —
 	// but never past the deadline, however many come.
-	if !decided && time.Now().After(deadline) {
+	if time.Now().After(deadline) {
 		return ErrTimeout
 	}
 	return nil
 }
 
-// dispatchLocked is recvLocked's handling of one arrived frame; it reports
-// whether the frame resolved want or a future, and want's frame-level
-// error. Every reply is a sealed BatchReply under the base AD: its sealed
-// oid echo binds it to its frame.
-func (c *Client) dispatchLocked(msg []byte, want *pending) (bool, error) {
+// dispatchLocked is recvLocked's handling of one arrived frame: the reply
+// to want resolves it, and its frame-level error is returned. Every reply
+// is a sealed BatchReply under the base AD: its sealed oid echo binds it to
+// its frame.
+func (c *Client) dispatchLocked(msg []byte, want *pending) error {
 	var resp wire.Response
 	if err := resp.Decode(msg); err != nil {
 		c.badFrames++
-		return false, nil
+		return nil
 	}
 	if len(resp.SealedControl) == 0 {
 		// Unauthenticated status frame (auth failure / bad-request
 		// notice). Advisory at best, forged at worst.
 		c.unauthStatuses++
-		return false, nil
+		return nil
 	}
-	// Whatever is in flight is already in the ring, so the control scratch
-	// is free to take the reply's opened control.
+	// want's frame is already in the ring, so the control scratch is free
+	// to take the reply's opened control.
 	pt, err := c.aead.OpenAppend(c.ctlBuf[:0], resp.SealedControl, c.ad[:])
 	if err != nil {
 		c.badFrames++
-		return false, nil
+		return nil
 	}
 	c.ctlBuf = pt
-	if err := wire.DecodeBatchReply(pt, &c.brep); err != nil {
+	switch {
+	case wire.DecodeBatchReply(pt, &c.brep) != nil:
 		c.badFrames++
-		return false, nil
-	}
-	if want != nil && want.oid == c.brep.Oid {
-		return true, c.resolveLocked(want, resp.Payload, nil)
-	}
-	f := c.inflight[c.brep.Oid]
-	if f == nil {
+		return nil
+	case c.brep.Oid != want.oid:
 		// Authenticated but stale: a duplicated or very late delivery
 		// for an oid no longer awaited.
 		c.staleFrames++
-		return false, nil
+		return nil
 	}
-	f.err = c.resolveLocked(&f.pending, resp.Payload, nil)
-	f.finishLocked()
-	return true, nil
+	return c.resolveLocked(want, resp.Payload, nil)
 }
 
 // ClientStats is a snapshot of a client's operation counters, in struct
@@ -624,9 +610,8 @@ func (c *Client) dispatchLocked(msg []byte, want *pending) (bool, error) {
 // returns.
 type ClientStats struct {
 	// Puts, Gets and Deletes count the ops that succeeded, in every frame
-	// — a Batch's or a BatchAsync's as much as a single op's — as
-	// ServerStats counts a batch's ops beside single ones. A retried read
-	// counts once.
+	// — a Batch's as much as a single op's — as ServerStats counts a
+	// batch's ops beside single ones. A retried read counts once.
 	Puts, Gets, Deletes uint64
 	// Batches counts frames of more than one op sent; BatchedOps counts
 	// the operations they carried (so BatchedOps/Batches is the realized
@@ -641,16 +626,13 @@ type ClientStats struct {
 	// RetryLaters counts the frames this connection had shed by the
 	// admission gate (sealed RETRY_LATER replies).
 	RetryLaters uint64
-	// Window is the connection's current AIMD pipelining limit — a
-	// gauge, so Add keeps the maximum across connections rather than
-	// summing.
-	Window int
 	// BadFrames counts unattributable response frames skipped by the
 	// poll loop: corrupt ring slots, undecodable responses, and sealed
 	// control data that failed authentication.
 	BadFrames uint64
 	// StaleFrames counts authenticated responses for an oid other than
-	// the one in flight (duplicated or very late deliveries).
+	// the connection's one frame in flight (duplicated or very late
+	// deliveries).
 	StaleFrames uint64
 	// UnauthStatuses counts unauthenticated server status frames, which
 	// are never allowed to decide an operation's outcome.
@@ -686,9 +668,6 @@ func (s *ClientStats) Add(other ClientStats) {
 	s.IntegrityFailures += other.IntegrityFailures
 	s.Retries += other.Retries
 	s.RetryLaters += other.RetryLaters
-	if other.Window > s.Window {
-		s.Window = other.Window
-	}
 	s.BadFrames += other.BadFrames
 	s.StaleFrames += other.StaleFrames
 	s.UnauthStatuses += other.UnauthStatuses
@@ -712,7 +691,6 @@ func (c *Client) StatsStruct() ClientStats {
 		IntegrityFailures: c.integrityFailures,
 		Retries:           c.retries,
 		RetryLaters:       c.retryLaters,
-		Window:            c.window.Limit(),
 		BadFrames:         c.badFrames,
 		StaleFrames:       c.staleFrames,
 		UnauthStatuses:    c.unauthStatuses,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,8 +11,11 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
+	"precursor/internal/faultfab"
 	"precursor/internal/obs"
+	"precursor/internal/rdma"
 	"precursor/internal/vlog"
 )
 
@@ -102,74 +106,96 @@ func TestGetResultsNeverAliasScratch(t *testing.T) {
 	}
 }
 
-// TestSingleOpPollResolvesPipelinedBatches has a single-op Get poll the
-// response ring while BatchAsync futures are in flight on the same
-// connection: the batch replies are opened and resolved from inside the
-// Get's own poll loop, on the scratch the Get's reply is about to use.
-// Both must come out right — also when the Get is traced: every reply
-// seals under the same AD, and only its sealed oid echo tells the Get's
-// frame of one from the futures' frames.
-func TestSingleOpPollResolvesPipelinedBatches(t *testing.T) {
+// TestSingleOpPollSkipsStaleReplies makes a read's late reply arrive
+// during the poll of its retry: the server's replies are held back until
+// the read's first attempt has timed out and its second has been applied,
+// and a second connection overwrites the key in between. Released in
+// order, the first attempt's reply — authenticated, carrying the old
+// value, for an oid no longer awaited — is opened on the scratch the
+// retry's own reply is about to use. It must be counted stale and skipped,
+// and the read must return the new value: for a Get and a Batch of gets,
+// also when traced (every reply seals under the same AD, and only its
+// sealed oid echo tells the frames apart).
+func TestSingleOpPollSkipsStaleReplies(t *testing.T) {
+	const slice = 100 * time.Millisecond // each of a read's two attempts
 	for _, traced := range []bool{false, true} {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
 			tc := newCluster(t, ServerConfig{})
-			var opts []func(*ClientConfig)
+			w := tc.connect()
+			replies := faultfab.New(faultfab.Config{Seed: 1})
+			tc.wrapSrv = func(c rdma.Conn) rdma.Conn { return replies.Wrap(c, faultfab.S2C, "server") }
+			t.Cleanup(func() { replies.Heal(faultfab.S2C) })
+			opts := []func(*ClientConfig){func(cfg *ClientConfig) { cfg.ReadRetries = 1 }}
 			if traced {
 				tr := obs.New(obs.Config{Side: obs.SideClient, Ring: 16})
-				opts = append(opts, func(c *ClientConfig) { c.Tracer = tr })
+				opts = append(opts, func(cfg *ClientConfig) { cfg.Tracer = tr })
 			}
 			c := tc.connect(opts...)
-			const perBatch = 8
-			if err := c.Put("single", stamped(9, 9, 9, 300)); err != nil {
-				t.Fatal(err)
-			}
-			rounds := 50
+			rounds := 6
 			if testing.Short() {
-				rounds = 10
+				rounds = 2
 			}
 			for r := 0; r < rounds; r++ {
-				// The pipelining window starts at one frame and widens with
-				// every success, so later rounds really have several in flight.
-				inflight := 1 + r%4
-				var futures []*BatchFuture
-				for b := 0; b < inflight; b++ {
-					ops := make([]BatchOp, 0, 2*perBatch)
-					for i := 0; i < perBatch; i++ {
-						k := uint32(b*perBatch + i)
-						ops = append(ops, BatchOp{Kind: BatchPut, Key: fmt.Sprintf("pipe-%d", k),
-							Value: stamped(3, k, uint32(r), 40+int(k))})
-					}
-					for i := 0; i < perBatch; i++ {
-						ops = append(ops, BatchOp{Kind: BatchGet, Key: fmt.Sprintf("pipe-%d", b*perBatch+i)})
-					}
-					f, err := c.BatchAsync(ops)
-					if err != nil {
+				keys := []string{"k0", "k1"}[:1+r%2] // a Get, then a Batch of two gets
+				value := func(version uint32, k int) []byte { return stamped(1, uint32(k), version, 40+int(version)*97+k*260) }
+				for k, key := range keys {
+					if err := w.Put(key, value(uint32(2*r), k)); err != nil {
 						t.Fatal(err)
 					}
-					futures = append(futures, f)
 				}
-				got, err := c.Get("single")
-				if err != nil || !bytes.Equal(got, stamped(9, 9, 9, 300)) {
-					t.Fatalf("round %d: single Get among %d batches = %x, %v", r, inflight, got, err)
-				}
-				for b, f := range futures {
-					res, err := f.Wait()
-					if err != nil {
-						t.Fatalf("round %d batch %d: %v", r, b, err)
+				gets := tc.server.Stats().Gets
+				applied := func(n int) {
+					for deadline := time.Now().Add(2 * slice); tc.server.Stats().Gets < gets+uint64(n*len(keys)); time.Sleep(100 * time.Microsecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("round %d: attempt %d never applied", r, n)
+						}
 					}
-					for i := 0; i < perBatch; i++ {
-						k := uint32(b*perBatch + i)
-						if res[i].Err != nil {
-							t.Fatalf("round %d batch %d put %d: %v", r, b, i, res[i].Err)
-						}
-						want := stamped(3, k, uint32(r), 40+int(k))
-						if g := res[perBatch+i]; g.Err != nil || !bytes.Equal(g.Value, want) {
-							t.Fatalf("round %d batch %d get %d = %x, %v; want %x", r, b, i, g.Value, g.Err, want)
-						}
+				}
+				replies.Partition(faultfab.S2C)
+				start := time.Now()
+				ctx, cancel := context.WithDeadline(context.Background(), start.Add(2*slice))
+				got := make(chan []BatchResult, 1)
+				go func() {
+					ops := make([]BatchOp, len(keys))
+					for k, key := range keys {
+						ops[k] = BatchOp{Kind: BatchGet, Key: key}
+					}
+					if len(ops) == 1 {
+						v, err := c.GetContext(ctx, keys[0])
+						got <- []BatchResult{{Value: v, Err: err}}
+						return
+					}
+					res, _ := c.BatchContext(ctx, ops)
+					got <- res
+				}()
+				applied(1)
+				for k, key := range keys {
+					if err := w.Put(key, value(uint32(2*r+1), k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// The retry is sent once the first attempt's slice is over,
+				// no earlier than start+slice: a put that returned before
+				// then was applied before the retry read the key.
+				fresh := time.Since(start) < slice
+				applied(2)
+				replies.Heal(faultfab.S2C)
+				res := <-got
+				cancel()
+				for k := range keys {
+					g := res[k]
+					if g.Err != nil {
+						t.Fatalf("round %d get %d: %v", r, k, g.Err)
+					}
+					if !bytes.Equal(g.Value, value(uint32(2*r+1), k)) && (fresh || !bytes.Equal(g.Value, value(uint32(2*r), k))) {
+						t.Fatalf("round %d get %d = %x, want %x", r, k, g.Value, value(uint32(2*r+1), k))
 					}
 				}
 			}
 			st := c.StatsStruct()
+			if st.StaleFrames != uint64(rounds) {
+				t.Errorf("%d stale replies skipped, want one per round (%d)", st.StaleFrames, rounds)
+			}
 			if st.BadFrames != 0 || st.IntegrityFailures != 0 || st.UnauthStatuses != 0 {
 				t.Fatalf("clean run counted bad=%d integrity=%d unauth=%d frames",
 					st.BadFrames, st.IntegrityFailures, st.UnauthStatuses)

@@ -27,8 +27,7 @@ import (
 const replyCreditWait = 20 * time.Millisecond
 
 // replyFrameFree bounds the free list of reply frame buffers. A session
-// has one reply in flight (a pipelining one at most maxPipelined), so
-// this covers dozens of busy sessions; past it a reply allocates its
+// has one reply in flight, so this covers dozens of busy sessions; past it a reply allocates its
 // frame and the surplus is left to the GC, as every reply was before the
 // list existed. Buffers are at most a ring slot, so the list is bounded
 // memory independent of the number of keys.

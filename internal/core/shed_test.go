@@ -182,13 +182,11 @@ func deadlineCtx(t *testing.T, d time.Time) context.Context {
 }
 
 // TestBatchDeadlineCoversBackpressureWait pins the deadline-stamping
-// order inside batchAsync: the effective deadline is fixed at entry,
-// before the pipelining-window drain, so time spent blocked behind
-// earlier in-flight batches counts against the parent's budget. A
-// parent generous enough for the send itself still fails fast when
-// the wait would consume it (the alternative — stamping after the
-// drain — quietly extends the parent's budget under backpressure,
-// exactly when deadlines matter most).
+// order: the effective deadline is fixed at entry, before any wait, so a
+// parent spent by the time the frame could be sent fails fast with
+// ErrTimeout and nothing is applied (the alternative — stamping after the
+// wait — quietly extends the parent's budget under backpressure, exactly
+// when deadlines matter most).
 func TestBatchDeadlineCoversBackpressureWait(t *testing.T) {
 	tc := newCluster(t, ServerConfig{})
 	c := tc.connect()

@@ -1,8 +1,6 @@
 // Package overload implements Precursor's overload-protection
 // primitives: the server-side admission gate that sheds excess load
-// before it is applied, the client-side AIMD concurrency
-// controller that adapts the pipelining window to RETRY_LATER and
-// deadline signals, and the token-bucket retry budget that bounds
+// before it is applied, and the token-bucket retry budget that bounds
 // fleet-wide retry amplification.
 //
 // Precursor's servers never coordinate (the paper's client-centric
@@ -10,7 +8,7 @@
 // the melt: the enclave, by refusing work before paying the apply,
 // payload and reply cost of a doomed frame, and the clients, by backing
 // off without amplifying. This package supplies both halves; the
-// wiring lives in internal/core (server and client), the pool, and
+// wiring lives in internal/core (the server's gate), the pool, and
 // internal/cluster (hedged reads).
 package overload
 
@@ -230,94 +228,6 @@ func (g *Gate) Stats() GateStats {
 		Inflight:    g.inflight.Load(),
 		ServiceEWMA: time.Duration(g.svcEWMA.Load()),
 		Draining:    g.draining.Load(),
-	}
-}
-
-// AIMD is a per-connection adaptive concurrency limit: additive
-// increase on success, multiplicative decrease on congestion signals
-// (RETRY_LATER, deadline expiry), floor 1. It governs how many batch
-// frames a connection keeps pipelined — the client-side analogue of a
-// TCP congestion window. Methods are safe for concurrent use, though
-// in practice each limiter is driven by one connection's owner.
-type AIMD struct {
-	mu    sync.Mutex
-	limit float64
-	min   float64
-	max   float64
-	// incr is the additive step per success; factor the multiplicative
-	// cut per congestion signal.
-	incr   float64
-	factor float64
-
-	increases, decreases atomic.Uint64
-}
-
-// NewAIMD returns a limiter spanning [min, max], starting at max
-// (optimistic: the first congestion signal halves it). min is clamped
-// to ≥1, max to ≥min.
-func NewAIMD(min, max int) *AIMD {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	return &AIMD{
-		limit:  float64(max),
-		min:    float64(min),
-		max:    float64(max),
-		incr:   0.5,
-		factor: 0.5,
-	}
-}
-
-// Limit returns the current integer concurrency limit (≥1).
-func (a *AIMD) Limit() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return int(a.limit)
-}
-
-// OnSuccess applies the additive increase (bounded by max).
-func (a *AIMD) OnSuccess() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.limit += a.incr; a.limit > a.max {
-		a.limit = a.max
-	} else {
-		a.increases.Add(1)
-	}
-}
-
-// OnCongestion applies the multiplicative decrease (floored at min).
-// Call on RETRY_LATER or a deadline expiry attributable to load.
-func (a *AIMD) OnCongestion() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.limit *= a.factor; a.limit < a.min {
-		a.limit = a.min
-	} else {
-		a.decreases.Add(1)
-	}
-}
-
-// AIMDStats is a snapshot of a limiter's state.
-type AIMDStats struct {
-	// Limit is the current window.
-	Limit int
-	// Increases and Decreases count effective window adjustments.
-	Increases, Decreases uint64
-}
-
-// Stats returns the limiter's current window and adjustment counters.
-func (a *AIMD) Stats() AIMDStats {
-	a.mu.Lock()
-	limit := int(a.limit)
-	a.mu.Unlock()
-	return AIMDStats{
-		Limit:     limit,
-		Increases: a.increases.Load(),
-		Decreases: a.decreases.Load(),
 	}
 }
 

@@ -128,44 +128,6 @@ func TestGateConcurrent(t *testing.T) {
 	}
 }
 
-func TestAIMDFloorAndCeiling(t *testing.T) {
-	a := NewAIMD(1, 16)
-	if got := a.Limit(); got != 16 {
-		t.Fatalf("initial limit %d, want 16", got)
-	}
-	for i := 0; i < 100; i++ {
-		a.OnCongestion()
-	}
-	if got := a.Limit(); got != 1 {
-		t.Fatalf("floor violated: limit %d", got)
-	}
-	for i := 0; i < 1000; i++ {
-		a.OnSuccess()
-	}
-	if got := a.Limit(); got != 16 {
-		t.Fatalf("ceiling violated: limit %d", got)
-	}
-}
-
-func TestAIMDHalvesOnCongestion(t *testing.T) {
-	a := NewAIMD(1, 16)
-	a.OnCongestion()
-	if got := a.Limit(); got != 8 {
-		t.Fatalf("after one congestion signal limit %d, want 8", got)
-	}
-	// Additive recovery: 0.5 per success, so 4 successes gain +2.
-	for i := 0; i < 4; i++ {
-		a.OnSuccess()
-	}
-	if got := a.Limit(); got != 10 {
-		t.Fatalf("after recovery limit %d, want 10", got)
-	}
-	st := a.Stats()
-	if st.Decreases != 1 || st.Increases != 4 {
-		t.Fatalf("adjustment counters: %+v", st)
-	}
-}
-
 func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	b := NewRetryBudget(4, 0.1)
 	// Drain the initial allowance.

@@ -27,8 +27,8 @@ import (
 // (with backoff) to restore capacity. While capacity is degraded,
 // acquire waits are bounded — an operation that cannot borrow a
 // connection within the pool's timeout or its ctx's deadline fails with
-// an error wrapping ErrTimeout rather than blocking forever, so a
-// cluster breaker sitting above the pool can trip instead of hanging.
+// ErrTimeout, and with none live at once with ErrClosed, rather than
+// blocking, so a cluster breaker sitting above the pool can trip.
 type Pool struct {
 	// idle holds the connections no operation has borrowed; its capacity
 	// is the pool's size, so a release never blocks. Sends happen under mu,
@@ -40,6 +40,9 @@ type Pool struct {
 	live     int // connections not discarded: borrowed or idle
 	closed   bool
 	timeouts map[*Client]int // consecutive timed-out ops per connection (see finish)
+	// emptied is closed, and replaced, when the last live connection is
+	// discarded: it wakes every acquire waiting on idle. Guarded by mu.
+	emptied chan struct{}
 
 	// redial re-establishes one connection after a dead one is discarded
 	// (nil for NewPoolFromClients: the pool cannot re-dial in-process
@@ -103,6 +106,7 @@ func newPool(size int, wait time.Duration) *Pool {
 	return &Pool{
 		idle:        make(chan *Client, size),
 		done:        make(chan struct{}),
+		emptied:     make(chan struct{}),
 		waitTimeout: wait,
 		budget:      budget,
 		earn:        budget,
@@ -123,22 +127,25 @@ func NewPoolFromClients(clients []*Client) (*Pool, error) {
 	return p, nil
 }
 
+// errNoneLive is acquire's answer when every connection is dead and
+// awaiting redial — at entry, or while it waits: waiting out the acquire
+// timeout would stall the caller on a server that is known-unreachable
+// right now. Failing fast with ErrClosed trips a breaker above the pool
+// at once; the background redial loops restore capacity when the server
+// returns.
+var errNoneLive = fmt.Errorf("precursor: pool has no live connections: %w", ErrClosed)
+
 // acquire borrows a connection, waiting if all are busy — for at most
 // the pool's timeout, and never past ctx's deadline or cancellation.
 func (p *Pool) acquire(ctx context.Context) (*Client, error) {
 	p.mu.Lock()
-	closed, dead := p.closed, p.redial != nil && p.live == 0
+	closed, dead, emptied := p.closed, p.redial != nil && p.live == 0, p.emptied
 	p.mu.Unlock()
 	switch {
 	case closed:
 		return nil, ErrPoolClosed
 	case dead:
-		// Every connection is dead and awaiting redial: waiting out the
-		// acquire timeout would stall the caller on a server that is
-		// known-unreachable right now. Fail fast with ErrClosed so a
-		// breaker above the pool trips immediately; the background
-		// redial loops restore capacity when the server returns.
-		return nil, fmt.Errorf("precursor: pool has no live connections: %w", ErrClosed)
+		return nil, errNoneLive
 	}
 	select {
 	case c := <-p.idle:
@@ -154,6 +161,8 @@ func (p *Pool) acquire(ctx context.Context) (*Client, error) {
 			return c, nil
 		case <-p.done:
 			return nil, ErrPoolClosed
+		case <-emptied:
+			return nil, errNoneLive
 		case <-timer.C:
 			err = ErrTimeout
 		case <-ctx.Done():
@@ -200,7 +209,10 @@ func (p *Pool) finish(c *Client, err error, ownTimeout bool) {
 	}
 	if dead {
 		delete(p.timeouts, c)
-		p.live--
+		if p.live--; p.live == 0 {
+			close(p.emptied)
+			p.emptied = make(chan struct{})
+		}
 	}
 	kept := !dead && p.releaseLocked(c)
 	redial := dead && !p.closed

@@ -254,6 +254,66 @@ func TestPoolReplacesWedgedConnection(t *testing.T) {
 	}
 }
 
+// TestPoolWaiterFailsFastWhenLastConnectionDies: an acquire waiting for
+// the pool's one connection fails at once with ErrClosed when the op
+// holding that connection finds it dead — its server stopped under the
+// op — as an acquire arriving then would, instead of waiting out the
+// pool's timeout for a connection only a redial can bring back.
+func TestPoolWaiterFailsFastWhenLastConnectionDies(t *testing.T) {
+	platform, err := precursor.NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := precursor.Serve("127.0.0.1:0", precursor.ServerConfig{
+		Platform: platform, Workers: 1, PollInterval: time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	const timeout = 5 * time.Second
+	gate := &gateWire{entered: make(chan struct{}), release: make(chan struct{})}
+	var dialed atomic.Uint64
+	pool, err := precursor.NewPool(svc.Addr(), precursor.DialConfig{
+		PlatformKey: platform.AttestationPublicKey(),
+		Measurement: svc.Server.Measurement(),
+		Timeout:     timeout,
+		WrapConn: func(c precursor.Conn) precursor.Conn {
+			if dialed.Add(1) > 1 {
+				return c
+			}
+			gate.Conn = c
+			return gate
+		},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pool.Close() })
+
+	// The holder's request write parks, holding the pool's one connection.
+	gate.armed.Store(true)
+	holder := make(chan error, 1)
+	go func() { holder <- pool.Put("k", []byte("v")) }()
+	<-gate.entered
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := pool.Get("k")
+		waiter <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // the Get is queued in acquire
+	svc.Close()
+	start := time.Now()
+	close(gate.release)
+	if err := <-holder; !errors.Is(err, precursor.ErrClosed) {
+		t.Fatalf("holder: %v, want ErrClosed", err)
+	}
+	err = <-waiter
+	if d := time.Since(start); d > 100*time.Millisecond || !errors.Is(err, precursor.ErrClosed) {
+		t.Fatalf("waiter ended %v after its pool's last connection died, with %v; want ErrClosed at once (the acquire timeout is %v)", d, err, timeout)
+	}
+}
+
 func TestPoolBasicOps(t *testing.T) {
 	pool, _ := newPoolCluster(t, 3)
 	if pool.Size() != 3 {

@@ -71,7 +71,8 @@ type (
 
 // Re-exported multi-op batching types. A batch ships N operations under
 // one control seal and one ring doorbell and returns per-op results —
-// see Client.Batch, Client.BatchAsync and PROTOCOL.md "Batch frames".
+// see Client.Batch and PROTOCOL.md "Batch frames". A connection has one
+// frame in flight; a Pool's connections provide the concurrency.
 type (
 	// BatchOp is one operation inside a batch.
 	BatchOp = core.BatchOp
@@ -79,8 +80,6 @@ type (
 	BatchOpKind = core.BatchOpKind
 	// BatchResult is one batched op's outcome.
 	BatchResult = core.BatchResult
-	// BatchFuture is a pipelined batch pending its sealed reply.
-	BatchFuture = core.BatchFuture
 )
 
 // Batch operation kinds.
